@@ -231,7 +231,11 @@ def _cmd_logic_degree(args, inputs):
 
 
 def _cmd_logic_entails(args, inputs):
-    language = syntax.LanguageSpec.from_json(_read_json(args.language, inputs))
+    try:
+        language = syntax.LanguageSpec.from_json(
+            _read_json(args.language, inputs))
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"bad language file: {exc}") from None
     gamma = []
     if args.gamma:
         for text in _read_json(args.gamma, inputs)["formulas"]:
@@ -285,16 +289,29 @@ def _cmd_proof_audit(args, inputs):
 # -- poly -------------------------------------------------------------
 
 
-def _load_poly(args, inputs):
-    data = _read_json(args.spec, inputs)
+def _load_poly(path, inputs):
+    """(spec data, algebra) of an algebra spec file."""
+    data = _read_json(path, inputs)
     try:
-        return polyadic.algebra_from_json(data)
+        return data, polyadic.algebra_from_json(data)
     except (KeyError, ValueError, polyadic.TruncationError) as exc:
         raise CliError(f"bad algebra spec: {exc}") from None
 
 
+def _resolve_element(algebra, ref):
+    """The carrier element at index ref, or generator N for ref 'gN'."""
+    ref = str(ref)
+    pool, name = algebra.carrier, "carrier"
+    if ref.startswith("g"):
+        pool, name, ref = algebra.generators, "generator list", ref[1:]
+    i = int(ref)
+    if not 0 <= i < len(pool):
+        raise CliError(f"no element {i} in the {name} of {len(pool)}")
+    return pool[i]
+
+
 def _cmd_poly_build(args, inputs):
-    algebra = _load_poly(args, inputs)
+    _, algebra = _load_poly(args.spec, inputs)
     dump = algebra.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -307,7 +324,7 @@ def _cmd_poly_build(args, inputs):
 
 
 def _cmd_poly_audit(args, inputs):
-    algebra = _load_poly(args, inputs)
+    _, algebra = _load_poly(args.spec, inputs)
     report = polyadic.audit_axioms(algebra)
     data = {
         "carrier": len(algebra.carrier),
@@ -322,7 +339,7 @@ def _cmd_poly_audit(args, inputs):
 
 
 def _cmd_poly_neat(args, inputs):
-    algebra = _load_poly(args, inputs)
+    _, algebra = _load_poly(args.spec, inputs)
     alpha = frozenset(int(x) for x in args.alpha.split(",") if x.strip())
     try:
         reduct = polyadic.neat_reduct(algebra, alpha, flavor=args.flavor)
@@ -337,8 +354,8 @@ def _cmd_poly_neat(args, inputs):
 
 
 def _cmd_poly_dims(args, inputs):
-    algebra = _load_poly(args, inputs)
-    element = algebra.carrier[args.element]
+    _, algebra = _load_poly(args.spec, inputs)
+    element = _resolve_element(algebra, args.element)
     return 0, "ok", {
         "dimension_set": sorted(polyadic.dimension_set(algebra, element)),
         "minimal_support": sorted(polyadic.minimal_support(algebra, element)),
@@ -379,18 +396,8 @@ def _identifiers(text):
     return re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
 
 
-def _resolve_element(algebra, ref):
-    if isinstance(ref, str) and ref.startswith("g"):
-        return algebra.generators[int(ref[1:])]
-    return algebra.carrier[int(ref)]
-
-
 def _cmd_henkin_demo(args, inputs):
-    data = _read_json(args.algebra, inputs)
-    try:
-        algebra = polyadic.algebra_from_json(data)
-    except (KeyError, ValueError, polyadic.TruncationError) as exc:
-        raise CliError(f"bad algebra spec: {exc}") from None
+    _, algebra = _load_poly(args.algebra, inputs)
     element = _resolve_element(algebra, args.element)
     try:
         outcome = interlab.henkin_filter_build(algebra, element)
@@ -416,19 +423,18 @@ def _cmd_henkin_demo(args, inputs):
 
 
 def _cmd_pavelka_degree(args, inputs):
-    data = _read_json(args.algebra, inputs)
-    algebra = polyadic.algebra_from_json(data)
+    data, algebra = _load_poly(args.algebra, inputs)
     if "constants" in data:
         # explicit declaration: {"constants": {"1/2": carrierIndex, ...}}
-        table = {parse_value(k): algebra.carrier[i]
+        table = {parse_value(k): _resolve_element(algebra, i)
                  for k, i in data["constants"].items()}
-        pav = pavelka.PavelkaAlgebra.make(algebra.mv_view(), algebra.chain,
-                                          table)
+        pav = pavelka.PavelkaAlgebra.make(algebra, algebra.chain, table)
     else:
         pav = pavelka.functional_pavelka(algebra, require_full=False)
     fdata = _read_json(args.filter, inputs)
-    members = frozenset(algebra.carrier[i] for i in fdata["members"])
-    flt = mv_core.Filter(algebra.mv_view(), members)
+    members = frozenset(_resolve_element(algebra, i)
+                        for i in fdata["members"])
+    flt = mv_core.Filter(algebra, members)
     ctx = pavelka.GradedContext(pav, flt)
     element = _resolve_element(algebra, args.element)
     return 0, "ok", {

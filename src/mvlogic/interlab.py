@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mv_core, semantics, syntax
 from .mv_core import Chain, ONE, ZERO, maximal_filters, quotient
-from .polyadic import FunctionalSetAlgebra, dimension_set
+from .polyadic import FunctionalSetAlgebra, first_witness
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, predicates_of, render,
@@ -243,45 +242,46 @@ def henkin_filter_build(algebra, a):
     """
     if a == algebra.zero:
         raise ZeroElement("the starting element must be nonzero")
-    view = algebra.mv_view()
+    V = algebra.indexed()
+    start = V.index_of.get(a)
     index = list(algebra.index_set)
     domain = tuple(sorted(index))
-    map_set = set(algebra.transformations)
     singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
+    replacements = {
+        (k, l): V.subst.get(FinTransformation.replacement(domain, k, l))
+        for k in singles for l in index}
     examined = 0
 
-    for flt in maximal_filters(view):
-        if a not in flt.members:
-            continue
-        examined += 1
-        witnesses = []
-        good = True
+    def witnesses(members):
+        found = []
         for k in singles:
-            if not good:
-                break
-            for x in algebra.elements():
-                ck = algebra.cyl_el(frozenset({k}), x)
-                if ck not in flt.members:
+            ck = V.cyl[frozenset({k})]
+            for x in V.carrier:
+                if ck[x] not in members:
                     continue
-                delta = dimension_set(algebra, x)
+                delta = V.dimension_set(x)
                 spare_first = [l for l in index if l not in delta] + \
                               [l for l in index if l in delta]
-                entry = None
                 for l in spare_first:
-                    repl = FinTransformation.replacement(domain, k, l)
-                    if repl not in map_set:
-                        continue
-                    if algebra.subst_el(repl, x) in flt.members:
-                        entry = WitnessEntry(k, x, l, l not in delta)
+                    repl = replacements[k, l]
+                    if repl is not None and repl[x] in members:
+                        found.append(WitnessEntry(k, V.elements[x], l,
+                                                  l not in delta))
                         break
-                if entry is None:
-                    good = False
-                    break
-                witnesses.append(entry)
-        if good:
+                else:
+                    return None
+        return found
+
+    for flt in maximal_filters(V):
+        if start not in flt.members:
+            continue
+        examined += 1
+        found = witnesses(flt.members)
+        if found is not None:
             atom = mv_core.filter_generator(flt)
-            return HenkinFilter(algebra, flt.members, atom, a,
-                                tuple(witnesses))
+            return HenkinFilter(
+                algebra, frozenset(V.elements[i] for i in flt.members),
+                V.elements[atom], a, tuple(found))
     return Exhausted(examined)
 
 
@@ -304,6 +304,58 @@ class RepresentationAudit:
         return [r for r in self.results if not r.holds]
 
 
+def clause_result(name, pairs):
+    """The clause, failing at the first (lhs, rhs, witness) that differs."""
+    _, witness = first_witness(pairs)
+    return ClauseResult(name, witness is None, witness)
+
+
+def psi_rows(V, levels, vs):
+    """psi over carrier indices: rows[i][xi] is levels[s_x i], x = vs[xi]."""
+    subst = [V.subst[x] for x in vs]
+    return [tuple(levels[s[i]] for s in subst) for i in V.carrier]
+
+
+def homomorphism_clauses(V, rows, top):
+    """The ~, (+) and (*) clauses of a map psi given by level rows.
+
+    rows[i] is psi of carrier index i as levels 0..top of a chain, one per
+    coordinate; the chain operations act on levels.
+    """
+    els = V.elements
+    results = [clause_result("neg", (
+        (rows[V.neg[i]], tuple(top - r for r in row), (els[i],))
+        for i, row in enumerate(rows)))]
+    for name, table, combine in (
+            ("oplus", V.oplus, lambda u, v: min(u + v, top)),
+            ("odot", V.odot, lambda u, v: max(u + v - top, 0))):
+        results.append(clause_result(name, (
+            (rows[table[i][k]], tuple(map(combine, row, rows[k])),
+             (els[i], els[k]))
+            for i, row in enumerate(rows) for k in V.carrier)))
+    return results
+
+
+def cyl_sup_clause(V, rows, vs):
+    """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x in vs."""
+    index_set = V.algebra.index_set
+
+    def pairs():
+        for k in (next(iter(j)) for j in V.algebra.scopes if len(j) == 1):
+            variants = [
+                [yi for yi, y in enumerate(vs)
+                 if all(y.apply(i) == x.apply(i) for i in index_set if i != k)]
+                for x in vs]
+            ck = V.cyl[frozenset({k})]
+            for i, row in enumerate(rows):
+                cp = rows[ck[i]]
+                for xi, ids in enumerate(variants):
+                    yield (cp[xi], max(row[yi] for yi in ids),
+                           (k, V.elements[i], vs[xi]))
+
+    return clause_result("cyl-sup", pairs())
+
+
 def representation_map(algebra, hf, transformations=None):
     """psi(p)(x) = class of s_x p in the quotient chain, for x in V.
 
@@ -313,104 +365,40 @@ def representation_map(algebra, hf, transformations=None):
     k-variants of x inside V; and that psi does not kill the filter's
     element at the identity coordinate.
     """
-    view = algebra.mv_view()
-    flt = mv_core.Filter(view, hf.members)
-    chain, proj = quotient(view, flt)
+    V = algebra.indexed()
+    flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
+    chain, proj = quotient(V, flt)
     vs = tuple(transformations) if transformations is not None \
         else algebra.transformations
-    v_set = set(vs)
-    els = list(algebra.elements())
-    el_index = {p: i for i, p in enumerate(els)}
-    nv = len(vs)
+    position = {x: xi for xi, x in enumerate(vs)}
     top = chain.n - 1
-
-    # rank-level tables keep the exhaustive audit in integer arithmetic
-    rproj = {p: int(proj[p] * top) for p in els}
-    rank = [[rproj[algebra.subst_el(x, p)] for x in vs] for p in els]
-    psi = {p: tuple(Fraction(r, top) for r in rank[i])
-           for i, p in enumerate(els)}
-
-    results = []
-
-    def audit(clause, pairs):
-        for lhs, rhs, witness in pairs:
-            if lhs != rhs:
-                results.append(ClauseResult(clause, False, witness))
-                return
-        results.append(ClauseResult(clause, True))
-
-    zero_row = tuple(0 for _ in vs)
-    one_row = tuple(top for _ in vs)
-    audit("unit-0", [(tuple(rank[el_index[algebra.zero]]), zero_row, ("0",))])
-    audit("unit-1", [(tuple(rank[el_index[algebra.one]]), one_row, ("1",))])
-    audit("neg", ((tuple(rank[el_index[algebra.neg(p)]]),
-                   tuple(top - r for r in rank[i]), (p,))
-                  for i, p in enumerate(els)))
-
-    # carrier values encode as integer levels, keeping the big pairwise
-    # clauses out of rational arithmetic
-    nl = algebra.chain.n - 1
-    enc = [tuple(int(v * nl) for v in p) for p in els]
-    eid = {e: i for i, e in enumerate(enc)}
-
-    def binop_pairs(combine_el, combine_rank):
-        for i, p in enumerate(els):
-            row = rank[i]
-            ep = enc[i]
-            for k, q in enumerate(els):
-                res = eid[tuple(combine_el(u, v)
-                                for u, v in zip(ep, enc[k]))]
-                yield (tuple(rank[res]),
-                       tuple(combine_rank(u, v)
-                             for u, v in zip(row, rank[k])), (p, q))
-
-    audit("oplus", binop_pairs(lambda u, v: min(u + v, nl),
-                               lambda u, v: min(u + v, top)))
-    audit("odot", binop_pairs(lambda u, v: max(u + v - nl, 0),
-                              lambda u, v: max(u + v - top, 0)))
+    level = {v: r for r, v in enumerate(chain.carrier)}
+    rows = psi_rows(V, [level[proj[i]] for i in V.carrier], vs)
 
     def subst_pairs():
         for tau in vs:
-            targets = []
-            ok = True
-            for x in vs:
-                xt = compose(x, tau)
-                if xt not in v_set:
-                    ok = False
-                    break
-                targets.append(vs.index(xt))
-            if not ok:
+            targets = [position.get(compose(x, tau)) for x in vs]
+            if None in targets:
                 continue
-            for i, p in enumerate(els):
-                yield (tuple(rank[el_index[algebra.subst_el(tau, p)]]),
-                       tuple(rank[i][t] for t in targets), (tau, p))
+            s_tau = V.subst[tau]
+            for i, row in enumerate(rows):
+                yield (rows[s_tau[i]], tuple(row[t] for t in targets),
+                       (tau, V.elements[i]))
 
-    audit("subst-action", subst_pairs())
-
-    singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
-
-    def cyl_pairs():
-        for k in singles:
-            neighbour_ids = []
-            for x in vs:
-                neighbour_ids.append([
-                    yi for yi, y in enumerate(vs)
-                    if all(y.apply(i) == x.apply(i)
-                           for i in algebra.index_set if i != k)])
-            for i, p in enumerate(els):
-                cp = rank[el_index[algebra.cyl_el(frozenset({k}), p)]]
-                row = rank[i]
-                for xi in range(nv):
-                    yield (cp[xi], max(row[yi] for yi in neighbour_ids[xi]),
-                           (k, p, vs[xi]))
-
-    audit("cyl-sup", cyl_pairs())
-
+    results = [
+        clause_result("unit-0", [(rows[V.zero], (0,) * len(vs), ("0",))]),
+        clause_result("unit-1", [(rows[V.one], (top,) * len(vs), ("1",))]),
+        *homomorphism_clauses(V, rows, top),
+        clause_result("subst-action", subst_pairs()),
+        cyl_sup_clause(V, rows, vs),
+    ]
     identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
-    if identity in v_set:
-        audit("nonzero-at-identity",
-              [(rank[el_index[hf.seed]][vs.index(identity)] != 0, True,
-                ("identity component of the seed element",))])
+    if identity in position:
+        seed = rows[V.index_of[hf.seed]][position[identity]]
+        results.append(clause_result("nonzero-at-identity", [
+            (seed != 0, True, ("identity component of the seed element",))]))
+    psi = {p: tuple(chain.carrier[r] for r in rows[i])
+           for i, p in enumerate(V.elements)}
     return psi, RepresentationAudit(tuple(results))
 
 

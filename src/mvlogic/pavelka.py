@@ -9,18 +9,21 @@ import itertools
 from dataclasses import dataclass
 
 from .mv_core import Chain, Filter, ONE, ZERO
-from .interlab import HenkinFilter, ClauseResult, RepresentationAudit
+from .interlab import (
+    HenkinFilter, RepresentationAudit, clause_result, cyl_sup_clause,
+    homomorphism_clauses, psi_rows,
+)
 
 
 @dataclass(frozen=True)
 class PavelkaAlgebra:
     """An algebra together with truth constants indexed by a finite chain.
 
-    base is any finite MV-ops carrier (a chain, or the MV view of a
-    functional polyadic algebra); constants maps each chain value r to the
-    carrier element playing r-bar. The compatibility laws are checked by
-    constants_check, not at construction, so corrupted instances can be
-    built for mutation tests.
+    base is any finite MV-ops carrier (a chain, a functional polyadic
+    algebra, or an IndexedAlgebra over carrier indices); constants maps
+    each chain value r to the carrier element playing r-bar. The
+    compatibility laws are checked by constants_check, not at
+    construction, so corrupted instances can be built for mutation tests.
     """
 
     base: object
@@ -194,7 +197,7 @@ def functional_pavelka(algebra, require_full=True):
     if require_full and len(table) != algebra.chain.n:
         missing = [r for r in algebra.chain.carrier if r not in table]
         raise ValueError(f"carrier lacks constant functions for {missing}")
-    return PavelkaAlgebra.make(algebra.mv_view(), algebra.chain, table)
+    return PavelkaAlgebra.make(algebra, algebra.chain, table)
 
 
 def pavelka_representation(algebra, pav, hf, transformations=None):
@@ -205,55 +208,25 @@ def pavelka_representation(algebra, pav, hf, transformations=None):
     """
     if not isinstance(hf, HenkinFilter):
         raise TypeError("the graded representation is built on a HenkinFilter")
-    view = algebra.mv_view()
-    flt = Filter(view, hf.members)
-    ctx = GradedContext(pav, flt)
+    V = algebra.indexed()
+    flt = Filter(V, frozenset(V.index_of[p] for p in hf.members))
+    ctx = GradedContext(PavelkaAlgebra.make(
+        V, pav.chain, {r: V.index_of[e] for r, e in pav.constants}), flt)
     vs = tuple(transformations) if transformations is not None \
         else algebra.transformations
-    chain = algebra.chain
-    els = algebra.elements()
+    top = pav.chain.n - 1
+    level = {v: r for r, v in enumerate(pav.chain.carrier)}
+    rows = psi_rows(V, [level[degree(i, ctx)] for i in V.carrier], vs)
 
-    psi = {p: tuple(degree(algebra.subst_el(x, p), ctx) for x in vs)
-           for p in els}
-
-    results = []
-
-    def audit(clause, pairs):
-        for lhs, rhs, witness in pairs:
-            if lhs != rhs:
-                results.append(ClauseResult(clause, False, witness))
-                return
-        results.append(ClauseResult(clause, True))
-
-    audit("unit-0", [(psi[algebra.zero], tuple(ZERO for _ in vs), ("0",))])
-    audit("unit-1", [(psi[algebra.one], tuple(ONE for _ in vs), ("1",))])
-    audit("constants", ((psi[pav.constant(r)], tuple(r for _ in vs), (r,))
-                        for r in pav.levels))
-    audit("neg", ((psi[algebra.neg(p)],
-                   tuple(chain.neg(v) for v in psi[p]), (p,)) for p in els))
-    audit("oplus", ((psi[algebra.oplus(p, q)],
-                     tuple(chain.oplus(u, v) for u, v in zip(psi[p], psi[q])),
-                     (p, q)) for p, q in itertools.product(els, repeat=2)))
-    audit("odot", ((psi[algebra.odot(p, q)],
-                    tuple(chain.odot(u, v) for u, v in zip(psi[p], psi[q])),
-                    (p, q)) for p, q in itertools.product(els, repeat=2)))
-
-    singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
-
-    def cyl_pairs():
-        for k in singles:
-            neighbour_ids = []
-            for x in vs:
-                neighbour_ids.append([
-                    yi for yi, y in enumerate(vs)
-                    if all(y.apply(i) == x.apply(i)
-                           for i in algebra.index_set if i != k)])
-            for p in els:
-                cp = psi[algebra.cyl_el(frozenset({k}), p)]
-                for xi in range(len(vs)):
-                    yield (cp[xi],
-                           max(psi[p][yi] for yi in neighbour_ids[xi]),
-                           (k, p, vs[xi]))
-
-    audit("cyl-sup", cyl_pairs())
+    results = [
+        clause_result("unit-0", [(rows[V.zero], (0,) * len(vs), ("0",))]),
+        clause_result("unit-1", [(rows[V.one], (top,) * len(vs), ("1",))]),
+        clause_result("constants", (
+            (rows[V.index_of[pav.constant(r)]], (level[r],) * len(vs), (r,))
+            for r in pav.levels)),
+        *homomorphism_clauses(V, rows, top),
+        cyl_sup_clause(V, rows, vs),
+    ]
+    psi = {p: tuple(pav.chain.carrier[r] for r in rows[i])
+           for i, p in enumerate(V.elements)}
     return psi, RepresentationAudit(tuple(results))

@@ -6,6 +6,13 @@ abstract table algebras with explicit substitution and cylindrification
 tables. On top of both sit dimension sets, supports, neat reducts, the
 replacement-chain form of finite substitutions, and an exhaustive axiom
 auditor for every identity family the theory demands.
+
+Every exhaustive checker (the axiom audit, neat reducts, and in interlab
+and pavelka the Henkin filter search and the representation maps) works
+on one `IndexedAlgebra`: the algebra's operations as tables over carrier
+indices. `algebra.indexed()` builds it on first use and caches it, so
+building, dumping or querying single elements never pays for it. Results
+leave the checkers in element form.
 """
 
 from __future__ import annotations
@@ -77,6 +84,88 @@ def normalize_transformations(index_set, spec):
     return tuple(sorted(maps, key=lambda t: t.sort_key())), False
 
 
+class _Unary(tuple):
+    """Unary operation table over carrier indices; t(a) is t[a]."""
+
+    __slots__ = ()
+    __call__ = tuple.__getitem__
+
+
+class _Binary(tuple):
+    """Binary operation table over carrier indices; t(a, b) is t[a][b]."""
+
+    __slots__ = ()
+
+    def __call__(self, a, b):
+        return self[a][b]
+
+
+class IndexedAlgebra:
+    """A finite polyadic algebra as operation tables over carrier indices.
+
+    Index i stands for elements[i], in the order of algebra.elements().
+    The carrier is closed under every operation, so each one is a finite
+    table: neg, oplus, odot and le, and subst[tau], cyl[J] and q[J] for
+    every tau and J of the signature. The tables double as the finite-MV
+    protocol over indices (neg(a), oplus(a, b), ...), so mv_core's filters
+    and quotients and pavelka's degrees run on the view unchanged.
+    odot, le and q are derived from neg, oplus and cyl.
+    """
+
+    is_finite = True
+
+    def __init__(self, algebra, neg, oplus, subst, cyl):
+        self.algebra = algebra
+        self.elements = tuple(algebra.elements())
+        self.index_of = {p: i for i, p in enumerate(self.elements)}
+        self.carrier = range(len(self.elements))
+        self.zero = self.index_of[algebra.zero]
+        self.one = self.index_of[algebra.one]
+        self.neg = neg = _Unary(neg)
+        self.oplus = oplus = _Binary(tuple(row) for row in oplus)
+        self.odot = odot = _Binary(
+            tuple(neg[oplus[neg[a]][neg[b]]] for b in self.carrier)
+            for a in self.carrier)
+        self.le = _Binary(
+            tuple(odot[a][neg[b]] == self.zero for b in self.carrier)
+            for a in self.carrier)
+        self.subst = {t: tuple(table) for t, table in subst.items()}
+        self.cyl = {frozenset(j): tuple(table) for j, table in cyl.items()}
+        self.q = {j: tuple(neg[c[neg[a]]] for a in self.carrier)
+                  for j, c in self.cyl.items()}
+        self._cylinders = dict(self.cyl)
+
+    def implies(self, a, b):
+        return self.oplus[self.neg[a]][b]
+
+    def contains(self, a):
+        return isinstance(a, int) and 0 <= a < len(self.elements)
+
+    def check_args(self, args):
+        for a in args:
+            if not self.contains(a):
+                raise SignatureError(f"{a!r} is not a carrier index")
+
+    def cylinder(self, j):
+        """c_J as an index table for any J, cached.
+
+        Outside the signature the algebra's own cyl_el decides; -1 marks
+        a value that leaves the carrier, which only such a J can produce.
+        """
+        j = frozenset(j)
+        table = self._cylinders.get(j)
+        if table is None:
+            table = self._cylinders[j] = tuple(
+                self.index_of.get(self.algebra.cyl_el(j, p), -1)
+                for p in self.elements)
+        return table
+
+    def dimension_set(self, a):
+        """Delta of carrier index a (see dimension_set)."""
+        return frozenset(i for i in self.algebra.index_set
+                         if self.cylinder({i})[a] != a)
+
+
 class FunctionalSetAlgebra:
     """Algebra of maps from assignment tuples ^I X into a finite chain.
 
@@ -86,6 +175,7 @@ class FunctionalSetAlgebra:
     """
 
     kind = "functional"
+    is_finite = True
 
     def __init__(self, index_set, base, chain, carrier, generators,
                  transformations, scopes):
@@ -104,9 +194,7 @@ class FunctionalSetAlgebra:
         self.one = tuple(ONE for _ in self.assignments)
         self._perm_cache = {}
         self._block_cache = {}
-        # audits revisit the same element pairs across identity families
-        self._subst_memo = {}
-        self._cyl_memo = {}
+        self._indexed = None
 
     # -- element-level operations ------------------------------------
 
@@ -135,6 +223,11 @@ class FunctionalSetAlgebra:
     def le(self, p, q):
         return all(a <= b for a, b in zip(p, q))
 
+    def check_args(self, args):
+        for p in args:
+            if not self.contains(p):
+                raise SignatureError(f"{p!r} is not a carrier element")
+
     def _perm(self, tau):
         perm = self._perm_cache.get(tau)
         if perm is None:
@@ -148,13 +241,7 @@ class FunctionalSetAlgebra:
         return perm
 
     def subst_el(self, tau, p):
-        key = (tau, p)
-        out = self._subst_memo.get(key)
-        if out is None:
-            perm = self._perm(tau)
-            out = tuple(p[perm[i]] for i in range(len(p)))
-            self._subst_memo[key] = out
-        return out
+        return tuple(p[k] for k in self._perm(tau))
 
     def _blocks(self, j):
         key = frozenset(j)
@@ -178,22 +265,38 @@ class FunctionalSetAlgebra:
     def cyl_el(self, j, p):
         if not j:
             return p
-        key = (frozenset(j), p)
-        out = self._cyl_memo.get(key)
-        if out is None:
-            block_id, members = self._blocks(key[0])
-            sups = [max(p[pos] for pos in positions) for positions in members]
-            out = tuple(sups[block_id[i]] for i in range(len(p)))
-            self._cyl_memo[key] = out
-        return out
+        block_id, members = self._blocks(frozenset(j))
+        sups = [max(p[pos] for pos in positions) for positions in members]
+        return tuple(sups[b] for b in block_id)
 
     def q_el(self, j, p):
         return self.neg(self.cyl_el(j, self.neg(p)))
 
-    # -- MV-reduct view for the filter machinery -----------------------
-
     def mv_view(self):
-        return _MVView(self)
+        """The MV reduct for the filter machinery: the algebra itself."""
+        return self
+
+    def indexed(self):
+        """The IndexedAlgebra of this algebra, built on first use.
+
+        Elements are read as tuples of integer chain levels, so building
+        the tables takes no rational arithmetic; subst_el and cyl_el only
+        move and compare entries and serve levels and values alike.
+        """
+        if self._indexed is None:
+            top = self.chain.n - 1
+            level = {v: r for r, v in enumerate(self.chain.carrier)}
+            levels = [tuple(level[v] for v in p) for p in self.carrier]
+            at = {lv: i for i, lv in enumerate(levels)}
+            neg = [at[tuple(top - a for a in lp)] for lp in levels]
+            oplus = [[at[tuple(min(a + b, top) for a, b in zip(lp, lq))]
+                      for lq in levels] for lp in levels]
+            subst = {t: [at[self.subst_el(t, lp)] for lp in levels]
+                     for t in self.transformations}
+            cyl = {j: [at[self.cyl_el(j, lp)] for lp in levels]
+                   for j in self.scopes}
+            self._indexed = IndexedAlgebra(self, neg, oplus, subst, cyl)
+        return self._indexed
 
     def to_json(self):
         def dump_element(p):
@@ -214,47 +317,6 @@ class FunctionalSetAlgebra:
             ],
             "scopes": [sorted(j) for j in self.scopes],
         }
-
-
-class _MVView:
-    """Finite MV-algebra facade over a polyadic carrier."""
-
-    is_finite = True
-
-    def __init__(self, algebra):
-        self._alg = algebra
-        self.zero = algebra.zero
-        self.one = algebra.one
-
-    @property
-    def carrier(self):
-        return self._alg.elements()
-
-    def contains(self, p):
-        return self._alg.contains(p)
-
-    def oplus(self, a, b):
-        return self._alg.oplus(a, b)
-
-    def odot(self, a, b):
-        return self._alg.odot(a, b)
-
-    def neg(self, a):
-        return self._alg.neg(a)
-
-    def implies(self, a, b):
-        return self._alg.implies(a, b)
-
-    def le(self, a, b):
-        return self._alg.le(a, b)
-
-    def check_args(self, args):
-        for a in args:
-            if not self.contains(a):
-                raise SignatureError(f"{a!r} is not a carrier element")
-
-    def __repr__(self):
-        return f"MVView({self._alg!r})"
 
 
 def build_generated(index_set, base, chain, generators, transformations,
@@ -341,6 +403,7 @@ class AbstractPolyadicAlgebra:
         self._s = {t: tuple(table) for t, table in s_tables.items()}
         self._c = {frozenset(j): tuple(table) for j, table in c_tables.items()}
         self._index = {label: i for i, label in enumerate(mv.carrier)}
+        self._indexed = None
         for t in transformations:
             if t not in self._s:
                 raise SignatureError(f"missing substitution table for {t!r}")
@@ -403,23 +466,25 @@ class AbstractPolyadicAlgebra:
     def mv_view(self):
         return self.mv
 
+    def indexed(self):
+        """The IndexedAlgebra of this algebra, read off its own tables."""
+        if self._indexed is None:
+            tables = self.mv.to_json()
+            identity = range(len(self.mv.carrier))
+            cyl = {j: self._c[j] if j else identity
+                   for j in map(frozenset, self.scopes)}
+            self._indexed = IndexedAlgebra(self, tables["neg"],
+                                           tables["oplus"], self._s, cyl)
+        return self._indexed
+
     @classmethod
     def from_functional(cls, fsa):
-        labels = tuple(range(len(fsa.carrier)))
-        idx = {p: i for i, p in enumerate(fsa.carrier)}
-        oplus = [[idx[fsa.oplus(p, q)] for q in fsa.carrier] for p in fsa.carrier]
-        neg = [idx[fsa.neg(p)] for p in fsa.carrier]
-        mv = TableAlgebra(labels, oplus, neg, idx[fsa.zero], idx[fsa.one])
-        s_tables = {
-            t: tuple(idx[fsa.subst_el(t, p)] for p in fsa.carrier)
-            for t in fsa.transformations
-        }
-        c_tables = {
-            frozenset(j): tuple(idx[fsa.cyl_el(j, p)] for p in fsa.carrier)
-            for j in fsa.scopes
-        }
+        """The table algebra of a functional algebra, labels 0..n-1."""
+        view = fsa.indexed()
+        mv = TableAlgebra(view.carrier, view.oplus, view.neg, view.zero,
+                          view.one)
         return cls(mv, fsa.index_set, fsa.transformations, fsa.scopes,
-                   s_tables, c_tables)
+                   view.subst, view.cyl)
 
     def corrupted(self, scope, a, b):
         """Copy with two entries of one cylinder table swapped (test hook)."""
@@ -466,27 +531,6 @@ def dimension_set(algebra, p):
     """Delta p: the indices whose cylindrification moves the element."""
     return frozenset(i for i in algebra.index_set
                      if algebra.cyl_el(frozenset({i}), p) != p)
-
-
-@dataclass(frozen=True)
-class ElementDimensionInfo:
-    element: object
-    dimension_set: frozenset
-    minimal_support: frozenset
-
-
-def dimension_info(algebra, p):
-    """Both dimension measures of an element, cross-checked.
-
-    The cylinder on the complement of the minimal support must fix the
-    element, and for functional algebras the two measures coincide.
-    """
-    delta = dimension_set(algebra, p)
-    supp = minimal_support(algebra, p)
-    rest = frozenset(set(algebra.index_set) - supp)
-    if algebra.cyl_el(rest, p) != p:
-        raise AssertionError("support does not support its element")
-    return ElementDimensionInfo(p, delta, supp)
 
 
 def minimal_support(algebra, p):
@@ -550,12 +594,12 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
     index = set(algebra.index_set)
     if not alpha <= index:
         raise SignatureError("alpha must be a subset of the index set")
+    V = algebra.indexed()
     if flavor == "FiniteT":
-        elements = [p for p in algebra.elements()
-                    if dimension_set(algebra, p) <= alpha]
+        members = [a for a in V.carrier if V.dimension_set(a) <= alpha]
     elif flavor == "FullT":
-        elements = [p for p in algebra.elements()
-                    if algebra.cyl_el(frozenset(index - alpha), p) == p]
+        rest = V.cylinder(index - alpha)
+        members = [a for a in V.carrier if rest[a] == a]
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -566,22 +610,24 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
         and all(t.apply(i) in alpha for i in alpha)
     )
 
-    member = set(elements)
-    for p in elements:
-        if algebra.neg(p) not in member:
-            raise NotASubuniverse("neg", p)
+    member = set(members)
+    el = V.elements
+    for a in members:
+        if V.neg[a] not in member:
+            raise NotASubuniverse("neg", el[a])
         for j in scopes:
-            if algebra.cyl_el(j, p) not in member:
-                raise NotASubuniverse(f"cyl{sorted(j)}", p)
+            if V.cyl[j][a] not in member:
+                raise NotASubuniverse(f"cyl{sorted(j)}", el[a])
         for t in transformations:
-            if algebra.subst_el(t, p) not in member:
-                raise NotASubuniverse(f"subst{t!r}", p)
-        for q in elements:
-            if algebra.oplus(p, q) not in member:
-                raise NotASubuniverse("oplus", (p, q))
-            if algebra.odot(p, q) not in member:
-                raise NotASubuniverse("odot", (p, q))
-    return NeatReduct(algebra, alpha, flavor, tuple(elements), scopes,
+            if V.subst[t][a] not in member:
+                raise NotASubuniverse(f"subst{t!r}", el[a])
+        for b in members:
+            if V.oplus[a][b] not in member:
+                raise NotASubuniverse("oplus", (el[a], el[b]))
+            if V.odot[a][b] not in member:
+                raise NotASubuniverse("odot", (el[a], el[b]))
+    elements = tuple(el[a] for a in members)
+    return NeatReduct(algebra, alpha, flavor, elements, scopes,
                       transformations)
 
 
@@ -628,39 +674,6 @@ def term_substitution(algebra, tau, x):
 # -- the exhaustive auditor ------------------------------------------------
 
 
-class _IndexedView:
-    """Operation tables over carrier indices.
-
-    The carrier is closed under every operation, so each one is a finite
-    index table; building the tables costs one pass and turns the
-    exhaustive identity checks into integer lookups.
-    """
-
-    def __init__(self, algebra):
-        els = list(algebra.elements())
-        self.elements = els
-        index = {p: i for i, p in enumerate(els)}
-        self.zero = index[algebra.zero]
-        self.one = index[algebra.one]
-        self.neg = [index[algebra.neg(p)] for p in els]
-        self.oplus = [[index[algebra.oplus(p, q)] for q in els] for p in els]
-        self.odot = [[index[algebra.odot(p, q)] for q in els] for p in els]
-        self.le = [[self.odot[i][self.neg[j]] == self.zero
-                    for j in range(len(els))] for i in range(len(els))]
-        self.subst = {
-            tau: [index[algebra.subst_el(tau, p)] for p in els]
-            for tau in algebra.transformations
-        }
-        self.cyl = {
-            j: [index[algebra.cyl_el(j, p)] for p in els]
-            for j in algebra.scopes
-        }
-        self.q = {
-            j: [self.neg[self.cyl[j][self.neg[i]]] for i in range(len(els))]
-            for j in algebra.scopes
-        }
-
-
 @dataclass(frozen=True)
 class IdentityResult:
     name: str
@@ -684,13 +697,23 @@ class PolyadicAuditReport:
         return next(r for r in self.results if r.name == name)
 
 
-def _audit(name, pairs):
+def first_witness(pairs):
+    """(checked, witness) over (lhs, rhs, witness) triples.
+
+    Stops at the first triple whose sides differ and returns its witness;
+    the witness is None when every side agrees.
+    """
     checked = 0
     for lhs, rhs, witness in pairs:
         checked += 1
         if lhs != rhs:
-            return IdentityResult(name, False, checked, witness)
-    return IdentityResult(name, True, checked)
+            return checked, witness
+    return checked, None
+
+
+def _audit(name, pairs):
+    checked, witness = first_witness(pairs)
+    return IdentityResult(name, witness is None, checked, witness)
 
 
 def audit_axioms(algebra):
@@ -702,8 +725,8 @@ def audit_axioms(algebra):
     quantifier laws. All checks run over operation index tables; failures
     carry the witnessing tuple in element form.
     """
-    V = _IndexedView(algebra)
-    els = range(len(V.elements))
+    V = algebra.indexed()
+    els = V.carrier
     scopes = list(algebra.scopes)
     scope_set = set(scopes)
     maps = list(algebra.transformations)

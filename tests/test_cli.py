@@ -96,6 +96,33 @@ class TestExitCodes:
         assert code == 1 and report["verdict"] == "refuted"
 
 
+OVERCAP_SPEC = {
+    "index_set": 3, "base": 2, "chain": 3, "cap": 20,
+    "generators": [{"(0,0,0)": "0", "(0,0,1)": "1", "(0,1,0)": "1/2",
+                    "(0,1,1)": "1", "(1,0,0)": "1", "(1,0,1)": "1/2",
+                    "(1,1,0)": "1", "(1,1,1)": "0"}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pavelka", "degree", "--algebra", "{overcap}", "--filter", "{filter}",
+     "--element", "1"],
+    ["poly", "dims", "--spec", "{algebra}", "--element", "999"],
+    ["henkin", "demo", "--algebra", "{algebra}", "--element", "g3"],
+    ["logic", "entails", "--language", "{novars}", "--formula", "p(v0)"],
+], ids=["overcap-spec", "element-index", "generator-index",
+        "language-without-variables"])
+def test_bad_input_is_an_error_report(argv, files, tmp_path):
+    for name, payload in (("overcap", OVERCAP_SPEC),
+                          ("filter", {"members": [1]}),
+                          ("novars", {"reserve": 1, "predicates": [
+                              {"name": "p", "arity": 1}]})):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    code, report = dispatch([a.format(**files) for a in argv])
+    assert code == 2 and report["verdict"] == "error"
+
+
 class TestVerbs:
     def test_logic_eval_prints_value(self, files, capsys):
         code = main(["logic", "eval", "--model", files["model"],

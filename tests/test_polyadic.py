@@ -266,6 +266,50 @@ class TestAuditor:
         assert audit_axioms(trivial).passed
 
 
+def pattern_algebra():
+    """|I|=3, |X|=2, three-valued chain, one pattern-class generator."""
+    rng = random.Random(3)
+    chain = Chain(3)
+    return build_generated((0, 1, 2), 2, chain,
+                           [pattern_generator(rng, chain)], "full",
+                           "powerset", cap=200)
+
+
+class TestIndexedAlgebra:
+    @pytest.mark.parametrize("make", [small_algebra, pattern_algebra])
+    def test_tables_agree_with_element_operations(self, make):
+        algebra = make()
+        view = algebra.indexed()
+        assert view is algebra.indexed()
+        els = view.elements
+        assert els == algebra.carrier
+        assert (els[view.zero], els[view.one]) == (algebra.zero, algebra.one)
+        for a, p in enumerate(els):
+            assert els[view.neg[a]] == algebra.neg(p)
+            for b, q in enumerate(els):
+                assert els[view.oplus[a][b]] == algebra.oplus(p, q)
+                assert els[view.odot[a][b]] == algebra.odot(p, q)
+                assert view.le[a][b] == algebra.le(p, q)
+        for t in algebra.transformations:
+            assert [els[x] for x in view.subst[t]] \
+                == [algebra.subst_el(t, p) for p in els]
+        for j in algebra.scopes:
+            assert [els[x] for x in view.cyl[j]] \
+                == [algebra.cyl_el(j, p) for p in els]
+            assert [els[x] for x in view.q[j]] \
+                == [algebra.q_el(j, p) for p in els]
+
+    def test_from_functional_keeps_the_tables(self):
+        # the 16-element pattern algebra keeps the table-algebra audit cheap
+        view = pattern_algebra().indexed()
+        abstract = AbstractPolyadicAlgebra.from_functional(view.algebra)
+        tables = abstract.indexed()
+        assert tables.elements == tuple(view.carrier)
+        for name in ("zero", "one", "neg", "oplus", "odot", "le", "subst",
+                     "cyl", "q"):
+            assert getattr(tables, name) == getattr(view, name), name
+
+
 class TestSerialization:
     def test_spec_round_trip_through_dump(self):
         algebra = small_algebra()
