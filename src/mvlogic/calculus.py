@@ -344,13 +344,21 @@ class SoundnessReport:
 
 
 def _models_for(phi_list, language, max_domain, chain_n):
+    """(domain size, level tables) of every model over the formulas'
+    predicates with |M| <= max_domain, in canonical order."""
     predicates = set()
     for phi in phi_list:
         predicates |= syntax.predicates_of(phi)
     chain = semantics.Chain(chain_n)
     for size in range(1, max_domain + 1):
-        yield from semantics.enumerate_models(language, sorted(predicates),
-                                              size, chain)
+        for tables in semantics.enumerate_models(
+                language, sorted(predicates), size, chain):
+            yield size, tables
+
+
+def _countermodel_json(language, size, chain_n, tables):
+    return semantics.Model.from_levels(
+        language, size, semantics.Chain(chain_n), tables).to_json()
 
 
 def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
@@ -438,11 +446,13 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
                         target, render(phi), f"generator emitted a non-instance: "
                                              f"{verdict.reason}"))
                     continue
-            for model in _models_for([phi], language, max_domain, chain_n):
-                if not semantics.is_valid(phi, model):
+            compiled = semantics.CompiledFormula(phi, chain_n)
+            for size, tables in _models_for([phi], language, max_domain,
+                                            chain_n):
+                if not compiled.valid(tables, size):
+                    model = _countermodel_json(language, size, chain_n, tables)
                     violations.append(Violation(
-                        target, render(phi),
-                        f"invalid in {model.to_json()}"))
+                        target, render(phi), f"invalid in {model}"))
                     break
     elif target in RULES:
         for _ in range(trials):
@@ -485,12 +495,15 @@ def _audit_rule_once(rng, rule, language, depth, max_domain, chain_n):
         conclusion = substitute(tau, phi, language)
     else:
         raise ValueError(rule)
-    for model in _models_for(premises + [conclusion], language,
-                             max_domain, chain_n):
-        if all(semantics.is_valid(p, model) for p in premises) \
-                and not semantics.is_valid(conclusion, model):
+    compiled = [semantics.CompiledFormula(p, chain_n) for p in premises]
+    goal = semantics.CompiledFormula(conclusion, chain_n)
+    for size, tables in _models_for(premises + [conclusion], language,
+                                    max_domain, chain_n):
+        if all(p.valid(tables, size) for p in compiled) \
+                and not goal.valid(tables, size):
+            model = _countermodel_json(language, size, chain_n, tables)
             return Violation(
                 rule,
                 " ; ".join(render(p) for p in premises) + f" => {render(conclusion)}",
-                f"validity not preserved in {model.to_json()}")
+                f"validity not preserved in {model}")
     return None

@@ -61,6 +61,15 @@ def _read_json(path, inputs):
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _read_json_entry(path, key, inputs):
+    """The entry `key` of the JSON object in the file."""
+    data = _read_json(path, inputs)
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise CliError(f"{path} has no {key!r} entry") from None
+
+
 def _read_formula_text(arg, inputs):
     if arg == "-":
         return sys.stdin.read().strip()
@@ -238,7 +247,7 @@ def _cmd_logic_entails(args, inputs):
         raise CliError(f"bad language file: {exc}") from None
     gamma = []
     if args.gamma:
-        for text in _read_json(args.gamma, inputs)["formulas"]:
+        for text in _read_json_entry(args.gamma, "formulas", inputs):
             gamma.append(syntax.parse(text, language))
     phi = syntax.parse(_read_formula_text(args.formula, inputs), language)
     try:
@@ -265,8 +274,8 @@ def _cmd_proof_check(args, inputs):
         raise CliError(f"bad proof file: {exc}") from None
     gamma = None
     if args.gamma:
-        gdata = _read_json(args.gamma, inputs)
-        gamma = tuple(syntax.parse(t, language) for t in gdata["formulas"])
+        gamma = tuple(syntax.parse(t, language)
+                      for t in _read_json_entry(args.gamma, "formulas", inputs))
     verdict = calculus.check_proof(proof, language, gamma=gamma)
     if verdict.accepted:
         return 0, "accept", {"steps": len(proof.steps)}
@@ -431,9 +440,8 @@ def _cmd_pavelka_degree(args, inputs):
         pav = pavelka.PavelkaAlgebra.make(algebra, algebra.chain, table)
     else:
         pav = pavelka.functional_pavelka(algebra, require_full=False)
-    fdata = _read_json(args.filter, inputs)
-    members = frozenset(_resolve_element(algebra, i)
-                        for i in fdata["members"])
+    members = frozenset(_resolve_element(algebra, i) for i in
+                        _read_json_entry(args.filter, "members", inputs))
     flt = mv_core.Filter(algebra, members)
     ctx = pavelka.GradedContext(pav, flt)
     element = _resolve_element(algebra, args.element)

@@ -711,11 +711,6 @@ def first_witness(pairs):
     return checked, None
 
 
-def _audit(name, pairs):
-    checked, witness = first_witness(pairs)
-    return IdentityResult(name, witness is None, checked, witness)
-
-
 def audit_axioms(algebra):
     """Exhaustively verify every identity family over the whole carrier.
 
@@ -734,15 +729,21 @@ def audit_axioms(algebra):
     index = list(algebra.index_set)
     results = []
 
-    def wit(*element_ids):
-        return tuple(V.elements[p] for p in element_ids)
+    def _audit(name, pairs):
+        # a witness comes as (head, *carrier indices); only the first
+        # failing one is put in element form
+        checked, witness = first_witness(pairs)
+        if witness is not None:
+            head, *ids = witness
+            witness = head + tuple(V.elements[p] for p in ids)
+        return IdentityResult(name, witness is None, checked, witness)
 
     # polyadic axioms 1..5
     identity = FinTransformation.identity(tuple(sorted(index)))
     if identity in map_set:
         s_id = V.subst[identity]
         results.append(_audit("polyadic-1-s-identity",
-                              ((s_id[p], p, wit(p)) for p in els)))
+                              ((s_id[p], p, ((), p)) for p in els)))
     else:
         results.append(IdentityResult("polyadic-1-s-identity", True, 0))
 
@@ -751,8 +752,9 @@ def audit_axioms(algebra):
             comp = compose(sigma, tau)
             if comp in map_set:
                 s_c, s_s, s_t = V.subst[comp], V.subst[sigma], V.subst[tau]
+                head = (sigma, tau)
                 for p in els:
-                    yield (s_c[p], s_s[s_t[p]], (sigma, tau) + wit(p))
+                    yield (s_c[p], s_s[s_t[p]], (head, p))
 
     results.append(_audit("polyadic-2-s-composition", composition_pairs()))
 
@@ -760,9 +762,9 @@ def audit_axioms(algebra):
         for j, j2 in itertools.product(scopes, repeat=2):
             if j | j2 in scope_set:
                 c_u, c_j, c_j2 = V.cyl[j | j2], V.cyl[j], V.cyl[j2]
+                head = (sorted(j), sorted(j2))
                 for p in els:
-                    yield (c_u[p], c_j[c_j2[p]],
-                           (sorted(j), sorted(j2)) + wit(p))
+                    yield (c_u[p], c_j[c_j2[p]], (head, p))
 
     results.append(_audit("polyadic-3-c-additive", cyl_union_pairs()))
 
@@ -774,12 +776,13 @@ def audit_axioms(algebra):
                 buckets.setdefault(tuple(t.apply(i) for i in outside),
                                    []).append(t)
             cj = tables[j]
+            tag = sorted(j)
             for group in buckets.values():
                 for sigma, tau in itertools.combinations(group, 2):
                     s_s, s_t = V.subst[sigma], V.subst[tau]
+                    head = (sigma, tau, tag)
                     for p in els:
-                        yield (s_s[cj[p]], s_t[cj[p]],
-                               (sigma, tau, sorted(j)) + wit(p))
+                        yield (s_s[cj[p]], s_t[cj[p]], (head, p))
 
     results.append(_audit("polyadic-4-s-agreement", agreement_pairs(V.cyl)))
 
@@ -792,9 +795,9 @@ def audit_axioms(algebra):
                 if len(set(images)) != len(images) or pre not in scope_set:
                     continue
                 op_j, op_pre = tables[j], tables[pre]
+                head = (sigma, sorted(j))
                 for p in els:
-                    yield (op_j[s_s[p]], s_s[op_pre[p]],
-                           (sigma, sorted(j)) + wit(p))
+                    yield (op_j[s_s[p]], s_s[op_pre[p]], (head, p))
 
     results.append(_audit("polyadic-5-c-injective", injective_pairs(V.cyl)))
 
@@ -802,22 +805,21 @@ def audit_axioms(algebra):
     def exists_laws():
         for j in scopes:
             cj = V.cyl[j]
-            yield (cj[V.zero], V.zero, ("E1", sorted(j)))
+            tag = sorted(j)
+            yield (cj[V.zero], V.zero, (("E1", tag),))
             for p in els:
-                yield (V.le[p][cj[p]], True, ("E2", sorted(j)) + wit(p))
+                yield (V.le[p][cj[p]], True, (("E2", tag), p))
                 cp = cj[p]
-                yield (cj[V.odot[p][p]], V.odot[cp][cp],
-                       ("E5", sorted(j)) + wit(p))
-                yield (cj[V.oplus[p][p]], V.oplus[cp][cp],
-                       ("E6", sorted(j)) + wit(p))
+                yield (cj[V.odot[p][p]], V.odot[cp][cp], (("E5", tag), p))
+                yield (cj[V.oplus[p][p]], V.oplus[cp][cp], (("E6", tag), p))
             for p in els:
                 cjp = cj[p]
                 for b in els:
                     cb = cj[b]
                     yield (cj[V.odot[p][cb]], V.odot[cjp][cb],
-                           ("E3", sorted(j)) + wit(p, b))
+                           (("E3", tag), p, b))
                     yield (cj[V.oplus[p][cb]], V.oplus[cjp][cb],
-                           ("E4", sorted(j)) + wit(p, b))
+                           (("E4", tag), p, b))
 
     results.append(_audit("exists-laws-1-6", exists_laws()))
 
@@ -825,31 +827,31 @@ def audit_axioms(algebra):
     def q_laws():
         for j in scopes:
             qj, cj = V.q[j], V.cyl[j]
-            yield (qj[V.one], V.one, ("Q1-unit", sorted(j)))
+            tag = sorted(j)
+            yield (qj[V.one], V.one, (("Q1-unit", tag),))
             for p in els:
-                yield (V.le[qj[p]][p], True, ("Q1-decreasing",
-                                              sorted(j)) + wit(p))
+                yield (V.le[qj[p]][p], True, (("Q1-decreasing", tag), p))
                 qp = qj[p]
                 yield (qj[V.odot[p][p]], V.odot[qp][qp],
-                       ("Q1-square-odot", sorted(j)) + wit(p))
+                       (("Q1-square-odot", tag), p))
                 yield (qj[V.oplus[p][p]], V.oplus[qp][qp],
-                       ("Q1-square-oplus", sorted(j)) + wit(p))
-                yield (cj[qj[p]], qj[p], ("Q3-cq", sorted(j)) + wit(p))
-                yield (qj[cj[p]], cj[p], ("Q3-qc", sorted(j)) + wit(p))
+                       (("Q1-square-oplus", tag), p))
+                yield (cj[qj[p]], qj[p], (("Q3-cq", tag), p))
+                yield (qj[cj[p]], cj[p], (("Q3-qc", tag), p))
             for p in els:
                 qjp = qj[p]
                 for b in els:
                     qb = qj[b]
                     yield (qj[V.odot[p][qb]], V.odot[qjp][qb],
-                           ("Q1-odot", sorted(j)) + wit(p, b))
+                           (("Q1-odot", tag), p, b))
                     yield (qj[V.oplus[p][qb]], V.oplus[qjp][qb],
-                           ("Q1-oplus", sorted(j)) + wit(p, b))
+                           (("Q1-oplus", tag), p, b))
         for j, j2 in itertools.product(scopes, repeat=2):
             if j | j2 in scope_set:
                 q_u, q_j, q_j2 = V.q[j | j2], V.q[j], V.q[j2]
+                head = ("Q2", sorted(j), sorted(j2))
                 for p in els:
-                    yield (q_u[p], q_j[q_j2[p]],
-                           ("Q2", sorted(j), sorted(j2)) + wit(p))
+                    yield (q_u[p], q_j[q_j2[p]], (head, p))
 
     results.append(_audit("q-laws-1-3", q_laws()))
     results.append(_audit("q-4-s-agreement", agreement_pairs(V.q)))
@@ -859,18 +861,17 @@ def audit_axioms(algebra):
     def endo_pairs():
         for t in maps:
             s_t = V.subst[t]
-            yield (s_t[V.zero], V.zero, ("zero", t))
-            yield (s_t[V.one], V.one, ("one", t))
+            yield (s_t[V.zero], V.zero, (("zero", t),))
+            yield (s_t[V.one], V.one, (("one", t),))
+            neg, oplus, odot = ("neg", t), ("oplus", t), ("odot", t)
             for p in els:
-                yield (s_t[V.neg[p]], V.neg[s_t[p]], ("neg", t) + wit(p))
+                yield (s_t[V.neg[p]], V.neg[s_t[p]], (neg, p))
                 row = V.oplus[p]
                 row_d = V.odot[p]
                 sp = s_t[p]
                 for q in els:
-                    yield (s_t[row[q]], V.oplus[sp][s_t[q]],
-                           ("oplus", t) + wit(p, q))
-                    yield (s_t[row_d[q]], V.odot[sp][s_t[q]],
-                           ("odot", t) + wit(p, q))
+                    yield (s_t[row[q]], V.oplus[sp][s_t[q]], (oplus, p, q))
+                    yield (s_t[row_d[q]], V.odot[sp][s_t[q]], (odot, p, q))
 
     results.append(_audit("dlaw-2-s-endomorphism", endo_pairs()))
 
@@ -887,19 +888,19 @@ def audit_axioms(algebra):
             ci = V.cyl[frozenset({i})]
             for p in els:
                 cp = ci[p]
-                yield (V.le[p][cp], True, ("D1-increasing", i) + wit(p))
-                yield (ci[cp], cp, ("D1-idempotent", i) + wit(p))
-                yield (ci[V.neg[cp]], V.neg[cp], ("D1-complement", i) + wit(p))
+                yield (V.le[p][cp], True, (("D1-increasing", i), p))
+                yield (ci[cp], cp, (("D1-idempotent", i), p))
+                yield (ci[V.neg[cp]], V.neg[cp], (("D1-complement", i), p))
             for k in singles:
                 ck = V.cyl[frozenset({k})]
                 for p in els:
-                    yield (ci[ck[p]], ck[ci[p]], ("D1-commute", i, k) + wit(p))
+                    yield (ci[ck[p]], ck[ci[p]], (("D1-commute", i, k), p))
             for p in els:
                 cip = ci[p]
                 for q in els:
                     ciq = ci[q]
                     yield (ci[V.oplus[p][ciq]], V.oplus[cip][ciq],
-                           ("D1-oplus", i) + wit(p, q))
+                           (("D1-oplus", i), p, q))
 
     results.append(_audit("dlaw-1-cylinder", dlaw1_pairs()))
 
@@ -913,9 +914,10 @@ def audit_axioms(algebra):
                     if tij not in map_set:
                         continue
                     s_tij = V.subst[tij]
+                    head = ("D4", t, i, j)
                     for p in els:
                         cp = ci[p]
-                        yield (s_t[cp], s_tij[cp], ("D4", t, i, j) + wit(p))
+                        yield (s_t[cp], s_tij[cp], (head, p))
 
     results.append(_audit("dlaw-4-modify", dlaw4_pairs()))
 
@@ -929,9 +931,10 @@ def audit_axioms(algebra):
                 i = pre[0]
                 ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
                 qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
+                c_head, q_head = ("D5-c", t, i, j), ("D5-q", t, i, j)
                 for p in els:
-                    yield (s_t[ci[p]], cj[s_t[p]], ("D5-c", t, i, j) + wit(p))
-                    yield (s_t[qi[p]], qj[s_t[p]], ("D5-q", t, i, j) + wit(p))
+                    yield (s_t[ci[p]], cj[s_t[p]], (c_head, p))
+                    yield (s_t[qi[p]], qj[s_t[p]], (q_head, p))
 
     results.append(_audit("dlaw-5-unique-preimage", dlaw5_pairs()))
 
@@ -946,21 +949,21 @@ def audit_axioms(algebra):
             qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
             for p in els:
                 sp = s_ij[p]
-                yield (ci[sp], sp, ("D6-c", i, j) + wit(p))
-                yield (qi[sp], sp, ("D6-q", i, j) + wit(p))
-                yield (s_ij[ci[p]], ci[p], ("D7-c", i, j) + wit(p))
-                yield (s_ij[qi[p]], qi[p], ("D7-q", i, j) + wit(p))
+                yield (ci[sp], sp, (("D6-c", i, j), p))
+                yield (qi[sp], sp, (("D6-q", i, j), p))
+                yield (s_ij[ci[p]], ci[p], (("D7-c", i, j), p))
+                yield (s_ij[qi[p]], qi[p], (("D7-q", i, j), p))
                 for k in singles:
                     if k in (i, j):
                         continue
                     ck = V.cyl[frozenset({k})]
                     qk = V.q[frozenset({k})]
-                    yield (s_ij[ck[p]], ck[sp], ("D8-c", i, j, k) + wit(p))
-                    yield (s_ij[qk[p]], qk[sp], ("D8-q", i, j, k) + wit(p))
+                    yield (s_ij[ck[p]], ck[sp], (("D8-c", i, j, k), p))
+                    yield (s_ij[qk[p]], qk[sp], (("D8-q", i, j, k), p))
                 if sji is not None:
                     s_ji = V.subst[sji]
-                    yield (ci[s_ji[p]], cj[s_ij[p]], ("D9-c", i, j) + wit(p))
-                    yield (qi[s_ji[p]], qj[s_ij[p]], ("D9-q", i, j) + wit(p))
+                    yield (ci[s_ji[p]], cj[s_ij[p]], (("D9-c", i, j), p))
+                    yield (qi[s_ji[p]], qj[s_ij[p]], (("D9-q", i, j), p))
 
     results.append(_audit("dlaw-6-9-replacements", dlaw6to9_pairs()))
 

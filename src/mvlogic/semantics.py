@@ -4,19 +4,26 @@ Models carry a finite domain and a finite chain of truth values, so the
 quantifier suprema and infima are exact lattice operations. Entailment is a
 bounded semi-decision: an exhaustive search over all models up to a domain
 size, never a claim about all structures.
+
+Inside, truth values are the integer levels 0..n-1 of Chain(n), level r
+standing for r/(n-1). A formula is compiled once into closures over levels:
+the Lukasiewicz operations become min/max on ints, and each quantifier
+sweeps the relevant variables of its block, fixed at compile time. Model
+enumeration yields level tables. `Fraction` values appear only at the
+edges: a user-supplied Model is read into levels once, results come back
+as chain values, and a Model is built only for a reported countermodel.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import random
 
-from .mv_core import Chain, CarrierError, ONE, ZERO, parse_value, format_value
+from .mv_core import Chain, CarrierError, parse_value, format_value
 from . import syntax
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
-    free_vars, predicates_of,
+    predicates_of,
 )
 
 
@@ -29,7 +36,11 @@ class SearchTooLarge(ValueError):
 
 
 class Model:
-    """Finite fuzzy structure: domain {0..k-1}, chain values, total tables."""
+    """Finite fuzzy structure: domain {0..k-1}, chain values, total tables.
+
+    `levels` holds the same tables as level tuples, one level per point in
+    lexicographic point order; the compiled evaluator reads those.
+    """
 
     def __init__(self, language, domain_size, chain, tables):
         if domain_size < 1:
@@ -38,6 +49,8 @@ class Model:
         self.domain_size = domain_size
         self.chain = chain
         self.tables = {}
+        self.levels = {}
+        top = chain.n - 1
         for pred, table in tables.items():
             arity = language.arity(pred)
             full = {}
@@ -50,15 +63,23 @@ class Model:
                         f"{pred}{point} = {value} is not a {chain!r} value")
                 full[point] = value
             self.tables[pred] = full
+            self.levels[pred] = tuple((v * top).numerator
+                                      for v in full.values())
+
+    @classmethod
+    def from_levels(cls, language, domain_size, chain, levels):
+        """The model whose tables carry the given level tables."""
+        tables = {}
+        for pred, row in levels.items():
+            points = itertools.product(range(domain_size),
+                                       repeat=language.arity(pred))
+            tables[pred] = {point: chain.carrier[r]
+                            for point, r in zip(points, row)}
+        return cls(language, domain_size, chain, tables)
 
     @property
     def domain(self):
         return range(self.domain_size)
-
-    def lookup(self, pred, point):
-        if pred not in self.tables:
-            raise MissingTableError(pred)
-        return self.tables[pred][point]
 
     def to_json(self):
         return {
@@ -108,59 +129,167 @@ class Assignment:
     def get(self, var):
         return self.mapping.get(var, self.default)
 
-    def updated(self, pairs):
-        new = dict(self.mapping)
-        new.update(pairs)
-        return Assignment(new, self.default)
-
     def agrees_off(self, other, block):
         keys = set(self.mapping) | set(other.mapping)
         return all(self.get(v) == other.get(v)
                    for v in keys if v not in block)
 
 
-def eval_formula(phi, model, s):
-    """The truth value of phi under the assignment, by structural recursion.
+class CompiledFormula:
+    """A formula compiled once for Chain(n) into closures over levels.
 
-    Quantifiers enumerate variants of s on the block's free variables only,
-    which keeps the sup/inf finite and exact.
+    `run(env)` is the level of the formula under an env: a list holding
+    the model's level tables, its domain as a range, then one slot per
+    variable of the formula (`slots` maps each variable to its position).
+    `valid` and `degree` take a model as level tables plus a domain size
+    and scan the assignments of the free variables, the only ones the
+    value depends on.
     """
-    chain = model.chain
-    if isinstance(phi, Atom):
-        point = tuple(s.get(v) for v in phi.args)
-        return model.lookup(phi.pred, point)
-    if isinstance(phi, Top):
-        return ONE
-    if isinstance(phi, Bottom):
-        return ZERO
-    if isinstance(phi, Neg):
-        return chain.neg(eval_formula(phi.body, model, s))
-    if isinstance(phi, Oplus):
-        return chain.oplus(eval_formula(phi.left, model, s),
-                           eval_formula(phi.right, model, s))
-    if isinstance(phi, Odot):
-        return chain.odot(eval_formula(phi.left, model, s),
-                          eval_formula(phi.right, model, s))
-    if isinstance(phi, Implies):
-        return chain.implies(eval_formula(phi.left, model, s),
-                             eval_formula(phi.right, model, s))
-    if isinstance(phi, (Forall, Exists)):
-        relevant = sorted(phi.block & free_vars(phi.body))
-        pick = max if isinstance(phi, Exists) else min
-        if not relevant:
-            return eval_formula(phi.body, model, s)
-        values = (
-            eval_formula(phi.body, model, s.updated(zip(relevant, choice)))
-            for choice in itertools.product(model.domain, repeat=len(relevant))
-        )
-        return pick(values)
-    raise TypeError(f"not a formula: {phi!r}")
+
+    def __init__(self, phi, n):
+        self.top = n - 1
+        self.slots = {}
+        self.predicates = sorted(predicates_of(phi))
+        self.run, free = self._compile(phi)
+        self.free = tuple(self.slots[v] for v in sorted(free))
+
+    def _slot(self, var):
+        return self.slots.setdefault(var, 2 + len(self.slots))
+
+    def _compile(self, phi):
+        """(closure, free variables) of phi."""
+        top = self.top
+        if isinstance(phi, Atom):
+            pred = phi.pred
+            slots = tuple(self._slot(v) for v in phi.args)
+            if not slots:
+                return (lambda env: env[0][pred][0]), set()
+            if len(slots) == 1:
+                (a,) = slots
+                return (lambda env: env[0][pred][env[a]]), set(phi.args)
+
+            def atom(env):
+                size = len(env[1])
+                k = 0
+                for s in slots:
+                    k = k * size + env[s]
+                return env[0][pred][k]
+            return atom, set(phi.args)
+        if isinstance(phi, Top):
+            return (lambda env: top), set()
+        if isinstance(phi, Bottom):
+            return (lambda env: 0), set()
+        if isinstance(phi, Neg):
+            body, free = self._compile(phi.body)
+            return (lambda env: top - body(env)), free
+        if isinstance(phi, (Oplus, Odot, Implies)):
+            left, lfree = self._compile(phi.left)
+            right, rfree = self._compile(phi.right)
+            if isinstance(phi, Oplus):
+                def node(env):
+                    v = left(env) + right(env)
+                    return v if v < top else top
+            elif isinstance(phi, Odot):
+                def node(env):
+                    v = left(env) + right(env) - top
+                    return v if v > 0 else 0
+            else:
+                def node(env):
+                    v = top - left(env) + right(env)
+                    return v if v < top else top
+            return node, lfree | rfree
+        if isinstance(phi, (Forall, Exists)):
+            body, inner = self._compile(phi.body)
+            relevant = sorted(phi.block & inner)
+            free = inner - phi.block
+            # a block sweep is the nest of one-variable sweeps
+            sweep = _sup if isinstance(phi, Exists) else _inf
+            for v in relevant:
+                body = sweep(body, self._slot(v), top)
+            return body, free
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def env(self, tables, domain_size):
+        return [tables, range(domain_size)] + [0] * len(self.slots)
+
+    def _assignments(self, env):
+        """Set env to each assignment of the free variables in turn."""
+        free = self.free
+        for choice in itertools.product(env[1], repeat=len(free)):
+            for s, x in zip(free, choice):
+                env[s] = x
+            yield
+
+    def valid(self, tables, domain_size):
+        """True iff the formula takes the top level under every assignment."""
+        env = self.env(tables, domain_size)
+        run, top = self.run, self.top
+        return all(run(env) == top for _ in self._assignments(env))
+
+    def degree(self, tables, domain_size):
+        """The least level over the assignments of the free variables."""
+        env = self.env(tables, domain_size)
+        run = self.run
+        return min(run(env) for _ in self._assignments(env))
 
 
-def _assignments_over(model, variables):
-    variables = sorted(variables)
-    for choice in itertools.product(model.domain, repeat=len(variables)):
-        yield Assignment(dict(zip(variables, choice)))
+def _inf(body, slot, top):
+    """The infimum of body over the values of one slot; stops at level 0."""
+    def forall(env):
+        saved = env[slot]
+        best = top
+        for x in env[1]:
+            env[slot] = x
+            v = body(env)
+            if v < best:
+                best = v
+                if not v:
+                    break
+        env[slot] = saved
+        return best
+    return forall
+
+
+def _sup(body, slot, top):
+    """The supremum of body over the values of one slot; stops at the top."""
+    def exists(env):
+        saved = env[slot]
+        best = 0
+        for x in env[1]:
+            env[slot] = x
+            v = body(env)
+            if v > best:
+                best = v
+                if v == top:
+                    break
+        env[slot] = saved
+        return best
+    return exists
+
+
+def _compiled_for(phi, model):
+    compiled = CompiledFormula(phi, model.chain.n)
+    for pred in compiled.predicates:
+        if pred not in model.levels:
+            raise MissingTableError(pred)
+    return compiled
+
+
+def eval_formula(phi, model, s):
+    """The truth value of phi under the assignment s.
+
+    Every variable of phi must be assigned an element of the domain.
+    """
+    compiled = _compiled_for(phi, model)
+    env = compiled.env(model.levels, model.domain_size)
+    for var, slot in compiled.slots.items():
+        x = s.get(var)
+        if not 0 <= x < model.domain_size:
+            raise ValueError(
+                f"assignment {var}={x} is outside the domain "
+                f"0..{model.domain_size - 1}")
+        env[slot] = x
+    return model.chain.carrier[compiled.run(env)]
 
 
 def is_valid(phi, model):
@@ -169,14 +298,13 @@ def is_valid(phi, model):
     Scanning assignments of the free variables suffices: the value depends
     on nothing else (the dependency property, pinned by the tests).
     """
-    return all(eval_formula(phi, model, s) == ONE
-               for s in _assignments_over(model, free_vars(phi)))
+    return _compiled_for(phi, model).valid(model.levels, model.domain_size)
 
 
 def truth_degree(phi, model):
     """Infimum of the value over assignments of the free variables."""
-    return min(eval_formula(phi, model, s)
-               for s in _assignments_over(model, free_vars(phi)))
+    level = _compiled_for(phi, model).degree(model.levels, model.domain_size)
+    return model.chain.carrier[level]
 
 
 class RefutedBy:
@@ -201,22 +329,17 @@ class NoCounterexampleUpTo:
 
 
 def enumerate_models(language, predicates, domain_size, chain):
-    """All models over the named predicates, in canonical table order."""
+    """All models over the named predicates, in canonical table order.
+
+    Each model is its level tables: a dict from predicate to a tuple of
+    levels of the chain, one per point in lexicographic point order.
+    """
     preds = sorted(predicates)
-    point_lists = [
-        sorted(itertools.product(range(domain_size), repeat=language.arity(p)))
-        for p in preds
-    ]
-    value_choices = [
-        itertools.product(chain.carrier, repeat=len(points))
-        for points in point_lists
-    ]
-    for combo in itertools.product(*value_choices):
-        tables = {
-            pred: dict(zip(points, values))
-            for pred, points, values in zip(preds, point_lists, combo)
-        }
-        yield Model(language, domain_size, chain, tables)
+    rows = [itertools.product(range(chain.n),
+                              repeat=domain_size ** language.arity(p))
+            for p in preds]
+    for combo in itertools.product(*rows):
+        yield dict(zip(preds, combo))
 
 
 def _model_count(language, predicates, max_domain, chain_n):
@@ -243,10 +366,14 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     total = _model_count(language, predicates, max_domain, chain_n)
     if total > cap:
         raise SearchTooLarge(f"{total} models exceed the cap of {cap}")
+    hypotheses = [CompiledFormula(g, chain_n) for g in gamma]
+    goal = CompiledFormula(phi, chain_n)
     for size in range(1, max_domain + 1):
-        for model in enumerate_models(language, predicates, size, chain):
-            if all(is_valid(g, model) for g in gamma) and not is_valid(phi, model):
-                return RefutedBy(model)
+        for tables in enumerate_models(language, predicates, size, chain):
+            if all(h.valid(tables, size) for h in hypotheses) \
+                    and not goal.valid(tables, size):
+                return RefutedBy(
+                    Model.from_levels(language, size, chain, tables))
     return NoCounterexampleUpTo(max_domain, chain_n)
 
 

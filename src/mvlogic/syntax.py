@@ -48,8 +48,8 @@ class LanguageSpec:
         arities = dict(self.predicates)
         if len(arities) != len(self.predicates):
             raise ValueError("duplicate predicate declarations")
-        names = set(arities)
-        if names & set(self.variables):
+        variables = tuple(f"v{i}" for i in range(self.num_vars))
+        if set(arities) & set(variables):
             raise ValueError("predicate names collide with variables")
         for name, arity in self.predicates:
             if arity < 0:
@@ -57,19 +57,22 @@ class LanguageSpec:
             if arity + self.reserve > self.num_vars:
                 raise ValueError(
                     f"{name}/{arity} leaves no reserve in {self.num_vars} variables")
+        # derived once; the dataclass is frozen
+        object.__setattr__(self, "_arities", arities)
+        object.__setattr__(self, "_variables", variables)
 
     @property
     def variables(self):
-        return tuple(f"v{i}" for i in range(self.num_vars))
+        return self._variables
 
     def arity(self, name):
-        table = dict(self.predicates)
-        if name not in table:
-            raise AdmissionError(f"unknown predicate {name!r}")
-        return table[name]
+        try:
+            return self._arities[name]
+        except KeyError:
+            raise AdmissionError(f"unknown predicate {name!r}") from None
 
     def has_predicate(self, name):
-        return name in dict(self.predicates)
+        return name in self._arities
 
     def admit(self, phi):
         """Formation check: known predicates, matching arities, blocks and

@@ -110,13 +110,24 @@ OVERCAP_SPEC = {
     ["poly", "dims", "--spec", "{algebra}", "--element", "999"],
     ["henkin", "demo", "--algebra", "{algebra}", "--element", "g3"],
     ["logic", "entails", "--language", "{novars}", "--formula", "p(v0)"],
+    ["logic", "eval", "--model", "{model}", "--formula", "p(v0)",
+     "--assign", "v0=7"],
+    ["logic", "entails", "--language", "{lang}", "--formula", "p(v0)",
+     "--gamma", "{empty}"],
+    ["proof", "check", "--proof", "{proof}", "--gamma", "{empty}"],
+    ["pavelka", "degree", "--algebra", "{algebra}", "--filter", "{empty}",
+     "--element", "1"],
 ], ids=["overcap-spec", "element-index", "generator-index",
-        "language-without-variables"])
+        "language-without-variables", "assignment-outside-domain",
+        "gamma-without-formulas", "proof-gamma-without-formulas",
+        "filter-without-members"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     for name, payload in (("overcap", OVERCAP_SPEC),
                           ("filter", {"members": [1]}),
                           ("novars", {"reserve": 1, "predicates": [
-                              {"name": "p", "arity": 1}]})):
+                              {"name": "p", "arity": 1}]}),
+                          ("lang", PROOF["language"]),
+                          ("empty", {})):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     code, report = dispatch([a.format(**files) for a in argv])

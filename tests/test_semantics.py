@@ -4,10 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from mvlogic.interlab import _prop_eval
 from mvlogic.mv_core import CarrierError, Chain
 from mvlogic.semantics import (
-    Assignment, Model, NoCounterexampleUpTo, RefutedBy, SearchTooLarge,
-    entails, eval_formula, is_valid, random_model, truth_degree,
+    Assignment, MissingTableError, Model, NoCounterexampleUpTo, RefutedBy,
+    SearchTooLarge, entails, eval_formula, is_valid, random_model,
+    truth_degree,
 )
 from mvlogic.syntax import (
     Exists, Forall, Implies, LanguageSpec, Neg, free_vars, parse,
@@ -16,6 +18,8 @@ from mvlogic.syntax import (
 
 LANG = LanguageSpec(num_vars=4, reserve=1, predicates=(("p", 1),))
 RICH = LanguageSpec(num_vars=5, reserve=1, predicates=(("p", 1), ("s", 2)))
+PROPS = LanguageSpec(num_vars=2, reserve=1,
+                     predicates=(("a", 0), ("b", 0), ("c", 0)))
 
 
 @pytest.fixture
@@ -54,6 +58,35 @@ class TestEval:
         model = Model(LANG, 2, Chain(3), {})
         with pytest.raises(KeyError):
             eval_formula(parse("p(v0)", LANG), model, Assignment())
+
+    def test_missing_table_on_every_entry_point(self):
+        # the table is missing on a branch a short-circuit could skip
+        model = Model(RICH, 2, Chain(3), {"p": {(0,): F(1), (1,): F(1)}})
+        phi = parse("T (+) s(v0,v1)", RICH)
+        for run in (lambda: eval_formula(phi, model, Assignment()),
+                    lambda: is_valid(phi, model),
+                    lambda: truth_degree(phi, model)):
+            with pytest.raises(MissingTableError):
+                run()
+
+    def test_assignment_outside_domain(self, example_model):
+        with pytest.raises(ValueError):
+            eval_formula(parse("p(v0)", LANG), example_model,
+                         Assignment({"v0": 7}))
+
+    def test_agrees_with_propositional_evaluator(self):
+        # differential check against interlab's independent valuation
+        rng = random.Random(5)
+        for n in range(2, 7):
+            chain = Chain(n)
+            for _ in range(60):
+                phi = random_formula(rng, PROPS, 4, quantifiers=False)
+                valuation = {name: chain.carrier[rng.randrange(n)]
+                             for name, _ in PROPS.predicates}
+                model = Model(PROPS, 1, chain, {
+                    name: {(): value} for name, value in valuation.items()})
+                assert eval_formula(phi, model, Assignment()) \
+                    == _prop_eval(phi, valuation, chain), render(phi)
 
     def test_table_values_must_sit_in_chain(self):
         with pytest.raises(CarrierError):
@@ -182,6 +215,11 @@ class TestModelIO:
         dumped = example_model.to_json()
         again = Model.from_json(dumped)
         assert again.to_json() == dumped
+
+    def test_levels_round_trip(self, example_model):
+        assert example_model.levels == {"p": (3, 8)}
+        again = Model.from_levels(LANG, 2, Chain(11), example_model.levels)
+        assert again.to_json() == example_model.to_json()
 
     def test_json_shape(self, example_model):
         data = example_model.to_json()
