@@ -356,11 +356,6 @@ def _models_for(phi_list, language, max_domain, chain_n):
             yield size, tables
 
 
-def _countermodel_json(language, size, chain_n, tables):
-    return semantics.Model.from_levels(
-        language, size, semantics.Chain(chain_n), tables).to_json()
-
-
 def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
     """One random instance of the schema; returns (formula, data)."""
     usable = list(language.variables[: language.num_vars - language.reserve])
@@ -450,7 +445,9 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
             for size, tables in _models_for([phi], language, max_domain,
                                             chain_n):
                 if not compiled.valid(tables, size):
-                    model = _countermodel_json(language, size, chain_n, tables)
+                    model = semantics.Model.from_levels(
+                        language, size, semantics.Chain(chain_n),
+                        tables).to_json()
                     violations.append(Violation(
                         target, render(phi), f"invalid in {model}"))
                     break
@@ -501,7 +498,8 @@ def _audit_rule_once(rng, rule, language, depth, max_domain, chain_n):
                                     max_domain, chain_n):
         if all(p.valid(tables, size) for p in compiled) \
                 and not goal.valid(tables, size):
-            model = _countermodel_json(language, size, chain_n, tables)
+            model = semantics.Model.from_levels(
+                language, size, semantics.Chain(chain_n), tables).to_json()
             return Violation(
                 rule,
                 " ; ".join(render(p) for p in premises) + f" => {render(conclusion)}",

@@ -518,7 +518,8 @@ def eta_agreement_check(term, model):
     whose variables are the model's predicate tables. Both sides are
     functions from assignment tuples into the chain.
     """
-    preds = sorted(model.tables)
+    tables = model.tables
+    preds = sorted(tables)
     if not preds:
         raise ValueError("model declares no predicates")
     arities = {model.language.arity(p) for p in preds}
@@ -536,7 +537,7 @@ def eta_agreement_check(term, model):
         if not name.startswith("p"):
             raise ValueError(f"term variables map to p<i>; got {name!r}")
         i = int(name[1:])
-        var_elements[i] = tuple(model.tables[name][x]
+        var_elements[i] = tuple(tables[name][x]
                                 for x in algebra.assignments)
 
     term_side = term_eval(term, algebra, var_elements)

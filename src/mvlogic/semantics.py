@@ -38,8 +38,9 @@ class SearchTooLarge(ValueError):
 class Model:
     """Finite fuzzy structure: domain {0..k-1}, chain values, total tables.
 
-    `levels` holds the same tables as level tuples, one level per point in
-    lexicographic point order; the compiled evaluator reads those.
+    The tables are stored only as `levels`: per predicate a tuple of chain
+    levels, one per point in lexicographic point order. `tables` derives
+    the chain values from them.
     """
 
     def __init__(self, language, domain_size, chain, tables):
@@ -48,34 +49,38 @@ class Model:
         self.language = language
         self.domain_size = domain_size
         self.chain = chain
-        self.tables = {}
         self.levels = {}
         top = chain.n - 1
         for pred, table in tables.items():
-            arity = language.arity(pred)
-            full = {}
-            for point in itertools.product(range(domain_size), repeat=arity):
+            row = []
+            for point in self._points(pred):
                 if point not in table:
                     raise ValueError(f"table for {pred} misses {point}")
                 value = table[point]
                 if not chain.contains(value):
                     raise CarrierError(
                         f"{pred}{point} = {value} is not a {chain!r} value")
-                full[point] = value
-            self.tables[pred] = full
-            self.levels[pred] = tuple((v * top).numerator
-                                      for v in full.values())
+                row.append((value * top).numerator)
+            self.levels[pred] = tuple(row)
 
     @classmethod
     def from_levels(cls, language, domain_size, chain, levels):
-        """The model whose tables carry the given level tables."""
-        tables = {}
-        for pred, row in levels.items():
-            points = itertools.product(range(domain_size),
-                                       repeat=language.arity(pred))
-            tables[pred] = {point: chain.carrier[r]
-                            for point, r in zip(points, row)}
-        return cls(language, domain_size, chain, tables)
+        """The model with the given level tables, stored as they are."""
+        model = cls(language, domain_size, chain, {})
+        model.levels = dict(levels)
+        return model
+
+    def _points(self, pred):
+        return itertools.product(range(self.domain_size),
+                                 repeat=self.language.arity(pred))
+
+    @property
+    def tables(self):
+        """Each table as a dict from point to chain value."""
+        carrier = self.chain.carrier
+        return {pred: {point: carrier[r]
+                       for point, r in zip(self._points(pred), row)}
+                for pred, row in self.levels.items()}
 
     @property
     def domain(self):
@@ -141,6 +146,7 @@ class CompiledFormula:
     `run(env)` is the level of the formula under an env: a list holding
     the model's level tables, its domain as a range, then one slot per
     variable of the formula (`slots` maps each variable to its position).
+    `free_vars` names the free variables and `free` holds their slots.
     `valid` and `degree` take a model as level tables plus a domain size
     and scan the assignments of the free variables, the only ones the
     value depends on.
@@ -151,7 +157,8 @@ class CompiledFormula:
         self.slots = {}
         self.predicates = sorted(predicates_of(phi))
         self.run, free = self._compile(phi)
-        self.free = tuple(self.slots[v] for v in sorted(free))
+        self.free_vars = tuple(sorted(free))
+        self.free = tuple(self.slots[v] for v in self.free_vars)
 
     def _slot(self, var):
         return self.slots.setdefault(var, 2 + len(self.slots))
@@ -162,11 +169,6 @@ class CompiledFormula:
         if isinstance(phi, Atom):
             pred = phi.pred
             slots = tuple(self._slot(v) for v in phi.args)
-            if not slots:
-                return (lambda env: env[0][pred][0]), set()
-            if len(slots) == 1:
-                (a,) = slots
-                return (lambda env: env[0][pred][env[a]]), set(phi.args)
 
             def atom(env):
                 size = len(env[1])
@@ -278,11 +280,12 @@ def _compiled_for(phi, model):
 def eval_formula(phi, model, s):
     """The truth value of phi under the assignment s.
 
-    Every variable of phi must be assigned an element of the domain.
+    Every free variable of phi must be assigned an element of the domain;
+    the quantifier sweeps set the bound ones.
     """
     compiled = _compiled_for(phi, model)
     env = compiled.env(model.levels, model.domain_size)
-    for var, slot in compiled.slots.items():
+    for var, slot in zip(compiled.free_vars, compiled.free):
         x = s.get(var)
         if not 0 <= x < model.domain_size:
             raise ValueError(

@@ -73,6 +73,9 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_formula(parse("p(v0)", LANG), example_model,
                          Assignment({"v0": 7}))
+        # a bound variable's value cannot matter, so it is not checked
+        assert eval_formula(parse("A{v0} p(v0)", LANG), example_model,
+                            Assignment({"v0": 7})) == F(3, 10)
 
     def test_agrees_with_propositional_evaluator(self):
         # differential check against interlab's independent valuation
