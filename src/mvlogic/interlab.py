@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import mv_core, semantics, syntax
-from .mv_core import Chain, ONE, ZERO, maximal_filters, quotient
+# quotient is no longer called here but stays importable as
+# interlab.quotient, which the benchmark's tracer tests read
+from .mv_core import Chain, ONE, ZERO, maximal_filters, quotient  # noqa: F401
 from .polyadic import FunctionalSetAlgebra, first_witness
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
@@ -367,13 +369,12 @@ def representation_map(algebra, hf, transformations=None):
     """
     V = algebra.indexed()
     flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
-    chain, proj = quotient(V, flt)
+    chain, ranks = mv_core.quotient_ranks(flt)
     vs = tuple(transformations) if transformations is not None \
         else algebra.transformations
     position = {x: xi for xi, x in enumerate(vs)}
     top = chain.n - 1
-    level = {v: r for r, v in enumerate(chain.carrier)}
-    rows = psi_rows(V, [level[proj[i]] for i in V.carrier], vs)
+    rows = psi_rows(V, ranks, vs)
 
     def subst_pairs():
         for tau in vs:

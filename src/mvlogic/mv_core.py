@@ -3,6 +3,11 @@
 Finite chains, the standard algebra on the rational unit interval, explicit
 table algebras, t-norms with their residua, filters, and chain quotients.
 Every value is a `fractions.Fraction`; nothing here touches floating point.
+
+Every finite algebra has an `IndexedMV` view (`algebra.indexed()`, built
+on first use and cached): its operations as integer tables over carrier
+indices. Filters and quotients run on these tables; elements appear only
+in their arguments, their results and their error messages.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ class MVAlgebra:
     is_finite = False
     zero = ZERO
     one = ONE
+    _indexed = None
 
     def oplus(self, a, b):
         raise NotImplementedError
@@ -96,6 +102,95 @@ class MVAlgebra:
         for v in args:
             if not self.contains(v):
                 raise CarrierError(f"{v!r} is not in the carrier of {self!r}")
+
+    def indexed(self):
+        """The IndexedMV of a finite algebra, built on first use."""
+        if self._indexed is None:
+            self._indexed = _tabulate(self)
+        return self._indexed
+
+
+def _tabulate(algebra):
+    """The IndexedMV read off a finite algebra's own oplus and neg."""
+    carrier = algebra.carrier
+    at = {v: i for i, v in enumerate(carrier)}.__getitem__
+    oplus = algebra.oplus
+    return IndexedMV(carrier, algebra.zero, algebra.one,
+                     [at(algebra.neg(a)) for a in carrier],
+                     [[at(oplus(a, b)) for b in carrier] for a in carrier])
+
+
+class _Unary(tuple):
+    """Unary operation table over carrier indices; t(a) is t[a]."""
+
+    __slots__ = ()
+    __call__ = tuple.__getitem__
+
+
+class _Binary(tuple):
+    """Binary operation table over carrier indices; t(a, b) is t[a][b]."""
+
+    __slots__ = ()
+
+    def __call__(self, a, b):
+        return self[a][b]
+
+
+class IndexedMV:
+    """A finite MV algebra as operation tables over carrier indices.
+
+    Index i stands for elements[i], in the order of the algebra's carrier;
+    index_of maps back. neg and oplus are given, odot and le are derived
+    from them. The tables double as the finite-MV protocol over indices
+    (neg(a), oplus(a, b), ...): a view is itself a finite MV algebra with
+    carrier range(n), and it is its own view.
+    """
+
+    is_finite = True
+
+    def __init__(self, elements, zero, one, neg, oplus):
+        self.elements = tuple(elements)
+        self.index_of = {p: i for i, p in enumerate(self.elements)}
+        self.carrier = range(len(self.elements))
+        self.zero = self.index_of[zero]
+        self.one = self.index_of[one]
+        self.neg = neg = _Unary(neg)
+        self.oplus = oplus = _Binary(map(tuple, oplus))
+        # odot[a][b] is neg[oplus[neg[a]][neg[b]]], le[a][b] is
+        # odot[a][neg[b]] == zero
+        self.odot = odot = _Binary(tuple([neg[row[x]] for x in neg])
+                                   for row in map(oplus.__getitem__, neg))
+        zero = self.zero
+        self.le = _Binary(tuple([row[x] == zero for x in neg]) for row in odot)
+
+    def implies(self, a, b):
+        return self.oplus[self.neg[a]][b]
+
+    def contains(self, a):
+        return isinstance(a, int) and 0 <= a < len(self.elements)
+
+    def check_args(self, args):
+        for a in args:
+            if not self.contains(a):
+                raise CarrierError(f"{a!r} is not a carrier index")
+
+    def indexed(self):
+        return self
+
+
+def _identity(x):
+    return x
+
+
+def _coding(algebra):
+    """(V, enc, dec): the algebra's view, element -> index, index -> element.
+
+    A view is its own view, so for a view both maps are the identity.
+    """
+    V = algebra.indexed()
+    if V is algebra:
+        return V, _identity, _identity
+    return V, V.index_of.__getitem__, V.elements.__getitem__
 
 
 class StandardRationals(MVAlgebra):
@@ -142,6 +237,9 @@ class Chain(StandardRationals):
     """The n-element subchain {0, 1/(n-1), ..., 1} of the standard algebra."""
 
     is_finite = True
+    # chains of one size have the same operations, so one view serves all
+    # of them; a chain of each size is tabulated once per process
+    _views = {}
 
     def __init__(self, n):
         if n < 2:
@@ -152,6 +250,13 @@ class Chain(StandardRationals):
     @property
     def carrier(self):
         return self._carrier
+
+    def indexed(self):
+        key = (type(self), self.n)
+        view = Chain._views.get(key)
+        if view is None:
+            view = Chain._views[key] = _tabulate(self)
+        return view
 
     def contains(self, value):
         return (
@@ -245,14 +350,10 @@ class TableAlgebra(MVAlgebra):
 
 def to_table(algebra, audit=True):
     """Materialise any finite algebra as an explicit TableAlgebra."""
-    carrier = list(algebra.carrier)
-    idx = {v: i for i, v in enumerate(carrier)}
-    oplus = [[idx[algebra.oplus(a, b)] for b in carrier] for a in carrier]
-    neg = [idx[algebra.neg(a)] for a in carrier]
-    labels = [format_value(v) if isinstance(v, Fraction) else v for v in carrier]
-    return TableAlgebra(
-        labels, oplus, neg, idx[algebra.zero], idx[algebra.one], audit=audit
-    )
+    V, _, dec = _coding(algebra)
+    labels = [format_value(v) if isinstance(v, Fraction) else v
+              for v in map(dec, V.carrier)]
+    return TableAlgebra(labels, V.oplus, V.neg, V.zero, V.one, audit=audit)
 
 
 _OP_ALIASES = {
@@ -337,26 +438,27 @@ class MVAuditReport:
 
 
 def _axiom_groups():
+    # (name, arity, law): the law reads only its first `arity` arguments.
     # Group 4 is implemented as a(*)0 = 0: the printed second identity of
     # the source's fourth pair is falsified by the standard algebra itself.
     return (
-        ("1-commutativity", lambda A, a, b, c: A.oplus(a, b) == A.oplus(b, a)
-         and A.odot(a, b) == A.odot(b, a)),
-        ("2-associativity", lambda A, a, b, c:
+        ("1-commutativity", 2, lambda A, a, b, c:
+         A.oplus(a, b) == A.oplus(b, a) and A.odot(a, b) == A.odot(b, a)),
+        ("2-associativity", 3, lambda A, a, b, c:
          A.oplus(a, A.oplus(b, c)) == A.oplus(A.oplus(a, b), c)
          and A.odot(a, A.odot(b, c)) == A.odot(A.odot(a, b), c)),
-        ("3-units", lambda A, a, b, c: A.oplus(a, A.zero) == a
+        ("3-units", 1, lambda A, a, b, c: A.oplus(a, A.zero) == a
          and A.odot(a, A.one) == a),
-        ("4-annihilators", lambda A, a, b, c: A.oplus(a, A.one) == A.one
+        ("4-annihilators", 1, lambda A, a, b, c: A.oplus(a, A.one) == A.one
          and A.odot(a, A.zero) == A.zero),
-        ("5-complements", lambda A, a, b, c: A.oplus(a, A.neg(a)) == A.one
+        ("5-complements", 1, lambda A, a, b, c: A.oplus(a, A.neg(a)) == A.one
          and A.odot(a, A.neg(a)) == A.zero),
-        ("6-de-morgan", lambda A, a, b, c:
+        ("6-de-morgan", 2, lambda A, a, b, c:
          A.neg(A.oplus(a, b)) == A.odot(A.neg(a), A.neg(b))
          and A.neg(A.odot(a, b)) == A.oplus(A.neg(a), A.neg(b))),
-        ("7-involution", lambda A, a, b, c: A.neg(A.neg(a)) == a
+        ("7-involution", 1, lambda A, a, b, c: A.neg(A.neg(a)) == a
          and A.neg(A.zero) == A.one),
-        ("8-lukasiewicz", lambda A, a, b, c:
+        ("8-lukasiewicz", 2, lambda A, a, b, c:
          A.oplus(A.neg(A.oplus(A.neg(a), b)), b)
          == A.oplus(A.neg(A.oplus(A.neg(b), a)), a)),
     )
@@ -373,44 +475,50 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0,
                     max_denominator=97):
     """Audit the eight axiom groups; failures carry a witness triple.
 
-    Exhaustive mode walks all carrier triples (finite algebras only);
-    sampled mode draws seeded rational triples. For the standard algebra
-    the sampled audit rescales each triple onto a common denominator and
-    checks the identities in integer arithmetic, which is the same exact
-    computation an order of magnitude faster.
+    Exhaustive mode (finite algebras only) walks, for each group, the
+    carrier tuples of the variables the group reads, padded to a triple
+    with the first carrier element; its witness is the first failing
+    triple in the order of a walk over all carrier triples. Sampled mode
+    draws seeded rational triples. For the standard algebra the sampled
+    audit rescales each triple onto a common denominator and checks the
+    identities in integer arithmetic, which is the same exact computation
+    an order of magnitude faster.
     """
     groups = _axiom_groups()
+    witnesses = [None] * len(groups)
     if mode == "exhaustive":
         if not algebra.is_finite:
             raise ValueError("exhaustive audit needs a finite algebra")
-        triples = itertools.product(algebra.carrier, repeat=3)
         desc = "exhaustive"
+        carrier = algebra.carrier
+        for i, (_, arity, law) in enumerate(groups):
+            pad = (carrier[0],) * (3 - arity)
+            for head in itertools.product(carrier, repeat=arity):
+                triple = head + pad
+                if not law(algebra, *triple):
+                    witnesses[i] = triple
+                    break
     elif mode == "sampled":
         desc = f"sampled({count}, seed={seed})"
         if type(algebra) is StandardRationals:
             return _sampled_standard_audit(count, seed, max_denominator, desc)
         rng = random.Random(seed)
-        triples = (
-            (random_unit_fraction(rng, max_denominator),
-             random_unit_fraction(rng, max_denominator),
-             random_unit_fraction(rng, max_denominator))
-            for _ in range(count)
-        )
+        pending = set(range(len(groups)))
+        for _ in range(count):
+            if not pending:
+                break
+            triple = (random_unit_fraction(rng, max_denominator),
+                      random_unit_fraction(rng, max_denominator),
+                      random_unit_fraction(rng, max_denominator))
+            for i in list(pending):
+                if not groups[i][2](algebra, *triple):
+                    witnesses[i] = triple
+                    pending.discard(i)
     else:
         raise ValueError(f"unknown audit mode {mode!r}")
-
-    witnesses = [None] * len(groups)
-    pending = set(range(len(groups)))
-    for a, b, c in triples:
-        if not pending:
-            break
-        for i in list(pending):
-            if not groups[i][1](algebra, a, b, c):
-                witnesses[i] = (a, b, c)
-                pending.discard(i)
     results = tuple(
         AxiomResult(name, witnesses[i] is None, witnesses[i])
-        for i, (name, _) in enumerate(groups)
+        for i, (name, _, _) in enumerate(groups)
     )
     return MVAuditReport(repr(algebra), desc, results)
 
@@ -425,7 +533,7 @@ def _sampled_standard_audit(count, seed, max_denominator, desc):
     import math
 
     rng = random.Random(seed)
-    names = [name for name, _ in _axiom_groups()]
+    names = [name for name, _, _ in _axiom_groups()]
     witnesses = [None] * len(names)
     pending = set(range(len(names)))
 
@@ -475,7 +583,11 @@ def _sampled_standard_audit(count, seed, max_denominator, desc):
 
 @dataclass(frozen=True)
 class Filter:
-    """Upward-closed, (*)-closed subset of a finite algebra's carrier."""
+    """Upward-closed, (*)-closed subset of a finite algebra's carrier.
+
+    The laws are checked on the algebra's indexed view, pairs in carrier
+    order; members stay in element form.
+    """
 
     algebra: object
     members: frozenset
@@ -490,15 +602,23 @@ class Filter:
         for a in m:
             if not A.contains(a):
                 raise FilterError(f"{a!r} is not a carrier element")
-        for a in m:
-            for b in m:
-                if A.odot(a, b) not in m:
+        V, enc, dec = _coding(A)
+        ids = sorted(map(enc, m))
+        inside = set(ids)
+        for a in ids:
+            row = V.odot[a]
+            for b in ids:
+                if row[b] not in inside:
                     raise FilterError(
-                        f"not (*)-closed: {a!r}(*){b!r} escapes the member set")
-        for a in m:
-            for b in A.carrier:
-                if A.le(a, b) and b not in m:
-                    raise FilterError(f"not upward closed at {a!r} <= {b!r}")
+                        f"not (*)-closed: {dec(a)!r}(*){dec(b)!r} escapes "
+                        "the member set")
+        outside = [b for b in V.carrier if b not in inside]
+        for a in ids:
+            row = V.le[a]
+            for b in outside:
+                if row[b]:
+                    raise FilterError(
+                        f"not upward closed at {dec(a)!r} <= {dec(b)!r}")
 
     @property
     def is_proper(self):
@@ -508,125 +628,144 @@ class Filter:
         return x in self.members
 
 
+def _up_set(algebra, V, dec, e):
+    """The principal filter of view index e, members in element form."""
+    row = V.le[e]
+    return Filter(algebra, frozenset(dec(y) for y in V.carrier if row[y]))
+
+
+def _generator(V, ids):
+    """The (*)-product of the given view indices; 1 for none."""
+    gen = V.one
+    for a in ids:
+        gen = V.odot[gen][a]
+    return gen
+
+
 def filter_generate(algebra, elements):
     """Smallest filter containing the given set; empty product is 1."""
-    algebra.check_args(tuple(elements))
-    products = {algebra.one}
-    frontier = set(elements) | {algebra.one}
-    products |= frontier
-    while True:
-        new = set()
-        for a in products:
-            for b in frontier:
-                p = algebra.odot(a, b)
-                if p not in products:
-                    new.add(p)
-        if not new:
-            break
-        products |= new
-        frontier = new
+    elements = tuple(elements)
+    algebra.check_args(elements)
+    V, enc, dec = _coding(algebra)
+    odot, le = V.odot, V.le
+    products = {V.one, *map(enc, elements)}
+    frontier = set(products)
+    while frontier:
+        frontier = {odot[a][b] for a in products for b in frontier} - products
+        products |= frontier
     members = frozenset(
-        y for y in algebra.carrier if any(algebra.le(p, y) for p in products)
-    )
+        dec(y) for y in V.carrier if any(le[p][y] for p in products))
     return Filter(algebra, members)
 
 
-def _idempotents(algebra):
-    return [e for e in algebra.carrier if algebra.odot(e, e) == e]
-
-
-def _skeleton_atoms(algebra):
-    """Minimal nonzero idempotents, in carrier order.
+def _skeleton_atoms(V):
+    """Minimal nonzero idempotents of a view, as indices in carrier order.
 
     Every filter of a finite MV algebra is the up-set of an idempotent, so
     the maximal proper filters are exactly the up-sets of these atoms.
     """
-    idems = [e for e in _idempotents(algebra) if e != algebra.zero]
-    atoms = []
-    for e in idems:
-        if not any(f != e and algebra.le(f, e) for f in idems):
-            atoms.append(e)
-    return atoms
+    idems = [e for e in V.carrier if V.odot[e][e] == e and e != V.zero]
+    return [e for e in idems
+            if not any(f != e and V.le[f][e] for f in idems)]
 
 
 def principal_filter(algebra, e):
-    return Filter(algebra, frozenset(y for y in algebra.carrier if algebra.le(e, y)))
+    algebra.check_args((e,))
+    V, enc, dec = _coding(algebra)
+    return _up_set(algebra, V, dec, enc(e))
 
 
 def filter_generator(flt):
     """The least element of a (finite-algebra) filter; always idempotent."""
-    gen = flt.algebra.one
-    for a in flt.members:
-        gen = flt.algebra.odot(gen, a)
-    return gen
+    V, enc, dec = _coding(flt.algebra)
+    return dec(_generator(V, map(enc, flt.members)))
 
 
 def maximal_filters(algebra):
     """All maximal proper filters, in carrier order of their atoms."""
-    return [principal_filter(algebra, e) for e in _skeleton_atoms(algebra)]
+    V, _, dec = _coding(algebra)
+    return [_up_set(algebra, V, dec, e) for e in _skeleton_atoms(V)]
 
 
 def extend_to_maximal(algebra, flt, constraint=None):
     """First maximal proper filter extending flt that meets the constraint."""
     if not flt.is_proper:
         raise ProperFilterRequired("cannot extend the improper filter")
-    base = filter_generator(flt)
-    for e in _skeleton_atoms(algebra):
-        if algebra.le(e, base):
-            candidate = principal_filter(algebra, e)
+    V, enc, dec = _coding(algebra)
+    base = _generator(V, map(enc, flt.members))
+    for e in _skeleton_atoms(V):
+        if V.le[e][base]:
+            candidate = _up_set(algebra, V, dec, e)
             if constraint is None or constraint(candidate):
                 return candidate
     raise FilterNotFound("no maximal extension satisfies the constraint")
 
 
-def quotient(algebra, flt):
-    """Quotient by a maximal filter: a chain plus the projection map.
+def quotient_ranks(flt):
+    """Quotient by a maximal filter as integer ranks: (chain, ranks).
 
-    The congruence is a ~ b iff (a->b)(*)(b->a) in F. The class order must
-    be total and the projection a homomorphism onto the rank chain; any
-    breach means the filter was not maximal.
+    ranks[i] is the level in the chain of the class of index i of the
+    filter's algebra's view. The congruence is a ~ b iff (a->b)(*)(b->a)
+    is in F. The class order must be total and the ranks a homomorphism
+    onto the chain's levels; any breach means the filter was not maximal.
     """
     if not flt.is_proper:
         raise ProperFilterRequired("quotient by the improper filter is degenerate")
-    A = flt.algebra
-    members = flt.members
+    V, enc, dec = _coding(flt.algebra)
+    members = set(map(enc, flt.members))
+    neg, oplus, odot = V.neg, V.oplus, V.odot
 
-    def equivalent(a, b):
-        return A.odot(A.implies(a, b), A.implies(b, a)) in members
+    def within(a, b):
+        # a -> b in F: the class of a lies below the class of b
+        return oplus[neg[a]][b] in members
 
     reps = []
-    class_of = {}
-    for a in A.carrier:
-        for r in reps:
-            if equivalent(a, r):
-                class_of[a] = r
+    class_of = []
+    for a in V.carrier:
+        for k, r in enumerate(reps):
+            if odot[oplus[neg[a]][r]][oplus[neg[r]][a]] in members:
+                class_of.append(k)
                 break
         else:
+            class_of.append(len(reps))
             reps.append(a)
-            class_of[a] = a
-
-    def rep_le(r, s):
-        return A.implies(r, s) in members
 
     for r, s in itertools.combinations(reps, 2):
-        if not (rep_le(r, s) or rep_le(s, r)):
+        if not (within(r, s) or within(s, r)):
             raise NonMaximalFilter(
-                f"classes of {r!r} and {s!r} are incomparable; quotient is no chain")
+                f"classes of {dec(r)!r} and {dec(s)!r} are incomparable; "
+                "quotient is no chain")
 
-    ordered = sorted(reps, key=lambda r: sum(1 for s in reps if rep_le(s, r)))
-    k = len(ordered)
-    rank = {r: i for i, r in enumerate(ordered)}
-    chain = Chain(k)
-    projection = {a: Fraction(rank[class_of[a]], k - 1) for a in A.carrier}
+    # the classes form a chain, so a class with rank r has r classes below
+    # it and itself at or below it
+    rank = [sum(1 for s in reps if within(s, r)) - 1 for r in reps]
+    ranks = tuple(rank[k] for k in class_of)
+    top = len(reps) - 1
 
-    for a in A.carrier:
-        if projection[A.neg(a)] != chain.neg(projection[a]):
-            raise NonMaximalFilter(f"projection breaks ~ at {a!r}")
-        for b in A.carrier:
-            if projection[A.oplus(a, b)] != chain.oplus(projection[a], projection[b]):
-                raise NonMaximalFilter(f"projection breaks (+) at ({a!r},{b!r})")
-            if projection[A.odot(a, b)] != chain.odot(projection[a], projection[b]):
-                raise NonMaximalFilter(f"projection breaks (*) at ({a!r},{b!r})")
-    if projection[A.zero] != ZERO or projection[A.one] != ONE:
+    for a in V.carrier:
+        ra = ranks[a]
+        if ranks[neg[a]] != top - ra:
+            raise NonMaximalFilter(f"projection breaks ~ at {dec(a)!r}")
+        row_p, row_d = oplus[a], odot[a]
+        for b in V.carrier:
+            rb = ranks[b]
+            if ranks[row_p[b]] != min(ra + rb, top):
+                raise NonMaximalFilter(
+                    f"projection breaks (+) at ({dec(a)!r},{dec(b)!r})")
+            if ranks[row_d[b]] != max(ra + rb - top, 0):
+                raise NonMaximalFilter(
+                    f"projection breaks (*) at ({dec(a)!r},{dec(b)!r})")
+    if ranks[V.zero] != 0 or ranks[V.one] != top:
         raise NonMaximalFilter("projection moves a constant")
-    return chain, projection
+    return Chain(len(reps)), ranks
+
+
+def quotient(algebra, flt):
+    """Quotient by a maximal filter: a chain plus the projection map.
+
+    The projection sends each element of the filter's algebra to its
+    class in the chain (see quotient_ranks).
+    """
+    chain, ranks = quotient_ranks(flt)
+    _, _, dec = _coding(flt.algebra)
+    return chain, {dec(i): chain.carrier[r] for i, r in enumerate(ranks)}

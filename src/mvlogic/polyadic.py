@@ -10,9 +10,10 @@ auditor for every identity family the theory demands.
 Every exhaustive checker (the axiom audit, neat reducts, and in interlab
 and pavelka the Henkin filter search and the representation maps) works
 on one `IndexedAlgebra`: the algebra's operations as tables over carrier
-indices. `algebra.indexed()` builds it on first use and caches it, so
-building, dumping or querying single elements never pays for it. Results
-leave the checkers in element form.
+indices, extending mv_core's `IndexedMV`, on which the filters and
+quotients run. `algebra.indexed()` builds it on first use and caches it,
+so building, dumping or querying single elements never pays for it.
+Results leave the checkers in element form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .mv_core import Chain, TableAlgebra, ONE, ZERO, format_value, parse_value
+from .mv_core import (
+    Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_value, parse_value,
+)
 from .transform import FinTransformation, SemigroupSpec, compose, semigroup_closure
 
 
@@ -84,67 +87,25 @@ def normalize_transformations(index_set, spec):
     return tuple(sorted(maps, key=lambda t: t.sort_key())), False
 
 
-class _Unary(tuple):
-    """Unary operation table over carrier indices; t(a) is t[a]."""
-
-    __slots__ = ()
-    __call__ = tuple.__getitem__
-
-
-class _Binary(tuple):
-    """Binary operation table over carrier indices; t(a, b) is t[a][b]."""
-
-    __slots__ = ()
-
-    def __call__(self, a, b):
-        return self[a][b]
-
-
-class IndexedAlgebra:
+class IndexedAlgebra(IndexedMV):
     """A finite polyadic algebra as operation tables over carrier indices.
 
     Index i stands for elements[i], in the order of algebra.elements().
     The carrier is closed under every operation, so each one is a finite
-    table: neg, oplus, odot and le, and subst[tau], cyl[J] and q[J] for
-    every tau and J of the signature. The tables double as the finite-MV
-    protocol over indices (neg(a), oplus(a, b), ...), so mv_core's filters
-    and quotients and pavelka's degrees run on the view unchanged.
-    odot, le and q are derived from neg, oplus and cyl.
+    table: the MV tables of IndexedMV, and subst[tau], cyl[J] and q[J] for
+    every tau and J of the signature, with q derived from neg and cyl.
     """
 
-    is_finite = True
-
     def __init__(self, algebra, neg, oplus, subst, cyl):
+        super().__init__(algebra.elements(), algebra.zero, algebra.one,
+                         neg, oplus)
         self.algebra = algebra
-        self.elements = tuple(algebra.elements())
-        self.index_of = {p: i for i, p in enumerate(self.elements)}
-        self.carrier = range(len(self.elements))
-        self.zero = self.index_of[algebra.zero]
-        self.one = self.index_of[algebra.one]
-        self.neg = neg = _Unary(neg)
-        self.oplus = oplus = _Binary(tuple(row) for row in oplus)
-        self.odot = odot = _Binary(
-            tuple(neg[oplus[neg[a]][neg[b]]] for b in self.carrier)
-            for a in self.carrier)
-        self.le = _Binary(
-            tuple(odot[a][neg[b]] == self.zero for b in self.carrier)
-            for a in self.carrier)
+        neg = self.neg
         self.subst = {t: tuple(table) for t, table in subst.items()}
         self.cyl = {frozenset(j): tuple(table) for j, table in cyl.items()}
         self.q = {j: tuple(neg[c[neg[a]]] for a in self.carrier)
                   for j, c in self.cyl.items()}
         self._cylinders = dict(self.cyl)
-
-    def implies(self, a, b):
-        return self.oplus[self.neg[a]][b]
-
-    def contains(self, a):
-        return isinstance(a, int) and 0 <= a < len(self.elements)
-
-    def check_args(self, args):
-        for a in args:
-            if not self.contains(a):
-                raise SignatureError(f"{a!r} is not a carrier index")
 
     def cylinder(self, j):
         """c_J as an index table for any J, cached.

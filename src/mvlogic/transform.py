@@ -30,6 +30,10 @@ class FinTransformation:
         for v in self.values:
             if v not in dom:
                 raise ValueError(f"image point {v!r} escapes the index set")
+        # apply sits on hot paths; the position map is not a field, so
+        # ==, hash and repr still see domain and values only
+        object.__setattr__(self, "_position",
+                           {d: k for k, d in enumerate(self.domain)})
 
     @classmethod
     def identity(cls, domain):
@@ -55,16 +59,18 @@ class FinTransformation:
         )
 
     def apply(self, i):
-        return self.values[self.domain.index(i)]
+        k = self._position.get(i)
+        if k is None:
+            raise ValueError(f"{i!r} is outside the index set")
+        return self.values[k]
 
     __call__ = apply
 
     def modify(self, i, j):
         if i not in self.domain or j not in self.domain:
             raise ValueError(f"{i!r} or {j!r} is outside the index set")
-        pos = self.domain.index(i)
         vals = list(self.values)
-        vals[pos] = j
+        vals[self._position[i]] = j
         return FinTransformation(self.domain, tuple(vals))
 
     def as_dict(self):

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,23 @@ def coordinate_generator(index_size, base_size, coord):
         Fraction(1) if x[coord] == 0 else Fraction(0)
         for x in assignments(index_size, base_size)
     )
+
+
+def small_algebra():
+    """|I|=2, |X|=2, three-valued chain, one non-boolean generator."""
+    assigns = list(itertools.product((0, 1), repeat=2))
+    g = tuple(Fraction(1, 2) if x[0] == 0 else Fraction(0) for x in assigns)
+    return build_generated((0, 1), 2, Chain(3), [g], "full", "powerset",
+                           cap=120)
+
+
+def pattern_algebra():
+    """|I|=3, |X|=2, three-valued chain, one pattern-class generator."""
+    rng = random.Random(3)
+    chain = Chain(3)
+    return build_generated((0, 1, 2), 2, chain,
+                           [pattern_generator(rng, chain)], "full",
+                           "powerset", cap=200)
 
 
 @pytest.fixture(scope="session")

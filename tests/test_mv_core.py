@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import pattern_algebra, small_algebra
 from mvlogic.mv_core import (
     CarrierError, Chain, Filter, FilterError, FilterNotFound, MVAxiomError,
     NonMaximalFilter, ProperFilterRequired, StandardRationals, TableAlgebra,
-    check_mv_axioms, eval_basic, extend_to_maximal, filter_generate,
-    maximal_filters, quotient, residuum_by_maximization, tnorm_eval, to_table,
+    _axiom_groups, check_mv_axioms, eval_basic, extend_to_maximal,
+    filter_generate, maximal_filters, quotient, residuum_by_maximization,
+    tnorm_eval, to_table,
 )
 
 STD = StandardRationals()
@@ -159,6 +161,31 @@ class TestAxiomAudit:
         again = TableAlgebra.from_json(table.to_json())
         assert again.to_json() == table.to_json()
 
+    @pytest.mark.parametrize("n,seed", [(4, s) for s in range(6)]
+                             + [(5, s) for s in range(6)])
+    def test_witnesses_match_triple_loop(self, n, seed):
+        # swapped entries of the chain's tables break several groups; each
+        # group's witness is the first failing triple of a walk over all
+        # carrier triples
+        rng = random.Random(seed)
+        table = to_table(Chain(n)).to_json()
+        for _ in range(1 + seed % 3):
+            a, b, c, d = (rng.randrange(n) for _ in range(4))
+            oplus = table["oplus"]
+            oplus[a][b], oplus[c][d] = oplus[c][d], oplus[a][b]
+        if seed % 2:
+            a, b = rng.sample(range(n), 2)
+            table["neg"][a], table["neg"][b] = table["neg"][b], table["neg"][a]
+        bad = TableAlgebra.from_json(table, audit=False)
+        expected = []
+        for name, _, law in _axiom_groups():
+            witness = next((t for t in itertools.product(bad.carrier, repeat=3)
+                            if not law(bad, *t)), None)
+            expected.append((name, witness))
+        report = check_mv_axioms(bad)
+        assert [(r.axiom, r.witness) for r in report.results] == expected
+        assert not report.passed
+
 
 def product_algebra(n, m):
     """Direct product of two chains as an audited table algebra."""
@@ -285,3 +312,152 @@ class TestQuotient:
         algebra, pairs, labels = product_algebra(2, 4)
         filters = maximal_filters(algebra)
         assert sorted(quotient(algebra, f)[0].n for f in filters) == [2, 4]
+
+
+class TestIndexedView:
+    @pytest.mark.parametrize("make", [lambda: Chain(5),
+                                      lambda: product_algebra(2, 3)[0]])
+    def test_tables_agree_with_element_operations(self, make):
+        algebra = make()
+        view = algebra.indexed()
+        assert view is algebra.indexed() and view.indexed() is view
+        els = view.elements
+        assert els == tuple(algebra.carrier)
+        assert (els[view.zero], els[view.one]) == (algebra.zero, algebra.one)
+        for a, p in enumerate(els):
+            assert els[view.neg[a]] == algebra.neg(p)
+            for b, q in enumerate(els):
+                assert els[view.oplus[a][b]] == algebra.oplus(p, q)
+                assert els[view.odot[a][b]] == algebra.odot(p, q)
+                assert view.le[a][b] == algebra.le(p, q)
+
+    def test_filters_of_a_view_are_index_sets(self):
+        view = Chain(4).indexed()
+        assert [f.members for f in maximal_filters(view)] \
+            == [frozenset({3})]
+        assert filter_generate(view, [2]).members == frozenset(range(4))
+
+
+class FilterReference:
+    """Filters and quotients of a finite algebra from the definitions.
+
+    A filter is an up-set that contains 1 and is closed under (*); the
+    filters here are those generated by one element, which in a finite
+    algebra are all of them. a ~ b iff (a->b)(*)(b->a) lies in the filter.
+    Works on carrier positions, with tables read off the element
+    operations.
+    """
+
+    def __init__(self, algebra):
+        self.carrier = list(algebra.carrier)
+        at = {p: i for i, p in enumerate(self.carrier)}
+        els = self.carrier
+        self.odot = [[at[algebra.odot(p, q)] for q in els] for p in els]
+        self.imp = [[at[algebra.implies(p, q)] for q in els] for p in els]
+        self.le = [[algebra.le(p, q) for q in els] for p in els]
+        self.zero, self.one = at[algebra.zero], at[algebra.one]
+
+    def generated(self, seeds):
+        members = {self.one, *seeds}
+        while True:
+            grown = set(members)
+            for x in members:
+                grown.update(y for y, up in enumerate(self.le[x]) if up)
+                grown.update(self.odot[x][y] for y in members)
+            if grown == members:
+                return frozenset(members)
+            members = grown
+
+    def least(self, flt):
+        return next(x for x in flt if all(self.le[x][y] for y in flt))
+
+    def maximal(self):
+        proper = {self.generated({e}) for e in range(len(self.carrier))}
+        proper = [f for f in proper if self.zero not in f]
+        maximal = [f for f in proper if not any(f < g for g in proper)]
+        return sorted(maximal, key=self.least)
+
+    def quotient(self, flt):
+        classes = []
+        for a in range(len(self.carrier)):
+            for c in classes:
+                b = c[0]
+                if self.odot[self.imp[a][b]][self.imp[b][a]] in flt:
+                    c.append(a)
+                    break
+            else:
+                classes.append([a])
+        k = len(classes)
+        projection = {}
+        for c in classes:
+            rank = sum(1 for d in classes
+                       if d is not c and self.imp[d[0]][c[0]] in flt)
+            for a in c:
+                projection[self.carrier[a]] = F(rank, k - 1)
+        return k, projection
+
+    def elements(self, flt):
+        return frozenset(self.carrier[i] for i in flt)
+
+
+KERNEL_ALGEBRAS = {
+    **{f"chain{n}": (lambda n=n: Chain(n)) for n in range(2, 7)},
+    **{f"product{n}x{m}": (lambda n=n, m=m: product_algebra(n, m)[0])
+       for n, m in ((2, 3), (2, 4), (3, 3))},
+    "functional16": pattern_algebra,
+    "functional81": small_algebra,
+}
+
+
+class TestFilterKernelAgainstReference:
+    @pytest.mark.parametrize("name", sorted(KERNEL_ALGEBRAS))
+    def test_kernel_matches_reference(self, name):
+        algebra = KERNEL_ALGEBRAS[name]()
+        ref = FilterReference(algebra)
+        maximal = ref.maximal()
+        assert [f.members for f in maximal_filters(algebra)] \
+            == [ref.elements(f) for f in maximal]
+        for e, p in enumerate(ref.carrier):
+            generated = ref.generated({e})
+            assert filter_generate(algebra, [p]).members \
+                == ref.elements(generated)
+            if ref.zero in generated:
+                continue
+            first = next(f for f in maximal if generated <= f)
+            flt = Filter(algebra, ref.elements(generated))
+            assert extend_to_maximal(algebra, flt).members \
+                == ref.elements(first)
+        for f in maximal:
+            chain, projection = quotient(algebra,
+                                         Filter(algebra, ref.elements(f)))
+            assert (chain.n, projection) == ref.quotient(f)
+
+
+class TestFilterMessages:
+    def test_non_maximal_message_is_pinned(self):
+        algebra, _, _ = product_algebra(2, 2)
+        with pytest.raises(NonMaximalFilter) as exc:
+            quotient(algebra, Filter(algebra, frozenset({algebra.one})))
+        assert str(exc.value) == ("classes of '0|1' and '1|0' are "
+                                  "incomparable; quotient is no chain")
+
+    def test_filter_errors_name_carrier_elements(self):
+        chain = Chain(5)
+        with pytest.raises(FilterError) as exc:
+            Filter(chain, frozenset({F(1, 4), F(1)}))
+        assert str(exc.value) == ("not (*)-closed: Fraction(1, 4)(*)"
+                                  "Fraction(1, 4) escapes the member set")
+        with pytest.raises(FilterError) as exc:
+            Filter(chain, frozenset({F(0), F(1)}))
+        assert str(exc.value) == ("not upward closed at Fraction(0, 1) <= "
+                                  "Fraction(1, 4)")
+        algebra, _, _ = product_algebra(2, 2)
+        with pytest.raises(FilterError) as exc:
+            Filter(algebra, frozenset({"0|0", "1|1"}))
+        assert str(exc.value) == "not upward closed at '0|0' <= '0|1'"
+
+    def test_functional_filter_error_names_tuples(self):
+        algebra = pattern_algebra()
+        with pytest.raises(FilterError) as exc:
+            Filter(algebra, frozenset({algebra.zero, algebra.one}))
+        assert repr(algebra.zero) in str(exc.value)

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import coordinate_generator, pattern_generator
+from conftest import (
+    coordinate_generator, pattern_algebra, pattern_generator, small_algebra,
+)
 from mvlogic.mv_core import Chain
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
@@ -13,14 +15,6 @@ from mvlogic.polyadic import (
     neat_reduct, q_forall, subst, term_substitution,
 )
 from mvlogic.transform import FinTransformation, SemigroupSpec, compose
-
-
-def small_algebra():
-    """|I|=2, |X|=2, three-valued chain, one non-boolean generator."""
-    assigns = list(itertools.product((0, 1), repeat=2))
-    g = tuple(F(1, 2) if x[0] == 0 else F(0) for x in assigns)
-    return build_generated((0, 1), 2, Chain(3), [g], "full", "powerset",
-                           cap=120)
 
 
 class TestBuildGenerated:
@@ -264,15 +258,6 @@ class TestAuditor:
             mv, (0,), (ident,), (frozenset(), frozenset({0})),
             {ident: (0,)}, {frozenset(): (0,), frozenset({0}): (0,)})
         assert audit_axioms(trivial).passed
-
-
-def pattern_algebra():
-    """|I|=3, |X|=2, three-valued chain, one pattern-class generator."""
-    rng = random.Random(3)
-    chain = Chain(3)
-    return build_generated((0, 1, 2), 2, chain,
-                           [pattern_generator(rng, chain)], "full",
-                           "powerset", cap=200)
 
 
 class TestIndexedAlgebra:
