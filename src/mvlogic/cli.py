@@ -11,8 +11,10 @@ only, precisely so the machine-readable reports stay reproducible).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -76,16 +78,16 @@ def _read_formula_text(arg, inputs):
     return arg
 
 
-def _algebra_arg(args, inputs):
-    if getattr(args, "table", None):
+def _algebra_arg(args, inputs, audit=True):
+    if args.table:
         data = _read_json(args.table, inputs)
         try:
-            return TableAlgebra.from_json(data)
+            return TableAlgebra.from_json(data, audit=audit)
         except (KeyError, ValueError) as exc:
             raise CliError(f"bad table algebra: {exc}") from None
     if getattr(args, "standard", False):
         return StandardRationals()
-    if getattr(args, "chain", None):
+    if args.chain is not None:
         return Chain(args.chain)
     raise CliError("choose one of --chain N, --standard, --table FILE")
 
@@ -94,9 +96,9 @@ def _values(text):
     return [parse_value(t) for t in text.split(",") if t.strip()]
 
 
-def _members_arg(args, algebra, text):
+def _members_arg(args, text):
     # table carriers are labelled; chains carry rationals
-    if getattr(args, "table", None):
+    if args.table:
         return [t.strip() for t in text.split(",") if t.strip()]
     return _values(text)
 
@@ -105,15 +107,8 @@ def _members_arg(args, algebra, text):
 
 
 def _cmd_mv_audit(args, inputs):
-    if getattr(args, "table", None):
-        # the audit verb judges the table itself, so no construction audit
-        data = _read_json(args.table, inputs)
-        try:
-            algebra = TableAlgebra.from_json(data, audit=False)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"bad table algebra: {exc}") from None
-    else:
-        algebra = _algebra_arg(args, inputs)
+    # the audit verb judges the table itself, so no construction audit
+    algebra = _algebra_arg(args, inputs, audit=False)
     mode = "sampled" if isinstance(algebra, StandardRationals) \
         and not isinstance(algebra, Chain) else args.mode
     report = mv_core.check_mv_axioms(
@@ -133,10 +128,7 @@ def _cmd_mv_audit(args, inputs):
 
 def _cmd_mv_eval(args, inputs):
     algebra = _algebra_arg(args, inputs)
-    try:
-        value = mv_core.eval_basic(args.op, _values(args.args), algebra)
-    except (ValueError, mv_core.CarrierError) as exc:
-        raise CliError(str(exc)) from None
+    value = mv_core.eval_basic(args.op, _values(args.args), algebra)
     return 0, "ok", {"value": str(value)}
 
 
@@ -159,7 +151,7 @@ def _cmd_mv_tnorm(args, inputs):
 def _cmd_mv_filter(args, inputs):
     algebra = _algebra_arg(args, inputs)
     flt = mv_core.filter_generate(
-        algebra, _members_arg(args, algebra, args.elements)
+        algebra, _members_arg(args, args.elements)
         if args.elements else [])
     return 0, "ok", {
         "members": sorted(str(m) for m in flt.members),
@@ -170,20 +162,18 @@ def _cmd_mv_filter(args, inputs):
 def _cmd_mv_extend(args, inputs):
     algebra = _algebra_arg(args, inputs)
     flt = mv_core.Filter(
-        algebra, frozenset(_members_arg(args, algebra, args.members)))
+        algebra, frozenset(_members_arg(args, args.members)))
     try:
         maximal = mv_core.extend_to_maximal(algebra, flt)
     except mv_core.FilterNotFound:
         return 1, "not-found", {}
-    except mv_core.ProperFilterRequired as exc:
-        raise CliError(str(exc)) from None
     return 0, "ok", {"members": sorted(str(m) for m in maximal.members)}
 
 
 def _cmd_mv_quotient(args, inputs):
     algebra = _algebra_arg(args, inputs)
     flt = mv_core.Filter(
-        algebra, frozenset(_members_arg(args, algebra, args.members)))
+        algebra, frozenset(_members_arg(args, args.members)))
     try:
         chain, projection = mv_core.quotient(algebra, flt)
     except (mv_core.NonMaximalFilter, mv_core.ProperFilterRequired) as exc:
@@ -197,24 +187,19 @@ def _cmd_mv_quotient(args, inputs):
 # -- logic ------------------------------------------------------------
 
 
-def _load_model(args, inputs):
+def _load_model_formula(args, inputs):
+    """The --model file and the --formula parsed in its language."""
     data = _read_json(args.model, inputs)
     try:
-        return semantics.Model.from_json(data)
+        model = semantics.Model.from_json(data)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad model file: {exc}") from None
-
-
-def _parse_against(model, text):
-    try:
-        return syntax.parse(text, model.language)
-    except syntax.ParseError as exc:
-        raise CliError(str(exc)) from None
+    text = _read_formula_text(args.formula, inputs)
+    return model, syntax.parse(text, model.language)
 
 
 def _cmd_logic_eval(args, inputs):
-    model = _load_model(args, inputs)
-    phi = _parse_against(model, _read_formula_text(args.formula, inputs))
+    model, phi = _load_model_formula(args, inputs)
     mapping = {}
     if args.assign:
         for chunk in args.assign.split(","):
@@ -226,16 +211,14 @@ def _cmd_logic_eval(args, inputs):
 
 
 def _cmd_logic_valid(args, inputs):
-    model = _load_model(args, inputs)
-    phi = _parse_against(model, _read_formula_text(args.formula, inputs))
+    model, phi = _load_model_formula(args, inputs)
     valid = semantics.is_valid(phi, model)
     return (0 if valid else 1, "valid" if valid else "not-valid",
             {"degree": str(semantics.truth_degree(phi, model))})
 
 
 def _cmd_logic_degree(args, inputs):
-    model = _load_model(args, inputs)
-    phi = _parse_against(model, _read_formula_text(args.formula, inputs))
+    model, phi = _load_model_formula(args, inputs)
     return 0, "ok", {"value": str(semantics.truth_degree(phi, model))}
 
 
@@ -250,12 +233,8 @@ def _cmd_logic_entails(args, inputs):
         for text in _read_json_entry(args.gamma, "formulas", inputs):
             gamma.append(syntax.parse(text, language))
     phi = syntax.parse(_read_formula_text(args.formula, inputs), language)
-    try:
-        verdict = semantics.entails(gamma, phi, language,
-                                    args.max_domain, args.chain,
-                                    cap=args.cap)
-    except semantics.SearchTooLarge as exc:
-        raise CliError(str(exc)) from None
+    verdict = semantics.entails(gamma, phi, language, args.max_domain,
+                                args.chain, cap=args.cap)
     if verdict.refuted:
         return 1, "refuted", {"countermodel": verdict.model.to_json()}
     return 0, "no-counterexample", {
@@ -323,8 +302,11 @@ def _cmd_poly_build(args, inputs):
     _, algebra = _load_poly(args.spec, inputs)
     dump = algebra.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(dump, fh, sort_keys=True, indent=1)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(dump, fh, sort_keys=True, indent=1)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from None
     return 0, "ok", {
         "carrier": len(algebra.carrier),
         "transformations": len(algebra.transformations),
@@ -378,9 +360,8 @@ def _cmd_interp_search(args, inputs):
     a_text = _read_file(args.a, inputs).strip()
     b_text = _read_file(args.b, inputs).strip()
     common = tuple(p.strip() for p in args.common.split(",") if p.strip())
-    names = set()
-    for text in (a_text, b_text):
-        names |= {tok for tok in _identifiers(text)} - {"T", "F", "A", "E"}
+    words = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", f"{a_text}\n{b_text}")
+    names = set(words) - {"T", "F", "A", "E"}
     language = syntax.LanguageSpec(
         num_vars=2, reserve=1,
         predicates=tuple((n, 0) for n in sorted(names | set(common))))
@@ -400,18 +381,10 @@ def _cmd_interp_search(args, inputs):
     return 1, "not-found-within", {"depth": outcome.depth}
 
 
-def _identifiers(text):
-    import re
-    return re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
-
-
 def _cmd_henkin_demo(args, inputs):
     _, algebra = _load_poly(args.algebra, inputs)
     element = _resolve_element(algebra, args.element)
-    try:
-        outcome = interlab.henkin_filter_build(algebra, element)
-    except interlab.ZeroElement as exc:
-        raise CliError(str(exc)) from None
+    outcome = interlab.henkin_filter_build(algebra, element)
     if isinstance(outcome, interlab.Exhausted):
         return 1, "exhausted", {"examined": outcome.examined}
     psi, audit = interlab.representation_map(algebra, outcome)
@@ -528,8 +501,11 @@ def _cmd_semigroup_eval(args, inputs):
 
 
 def _cmd_batch(args, inputs):
-    data = _read_json(args.manifest, inputs)
-    commands = data.get("commands", [])
+    commands = _read_json_entry(args.manifest, "commands", inputs)
+    if not (isinstance(commands, list)
+            and all(isinstance(argv, list) for argv in commands)):
+        raise CliError(f"{args.manifest}: 'commands' must be a list of "
+                       "argument lists")
     results = []
     worst = 0
     for argv in commands:
@@ -540,162 +516,118 @@ def _cmd_batch(args, inputs):
     return worst, verdict, {"commands": len(commands), "results": results}
 
 
-def _build_parser():
+# -- the command table ----------------------------------------------------
+
+# Each argument is (flags, add_argument keywords); groups that several
+# subcommands share are declared once here.
+_REQUIRED = {"required": True}
+_CHAIN = (("--chain",), {"type": int})
+_TABLE = (("--table",), {})
+_FINITE_SOURCE = (_CHAIN, _TABLE)
+_SOURCE = (_CHAIN, (("--standard",), {"action": "store_true"}), _TABLE)
+_XY = ((("--x",), _REQUIRED), (("--y",), _REQUIRED))
+_MEMBERS = (("--members",), _REQUIRED)
+_FORMULA = (("--formula",), _REQUIRED)
+_MODEL_FORMULA = ((("--model",), _REQUIRED), _FORMULA)
+_GAMMA = (("--gamma",), {})
+_MAX_DOMAIN = (("--max-domain",), {"type": int, "default": 2})
+_SEED = (("--seed",), {"type": int, "default": 0})
+_SPEC = (("--spec",), _REQUIRED)
+_ALGEBRA = (("--algebra",), _REQUIRED)
+_ELEMENT = (("--element",), _REQUIRED)
+_DOMAIN = (("--domain",), {"type": int})
+
+# (verb, action, handler, arguments); `action` is None for a bare verb
+COMMANDS = (
+    ("mv", "audit", _cmd_mv_audit, _SOURCE + (
+        (("--mode",), {"default": "exhaustive",
+                       "choices": ["exhaustive", "sampled"]}),
+        (("--samples",), {"type": int, "default": 100000}),
+        _SEED)),
+    ("mv", "eval", _cmd_mv_eval, _SOURCE + (
+        (("--op",), _REQUIRED), (("--args",), _REQUIRED))),
+    ("mv", "residuum", _cmd_mv_residuum, _FINITE_SOURCE + _XY),
+    ("mv", "tnorm", _cmd_mv_tnorm, ((("--kind",), _REQUIRED),) + _XY),
+    ("mv", "filter", _cmd_mv_filter,
+     _FINITE_SOURCE + ((("--elements",), {"default": ""}),)),
+    ("mv", "extend", _cmd_mv_extend, _FINITE_SOURCE + (_MEMBERS,)),
+    ("mv", "quotient", _cmd_mv_quotient, _FINITE_SOURCE + (_MEMBERS,)),
+    ("logic", "eval", _cmd_logic_eval,
+     _MODEL_FORMULA + ((("--assign",), {}),)),
+    ("logic", "valid", _cmd_logic_valid, _MODEL_FORMULA),
+    ("logic", "degree", _cmd_logic_degree, _MODEL_FORMULA),
+    ("logic", "entails", _cmd_logic_entails, (
+        (("--language",), _REQUIRED), _GAMMA, _FORMULA, _MAX_DOMAIN,
+        (("--chain",), {"type": int, "default": 3}),
+        (("--cap",), {"type": int, "default": 500000}))),
+    ("proof", "check", _cmd_proof_check,
+     ((("--proof",), _REQUIRED), _GAMMA)),
+    ("proof", "audit", _cmd_proof_audit, (
+        (("--target",), _REQUIRED),
+        (("--trials",), {"type": int, "default": 50}),
+        _MAX_DOMAIN,
+        (("--chain",), {"type": int, "default": 3}),
+        _SEED,
+        (("--mode",), {"default": "printed",
+                       "choices": ["printed", "strict"]}))),
+    ("poly", "build", _cmd_poly_build, (_SPEC, (("--out",), {}))),
+    ("poly", "audit", _cmd_poly_audit, (_SPEC,)),
+    ("poly", "neat", _cmd_poly_neat, (
+        _SPEC, (("--alpha",), _REQUIRED),
+        (("--flavor",), {"default": "FiniteT",
+                         "choices": ["FiniteT", "FullT"]}))),
+    ("poly", "dims", _cmd_poly_dims,
+     (_SPEC, (("--element",), {"type": int, "required": True}))),
+    ("interp", "search", _cmd_interp_search, (
+        (("--a",), _REQUIRED), (("--b",), _REQUIRED),
+        (("--common",), _REQUIRED),
+        (("--chain",), {"type": int, "default": 2}),
+        (("--depth",), {"type": int, "default": 6}))),
+    ("henkin", "demo", _cmd_henkin_demo, (_ALGEBRA, _ELEMENT)),
+    ("pavelka", "degree", _cmd_pavelka_degree,
+     (_ALGEBRA, (("--filter",), _REQUIRED), _ELEMENT)),
+    ("pavelka", "check", _cmd_pavelka_check,
+     ((("--chain",), {"type": int, "default": 5}),)),
+    ("semigroup", "closure", _cmd_semigroup_closure, (
+        (("--generators",), {
+            "required": True,
+            "help": "semicolon-separated literals, e.g. '[0|1];[0,1]'"}),
+        (("--cap",), {"type": int, "default": 1000}),
+        _DOMAIN)),
+    ("semigroup", "rich", _cmd_semigroup_rich, (
+        (("--sigma",), {"default": "suc"}),
+        (("--pi",), {"default": "pred"}),
+        (("-N", "--n"), {"type": int, "default": 64}),
+        (("--ambient",), {}),
+        (("--cap",), {"type": int, "default": 200}))),
+    ("semigroup", "eval", _cmd_semigroup_eval, (
+        (("--map",), _REQUIRED), _DOMAIN, (("--points",), {"type": int}))),
+    ("batch", None, _cmd_batch, ((("manifest",), {}),)),
+)
+
+
+@functools.cache
+def _parser():
+    """The argparse tree of COMMANDS, built on first use and then shared:
+    parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="mvlogic",
         description="Many-valued logic and MV-polyadic algebra toolkit")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable canonical report")
-    sub = parser.add_subparsers(dest="verb")
-
-    mv = sub.add_parser("mv").add_subparsers(dest="action")
-    p = mv.add_parser("audit")
-    p.add_argument("--chain", type=int)
-    p.add_argument("--standard", action="store_true")
-    p.add_argument("--table")
-    p.add_argument("--mode", default="exhaustive",
-                   choices=["exhaustive", "sampled"])
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_mv_audit)
-    p = mv.add_parser("eval")
-    p.add_argument("--chain", type=int)
-    p.add_argument("--standard", action="store_true")
-    p.add_argument("--table")
-    p.add_argument("--op", required=True)
-    p.add_argument("--args", required=True)
-    p.set_defaults(handler=_cmd_mv_eval)
-    p = mv.add_parser("residuum")
-    p.add_argument("--chain", type=int)
-    p.add_argument("--table")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(handler=_cmd_mv_residuum)
-    p = mv.add_parser("tnorm")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.set_defaults(handler=_cmd_mv_tnorm)
-    p = mv.add_parser("filter")
-    p.add_argument("--chain", type=int)
-    p.add_argument("--table")
-    p.add_argument("--elements", default="")
-    p.set_defaults(handler=_cmd_mv_filter)
-    p = mv.add_parser("extend")
-    p.add_argument("--chain", type=int)
-    p.add_argument("--table")
-    p.add_argument("--members", required=True)
-    p.set_defaults(handler=_cmd_mv_extend)
-    p = mv.add_parser("quotient")
-    p.add_argument("--chain", type=int)
-    p.add_argument("--table")
-    p.add_argument("--members", required=True)
-    p.set_defaults(handler=_cmd_mv_quotient)
-
-    logic = sub.add_parser("logic").add_subparsers(dest="action")
-    p = logic.add_parser("eval")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--assign")
-    p.set_defaults(handler=_cmd_logic_eval)
-    p = logic.add_parser("valid")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_logic_valid)
-    p = logic.add_parser("degree")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-    p.set_defaults(handler=_cmd_logic_degree)
-    p = logic.add_parser("entails")
-    p.add_argument("--language", required=True)
-    p.add_argument("--gamma")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-domain", type=int, default=2)
-    p.add_argument("--chain", type=int, default=3)
-    p.add_argument("--cap", type=int, default=500000)
-    p.set_defaults(handler=_cmd_logic_entails)
-
-    proof = sub.add_parser("proof").add_subparsers(dest="action")
-    p = proof.add_parser("check")
-    p.add_argument("--proof", required=True)
-    p.add_argument("--gamma")
-    p.set_defaults(handler=_cmd_proof_check)
-    p = proof.add_parser("audit")
-    p.add_argument("--target", required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-domain", type=int, default=2)
-    p.add_argument("--chain", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="printed", choices=["printed", "strict"])
-    p.set_defaults(handler=_cmd_proof_audit)
-
-    poly = sub.add_parser("poly").add_subparsers(dest="action")
-    p = poly.add_parser("build")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_poly_build)
-    p = poly.add_parser("audit")
-    p.add_argument("--spec", required=True)
-    p.set_defaults(handler=_cmd_poly_audit)
-    p = poly.add_parser("neat")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--flavor", default="FiniteT",
-                   choices=["FiniteT", "FullT"])
-    p.set_defaults(handler=_cmd_poly_neat)
-    p = poly.add_parser("dims")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", type=int, required=True)
-    p.set_defaults(handler=_cmd_poly_dims)
-
-    interp = sub.add_parser("interp").add_subparsers(dest="action")
-    p = interp.add_parser("search")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--common", required=True)
-    p.add_argument("--chain", type=int, default=2)
-    p.add_argument("--depth", type=int, default=6)
-    p.set_defaults(handler=_cmd_interp_search)
-
-    henkin = sub.add_parser("henkin").add_subparsers(dest="action")
-    p = henkin.add_parser("demo")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--element", required=True)
-    p.set_defaults(handler=_cmd_henkin_demo)
-
-    pav = sub.add_parser("pavelka").add_subparsers(dest="action")
-    p = pav.add_parser("degree")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--filter", required=True)
-    p.add_argument("--element", required=True)
-    p.set_defaults(handler=_cmd_pavelka_degree)
-    p = pav.add_parser("check")
-    p.add_argument("--chain", type=int, default=5)
-    p.set_defaults(handler=_cmd_pavelka_check)
-
-    sg = sub.add_parser("semigroup").add_subparsers(dest="action")
-    p = sg.add_parser("closure")
-    p.add_argument("--generators", required=True,
-                   help="semicolon-separated literals, e.g. '[0|1];[0,1]'")
-    p.add_argument("--cap", type=int, default=1000)
-    p.add_argument("--domain", type=int)
-    p.set_defaults(handler=_cmd_semigroup_closure)
-    p = sg.add_parser("rich")
-    p.add_argument("--sigma", default="suc")
-    p.add_argument("--pi", default="pred")
-    p.add_argument("-N", "--n", type=int, default=64)
-    p.add_argument("--ambient")
-    p.add_argument("--cap", type=int, default=200)
-    p.set_defaults(handler=_cmd_semigroup_rich)
-    p = sg.add_parser("eval")
-    p.add_argument("--map", required=True)
-    p.add_argument("--domain", type=int)
-    p.add_argument("--points", type=int)
-    p.set_defaults(handler=_cmd_semigroup_eval)
-
-    p = sub.add_parser("batch")
-    p.add_argument("manifest")
-    p.set_defaults(handler=_cmd_batch)
+    verbs = parser.add_subparsers(dest="verb")
+    actions = {}
+    for verb, action, handler, arguments in COMMANDS:
+        if action is None:
+            p = verbs.add_parser(verb)
+        else:
+            if verb not in actions:
+                actions[verb] = verbs.add_parser(verb).add_subparsers(
+                    dest="action")
+            p = actions[verb].add_parser(action)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -707,23 +639,18 @@ def dispatch(argv):
     front end prints timing separately.
     """
     argv = [a for a in argv if a != "--json"]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:
-        return 2, {"verdict": "usage-error", "argv": list(argv)}
-    handler = getattr(args, "handler", None)
-    if handler is None:
+        args = None
+    if getattr(args, "handler", None) is None:
         return 2, {"verdict": "usage-error", "argv": list(argv)}
     inputs = {}
     try:
-        code, verdict, data = handler(args, inputs)
-    except CliError as exc:
-        return 2, {
-            "verb": args.verb, "verdict": "error", "reason": str(exc),
-            "inputs": inputs,
-        }
-    except (mv_core.CarrierError, mv_core.FilterError, ValueError) as exc:
+        code, verdict, data = args.handler(args, inputs)
+    except (CliError, ValueError) as exc:
+        # the library's own input errors (CarrierError, ParseError,
+        # SearchTooLarge, ...) are ValueErrors
         return 2, {
             "verb": args.verb, "verdict": "error", "reason": str(exc),
             "inputs": inputs,

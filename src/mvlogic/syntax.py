@@ -37,14 +37,11 @@ class LanguageSpec:
     num_vars: int
     reserve: int = 1
     predicates: tuple = ()
-    scope_family: str = "finite"  # "finite" | "all": same sets at finite V
     semigroup: object = None
 
     def __post_init__(self):
         if self.reserve < 1:
             raise ValueError("at least one spare variable must be reserved")
-        if self.scope_family not in ("finite", "all"):
-            raise ValueError(f"unknown scope family {self.scope_family!r}")
         arities = dict(self.predicates)
         if len(arities) != len(self.predicates):
             raise ValueError("duplicate predicate declarations")
@@ -105,7 +102,6 @@ class LanguageSpec:
             num_vars=data["variables"],
             reserve=data.get("reserve", 1),
             predicates=tuple((p["name"], p["arity"]) for p in data["predicates"]),
-            scope_family=data.get("scope_family", "finite"),
         )
 
 

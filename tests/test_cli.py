@@ -78,6 +78,11 @@ class TestExitCodes:
         code, _ = dispatch(["nonsense"])
         assert code == 2
 
+    def test_chain_too_short_reports_why(self):
+        code, report = dispatch(["mv", "audit", "--chain", "0"])
+        assert code == 2
+        assert report["reason"] == "a chain needs at least the two constants"
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -117,19 +122,30 @@ OVERCAP_SPEC = {
     ["proof", "check", "--proof", "{proof}", "--gamma", "{empty}"],
     ["pavelka", "degree", "--algebra", "{algebra}", "--filter", "{empty}",
      "--element", "1"],
+    ["poly", "build", "--spec", "{algebra}", "--out", "{unwritable}"],
+    ["batch", "{manifest_list}"],
+    ["batch", "{manifest_number}"],
+    ["batch", "{manifest_item}"],
+    ["batch", "{empty}"],
 ], ids=["overcap-spec", "element-index", "generator-index",
         "language-without-variables", "assignment-outside-domain",
         "gamma-without-formulas", "proof-gamma-without-formulas",
-        "filter-without-members"])
+        "filter-without-members", "build-out-unwritable",
+        "manifest-top-level-list", "manifest-commands-not-list",
+        "manifest-command-not-list", "manifest-without-commands"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     for name, payload in (("overcap", OVERCAP_SPEC),
                           ("filter", {"members": [1]}),
                           ("novars", {"reserve": 1, "predicates": [
                               {"name": "p", "arity": 1}]}),
                           ("lang", PROOF["language"]),
-                          ("empty", {})):
+                          ("empty", {}),
+                          ("manifest_list", [["mv", "audit", "--chain", "3"]]),
+                          ("manifest_number", {"commands": 5}),
+                          ("manifest_item", {"commands": [5]})):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")
     code, report = dispatch([a.format(**files) for a in argv])
     assert code == 2 and report["verdict"] == "error"
 

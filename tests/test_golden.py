@@ -4,7 +4,9 @@ Every command in `golden/manifest.json` runs from inside `golden/` (so
 input paths, and the input digests keyed by them, are stable) and its
 canonical JSON output must match `golden/outputs/<name>.json` byte for
 byte, with the recorded exit code. A refactor must leave all of them
-unchanged. When an output is meant to change, regenerate with
+unchanged. Each command runs twice in the same process, through the one
+parser the CLI builds per process, and both runs must agree. When an
+output is meant to change, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +19,7 @@ import pathlib
 
 import pytest
 
+from mvlogic import cli
 from mvlogic.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -39,10 +42,26 @@ def run(argv):
 def test_golden_output(entry, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     code, text = run(entry["argv"])
+    # nothing argparse keeps may leak from one call into the next
+    assert run(entry["argv"]) == (code, text)
     expected = (GOLDEN / "outputs" / f"{entry['name']}.json").read_text(
         encoding="utf-8")
     assert text == expected
     assert code == entry["exit"]
+
+
+def test_every_command_has_a_golden_entry():
+    argvs = [entry["argv"] for entry in load_manifest()]
+    missing = []
+    for verb, action, _, _ in cli.COMMANDS:
+        prefix = [verb] if action is None else [verb, action]
+        if not any(argv[:len(prefix)] == prefix for argv in argvs):
+            missing.append(" ".join(prefix))
+    assert not missing
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
 
 
 def regenerate():
