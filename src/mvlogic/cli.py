@@ -451,7 +451,7 @@ def _parse_gen_list(text, domain):
 
 
 def _cmd_semigroup_closure(args, inputs):
-    domain = tuple(range(args.domain)) if args.domain else None
+    domain = None if args.domain is None else tuple(range(args.domain))
     gens = _parse_gen_list(args.generators, domain)
     result = transform.semigroup_closure(
         transform.SemigroupSpec(gens, args.cap))
@@ -483,12 +483,11 @@ def _cmd_semigroup_rich(args, inputs):
 
 
 def _cmd_semigroup_eval(args, inputs):
-    domain = tuple(range(args.domain)) if args.domain else None
+    domain = None if args.domain is None else tuple(range(args.domain))
     t = transform.parse_transformation(args.map, domain)
     info = transform.support(t)
-    points = args.points if args.points else 8
     table = {str(i): t.apply(i)
-             for i in (t.domain if domain else range(points))}
+             for i in (t.domain if domain else range(args.points))}
     return 0, "ok", {
         "normal_form": repr(t),
         "support_finite": info.finite,
@@ -518,6 +517,14 @@ def _cmd_batch(args, inputs):
 
 # -- the command table ----------------------------------------------------
 
+def _positive(text):
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # Each argument is (flags, add_argument keywords); groups that several
 # subcommands share are declared once here.
 _REQUIRED = {"required": True}
@@ -535,7 +542,7 @@ _SEED = (("--seed",), {"type": int, "default": 0})
 _SPEC = (("--spec",), _REQUIRED)
 _ALGEBRA = (("--algebra",), _REQUIRED)
 _ELEMENT = (("--element",), _REQUIRED)
-_DOMAIN = (("--domain",), {"type": int})
+_DOMAIN = (("--domain",), {"type": _positive})
 
 # (verb, action, handler, arguments); `action` is None for a bare verb
 COMMANDS = (
@@ -601,7 +608,8 @@ COMMANDS = (
         (("--ambient",), {}),
         (("--cap",), {"type": int, "default": 200}))),
     ("semigroup", "eval", _cmd_semigroup_eval, (
-        (("--map",), _REQUIRED), _DOMAIN, (("--points",), {"type": int}))),
+        (("--map",), _REQUIRED), _DOMAIN,
+        (("--points",), {"type": _positive, "default": 8}))),
     ("batch", None, _cmd_batch, ((("manifest",), {}),)),
 )
 

@@ -193,6 +193,15 @@ def _coding(algebra):
     return V, V.index_of.__getitem__, V.elements.__getitem__
 
 
+def _level_sums(top):
+    """(plus, times) on the levels 0..top of a finite chain, indexed by
+    a + b: plus[a + b] is a (+) b = min(a + b, top) and times[a + b] is
+    a (*) b = max(a + b - top, 0). Lists, whose bound __getitem__ is
+    cheaper to map over than a tuple's."""
+    sums = range(2 * top + 1)
+    return [min(s, top) for s in sums], [max(s - top, 0) for s in sums]
+
+
 class StandardRationals(MVAlgebra):
     """The standard algebra on [0,1] cap Q with Lukasiewicz operations."""
 
@@ -238,7 +247,7 @@ class Chain(StandardRationals):
 
     is_finite = True
     # chains of one size have the same operations, so one view serves all
-    # of them; a chain of each size is tabulated once per process
+    # of them; a chain of each size builds its view once per process
     _views = {}
 
     def __init__(self, n):
@@ -252,10 +261,20 @@ class Chain(StandardRationals):
         return self._carrier
 
     def indexed(self):
+        """The IndexedMV of the chain, built from its integer levels.
+
+        Level i stands for carrier[i]: neg maps i to top - i and oplus row
+        i is min(i + j, top) (see _level_sums), so no rational arithmetic
+        is done.
+        """
         key = (type(self), self.n)
         view = Chain._views.get(key)
         if view is None:
-            view = Chain._views[key] = _tabulate(self)
+            n = self.n
+            plus, _ = _level_sums(n - 1)
+            view = Chain._views[key] = IndexedMV(
+                self._carrier, ZERO, ONE, range(n - 1, -1, -1),
+                [plus[i:i + n] for i in range(n)])
         return view
 
     def contains(self, value):

@@ -14,6 +14,11 @@ indices, extending mv_core's `IndexedMV`, on which the filters and
 quotients run. `algebra.indexed()` builds it on first use and caches it,
 so building, dumping or querying single elements never pays for it.
 Results leave the checkers in element form.
+
+Inside the engine a value of the chain is an integer level: the carrier
+closure of `build_generated` and the tables of the view run on tuples of
+levels, and `Fraction` appears only at the edges, in the elements handed
+out, the parsed and dumped specs and the reports.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .mv_core import (
-    Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_value, parse_value,
+    Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_value, _level_sums,
+    parse_value,
 )
 from .transform import FinTransformation, SemigroupSpec, compose, semigroup_closure
 
@@ -127,6 +134,29 @@ class IndexedAlgebra(IndexedMV):
                          if self.cylinder({i})[a] != a)
 
 
+def _level_ops(chain):
+    """(neg, oplus, odot) of a finite chain on tuples of integer levels.
+
+    Level r stands for the chain value r/top: neg is top - a, oplus is
+    min(a + b, top) and odot is max(a + b - top, 0), entry by entry, the
+    last two read off mv_core._level_sums.
+    """
+    top = chain.n - 1
+    flip = list(range(top, -1, -1))
+    plus, times = _level_sums(top)
+
+    def neg(p):
+        return tuple(map(flip.__getitem__, p))
+
+    def oplus(p, q):
+        return tuple(map(plus.__getitem__, map(add, p, q)))
+
+    def odot(p, q):
+        return tuple(map(times.__getitem__, map(add, p, q)))
+
+    return neg, oplus, odot
+
+
 class FunctionalSetAlgebra:
     """Algebra of maps from assignment tuples ^I X into a finite chain.
 
@@ -202,7 +232,7 @@ class FunctionalSetAlgebra:
         return perm
 
     def subst_el(self, tau, p):
-        return tuple(p[k] for k in self._perm(tau))
+        return tuple(map(p.__getitem__, self._perm(tau)))
 
     def _blocks(self, j):
         key = frozenset(j)
@@ -227,8 +257,8 @@ class FunctionalSetAlgebra:
         if not j:
             return p
         block_id, members = self._blocks(frozenset(j))
-        sups = [max(p[pos] for pos in positions) for positions in members]
-        return tuple(sups[b] for b in block_id)
+        sups = [max(map(p.__getitem__, positions)) for positions in members]
+        return tuple(map(sups.__getitem__, block_id))
 
     def q_el(self, j, p):
         return self.neg(self.cyl_el(j, self.neg(p)))
@@ -245,18 +275,17 @@ class FunctionalSetAlgebra:
         move and compare entries and serve levels and values alike.
         """
         if self._indexed is None:
-            top = self.chain.n - 1
             level = {v: r for r, v in enumerate(self.chain.carrier)}
             levels = [tuple(level[v] for v in p) for p in self.carrier]
             at = {lv: i for i, lv in enumerate(levels)}
-            neg = [at[tuple(top - a for a in lp)] for lp in levels]
-            oplus = [[at[tuple(min(a + b, top) for a, b in zip(lp, lq))]
-                      for lq in levels] for lp in levels]
-            subst = {t: [at[self.subst_el(t, lp)] for lp in levels]
-                     for t in self.transformations}
-            cyl = {j: [at[self.cyl_el(j, lp)] for lp in levels]
-                   for j in self.scopes}
-            self._indexed = IndexedAlgebra(self, neg, oplus, subst, cyl)
+            neg, oplus, _ = _level_ops(self.chain)
+            self._indexed = IndexedAlgebra(
+                self, [at[neg(lp)] for lp in levels],
+                [[at[oplus(lp, lq)] for lq in levels] for lp in levels],
+                {t: [at[self.subst_el(t, lp)] for lp in levels]
+                 for t in self.transformations},
+                {j: [at[self.cyl_el(j, lp)] for lp in levels]
+                 for j in self.scopes})
         return self._indexed
 
     def to_json(self):
@@ -289,6 +318,9 @@ def build_generated(index_set, base, chain, generators, transformations,
     each frontier element negation, substitutions, cylindrifications, and
     the binary combinations with all earlier elements. Exceeding the cap
     raises; a partial carrier is never returned.
+
+    The closure runs on tuples of integer chain levels (see _level_ops);
+    each element becomes a tuple of chain values once, at the end.
     """
     index_set = tuple(sorted(index_set))
     if isinstance(base, int):
@@ -298,10 +330,7 @@ def build_generated(index_set, base, chain, generators, transformations,
     if truncated:
         raise TruncationError("semigroup closure hit its cap; raise it first")
 
-    algebra = FunctionalSetAlgebra(
-        index_set, base, chain, carrier=(), generators=(),
-        transformations=maps, scopes=scopes)
-    size = len(algebra.assignments)
+    size = len(base) ** len(index_set)
     gens = []
     for g in generators:
         g = tuple(g)
@@ -312,6 +341,12 @@ def build_generated(index_set, base, chain, generators, transformations,
                 raise ValueError(f"generator value {v} is not in {chain!r}")
         gens.append(g)
 
+    algebra = FunctionalSetAlgebra(
+        index_set, base, chain, carrier=(), generators=(),
+        transformations=maps, scopes=scopes)
+    neg, oplus, odot = _level_ops(chain)
+    level = {v: r for r, v in enumerate(chain.carrier)}
+    top = chain.n - 1
     elements = []
     seen = set()
 
@@ -323,26 +358,28 @@ def build_generated(index_set, base, chain, generators, transformations,
             seen.add(p)
             elements.append(p)
 
-    admit(algebra.zero)
-    admit(algebra.one)
+    admit((0,) * size)
+    admit((top,) * size)
     for g in gens:
-        admit(g)
+        admit(tuple(level[v] for v in g))
 
     i = 0
     while i < len(elements):
         p = elements[i]
-        admit(algebra.neg(p))
+        admit(neg(p))
         for tau in maps:
             admit(algebra.subst_el(tau, p))
         for j in scopes:
             admit(algebra.cyl_el(j, p))
         for q in elements[: i + 1]:
-            admit(algebra.oplus(p, q))
-            admit(algebra.odot(p, q))
+            admit(oplus(p, q))
+            admit(odot(p, q))
         i += 1
 
+    values = chain.carrier
     return FunctionalSetAlgebra(
-        index_set, base, chain, carrier=tuple(elements),
+        index_set, base, chain,
+        carrier=tuple(tuple(map(values.__getitem__, p)) for p in elements),
         generators=tuple(gens), transformations=maps, scopes=scopes)
 
 
@@ -935,8 +972,15 @@ def algebra_from_json(data):
     chain = Chain(data["chain"])
     index_set = tuple(data["index_set"]) if isinstance(data["index_set"], list) \
         else tuple(range(data["index_set"]))
-    base = tuple(data["base"]) if isinstance(data["base"], list) \
-        else tuple(range(data["base"]))
+    base = data["base"]
+    # every element table needs one entry per assignment; checking the
+    # count first keeps a huge ^I X from being built for a small file
+    size = (len(base) if isinstance(base, list) else base) ** len(index_set)
+    for table in data["carrier"] if "carrier" in data else data["generators"]:
+        if len(table) != size:
+            raise ValueError(
+                f"element table has {len(table)} entries, expected {size}")
+    base = tuple(base) if isinstance(base, list) else tuple(range(base))
     assignments = tuple(itertools.product(base, repeat=len(index_set)))
 
     def load_element(table):

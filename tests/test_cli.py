@@ -127,14 +127,17 @@ OVERCAP_SPEC = {
     ["batch", "{manifest_number}"],
     ["batch", "{manifest_item}"],
     ["batch", "{empty}"],
+    ["poly", "build", "--spec", "{hugebase}"],
 ], ids=["overcap-spec", "element-index", "generator-index",
         "language-without-variables", "assignment-outside-domain",
         "gamma-without-formulas", "proof-gamma-without-formulas",
         "filter-without-members", "build-out-unwritable",
         "manifest-top-level-list", "manifest-commands-not-list",
-        "manifest-command-not-list", "manifest-without-commands"])
+        "manifest-command-not-list", "manifest-without-commands",
+        "generator-short-of-huge-base"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     for name, payload in (("overcap", OVERCAP_SPEC),
+                          ("hugebase", {**ALGEBRA_SPEC, "base": 1000000}),
                           ("filter", {"members": [1]}),
                           ("novars", {"reserve": 1, "predicates": [
                               {"name": "p", "arity": 1}]}),
@@ -148,6 +151,16 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
     files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")
     code, report = dispatch([a.format(**files) for a in argv])
     assert code == 2 and report["verdict"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "eval", "--map", "[0|1]", "--points", "0"],
+    ["semigroup", "eval", "--map", "[0|1]", "--domain", "0"],
+    ["semigroup", "closure", "--generators", "[1|0]", "--domain", "0"],
+], ids=["eval-zero-points", "eval-zero-domain", "closure-zero-domain"])
+def test_count_below_one_is_a_usage_error(argv):
+    code, report = dispatch(argv)
+    assert code == 2 and report["verdict"] == "usage-error"
 
 
 class TestVerbs:

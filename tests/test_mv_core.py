@@ -8,7 +8,7 @@ from conftest import pattern_algebra, small_algebra
 from mvlogic.mv_core import (
     CarrierError, Chain, Filter, FilterError, FilterNotFound, MVAxiomError,
     NonMaximalFilter, ProperFilterRequired, StandardRationals, TableAlgebra,
-    _axiom_groups, check_mv_axioms, eval_basic, extend_to_maximal,
+    _axiom_groups, _tabulate, check_mv_axioms, eval_basic, extend_to_maximal,
     filter_generate, maximal_filters, quotient, residuum_by_maximization,
     tnorm_eval, to_table,
 )
@@ -330,6 +330,15 @@ class TestIndexedView:
                 assert els[view.oplus[a][b]] == algebra.oplus(p, q)
                 assert els[view.odot[a][b]] == algebra.odot(p, q)
                 assert view.le[a][b] == algebra.le(p, q)
+
+    @pytest.mark.parametrize("n", range(2, 51))
+    def test_chain_levels_agree_with_element_operations(self, n):
+        # the chain's view is built from levels; _tabulate reads the same
+        # tables off Chain's own Fraction operations
+        view, read = Chain(n).indexed(), _tabulate(Chain(n))
+        for name in ("elements", "zero", "one", "neg", "oplus", "odot",
+                     "le"):
+            assert getattr(view, name) == getattr(read, name), name
 
     def test_filters_of_a_view_are_index_sets(self):
         view = Chain(4).indexed()

@@ -5,14 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import (
-    coordinate_generator, pattern_algebra, pattern_generator, small_algebra,
+    assignments, coordinate_generator, pattern_algebra, pattern_generator,
+    pattern_of, small_algebra,
 )
 from mvlogic.mv_core import Chain
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
     NotASubuniverse, SignatureError, TruncationError, algebra_from_json,
     audit_axioms, build_generated, cyl, dimension_set, minimal_support,
-    neat_reduct, q_forall, subst, term_substitution,
+    neat_reduct, normalize_scopes, normalize_transformations, q_forall,
+    subst, term_substitution,
 )
 from mvlogic.transform import FinTransformation, SemigroupSpec, compose
 
@@ -49,6 +51,122 @@ class TestBuildGenerated:
     def test_generator_audit_passes(self):
         report = audit_axioms(small_algebra())
         assert report.passed
+
+
+def reference_build_generated(index_set, base, chain, generators,
+                              transformations, scopes, cap=200):
+    """The closure on chain values, through the algebra's element
+    operations: the reference that build_generated's level closure must
+    reproduce, element for element and in the same order."""
+    index_set = tuple(sorted(index_set))
+    if isinstance(base, int):
+        base = tuple(range(base))
+    scopes = normalize_scopes(index_set, scopes)
+    maps, truncated = normalize_transformations(index_set, transformations)
+    if truncated:
+        raise TruncationError("semigroup closure hit its cap; raise it first")
+
+    algebra = FunctionalSetAlgebra(
+        index_set, base, chain, carrier=(), generators=(),
+        transformations=maps, scopes=scopes)
+    size = len(algebra.assignments)
+    gens = []
+    for g in generators:
+        g = tuple(g)
+        if len(g) != size:
+            raise ValueError(f"generator has {len(g)} entries, expected {size}")
+        for v in g:
+            if not chain.contains(v):
+                raise ValueError(f"generator value {v} is not in {chain!r}")
+        gens.append(g)
+
+    elements = []
+    seen = set()
+
+    def admit(p):
+        if p not in seen:
+            if len(elements) >= cap:
+                raise TruncationError(
+                    f"carrier closure exceeded the cap of {cap}")
+            seen.add(p)
+            elements.append(p)
+
+    admit(algebra.zero)
+    admit(algebra.one)
+    for g in gens:
+        admit(g)
+
+    i = 0
+    while i < len(elements):
+        p = elements[i]
+        admit(algebra.neg(p))
+        for tau in maps:
+            admit(algebra.subst_el(tau, p))
+        for j in scopes:
+            admit(algebra.cyl_el(j, p))
+        for q in elements[: i + 1]:
+            admit(algebra.oplus(p, q))
+            admit(algebra.odot(p, q))
+        i += 1
+
+    return FunctionalSetAlgebra(
+        index_set, base, chain, carrier=tuple(elements),
+        generators=tuple(gens), transformations=maps, scopes=scopes)
+
+
+def _by_levels(chain, index_size, levels, key=None):
+    """Element of Chain over |X|=2 with the given levels, one per
+    assignment or, with key, one per key class of the assignment."""
+    points = assignments(index_size, 2)
+    pick = key or points.index
+    return tuple(chain.carrier[levels[pick(x)]] for x in points)
+
+
+def _spec(index_set, chain, gens, semigroup="full", scopes="powerset",
+          cap=300):
+    return index_set, 2, chain, gens, semigroup, scopes, cap
+
+
+L3, L2, L5 = Chain(3), Chain(2), Chain(5)
+# the generators of the small_algebra() and pattern_algebra() fixtures
+SMALL_GEN = [_by_levels(L3, 2, (1, 0), key=lambda x: x[0])]
+PATTERN_GEN = [pattern_generator(random.Random(3), L3)]
+CLOSURE_SPECS = {
+    "small": _spec((0, 1), L3, SMALL_GEN, cap=120),
+    "pattern": _spec((0, 1, 2), L3, PATTERN_GEN, cap=200),
+    # one algebra of each family the benchmark pools
+    "i3p": _spec((0, 1, 2), L3, [_by_levels(L3, 3, (0, 2, 1, 2), pattern_of)],
+                 cap=200),
+    "i2l3": _spec((0, 1), L3, [_by_levels(L3, 2, (1, 2, 2, 2))]),
+    "i2l2": _spec((0, 1), L2, [_by_levels(L2, 2, (0, 0, 0, 1))]),
+    "l5-constants": _spec((0, 1), L5, [(v,) * 4 for v in L5.carrier],
+                          cap=60),
+    "semigroup": _spec(
+        (0, 1, 2), L3, [_by_levels(L3, 3, (2, 0, 1, 2), pattern_of)],
+        SemigroupSpec((FinTransformation.transposition((0, 1, 2), 0, 1),
+                       FinTransformation.replacement((0, 1, 2), 2, 0)), 100)),
+    "singletons": _spec((0, 1, 2), L3, PATTERN_GEN, scopes="singletons"),
+}
+
+
+class TestClosureAgainstReference:
+    def test_fixtures_are_covered(self):
+        assert small_algebra().generators == tuple(SMALL_GEN)
+        assert pattern_algebra().generators == tuple(PATTERN_GEN)
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_same_algebra_in_the_same_order(self, name):
+        *args, cap = CLOSURE_SPECS[name]
+        got = build_generated(*args, cap=cap)
+        want = reference_build_generated(*args, cap=cap)
+        assert got.carrier == want.carrier
+        assert got.generators == want.generators
+        assert got.transformations == want.transformations
+        assert got.scopes == want.scopes
+        with pytest.raises(TruncationError):
+            build_generated(*args, cap=len(want.carrier) - 1)
+        with pytest.raises(TruncationError):
+            reference_build_generated(*args, cap=len(want.carrier) - 1)
 
 
 class TestOperations:
