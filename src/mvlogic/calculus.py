@@ -9,7 +9,8 @@ substitutions. Rules: modus ponens, generalization, and the two inverse
 substitution rules with injectivity side conditions.
 
 A seeded soundness auditor replays random schema instances and rule
-applications against the finite-model semantics.
+applications against the finite-model semantics, each as one bounded
+entailment search.
 """
 
 from __future__ import annotations
@@ -343,19 +344,6 @@ class SoundnessReport:
         return not self.violations
 
 
-def _models_for(phi_list, language, max_domain, chain_n):
-    """(domain size, level tables) of every model over the formulas'
-    predicates with |M| <= max_domain, in canonical order."""
-    predicates = set()
-    for phi in phi_list:
-        predicates |= syntax.predicates_of(phi)
-    chain = semantics.Chain(chain_n)
-    for size in range(1, max_domain + 1):
-        for tables in semantics.enumerate_models(
-                language, sorted(predicates), size, chain):
-            yield size, tables
-
-
 def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
     """One random instance of the schema; returns (formula, data)."""
     usable = list(language.variables[: language.num_vars - language.reserve])
@@ -419,10 +407,15 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
                     mode="printed"):
     """Replay random instances of a schema or rule against the semantics.
 
-    Schema instances must be valid in every enumerated model; rules must
-    preserve per-model validity. With skip_side_conditions=True the
-    generator ignores the variable side conditions, which is the mutation
-    hook the test suite uses to prove the auditor has teeth.
+    Each trial is one bounded entailment search (`semantics.entails`)
+    over every model with |M| <= max_domain on Chain(chain_n): a schema
+    instance must follow from no hypotheses, a rule's conclusion from its
+    premises. A violation names the canonically first countermodel. A
+    trial whose model space exceeds the cap of `entails` raises
+    `SearchTooLarge` before any model is enumerated. With
+    skip_side_conditions=True the generator ignores the variable side
+    conditions, which is the mutation hook the test suite uses to prove
+    the auditor has teeth.
     """
     language = language or DEFAULT_AUDIT_LANGUAGE
     rng = random.Random(seed)
@@ -441,16 +434,12 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
                         target, render(phi), f"generator emitted a non-instance: "
                                              f"{verdict.reason}"))
                     continue
-            compiled = semantics.CompiledFormula(phi, chain_n)
-            for size, tables in _models_for([phi], language, max_domain,
-                                            chain_n):
-                if not compiled.valid(tables, size):
-                    model = semantics.Model.from_levels(
-                        language, size, semantics.Chain(chain_n),
-                        tables).to_json()
-                    violations.append(Violation(
-                        target, render(phi), f"invalid in {model}"))
-                    break
+            outcome = semantics.entails([], phi, language, max_domain,
+                                        chain_n)
+            if outcome.refuted:
+                violations.append(Violation(
+                    target, render(phi),
+                    f"invalid in {outcome.model.to_json()}"))
     elif target in RULES:
         for _ in range(trials):
             outcome = _audit_rule_once(rng, target, language, depth,
@@ -492,16 +481,11 @@ def _audit_rule_once(rng, rule, language, depth, max_domain, chain_n):
         conclusion = substitute(tau, phi, language)
     else:
         raise ValueError(rule)
-    compiled = [semantics.CompiledFormula(p, chain_n) for p in premises]
-    goal = semantics.CompiledFormula(conclusion, chain_n)
-    for size, tables in _models_for(premises + [conclusion], language,
-                                    max_domain, chain_n):
-        if all(p.valid(tables, size) for p in compiled) \
-                and not goal.valid(tables, size):
-            model = semantics.Model.from_levels(
-                language, size, semantics.Chain(chain_n), tables).to_json()
-            return Violation(
-                rule,
-                " ; ".join(render(p) for p in premises) + f" => {render(conclusion)}",
-                f"validity not preserved in {model}")
-    return None
+    verdict = semantics.entails(premises, conclusion, language, max_domain,
+                                chain_n)
+    if not verdict.refuted:
+        return None
+    return Violation(
+        rule,
+        " ; ".join(render(p) for p in premises) + f" => {render(conclusion)}",
+        f"validity not preserved in {verdict.model.to_json()}")

@@ -97,23 +97,33 @@ def _prop_entails(a, b, atoms, chain):
     return True
 
 
-def _candidate_formulas(atoms, max_size):
-    """All formulas over the given 0-ary atoms, by size then render order.
+def _candidate_formulas(common, max_size, language=None, variables=()):
+    """All formulas over the common predicates, by size then render order.
 
-    Sizes are materialized lazily, so a search that succeeds early never
-    pays for the deep strata.
+    Without a language every predicate is a 0-ary atom. With one, each
+    predicate takes every tuple of the given variables as its arguments,
+    and a formula f of one size gives A{v} f and E{v} f of the next, for
+    each of the variables. Sizes are materialized lazily, so a search that
+    succeeds early never pays for the deep strata.
     """
-    atoms = sorted(atoms)
     by_size = {}
     for size in range(1, max_size + 1):
         if size == 1:
-            batch = [BOTTOM, TOP] + [Atom(p, ()) for p in atoms]
+            batch = [BOTTOM, TOP]
+            for pred in sorted(common):
+                arity = 0 if language is None else language.arity(pred)
+                batch.extend(Atom(pred, args) for args in
+                             itertools.product(variables, repeat=arity))
         else:
-            batch = [Neg(f) for f in by_size[size - 1]]
+            smaller = by_size[size - 1]
+            batch = [Neg(f) for f in smaller]
+            for f in smaller:
+                for v in variables:
+                    batch.append(Forall(frozenset({v}), f))
+                    batch.append(Exists(frozenset({v}), f))
             for lsize in range(1, size - 1):
-                rsize = size - 1 - lsize
                 for left in by_size[lsize]:
-                    for right in by_size[rsize]:
+                    for right in by_size[size - 1 - lsize]:
                         batch.extend((Oplus(left, right), Odot(left, right),
                                       Implies(left, right)))
         by_size[size] = batch
@@ -169,7 +179,7 @@ def interpolant_search(a, b, split, depth, chain_n=2, scope="propositional",
             raise PremiseNotEntailed(
                 f"{render(a)} does not entail {render(b)} up to |M|={k}")
         variables = sorted(syntax.free_vars(a) | syntax.free_vars(b)) or ["v0"]
-        for c in _bounded_candidates(split.common, language, variables, depth):
+        for c in _candidate_formulas(split.common, depth, language, variables):
             if not semantics.entails([], Implies(a, c), language, k,
                                      chain_n).refuted \
                     and not semantics.entails([], Implies(c, b), language, k,
@@ -178,30 +188,6 @@ def interpolant_search(a, b, split, depth, chain_n=2, scope="propositional",
         return NotFoundWithin(depth)
 
     raise ValueError(f"unknown scope {scope!r}")
-
-
-def _bounded_candidates(common, language, variables, max_size):
-    by_size = {}
-    for size in range(1, max_size + 1):
-        if size == 1:
-            batch = [BOTTOM, TOP]
-            for pred in sorted(common):
-                arity = language.arity(pred)
-                for args in itertools.product(variables, repeat=arity):
-                    batch.append(Atom(pred, args))
-        else:
-            batch = [Neg(f) for f in by_size[size - 1]]
-            for f in by_size[size - 1]:
-                for v in variables:
-                    batch.append(Forall(frozenset({v}), f))
-                    batch.append(Exists(frozenset({v}), f))
-            for lsize in range(1, size - 1):
-                for left in by_size[lsize]:
-                    for right in by_size[size - 1 - lsize]:
-                        batch.extend((Oplus(left, right), Odot(left, right),
-                                      Implies(left, right)))
-        by_size[size] = batch
-        yield from sorted(batch, key=render)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .mv_core import Chain, Filter, ONE, ZERO
+from .polyadic import first_witness
 from .interlab import (
     HenkinFilter, RepresentationAudit, clause_result, cyl_sup_clause,
     homomorphism_clauses, psi_rows,
@@ -79,27 +80,23 @@ class PavelkaReport:
         return [r for r in self.results if not r.holds]
 
 
+def _law(name, pairs):
+    """The law, failing at the first (lhs, rhs, witness) that differs."""
+    _, witness = first_witness(pairs)
+    return LawResult(name, witness is None, witness)
+
+
 def constants_check(pav):
     """0-bar = 0, (r (+) s)-bar = r-bar (+) s-bar, (~r)-bar = ~(r-bar)."""
-    base, chain = pav.base, pav.chain
-    results = []
-    zero_ok = pav.constant(ZERO) == base.zero
-    results.append(LawResult("zero-constant", zero_ok,
-                             None if zero_ok else (ZERO,)))
-    witness = None
-    for r, s in itertools.product(pav.levels, repeat=2):
-        if base.oplus(pav.constant(r), pav.constant(s)) \
-                != pav.constant(chain.oplus(r, s)):
-            witness = (r, s)
-            break
-    results.append(LawResult("oplus-compatible", witness is None, witness))
-    witness = None
-    for r in pav.levels:
-        if base.neg(pav.constant(r)) != pav.constant(chain.neg(r)):
-            witness = (r,)
-            break
-    results.append(LawResult("neg-compatible", witness is None, witness))
-    return PavelkaReport(tuple(results))
+    base, chain, bar = pav.base, pav.chain, pav.constant
+    return PavelkaReport((
+        _law("zero-constant", [(bar(ZERO), base.zero, (ZERO,))]),
+        _law("oplus-compatible", (
+            (base.oplus(bar(r), bar(s)), bar(chain.oplus(r, s)), (r, s))
+            for r, s in itertools.product(pav.levels, repeat=2))),
+        _law("neg-compatible", (
+            (base.neg(bar(r)), bar(chain.neg(r)), (r,)) for r in pav.levels)),
+    ))
 
 
 def degree(a, ctx):
@@ -128,50 +125,29 @@ def degree_forms_check(pav, flt, elements=None):
     """Sup-form degree equals inf-form degree for every element."""
     ctx = GradedContext(pav, flt)
     els = elements if elements is not None else pav.base.carrier
-    witness = None
-    for a in els:
-        if degree(a, ctx) != degree_dual(a, ctx):
-            witness = (a, degree(a, ctx), degree_dual(a, ctx))
-            break
-    return PavelkaReport((LawResult("degree-sup-equals-inf",
-                                    witness is None, witness),))
+    return PavelkaReport((_law("degree-sup-equals-inf", (
+        (up, down, (a, up, down)) for a in els
+        for up, down in [(degree(a, ctx), degree_dual(a, ctx))])),))
 
 
 def pavelka_lemma_check(pav, flt):
     """r-bar in P iff r = 1, and r-bar/P <= s-bar/P iff r <= s."""
-    base = pav.base
-    members = flt.members
-    results = []
-    witness = None
-    for r in pav.levels:
-        if (pav.constant(r) in members) != (r == ONE):
-            witness = (r,)
-            break
-    results.append(LawResult("membership-iff-one", witness is None, witness))
-    witness = None
-    for r, s in itertools.product(pav.levels, repeat=2):
-        quotient_le = base.implies(pav.constant(r), pav.constant(s)) in members
-        if quotient_le != (r <= s):
-            witness = (r, s)
-            break
-    results.append(LawResult("quotient-order-matches", witness is None,
-                             witness))
-    return PavelkaReport(tuple(results))
+    base, bar, members = pav.base, pav.constant, flt.members
+    return PavelkaReport((
+        _law("membership-iff-one", (
+            (bar(r) in members, r == ONE, (r,)) for r in pav.levels)),
+        _law("quotient-order-matches", (
+            (base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
+            for r, s in itertools.product(pav.levels, repeat=2))),
+    ))
 
 
 def pavelka_quantifier_check(pav, algebra):
     """Existential invariance of constants: c_J r-bar = r-bar for all J."""
-    witness = None
-    checked = 0
-    for r in pav.levels:
-        rbar = pav.constant(r)
-        for j in algebra.scopes:
-            checked += 1
-            if algebra.cyl_el(j, rbar) != rbar:
-                witness = (r, sorted(j))
-                break
-        if witness:
-            break
+    checked, witness = first_witness(
+        (algebra.cyl_el(j, rbar), rbar, (r, sorted(j)))
+        for r in pav.levels for rbar in [pav.constant(r)]
+        for j in algebra.scopes)
     return PavelkaReport((LawResult(f"exists-r-equals-r({checked} cases)",
                                     witness is None, witness),))
 

@@ -24,13 +24,12 @@ out, the parsed and dumped specs and the reports.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from operator import add
 
 from .mv_core import (
-    Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_value, _level_sums,
-    parse_value,
+    Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_point, format_value,
+    _level_sums, parse_point, parse_value,
 )
 from .transform import FinTransformation, SemigroupSpec, compose, semigroup_closure
 
@@ -291,7 +290,7 @@ class FunctionalSetAlgebra:
     def to_json(self):
         def dump_element(p):
             return {
-                "(" + ",".join(map(str, x)) + ")": format_value(v)
+                format_point(x): format_value(v)
                 for x, v in zip(self.assignments, p)
             }
 
@@ -691,9 +690,6 @@ class PolyadicAuditReport:
     def failures(self):
         return [r for r in self.results if not r.holds]
 
-    def by_name(self, name):
-        return next(r for r in self.results if r.name == name)
-
 
 def first_witness(pairs):
     """(checked, witness) over (lhs, rhs, witness) triples.
@@ -984,12 +980,8 @@ def algebra_from_json(data):
     assignments = tuple(itertools.product(base, repeat=len(index_set)))
 
     def load_element(table):
-        values = {}
-        for key, text in table.items():
-            stripped = key.strip().lstrip("(").rstrip(")")
-            parts = tuple(s for s in stripped.split(",") if s != "")
-            point = tuple(type(base[0])(s) for s in parts)
-            values[point] = parse_value(text)
+        values = {parse_point(key, type(base[0])): parse_value(text)
+                  for key, text in table.items()}
         return tuple(values[x] for x in assignments)
 
     if "carrier" in data:
@@ -1014,8 +1006,3 @@ def algebra_from_json(data):
     scopes = data.get("scopes", "powerset")
     return build_generated(index_set, base, chain, generators, semigroup,
                            scopes, cap=data.get("cap", 200))
-
-
-def load_algebra(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(json.load(fh))

@@ -17,9 +17,10 @@ as chain values, and a Model is built only for a reported countermodel.
 from __future__ import annotations
 
 import itertools
-import json
 
-from .mv_core import Chain, CarrierError, parse_value, format_value
+from .mv_core import (
+    Chain, CarrierError, format_point, format_value, parse_point, parse_value,
+)
 from . import syntax
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
@@ -94,7 +95,7 @@ class Model:
                 pred: {
                     "arity": self.language.arity(pred),
                     "table": {
-                        "(" + ",".join(map(str, pt)) + ")": format_value(v)
+                        format_point(pt): format_value(v)
                         for pt, v in sorted(table.items())
                     },
                 }
@@ -113,14 +114,9 @@ class Model:
                 predicates=tuple((name, p["arity"])
                                  for name, p in sorted(preds.items())),
             )
-        tables = {}
-        for name, p in preds.items():
-            table = {}
-            for key, text in p["table"].items():
-                stripped = key.strip().lstrip("(").rstrip(")")
-                point = tuple(int(x) for x in stripped.split(",") if x != "")
-                table[point] = parse_value(text)
-            tables[name] = table
+        tables = {name: {parse_point(key): parse_value(text)
+                         for key, text in p["table"].items()}
+                  for name, p in preds.items()}
         return cls(language, data["domain"], Chain(data["chain"]), tables)
 
 
@@ -393,8 +389,3 @@ def random_model(rng, language, max_size, chain, predicates=None):
             for point in itertools.product(range(size), repeat=arity)
         }
     return Model(language, size, chain, tables)
-
-
-def load_model(path, language=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return Model.from_json(json.load(fh), language)

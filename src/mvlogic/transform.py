@@ -76,9 +76,6 @@ class FinTransformation:
     def as_dict(self):
         return dict(zip(self.domain, self.values))
 
-    def is_injective(self):
-        return len(set(self.values)) == len(self.values)
-
     def sort_key(self):
         return (0, self.domain, self.values)
 

@@ -9,8 +9,9 @@ from mvlogic.calculus import (
     check_axiom_instance, check_proof, proof_from_json, proof_to_json,
     soundness_audit,
 )
+from mvlogic import semantics
 from mvlogic.mv_core import Chain
-from mvlogic.semantics import Model, is_valid
+from mvlogic.semantics import Model, SearchTooLarge, is_valid
 from mvlogic.syntax import (
     Exists, Forall, Implies, LanguageSpec, Neg, Odot, Oplus, parse,
     random_formula, substitute, substitute_free,
@@ -20,6 +21,7 @@ LANG = LanguageSpec(num_vars=5, reserve=1,
                     predicates=(("p", 1), ("q", 1)))
 CAPTURE = LanguageSpec(num_vars=5, reserve=1,
                        predicates=(("p", 1), ("s", 2)))
+BINARY = LanguageSpec(num_vars=3, reserve=1, predicates=(("p", 2),))
 
 
 class TestAxiomInstances:
@@ -196,14 +198,56 @@ class TestSoundness:
             assert report.passed, (rule, report.violations[:1])
 
     def test_mutated_a3_checker_is_caught(self):
-        # with the side condition skipped the auditor must find violations
+        # with the side condition skipped the auditor must find violations,
+        # each with the canonically first countermodel
         report = soundness_audit("A3", 60, seed=0, skip_side_conditions=True)
-        assert not report.passed
+        assert [(v.instance, v.detail) for v in report.violations] == [
+            ("A{v2} (E{v1} q(v2) -> q(v0) (+) p(v2)) -> E{v1} q(v2) -> "
+             "A{v2} (q(v0) (+) p(v2))",
+             "invalid in {'domain': 2, 'chain': 3, 'predicates': "
+             "{'p': {'arity': 1, 'table': {'(0)': '0', '(1)': '1/2'}}, "
+             "'q': {'arity': 1, 'table': {'(0)': '0', '(1)': '1/2'}}}}"),
+            ("A{v0,v3} (p(v0) (+) A{v2} q(v2) -> ~(q(v0) -> r)) -> "
+             "p(v0) (+) A{v2} q(v2) -> A{v0,v3} ~(q(v0) -> r)",
+             "invalid in {'domain': 2, 'chain': 3, 'predicates': "
+             "{'p': {'arity': 1, 'table': {'(0)': '0', '(1)': '1/2'}}, "
+             "'q': {'arity': 1, 'table': {'(0)': '0', '(1)': '1/2'}}, "
+             "'r': {'arity': 0, 'table': {'()': '0'}}}}"),
+            ("A{v0,v3} (p(v2) (*) r (+) q(v0) -> ~p(v2) -> q(v0) (+) p(v3)) "
+             "-> p(v2) (*) r (+) q(v0) -> "
+             "A{v0,v3} (~p(v2) -> q(v0) (+) p(v3))",
+             "invalid in {'domain': 2, 'chain': 3, 'predicates': "
+             "{'p': {'arity': 1, 'table': {'(0)': '0', '(1)': '0'}}, "
+             "'q': {'arity': 1, 'table': {'(0)': '0', '(1)': '1/2'}}, "
+             "'r': {'arity': 0, 'table': {'()': '0'}}}}"),
+            ("A{v2,v3} (A{v1} q(v3) -> p(v2) (*) T (*) q(v3)) -> "
+             "A{v1} q(v3) -> A{v2,v3} (p(v2) (*) T (*) q(v3))",
+             "invalid in {'domain': 2, 'chain': 3, 'predicates': "
+             "{'p': {'arity': 1, 'table': {'(0)': '1/2', '(1)': '1/2'}}, "
+             "'q': {'arity': 1, 'table': {'(0)': '0', '(1)': '1'}}}}"),
+        ]
 
     def test_mutated_a5_checker_is_caught(self):
         report = soundness_audit("A5", 60, seed=4, skip_side_conditions=True,
                                  language=CAPTURE)
-        assert not report.passed
+        assert [(v.instance, v.detail) for v in report.violations] == [(
+            "A{v2,v3} (A{v0} s(v2,v3) (+) ~p(v2)) -> "
+            "A{v0} s(v0,v0) (+) ~p(v0)",
+            "invalid in {'domain': 2, 'chain': 3, 'predicates': "
+            "{'p': {'arity': 1, 'table': {'(0)': '0', '(1)': '1/2'}}, "
+            "'s': {'arity': 2, 'table': {'(0,0)': '0', '(0,1)': '0', "
+            "'(1,0)': '1/2', '(1,1)': '1/2'}}}}")]
+
+    @pytest.mark.parametrize("target", ["A2", "MP"])
+    def test_model_space_over_the_cap_raises_before_search(self, target,
+                                                           monkeypatch):
+        # a binary predicate on up to 4 points on Chain(3): 3^16 models
+        # at |M| = 4 alone, far over the 500,000 cap of entails
+        def refuse(*args):
+            raise AssertionError("a model was enumerated")
+        monkeypatch.setattr(semantics, "enumerate_models", refuse)
+        with pytest.raises(SearchTooLarge):
+            soundness_audit(target, 1, max_domain=4, seed=0, language=BINARY)
 
     def test_capture_instance_semantically_invalid(self):
         # the concrete instance the A5 side condition exists to block

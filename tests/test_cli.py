@@ -83,6 +83,22 @@ class TestExitCodes:
         assert code == 2
         assert report["reason"] == "a chain needs at least the two constants"
 
+    def test_chain_over_view_cap_reports_why(self):
+        code, report = dispatch(["mv", "filter", "--chain", "100000",
+                                 "--elements", "1"])
+        assert code == 2
+        assert report["reason"] == \
+            "Chain(100000) exceeds the indexed-view cap of 1500 elements"
+
+    def test_audit_over_model_cap_reports_why(self):
+        # the first A2 instance mentions a unary predicate: 5^9 models at
+        # |M| = 9 alone
+        code, report = dispatch(["proof", "audit", "--target", "A2",
+                                 "--trials", "1", "--max-domain", "9",
+                                 "--chain", "5"])
+        assert code == 2
+        assert report["reason"] == "2441405 models exceed the cap of 500000"
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -100,6 +116,9 @@ class TestExitCodes:
                                  "--chain", "2"])
         assert code == 1 and report["verdict"] == "refuted"
 
+
+TABLE_L3 = {"carrier": ["0", "1/2", "1"], "neg": [2, 1, 0], "one": 2,
+            "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]], "zero": 0}
 
 OVERCAP_SPEC = {
     "index_set": 3, "base": 2, "chain": 3, "cap": 20,
@@ -128,13 +147,18 @@ OVERCAP_SPEC = {
     ["batch", "{manifest_item}"],
     ["batch", "{empty}"],
     ["poly", "build", "--spec", "{hugebase}"],
+    ["mv", "audit", "--table", "{table}", "--mode", "sampled"],
+    ["mv", "audit", "--chain", "3", "--mode", "sampled"],
+    ["mv", "quotient", "--chain", "100000", "--members", "1"],
+    ["pavelka", "check", "--chain", "100000"],
 ], ids=["overcap-spec", "element-index", "generator-index",
         "language-without-variables", "assignment-outside-domain",
         "gamma-without-formulas", "proof-gamma-without-formulas",
         "filter-without-members", "build-out-unwritable",
         "manifest-top-level-list", "manifest-commands-not-list",
         "manifest-command-not-list", "manifest-without-commands",
-        "generator-short-of-huge-base"])
+        "generator-short-of-huge-base", "sampled-table", "sampled-chain",
+        "quotient-chain-over-view-cap", "pavelka-chain-over-view-cap"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     for name, payload in (("overcap", OVERCAP_SPEC),
                           ("hugebase", {**ALGEBRA_SPEC, "base": 1000000}),
@@ -145,7 +169,8 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
                           ("empty", {}),
                           ("manifest_list", [["mv", "audit", "--chain", "3"]]),
                           ("manifest_number", {"commands": 5}),
-                          ("manifest_item", {"commands": [5]})):
+                          ("manifest_item", {"commands": [5]}),
+                          ("table", TABLE_L3)):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")

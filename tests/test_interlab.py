@@ -106,6 +106,24 @@ class TestInterpolantSearch:
                                  scope=("bounded-model", 2), language=lang)
         assert out.found
 
+    def test_bounded_candidate_order(self):
+        # size 1, then size 2 (negations and one-variable blocks), each
+        # stratum in render order; size 3 adds the binary connectives
+        from mvlogic.interlab import _candidate_formulas
+        lang = LanguageSpec(num_vars=3, reserve=1,
+                            predicates=(("p", 1), ("r", 0)))
+        pool = [render(f) for f in _candidate_formulas(
+            frozenset({"p", "r"}), 3, lang, ["v0", "v1"])]
+        atoms = ["F", "T", "p(v0)", "p(v1)", "r"]
+        assert pool[:30] == atoms + [
+            f"{q}{{{v}}} {f}" for q in "AE" for v in ("v0", "v1")
+            for f in atoms] + [f"~{f}" for f in atoms]
+        assert len(pool) == 230
+        assert pool[30:36] == [
+            "A{v0} A{v0} F", "A{v0} A{v0} T", "A{v0} A{v0} p(v0)",
+            "A{v0} A{v0} p(v1)", "A{v0} A{v0} r", "A{v0} A{v1} F"]
+        assert pool[-5:] == ["~~F", "~~T", "~~p(v0)", "~~p(v1)", "~~r"]
+
 
 class TestHenkin:
     def test_demo_algebra_succeeds(self, henkin_demo_algebra):

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import pattern_algebra, small_algebra
 from mvlogic.mv_core import (
-    CarrierError, Chain, Filter, FilterError, FilterNotFound, MVAxiomError,
-    NonMaximalFilter, ProperFilterRequired, StandardRationals, TableAlgebra,
-    _axiom_groups, _tabulate, check_mv_axioms, eval_basic, extend_to_maximal,
-    filter_generate, maximal_filters, quotient, residuum_by_maximization,
-    tnorm_eval, to_table,
+    MAX_CHAIN_VIEW, CarrierError, Chain, Filter, FilterError, FilterNotFound,
+    MVAxiomError, NonMaximalFilter, ProperFilterRequired, StandardRationals,
+    TableAlgebra, ViewTooLarge, _axiom_groups, _tabulate, check_mv_axioms,
+    eval_basic, extend_to_maximal, filter_generate, maximal_filters, quotient,
+    residuum_by_maximization, tnorm_eval, to_table,
 )
 
 STD = StandardRationals()
@@ -128,6 +128,14 @@ class TestAxiomAudit:
     def test_standard_sampled(self):
         report = check_mv_axioms(STD, mode="sampled", count=3000, seed=1)
         assert report.passed
+
+    @pytest.mark.parametrize("algebra", [Chain(3), to_table(Chain(3))],
+                             ids=["chain", "table"])
+    def test_sampled_audits_only_the_standard_algebra(self, algebra):
+        # sampled triples are arbitrary rationals: outside a chain's carrier
+        # and unknown to a table's labels
+        with pytest.raises(ValueError, match="needs StandardRationals"):
+            check_mv_axioms(algebra, mode="sampled", count=10)
 
     def test_corrupted_table_fails_with_witness(self):
         table = to_table(Chain(3)).to_json()
@@ -339,6 +347,16 @@ class TestIndexedView:
         for name in ("elements", "zero", "one", "neg", "oplus", "odot",
                      "le"):
             assert getattr(view, name) == getattr(read, name), name
+
+    def test_chain_view_cap_raises_before_building(self):
+        # 10^5 levels would need three 10^10-entry tables
+        with pytest.raises(ViewTooLarge):
+            Chain(10 ** 5).indexed()
+        with pytest.raises(ViewTooLarge):
+            Chain(MAX_CHAIN_VIEW + 1).indexed()
+        assert (Chain, 10 ** 5) not in Chain._views
+        # the cap admits the Chain(1200) of the filter timings
+        assert MAX_CHAIN_VIEW >= 1200
 
     def test_filters_of_a_view_are_index_sets(self):
         view = Chain(4).indexed()
