@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
 # interlab.quotient, which the benchmark's tracer tests read
-from .mv_core import Chain, ONE, ZERO, maximal_filters, quotient  # noqa: F401
-from .polyadic import FunctionalSetAlgebra, first_witness
+from .mv_core import (  # noqa: F401
+    Chain, ONE, ZERO, _level_sums, maximal_filters, quotient,
+)
+from .polyadic import FunctionalSetAlgebra, _instance, first_witness
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, predicates_of, render,
@@ -292,56 +294,84 @@ class RepresentationAudit:
         return [r for r in self.results if not r.holds]
 
 
-def clause_result(name, pairs):
-    """The clause, failing at the first (lhs, rhs, witness) that differs."""
-    _, witness = first_witness(pairs)
+def clause_result(name, blocks):
+    """The clause over blocks of instances (see polyadic.first_witness),
+    failing at the first instance whose sides differ."""
+    _, witness = first_witness(blocks)
     return ClauseResult(name, witness is None, witness)
 
 
 def psi_rows(V, levels, vs):
     """psi over carrier indices: rows[i][xi] is levels[s_x i], x = vs[xi]."""
-    subst = [V.subst[x] for x in vs]
-    return [tuple(levels[s[i]] for s in subst) for i in V.carrier]
+    return _transpose(
+        [tuple(map(levels.__getitem__, V.subst[x])) for x in vs],
+        len(V.carrier))
+
+
+def _transpose(columns, n):
+    """The n rows of the columns: row i holds entry i of every column
+    (n empty rows when there is no column)."""
+    return list(zip(*columns)) if columns else [()] * n
 
 
 def homomorphism_clauses(V, rows, top):
     """The ~, (+) and (*) clauses of a map psi given by level rows.
 
     rows[i] is psi of carrier index i as levels 0..top of a chain, one per
-    coordinate; the chain operations act on levels.
+    coordinate x. The right sides are built a column x at a time from the
+    chain's level tables (mv_core._level_sums): psi_x(~p) is top - psi_x(p)
+    and psi_x(p (+) q) is plus[psi_x(p) + psi_x(q)], times for (*). Over q
+    that column depends on p only through the level psi_x(p), so it is
+    built once per level. The columns are zipped back into rows: the ~
+    clause is one block of rows over p, the (+) and (*) clauses one block
+    per p over q (see polyadic.first_witness), so a witness is the first
+    p, or (p, q), whose rows differ.
     """
     els = V.elements
-    results = [clause_result("neg", (
-        (rows[V.neg[i]], tuple(top - r for r in row), (els[i],))
-        for i, row in enumerate(rows)))]
-    for name, table, combine in (
-            ("oplus", V.oplus, lambda u, v: min(u + v, top)),
-            ("odot", V.odot, lambda u, v: max(u + v - top, 0))):
+    n = len(rows)
+    columns = list(zip(*rows))
+    flip = range(top, -1, -1)
+    results = [clause_result("neg", [(
+        list(map(rows.__getitem__, V.neg)),
+        _transpose([tuple(map(flip.__getitem__, col)) for col in columns], n),
+        zip(els))])]
+    plus, times = _level_sums(top)
+    for name, table, sums in (("oplus", V.oplus, plus),
+                              ("odot", V.odot, times)):
+        # by_level[xi][r] is the column of r . psi_x(q) over q
+        by_level = [[tuple(map(sums.__getitem__, map(r.__add__, col)))
+                     for r in range(top + 1)] for col in columns]
         results.append(clause_result(name, (
-            (rows[table[i][k]], tuple(map(combine, row, rows[k])),
-             (els[i], els[k]))
-            for i, row in enumerate(rows) for k in V.carrier)))
+            (list(map(rows.__getitem__, table[i])),
+             _transpose([col[r] for col, r in zip(by_level, row)], n),
+             zip(itertools.repeat(els[i]), els))
+            for i, row in enumerate(rows))))
     return results
 
 
 def cyl_sup_clause(V, rows, vs):
     """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x in vs."""
     index_set = V.algebra.index_set
+    n = len(rows)
+    columns = list(zip(*rows))
 
-    def pairs():
+    def blocks():
         for k in (next(iter(j)) for j in V.algebra.scopes if len(j) == 1):
             variants = [
                 [yi for yi, y in enumerate(vs)
                  if all(y.apply(i) == x.apply(i) for i in index_set if i != k)]
                 for x in vs]
-            ck = V.cyl[frozenset({k})]
-            for i, row in enumerate(rows):
-                cp = rows[ck[i]]
-                for xi, ids in enumerate(variants):
-                    yield (cp[xi], max(row[yi] for yi in ids),
-                           (k, V.elements[i], vs[xi]))
+            # x is among its own k-variants; passing its column first keeps
+            # max from being handed a lone level
+            sups = [tuple(map(max, columns[xi],
+                              *map(columns.__getitem__, ids)))
+                    for xi, ids in enumerate(variants)]
+            lhs = list(itertools.chain.from_iterable(
+                map(rows.__getitem__, V.cyl[frozenset({k})])))
+            rhs = list(itertools.chain.from_iterable(_transpose(sups, n)))
+            yield lhs, rhs, ((k, p, x) for p in V.elements for x in vs)
 
-    return clause_result("cyl-sup", pairs())
+    return clause_result("cyl-sup", blocks())
 
 
 def representation_map(algebra, hf, transformations=None):
@@ -361,29 +391,31 @@ def representation_map(algebra, hf, transformations=None):
     position = {x: xi for xi, x in enumerate(vs)}
     top = chain.n - 1
     rows = psi_rows(V, ranks, vs)
+    columns = list(zip(*rows))
 
-    def subst_pairs():
+    def subst_blocks():
+        # psi(s_tau p) against psi(p) read at the coordinates x tau
         for tau in vs:
             targets = [position.get(compose(x, tau)) for x in vs]
-            if None in targets:
-                continue
-            s_tau = V.subst[tau]
-            for i, row in enumerate(rows):
-                yield (rows[s_tau[i]], tuple(row[t] for t in targets),
-                       (tau, V.elements[i]))
+            if None not in targets:
+                yield (list(map(rows.__getitem__, V.subst[tau])),
+                       _transpose([columns[t] for t in targets], len(rows)),
+                       zip(itertools.repeat(tau), V.elements))
 
     results = [
-        clause_result("unit-0", [(rows[V.zero], (0,) * len(vs), ("0",))]),
-        clause_result("unit-1", [(rows[V.one], (top,) * len(vs), ("1",))]),
+        clause_result("unit-0", [_instance(rows[V.zero], (0,) * len(vs),
+                                           ("0",))]),
+        clause_result("unit-1", [_instance(rows[V.one], (top,) * len(vs),
+                                           ("1",))]),
         *homomorphism_clauses(V, rows, top),
-        clause_result("subst-action", subst_pairs()),
+        clause_result("subst-action", subst_blocks()),
         cyl_sup_clause(V, rows, vs),
     ]
     identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
     if identity in position:
         seed = rows[V.index_of[hf.seed]][position[identity]]
-        results.append(clause_result("nonzero-at-identity", [
-            (seed != 0, True, ("identity component of the seed element",))]))
+        results.append(clause_result("nonzero-at-identity", [_instance(
+            seed != 0, True, ("identity component of the seed element",))]))
     psi = {p: tuple(chain.carrier[r] for r in rows[i])
            for i, p in enumerate(V.elements)}
     return psi, RepresentationAudit(tuple(results))

@@ -50,11 +50,24 @@ class ViewTooLarge(ValueError):
     """A chain is too long for its n x n indexed view."""
 
 
+class AuditTooLarge(ValueError):
+    """A carrier is too large for the exhaustive axiom audit."""
+
+
 # The longest chain that gets an indexed view. The view holds three n x n
 # tables (oplus, odot, le) for the life of the process, about 30 bytes per
 # pair (a, b) in all (max RSS grows by 42 MB at n = 1200 and by 67 MB at
 # the cap, Python 3.11); n = 10^5 would need some 300 GB.
 MAX_CHAIN_VIEW = 1500
+
+# The largest carrier the exhaustive check_mv_axioms walks. Associativity
+# reads every triple, n^3 of them through the algebra's element operations:
+# 10^6 at the cap. An 81-element table takes about 1.4 s and Chain(40),
+# whose operations are Fraction arithmetic, about 2.5 s, so the cap means
+# some 3 s for a table and 40 s for a chain. The largest carrier audited by
+# the tests, the golden corpus or the benchmark is the 81-element table of
+# AbstractPolyadicAlgebra.from_functional(small_algebra()).
+MAX_AUDIT_CARRIER = 100
 
 
 def parse_value(text):
@@ -519,10 +532,12 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0,
     Exhaustive mode (finite algebras only) walks, for each group, the
     carrier tuples of the variables the group reads, padded to a triple
     with the first carrier element; its witness is the first failing
-    triple in the order of a walk over all carrier triples. Sampled mode
-    audits StandardRationals only and raises ValueError for any other
-    algebra: it draws seeded rational triples, rescales each onto a common
-    denominator and checks the identities in integer arithmetic.
+    triple in the order of a walk over all carrier triples. A carrier
+    larger than MAX_AUDIT_CARRIER raises AuditTooLarge before any triple
+    is read. Sampled mode audits StandardRationals only and raises
+    ValueError for any other algebra: it draws seeded rational triples,
+    rescales each onto a common denominator and checks the identities in
+    integer arithmetic.
     """
     groups = _axiom_groups()
     witnesses = [None] * len(groups)
@@ -531,6 +546,10 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0,
             raise ValueError("exhaustive audit needs a finite algebra")
         desc = "exhaustive"
         carrier = algebra.carrier
+        if len(carrier) > MAX_AUDIT_CARRIER:
+            raise AuditTooLarge(
+                f"{algebra!r} exceeds the exhaustive audit cap of "
+                f"{MAX_AUDIT_CARRIER} elements")
         for i, (_, arity, law) in enumerate(groups):
             pad = (carrier[0],) * (3 - arity)
             for head in itertools.product(carrier, repeat=arity):

@@ -9,7 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from .mv_core import Chain, Filter, ONE, ZERO
-from .polyadic import first_witness
+from .polyadic import _instance, first_witness
 from .interlab import (
     HenkinFilter, RepresentationAudit, clause_result, cyl_sup_clause,
     homomorphism_clauses, psi_rows,
@@ -80,9 +80,10 @@ class PavelkaReport:
         return [r for r in self.results if not r.holds]
 
 
-def _law(name, pairs):
-    """The law, failing at the first (lhs, rhs, witness) that differs."""
-    _, witness = first_witness(pairs)
+def _law(name, blocks):
+    """The law over blocks of instances (see polyadic.first_witness),
+    failing at the first instance whose sides differ."""
+    _, witness = first_witness(blocks)
     return LawResult(name, witness is None, witness)
 
 
@@ -90,12 +91,14 @@ def constants_check(pav):
     """0-bar = 0, (r (+) s)-bar = r-bar (+) s-bar, (~r)-bar = ~(r-bar)."""
     base, chain, bar = pav.base, pav.chain, pav.constant
     return PavelkaReport((
-        _law("zero-constant", [(bar(ZERO), base.zero, (ZERO,))]),
+        _law("zero-constant", [_instance(bar(ZERO), base.zero, (ZERO,))]),
         _law("oplus-compatible", (
-            (base.oplus(bar(r), bar(s)), bar(chain.oplus(r, s)), (r, s))
+            _instance(base.oplus(bar(r), bar(s)), bar(chain.oplus(r, s)),
+                      (r, s))
             for r, s in itertools.product(pav.levels, repeat=2))),
         _law("neg-compatible", (
-            (base.neg(bar(r)), bar(chain.neg(r)), (r,)) for r in pav.levels)),
+            _instance(base.neg(bar(r)), bar(chain.neg(r)), (r,))
+            for r in pav.levels)),
     ))
 
 
@@ -126,7 +129,7 @@ def degree_forms_check(pav, flt, elements=None):
     ctx = GradedContext(pav, flt)
     els = elements if elements is not None else pav.base.carrier
     return PavelkaReport((_law("degree-sup-equals-inf", (
-        (up, down, (a, up, down)) for a in els
+        _instance(up, down, (a, up, down)) for a in els
         for up, down in [(degree(a, ctx), degree_dual(a, ctx))])),))
 
 
@@ -135,9 +138,10 @@ def pavelka_lemma_check(pav, flt):
     base, bar, members = pav.base, pav.constant, flt.members
     return PavelkaReport((
         _law("membership-iff-one", (
-            (bar(r) in members, r == ONE, (r,)) for r in pav.levels)),
+            _instance(bar(r) in members, r == ONE, (r,))
+            for r in pav.levels)),
         _law("quotient-order-matches", (
-            (base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
+            _instance(base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
             for r, s in itertools.product(pav.levels, repeat=2))),
     ))
 
@@ -145,7 +149,7 @@ def pavelka_lemma_check(pav, flt):
 def pavelka_quantifier_check(pav, algebra):
     """Existential invariance of constants: c_J r-bar = r-bar for all J."""
     checked, witness = first_witness(
-        (algebra.cyl_el(j, rbar), rbar, (r, sorted(j)))
+        _instance(algebra.cyl_el(j, rbar), rbar, (r, sorted(j)))
         for r in pav.levels for rbar in [pav.constant(r)]
         for j in algebra.scopes)
     return PavelkaReport((LawResult(f"exists-r-equals-r({checked} cases)",
@@ -195,11 +199,14 @@ def pavelka_representation(algebra, pav, hf, transformations=None):
     rows = psi_rows(V, [level[degree(i, ctx)] for i in V.carrier], vs)
 
     results = [
-        clause_result("unit-0", [(rows[V.zero], (0,) * len(vs), ("0",))]),
-        clause_result("unit-1", [(rows[V.one], (top,) * len(vs), ("1",))]),
-        clause_result("constants", (
-            (rows[V.index_of[pav.constant(r)]], (level[r],) * len(vs), (r,))
-            for r in pav.levels)),
+        clause_result("unit-0", [_instance(rows[V.zero], (0,) * len(vs),
+                                           ("0",))]),
+        clause_result("unit-1", [_instance(rows[V.one], (top,) * len(vs),
+                                           ("1",))]),
+        clause_result("constants", [(
+            [rows[V.index_of[pav.constant(r)]] for r in pav.levels],
+            [(level[r],) * len(vs) for r in pav.levels],
+            zip(pav.levels))]),
         *homomorphism_clauses(V, rows, top),
         cyl_sup_clause(V, rows, vs),
     ]

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 
 from .mv_core import (
     Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_point, format_value,
     _level_sums, parse_point, parse_value,
 )
-from .transform import FinTransformation, SemigroupSpec, compose, semigroup_closure
+from .transform import FinTransformation, SemigroupSpec, semigroup_closure
 
 
 class SignatureError(ValueError):
@@ -691,18 +691,54 @@ class PolyadicAuditReport:
         return [r for r in self.results if not r.holds]
 
 
-def first_witness(pairs):
-    """(checked, witness) over (lhs, rhs, witness) triples.
+def first_witness(blocks):
+    """(checked, witness) over blocks of identity instances.
 
-    Stops at the first triple whose sides differ and returns its witness;
-    the witness is None when every side agrees.
+    A block is (lhs, rhs, witnesses): lhs and rhs are equal-length
+    sequences of one type holding the two sides of len(lhs) instances in
+    checking order, and witnesses yields the witness of each instance in
+    the same order. The rows of a block are compared whole, and a block
+    whose rows are equal counts len(lhs) checks. Only the first block
+    whose rows differ is rescanned, element by element, up to its first
+    instance whose sides differ; that instance's witness is returned with
+    the count of instances checked up to and including it. The witness is
+    None when every block agrees. witnesses is read before the next block
+    is drawn, so it may refer to the state of the code yielding blocks.
     """
     checked = 0
-    for lhs, rhs, witness in pairs:
-        checked += 1
-        if lhs != rhs:
-            return checked, witness
+    for lhs, rhs, witnesses in blocks:
+        if lhs == rhs:
+            checked += len(lhs)
+            continue
+        for left, right, witness in zip(lhs, rhs, witnesses):
+            checked += 1
+            if left != right:
+                return checked, witness
+        raise AssertionError("block rows differ but no instance does")
     return checked, None
+
+
+def _instance(lhs, rhs, witness):
+    """The block of a single instance."""
+    return (lhs,), (rhs,), (witness,)
+
+
+def _reader(positions):
+    """The function taking a row to the tuple of its entries at positions:
+    an itemgetter, which returns a tuple for any number of positions but
+    one."""
+    if len(positions) == 1:
+        (x,) = positions
+        return lambda row: (row[x],)
+    return itemgetter(*positions)
+
+
+def _interleave(rows):
+    """One tuple of the rows' entries taken position by position: the
+    first entry of every row, then the second, and so on."""
+    if len(rows) == 1:
+        return tuple(rows[0])
+    return tuple(itertools.chain.from_iterable(zip(*rows)))
 
 
 def audit_axioms(algebra):
@@ -711,58 +747,93 @@ def audit_axioms(algebra):
     Families: the five defining polyadic axioms, the six existential
     quantifier laws per scope, the nine substitution/cylinder interaction
     laws over single indices and replacements, and the five universal
-    quantifier laws. All checks run over operation index tables; failures
-    carry the witnessing tuple in element form.
+    quantifier laws. Failures carry the witnessing tuple in element form.
+
+    The instances are checked a table row at a time (see first_witness).
+    A row holds one side of a law at every carrier element, or of a few
+    laws taken element by element, and is built by reading one index
+    table at the entries of another: s_sigma read at s_tau against
+    s_(sigma tau), s_tau read at the oplus row of p against the oplus row
+    of s_tau p read at s_tau. Only a row that differs is walked element
+    by element, so `checked` and every witness are those of a walk over
+    one instance at a time in the order of the rows.
     """
     V = algebra.indexed()
     els = V.carrier
+    n = len(els)
     scopes = list(algebra.scopes)
     scope_set = set(scopes)
     maps = list(algebra.transformations)
     map_set = set(maps)
     index = list(algebra.index_set)
+    ones = (True,) * n
     results = []
 
-    def _audit(name, pairs):
+    def _audit(name, blocks):
         # a witness comes as (head, *carrier indices); only the first
         # failing one is put in element form
-        checked, witness = first_witness(pairs)
+        checked, witness = first_witness(blocks)
         if witness is not None:
             head, *ids = witness
             witness = head + tuple(V.elements[p] for p in ids)
         return IdentityResult(name, witness is None, checked, witness)
 
+    def laws(rows, *ids):
+        # the block of the laws given as rows (head, lhs, rhs) over the
+        # carrier, every law at an element before the next element; the
+        # instance at carrier index p is witnessed by (head, *ids, p)
+        heads = [head for head, _, _ in rows]
+        return (_interleave([lhs for _, lhs, _ in rows]),
+                _interleave([rhs for _, _, rhs in rows]),
+                ((head, *ids, p) for p in els for head in heads))
+
+    def single(lhs, rhs, head):
+        return _instance(lhs, rhs, (head,))
+
+    def distributes(t, heads, tables):
+        # t(p . t(b)) = t(p) . t(b) for the operation . of each head, whose
+        # rows tables[p] holds side by side; one block per p over b. Both
+        # sides read a row at t(b), and the right side's row is t(p)'s,
+        # so it is read once per value of t.
+        at_t = _reader(_interleave([[x + k * n for x in t]
+                                    for k in range(len(heads))]))
+        right = {v: at_t(tables[v]) for v in set(t)}
+        for p in els:
+            yield (tuple(map(t.__getitem__, at_t(tables[p]))), right[t[p]],
+                   ((head, p, b) for b in els for head in heads))
+
     # polyadic axioms 1..5
     identity = FinTransformation.identity(tuple(sorted(index)))
     if identity in map_set:
-        s_id = V.subst[identity]
         results.append(_audit("polyadic-1-s-identity",
-                              ((s_id[p], p, ((), p)) for p in els)))
+                              [laws([((), V.subst[identity], els)])]))
     else:
         results.append(IdentityResult("polyadic-1-s-identity", True, 0))
 
-    def composition_pairs():
+    # s_(sigma tau) against s_sigma read at s_tau; the maps share one
+    # domain, so sigma tau is found by its values
+    by_values = {t.values: V.subst[t] for t in maps}
+    read_at = {t: _reader(V.subst[t]) for t in maps}
+
+    def composition_blocks():
         for sigma, tau in itertools.product(maps, repeat=2):
-            comp = compose(sigma, tau)
-            if comp in map_set:
-                s_c, s_s, s_t = V.subst[comp], V.subst[sigma], V.subst[tau]
-                head = (sigma, tau)
-                for p in els:
-                    yield (s_c[p], s_s[s_t[p]], (head, p))
+            s_c = by_values.get(tuple(map(sigma.apply, tau.values)))
+            if s_c is not None:
+                yield laws([((sigma, tau), s_c,
+                             read_at[tau](V.subst[sigma]))])
 
-    results.append(_audit("polyadic-2-s-composition", composition_pairs()))
+    results.append(_audit("polyadic-2-s-composition", composition_blocks()))
 
-    def cyl_union_pairs():
+    def cyl_union_blocks():
         for j, j2 in itertools.product(scopes, repeat=2):
             if j | j2 in scope_set:
-                c_u, c_j, c_j2 = V.cyl[j | j2], V.cyl[j], V.cyl[j2]
-                head = (sorted(j), sorted(j2))
-                for p in els:
-                    yield (c_u[p], c_j[c_j2[p]], (head, p))
+                c_j = V.cyl[j]
+                yield laws([((sorted(j), sorted(j2)), V.cyl[j | j2],
+                             map(c_j.__getitem__, V.cyl[j2]))])
 
-    results.append(_audit("polyadic-3-c-additive", cyl_union_pairs()))
+    results.append(_audit("polyadic-3-c-additive", cyl_union_blocks()))
 
-    def agreement_pairs(tables):
+    def agreement_blocks(tables):
         for j in scopes:
             outside = [i for i in index if i not in j]
             buckets = {}
@@ -772,15 +843,15 @@ def audit_axioms(algebra):
             cj = tables[j]
             tag = sorted(j)
             for group in buckets.values():
+                after = {t: tuple(map(V.subst[t].__getitem__, cj))
+                         for t in group}
                 for sigma, tau in itertools.combinations(group, 2):
-                    s_s, s_t = V.subst[sigma], V.subst[tau]
-                    head = (sigma, tau, tag)
-                    for p in els:
-                        yield (s_s[cj[p]], s_t[cj[p]], (head, p))
+                    yield laws([((sigma, tau, tag), after[sigma],
+                                 after[tau])])
 
-    results.append(_audit("polyadic-4-s-agreement", agreement_pairs(V.cyl)))
+    results.append(_audit("polyadic-4-s-agreement", agreement_blocks(V.cyl)))
 
-    def injective_pairs(tables):
+    def injective_blocks(tables):
         for sigma in maps:
             s_s = V.subst[sigma]
             for j in scopes:
@@ -788,86 +859,85 @@ def audit_axioms(algebra):
                 images = [sigma.apply(i) for i in pre]
                 if len(set(images)) != len(images) or pre not in scope_set:
                     continue
-                op_j, op_pre = tables[j], tables[pre]
-                head = (sigma, sorted(j))
-                for p in els:
-                    yield (op_j[s_s[p]], s_s[op_pre[p]], (head, p))
+                yield laws([((sigma, sorted(j)),
+                             map(tables[j].__getitem__, s_s),
+                             map(s_s.__getitem__, tables[pre]))])
 
-    results.append(_audit("polyadic-5-c-injective", injective_pairs(V.cyl)))
+    results.append(_audit("polyadic-5-c-injective", injective_blocks(V.cyl)))
+
+    # a (*) a and a (+) a per carrier index a, and the odot and oplus rows
+    # of a side by side
+    square_odot = tuple(map(tuple.__getitem__, V.odot, els))
+    square_oplus = tuple(map(tuple.__getitem__, V.oplus, els))
+    odot_oplus = [odot + oplus for odot, oplus in zip(V.odot, V.oplus)]
 
     # existential quantifier laws, per scope
-    def exists_laws():
+    def exists_blocks():
         for j in scopes:
             cj = V.cyl[j]
             tag = sorted(j)
-            yield (cj[V.zero], V.zero, (("E1", tag),))
-            for p in els:
-                yield (V.le[p][cj[p]], True, (("E2", tag), p))
-                cp = cj[p]
-                yield (cj[V.odot[p][p]], V.odot[cp][cp], (("E5", tag), p))
-                yield (cj[V.oplus[p][p]], V.oplus[cp][cp], (("E6", tag), p))
-            for p in els:
-                cjp = cj[p]
-                for b in els:
-                    cb = cj[b]
-                    yield (cj[V.odot[p][cb]], V.odot[cjp][cb],
-                           (("E3", tag), p, b))
-                    yield (cj[V.oplus[p][cb]], V.oplus[cjp][cb],
-                           (("E4", tag), p, b))
+            yield single(cj[V.zero], V.zero, ("E1", tag))
+            yield laws([
+                (("E2", tag), map(tuple.__getitem__, V.le, cj), ones),
+                (("E5", tag), map(cj.__getitem__, square_odot),
+                 map(square_odot.__getitem__, cj)),
+                (("E6", tag), map(cj.__getitem__, square_oplus),
+                 map(square_oplus.__getitem__, cj))])
+            yield from distributes(cj, [("E3", tag), ("E4", tag)],
+                                   odot_oplus)
 
-    results.append(_audit("exists-laws-1-6", exists_laws()))
+    results.append(_audit("exists-laws-1-6", exists_blocks()))
 
     # q laws 1..3 (4 and 5 mirror the substitution laws below)
-    def q_laws():
+    def q_blocks():
         for j in scopes:
             qj, cj = V.q[j], V.cyl[j]
             tag = sorted(j)
-            yield (qj[V.one], V.one, (("Q1-unit", tag),))
-            for p in els:
-                yield (V.le[qj[p]][p], True, (("Q1-decreasing", tag), p))
-                qp = qj[p]
-                yield (qj[V.odot[p][p]], V.odot[qp][qp],
-                       (("Q1-square-odot", tag), p))
-                yield (qj[V.oplus[p][p]], V.oplus[qp][qp],
-                       (("Q1-square-oplus", tag), p))
-                yield (cj[qj[p]], qj[p], (("Q3-cq", tag), p))
-                yield (qj[cj[p]], cj[p], (("Q3-qc", tag), p))
-            for p in els:
-                qjp = qj[p]
-                for b in els:
-                    qb = qj[b]
-                    yield (qj[V.odot[p][qb]], V.odot[qjp][qb],
-                           (("Q1-odot", tag), p, b))
-                    yield (qj[V.oplus[p][qb]], V.oplus[qjp][qb],
-                           (("Q1-oplus", tag), p, b))
+            yield single(qj[V.one], V.one, ("Q1-unit", tag))
+            yield laws([
+                (("Q1-decreasing", tag),
+                 map(tuple.__getitem__, map(V.le.__getitem__, qj), els), ones),
+                (("Q1-square-odot", tag), map(qj.__getitem__, square_odot),
+                 map(square_odot.__getitem__, qj)),
+                (("Q1-square-oplus", tag), map(qj.__getitem__, square_oplus),
+                 map(square_oplus.__getitem__, qj)),
+                (("Q3-cq", tag), map(cj.__getitem__, qj), qj),
+                (("Q3-qc", tag), map(qj.__getitem__, cj), cj)])
+            yield from distributes(qj, [("Q1-odot", tag), ("Q1-oplus", tag)],
+                                   odot_oplus)
         for j, j2 in itertools.product(scopes, repeat=2):
             if j | j2 in scope_set:
-                q_u, q_j, q_j2 = V.q[j | j2], V.q[j], V.q[j2]
-                head = ("Q2", sorted(j), sorted(j2))
-                for p in els:
-                    yield (q_u[p], q_j[q_j2[p]], (head, p))
+                q_j = V.q[j]
+                yield laws([(("Q2", sorted(j), sorted(j2)), V.q[j | j2],
+                             map(q_j.__getitem__, V.q[j2]))])
 
-    results.append(_audit("q-laws-1-3", q_laws()))
-    results.append(_audit("q-4-s-agreement", agreement_pairs(V.q)))
-    results.append(_audit("q-5-q-injective", injective_pairs(V.q)))
+    results.append(_audit("q-laws-1-3", q_blocks()))
+    results.append(_audit("q-4-s-agreement", agreement_blocks(V.q)))
+    results.append(_audit("q-5-q-injective", injective_blocks(V.q)))
 
-    # endomorphism property of every substitution
-    def endo_pairs():
+    # endomorphism property of every substitution: per map, the units,
+    # then per p the neg law and the oplus and odot laws over q in turn.
+    # Row p of the left side reads s_t at one fixed run of table entries;
+    # the right side reads the neg entry and the oplus and odot rows of
+    # s_t p, so it is built once per value of s_t.
+    oplus_odot = [oplus + odot for oplus, odot in zip(V.oplus, V.odot)]
+    left_at = [_reader((V.neg[p],) + _interleave([V.oplus[p], V.odot[p]]))
+               for p in els]
+
+    def endo_blocks():
         for t in maps:
             s_t = V.subst[t]
-            yield (s_t[V.zero], V.zero, (("zero", t),))
-            yield (s_t[V.one], V.one, (("one", t),))
+            yield ((s_t[V.zero], s_t[V.one]), (V.zero, V.one),
+                   ((("zero", t),), (("one", t),)))
+            at_t = _reader(_interleave([s_t, [x + n for x in s_t]]))
+            right = {v: (V.neg[v],) + at_t(oplus_odot[v]) for v in set(s_t)}
             neg, oplus, odot = ("neg", t), ("oplus", t), ("odot", t)
             for p in els:
-                yield (s_t[V.neg[p]], V.neg[s_t[p]], (neg, p))
-                row = V.oplus[p]
-                row_d = V.odot[p]
-                sp = s_t[p]
-                for q in els:
-                    yield (s_t[row[q]], V.oplus[sp][s_t[q]], (oplus, p, q))
-                    yield (s_t[row_d[q]], V.odot[sp][s_t[q]], (odot, p, q))
+                yield (left_at[p](s_t), right[s_t[p]], itertools.chain(
+                    [(neg, p)], ((head, p, q) for q in els
+                                 for head in (oplus, odot))))
 
-    results.append(_audit("dlaw-2-s-endomorphism", endo_pairs()))
+    results.append(_audit("dlaw-2-s-endomorphism", endo_blocks()))
 
     # single-index interaction laws, where the signature provides them
     singles = sorted(next(iter(j)) for j in scopes if len(j) == 1)
@@ -877,45 +947,37 @@ def audit_axioms(algebra):
         t = FinTransformation.replacement(domain, i, j)
         return t if t in map_set else None
 
-    def dlaw1_pairs():
+    def dlaw1_blocks():
         for i in singles:
             ci = V.cyl[frozenset({i})]
-            for p in els:
-                cp = ci[p]
-                yield (V.le[p][cp], True, (("D1-increasing", i), p))
-                yield (ci[cp], cp, (("D1-idempotent", i), p))
-                yield (ci[V.neg[cp]], V.neg[cp], (("D1-complement", i), p))
+            neg_c = tuple(map(V.neg.__getitem__, ci))
+            yield laws([
+                (("D1-increasing", i), map(tuple.__getitem__, V.le, ci), ones),
+                (("D1-idempotent", i), map(ci.__getitem__, ci), ci),
+                (("D1-complement", i), map(ci.__getitem__, neg_c), neg_c)])
             for k in singles:
                 ck = V.cyl[frozenset({k})]
-                for p in els:
-                    yield (ci[ck[p]], ck[ci[p]], (("D1-commute", i, k), p))
-            for p in els:
-                cip = ci[p]
-                for q in els:
-                    ciq = ci[q]
-                    yield (ci[V.oplus[p][ciq]], V.oplus[cip][ciq],
-                           (("D1-oplus", i), p, q))
+                yield laws([(("D1-commute", i, k), map(ci.__getitem__, ck),
+                             map(ck.__getitem__, ci))])
+            yield from distributes(ci, [("D1-oplus", i)], V.oplus)
 
-    results.append(_audit("dlaw-1-cylinder", dlaw1_pairs()))
+    results.append(_audit("dlaw-1-cylinder", dlaw1_blocks()))
 
-    def dlaw4_pairs():
+    def dlaw4_blocks():
         for t in maps:
             s_t = V.subst[t]
             for i in singles:
                 ci = V.cyl[frozenset({i})]
+                after = tuple(map(s_t.__getitem__, ci))
                 for j in index:
                     tij = t.modify(i, j)
-                    if tij not in map_set:
-                        continue
-                    s_tij = V.subst[tij]
-                    head = ("D4", t, i, j)
-                    for p in els:
-                        cp = ci[p]
-                        yield (s_t[cp], s_tij[cp], (head, p))
+                    if tij in map_set:
+                        yield laws([(("D4", t, i, j), after,
+                                     map(V.subst[tij].__getitem__, ci))])
 
-    results.append(_audit("dlaw-4-modify", dlaw4_pairs()))
+    results.append(_audit("dlaw-4-modify", dlaw4_blocks()))
 
-    def dlaw5_pairs():
+    def dlaw5_blocks():
         for t in maps:
             s_t = V.subst[t]
             for j in singles:
@@ -925,14 +987,15 @@ def audit_axioms(algebra):
                 i = pre[0]
                 ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
                 qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
-                c_head, q_head = ("D5-c", t, i, j), ("D5-q", t, i, j)
-                for p in els:
-                    yield (s_t[ci[p]], cj[s_t[p]], (c_head, p))
-                    yield (s_t[qi[p]], qj[s_t[p]], (q_head, p))
+                yield laws([
+                    (("D5-c", t, i, j), map(s_t.__getitem__, ci),
+                     map(cj.__getitem__, s_t)),
+                    (("D5-q", t, i, j), map(s_t.__getitem__, qi),
+                     map(qj.__getitem__, s_t))])
 
-    results.append(_audit("dlaw-5-unique-preimage", dlaw5_pairs()))
+    results.append(_audit("dlaw-5-unique-preimage", dlaw5_blocks()))
 
-    def dlaw6to9_pairs():
+    def dlaw6to9_blocks():
         for i, j in itertools.permutations(singles, 2):
             sij = repl(i, j)
             if sij is None:
@@ -941,25 +1004,28 @@ def audit_axioms(algebra):
             s_ij = V.subst[sij]
             ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
             qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
-            for p in els:
-                sp = s_ij[p]
-                yield (ci[sp], sp, (("D6-c", i, j), p))
-                yield (qi[sp], sp, (("D6-q", i, j), p))
-                yield (s_ij[ci[p]], ci[p], (("D7-c", i, j), p))
-                yield (s_ij[qi[p]], qi[p], (("D7-q", i, j), p))
-                for k in singles:
-                    if k in (i, j):
-                        continue
-                    ck = V.cyl[frozenset({k})]
-                    qk = V.q[frozenset({k})]
-                    yield (s_ij[ck[p]], ck[sp], (("D8-c", i, j, k), p))
-                    yield (s_ij[qk[p]], qk[sp], (("D8-q", i, j, k), p))
-                if sji is not None:
-                    s_ji = V.subst[sji]
-                    yield (ci[s_ji[p]], cj[s_ij[p]], (("D9-c", i, j), p))
-                    yield (qi[s_ji[p]], qj[s_ij[p]], (("D9-q", i, j), p))
+            rows = [(("D6-c", i, j), map(ci.__getitem__, s_ij), s_ij),
+                    (("D6-q", i, j), map(qi.__getitem__, s_ij), s_ij),
+                    (("D7-c", i, j), map(s_ij.__getitem__, ci), ci),
+                    (("D7-q", i, j), map(s_ij.__getitem__, qi), qi)]
+            for k in singles:
+                if k in (i, j):
+                    continue
+                ck = V.cyl[frozenset({k})]
+                qk = V.q[frozenset({k})]
+                rows += [(("D8-c", i, j, k), map(s_ij.__getitem__, ck),
+                          map(ck.__getitem__, s_ij)),
+                         (("D8-q", i, j, k), map(s_ij.__getitem__, qk),
+                          map(qk.__getitem__, s_ij))]
+            if sji is not None:
+                s_ji = V.subst[sji]
+                rows += [(("D9-c", i, j), map(ci.__getitem__, s_ji),
+                          map(cj.__getitem__, s_ij)),
+                         (("D9-q", i, j), map(qi.__getitem__, s_ji),
+                          map(qj.__getitem__, s_ij))]
+            yield laws(rows)
 
-    results.append(_audit("dlaw-6-9-replacements", dlaw6to9_pairs()))
+    results.append(_audit("dlaw-6-9-replacements", dlaw6to9_blocks()))
 
     return PolyadicAuditReport(tuple(results))
 

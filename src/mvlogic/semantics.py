@@ -341,13 +341,18 @@ def enumerate_models(language, predicates, domain_size, chain):
         yield dict(zip(preds, combo))
 
 
-def _model_count(language, predicates, max_domain, chain_n):
+def _model_count(language, predicates, max_domain, chain_n, cap):
+    """Models with |M| <= max_domain, summed by domain size up to the
+    first size whose running total passes cap; the sizes beyond it are
+    never counted, so a huge bound costs no huge number."""
     total = 0
     for size in range(1, max_domain + 1):
         per = 1
         for p in predicates:
             per *= chain_n ** (size ** language.arity(p))
         total += per
+        if total > cap:
+            break
     return total
 
 
@@ -362,7 +367,7 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     for g in gamma:
         predicates |= predicates_of(g)
     predicates = sorted(predicates)
-    total = _model_count(language, predicates, max_domain, chain_n)
+    total = _model_count(language, predicates, max_domain, chain_n, cap)
     if total > cap:
         raise SearchTooLarge(f"{total} models exceed the cap of {cap}")
     hypotheses = [CompiledFormula(g, chain_n) for g in gamma]

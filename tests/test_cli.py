@@ -99,6 +99,38 @@ class TestExitCodes:
         assert code == 2
         assert report["reason"] == "2441405 models exceed the cap of 500000"
 
+    @pytest.mark.parametrize("arity, max_domain, total", [
+        # 3 + 9 + ... + 3^12 passes the cap at |M| = 12; 3^10000 alone
+        # has more digits than int-to-string conversion allows
+        (1, 10000, 797160),
+        # 3 + 3^4 + 3^9 + 3^16; |M| = 40 alone would be 3^1600
+        (2, 40, 43066488)])
+    def test_entails_over_model_cap_stops_counting(self, tmp_path, arity,
+                                                   max_domain, total):
+        lang = tmp_path / "lang.json"
+        lang.write_text(json.dumps(
+            {"variables": 3, "reserve": 1,
+             "predicates": [{"name": "p", "arity": arity}]}))
+        args = ", ".join(["v0"] * arity)
+        code, report = dispatch(["logic", "entails", "--language", str(lang),
+                                 "--formula", f"p({args})", "--max-domain",
+                                 str(max_domain), "--chain", "3"])
+        assert code == 2
+        assert report["reason"] == \
+            f"{total} models exceed the cap of 500000"
+
+    def test_mv_audit_over_cap_reports_why(self, monkeypatch):
+        from mvlogic.mv_core import Chain
+
+        def walked(*args):
+            raise AssertionError("the audit read a triple")
+
+        monkeypatch.setattr(Chain, "oplus", walked)
+        code, report = dispatch(["mv", "audit", "--chain", "100000"])
+        assert code == 2
+        assert report["reason"] == \
+            "Chain(100000) exceeds the exhaustive audit cap of 100 elements"
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

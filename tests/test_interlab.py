@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import coordinate_generator
+from conftest import coordinate_generator, pattern_algebra, small_algebra
+from mvlogic import interlab, mv_core, pavelka
 from mvlogic.interlab import (
     Exhausted, HenkinFilter, NotFoundWithin, PremiseNotEntailed, TermCyl,
     TermNeg, TermOdot, TermOne, TermOplus, TermSub, TermVar, TermZero,
@@ -18,7 +19,7 @@ from mvlogic.syntax import (
     Atom, BOTTOM, Exists, Implies, LanguageSpec, Odot, Oplus, TOP,
     predicates_of, render,
 )
-from mvlogic.transform import FinTransformation
+from mvlogic.transform import FinTransformation, compose
 
 PROPS = LanguageSpec(num_vars=2, reserve=1,
                      predicates=(("p", 0), ("q", 0), ("r", 0)))
@@ -188,6 +189,137 @@ class TestRepresentation:
         psi, _ = representation_map(algebra, hf)
         assert set(psi[algebra.one]) == {F(1)}
         assert set(psi[algebra.zero]) == {F(0)}
+
+
+def _first(name, triples):
+    """(name, holds, witness) of the first (lhs, rhs, witness) that differs."""
+    for lhs, rhs, witness in triples:
+        if lhs != rhs:
+            return name, False, witness
+    return name, True, None
+
+
+def reference_clauses(V, rows, vs, top):
+    """The ~, (+), (*), subst-action and cyl-sup clauses of the psi rows,
+    one instance at a time: the per-element generators of the
+    representation audits before they compared whole rows."""
+    els = V.elements
+    position = {x: xi for xi, x in enumerate(vs)}
+    clauses = {"neg": _first("neg", (
+        (rows[V.neg[i]], tuple(top - r for r in row), (els[i],))
+        for i, row in enumerate(rows)))}
+    for name, table, combine in (
+            ("oplus", V.oplus, lambda u, v: min(u + v, top)),
+            ("odot", V.odot, lambda u, v: max(u + v - top, 0))):
+        clauses[name] = _first(name, (
+            (rows[table[i][k]], tuple(map(combine, row, rows[k])),
+             (els[i], els[k]))
+            for i, row in enumerate(rows) for k in V.carrier))
+
+    def subst_pairs():
+        for tau in vs:
+            targets = [position.get(compose(x, tau)) for x in vs]
+            if None in targets:
+                continue
+            s_tau = V.subst[tau]
+            for i, row in enumerate(rows):
+                yield (rows[s_tau[i]], tuple(row[t] for t in targets),
+                       (tau, els[i]))
+
+    def cyl_pairs():
+        index_set = V.algebra.index_set
+        for k in (next(iter(j)) for j in V.algebra.scopes if len(j) == 1):
+            variants = [
+                [yi for yi, y in enumerate(vs)
+                 if all(y.apply(i) == x.apply(i) for i in index_set if i != k)]
+                for x in vs]
+            ck = V.cyl[frozenset({k})]
+            for i, row in enumerate(rows):
+                cp = rows[ck[i]]
+                for xi, ids in enumerate(variants):
+                    yield (cp[xi], max(row[yi] for yi in ids),
+                           (k, els[i], vs[xi]))
+
+    clauses["subst-action"] = _first("subst-action", subst_pairs())
+    clauses["cyl-sup"] = _first("cyl-sup", cyl_pairs())
+    return clauses
+
+
+# carrier index and coordinate of the psi entry moved by one level
+SPOTS = [None, (0, 0), (1, 0), (2, 1), (5, 2), (-1, -1), (9, 3), (40, 1)]
+
+
+class TestClausesAgainstReference:
+    @pytest.fixture(params=[small_algebra, pattern_algebra],
+                    ids=["small", "pattern"])
+    def perturbed(self, request, monkeypatch):
+        """(algebra, rows seen): psi_rows with one entry moved, per spot."""
+        algebra = request.param()
+        seen = []
+
+        def install(spot):
+            real = interlab.psi_rows
+
+            def psi_rows(V, levels, vs):
+                rows = [list(row) for row in real(V, levels, vs)]
+                if spot is not None:
+                    i, xi = spot[0] % len(rows), spot[1] % len(vs)
+                    v = rows[i][xi]
+                    rows[i][xi] = v - 1 if v else v + 1
+                rows = [tuple(row) for row in rows]
+                seen.append(rows)
+                return rows
+
+            monkeypatch.setattr(interlab, "psi_rows", psi_rows)
+            monkeypatch.setattr(pavelka, "psi_rows", psi_rows)
+
+        return algebra, seen, install
+
+    @pytest.mark.parametrize("spot", SPOTS)
+    def test_representation_map(self, perturbed, spot):
+        algebra, seen, install = perturbed
+        install(spot)
+        V = algebra.indexed()
+        hf = henkin_filter_build(algebra, algebra.carrier[1])
+        _, audit = representation_map(algebra, hf)
+        rows = seen[-1]
+        vs = algebra.transformations
+        flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
+        top = mv_core.quotient_ranks(flt)[0].n - 1
+        ref = reference_clauses(V, rows, vs, top)
+        identity = vs.index(FinTransformation.identity(algebra.index_set))
+        want = [
+            _first("unit-0", [(rows[V.zero], (0,) * len(vs), ("0",))]),
+            _first("unit-1", [(rows[V.one], (top,) * len(vs), ("1",))]),
+            ref["neg"], ref["oplus"], ref["odot"], ref["subst-action"],
+            ref["cyl-sup"],
+            _first("nonzero-at-identity", [(
+                rows[V.index_of[hf.seed]][identity] != 0, True,
+                ("identity component of the seed element",))])]
+        assert [(c.clause, c.holds, c.witness) for c in audit.results] == want
+        assert audit.passed == (spot is None)
+
+    @pytest.mark.parametrize("spot", SPOTS)
+    def test_pavelka_representation(self, perturbed, spot):
+        algebra, seen, install = perturbed
+        install(spot)
+        V = algebra.indexed()
+        pav = pavelka.functional_pavelka(algebra, require_full=False)
+        hf = henkin_filter_build(algebra, algebra.one)
+        _, audit = pavelka.pavelka_representation(algebra, pav, hf)
+        rows = seen[-1]
+        vs = algebra.transformations
+        top = pav.chain.n - 1
+        level = {v: r for r, v in enumerate(pav.chain.carrier)}
+        ref = reference_clauses(V, rows, vs, top)
+        want = [
+            _first("unit-0", [(rows[V.zero], (0,) * len(vs), ("0",))]),
+            _first("unit-1", [(rows[V.one], (top,) * len(vs), ("1",))]),
+            _first("constants", [
+                (rows[V.index_of[pav.constant(r)]], (level[r],) * len(vs),
+                 (r,)) for r in pav.levels]),
+            ref["neg"], ref["oplus"], ref["odot"], ref["cyl-sup"]]
+        assert [(c.clause, c.holds, c.witness) for c in audit.results] == want
 
 
 class TestEta:

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import pattern_algebra, small_algebra
 from mvlogic.mv_core import (
-    MAX_CHAIN_VIEW, CarrierError, Chain, Filter, FilterError, FilterNotFound,
-    MVAxiomError, NonMaximalFilter, ProperFilterRequired, StandardRationals,
-    TableAlgebra, ViewTooLarge, _axiom_groups, _tabulate, check_mv_axioms,
+    MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, AuditTooLarge, CarrierError, Chain,
+    Filter, FilterError, FilterNotFound, MVAxiomError, NonMaximalFilter,
+    ProperFilterRequired, StandardRationals, TableAlgebra, ViewTooLarge,
+    _axiom_groups, _tabulate, check_mv_axioms,
     eval_basic, extend_to_maximal, filter_generate, maximal_filters, quotient,
     residuum_by_maximization, tnorm_eval, to_table,
 )
@@ -136,6 +137,20 @@ class TestAxiomAudit:
         # and unknown to a table's labels
         with pytest.raises(ValueError, match="needs StandardRationals"):
             check_mv_axioms(algebra, mode="sampled", count=10)
+
+    def test_audit_cap_raises_before_the_first_triple(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the audit read a triple")
+
+        big = to_table(Chain(MAX_AUDIT_CARRIER + 1), audit=False)
+        monkeypatch.setattr(Chain, "oplus", walked)
+        monkeypatch.setattr(TableAlgebra, "oplus", walked)
+        for algebra in (Chain(MAX_AUDIT_CARRIER + 1), Chain(10 ** 5), big):
+            with pytest.raises(AuditTooLarge, match="exhaustive audit cap"):
+                check_mv_axioms(algebra)
+        # every carrier audited today passes, up to the 81-element table
+        # of AbstractPolyadicAlgebra.from_functional(small_algebra())
+        assert MAX_AUDIT_CARRIER >= 81
 
     def test_corrupted_table_fails_with_witness(self):
         table = to_table(Chain(3)).to_json()

@@ -378,6 +378,325 @@ class TestAuditor:
         assert audit_axioms(trivial).passed
 
 
+def reference_audit_axioms(algebra):
+    """(name, holds, checked, witness) per identity family, one instance
+    at a time: the per-element generators of the auditor before it
+    compared whole table rows, with their own first-witness loop."""
+    V = algebra.indexed()
+    els = V.carrier
+    scopes = list(algebra.scopes)
+    scope_set = set(scopes)
+    maps = list(algebra.transformations)
+    map_set = set(maps)
+    index = list(algebra.index_set)
+    results = []
+
+    def _audit(name, pairs):
+        checked, witness = 0, None
+        for lhs, rhs, found in pairs:
+            checked += 1
+            if lhs != rhs:
+                head, *ids = found
+                witness = head + tuple(V.elements[p] for p in ids)
+                break
+        return name, witness is None, checked, witness
+
+    # polyadic axioms 1..5
+    identity = FinTransformation.identity(tuple(sorted(index)))
+    if identity in map_set:
+        s_id = V.subst[identity]
+        results.append(_audit("polyadic-1-s-identity",
+                              ((s_id[p], p, ((), p)) for p in els)))
+    else:
+        results.append(("polyadic-1-s-identity", True, 0, None))
+
+    def composition_pairs():
+        for sigma, tau in itertools.product(maps, repeat=2):
+            comp = compose(sigma, tau)
+            if comp in map_set:
+                s_c, s_s, s_t = V.subst[comp], V.subst[sigma], V.subst[tau]
+                head = (sigma, tau)
+                for p in els:
+                    yield (s_c[p], s_s[s_t[p]], (head, p))
+
+    results.append(_audit("polyadic-2-s-composition", composition_pairs()))
+
+    def cyl_union_pairs():
+        for j, j2 in itertools.product(scopes, repeat=2):
+            if j | j2 in scope_set:
+                c_u, c_j, c_j2 = V.cyl[j | j2], V.cyl[j], V.cyl[j2]
+                head = (sorted(j), sorted(j2))
+                for p in els:
+                    yield (c_u[p], c_j[c_j2[p]], (head, p))
+
+    results.append(_audit("polyadic-3-c-additive", cyl_union_pairs()))
+
+    def agreement_pairs(tables):
+        for j in scopes:
+            outside = [i for i in index if i not in j]
+            buckets = {}
+            for t in maps:
+                buckets.setdefault(tuple(t.apply(i) for i in outside),
+                                   []).append(t)
+            cj = tables[j]
+            tag = sorted(j)
+            for group in buckets.values():
+                for sigma, tau in itertools.combinations(group, 2):
+                    s_s, s_t = V.subst[sigma], V.subst[tau]
+                    head = (sigma, tau, tag)
+                    for p in els:
+                        yield (s_s[cj[p]], s_t[cj[p]], (head, p))
+
+    results.append(_audit("polyadic-4-s-agreement", agreement_pairs(V.cyl)))
+
+    def injective_pairs(tables):
+        for sigma in maps:
+            s_s = V.subst[sigma]
+            for j in scopes:
+                pre = frozenset(i for i in index if sigma.apply(i) in j)
+                images = [sigma.apply(i) for i in pre]
+                if len(set(images)) != len(images) or pre not in scope_set:
+                    continue
+                op_j, op_pre = tables[j], tables[pre]
+                head = (sigma, sorted(j))
+                for p in els:
+                    yield (op_j[s_s[p]], s_s[op_pre[p]], (head, p))
+
+    results.append(_audit("polyadic-5-c-injective", injective_pairs(V.cyl)))
+
+    # existential quantifier laws, per scope
+    def exists_laws():
+        for j in scopes:
+            cj = V.cyl[j]
+            tag = sorted(j)
+            yield (cj[V.zero], V.zero, (("E1", tag),))
+            for p in els:
+                yield (V.le[p][cj[p]], True, (("E2", tag), p))
+                cp = cj[p]
+                yield (cj[V.odot[p][p]], V.odot[cp][cp], (("E5", tag), p))
+                yield (cj[V.oplus[p][p]], V.oplus[cp][cp], (("E6", tag), p))
+            for p in els:
+                cjp = cj[p]
+                for b in els:
+                    cb = cj[b]
+                    yield (cj[V.odot[p][cb]], V.odot[cjp][cb],
+                           (("E3", tag), p, b))
+                    yield (cj[V.oplus[p][cb]], V.oplus[cjp][cb],
+                           (("E4", tag), p, b))
+
+    results.append(_audit("exists-laws-1-6", exists_laws()))
+
+    # q laws 1..3 (4 and 5 mirror the substitution laws below)
+    def q_laws():
+        for j in scopes:
+            qj, cj = V.q[j], V.cyl[j]
+            tag = sorted(j)
+            yield (qj[V.one], V.one, (("Q1-unit", tag),))
+            for p in els:
+                yield (V.le[qj[p]][p], True, (("Q1-decreasing", tag), p))
+                qp = qj[p]
+                yield (qj[V.odot[p][p]], V.odot[qp][qp],
+                       (("Q1-square-odot", tag), p))
+                yield (qj[V.oplus[p][p]], V.oplus[qp][qp],
+                       (("Q1-square-oplus", tag), p))
+                yield (cj[qj[p]], qj[p], (("Q3-cq", tag), p))
+                yield (qj[cj[p]], cj[p], (("Q3-qc", tag), p))
+            for p in els:
+                qjp = qj[p]
+                for b in els:
+                    qb = qj[b]
+                    yield (qj[V.odot[p][qb]], V.odot[qjp][qb],
+                           (("Q1-odot", tag), p, b))
+                    yield (qj[V.oplus[p][qb]], V.oplus[qjp][qb],
+                           (("Q1-oplus", tag), p, b))
+        for j, j2 in itertools.product(scopes, repeat=2):
+            if j | j2 in scope_set:
+                q_u, q_j, q_j2 = V.q[j | j2], V.q[j], V.q[j2]
+                head = ("Q2", sorted(j), sorted(j2))
+                for p in els:
+                    yield (q_u[p], q_j[q_j2[p]], (head, p))
+
+    results.append(_audit("q-laws-1-3", q_laws()))
+    results.append(_audit("q-4-s-agreement", agreement_pairs(V.q)))
+    results.append(_audit("q-5-q-injective", injective_pairs(V.q)))
+
+    # endomorphism property of every substitution
+    def endo_pairs():
+        for t in maps:
+            s_t = V.subst[t]
+            yield (s_t[V.zero], V.zero, (("zero", t),))
+            yield (s_t[V.one], V.one, (("one", t),))
+            neg, oplus, odot = ("neg", t), ("oplus", t), ("odot", t)
+            for p in els:
+                yield (s_t[V.neg[p]], V.neg[s_t[p]], (neg, p))
+                row = V.oplus[p]
+                row_d = V.odot[p]
+                sp = s_t[p]
+                for q in els:
+                    yield (s_t[row[q]], V.oplus[sp][s_t[q]], (oplus, p, q))
+                    yield (s_t[row_d[q]], V.odot[sp][s_t[q]], (odot, p, q))
+
+    results.append(_audit("dlaw-2-s-endomorphism", endo_pairs()))
+
+    # single-index interaction laws, where the signature provides them
+    singles = sorted(next(iter(j)) for j in scopes if len(j) == 1)
+    domain = tuple(sorted(index))
+
+    def repl(i, j):
+        t = FinTransformation.replacement(domain, i, j)
+        return t if t in map_set else None
+
+    def dlaw1_pairs():
+        for i in singles:
+            ci = V.cyl[frozenset({i})]
+            for p in els:
+                cp = ci[p]
+                yield (V.le[p][cp], True, (("D1-increasing", i), p))
+                yield (ci[cp], cp, (("D1-idempotent", i), p))
+                yield (ci[V.neg[cp]], V.neg[cp], (("D1-complement", i), p))
+            for k in singles:
+                ck = V.cyl[frozenset({k})]
+                for p in els:
+                    yield (ci[ck[p]], ck[ci[p]], (("D1-commute", i, k), p))
+            for p in els:
+                cip = ci[p]
+                for q in els:
+                    ciq = ci[q]
+                    yield (ci[V.oplus[p][ciq]], V.oplus[cip][ciq],
+                           (("D1-oplus", i), p, q))
+
+    results.append(_audit("dlaw-1-cylinder", dlaw1_pairs()))
+
+    def dlaw4_pairs():
+        for t in maps:
+            s_t = V.subst[t]
+            for i in singles:
+                ci = V.cyl[frozenset({i})]
+                for j in index:
+                    tij = t.modify(i, j)
+                    if tij not in map_set:
+                        continue
+                    s_tij = V.subst[tij]
+                    head = ("D4", t, i, j)
+                    for p in els:
+                        cp = ci[p]
+                        yield (s_t[cp], s_tij[cp], (head, p))
+
+    results.append(_audit("dlaw-4-modify", dlaw4_pairs()))
+
+    def dlaw5_pairs():
+        for t in maps:
+            s_t = V.subst[t]
+            for j in singles:
+                pre = [i for i in index if t.apply(i) == j]
+                if len(pre) != 1 or frozenset({pre[0]}) not in scope_set:
+                    continue
+                i = pre[0]
+                ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
+                qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
+                c_head, q_head = ("D5-c", t, i, j), ("D5-q", t, i, j)
+                for p in els:
+                    yield (s_t[ci[p]], cj[s_t[p]], (c_head, p))
+                    yield (s_t[qi[p]], qj[s_t[p]], (q_head, p))
+
+    results.append(_audit("dlaw-5-unique-preimage", dlaw5_pairs()))
+
+    def dlaw6to9_pairs():
+        for i, j in itertools.permutations(singles, 2):
+            sij = repl(i, j)
+            if sij is None:
+                continue
+            sji = repl(j, i)
+            s_ij = V.subst[sij]
+            ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
+            qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
+            for p in els:
+                sp = s_ij[p]
+                yield (ci[sp], sp, (("D6-c", i, j), p))
+                yield (qi[sp], sp, (("D6-q", i, j), p))
+                yield (s_ij[ci[p]], ci[p], (("D7-c", i, j), p))
+                yield (s_ij[qi[p]], qi[p], (("D7-q", i, j), p))
+                for k in singles:
+                    if k in (i, j):
+                        continue
+                    ck = V.cyl[frozenset({k})]
+                    qk = V.q[frozenset({k})]
+                    yield (s_ij[ck[p]], ck[sp], (("D8-c", i, j, k), p))
+                    yield (s_ij[qk[p]], qk[sp], (("D8-q", i, j, k), p))
+                if sji is not None:
+                    s_ji = V.subst[sji]
+                    yield (ci[s_ji[p]], cj[s_ij[p]], (("D9-c", i, j), p))
+                    yield (qi[s_ji[p]], qj[s_ij[p]], (("D9-q", i, j), p))
+
+    results.append(_audit("dlaw-6-9-replacements", dlaw6to9_pairs()))
+
+    return results
+
+
+def _pattern_corruptions():
+    """Sixteen corrupted copies of the abstract pattern algebra: eight with
+    two distinct entries of a cylinder table swapped, eight with one entry
+    of a substitution table moved (the identity's first)."""
+    abstract = AbstractPolyadicAlgebra.from_functional(pattern_algebra())
+    view = abstract.indexed()
+    n = len(view.carrier)
+    rng = random.Random(5)
+    scopes = [j for j in abstract.scopes if j]
+    out = []
+    for k in range(8):
+        scope = scopes[k % len(scopes)]
+        a, b = rng.sample(range(n), 2)
+        while view.cyl[scope][a] == view.cyl[scope][b]:
+            a, b = rng.sample(range(n), 2)
+        out.append(abstract.corrupted(scope, a, b))
+    maps = [FinTransformation.identity(abstract.index_set)] \
+        + rng.sample(list(abstract.transformations), 7)
+    for t in maps:
+        s_tables = {u: list(table) for u, table in view.subst.items()}
+        a = rng.randrange(n)
+        s_tables[t][a] = (s_tables[t][a] + 1 + rng.randrange(n - 1)) % n
+        out.append(AbstractPolyadicAlgebra(
+            abstract.mv, abstract.index_set, abstract.transformations,
+            abstract.scopes, s_tables, view.cyl))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corrupted_small_cylinder():
+    abstract = AbstractPolyadicAlgebra.from_functional(small_algebra())
+    return abstract.corrupted(frozenset({0}), 0, 2)
+
+
+class TestAuditAgainstReference:
+    def test_fixtures_pass(self):
+        for algebra in (small_algebra(), pattern_algebra()):
+            got = [(r.name, r.holds, r.checked, r.witness)
+                   for r in audit_axioms(algebra).results]
+            assert got == reference_audit_axioms(algebra)
+            assert all(holds for _, holds, _, _ in got)
+
+    def test_corrupted_cylinder_table(self, corrupted_small_cylinder):
+        got = [(r.name, r.holds, r.checked, r.witness)
+               for r in audit_axioms(corrupted_small_cylinder).results]
+        assert got == reference_audit_axioms(corrupted_small_cylinder)
+        assert not all(holds for _, holds, _, _ in got)
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_corrupted_abstract_algebras(self, k):
+        algebra = _pattern_corruptions()[k]
+        want = reference_audit_axioms(algebra)
+        assert not all(holds for _, holds, _, _ in want)
+        assert [(r.name, r.holds, r.checked, r.witness)
+                for r in audit_axioms(algebra).results] == want
+
+    def test_corruptions_reach_every_family(self):
+        failing = {name for algebra in _pattern_corruptions()
+                   for name, holds, _, _ in reference_audit_axioms(algebra)
+                   if not holds}
+        assert failing == {name for name, _, _, _ in
+                           reference_audit_axioms(pattern_algebra())}
+
+
 class TestIndexedAlgebra:
     @pytest.mark.parametrize("make", [small_algebra, pattern_algebra])
     def test_tables_agree_with_element_operations(self, make):
