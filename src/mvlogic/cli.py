@@ -45,6 +45,12 @@ def _canonical(obj):
     return obj
 
 
+def _pass_fail(passed, data):
+    """(exit code, verdict, data) of an audit: 0 and "pass" when it
+    passed, 1 and "fail" when it did not."""
+    return (0, "pass", data) if passed else (1, "fail", data)
+
+
 def _read_file(path, inputs):
     try:
         with open(path, "rb") as fh:
@@ -63,13 +69,16 @@ def _read_json(path, inputs):
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _read_json_entry(path, key, inputs):
-    """The entry `key` of the JSON object in the file."""
+def _read_json_list(path, key, inputs):
+    """The entry `key` of the JSON object in the file, a list."""
     data = _read_json(path, inputs)
     try:
-        return data[key]
+        entry = data[key]
     except (KeyError, TypeError):
         raise CliError(f"{path} has no {key!r} entry") from None
+    if not isinstance(entry, list):
+        raise CliError(f"{path}: {key!r} must be a list, got {entry!r}")
+    return entry
 
 
 def _read_formula_text(arg, inputs):
@@ -113,17 +122,11 @@ def _cmd_mv_audit(args, inputs):
         and not isinstance(algebra, Chain) else args.mode
     report = mv_core.check_mv_axioms(
         algebra, mode=mode, count=args.samples, seed=args.seed)
-    data = {
+    return _pass_fail(report.passed, {
         "algebra": repr(algebra),
         "mode": report.mode,
-        "groups": [
-            {"axiom": r.axiom, "holds": r.holds,
-             "witness": _canonical(r.witness)}
-            for r in report.results
-        ],
-    }
-    return (0 if report.passed else 1,
-            "pass" if report.passed else "fail", data)
+        "groups": _canonical(report.results),
+    })
 
 
 def _cmd_mv_eval(args, inputs):
@@ -230,7 +233,7 @@ def _cmd_logic_entails(args, inputs):
         raise CliError(f"bad language file: {exc}") from None
     gamma = []
     if args.gamma:
-        for text in _read_json_entry(args.gamma, "formulas", inputs):
+        for text in _read_json_list(args.gamma, "formulas", inputs):
             gamma.append(syntax.parse(text, language))
     phi = syntax.parse(_read_formula_text(args.formula, inputs), language)
     verdict = semantics.entails(gamma, phi, language, args.max_domain,
@@ -254,7 +257,7 @@ def _cmd_proof_check(args, inputs):
     gamma = None
     if args.gamma:
         gamma = tuple(syntax.parse(t, language)
-                      for t in _read_json_entry(args.gamma, "formulas", inputs))
+                      for t in _read_json_list(args.gamma, "formulas", inputs))
     verdict = calculus.check_proof(proof, language, gamma=gamma)
     if verdict.accepted:
         return 0, "accept", {"steps": len(proof.steps)}
@@ -265,13 +268,11 @@ def _cmd_proof_audit(args, inputs):
     report = calculus.soundness_audit(
         args.target, args.trials, max_domain=args.max_domain,
         chain_n=args.chain, seed=args.seed, mode=args.mode)
-    data = {
+    return _pass_fail(report.passed, {
         "target": report.target,
         "trials": report.trials,
         "violations": [_canonical(v) for v in report.violations],
-    }
-    return (0 if report.passed else 1,
-            "pass" if report.passed else "fail", data)
+    })
 
 
 # -- poly -------------------------------------------------------------
@@ -317,16 +318,10 @@ def _cmd_poly_build(args, inputs):
 def _cmd_poly_audit(args, inputs):
     _, algebra = _load_poly(args.spec, inputs)
     report = polyadic.audit_axioms(algebra)
-    data = {
+    return _pass_fail(report.passed, {
         "carrier": len(algebra.carrier),
-        "identities": [
-            {"name": r.name, "holds": r.holds, "checked": r.checked,
-             "witness": _canonical(r.witness)}
-            for r in report.results
-        ],
-    }
-    return (0 if report.passed else 1,
-            "pass" if report.passed else "fail", data)
+        "identities": _canonical(report.results),
+    })
 
 
 def _cmd_poly_neat(args, inputs):
@@ -388,7 +383,7 @@ def _cmd_henkin_demo(args, inputs):
     if isinstance(outcome, interlab.Exhausted):
         return 1, "exhausted", {"examined": outcome.examined}
     psi, audit = interlab.representation_map(algebra, outcome)
-    data = {
+    return _pass_fail(audit.passed, {
         "filter_size": len(outcome.members),
         "witnesses": len(outcome.witnesses),
         "spare_witnesses": sum(1 for w in outcome.witnesses if w.spare),
@@ -396,9 +391,7 @@ def _cmd_henkin_demo(args, inputs):
             {"clause": c.clause, "holds": c.holds}
             for c in audit.results
         ],
-    }
-    return (0 if audit.passed else 1,
-            "pass" if audit.passed else "fail", data)
+    })
 
 
 # -- pavelka ------------------------------------------------------------
@@ -414,7 +407,7 @@ def _cmd_pavelka_degree(args, inputs):
     else:
         pav = pavelka.functional_pavelka(algebra, require_full=False)
     members = frozenset(_resolve_element(algebra, i) for i in
-                        _read_json_entry(args.filter, "members", inputs))
+                        _read_json_list(args.filter, "members", inputs))
     flt = mv_core.Filter(algebra, members)
     ctx = pavelka.GradedContext(pav, flt)
     element = _resolve_element(algebra, args.element)
@@ -433,13 +426,11 @@ def _cmd_pavelka_check(args, inputs):
         "lemma": pavelka.pavelka_lemma_check(pav, flt),
         "degree_forms": pavelka.degree_forms_check(pav, flt),
     }
-    ok = all(r.passed for r in reports.values())
-    data = {
-        name: [{"law": r.law, "holds": r.holds,
+    return _pass_fail(all(r.passed for r in reports.values()), {
+        name: [{"law": r.clause, "holds": r.holds,
                 "witness": _canonical(r.witness)} for r in rep.results]
         for name, rep in reports.items()
-    }
-    return (0 if ok else 1, "pass" if ok else "fail", data)
+    })
 
 
 # -- semigroup ----------------------------------------------------------
@@ -471,15 +462,13 @@ def _cmd_semigroup_rich(args, inputs):
         ambient = transform.SemigroupSpec(gens, args.cap)
     report = transform.check_strongly_rich(sigma, pi, ambient=ambient,
                                            n_max=args.n)
-    data = {
+    return _pass_fail(report.passed, {
         "passed": report.passed,
         "supports": [list(s) if s is not None else None
                      for s in report.supports],
         "failures": [_canonical(c) for c in report.failures()],
         "closure_truncated": report.closure_truncated,
-    }
-    return (0 if report.passed else 1,
-            "pass" if report.passed else "fail", data)
+    })
 
 
 def _cmd_semigroup_eval(args, inputs):
@@ -500,9 +489,8 @@ def _cmd_semigroup_eval(args, inputs):
 
 
 def _cmd_batch(args, inputs):
-    commands = _read_json_entry(args.manifest, "commands", inputs)
-    if not (isinstance(commands, list)
-            and all(isinstance(argv, list) for argv in commands)):
+    commands = _read_json_list(args.manifest, "commands", inputs)
+    if not all(isinstance(argv, list) for argv in commands):
         raise CliError(f"{args.manifest}: 'commands' must be a list of "
                        "argument lists")
     results = []

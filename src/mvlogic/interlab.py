@@ -3,7 +3,8 @@
 Order checks, brute-force interpolant search over a common vocabulary with
 an independent verification pass, the finite-scale Henkin filter and
 witness construction with its representation map, and the translation
-bridge between polyadic terms and formulas.
+bridge between polyadic terms and formulas. The representation map's
+clauses are checked by `mv_core.clause_result`; `pavelka` reuses them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
-    Chain, ONE, ZERO, _level_sums, maximal_filters, quotient,
+    AuditReport, Chain, ONE, ZERO, _instance, _level_sums, clause_result,
+    maximal_filters, quotient,
 )
-from .polyadic import FunctionalSetAlgebra, _instance, first_witness
+from .polyadic import FunctionalSetAlgebra
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, predicates_of, render,
@@ -275,32 +277,6 @@ def henkin_filter_build(algebra, a):
     return Exhausted(examined)
 
 
-@dataclass(frozen=True)
-class ClauseResult:
-    clause: str
-    holds: bool
-    witness: tuple | None = None
-
-
-@dataclass(frozen=True)
-class RepresentationAudit:
-    results: tuple
-
-    @property
-    def passed(self):
-        return all(r.holds for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.holds]
-
-
-def clause_result(name, blocks):
-    """The clause over blocks of instances (see polyadic.first_witness),
-    failing at the first instance whose sides differ."""
-    _, witness = first_witness(blocks)
-    return ClauseResult(name, witness is None, witness)
-
-
 def psi_rows(V, levels, vs):
     """psi over carrier indices: rows[i][xi] is levels[s_x i], x = vs[xi]."""
     return _transpose(
@@ -324,7 +300,7 @@ def homomorphism_clauses(V, rows, top):
     that column depends on p only through the level psi_x(p), so it is
     built once per level. The columns are zipped back into rows: the ~
     clause is one block of rows over p, the (+) and (*) clauses one block
-    per p over q (see polyadic.first_witness), so a witness is the first
+    per p over q (see mv_core.first_witness), so a witness is the first
     p, or (p, q), whose rows differ.
     """
     els = V.elements
@@ -374,7 +350,7 @@ def cyl_sup_clause(V, rows, vs):
     return clause_result("cyl-sup", blocks())
 
 
-def representation_map(algebra, hf, transformations=None):
+def representation_map(algebra, hf):
     """psi(p)(x) = class of s_x p in the quotient chain, for x in V.
 
     The audit checks, exhaustively over the carrier and V: preservation of
@@ -386,8 +362,7 @@ def representation_map(algebra, hf, transformations=None):
     V = algebra.indexed()
     flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
     chain, ranks = mv_core.quotient_ranks(flt)
-    vs = tuple(transformations) if transformations is not None \
-        else algebra.transformations
+    vs = algebra.transformations
     position = {x: xi for xi, x in enumerate(vs)}
     top = chain.n - 1
     rows = psi_rows(V, ranks, vs)
@@ -418,7 +393,7 @@ def representation_map(algebra, hf, transformations=None):
             seed != 0, True, ("identity component of the seed element",))]))
     psi = {p: tuple(chain.carrier[r] for r in rows[i])
            for i, p in enumerate(V.elements)}
-    return psi, RepresentationAudit(tuple(results))
+    return psi, AuditReport(tuple(results))
 
 
 # -- terms over the polyadic signature and their translation ---------------

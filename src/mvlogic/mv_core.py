@@ -8,6 +8,11 @@ Every finite algebra has an `IndexedMV` view (`algebra.indexed()`, built
 on first use and cached): its operations as integer tables over carrier
 indices. Filters and quotients run on these tables; elements appear only
 in their arguments, their results and their error messages.
+
+Every audit of the package reports here: `first_witness` finds the first
+failing instance of blocks of identities, compared a row at a time, and an
+`AuditReport` holds an audit's results (`ClauseResult`s, ...) in checking
+order.
 """
 
 from __future__ import annotations
@@ -69,6 +74,9 @@ MAX_CHAIN_VIEW = 1500
 # AbstractPolyadicAlgebra.from_functional(small_algebra()).
 MAX_AUDIT_CARRIER = 100
 
+# The largest denominator of a coordinate of a sampled audit's triples.
+SAMPLE_DENOMINATOR = 97
+
 
 def parse_value(text):
     """Read a rational from 'p/q' or integer form."""
@@ -76,6 +84,22 @@ def parse_value(text):
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def is_json_int(value):
+    """Whether a JSON value is an integer; true and false are not."""
+    return type(value) is int
+
+
+def json_field(data, key, valid, expected):
+    """data[key], a KeyError if it is missing; a ValueError naming the key
+    if data is no object or `valid` rejects the entry."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with {key!r}, got {data!r}")
+    value = data[key]
+    if not valid(value):
+        raise ValueError(f"{key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def format_value(value):
@@ -399,14 +423,23 @@ class TableAlgebra(MVAlgebra):
 
     @classmethod
     def from_json(cls, data, audit=True):
-        return cls(
-            data["carrier"],
-            data["oplus"],
-            data["neg"],
-            data["zero"],
-            data["one"],
-            audit=audit,
-        )
+        carrier = json_field(data, "carrier", lambda v: isinstance(v, list)
+                             and all(isinstance(x, (str, int)) for x in v),
+                             "a list of labels")
+
+        def integers(v):
+            return isinstance(v, list) and all(map(is_json_int, v))
+
+        def index(v):
+            return is_json_int(v) and 0 <= v < len(carrier)
+
+        rows = json_field(data, "oplus", lambda v: isinstance(v, list)
+                          and all(map(integers, v)), "a list of rows")
+        return cls(carrier, rows,
+                   json_field(data, "neg", integers, "a list of integers"),
+                   json_field(data, "zero", index, "a carrier index"),
+                   json_field(data, "one", index, "a carrier index"),
+                   audit=audit)
 
 
 def to_table(algebra, audit=True):
@@ -477,6 +510,41 @@ def tnorm_eval(kind, x, y):
     raise ValueError(f"unknown t-norm {kind!r}")
 
 
+# -- audit verdicts ---------------------------------------------------------
+
+
+def first_witness(blocks):
+    """(checked, witness) over blocks of identity instances.
+
+    A block is (lhs, rhs, witnesses): lhs and rhs are equal-length
+    sequences of one type holding the two sides of len(lhs) instances in
+    checking order, and witnesses yields the witness of each instance in
+    the same order. The rows of a block are compared whole, and a block
+    whose rows are equal counts len(lhs) checks. Only the first block
+    whose rows differ is rescanned, element by element, up to its first
+    instance whose sides differ; that instance's witness is returned with
+    the count of instances checked up to and including it. The witness is
+    None when every block agrees. witnesses is read before the next block
+    is drawn, so it may refer to the state of the code yielding blocks.
+    """
+    checked = 0
+    for lhs, rhs, witnesses in blocks:
+        if lhs == rhs:
+            checked += len(lhs)
+            continue
+        for left, right, witness in zip(lhs, rhs, witnesses):
+            checked += 1
+            if left != right:
+                return checked, witness
+        raise AssertionError("block rows differ but no instance does")
+    return checked, None
+
+
+def _instance(lhs, rhs, witness):
+    """The block of a single instance."""
+    return (lhs,), (rhs,), (witness,)
+
+
 @dataclass(frozen=True)
 class AxiomResult:
     axiom: str
@@ -485,9 +553,25 @@ class AxiomResult:
 
 
 @dataclass(frozen=True)
-class MVAuditReport:
-    algebra: str
-    mode: str
+class ClauseResult:
+    clause: str
+    holds: bool
+    witness: tuple | None = None
+
+
+def clause_result(name, blocks):
+    """The clause over blocks of instances (see first_witness), failing at
+    the first instance whose sides differ. A "{checked}" in the name is
+    replaced by the count of instances checked."""
+    checked, witness = first_witness(blocks)
+    return ClauseResult(name.format(checked=checked), witness is None,
+                        witness)
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """The results of one audit in checking order, each with `holds`."""
+
     results: tuple
 
     @property
@@ -496,6 +580,11 @@ class MVAuditReport:
 
     def failures(self):
         return [r for r in self.results if not r.holds]
+
+
+@dataclass(frozen=True)
+class MVAuditReport(AuditReport):
+    mode: str
 
 
 def _axiom_groups():
@@ -525,8 +614,7 @@ def _axiom_groups():
     )
 
 
-def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0,
-                    max_denominator=97):
+def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
     """Audit the eight axiom groups; failures carry a witness triple.
 
     Exhaustive mode (finite algebras only) walks, for each group, the
@@ -562,17 +650,17 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0,
             raise ValueError(
                 f"sampled audit needs StandardRationals(), not {algebra!r}")
         desc = f"sampled({count}, seed={seed})"
-        _sample_standard(witnesses, count, seed, max_denominator)
+        _sample_standard(witnesses, count, seed)
     else:
         raise ValueError(f"unknown audit mode {mode!r}")
     results = tuple(
         AxiomResult(name, witnesses[i] is None, witnesses[i])
         for i, (name, _, _) in enumerate(groups)
     )
-    return MVAuditReport(repr(algebra), desc, results)
+    return MVAuditReport(results, desc)
 
 
-def _sample_standard(witnesses, count, seed, max_denominator):
+def _sample_standard(witnesses, count, seed):
     """Fill in the witnesses of an audit of random rational triples.
 
     A triple with common denominator d lives in the (d+1)-point subchain,
@@ -583,7 +671,7 @@ def _sample_standard(witnesses, count, seed, max_denominator):
     pending = set(range(len(witnesses)))
 
     def draw():
-        q = rng.randint(1, max_denominator)
+        q = rng.randint(1, SAMPLE_DENOMINATOR)
         p = rng.randint(0, q)
         g = math.gcd(p, q)
         return p // g, q // g

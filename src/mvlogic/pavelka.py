@@ -1,18 +1,19 @@
 """Rational Pavelka extension: truth-constant-enriched algebras, the
 constant compatibility laws, graded degrees of membership with their dual
 forms, quantifier invariance of constants, and the graded representation
-map built on a Henkin filter."""
+map built on a Henkin filter. Every law and clause is checked by
+`mv_core.clause_result`; each check returns an `mv_core.AuditReport`."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .mv_core import Chain, Filter, ONE, ZERO
-from .polyadic import _instance, first_witness
+from .mv_core import (
+    AuditReport, Chain, Filter, ONE, ZERO, _instance, clause_result,
+)
 from .interlab import (
-    HenkinFilter, RepresentationAudit, clause_result, cyl_sup_clause,
-    homomorphism_clauses, psi_rows,
+    HenkinFilter, cyl_sup_clause, homomorphism_clauses, psi_rows,
 )
 
 
@@ -61,42 +62,17 @@ class GradedContext:
             raise ValueError("graded degrees need a proper filter")
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    holds: bool
-    witness: tuple | None = None
-
-
-@dataclass(frozen=True)
-class PavelkaReport:
-    results: tuple
-
-    @property
-    def passed(self):
-        return all(r.holds for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.holds]
-
-
-def _law(name, blocks):
-    """The law over blocks of instances (see polyadic.first_witness),
-    failing at the first instance whose sides differ."""
-    _, witness = first_witness(blocks)
-    return LawResult(name, witness is None, witness)
-
-
 def constants_check(pav):
     """0-bar = 0, (r (+) s)-bar = r-bar (+) s-bar, (~r)-bar = ~(r-bar)."""
     base, chain, bar = pav.base, pav.chain, pav.constant
-    return PavelkaReport((
-        _law("zero-constant", [_instance(bar(ZERO), base.zero, (ZERO,))]),
-        _law("oplus-compatible", (
+    return AuditReport((
+        clause_result("zero-constant",
+                      [_instance(bar(ZERO), base.zero, (ZERO,))]),
+        clause_result("oplus-compatible", (
             _instance(base.oplus(bar(r), bar(s)), bar(chain.oplus(r, s)),
                       (r, s))
             for r, s in itertools.product(pav.levels, repeat=2))),
-        _law("neg-compatible", (
+        clause_result("neg-compatible", (
             _instance(base.neg(bar(r)), bar(chain.neg(r)), (r,))
             for r in pav.levels)),
     ))
@@ -124,23 +100,22 @@ def degree_dual(a, ctx):
     return best
 
 
-def degree_forms_check(pav, flt, elements=None):
+def degree_forms_check(pav, flt):
     """Sup-form degree equals inf-form degree for every element."""
     ctx = GradedContext(pav, flt)
-    els = elements if elements is not None else pav.base.carrier
-    return PavelkaReport((_law("degree-sup-equals-inf", (
-        _instance(up, down, (a, up, down)) for a in els
+    return AuditReport((clause_result("degree-sup-equals-inf", (
+        _instance(up, down, (a, up, down)) for a in pav.base.carrier
         for up, down in [(degree(a, ctx), degree_dual(a, ctx))])),))
 
 
 def pavelka_lemma_check(pav, flt):
     """r-bar in P iff r = 1, and r-bar/P <= s-bar/P iff r <= s."""
     base, bar, members = pav.base, pav.constant, flt.members
-    return PavelkaReport((
-        _law("membership-iff-one", (
+    return AuditReport((
+        clause_result("membership-iff-one", (
             _instance(bar(r) in members, r == ONE, (r,))
             for r in pav.levels)),
-        _law("quotient-order-matches", (
+        clause_result("quotient-order-matches", (
             _instance(base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
             for r, s in itertools.product(pav.levels, repeat=2))),
     ))
@@ -148,12 +123,10 @@ def pavelka_lemma_check(pav, flt):
 
 def pavelka_quantifier_check(pav, algebra):
     """Existential invariance of constants: c_J r-bar = r-bar for all J."""
-    checked, witness = first_witness(
+    return AuditReport((clause_result("exists-r-equals-r({checked} cases)", (
         _instance(algebra.cyl_el(j, rbar), rbar, (r, sorted(j)))
         for r in pav.levels for rbar in [pav.constant(r)]
-        for j in algebra.scopes)
-    return PavelkaReport((LawResult(f"exists-r-equals-r({checked} cases)",
-                                    witness is None, witness),))
+        for j in algebra.scopes)),))
 
 
 def constants_as_elements(algebra):
@@ -180,7 +153,7 @@ def functional_pavelka(algebra, require_full=True):
     return PavelkaAlgebra.make(algebra, algebra.chain, table)
 
 
-def pavelka_representation(algebra, pav, hf, transformations=None):
+def pavelka_representation(algebra, pav, hf):
     """psi(p)(x) = [s_x p] by graded degree; audited exhaustively.
 
     Clauses: preservation of (+), (*), ~; psi(r-bar) constant at r; the
@@ -192,8 +165,7 @@ def pavelka_representation(algebra, pav, hf, transformations=None):
     flt = Filter(V, frozenset(V.index_of[p] for p in hf.members))
     ctx = GradedContext(PavelkaAlgebra.make(
         V, pav.chain, {r: V.index_of[e] for r, e in pav.constants}), flt)
-    vs = tuple(transformations) if transformations is not None \
-        else algebra.transformations
+    vs = algebra.transformations
     top = pav.chain.n - 1
     level = {v: r for r, v in enumerate(pav.chain.carrier)}
     rows = psi_rows(V, [level[degree(i, ctx)] for i in V.carrier], vs)
@@ -212,4 +184,4 @@ def pavelka_representation(algebra, pav, hf, transformations=None):
     ]
     psi = {p: tuple(pav.chain.carrier[r] for r in rows[i])
            for i, p in enumerate(V.elements)}
-    return psi, RepresentationAudit(tuple(results))
+    return psi, AuditReport(tuple(results))

@@ -5,7 +5,8 @@ whose elements are maps from assignment tuples into a finite chain, and
 abstract table algebras with explicit substitution and cylindrification
 tables. On top of both sit dimension sets, supports, neat reducts, the
 replacement-chain form of finite substitutions, and an exhaustive axiom
-auditor for every identity family the theory demands.
+auditor for every identity family the theory demands, whose
+`IdentityResult`s `mv_core.first_witness` finds.
 
 Every exhaustive checker (the axiom audit, neat reducts, and in interlab
 and pavelka the Henkin filter search and the representation maps) works
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 
 from .mv_core import (
-    Chain, IndexedMV, TableAlgebra, ONE, ZERO, format_point, format_value,
-    _level_sums, parse_point, parse_value,
+    AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO, _instance,
+    _level_sums, first_witness, format_point, format_value, parse_point,
+    parse_value,
 )
 from .transform import FinTransformation, SemigroupSpec, semigroup_closure
 
@@ -679,50 +681,6 @@ class IdentityResult:
     witness: tuple | None = None
 
 
-@dataclass(frozen=True)
-class PolyadicAuditReport:
-    results: tuple
-
-    @property
-    def passed(self):
-        return all(r.holds for r in self.results)
-
-    def failures(self):
-        return [r for r in self.results if not r.holds]
-
-
-def first_witness(blocks):
-    """(checked, witness) over blocks of identity instances.
-
-    A block is (lhs, rhs, witnesses): lhs and rhs are equal-length
-    sequences of one type holding the two sides of len(lhs) instances in
-    checking order, and witnesses yields the witness of each instance in
-    the same order. The rows of a block are compared whole, and a block
-    whose rows are equal counts len(lhs) checks. Only the first block
-    whose rows differ is rescanned, element by element, up to its first
-    instance whose sides differ; that instance's witness is returned with
-    the count of instances checked up to and including it. The witness is
-    None when every block agrees. witnesses is read before the next block
-    is drawn, so it may refer to the state of the code yielding blocks.
-    """
-    checked = 0
-    for lhs, rhs, witnesses in blocks:
-        if lhs == rhs:
-            checked += len(lhs)
-            continue
-        for left, right, witness in zip(lhs, rhs, witnesses):
-            checked += 1
-            if left != right:
-                return checked, witness
-        raise AssertionError("block rows differ but no instance does")
-    return checked, None
-
-
-def _instance(lhs, rhs, witness):
-    """The block of a single instance."""
-    return (lhs,), (rhs,), (witness,)
-
-
 def _reader(positions):
     """The function taking a row to the tuple of its entries at positions:
     an itemgetter, which returns a tuple for any number of positions but
@@ -749,7 +707,8 @@ def audit_axioms(algebra):
     laws over single indices and replacements, and the five universal
     quantifier laws. Failures carry the witnessing tuple in element form.
 
-    The instances are checked a table row at a time (see first_witness).
+    The instances are checked a table row at a time (see
+    mv_core.first_witness).
     A row holds one side of a law at every carrier element, or of a few
     laws taken element by element, and is built by reading one index
     table at the entries of another: s_sigma read at s_tau against
@@ -1027,7 +986,7 @@ def audit_axioms(algebra):
 
     results.append(_audit("dlaw-6-9-replacements", dlaw6to9_blocks()))
 
-    return PolyadicAuditReport(tuple(results))
+    return AuditReport(tuple(results))
 
 
 def algebra_from_json(data):

@@ -341,19 +341,27 @@ def enumerate_models(language, predicates, domain_size, chain):
         yield dict(zip(preds, combo))
 
 
-def _model_count(language, predicates, max_domain, chain_n, cap):
-    """Models with |M| <= max_domain, summed by domain size up to the
-    first size whose running total passes cap; the sizes beyond it are
-    never counted, so a huge bound costs no huge number."""
+def _check_model_count(language, predicates, max_domain, chain_n, cap):
+    """Raise SearchTooLarge if more than cap models have |M| <= max_domain.
+
+    The count is summed by domain size up to the first size whose running
+    total passes cap, so a huge bound costs no huge number. Nor is a power
+    built that alone passes cap: chain_n >= 2, so chain_n ** cells does
+    once cells reaches the bit length of cap.
+    """
     total = 0
     for size in range(1, max_domain + 1):
         per = 1
         for p in predicates:
-            per *= chain_n ** (size ** language.arity(p))
+            cells = size ** language.arity(p)
+            if cells >= cap.bit_length():
+                raise SearchTooLarge(
+                    f"{chain_n}^{cells} models of {p} at |M| = {size} alone "
+                    f"exceed the cap of {cap}")
+            per *= chain_n ** cells
         total += per
         if total > cap:
-            break
-    return total
+            raise SearchTooLarge(f"{total} models exceed the cap of {cap}")
 
 
 def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
@@ -367,9 +375,7 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     for g in gamma:
         predicates |= predicates_of(g)
     predicates = sorted(predicates)
-    total = _model_count(language, predicates, max_domain, chain_n, cap)
-    if total > cap:
-        raise SearchTooLarge(f"{total} models exceed the cap of {cap}")
+    _check_model_count(language, predicates, max_domain, chain_n, cap)
     hypotheses = [CompiledFormula(g, chain_n) for g in gamma]
     goal = CompiledFormula(phi, chain_n)
     for size in range(1, max_domain + 1):
@@ -381,14 +387,11 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     return NoCounterexampleUpTo(max_domain, chain_n)
 
 
-def random_model(rng, language, max_size, chain, predicates=None):
+def random_model(rng, language, max_size, chain):
     """Seeded model with uniformly random tables."""
     size = rng.randint(1, max_size)
-    names = predicates if predicates is not None else [n for n, _ in
-                                                       language.predicates]
     tables = {}
-    for name in names:
-        arity = language.arity(name)
+    for name, arity in language.predicates:
         tables[name] = {
             point: chain.carrier[rng.randrange(chain.n)]
             for point in itertools.product(range(size), repeat=arity)

@@ -14,6 +14,8 @@ import random
 import re
 from dataclasses import dataclass
 
+from .mv_core import is_json_int, json_field
+
 
 class AdmissionError(ValueError):
     """Formula violates the language's formation constraints."""
@@ -29,15 +31,12 @@ class ParseError(ValueError):
 class LanguageSpec:
     """Finite proxy of a language: v0..v{n-1}, declared predicates, and a
     reserve of variables every admitted formula must leave untouched.
-
-    The optional semigroup records the declared transformation pool over
-    the variables; substitution operators themselves accept any variable
-    map, with the calculus rules carrying the side conditions."""
+    Substitution operators accept any variable map, with the calculus
+    rules carrying the side conditions."""
 
     num_vars: int
     reserve: int = 1
     predicates: tuple = ()
-    semigroup: object = None
 
     def __post_init__(self):
         if self.reserve < 1:
@@ -98,10 +97,19 @@ class LanguageSpec:
 
     @classmethod
     def from_json(cls, data):
+        num_vars = json_field(data, "variables", is_json_int, "an integer")
+        reserve = json_field(data, "reserve", is_json_int, "an integer") \
+            if "reserve" in data else 1
+        predicates = json_field(data, "predicates",
+                                lambda v: isinstance(v, list), "a list")
         return cls(
-            num_vars=data["variables"],
-            reserve=data.get("reserve", 1),
-            predicates=tuple((p["name"], p["arity"]) for p in data["predicates"]),
+            num_vars=num_vars,
+            reserve=reserve,
+            predicates=tuple(
+                (json_field(p, "name", lambda v: isinstance(v, str),
+                            "a string"),
+                 json_field(p, "arity", is_json_int, "an integer"))
+                for p in predicates),
         )
 
 

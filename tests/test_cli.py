@@ -1,4 +1,7 @@
+import functools
 import json
+import operator
+import pathlib
 
 import pytest
 
@@ -119,6 +122,20 @@ class TestExitCodes:
         assert report["reason"] == \
             f"{total} models exceed the cap of 500000"
 
+    def test_entails_stops_before_a_power_over_the_cap(self, tmp_path):
+        # at |M| = 2 a 14-ary predicate alone has 3^16384 models, a number
+        # with more digits than int-to-string conversion allows
+        lang = tmp_path / "lang.json"
+        lang.write_text(json.dumps(
+            {"variables": 15, "reserve": 1,
+             "predicates": [{"name": "p", "arity": 14}]}))
+        code, report = dispatch(["logic", "entails", "--language", str(lang),
+                                 "--formula", f"p({', '.join(['v0'] * 14)})",
+                                 "--max-domain", "2", "--chain", "3"])
+        assert code == 2
+        assert report["reason"] == \
+            "3^16384 models of p at |M| = 2 alone exceed the cap of 500000"
+
     def test_mv_audit_over_cap_reports_why(self, monkeypatch):
         from mvlogic.mv_core import Chain
 
@@ -208,6 +225,65 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
     files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")
     code, report = dispatch([a.format(**files) for a in argv])
     assert code == 2 and report["verdict"] == "error"
+
+
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
+# Each golden input file that is mutated, and the command reading it; the
+# mutated file's path is appended.
+MUTATED_COMMANDS = {
+    "table-l3.json": ["mv", "audit", "--table"],
+    "lang.json": ["logic", "entails", "--formula", "p(v0) -> q(v0)",
+                  "--max-domain", "2", "--chain", "3", "--language"],
+    "filter-top.json": ["pavelka", "degree", "--algebra",
+                        str(GOLDEN_INPUTS / "l5.json"), "--element", "3",
+                        "--filter"],
+}
+DELETED = object()
+MUTANT_VALUES = {"deleted": DELETED, "null": None, "-1": -1, "x": "x",
+                 "[]": [], "{}": {}, "0": 0}
+# The mutations that leave a well-formed file, with their exit code; every
+# other one is an input error.
+WELL_FORMED = {"table-l3-zero-0": 0, "table-l3-one-0": 1,
+               "lang-reserve-deleted": 1}
+
+
+def _key_paths(data):
+    """The keys of a JSON object, and those of the first object of a list
+    entry, as paths."""
+    for key, value in data.items():
+        yield (key,)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            yield from ((key, 0, k) for k in value[0])
+
+
+def _mutations():
+    for name in MUTATED_COMMANDS:
+        data = json.loads((GOLDEN_INPUTS / name).read_text())
+        for path in _key_paths(data):
+            for label, value in MUTANT_VALUES.items():
+                ident = "-".join([name[:-len(".json")],
+                                  ".".join(map(str, path)), label])
+                yield pytest.param(name, path, value,
+                                   WELL_FORMED.get(ident, 2), id=ident)
+
+
+@pytest.mark.parametrize("name, path, value, exit_code", list(_mutations()))
+def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
+                                        tmp_path):
+    data = json.loads((GOLDEN_INPUTS / name).read_text())
+    *parents, key = path
+    entry = functools.reduce(operator.getitem, parents, data)
+    if value is DELETED:
+        del entry[key]
+    else:
+        entry[key] = value
+    mutant = tmp_path / name
+    mutant.write_text(json.dumps(data))
+    code, report = dispatch(MUTATED_COMMANDS[name] + [str(mutant)])
+    assert code == exit_code
+    if code == 2:
+        assert report["verdict"] == "error"
 
 
 @pytest.mark.parametrize("argv", [

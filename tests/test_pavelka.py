@@ -163,3 +163,52 @@ class TestRepresentation:
         ident_at = algebra.transformations.index(
             FinTransformation.identity((0, 1)))
         assert psi[g][ident_at] != F(0)  # the seed survives at the identity
+
+
+class TestOneVerdictRecord:
+    """Every auditor reports through mv_core's verdict records."""
+
+    def test_every_audit_returns_an_audit_report(self):
+        from mvlogic import interlab, mv_core
+        from mvlogic.polyadic import audit_axioms
+        algebra = constants_algebra(3)
+        pav = functional_pavelka(algebra)
+        hf = henkin_filter_build(algebra, algebra.one)
+        chain, chain_pav, flt = chain_context(3)
+        reports = {
+            "audit_axioms": audit_axioms(algebra),
+            "representation_map": interlab.representation_map(algebra,
+                                                              hf)[1],
+            "pavelka_representation": pavelka_representation(
+                algebra, pav, hf)[1],
+            "constants_check": constants_check(chain_pav),
+            "pavelka_lemma_check": pavelka_lemma_check(chain_pav, flt),
+            "degree_forms_check": degree_forms_check(chain_pav, flt),
+            "pavelka_quantifier_check": pavelka_quantifier_check(pav,
+                                                                 algebra),
+            "check_mv_axioms": mv_core.check_mv_axioms(chain),
+        }
+        for name, report in reports.items():
+            assert isinstance(report, mv_core.AuditReport), name
+            assert report.passed, name
+
+    def test_interlab_and_pavelka_share_the_clause_record(self):
+        from mvlogic import interlab, mv_core
+        algebra = constants_algebra(3)
+        pav = functional_pavelka(algebra)
+        hf = henkin_filter_build(algebra, algebra.one)
+        _, chain_pav, _ = chain_context(3)
+        records = [
+            *interlab.representation_map(algebra, hf)[1].results,
+            *pavelka_representation(algebra, pav, hf)[1].results,
+            *constants_check(chain_pav).results,
+            *pavelka_quantifier_check(pav, algebra).results,
+        ]
+        assert {type(r) for r in records} == {mv_core.ClauseResult}
+
+    def test_quantifier_law_names_its_count(self):
+        algebra = constants_algebra(3)
+        pav = functional_pavelka(algebra)
+        (result,) = pavelka_quantifier_check(pav, algebra).results
+        cases = len(pav.levels) * len(algebra.scopes)
+        assert result.clause == f"exists-r-equals-r({cases} cases)"
