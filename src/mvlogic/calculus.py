@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from . import semantics, syntax
+from .mv_core import is_json_int, json_field
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, free_vars, bound_vars, all_vars,
@@ -303,18 +304,32 @@ def proof_to_json(proof):
 
 
 def proof_from_json(data, language):
-    hypotheses = tuple(parse(t, language) for t in data.get("hypotheses", ()))
-    steps = []
-    for record in data["steps"]:
-        steps.append(ProofStep(
-            rule=record["rule"],
-            formula=parse(record["formula"], language),
-            refs=tuple(record.get("refs", ())),
-            schema=record.get("schema", ""),
-            block=frozenset(record.get("vars", ())),
-            tau=tuple(sorted(record.get("tau", {}).items())),
-            mode=record.get("mode", "printed"),
-        ))
+    """The proof of a JSON object; only keys with a default may be missing."""
+    def get(record, key, valid, expected, default=None):
+        if default is not None and key not in record:
+            return default
+        return json_field(record, key, valid, expected)
+
+    def text(v):
+        return isinstance(v, str)
+
+    def texts(v):
+        return isinstance(v, list) and all(map(text, v))
+
+    hypotheses = tuple(parse(t, language) for t in get(
+        data, "hypotheses", texts, "a list of strings", ()))
+    steps = [ProofStep(
+        rule=get(r, "rule", text, "a string"),
+        formula=parse(get(r, "formula", text, "a string"), language),
+        refs=tuple(get(r, "refs", lambda v: isinstance(v, list)
+                       and all(map(is_json_int, v)), "a list of integers", ())),
+        schema=get(r, "schema", text, "a string", ""),
+        block=frozenset(get(r, "vars", texts, "a list of strings", ())),
+        tau=tuple(sorted(get(r, "tau", lambda v: isinstance(v, dict)
+                             and all(map(text, v.values())),
+                             "an object of strings", {}).items())),
+        mode=get(r, "mode", text, "a string", "printed"),
+    ) for r in get(data, "steps", lambda v: isinstance(v, list), "a list")]
     return Proof(hypotheses, tuple(steps))
 
 

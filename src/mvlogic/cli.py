@@ -537,7 +537,7 @@ COMMANDS = (
     ("mv", "audit", _cmd_mv_audit, _SOURCE + (
         (("--mode",), {"default": "exhaustive",
                        "choices": ["exhaustive", "sampled"]}),
-        (("--samples",), {"type": int, "default": 100000}),
+        (("--samples",), {"type": _positive, "default": 100000}),
         _SEED)),
     ("mv", "eval", _cmd_mv_eval, _SOURCE + (
         (("--op",), _REQUIRED), (("--args",), _REQUIRED))),

@@ -11,8 +11,8 @@ in their arguments, their results and their error messages.
 
 Every audit of the package reports here: `first_witness` finds the first
 failing instance of blocks of identities, compared a row at a time, and an
-`AuditReport` holds an audit's results (`ClauseResult`s, ...) in checking
-order.
+`AuditReport` holds an audit's results in checking order. `_AXIOMS`
+declares the eight MV axiom groups once, as laws over rows of values.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, floordiv, getitem, mul, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -65,17 +66,18 @@ class AuditTooLarge(ValueError):
 # the cap, Python 3.11); n = 10^5 would need some 300 GB.
 MAX_CHAIN_VIEW = 1500
 
-# The largest carrier the exhaustive check_mv_axioms walks. Associativity
-# reads every triple, n^3 of them through the algebra's element operations:
-# 10^6 at the cap. An 81-element table takes about 1.4 s and Chain(40),
-# whose operations are Fraction arithmetic, about 2.5 s, so the cap means
-# some 3 s for a table and 40 s for a chain. The largest carrier audited by
-# the tests, the golden corpus or the benchmark is the 81-element table of
+# The largest carrier the exhaustive check_mv_axioms audits. Associativity
+# reads n^3 triples as table rows, 10^6 at the cap: Chain(100) takes about
+# 0.9 s (Python 3.11), and a larger carrier exits 2 rather than getting a
+# verdict. The largest carrier audited by the tests, the golden corpus or
+# the benchmark is the 81-element table (about 0.4 s) of
 # AbstractPolyadicAlgebra.from_functional(small_algebra()).
 MAX_AUDIT_CARRIER = 100
 
-# The largest denominator of a coordinate of a sampled audit's triples.
+# The largest denominator of a coordinate of a sampled audit's triples,
+# and the number of triples it draws and checks at a time.
 SAMPLE_DENOMINATOR = 97
+SAMPLE_CHUNK = 4096
 
 
 def parse_value(text):
@@ -381,19 +383,15 @@ class TableAlgebra(MVAlgebra):
             raise ValueError("oplus table must be n x n")
         if len(self._neg) != n:
             raise ValueError("neg table must have n entries")
-        for row in self._oplus:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError("oplus table entry out of range")
-        for v in self._neg:
-            if not 0 <= v < n:
-                raise ValueError("neg table entry out of range")
+        if not all(0 <= v < n for row in self._oplus for v in row):
+            raise ValueError("oplus table entry out of range")
+        if not all(0 <= v < n for v in self._neg):
+            raise ValueError("neg table entry out of range")
         self.zero = self._carrier[zero]
         self.one = self._carrier[one]
         if audit:
-            report = check_mv_axioms(self)
-            if not report.passed:
-                bad = [r.axiom for r in report.results if not r.holds]
+            bad = [r.axiom for r in check_mv_axioms(self).failures()]
+            if bad:
                 raise MVAxiomError(f"table algebra violates axiom group(s) {bad}")
 
     @property
@@ -587,126 +585,116 @@ class MVAuditReport(AuditReport):
     mode: str
 
 
-def _axiom_groups():
-    # (name, arity, law): the law reads only its first `arity` arguments.
-    # Group 4 is implemented as a(*)0 = 0: the printed second identity of
-    # the source's fourth pair is falsified by the standard algebra itself.
-    return (
-        ("1-commutativity", 2, lambda A, a, b, c:
-         A.oplus(a, b) == A.oplus(b, a) and A.odot(a, b) == A.odot(b, a)),
-        ("2-associativity", 3, lambda A, a, b, c:
-         A.oplus(a, A.oplus(b, c)) == A.oplus(A.oplus(a, b), c)
-         and A.odot(a, A.odot(b, c)) == A.odot(A.odot(a, b), c)),
-        ("3-units", 1, lambda A, a, b, c: A.oplus(a, A.zero) == a
-         and A.odot(a, A.one) == a),
-        ("4-annihilators", 1, lambda A, a, b, c: A.oplus(a, A.one) == A.one
-         and A.odot(a, A.zero) == A.zero),
-        ("5-complements", 1, lambda A, a, b, c: A.oplus(a, A.neg(a)) == A.one
-         and A.odot(a, A.neg(a)) == A.zero),
-        ("6-de-morgan", 2, lambda A, a, b, c:
-         A.neg(A.oplus(a, b)) == A.odot(A.neg(a), A.neg(b))
-         and A.neg(A.odot(a, b)) == A.oplus(A.neg(a), A.neg(b))),
-        ("7-involution", 1, lambda A, a, b, c: A.neg(A.neg(a)) == a
-         and A.neg(A.zero) == A.one),
-        ("8-lukasiewicz", 2, lambda A, a, b, c:
-         A.oplus(A.neg(A.oplus(A.neg(a), b)), b)
-         == A.oplus(A.neg(A.oplus(A.neg(b), a)), a)),
-    )
+# The eight axiom groups as (name, arity, law): law(P, D, N, zero, one, x,
+# y, z) gives the (lhs, rhs) row pairs of the group's identities, (+), (*)
+# and ~ taken entry by entry on rows; it reads its first `arity` variables.
+# Group 4 is implemented as a(*)0 = 0: the printed second identity of the
+# source's fourth pair is falsified by the standard algebra itself.
+_AXIOMS = (
+    ("1-commutativity", 2, lambda P, D, N, zero, one, x, y, z:
+     ((P(x, y), P(y, x)), (D(x, y), D(y, x)))),
+    ("2-associativity", 3, lambda P, D, N, zero, one, x, y, z:
+     ((P(x, P(y, z)), P(P(x, y), z)), (D(x, D(y, z)), D(D(x, y), z)))),
+    ("3-units", 1, lambda P, D, N, zero, one, x, y, z:
+     ((P(x, zero), x), (D(x, one), x))),
+    ("4-annihilators", 1, lambda P, D, N, zero, one, x, y, z:
+     ((P(x, one), one), (D(x, zero), zero))),
+    ("5-complements", 1, lambda P, D, N, zero, one, x, y, z:
+     ((P(x, N(x)), one), (D(x, N(x)), zero))),
+    ("6-de-morgan", 2, lambda P, D, N, zero, one, x, y, z:
+     ((N(P(x, y)), D(N(x), N(y))), (N(D(x, y)), P(N(x), N(y))))),
+    ("7-involution", 1, lambda P, D, N, zero, one, x, y, z:
+     ((N(N(x)), x), (N(zero), one))),
+    ("8-lukasiewicz", 2, lambda P, D, N, zero, one, x, y, z:
+     ((P(N(P(N(x), y)), y), P(N(P(N(y), x)), x)),)),
+)
+
+
+def _interleave(rows):
+    """The rows' entries position by position, as one tuple."""
+    if len(rows) == 1:
+        return tuple(rows[0])
+    return tuple(itertools.chain.from_iterable(zip(*rows)))
 
 
 def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
-    """Audit the eight axiom groups; failures carry a witness triple.
-
-    Exhaustive mode (finite algebras only) walks, for each group, the
-    carrier tuples of the variables the group reads, padded to a triple
-    with the first carrier element; its witness is the first failing
-    triple in the order of a walk over all carrier triples. A carrier
-    larger than MAX_AUDIT_CARRIER raises AuditTooLarge before any triple
-    is read. Sampled mode audits StandardRationals only and raises
-    ValueError for any other algebra: it draws seeded rational triples,
-    rescales each onto a common denominator and checks the identities in
-    integer arithmetic.
-    """
-    groups = _axiom_groups()
-    witnesses = [None] * len(groups)
+    """Audit the eight axiom groups as rows through first_witness; a
+    failure carries its first failing triple. Exhaustive mode walks the
+    carrier triples of a finite algebra of up to MAX_AUDIT_CARRIER elements
+    over ~, (+) and (*) tabulated by its element operations. Sampled mode
+    audits StandardRationals on `count` >= 1 seeded rational triples."""
     if mode == "exhaustive":
         if not algebra.is_finite:
             raise ValueError("exhaustive audit needs a finite algebra")
-        desc = "exhaustive"
-        carrier = algebra.carrier
-        if len(carrier) > MAX_AUDIT_CARRIER:
+        if len(algebra.carrier) > MAX_AUDIT_CARRIER:
             raise AuditTooLarge(
                 f"{algebra!r} exceeds the exhaustive audit cap of "
                 f"{MAX_AUDIT_CARRIER} elements")
-        for i, (_, arity, law) in enumerate(groups):
-            pad = (carrier[0],) * (3 - arity)
-            for head in itertools.product(carrier, repeat=arity):
-                triple = head + pad
-                if not law(algebra, *triple):
-                    witnesses[i] = triple
-                    break
+        desc, batches = "exhaustive", _table_batches(algebra)
     elif mode == "sampled":
         if type(algebra) is not StandardRationals:
             raise ValueError(
                 f"sampled audit needs StandardRationals(), not {algebra!r}")
+        if count < 1:
+            raise ValueError("sampled audit needs a count of at least 1")
         desc = f"sampled({count}, seed={seed})"
-        _sample_standard(witnesses, count, seed)
+        batches = _sampled_batches(count, seed)
     else:
         raise ValueError(f"unknown audit mode {mode!r}")
-    results = tuple(
-        AxiomResult(name, witnesses[i] is None, witnesses[i])
-        for i, (name, _, _) in enumerate(groups)
-    )
-    return MVAuditReport(results, desc)
+    witnesses = [None] * len(_AXIOMS)
+    for ops, rows_of, element in batches:
+        for i, (_, arity, law) in enumerate(_AXIOMS):
+            if witnesses[i] is None:
+                # the group's identities interleaved, so that a position's
+                # witness, element(its entries), repeats once per identity
+                rows = rows_of(arity)
+                pairs = law(*ops, *rows)
+                witnesses[i] = first_witness([(
+                    _interleave([lhs for lhs, _ in pairs]),
+                    _interleave([rhs for _, rhs in pairs]),
+                    (element(t) for t in zip(*rows) for _ in pairs))])[1]
+    return MVAuditReport(tuple(
+        AxiomResult(name, witness is None, witness)
+        for (name, _, _), witness in zip(_AXIOMS, witnesses)), desc)
 
 
-def _sample_standard(witnesses, count, seed):
-    """Fill in the witnesses of an audit of random rational triples.
+def _table_batches(algebra):
+    # one batch per value a of the first variable, on carrier indices: the
+    # rows of arity k are zero, one, x = a and rest[k - 1], the carrier
+    # tuples of the other variables read, then index 0 for the unread ones
+    V = _tabulate(algebra)
+    carrier, n = V.elements, len(V.elements)
+    odot = [[V.index_of[algebra.odot(a, b)] for b in carrier]
+            for a in carrier]
+    ops = (lambda x, y: list(map(getitem, map(V.oplus.__getitem__, x), y)),
+           lambda x, y: list(map(getitem, map(odot.__getitem__, x), y)),
+           lambda x: list(map(V.neg.__getitem__, x)))
+    rest = [[*zip(*itertools.product(range(n), repeat=k))]
+            + [(0,) * n ** k] * (2 - k) for k in range(3)]
+    for a in range(n):
+        yield (ops, lambda k: [(c,) * n ** (k - 1) for c in (V.zero, V.one, a)]
+               + rest[k - 1], lambda t: tuple(map(carrier.__getitem__, t[2:])))
 
-    A triple with common denominator d lives in the (d+1)-point subchain,
-    where x(+)-y is min(x+y, d), x(*)y is max(x+y-d, 0) and ~x is d-x on
-    numerators; the eight identities are decided there exactly.
-    """
-    rng = random.Random(seed)
-    pending = set(range(len(witnesses)))
 
-    def draw():
-        q = rng.randint(1, SAMPLE_DENOMINATOR)
-        p = rng.randint(0, q)
-        g = math.gcd(p, q)
-        return p // g, q // g
-
-    for _ in range(count):
-        if not pending:
-            break
-        (pa, qa), (pb, qb), (pc, qc) = draw(), draw(), draw()
-        d = qa * qb // math.gcd(qa, qb)
-        d = d * qc // math.gcd(d, qc)
-        x, y, z = pa * (d // qa), pb * (d // qb), pc * (d // qc)
-
-        def op(u, v):
-            return min(u + v, d)
-
-        def od(u, v):
-            return max(u + v - d, 0)
-
-        checks = (
-            op(x, y) == op(y, x) and od(x, y) == od(y, x),
-            op(x, op(y, z)) == op(op(x, y), z)
-            and od(x, od(y, z)) == od(od(x, y), z),
-            op(x, 0) == x and od(x, d) == x,
-            op(x, d) == d and od(x, 0) == 0,
-            op(x, d - x) == d and od(x, d - x) == 0,
-            d - op(x, y) == od(d - x, d - y)
-            and d - od(x, y) == op(d - x, d - y),
-            d - (d - x) == x and d - 0 == d,
-            op(d - op(d - x, y), y) == op(d - op(d - y, x), x),
-        )
-        for i in list(pending):
-            if not checks[i]:
-                witnesses[i] = (Fraction(x, d), Fraction(y, d),
-                                Fraction(z, d))
-                pending.discard(i)
+def _sampled_batches(count, seed):
+    # one batch per chunk of seeded triples, as rows (zero, d, x, y, z):
+    # numerators over each triple's common denominator d, where x(+)y is
+    # min(x+y, d), x(*)y is max(x+y-d, 0) and ~x is d-x
+    randint = random.Random(seed).randint
+    for start in range(0, count, SAMPLE_CHUNK):
+        # each coordinate draws its denominator, then its numerator
+        p, q = zip(*[(randint(0, den), den) for den in (
+            randint(1, SAMPLE_DENOMINATOR)
+            for _ in range(3 * min(SAMPLE_CHUNK, count - start)))])
+        d = list(map(math.lcm, q[::3], q[1::3], q[2::3]))
+        x, y, z = (list(map(mul, p[k::3], map(floordiv, d, q[k::3])))
+                   for k in range(3))
+        zero = [0] * len(d)
+        yield ((lambda u, v: list(map(min, map(add, u, v), d)),
+                lambda u, v: list(map(max, map(sub, map(add, u, v), d), zero)),
+                lambda u: list(map(sub, d, u))),
+               lambda arity: (zero, d, x, y, z),
+               lambda t: tuple(Fraction(v, t[1]) for v in t[2:]))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ from operator import add, itemgetter
 
 from .mv_core import (
     AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO, _instance,
-    _level_sums, first_witness, format_point, format_value, parse_point,
-    parse_value,
+    _interleave, _level_sums, first_witness, format_point, format_value,
+    parse_point, parse_value,
 )
 from .transform import FinTransformation, SemigroupSpec, semigroup_closure
 
@@ -689,14 +689,6 @@ def _reader(positions):
         (x,) = positions
         return lambda row: (row[x],)
     return itemgetter(*positions)
-
-
-def _interleave(rows):
-    """One tuple of the rows' entries taken position by position: the
-    first entry of every row, then the second, and so on."""
-    if len(rows) == 1:
-        return tuple(rows[0])
-    return tuple(itertools.chain.from_iterable(zip(*rows)))
 
 
 def audit_axioms(algebra):

@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 
 from .mv_core import (
-    Chain, CarrierError, format_point, format_value, parse_point, parse_value,
+    Chain, CarrierError, format_point, format_value, is_json_int, json_field,
+    parse_point, parse_value,
 )
 from . import syntax
 from .syntax import (
@@ -104,20 +105,23 @@ class Model:
         }
 
     @classmethod
-    def from_json(cls, data, language=None):
-        preds = data["predicates"]
-        if language is None:
-            language = syntax.LanguageSpec(
-                num_vars=max(4, max((p["arity"] for p in preds.values()),
-                                    default=0) + 2),
-                reserve=1,
-                predicates=tuple((name, p["arity"])
-                                 for name, p in sorted(preds.items())),
-            )
-        tables = {name: {parse_point(key): parse_value(text)
-                         for key, text in p["table"].items()}
+    def from_json(cls, data):
+        """The model of a JSON object, in the language of its predicates."""
+        def obj(v):
+            return isinstance(v, dict)
+
+        preds = json_field(data, "predicates", obj, "an object")
+        arity = {name: json_field(p, "arity", is_json_int, "an integer")
+                 for name, p in preds.items()}
+        language = syntax.LanguageSpec(
+            num_vars=max(4, max(arity.values(), default=0) + 2), reserve=1,
+            predicates=tuple(sorted(arity.items())))
+        tables = {name: {parse_point(key): parse_value(text) for key, text
+                         in json_field(p, "table", obj, "an object").items()}
                   for name, p in preds.items()}
-        return cls(language, data["domain"], Chain(data["chain"]), tables)
+        domain = json_field(data, "domain", is_json_int, "an integer")
+        chain = Chain(json_field(data, "chain", is_json_int, "an integer"))
+        return cls(language, domain, chain, tables)
 
 
 class Assignment:

@@ -238,6 +238,8 @@ MUTATED_COMMANDS = {
     "filter-top.json": ["pavelka", "degree", "--algebra",
                         str(GOLDEN_INPUTS / "l5.json"), "--element", "3",
                         "--filter"],
+    "model0.json": ["logic", "eval", "--formula", "E{v0} p(v0)", "--model"],
+    "proof0.json": ["proof", "check", "--proof"],
 }
 DELETED = object()
 MUTANT_VALUES = {"deleted": DELETED, "null": None, "-1": -1, "x": "x",
@@ -245,7 +247,10 @@ MUTANT_VALUES = {"deleted": DELETED, "null": None, "-1": -1, "x": "x",
 # The mutations that leave a well-formed file, with their exit code; every
 # other one is an input error.
 WELL_FORMED = {"table-l3-zero-0": 0, "table-l3-one-0": 1,
-               "lang-reserve-deleted": 1}
+               "lang-reserve-deleted": 1,
+               "proof0-hypotheses-deleted": 1, "proof0-hypotheses-[]": 1,
+               "proof0-steps-[]": 1, "proof0-steps.0.refs-deleted": 1,
+               "proof0-steps.0.refs-[]": 1, "proof0-steps.0.rule-x": 1}
 
 
 def _key_paths(data):
@@ -290,7 +295,10 @@ def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
     ["semigroup", "eval", "--map", "[0|1]", "--points", "0"],
     ["semigroup", "eval", "--map", "[0|1]", "--domain", "0"],
     ["semigroup", "closure", "--generators", "[1|0]", "--domain", "0"],
-], ids=["eval-zero-points", "eval-zero-domain", "closure-zero-domain"])
+    ["mv", "audit", "--standard", "--mode", "sampled", "--samples", "0"],
+    ["mv", "audit", "--standard", "--mode", "sampled", "--samples", "-3"],
+], ids=["eval-zero-points", "eval-zero-domain", "closure-zero-domain",
+        "audit-zero-samples", "audit-negative-samples"])
 def test_count_below_one_is_a_usage_error(argv):
     code, report = dispatch(argv)
     assert code == 2 and report["verdict"] == "usage-error"

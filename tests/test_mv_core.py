@@ -1,15 +1,17 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import pattern_algebra, small_algebra
+from mvlogic import mv_core
 from mvlogic.mv_core import (
     MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, AuditTooLarge, CarrierError, Chain,
     Filter, FilterError, FilterNotFound, MVAxiomError, NonMaximalFilter,
     ProperFilterRequired, StandardRationals, TableAlgebra, ViewTooLarge,
-    _axiom_groups, _tabulate, check_mv_axioms,
+    SAMPLE_DENOMINATOR, _tabulate, check_mv_axioms,
     eval_basic, extend_to_maximal, filter_generate, maximal_filters, quotient,
     residuum_by_maximization, tnorm_eval, to_table,
 )
@@ -184,30 +186,135 @@ class TestAxiomAudit:
         again = TableAlgebra.from_json(table.to_json())
         assert again.to_json() == table.to_json()
 
-    @pytest.mark.parametrize("n,seed", [(4, s) for s in range(6)]
-                             + [(5, s) for s in range(6)])
+    @pytest.mark.parametrize(
+        "n,seed", [(n, s) for n in range(2, 8) for s in range(9)]
+        + [pytest.param(n, None, id=f"chain{n}") for n in range(2, 13)])
     def test_witnesses_match_triple_loop(self, n, seed):
-        # swapped entries of the chain's tables break several groups; each
-        # group's witness is the first failing triple of a walk over all
-        # carrier triples
-        rng = random.Random(seed)
-        table = to_table(Chain(n)).to_json()
-        for _ in range(1 + seed % 3):
-            a, b, c, d = (rng.randrange(n) for _ in range(4))
-            oplus = table["oplus"]
-            oplus[a][b], oplus[c][d] = oplus[c][d], oplus[a][b]
-        if seed % 2:
-            a, b = rng.sample(range(n), 2)
-            table["neg"][a], table["neg"][b] = table["neg"][b], table["neg"][a]
-        bad = TableAlgebra.from_json(table, audit=False)
-        expected = []
-        for name, _, law in _axiom_groups():
-            witness = next((t for t in itertools.product(bad.carrier, repeat=3)
-                            if not law(bad, *t)), None)
-            expected.append((name, witness))
-        report = check_mv_axioms(bad)
-        assert [(r.axiom, r.witness) for r in report.results] == expected
-        assert not report.passed
+        # swapped entries of the chain's tables break several groups, and
+        # seeds 6-8 also move zero, one or both; seed None audits the chain
+        # itself. Each group's witness is the first failing triple of the
+        # walk over carrier triples.
+        if seed is None:
+            algebra = Chain(n)
+        else:
+            algebra = TableAlgebra.from_json(corrupted_table(n, seed),
+                                             audit=False)
+        report = check_mv_axioms(algebra)
+        assert [(r.axiom, r.holds, r.witness) for r in report.results] \
+            == reference_audit(algebra)
+
+    def test_corrupted_tables_fail_every_group(self):
+        failed = {name for n in range(2, 8) for seed in range(9)
+                  for name, holds, _ in reference_audit(
+                      TableAlgebra.from_json(corrupted_table(n, seed),
+                                             audit=False))
+                  if not holds}
+        assert failed == {name for name, _, _ in reference_axiom_groups()}
+
+    def test_sampled_count_below_one_raises(self):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="count of at least 1"):
+                check_mv_axioms(STD, mode="sampled", count=count)
+
+    def test_sampled_witness_is_the_first_failing_draw(self, monkeypatch):
+        # a law that fails exactly when x = 1, on chunks of 5 triples: the
+        # witness is the first such draw of the seeded sequence, which
+        # these seeds reach after 28 to 41 draws
+        def x_below_one(P, D, N, zero, one, x, y, z):
+            return (([u == d for u, d in zip(x, one)], [False] * len(x)),)
+
+        monkeypatch.setattr(mv_core, "SAMPLE_CHUNK", 5)
+        monkeypatch.setattr(mv_core, "_AXIOMS",
+                            (("x-below-one", 1, x_below_one),))
+        for seed in (2, 3, 4):
+            rng = random.Random(seed)
+            draws = []
+            while not draws or draws[-1][0] != 1:
+                triple = []
+                for _ in range(3):
+                    q = rng.randint(1, SAMPLE_DENOMINATOR)
+                    triple.append(F(rng.randint(0, q), q))
+                draws.append(triple)
+            assert len(draws) > 5
+            report = check_mv_axioms(STD, mode="sampled", count=1000,
+                                     seed=seed)
+            assert report.results[0].witness == tuple(draws[-1])
+
+    def test_sampled_memory_does_not_grow_with_count(self, monkeypatch):
+        # chunks of 256 triples keep the traced runs short; the peak
+        # follows the chunk, not the count
+        monkeypatch.setattr(mv_core, "SAMPLE_CHUNK", 256)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                check_mv_axioms(STD, mode="sampled", count=count)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(5 * 256) <= 1.5 * peak(256)
+
+
+def corrupted_table(n, seed):
+    """The JSON of Chain(n)'s table with oplus entries swapped, and for odd
+    seeds neg entries swapped; seeds 6, 7 and 8 also move zero, one or
+    both to another carrier index."""
+    rng = random.Random(seed)
+    table = to_table(Chain(n)).to_json()
+    for _ in range(1 + seed % 3):
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        oplus = table["oplus"]
+        oplus[a][b], oplus[c][d] = oplus[c][d], oplus[a][b]
+    if seed % 2:
+        a, b = rng.sample(range(n), 2)
+        table["neg"][a], table["neg"][b] = table["neg"][b], table["neg"][a]
+    if seed >= 6:
+        keys = {6: ["zero"], 7: ["one"], 8: ["zero", "one"]}[seed]
+        for key in keys:
+            table[key] = rng.randrange(1, n - 1) if n > 2 \
+                else 1 - table[key]
+    return table
+
+
+def reference_axiom_groups():
+    """The eight axiom groups as element laws (name, arity, law); the law
+    reads only its first `arity` arguments. Group 4 is a(*)0 = 0."""
+    return (
+        ("1-commutativity", 2, lambda A, a, b, c:
+         A.oplus(a, b) == A.oplus(b, a) and A.odot(a, b) == A.odot(b, a)),
+        ("2-associativity", 3, lambda A, a, b, c:
+         A.oplus(a, A.oplus(b, c)) == A.oplus(A.oplus(a, b), c)
+         and A.odot(a, A.odot(b, c)) == A.odot(A.odot(a, b), c)),
+        ("3-units", 1, lambda A, a, b, c: A.oplus(a, A.zero) == a
+         and A.odot(a, A.one) == a),
+        ("4-annihilators", 1, lambda A, a, b, c: A.oplus(a, A.one) == A.one
+         and A.odot(a, A.zero) == A.zero),
+        ("5-complements", 1, lambda A, a, b, c: A.oplus(a, A.neg(a)) == A.one
+         and A.odot(a, A.neg(a)) == A.zero),
+        ("6-de-morgan", 2, lambda A, a, b, c:
+         A.neg(A.oplus(a, b)) == A.odot(A.neg(a), A.neg(b))
+         and A.neg(A.odot(a, b)) == A.oplus(A.neg(a), A.neg(b))),
+        ("7-involution", 1, lambda A, a, b, c: A.neg(A.neg(a)) == a
+         and A.neg(A.zero) == A.one),
+        ("8-lukasiewicz", 2, lambda A, a, b, c:
+         A.oplus(A.neg(A.oplus(A.neg(a), b)), b)
+         == A.oplus(A.neg(A.oplus(A.neg(b), a)), a)),
+    )
+
+
+def reference_audit(algebra):
+    """(axiom, holds, witness) of each group by the walk over carrier
+    tuples, one law call per triple: the group's variables in carrier
+    order, padded to a triple with the first carrier element."""
+    carrier = algebra.carrier
+    results = []
+    for name, arity, law in reference_axiom_groups():
+        pad = (carrier[0],) * (3 - arity)
+        witness = next((head + pad for head in itertools.product(
+            carrier, repeat=arity) if not law(algebra, *head, *pad)), None)
+        results.append((name, witness is None, witness))
+    return results
 
 
 def product_algebra(n, m):
