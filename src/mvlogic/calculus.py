@@ -221,6 +221,8 @@ def _check_step(k, step, formulas, hypotheses, language):
         if step.formula != hypotheses[i]:
             return Reject(k, "asserted formula differs from the hypothesis")
         return None
+    if step.rule != "Ax" and step.rule not in RULES:
+        return Reject(k, f"unknown rule {step.rule!r}")
     for r in step.refs:
         if not 0 <= r < k:
             return Reject(k, f"IndexError: reference {r} not before step {k}")
@@ -264,25 +266,24 @@ def _check_step(k, step, formulas, hypotheses, language):
         if formulas[step.refs[0]] != substitute_free(tau, phi):
             return Reject(k, "premise is not S_f(tau) of the conclusion")
         return None
-    if step.rule == "SubInv":
-        if len(step.refs) != 1:
-            return Reject(k, "SubInv takes one reference")
-        tau = step.tau_map()
-        phi = formulas[step.refs[0]]
-        if set(tau) != all_vars(phi):
-            return Reject(k, "dom(tau) must be the variables of the premise")
-        if len(set(tau.values())) != len(tau):
-            return Reject(k, "tau must be one to one")
-        if not set(tau.values()) <= set(language.variables):
-            return Reject(k, "tau image escapes the vocabulary")
-        try:
-            image = substitute(tau, phi, language)
-        except syntax.AdmissionError as exc:
-            return Reject(k, f"substitution rejected: {exc}")
-        if step.formula != image:
-            return Reject(k, "conclusion is not S(tau) of the premise")
-        return None
-    return Reject(k, f"unknown rule {step.rule!r}")
+    # SubInv, the one rule left
+    if len(step.refs) != 1:
+        return Reject(k, "SubInv takes one reference")
+    tau = step.tau_map()
+    phi = formulas[step.refs[0]]
+    if set(tau) != all_vars(phi):
+        return Reject(k, "dom(tau) must be the variables of the premise")
+    if len(set(tau.values())) != len(tau):
+        return Reject(k, "tau must be one to one")
+    if not set(tau.values()) <= set(language.variables):
+        return Reject(k, "tau image escapes the vocabulary")
+    try:
+        image = substitute(tau, phi, language)
+    except syntax.AdmissionError as exc:
+        return Reject(k, f"substitution rejected: {exc}")
+    if step.formula != image:
+        return Reject(k, "conclusion is not S(tau) of the premise")
+    return None
 
 
 def proof_to_json(proof):

@@ -250,7 +250,8 @@ def _cmd_logic_entails(args, inputs):
 def _cmd_proof_check(args, inputs):
     data = _read_json(args.proof, inputs)
     try:
-        language = syntax.LanguageSpec.from_json(data["language"])
+        language = syntax.LanguageSpec.from_json(mv_core.json_field(
+            data, "language", lambda v: isinstance(v, dict), "an object"))
         proof = calculus.proof_from_json(data, language)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad proof file: {exc}") from None
@@ -577,7 +578,7 @@ COMMANDS = (
         (("--a",), _REQUIRED), (("--b",), _REQUIRED),
         (("--common",), _REQUIRED),
         (("--chain",), {"type": int, "default": 2}),
-        (("--depth",), {"type": int, "default": 6}))),
+        (("--depth",), {"type": _positive, "default": 6}))),
     ("henkin", "demo", _cmd_henkin_demo, (_ALGEBRA, _ELEMENT)),
     ("pavelka", "degree", _cmd_pavelka_degree,
      (_ALGEBRA, (("--filter",), _REQUIRED), _ELEMENT)),

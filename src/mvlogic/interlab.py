@@ -3,20 +3,24 @@
 Order checks, brute-force interpolant search over a common vocabulary with
 an independent verification pass, the finite-scale Henkin filter and
 witness construction with its representation map, and the translation
-bridge between polyadic terms and formulas. The representation map's
-clauses are checked by `mv_core.clause_result`; `pavelka` reuses them.
+bridge between polyadic terms and formulas. The propositional search reads
+each candidate's truth table on chain levels once (`_levels`) against two
+envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
+The representation map's clauses are checked by `mv_core.clause_result`;
+`pavelka` reuses them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
-    AuditReport, Chain, ONE, ZERO, _instance, _level_sums, clause_result,
+    AuditReport, Chain, _instance, _level_sums, clause_result,
     maximal_filters, quotient,
 )
 from .polyadic import FunctionalSetAlgebra
@@ -25,6 +29,18 @@ from .syntax import (
     TOP, BOTTOM, predicates_of, render,
 )
 from .transform import FinTransformation, compose
+
+
+# The most candidate formulas an interpolant search enumerates. Every
+# stratum is kept while the next is built: the 732,753 candidates of the
+# exhaustive one-atom search at depth 9 take about 150 MB of max RSS
+# (Python 3.11), and two atoms pass the cap at depth 9 (2,554,596).
+MAX_CANDIDATES = 1_000_000
+
+# The most valuations a truth table of the propositional search covers. A
+# table is a list in memory; this is the default model cap of
+# semantics.entails, whose models at |M| = 1 are these valuations.
+MAX_VALUATIONS = 500_000
 
 
 class PremiseNotEntailed(ValueError):
@@ -67,38 +83,60 @@ class NotFoundWithin:
     found = False
 
 
-def _prop_eval(phi, valuation, chain):
-    """Direct recursive valuation of a quantifier-free formula.
+def _levels(phi, atoms, top):
+    """The truth table of a quantifier-free formula on the levels 0..top
+    of a chain, one entry per valuation of `atoms` in product order: ~ is
+    top - x, and (+), (*) and -> read mv_core._level_sums at the zipped
+    sums. The search's own evaluator: semantics verifies what it finds."""
+    size = (top + 1) ** len(atoms)
+    if size > MAX_VALUATIONS:
+        raise semantics.SearchTooLarge(
+            f"{top + 1}^{len(atoms)} valuations exceed the cap of "
+            f"{MAX_VALUATIONS}")
+    plus, times = _level_sums(top)
+    columns = dict(zip(atoms, zip(*itertools.product(range(top + 1),
+                                                     repeat=len(atoms)))))
 
-    This is the search-side evaluator; verification goes through the
-    semantics module so the two verdicts never share a code path.
-    """
-    if isinstance(phi, Atom):
-        return valuation[phi.pred]
-    if isinstance(phi, Top):
-        return ONE
-    if isinstance(phi, Bottom):
-        return ZERO
-    if isinstance(phi, Neg):
-        return chain.neg(_prop_eval(phi.body, valuation, chain))
-    if isinstance(phi, Oplus):
-        return chain.oplus(_prop_eval(phi.left, valuation, chain),
-                           _prop_eval(phi.right, valuation, chain))
-    if isinstance(phi, Odot):
-        return chain.odot(_prop_eval(phi.left, valuation, chain),
-                          _prop_eval(phi.right, valuation, chain))
-    if isinstance(phi, Implies):
-        return chain.implies(_prop_eval(phi.left, valuation, chain),
-                             _prop_eval(phi.right, valuation, chain))
-    raise ValueError("propositional scope admits no quantifiers")
+    def walk(phi):
+        if isinstance(phi, Atom):
+            return columns[phi.pred]
+        if isinstance(phi, (Top, Bottom)):
+            return [top if isinstance(phi, Top) else 0] * size
+        if isinstance(phi, Neg):
+            return [top - x for x in walk(phi.body)]
+        if not isinstance(phi, (Oplus, Odot, Implies)):
+            raise ValueError("propositional scope admits no quantifiers")
+        left, right = walk(phi.left), walk(phi.right)
+        if isinstance(phi, Implies):
+            left = [top - x for x in left]  # x -> y is ~x (+) y
+        sums = times if isinstance(phi, Odot) else plus
+        return list(map(sums.__getitem__, map(operator.add, left, right)))
+
+    return walk(phi)
 
 
 def _prop_entails(a, b, atoms, chain):
-    for values in itertools.product(chain.carrier, repeat=len(atoms)):
-        valuation = dict(zip(atoms, values))
-        if _prop_eval(a, valuation, chain) > _prop_eval(b, valuation, chain):
-            return False
-    return True
+    return all(map(operator.le, *(_levels(phi, atoms, chain.n - 1)
+                                  for phi in (a, b))))
+
+
+def _envelope(phi, common, bound, top):
+    """The bound (max or min) of phi over its atoms outside common."""
+    others = sorted(predicates_of(phi) - set(common))
+    row = _levels(phi, common + others, top)
+    block = (top + 1) ** len(others)
+    return [bound(row[i:i + block]) for i in range(0, len(row), block)]
+
+
+def _stratum_size(size, by_size, leaves, n_vars):
+    """The number of candidates of a size: the leaves at size 1; above,
+    ~, A{v} and E{v} of each formula one size down, and three connectives
+    per pair of formulas whose sizes sum to size - 1."""
+    if size == 1:
+        return leaves
+    return len(by_size[size - 1]) * (1 + 2 * n_vars) + 3 * sum(
+        len(by_size[l]) * len(by_size[size - 1 - l])
+        for l in range(1, size - 1))
 
 
 def _candidate_formulas(common, max_size, language=None, variables=()):
@@ -108,16 +146,25 @@ def _candidate_formulas(common, max_size, language=None, variables=()):
     predicate takes every tuple of the given variables as its arguments,
     and a formula f of one size gives A{v} f and E{v} f of the next, for
     each of the variables. Sizes are materialized lazily, so a search that
-    succeeds early never pays for the deep strata.
+    succeeds early never pays for the deep strata. A stratum that would
+    take the count past MAX_CANDIDATES raises SearchTooLarge before it is
+    built.
     """
+    arity = {p: 0 if language is None else language.arity(p) for p in common}
+    leaves = 2 + sum(len(variables) ** arity[p] for p in common)
     by_size = {}
+    total = 0
     for size in range(1, max_size + 1):
+        total += _stratum_size(size, by_size, leaves, len(variables))
+        if total > MAX_CANDIDATES:
+            raise semantics.SearchTooLarge(
+                f"{total} candidates up to size {size} exceed the cap of "
+                f"{MAX_CANDIDATES}")
         if size == 1:
             batch = [BOTTOM, TOP]
             for pred in sorted(common):
-                arity = 0 if language is None else language.arity(pred)
                 batch.extend(Atom(pred, args) for args in
-                             itertools.product(variables, repeat=arity))
+                             itertools.product(variables, repeat=arity[pred]))
         else:
             smaller = by_size[size - 1]
             batch = [Neg(f) for f in smaller]
@@ -142,56 +189,46 @@ def interpolant_search(a, b, split, depth, chain_n=2, scope="propositional",
     rendering; each hit is re-verified through the model-based evaluator
     before being returned. NotFoundWithin is a bounded verdict only.
     """
-    chain = Chain(chain_n)
-    used = predicates_of(a) | predicates_of(b)
+    top = Chain(chain_n).n - 1
     if not predicates_of(a) <= split.x1:
         raise ValueError("left formula strays outside its vocabulary")
     if not predicates_of(b) <= split.x2:
         raise ValueError("right formula strays outside its vocabulary")
 
     if scope == "propositional":
-        atoms = sorted(used)
-        if not _prop_entails(a, b, atoms, chain):
+        # a and b share no atom outside common, so c sits between them iff
+        # lo <= c <= hi at every valuation of common
+        common = sorted(split.common)
+        lo = _envelope(a, common, max, top)
+        hi = _envelope(b, common, min, top)
+        if not all(map(operator.le, lo, hi)):
             raise PremiseNotEntailed(f"{render(a)} does not entail {render(b)}")
 
-        def holds(lhs, rhs):
-            return _prop_entails(lhs, rhs, sorted(predicates_of(lhs)
-                                                  | predicates_of(rhs)), chain)
-
-        verify_language = language or syntax.LanguageSpec(
+        k = 1
+        candidates = (c for c in _candidate_formulas(split.common, depth)
+                      if all(x <= y <= z for x, y, z
+                             in zip(lo, _levels(c, common, top), hi)))
+        language = language or syntax.LanguageSpec(
             num_vars=2, reserve=1,
             predicates=tuple((p, 0) for p in sorted(split.x1 | split.x2)))
-
-        def verified(c):
-            left = semantics.entails([], Implies(a, c), verify_language,
-                                     1, chain_n)
-            right = semantics.entails([], Implies(c, b), verify_language,
-                                      1, chain_n)
-            return (not left.refuted) and (not right.refuted)
-
-        for c in _candidate_formulas(split.common, depth):
-            if holds(a, c) and holds(c, b) and verified(c):
-                return Found(c)
-        return NotFoundWithin(depth)
-
-    if isinstance(scope, tuple) and scope[0] == "bounded-model":
+    elif isinstance(scope, tuple) and scope[0] == "bounded-model":
         k = scope[1]
         if language is None:
             raise ValueError("bounded-model scope needs the language")
-        base = semantics.entails([a], b, language, k, chain_n)
-        if base.refuted:
+        if semantics.entails([a], b, language, k, chain_n).refuted:
             raise PremiseNotEntailed(
                 f"{render(a)} does not entail {render(b)} up to |M|={k}")
         variables = sorted(syntax.free_vars(a) | syntax.free_vars(b)) or ["v0"]
-        for c in _candidate_formulas(split.common, depth, language, variables):
-            if not semantics.entails([], Implies(a, c), language, k,
-                                     chain_n).refuted \
-                    and not semantics.entails([], Implies(c, b), language, k,
-                                              chain_n).refuted:
-                return Found(c)
-        return NotFoundWithin(depth)
+        candidates = _candidate_formulas(split.common, depth, language,
+                                         variables)
+    else:
+        raise ValueError(f"unknown scope {scope!r}")
 
-    raise ValueError(f"unknown scope {scope!r}")
+    for c in candidates:
+        if not any(semantics.entails([], phi, language, k, chain_n).refuted
+                   for phi in (Implies(a, c), Implies(c, b))):
+            return Found(c)
+    return NotFoundWithin(depth)
 
 
 @dataclass(frozen=True)

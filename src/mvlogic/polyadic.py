@@ -31,7 +31,7 @@ from operator import add, itemgetter
 from .mv_core import (
     AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO, _instance,
     _interleave, _level_sums, first_witness, format_point, format_value,
-    parse_point, parse_value,
+    is_json_int, json_field, parse_point, parse_value,
 )
 from .transform import FinTransformation, SemigroupSpec, semigroup_closure
 
@@ -982,7 +982,7 @@ def audit_axioms(algebra):
 
 
 def algebra_from_json(data):
-    chain = Chain(data["chain"])
+    chain = Chain(json_field(data, "chain", is_json_int, "an integer"))
     index_set = tuple(data["index_set"]) if isinstance(data["index_set"], list) \
         else tuple(range(data["index_set"]))
     base = data["base"]

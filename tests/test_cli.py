@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from mvlogic import interlab
 from mvlogic.cli import dispatch, main
 
 MODEL = {
@@ -155,6 +156,37 @@ class TestExitCodes:
                             "--formula", "T"])
         assert code == 2
 
+    def test_unknown_rule_is_rejected_before_its_references(self, tmp_path):
+        data = json.loads((GOLDEN_INPUTS / "proof0.json").read_text())
+        data["steps"][0]["rule"] = "x"
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps(data))
+        code, report = dispatch(["proof", "check", "--proof", str(proof)])
+        assert code == 1
+        assert report["data"] == {"step": 0, "reason": "unknown rule 'x'"}
+
+    def test_interp_search_over_candidate_cap(self, monkeypatch):
+        # no formula over q and s sits between a2 and b2 on L3, so the
+        # search runs into the cap: 4 + 4 + 52 + 148 candidates to size 4
+        monkeypatch.setattr(interlab, "MAX_CANDIDATES", 100)
+        code, report = dispatch([
+            "interp", "search", "--a", str(GOLDEN_INPUTS / "a2.txt"),
+            "--b", str(GOLDEN_INPUTS / "b2.txt"), "--common", "q,s",
+            "--chain", "3", "--depth", "11"])
+        assert code == 2
+        assert report["reason"] == \
+            "208 candidates up to size 4 exceed the cap of 100"
+
+    def test_interp_search_found_under_candidate_cap(self, monkeypatch):
+        # the strata are counted as they are reached, so an interpolant
+        # at size 1 is found at any depth
+        monkeypatch.setattr(interlab, "MAX_CANDIDATES", 5)
+        code, report = dispatch([
+            "interp", "search", "--a", str(GOLDEN_INPUTS / "a1.txt"),
+            "--b", str(GOLDEN_INPUTS / "b1.txt"), "--common", "q",
+            "--depth", "11"])
+        assert code == 0 and report["data"] == {"interpolant": "q"}
+
     def test_refuted_entailment_is_one(self, tmp_path):
         lang = tmp_path / "lang.json"
         lang.write_text(json.dumps(
@@ -200,6 +232,9 @@ OVERCAP_SPEC = {
     ["mv", "audit", "--chain", "3", "--mode", "sampled"],
     ["mv", "quotient", "--chain", "100000", "--members", "1"],
     ["pavelka", "check", "--chain", "100000"],
+    ["proof", "check", "--proof", "{toplist}"],
+    ["poly", "audit", "--spec", "{toplist}"],
+    ["henkin", "demo", "--algebra", "{toplist}", "--element", "g0"],
 ], ids=["overcap-spec", "element-index", "generator-index",
         "language-without-variables", "assignment-outside-domain",
         "gamma-without-formulas", "proof-gamma-without-formulas",
@@ -207,7 +242,9 @@ OVERCAP_SPEC = {
         "manifest-top-level-list", "manifest-commands-not-list",
         "manifest-command-not-list", "manifest-without-commands",
         "generator-short-of-huge-base", "sampled-table", "sampled-chain",
-        "quotient-chain-over-view-cap", "pavelka-chain-over-view-cap"])
+        "quotient-chain-over-view-cap", "pavelka-chain-over-view-cap",
+        "proof-top-level-list", "spec-top-level-list",
+        "algebra-top-level-list"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     for name, payload in (("overcap", OVERCAP_SPEC),
                           ("hugebase", {**ALGEBRA_SPEC, "base": 1000000}),
@@ -219,7 +256,8 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
                           ("manifest_list", [["mv", "audit", "--chain", "3"]]),
                           ("manifest_number", {"commands": 5}),
                           ("manifest_item", {"commands": [5]}),
-                          ("table", TABLE_L3)):
+                          ("table", TABLE_L3),
+                          ("toplist", [1, 2])):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")
@@ -297,8 +335,10 @@ def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
     ["semigroup", "closure", "--generators", "[1|0]", "--domain", "0"],
     ["mv", "audit", "--standard", "--mode", "sampled", "--samples", "0"],
     ["mv", "audit", "--standard", "--mode", "sampled", "--samples", "-3"],
+    ["interp", "search", "--a", "a.txt", "--b", "b.txt", "--common", "q",
+     "--depth", "0"],
 ], ids=["eval-zero-points", "eval-zero-domain", "closure-zero-domain",
-        "audit-zero-samples", "audit-negative-samples"])
+        "audit-zero-samples", "audit-negative-samples", "interp-zero-depth"])
 def test_count_below_one_is_a_usage_error(argv):
     code, report = dispatch(argv)
     assert code == 2 and report["verdict"] == "usage-error"

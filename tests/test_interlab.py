@@ -7,19 +7,21 @@ import pytest
 from conftest import coordinate_generator, pattern_algebra, small_algebra
 from mvlogic import interlab, mv_core, pavelka
 from mvlogic.interlab import (
-    Exhausted, HenkinFilter, NotFoundWithin, PremiseNotEntailed, TermCyl,
-    TermNeg, TermOdot, TermOne, TermOplus, TermSub, TermVar, TermZero,
-    VocabSplit, ZeroElement, eta_agreement_check, eta_translate,
+    Exhausted, Found, HenkinFilter, NotFoundWithin, PremiseNotEntailed,
+    TermCyl, TermNeg, TermOdot, TermOne, TermOplus, TermSub, TermVar,
+    TermZero, VocabSplit, ZeroElement, eta_agreement_check, eta_translate,
     henkin_filter_build, interpolant_search, leq, representation_map,
 )
 from mvlogic.mv_core import Chain
 from mvlogic.polyadic import build_generated, dimension_set
-from mvlogic.semantics import Model, entails, random_model
+from mvlogic.semantics import Model, SearchTooLarge, entails, random_model
 from mvlogic.syntax import (
-    Atom, BOTTOM, Exists, Implies, LanguageSpec, Odot, Oplus, TOP,
-    predicates_of, render,
+    Atom, BOTTOM, Exists, Implies, LanguageSpec, Odot, Oplus, TOP, parse,
+    predicates_of, random_formula, render,
 )
 from mvlogic.transform import FinTransformation, compose
+from test_acceptance import boolean_representatives
+from test_semantics import _prop_eval
 
 PROPS = LanguageSpec(num_vars=2, reserve=1,
                      predicates=(("p", 0), ("q", 0), ("r", 0)))
@@ -124,6 +126,163 @@ class TestInterpolantSearch:
             "A{v0} A{v0} F", "A{v0} A{v0} T", "A{v0} A{v0} p(v0)",
             "A{v0} A{v0} p(v1)", "A{v0} A{v0} r", "A{v0} A{v1} F"]
         assert pool[-5:] == ["~~F", "~~T", "~~p(v0)", "~~p(v1)", "~~r"]
+
+
+def fraction_search(a, b, split, depth, chain_n):
+    """The propositional interpolant search on Fraction valuations: each
+    check walks both sides at every valuation of their atoms, and a hit
+    is verified again through semantics.entails."""
+    chain = Chain(chain_n)
+
+    def holds(lhs, rhs):
+        atoms = sorted(predicates_of(lhs) | predicates_of(rhs))
+        for values in itertools.product(chain.carrier, repeat=len(atoms)):
+            valuation = dict(zip(atoms, values))
+            if _prop_eval(lhs, valuation, chain) \
+                    > _prop_eval(rhs, valuation, chain):
+                return False
+        return True
+
+    def verified(c):
+        return not any(entails([], phi, PROPS, 1, chain_n).refuted
+                       for phi in (Implies(a, c), Implies(c, b)))
+
+    if not holds(a, b):
+        raise PremiseNotEntailed(f"{render(a)} does not entail {render(b)}")
+    for c in interlab._candidate_formulas(split.common, depth):
+        if holds(a, c) and holds(c, b) and verified(c):
+            return Found(c)
+    return NotFoundWithin(depth)
+
+
+def search_outcome(search, a, b, depth, chain_n):
+    """(found, interpolant or depth), or the reason the premise fails."""
+    split = VocabSplit(frozenset({"p", "q"}), frozenset({"q", "r"}))
+    try:
+        out = search(a, b, split, depth, chain_n)
+    except PremiseNotEntailed as exc:
+        return str(exc)
+    return out.found, out.interpolant if out.found else out.depth
+
+
+# no formula over q alone sits between these on L3 or L4: the max of the
+# first and the min of the second lie strictly between 0 and 1, and at
+# q = 0 and q = 1 every formula over q alone is 0 or 1
+NO_INTERPOLANT = (parse("p (*) (p -> ~p)", PROPS),
+                  parse("(r -> ~r) -> ~r", PROPS))
+
+
+def formula_size(phi):
+    """The number of nodes of a formula, the size candidates are ordered
+    by."""
+    return 1 + sum(formula_size(getattr(phi, key))
+                   for key in ("body", "left", "right") if hasattr(phi, key))
+
+
+class TestCaps:
+    @staticmethod
+    def strata(leaves, n_vars, depth):
+        """The stratum sizes _stratum_size gives, up to depth."""
+        sizes = {}
+        for size in range(1, depth + 1):
+            sizes[size] = range(interlab._stratum_size(size, sizes, leaves,
+                                                       n_vars))
+        return [len(sizes[s]) for s in sizes]
+
+    def test_stratum_sizes_match_the_enumeration(self):
+        lang = LanguageSpec(num_vars=3, reserve=1,
+                            predicates=(("p", 1), ("r", 0)))
+        for common, language, variables, leaves in (
+                ({"q"}, None, (), 3), ({"p", "q"}, None, (), 4),
+                ({"p", "r"}, lang, ["v0", "v1"], 5)):
+            sizes = [0] * 5
+            for c in interlab._candidate_formulas(frozenset(common), 5,
+                                                  language, variables):
+                sizes[formula_size(c) - 1] += 1
+            assert sizes == self.strata(leaves, len(variables), 5)
+
+    def test_cap_admits_the_exhaustive_one_atom_depth_9_search(self):
+        assert sum(self.strata(3, 0, 9)) == 732753 \
+            <= interlab.MAX_CANDIDATES < sum(self.strata(4, 0, 9))
+
+    def test_stratum_past_the_cap_is_not_built(self, monkeypatch):
+        # size 1 holds F, T and q; size 2 would be their negations
+        def built(*args):
+            raise AssertionError("a stratum past the cap was built")
+
+        monkeypatch.setattr(interlab, "MAX_CANDIDATES", 5)
+        monkeypatch.setattr(interlab, "Neg", built)
+        pool = []
+        with pytest.raises(SearchTooLarge) as exc:
+            pool.extend(interlab._candidate_formulas(frozenset({"q"}), 9))
+        assert [render(c) for c in pool] == ["F", "T", "q"]
+        assert str(exc.value) == \
+            "6 candidates up to size 2 exceed the cap of 5"
+
+    def test_truth_table_past_the_cap_is_not_built(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a truth table past the cap was built")
+
+        monkeypatch.setattr(interlab, "_level_sums", built)
+        split = VocabSplit(frozenset({"p", "q", "s"}), frozenset({"q", "r"}))
+        a = parse("p (*) q (*) s", LanguageSpec(
+            num_vars=2, reserve=1,
+            predicates=(("p", 0), ("q", 0), ("s", 0))))
+        with pytest.raises(SearchTooLarge) as exc:
+            interpolant_search(a, Oplus(Q, R), split, depth=3, chain_n=100)
+        assert str(exc.value) == \
+            "100^3 valuations exceed the cap of 500000"
+
+    def test_search_meets_the_cap(self, monkeypatch):
+        split = VocabSplit(frozenset({"p", "q"}), frozenset({"q", "r"}))
+        monkeypatch.setattr(interlab, "MAX_CANDIDATES", 771)
+        assert interpolant_search(*NO_INTERPOLANT, split, depth=5,
+                                  chain_n=3) == NotFoundWithin(5)
+        monkeypatch.setattr(interlab, "MAX_CANDIDATES", 770)
+        with pytest.raises(SearchTooLarge):
+            interpolant_search(*NO_INTERPOLANT, split, depth=5, chain_n=3)
+
+
+class TestAgainstFractionSearch:
+    def test_criterion_07_pairs(self):
+        _, reps_a = boolean_representatives(["p", "q"])
+        _, reps_b = boolean_representatives(["q", "r"])
+        found = 0
+        for a in reps_a.values():
+            for b in reps_b.values():
+                expected = search_outcome(fraction_search, a, b, 9, 2)
+                assert search_outcome(interpolant_search, a, b, 9, 2) \
+                    == expected, (render(a), render(b))
+                found += expected[0] is True
+        assert found > 0
+
+    def test_seeded_l3_l4_pairs(self):
+        rng = random.Random(12)
+        left = LanguageSpec(num_vars=2, reserve=1,
+                            predicates=(("p", 0), ("q", 0)))
+        right = LanguageSpec(num_vars=2, reserve=1,
+                             predicates=(("q", 0), ("r", 0)))
+        kinds = set()
+        for i in range(300):
+            a = random_formula(rng, left, 3, quantifiers=False)
+            b = random_formula(rng, right, 3, quantifiers=False)
+            expected = search_outcome(fraction_search, a, b, 5, 3 + i % 2)
+            assert search_outcome(interpolant_search, a, b, 5, 3 + i % 2) \
+                == expected, (render(a), render(b))
+            kinds.add(type(expected))
+        assert kinds == {str, tuple}
+
+    @pytest.mark.parametrize("chain_n", [3, 4])
+    def test_no_interpolant_pair(self, chain_n):
+        expected = search_outcome(fraction_search, *NO_INTERPOLANT, 5, chain_n)
+        assert expected == (False, 5)
+        assert search_outcome(interpolant_search, *NO_INTERPOLANT, 5,
+                              chain_n) == expected
+
+    def test_no_interpolant_pair_at_depth_7(self):
+        split = VocabSplit(frozenset({"p", "q"}), frozenset({"q", "r"}))
+        assert interpolant_search(*NO_INTERPOLANT, split, depth=7,
+                                  chain_n=3) == NotFoundWithin(7)
 
 
 class TestHenkin:

@@ -4,22 +4,46 @@ from fractions import Fraction as F
 
 import pytest
 
-from mvlogic.interlab import _prop_eval
-from mvlogic.mv_core import CarrierError, Chain
+from mvlogic.interlab import _levels
+from mvlogic.mv_core import ONE, ZERO, CarrierError, Chain
 from mvlogic.semantics import (
     Assignment, MissingTableError, Model, NoCounterexampleUpTo, RefutedBy,
     SearchTooLarge, entails, eval_formula, is_valid, random_model,
     truth_degree,
 )
 from mvlogic.syntax import (
-    Exists, Forall, Implies, LanguageSpec, Neg, free_vars, parse,
-    random_formula, render, substitute,
+    Atom, Bottom, Exists, Forall, Implies, LanguageSpec, Neg, Odot, Oplus,
+    Top, free_vars, parse, random_formula, render, substitute,
 )
 
 LANG = LanguageSpec(num_vars=4, reserve=1, predicates=(("p", 1),))
 RICH = LanguageSpec(num_vars=5, reserve=1, predicates=(("p", 1), ("s", 2)))
 PROPS = LanguageSpec(num_vars=2, reserve=1,
                      predicates=(("a", 0), ("b", 0), ("c", 0)))
+
+
+def _prop_eval(phi, valuation, chain):
+    """Direct recursive valuation of a quantifier-free formula, in
+    Fractions: the reference for the semantics evaluator and for
+    interlab's truth tables on levels."""
+    if isinstance(phi, Atom):
+        return valuation[phi.pred]
+    if isinstance(phi, Top):
+        return ONE
+    if isinstance(phi, Bottom):
+        return ZERO
+    if isinstance(phi, Neg):
+        return chain.neg(_prop_eval(phi.body, valuation, chain))
+    if isinstance(phi, Oplus):
+        return chain.oplus(_prop_eval(phi.left, valuation, chain),
+                           _prop_eval(phi.right, valuation, chain))
+    if isinstance(phi, Odot):
+        return chain.odot(_prop_eval(phi.left, valuation, chain),
+                          _prop_eval(phi.right, valuation, chain))
+    if isinstance(phi, Implies):
+        return chain.implies(_prop_eval(phi.left, valuation, chain),
+                             _prop_eval(phi.right, valuation, chain))
+    raise ValueError("propositional scope admits no quantifiers")
 
 
 @pytest.fixture
@@ -90,6 +114,26 @@ class TestEval:
                     name: {(): value} for name, value in valuation.items()})
                 assert eval_formula(phi, model, Assignment()) \
                     == _prop_eval(phi, valuation, chain), render(phi)
+
+    def test_levels_agree_with_propositional_evaluator(self):
+        # interlab's truth tables on levels against the Fraction reference,
+        # valuations in product order
+        rng = random.Random(12)
+        for n in range(2, 7):
+            chain = Chain(n)
+            for k in range(1, 4):
+                atoms = [name for name, _ in PROPS.predicates[:k]]
+                lang = LanguageSpec(num_vars=2, reserve=1,
+                                    predicates=PROPS.predicates[:k])
+                for _ in range(20):
+                    phi = random_formula(rng, lang, 4, quantifiers=False)
+                    expected = [
+                        _prop_eval(phi, dict(zip(atoms, values)), chain)
+                        * (n - 1)
+                        for values in itertools.product(chain.carrier,
+                                                        repeat=k)]
+                    assert list(_levels(phi, atoms, n - 1)) == expected, \
+                        render(phi)
 
     def test_table_values_must_sit_in_chain(self):
         with pytest.raises(CarrierError):
