@@ -19,7 +19,10 @@ import random
 from dataclasses import dataclass
 
 from . import semantics, syntax
-from .mv_core import is_json_int, json_field
+from .mv_core import (
+    is_json_int, is_json_list, is_json_object, is_json_str, json_field,
+    json_list_of,
+)
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, free_vars, bound_vars, all_vars,
@@ -306,31 +309,22 @@ def proof_to_json(proof):
 
 def proof_from_json(data, language):
     """The proof of a JSON object; only keys with a default may be missing."""
-    def get(record, key, valid, expected, default=None):
-        if default is not None and key not in record:
-            return default
-        return json_field(record, key, valid, expected)
-
-    def text(v):
-        return isinstance(v, str)
-
-    def texts(v):
-        return isinstance(v, list) and all(map(text, v))
-
-    hypotheses = tuple(parse(t, language) for t in get(
+    texts = json_list_of(is_json_str)
+    hypotheses = tuple(parse(t, language) for t in json_field(
         data, "hypotheses", texts, "a list of strings", ()))
     steps = [ProofStep(
-        rule=get(r, "rule", text, "a string"),
-        formula=parse(get(r, "formula", text, "a string"), language),
-        refs=tuple(get(r, "refs", lambda v: isinstance(v, list)
-                       and all(map(is_json_int, v)), "a list of integers", ())),
-        schema=get(r, "schema", text, "a string", ""),
-        block=frozenset(get(r, "vars", texts, "a list of strings", ())),
-        tau=tuple(sorted(get(r, "tau", lambda v: isinstance(v, dict)
-                             and all(map(text, v.values())),
-                             "an object of strings", {}).items())),
-        mode=get(r, "mode", text, "a string", "printed"),
-    ) for r in get(data, "steps", lambda v: isinstance(v, list), "a list")]
+        rule=json_field(r, "rule", is_json_str, "a string"),
+        formula=parse(json_field(r, "formula", is_json_str, "a string"),
+                      language),
+        refs=tuple(json_field(r, "refs", json_list_of(is_json_int),
+                              "a list of integers", ())),
+        schema=json_field(r, "schema", is_json_str, "a string", ""),
+        block=frozenset(json_field(r, "vars", texts, "a list of strings", ())),
+        tau=tuple(sorted(json_field(r, "tau", lambda v: is_json_object(v)
+                                    and all(map(is_json_str, v.values())),
+                                    "an object of strings", {}).items())),
+        mode=json_field(r, "mode", is_json_str, "a string", "printed"),
+    ) for r in json_field(data, "steps", is_json_list, "a list")]
     return Proof(hypotheses, tuple(steps))
 
 

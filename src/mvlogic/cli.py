@@ -21,7 +21,10 @@ from fractions import Fraction
 
 from . import calculus, interlab, mv_core, pavelka, polyadic, semantics, syntax
 from . import transform
-from .mv_core import Chain, StandardRationals, TableAlgebra, parse_value
+from .mv_core import (
+    Chain, StandardRationals, TableAlgebra, is_json_list, is_json_object,
+    is_json_str, json_field, json_list_of, parse_value,
+)
 
 
 class CliError(Exception):
@@ -61,24 +64,30 @@ def _read_file(path, inputs):
     return raw.decode("utf-8")
 
 
-def _read_json(path, inputs):
+def _load_json(path, inputs, what, load):
+    """load(data) of the JSON file at path. A loader's input errors are
+    ValueErrors (see mv_core.json_field), reported as "{what}: ..."."""
     text = _read_file(path, inputs)
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _read_json_list(path, key, inputs):
-    """The entry `key` of the JSON object in the file, a list."""
-    data = _read_json(path, inputs)
     try:
-        entry = data[key]
-    except (KeyError, TypeError):
-        raise CliError(f"{path} has no {key!r} entry") from None
-    if not isinstance(entry, list):
-        raise CliError(f"{path}: {key!r} must be a list, got {entry!r}")
-    return entry
+        return load(data)
+    except ValueError as exc:
+        raise CliError(f"{what}: {exc}") from None
+
+
+def _read_json_list(path, key, inputs, valid=is_json_list, expected="a list"):
+    """The list `key` of the JSON object in the file."""
+    return _load_json(path, inputs, path, lambda data: json_field(
+        data, key, valid, expected))
+
+
+def _gamma(args, inputs):
+    """The formula texts of the --gamma file; none without the flag."""
+    return _read_json_list(args.gamma, "formulas", inputs, json_list_of(
+        is_json_str), "a list of strings") if args.gamma else []
 
 
 def _read_formula_text(arg, inputs):
@@ -89,11 +98,8 @@ def _read_formula_text(arg, inputs):
 
 def _algebra_arg(args, inputs, audit=True):
     if args.table:
-        data = _read_json(args.table, inputs)
-        try:
-            return TableAlgebra.from_json(data, audit=audit)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"bad table algebra: {exc}") from None
+        return _load_json(args.table, inputs, "bad table algebra",
+                          lambda data: TableAlgebra.from_json(data, audit))
     if getattr(args, "standard", False):
         return StandardRationals()
     if args.chain is not None:
@@ -192,11 +198,8 @@ def _cmd_mv_quotient(args, inputs):
 
 def _load_model_formula(args, inputs):
     """The --model file and the --formula parsed in its language."""
-    data = _read_json(args.model, inputs)
-    try:
-        model = semantics.Model.from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"bad model file: {exc}") from None
+    model = _load_json(args.model, inputs, "bad model file",
+                       semantics.Model.from_json)
     text = _read_formula_text(args.formula, inputs)
     return model, syntax.parse(text, model.language)
 
@@ -215,9 +218,9 @@ def _cmd_logic_eval(args, inputs):
 
 def _cmd_logic_valid(args, inputs):
     model, phi = _load_model_formula(args, inputs)
-    valid = semantics.is_valid(phi, model)
-    return (0 if valid else 1, "valid" if valid else "not-valid",
-            {"degree": str(semantics.truth_degree(phi, model))})
+    degree = semantics.truth_degree(phi, model)
+    return (0 if degree == 1 else 1, "valid" if degree == 1 else "not-valid",
+            {"degree": str(degree)})
 
 
 def _cmd_logic_degree(args, inputs):
@@ -226,15 +229,9 @@ def _cmd_logic_degree(args, inputs):
 
 
 def _cmd_logic_entails(args, inputs):
-    try:
-        language = syntax.LanguageSpec.from_json(
-            _read_json(args.language, inputs))
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"bad language file: {exc}") from None
-    gamma = []
-    if args.gamma:
-        for text in _read_json_list(args.gamma, "formulas", inputs):
-            gamma.append(syntax.parse(text, language))
+    language = _load_json(args.language, inputs, "bad language file",
+                          syntax.LanguageSpec.from_json)
+    gamma = [syntax.parse(text, language) for text in _gamma(args, inputs)]
     phi = syntax.parse(_read_formula_text(args.formula, inputs), language)
     verdict = semantics.entails(gamma, phi, language, args.max_domain,
                                 args.chain, cap=args.cap)
@@ -247,18 +244,17 @@ def _cmd_logic_entails(args, inputs):
 # -- proof ------------------------------------------------------------
 
 
+def _load_proof(data):
+    language = syntax.LanguageSpec.from_json(json_field(
+        data, "language", is_json_object, "an object"))
+    return language, calculus.proof_from_json(data, language)
+
+
 def _cmd_proof_check(args, inputs):
-    data = _read_json(args.proof, inputs)
-    try:
-        language = syntax.LanguageSpec.from_json(mv_core.json_field(
-            data, "language", lambda v: isinstance(v, dict), "an object"))
-        proof = calculus.proof_from_json(data, language)
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"bad proof file: {exc}") from None
-    gamma = None
-    if args.gamma:
-        gamma = tuple(syntax.parse(t, language)
-                      for t in _read_json_list(args.gamma, "formulas", inputs))
+    language, proof = _load_json(args.proof, inputs, "bad proof file",
+                                 _load_proof)
+    gamma = tuple(syntax.parse(t, language) for t in _gamma(args, inputs)) \
+        if args.gamma else None
     verdict = calculus.check_proof(proof, language, gamma=gamma)
     if verdict.accepted:
         return 0, "accept", {"steps": len(proof.steps)}
@@ -281,11 +277,8 @@ def _cmd_proof_audit(args, inputs):
 
 def _load_poly(path, inputs):
     """(spec data, algebra) of an algebra spec file."""
-    data = _read_json(path, inputs)
-    try:
-        return data, polyadic.algebra_from_json(data)
-    except (KeyError, ValueError, polyadic.TruncationError) as exc:
-        raise CliError(f"bad algebra spec: {exc}") from None
+    return _load_json(path, inputs, "bad algebra spec",
+                      lambda data: (data, polyadic.algebra_from_json(data)))
 
 
 def _resolve_element(algebra, ref):
@@ -400,10 +393,12 @@ def _cmd_henkin_demo(args, inputs):
 
 def _cmd_pavelka_degree(args, inputs):
     data, algebra = _load_poly(args.algebra, inputs)
-    if "constants" in data:
-        # explicit declaration: {"constants": {"1/2": carrierIndex, ...}}
+    # explicit declaration: {"constants": {"1/2": carrierIndex, ...}}
+    constants = json_field(data, "constants", is_json_object, "an object",
+                           None)
+    if constants is not None:
         table = {parse_value(k): _resolve_element(algebra, i)
-                 for k, i in data["constants"].items()}
+                 for k, i in constants.items()}
         pav = pavelka.PavelkaAlgebra.make(algebra, algebra.chain, table)
     else:
         pav = pavelka.functional_pavelka(algebra, require_full=False)
@@ -490,10 +485,9 @@ def _cmd_semigroup_eval(args, inputs):
 
 
 def _cmd_batch(args, inputs):
-    commands = _read_json_list(args.manifest, "commands", inputs)
-    if not all(isinstance(argv, list) for argv in commands):
-        raise CliError(f"{args.manifest}: 'commands' must be a list of "
-                       "argument lists")
+    commands = _read_json_list(args.manifest, "commands", inputs,
+                               json_list_of(is_json_list),
+                               "a list of argument lists")
     results = []
     worst = 0
     for argv in commands:

@@ -6,8 +6,8 @@ witness construction with its representation map, and the translation
 bridge between polyadic terms and formulas. The propositional search reads
 each candidate's truth table on chain levels once (`_levels`) against two
 envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
-The representation map's clauses are checked by `mv_core.clause_result`;
-`pavelka` reuses them.
+The representation map's clauses are checked by `mv_core.clause_result`
+and `mv_core.homomorphism_clauses`; `pavelka` reuses them.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
-    AuditReport, Chain, _instance, _level_sums, clause_result,
-    maximal_filters, quotient,
+    MAX_VALUATIONS, AuditReport, Chain, _instance, _level_sums, _transpose,
+    clause_result, homomorphism_clauses, maximal_filters, quotient,
 )
 from .polyadic import FunctionalSetAlgebra
 from .syntax import (
@@ -36,11 +36,6 @@ from .transform import FinTransformation, compose
 # exhaustive one-atom search at depth 9 take about 150 MB of max RSS
 # (Python 3.11), and two atoms pass the cap at depth 9 (2,554,596).
 MAX_CANDIDATES = 1_000_000
-
-# The most valuations a truth table of the propositional search covers. A
-# table is a list in memory; this is the default model cap of
-# semantics.entails, whose models at |M| = 1 are these valuations.
-MAX_VALUATIONS = 500_000
 
 
 class PremiseNotEntailed(ValueError):
@@ -319,47 +314,6 @@ def psi_rows(V, levels, vs):
     return _transpose(
         [tuple(map(levels.__getitem__, V.subst[x])) for x in vs],
         len(V.carrier))
-
-
-def _transpose(columns, n):
-    """The n rows of the columns: row i holds entry i of every column
-    (n empty rows when there is no column)."""
-    return list(zip(*columns)) if columns else [()] * n
-
-
-def homomorphism_clauses(V, rows, top):
-    """The ~, (+) and (*) clauses of a map psi given by level rows.
-
-    rows[i] is psi of carrier index i as levels 0..top of a chain, one per
-    coordinate x. The right sides are built a column x at a time from the
-    chain's level tables (mv_core._level_sums): psi_x(~p) is top - psi_x(p)
-    and psi_x(p (+) q) is plus[psi_x(p) + psi_x(q)], times for (*). Over q
-    that column depends on p only through the level psi_x(p), so it is
-    built once per level. The columns are zipped back into rows: the ~
-    clause is one block of rows over p, the (+) and (*) clauses one block
-    per p over q (see mv_core.first_witness), so a witness is the first
-    p, or (p, q), whose rows differ.
-    """
-    els = V.elements
-    n = len(rows)
-    columns = list(zip(*rows))
-    flip = range(top, -1, -1)
-    results = [clause_result("neg", [(
-        list(map(rows.__getitem__, V.neg)),
-        _transpose([tuple(map(flip.__getitem__, col)) for col in columns], n),
-        zip(els))])]
-    plus, times = _level_sums(top)
-    for name, table, sums in (("oplus", V.oplus, plus),
-                              ("odot", V.odot, times)):
-        # by_level[xi][r] is the column of r . psi_x(q) over q
-        by_level = [[tuple(map(sums.__getitem__, map(r.__add__, col)))
-                     for r in range(top + 1)] for col in columns]
-        results.append(clause_result(name, (
-            (list(map(rows.__getitem__, table[i])),
-             _transpose([col[r] for col, r in zip(by_level, row)], n),
-             zip(itertools.repeat(els[i]), els))
-            for i, row in enumerate(rows))))
-    return results
 
 
 def cyl_sup_clause(V, rows, vs):

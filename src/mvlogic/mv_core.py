@@ -12,7 +12,9 @@ in their arguments, their results and their error messages.
 Every audit of the package reports here: `first_witness` finds the first
 failing instance of blocks of identities, compared a row at a time, and an
 `AuditReport` holds an audit's results in checking order. `_AXIOMS`
-declares the eight MV axiom groups once, as laws over rows of values.
+declares the eight MV axiom groups once, as laws over rows of values;
+`homomorphism_clauses` checks a map into a chain given by level rows.
+Every loader reads its JSON keys through `json_field`.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ MAX_CHAIN_VIEW = 1500
 # AbstractPolyadicAlgebra.from_functional(small_algebra()).
 MAX_AUDIT_CARRIER = 100
 
+# The most entries of a truth table held as one list: the valuations of
+# an interpolant search's formula and the |X|^|I| assignments of a
+# functional polyadic algebra. It is the default model cap of entails.
+MAX_VALUATIONS = 500_000
+
 # The largest denominator of a coordinate of a sampled audit's triples,
 # and the number of triples it draws and checks at a time.
 SAMPLE_DENOMINATOR = 97
@@ -93,11 +100,39 @@ def is_json_int(value):
     return type(value) is int
 
 
-def json_field(data, key, valid, expected):
-    """data[key], a KeyError if it is missing; a ValueError naming the key
-    if data is no object or `valid` rejects the entry."""
+def _json_type(kind):
+    return lambda value: isinstance(value, kind)
+
+
+# The other shape predicates of json_field, declared once: a string, an
+# object and a list
+is_json_str, is_json_object, is_json_list = map(_json_type, (str, dict, list))
+
+
+def json_list_of(valid):
+    """The shape predicate of a list whose every entry `valid` accepts."""
+    return lambda value: isinstance(value, list) and all(map(valid, value))
+
+
+def json_index_into(items):
+    """The shape predicate of an integer index into the sequence items."""
+    return lambda value: is_json_int(value) and 0 <= value < len(items)
+
+
+def json_field(data, key, valid, expected, default=...):
+    """data[key] of a JSON object, if the shape predicate `valid` accepts it.
+
+    Every loader reads every key of its input through here, so an input
+    error is a ValueError naming the key: data is no object, the key is
+    missing and has no `default`, or `valid` rejects the entry, which must
+    be `expected`.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"expected an object with {key!r}, got {data!r}")
+    if key not in data:
+        if default is ...:
+            raise ValueError(f"{key!r} is missing")
+        return default
     value = data[key]
     if not valid(value):
         raise ValueError(f"{key!r} must be {expected}, got {value!r}")
@@ -113,11 +148,11 @@ def format_point(point):
     return "(" + ",".join(map(str, point)) + ")"
 
 
-def parse_point(key, coordinate=int):
-    """The point of a key in format_point's form; `coordinate` reads each
-    entry. Spaces around the key and its entries are allowed."""
+def parse_point(key):
+    """The point of a key in format_point's form, entries integers. Spaces
+    around the key and its entries are allowed."""
     stripped = key.strip().lstrip("(").rstrip(")")
-    return tuple(coordinate(s) for s in stripped.split(",") if s != "")
+    return tuple(int(s) for s in stripped.split(",") if s != "")
 
 
 class MVAlgebra:
@@ -421,22 +456,14 @@ class TableAlgebra(MVAlgebra):
 
     @classmethod
     def from_json(cls, data, audit=True):
-        carrier = json_field(data, "carrier", lambda v: isinstance(v, list)
-                             and all(isinstance(x, (str, int)) for x in v),
-                             "a list of labels")
-
-        def integers(v):
-            return isinstance(v, list) and all(map(is_json_int, v))
-
-        def index(v):
-            return is_json_int(v) and 0 <= v < len(carrier)
-
-        rows = json_field(data, "oplus", lambda v: isinstance(v, list)
-                          and all(map(integers, v)), "a list of rows")
-        return cls(carrier, rows,
-                   json_field(data, "neg", integers, "a list of integers"),
-                   json_field(data, "zero", index, "a carrier index"),
-                   json_field(data, "one", index, "a carrier index"),
+        carrier = json_field(data, "carrier", json_list_of(
+            lambda v: isinstance(v, (str, int))), "a list of labels")
+        return cls(carrier, json_field(data, "oplus", json_list_of(
+                       json_list_of(is_json_int)), "a list of rows"),
+                   json_field(data, "neg", json_list_of(is_json_int),
+                              "a list of integers"),
+                   *(json_field(data, key, json_index_into(carrier),
+                                "a carrier index") for key in ("zero", "one")),
                    audit=audit)
 
 
@@ -564,6 +591,45 @@ def clause_result(name, blocks):
     checked, witness = first_witness(blocks)
     return ClauseResult(name.format(checked=checked), witness is None,
                         witness)
+
+
+def _transpose(columns, n):
+    """The n rows of the columns (n empty rows when there is no column)."""
+    return list(zip(*columns)) if columns else [()] * n
+
+
+def homomorphism_clauses(V, rows, top):
+    """The ~, (+) and (*) clauses of a map psi given by level rows: the
+    quotient projection and both representation maps.
+
+    rows[i] is psi of carrier index i as levels 0..top of a chain, one per
+    coordinate x. The right sides are built a column x at a time from the
+    chain's level tables (_level_sums), once per level psi_x(p): psi_x(~p)
+    is top - psi_x(p) and psi_x(p (+) q) is plus[psi_x(p) + psi_x(q)],
+    times for (*). The ~ clause is one block of rows over p, the (+) and
+    (*) clauses one block per p over q (see first_witness), so a witness
+    is the first p, or (p, q), whose rows differ.
+    """
+    els = V.elements
+    n = len(rows)
+    columns = list(zip(*rows))
+    flip = range(top, -1, -1)
+    results = [clause_result("neg", [(
+        list(map(rows.__getitem__, V.neg)),
+        _transpose([tuple(map(flip.__getitem__, col)) for col in columns], n),
+        zip(els))])]
+    plus, times = _level_sums(top)
+    for name, table, sums in (("oplus", V.oplus, plus),
+                              ("odot", V.odot, times)):
+        # by_level[xi][r] is the column of r . psi_x(q) over q
+        by_level = [[tuple(map(sums.__getitem__, map(r.__add__, col)))
+                     for r in range(top + 1)] for col in columns]
+        results.append(clause_result(name, (
+            (list(map(rows.__getitem__, table[i])),
+             _transpose([col[r] for col, r in zip(by_level, row)], n),
+             zip(itertools.repeat(els[i]), els))
+            for i, row in enumerate(rows))))
+    return results
 
 
 @dataclass(frozen=True)
@@ -858,19 +924,14 @@ def quotient_ranks(flt):
     ranks = tuple(rank[k] for k in class_of)
     top = len(reps) - 1
 
-    for a in V.carrier:
-        ra = ranks[a]
-        if ranks[neg[a]] != top - ra:
-            raise NonMaximalFilter(f"projection breaks ~ at {dec(a)!r}")
-        row_p, row_d = oplus[a], odot[a]
-        for b in V.carrier:
-            rb = ranks[b]
-            if ranks[row_p[b]] != min(ra + rb, top):
-                raise NonMaximalFilter(
-                    f"projection breaks (+) at ({dec(a)!r},{dec(b)!r})")
-            if ranks[row_d[b]] != max(ra + rb - top, 0):
-                raise NonMaximalFilter(
-                    f"projection breaks (*) at ({dec(a)!r},{dec(b)!r})")
+    # the ranks as one-coordinate rows of a map into the chain; a witness
+    # is read back as elements of the filter's algebra
+    clauses = homomorphism_clauses(V, [(r,) for r in ranks], top)
+    for symbol, clause in zip(("~", "(+)", "(*)"), clauses):
+        if not clause.holds:
+            at = ",".join(repr(dec(V.index_of[x])) for x in clause.witness)
+            raise NonMaximalFilter(f"projection breaks {symbol} at " + (
+                at if len(clause.witness) == 1 else f"({at})"))
     if ranks[V.zero] != 0 or ranks[V.one] != top:
         raise NonMaximalFilter("projection moves a constant")
     return Chain(len(reps)), ranks

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .mv_core import (
     AuditReport, Chain, Filter, ONE, ZERO, _instance, clause_result,
+    homomorphism_clauses,
 )
-from .interlab import (
-    HenkinFilter, cyl_sup_clause, homomorphism_clauses, psi_rows,
-)
+from .interlab import HenkinFilter, cyl_sup_clause, psi_rows
 
 
 @dataclass(frozen=True)

@@ -29,19 +29,23 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 
 from .mv_core import (
-    AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO, _instance,
-    _interleave, _level_sums, first_witness, format_point, format_value,
-    is_json_int, json_field, parse_point, parse_value,
+    MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
+    _instance, _interleave, _level_sums, first_witness, format_point,
+    format_value, is_json_int, is_json_object, is_json_str, json_field,
+    json_index_into, json_list_of, parse_point, parse_value,
 )
-from .transform import FinTransformation, SemigroupSpec, semigroup_closure
+from .transform import (
+    FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
+)
 
 
 class SignatureError(ValueError):
     """A scope or transformation is not part of the algebra's signature."""
 
 
-class TruncationError(RuntimeError):
-    """Carrier closure exceeded its cap; partial carriers are never returned."""
+class TruncationError(ValueError):
+    """A carrier, semigroup or assignment count exceeded its cap; partial
+    carriers are never returned."""
 
 
 class NotASubuniverse(ValueError):
@@ -75,24 +79,36 @@ def normalize_scopes(index_set, scopes):
     return tuple(sorted(set(sets), key=scope_key))
 
 
+def _assignment_count(points, base):
+    """|X|^|I| for |I| = points and |X| = base. An algebra builds its
+    |X|^|I| assignments and up to 2^|I| scopes as tuples, so either count
+    past MAX_VALUATIONS raises TruncationError first (2^20 is past it)."""
+    if max(base, 2) ** min(points, 20) > MAX_VALUATIONS:
+        raise TruncationError(f"|I| = {points} over |X| = {base} gives more "
+                              f"than {MAX_VALUATIONS} assignments or scopes")
+    return base ** points
+
+
 def normalize_transformations(index_set, spec):
     domain = tuple(sorted(index_set))
+    truncated = False
     if spec == "full":
-        maps = [FinTransformation(domain, values)
-                for values in itertools.product(domain, repeat=len(domain))]
-        return tuple(sorted(maps, key=lambda t: t.sort_key())), False
-    if isinstance(spec, SemigroupSpec):
+        # its |I|^|I| maps are held to the default closure cap of a
+        # generated semigroup before any is built: "full" admits |I| <= 4
+        if len(domain) ** len(domain) > SemigroupSpec.cap:
+            raise TruncationError(f"the full semigroup on {len(domain)} "
+                                  f"indices has over {SemigroupSpec.cap} maps")
+        maps = {FinTransformation(domain, values)
+                for values in itertools.product(domain, repeat=len(domain))}
+    elif isinstance(spec, SemigroupSpec):
         closure = semigroup_closure(spec)
-        maps = set(closure.elements)
-        maps.add(FinTransformation.identity(domain))
-        for t in maps:
-            if t.domain != domain:
-                raise SignatureError("semigroup lives on a different index set")
-        return (tuple(sorted(maps, key=lambda t: t.sort_key())),
-                closure.truncated)
-    maps = set(spec)
+        maps, truncated = set(closure.elements), closure.truncated
+    else:
+        maps = set(spec)
     maps.add(FinTransformation.identity(domain))
-    return tuple(sorted(maps, key=lambda t: t.sort_key())), False
+    if any(t.domain != domain for t in maps):
+        raise SignatureError("semigroup lives on a different index set")
+    return tuple(sorted(maps, key=lambda t: t.sort_key())), truncated
 
 
 class IndexedAlgebra(IndexedMV):
@@ -171,6 +187,7 @@ class FunctionalSetAlgebra:
 
     def __init__(self, index_set, base, chain, carrier, generators,
                  transformations, scopes):
+        _assignment_count(len(index_set), len(base))
         self.index_set = tuple(sorted(index_set))
         self.base = tuple(base)
         self.chain = chain
@@ -323,15 +340,15 @@ def build_generated(index_set, base, chain, generators, transformations,
     The closure runs on tuples of integer chain levels (see _level_ops);
     each element becomes a tuple of chain values once, at the end.
     """
-    index_set = tuple(sorted(index_set))
     if isinstance(base, int):
-        base = tuple(range(base))
+        base = range(base)
+    size = _assignment_count(len(index_set), len(base))
+    index_set, base = tuple(sorted(index_set)), tuple(base)
     scopes = normalize_scopes(index_set, scopes)
     maps, truncated = normalize_transformations(index_set, transformations)
     if truncated:
         raise TruncationError("semigroup closure hit its cap; raise it first")
 
-    size = len(base) ** len(index_set)
     gens = []
     for g in generators:
         g = tuple(g)
@@ -396,6 +413,10 @@ class AbstractPolyadicAlgebra:
     def __init__(self, mv, index_set, transformations, scopes,
                  s_tables, c_tables):
         self.mv = mv
+        # the constants and the MV operations are those of the MV reduct
+        self.zero, self.one = mv.zero, mv.one
+        self.oplus, self.odot, self.neg = mv.oplus, mv.odot, mv.neg
+        self.implies, self.le = mv.implies, mv.le
         self.index_set = tuple(sorted(index_set))
         self.transformations = transformations
         self.scopes = scopes
@@ -410,34 +431,11 @@ class AbstractPolyadicAlgebra:
             if frozenset(j) not in self._c:
                 raise SignatureError(f"missing cylinder table for {sorted(j)}")
 
-    @property
-    def zero(self):
-        return self.mv.zero
-
-    @property
-    def one(self):
-        return self.mv.one
-
     def elements(self):
         return self.mv.carrier
 
     def contains(self, p):
         return p in self._index
-
-    def oplus(self, p, q):
-        return self.mv.oplus(p, q)
-
-    def odot(self, p, q):
-        return self.mv.odot(p, q)
-
-    def neg(self, p):
-        return self.mv.neg(p)
-
-    def implies(self, p, q):
-        return self.mv.implies(p, q)
-
-    def le(self, p, q):
-        return self.mv.le(p, q)
 
     def subst_el(self, tau, p):
         if tau not in self._s:
@@ -498,31 +496,27 @@ class AbstractPolyadicAlgebra:
 # -- public operations ----------------------------------------------------
 
 
-def _check_signature(algebra, tau=None, j=None):
+def _check_signature(algebra, p, tau=None, j=None):
     if tau is not None and tau not in set(algebra.transformations):
         raise SignatureError(f"{tau!r} is not in the semigroup")
     if j is not None and frozenset(j) not in set(algebra.scopes):
         raise SignatureError(f"scope {sorted(j)} is not in the scope family")
+    if not algebra.contains(p):
+        raise SignatureError("element is not in the carrier")
 
 
 def cyl(algebra, j, p):
-    _check_signature(algebra, j=j)
-    if not algebra.contains(p):
-        raise SignatureError("element is not in the carrier")
+    _check_signature(algebra, p, j=j)
     return algebra.cyl_el(frozenset(j), p)
 
 
 def subst(algebra, tau, p):
-    _check_signature(algebra, tau=tau)
-    if not algebra.contains(p):
-        raise SignatureError("element is not in the carrier")
+    _check_signature(algebra, p, tau=tau)
     return algebra.subst_el(tau, p)
 
 
 def q_forall(algebra, j, p):
-    _check_signature(algebra, j=j)
-    if not algebra.contains(p):
-        raise SignatureError("element is not in the carrier")
+    _check_signature(algebra, p, j=j)
     return algebra.q_el(frozenset(j), p)
 
 
@@ -640,8 +634,7 @@ def term_substitution(algebra, tau, x):
     room; the result must agree with the direct substitution, which the
     audit checks on functional algebras.
     """
-    if not algebra.contains(x):
-        raise SignatureError("element is not in the carrier")
+    _check_signature(algebra, x)
     moved = sorted(i for i in tau.domain if tau.apply(i) != i)
     if not moved:
         return x
@@ -659,7 +652,7 @@ def term_substitution(algebra, tau, x):
 
     def replacement(i, j):
         t = FinTransformation.replacement(domain, i, j)
-        _check_signature(algebra, tau=t)
+        _check_signature(algebra, x, tau=t)
         return t
 
     out = x
@@ -982,44 +975,66 @@ def audit_axioms(algebra):
 
 
 def algebra_from_json(data):
+    """The algebra of a spec, every key read through json_field: generator
+    tables for build_generated to close, or a dump of to_json, whose
+    "carrier" must be that closure of the generators it indexes. Counts
+    are capped (see _assignment_count) before the assignments are built."""
+    def points(key):
+        # a count n, standing for 0..n-1 and not built yet, or a list
+        value = json_field(data, key, lambda v: is_json_int(v) and v >= 0 or (
+            json_list_of(is_json_int)(v) and len(set(v)) == len(v)),
+            "a count or a list of distinct integers")
+        return range(value) if is_json_int(value) else value
+
     chain = Chain(json_field(data, "chain", is_json_int, "an integer"))
-    index_set = tuple(data["index_set"]) if isinstance(data["index_set"], list) \
-        else tuple(range(data["index_set"]))
-    base = data["base"]
-    # every element table needs one entry per assignment; checking the
-    # count first keeps a huge ^I X from being built for a small file
-    size = (len(base) if isinstance(base, list) else base) ** len(index_set)
-    for table in data["carrier"] if "carrier" in data else data["generators"]:
-        if len(table) != size:
-            raise ValueError(
-                f"element table has {len(table)} entries, expected {size}")
-    base = tuple(base) if isinstance(base, list) else tuple(range(base))
-    assignments = tuple(itertools.product(base, repeat=len(index_set)))
+    index_set, base = points("index_set"), points("base")
+    size = _assignment_count(len(index_set), len(base))
+    tables = json_list_of(is_json_object)
+    scopes = json_field(
+        data, "scopes", lambda v: v in ("powerset", "singletons")
+        or json_list_of(json_list_of(is_json_int))(v),
+        '"powerset", "singletons" or a list of index lists', "powerset")
 
     def load_element(table):
-        values = {parse_point(key, type(base[0])): parse_value(text)
-                  for key, text in table.items()}
-        return tuple(values[x] for x in assignments)
+        values = {parse_point(k): parse_value(v) for k, v in table.items()}
+        element = tuple(map(values.get, itertools.product(
+            base, repeat=len(index_set))))
+        if len(table) != size or None in element:
+            raise ValueError(f"element table has {len(table)} entries, not "
+                             f"one at each of the {size} assignments")
+        return element
 
-    if "carrier" in data:
-        carrier = [load_element(t) for t in data["carrier"]]
-        maps = tuple(
-            FinTransformation.from_dict({int(k): v for k, v in t.items()},
-                                        index_set)
-            for t in data["transformations"])
-        scopes = tuple(frozenset(j) for j in data["scopes"])
-        gens = tuple(carrier[i] for i in data.get("generators", ()))
-        return FunctionalSetAlgebra(index_set, base, chain, tuple(carrier),
-                                    gens, maps, scopes)
+    carrier = json_field(data, "carrier", tables, "a list of element tables",
+                         None)
+    if carrier is None:
+        semigroup = json_field(data, "semigroup", lambda v: v == "full"
+                               or is_json_object(v), '"full" or an object',
+                               "full")
+        if semigroup != "full":
+            semigroup = SemigroupSpec(tuple(
+                parse_transformation(g, tuple(index_set))
+                for g in json_field(semigroup, "generators",
+                                    json_list_of(is_json_str),
+                                    "a list of strings")),
+                json_field(semigroup, "cap", is_json_int, "an integer",
+                           SemigroupSpec.cap))
+        return build_generated(
+            index_set, base, chain, map(load_element, json_field(
+                data, "generators", tables, "a list of element tables")),
+            semigroup, scopes,
+            cap=json_field(data, "cap", is_json_int, "an integer", 200))
 
-    generators = [load_element(t) for t in data["generators"]]
-    semigroup = data.get("semigroup", "full")
-    if isinstance(semigroup, dict):
-        domain = tuple(sorted(index_set))
-        from .transform import parse_transformation
-        gens = tuple(parse_transformation(g, domain)
-                     for g in semigroup["generators"])
-        semigroup = SemigroupSpec(gens, semigroup.get("cap", 1000))
-    scopes = data.get("scopes", "powerset")
-    return build_generated(index_set, base, chain, generators, semigroup,
-                           scopes, cap=data.get("cap", 200))
+    carrier = tuple(map(load_element, carrier))
+    maps = tuple(
+        FinTransformation.from_dict({int(k): v for k, v in t.items()},
+                                    tuple(index_set))
+        for t in json_field(data, "transformations", json_list_of(
+            lambda t: is_json_object(t) and all(map(is_json_int, t.values()))),
+            "a list of maps"))
+    algebra = build_generated(
+        index_set, base, chain, map(carrier.__getitem__, json_field(
+            data, "generators", json_list_of(json_index_into(carrier)),
+            "a list of carrier indices")), maps, scopes, cap=len(carrier))
+    if algebra.carrier != carrier:
+        raise ValueError("the carrier is not the closure of its generators")
+    return algebra

@@ -19,8 +19,8 @@ from __future__ import annotations
 import itertools
 
 from .mv_core import (
-    Chain, CarrierError, format_point, format_value, is_json_int, json_field,
-    parse_point, parse_value,
+    Chain, CarrierError, format_point, format_value, is_json_int,
+    is_json_object, json_field, parse_point, parse_value,
 )
 from . import syntax
 from .syntax import (
@@ -107,17 +107,15 @@ class Model:
     @classmethod
     def from_json(cls, data):
         """The model of a JSON object, in the language of its predicates."""
-        def obj(v):
-            return isinstance(v, dict)
-
-        preds = json_field(data, "predicates", obj, "an object")
+        preds = json_field(data, "predicates", is_json_object, "an object")
         arity = {name: json_field(p, "arity", is_json_int, "an integer")
                  for name, p in preds.items()}
         language = syntax.LanguageSpec(
             num_vars=max(4, max(arity.values(), default=0) + 2), reserve=1,
             predicates=tuple(sorted(arity.items())))
         tables = {name: {parse_point(key): parse_value(text) for key, text
-                         in json_field(p, "table", obj, "an object").items()}
+                         in json_field(p, "table", is_json_object,
+                                       "an object").items()}
                   for name, p in preds.items()}
         domain = json_field(data, "domain", is_json_int, "an integer")
         chain = Chain(json_field(data, "chain", is_json_int, "an integer"))

@@ -10,11 +10,10 @@ tightest, then (*), then (+), then ->.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 
-from .mv_core import is_json_int, json_field
+from .mv_core import is_json_int, is_json_list, is_json_str, json_field
 
 
 class AdmissionError(ValueError):
@@ -98,16 +97,13 @@ class LanguageSpec:
     @classmethod
     def from_json(cls, data):
         num_vars = json_field(data, "variables", is_json_int, "an integer")
-        reserve = json_field(data, "reserve", is_json_int, "an integer") \
-            if "reserve" in data else 1
-        predicates = json_field(data, "predicates",
-                                lambda v: isinstance(v, list), "a list")
+        reserve = json_field(data, "reserve", is_json_int, "an integer", 1)
+        predicates = json_field(data, "predicates", is_json_list, "a list")
         return cls(
             num_vars=num_vars,
             reserve=reserve,
             predicates=tuple(
-                (json_field(p, "name", lambda v: isinstance(v, str),
-                            "a string"),
+                (json_field(p, "name", is_json_str, "a string"),
                  json_field(p, "arity", is_json_int, "an integer"))
                 for p in predicates),
         )
@@ -222,31 +218,39 @@ def restrict_extend(mapping, zs):
     return {z: mapping.get(z, z) for z in zs}
 
 
+def _push(tau, phi, quantifier):
+    """phi with the variable map tau applied to its atoms, extended
+    identically off its domain; quantifier(tau, q) gives the block of a
+    quantifier q and the map pushed under it."""
+    if isinstance(phi, Atom):
+        return Atom(phi.pred, tuple(tau.get(v, v) for v in phi.args))
+    if isinstance(phi, (Top, Bottom)):
+        return phi
+    if isinstance(phi, _BINARY):
+        return type(phi)(_push(tau, phi.left, quantifier),
+                         _push(tau, phi.right, quantifier))
+    if isinstance(phi, Neg):
+        return Neg(_push(tau, phi.body, quantifier))
+    if isinstance(phi, _QUANT):
+        block, inner = quantifier(tau, phi)
+        return type(phi)(block, _push(inner, phi.body, quantifier))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 def substitute(tau, phi, language=None):
     """Full substitution S(tau): renames atoms and quantifier blocks alike.
 
     tau is a variable map, extended identically off its domain. When a
     language is supplied, block images are checked against its vocabulary.
     """
-    def image(v):
-        return tau.get(v, v)
-
-    if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(image(v) for v in phi.args))
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, _BINARY):
-        return type(phi)(substitute(tau, phi.left, language),
-                         substitute(tau, phi.right, language))
-    if isinstance(phi, Neg):
-        return Neg(substitute(tau, phi.body, language))
-    if isinstance(phi, _QUANT):
-        block = frozenset(image(v) for v in phi.block)
+    def quantifier(tau, q):
+        block = frozenset(tau.get(v, v) for v in q.block)
         if language is not None and not block <= set(language.variables):
             raise AdmissionError(
                 f"block image {sorted(block)} escapes the scope family")
-        return type(phi)(block, substitute(tau, phi.body, language))
-    raise TypeError(f"not a formula: {phi!r}")
+        return block, tau
+
+    return _push(tau, phi, quantifier)
 
 
 def substitute_capture_avoiding(tau, phi, reserved=()):
@@ -272,42 +276,20 @@ def substitute_capture_avoiding(tau, phi, reserved=()):
         counter += 1
         return name
 
-    def walk(tau, phi):
-        if isinstance(phi, Atom):
-            return Atom(phi.pred, tuple(tau.get(v, v) for v in phi.args))
-        if isinstance(phi, (Top, Bottom)):
-            return phi
-        if isinstance(phi, _BINARY):
-            return type(phi)(walk(tau, phi.left), walk(tau, phi.right))
-        if isinstance(phi, Neg):
-            return Neg(walk(tau, phi.body))
-        if isinstance(phi, _QUANT):
-            renaming = {w: fresh() for w in sorted(phi.block, key=_var_key)}
-            inner = {v: img for v, img in tau.items() if v not in phi.block}
-            inner.update(renaming)
-            return type(phi)(frozenset(renaming.values()),
-                             walk(inner, phi.body))
-        raise TypeError(f"not a formula: {phi!r}")
+    def quantifier(tau, q):
+        renaming = {w: fresh() for w in sorted(q.block, key=_var_key)}
+        inner = {v: img for v, img in tau.items() if v not in q.block}
+        inner.update(renaming)
+        return frozenset(renaming.values()), inner
 
-    return walk(dict(tau), phi)
+    return _push(dict(tau), phi, quantifier)
 
 
 def substitute_free(tau, phi):
     """Free substitution S_f(tau): quantifier blocks are left untouched and
     the map is restricted off each block on the way down (tau|(V-W)|V)."""
-    if isinstance(phi, Atom):
-        return Atom(phi.pred, tuple(tau.get(v, v) for v in phi.args))
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, _BINARY):
-        return type(phi)(substitute_free(tau, phi.left),
-                         substitute_free(tau, phi.right))
-    if isinstance(phi, Neg):
-        return Neg(substitute_free(tau, phi.body))
-    if isinstance(phi, _QUANT):
-        inner = {k: v for k, v in tau.items() if k not in phi.block}
-        return type(phi)(phi.block, substitute_free(inner, phi.body))
-    raise TypeError(f"not a formula: {phi!r}")
+    return _push(tau, phi, lambda tau, q: (
+        q.block, {k: v for k, v in tau.items() if k not in q.block}))
 
 
 _TOKEN_RE = re.compile(

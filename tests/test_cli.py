@@ -7,6 +7,7 @@ import pytest
 
 from mvlogic import interlab
 from mvlogic.cli import dispatch, main
+from mvlogic.polyadic import algebra_from_json
 
 MODEL = {
     "domain": 2, "chain": 11,
@@ -209,6 +210,11 @@ OVERCAP_SPEC = {
 }
 
 
+# A spec with no generator tables: nothing bounds |X|^|I| or |I|^|I| but
+# the caps
+GENERATOR_FREE = {"base": 2, "chain": 2, "generators": [], "cap": 5}
+
+
 @pytest.mark.parametrize("argv", [
     ["pavelka", "degree", "--algebra", "{overcap}", "--filter", "{filter}",
      "--element", "1"],
@@ -235,6 +241,9 @@ OVERCAP_SPEC = {
     ["proof", "check", "--proof", "{toplist}"],
     ["poly", "audit", "--spec", "{toplist}"],
     ["henkin", "demo", "--algebra", "{toplist}", "--element", "g0"],
+    ["poly", "build", "--spec", "{full7}"],
+    ["poly", "audit", "--spec", "{full5}"],
+    ["poly", "build", "--spec", "{wide}"],
 ], ids=["overcap-spec", "element-index", "generator-index",
         "language-without-variables", "assignment-outside-domain",
         "gamma-without-formulas", "proof-gamma-without-formulas",
@@ -244,7 +253,8 @@ OVERCAP_SPEC = {
         "generator-short-of-huge-base", "sampled-table", "sampled-chain",
         "quotient-chain-over-view-cap", "pavelka-chain-over-view-cap",
         "proof-top-level-list", "spec-top-level-list",
-        "algebra-top-level-list"])
+        "algebra-top-level-list", "full-semigroup-over-cap",
+        "full-semigroup-over-cap-audit", "assignments-over-cap"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     for name, payload in (("overcap", OVERCAP_SPEC),
                           ("hugebase", {**ALGEBRA_SPEC, "base": 1000000}),
@@ -257,7 +267,12 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
                           ("manifest_number", {"commands": 5}),
                           ("manifest_item", {"commands": [5]}),
                           ("table", TABLE_L3),
-                          ("toplist", [1, 2])):
+                          ("toplist", [1, 2]),
+                          ("full7", {**GENERATOR_FREE, "index_set": 7}),
+                          ("full5", {**GENERATOR_FREE, "index_set": 5}),
+                          ("wide", {**GENERATOR_FREE, "index_set": 19,
+                                    "semigroup": {"generators": []},
+                                    "scopes": "singletons"})):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")
@@ -267,28 +282,93 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
 
 GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
 
-# Each golden input file that is mutated, and the command reading it; the
-# mutated file's path is appended.
+# The carrier-form spec that `poly build --out` writes for spec1.json.
+DUMP = "spec1-dump.json"
+
+# Each JSON-object file of the golden inputs, and DUMP, with the command
+# reading it; the mutated file's path is appended.
 MUTATED_COMMANDS = {
-    "table-l3.json": ["mv", "audit", "--table"],
-    "lang.json": ["logic", "entails", "--formula", "p(v0) -> q(v0)",
-                  "--max-domain", "2", "--chain", "3", "--language"],
     "filter-top.json": ["pavelka", "degree", "--algebra",
                         str(GOLDEN_INPUTS / "l5.json"), "--element", "3",
                         "--filter"],
+    "l5.json": ["pavelka", "degree", "--filter",
+                str(GOLDEN_INPUTS / "filter-top.json"), "--element", "3",
+                "--algebra"],
+    "l5-constants.json": ["pavelka", "degree", "--filter",
+                          str(GOLDEN_INPUTS / "filter-top.json"),
+                          "--element", "4", "--algebra"],
+    "lang.json": ["logic", "entails", "--formula", "p(v0) -> q(v0)",
+                  "--max-domain", "2", "--chain", "3", "--language"],
+    "manifest.json": ["batch"],
     "model0.json": ["logic", "eval", "--formula", "E{v0} p(v0)", "--model"],
+    "model1.json": ["logic", "valid", "--formula", "A{v0} p(v0) -> p(v1)",
+                    "--model"],
+    "overcap.json": ["poly", "audit", "--spec"],
     "proof0.json": ["proof", "check", "--proof"],
+    "proof1.json": ["proof", "check", "--proof"],
+    "spec-i3.json": ["poly", "dims", "--element", "7", "--spec"],
+    "spec-l3.json": ["henkin", "demo", "--element", "g0", "--algebra"],
+    "spec0.json": ["poly", "build", "--spec"],
+    "spec1.json": ["poly", "audit", "--spec"],
+    "table-l3.json": ["mv", "audit", "--table"],
+    "table-l3-broken.json": ["mv", "audit", "--table"],
+    DUMP: ["poly", "audit", "--spec"],
 }
 DELETED = object()
 MUTANT_VALUES = {"deleted": DELETED, "null": None, "-1": -1, "x": "x",
                  "[]": [], "{}": {}, "0": 0}
+POINTS = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
+SPECS = ("spec0", "spec1", "spec-l3", "spec-i3")
 # The mutations that leave a well-formed file, with their exit code; every
 # other one is an input error.
-WELL_FORMED = {"table-l3-zero-0": 0, "table-l3-one-0": 1,
-               "lang-reserve-deleted": 1,
-               "proof0-hypotheses-deleted": 1, "proof0-hypotheses-[]": 1,
-               "proof0-steps-[]": 1, "proof0-steps.0.refs-deleted": 1,
-               "proof0-steps.0.refs-[]": 1, "proof0-steps.0.rule-x": 1}
+WELL_FORMED = {
+    "table-l3-zero-0": 0, "table-l3-one-0": 1, "table-l3-broken-zero-0": 1,
+    "table-l3-broken-one-0": 1, "lang-reserve-deleted": 1,
+    **{f"{proof}-{change}": 1 for proof in ("proof0", "proof1")
+       for change in ("hypotheses-deleted", "hypotheses-[]", "steps-[]",
+                      "steps.0.refs-deleted", "steps.0.refs-[]",
+                      "steps.0.rule-x")},
+    # a key with a default deleted, an empty list, or an entry of an element
+    # table or a map set to 0, which is a chain value and an index
+    **dict.fromkeys([
+        *(f"{spec}-{key}-deleted" for spec in SPECS
+          for key in ("cap", "scopes", "semigroup")),
+        *(f"{spec}-cap-deleted" for spec in ("l5", "l5-constants", "overcap")),
+        "l5-constants-constants-deleted", "l5-constants-constants-{}",
+        *(f"{spec}-scopes-[]" for spec in SPECS),
+        *(f"{spec}-generators-[]" for spec in ("spec0", "spec1", "overcap")),
+        *(f"{spec}-generators.0.{x}-0"
+          for spec in ("spec0", "spec1", "spec-l3", "l5", "l5-constants")
+          for x in POINTS),
+        "spec-i3-generators.0.(0,0,0)-0", "spec-i3-generators.0.(1,1,1)-0",
+        "manifest-commands-[]",
+        "spec1-dump-scopes-deleted",
+        *(f"spec1-dump-carrier.0.{x}-0" for x in POINTS),
+        *(f"spec1-dump-transformations.0.{i}-{change}" for i in "01"
+          for change in ("deleted", "0"))], 0),
+}
+
+
+def _golden_objects():
+    for path in sorted(GOLDEN_INPUTS.glob("*.json")):
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            continue
+        if isinstance(data, dict):
+            yield path.name
+
+
+def test_every_golden_object_is_mutated():
+    assert set(_golden_objects()) | {DUMP} == set(MUTATED_COMMANDS)
+
+
+def _source(name):
+    """The object that is mutated; DUMP built in process for its keys."""
+    if name == DUMP:
+        spec = json.loads((GOLDEN_INPUTS / "spec1.json").read_text())
+        return json.loads(json.dumps(algebra_from_json(spec).to_json()))
+    return json.loads((GOLDEN_INPUTS / name).read_text())
 
 
 def _key_paths(data):
@@ -302,8 +382,7 @@ def _key_paths(data):
 
 def _mutations():
     for name in MUTATED_COMMANDS:
-        data = json.loads((GOLDEN_INPUTS / name).read_text())
-        for path in _key_paths(data):
+        for path in _key_paths(_source(name)):
             for label, value in MUTANT_VALUES.items():
                 ident = "-".join([name[:-len(".json")],
                                   ".".join(map(str, path)), label])
@@ -311,10 +390,22 @@ def _mutations():
                                    WELL_FORMED.get(ident, 2), id=ident)
 
 
+def test_well_formed_names_mutations():
+    assert set(WELL_FORMED) <= {param.id for param in _mutations()}
+
+
 @pytest.mark.parametrize("name, path, value, exit_code", list(_mutations()))
 def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
                                         tmp_path):
-    data = json.loads((GOLDEN_INPUTS / name).read_text())
+    if name == DUMP:
+        dump = tmp_path / "dump.json"
+        code, _ = dispatch(["poly", "build", "--spec",
+                            str(GOLDEN_INPUTS / "spec1.json"), "--out",
+                            str(dump)])
+        assert code == 0
+        data = json.loads(dump.read_text())
+    else:
+        data = _source(name)
     *parents, key = path
     entry = functools.reduce(operator.getitem, parents, data)
     if value is DELETED:
@@ -326,7 +417,7 @@ def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
     code, report = dispatch(MUTATED_COMMANDS[name] + [str(mutant)])
     assert code == exit_code
     if code == 2:
-        assert report["verdict"] == "error"
+        assert report["verdict"] == "error" and report["reason"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -350,6 +441,18 @@ class TestVerbs:
                      "--formula", "E{v0} p(v0)"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "4/5"
+
+    @pytest.mark.parametrize("formula, code, verdict, degree", [
+        ("p(v0) -> p(v0)", 0, "valid", "1"),
+        ("p(v0)", 1, "not-valid", "3/10"),
+        ("E{v0} p(v0)", 1, "not-valid", "4/5"),
+    ])
+    def test_logic_valid_reads_the_degree(self, files, formula, code,
+                                          verdict, degree):
+        got, report = dispatch(["logic", "valid", "--model", files["model"],
+                                "--formula", formula])
+        assert (got, report["verdict"], report["data"]) \
+            == (code, verdict, {"degree": degree})
 
     def test_mv_eval(self):
         code, report = dispatch(["mv", "eval", "--standard", "--op", "oplus",

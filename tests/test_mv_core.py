@@ -12,7 +12,8 @@ from mvlogic.mv_core import (
     Filter, FilterError, FilterNotFound, MVAxiomError, NonMaximalFilter,
     ProperFilterRequired, StandardRationals, TableAlgebra, ViewTooLarge,
     SAMPLE_DENOMINATOR, _tabulate, check_mv_axioms,
-    eval_basic, extend_to_maximal, filter_generate, maximal_filters, quotient,
+    eval_basic, extend_to_maximal, filter_generate, is_json_int, json_field,
+    json_index_into, json_list_of, maximal_filters, quotient,
     residuum_by_maximization, tnorm_eval, to_table,
 )
 
@@ -590,6 +591,25 @@ class TestFilterMessages:
         assert str(exc.value) == ("classes of '0|1' and '1|0' are "
                                   "incomparable; quotient is no chain")
 
+    @pytest.mark.parametrize("entry, message", [
+        ((0, 3, 0), "projection breaks ~ at '0'"),
+        ((0, 1, 0), "projection breaks (+) at ('0','a')"),
+        ((1, 0, 2), "projection breaks (+) at ('a','0')"),
+    ])
+    def test_broken_projection_message_is_pinned(self, entry, message):
+        # Chain(4) as a table with one oplus entry changed: the classes of
+        # the filter {1} still form a chain, but the projection onto it
+        # is no homomorphism
+        labels = ["0", "a", "b", "1"]
+        oplus = [[min(i + j, 3) for j in range(4)] for i in range(4)]
+        i, j, v = entry
+        oplus[i][j] = v
+        algebra = TableAlgebra(labels, oplus, [3, 2, 1, 0], 0, 3,
+                               audit=False)
+        with pytest.raises(NonMaximalFilter) as exc:
+            quotient(algebra, Filter(algebra, frozenset({"1"})))
+        assert str(exc.value) == message
+
     def test_filter_errors_name_carrier_elements(self):
         chain = Chain(5)
         with pytest.raises(FilterError) as exc:
@@ -610,3 +630,29 @@ class TestFilterMessages:
         with pytest.raises(FilterError) as exc:
             Filter(algebra, frozenset({algebra.zero, algebra.one}))
         assert repr(algebra.zero) in str(exc.value)
+
+
+class TestJsonField:
+    def test_missing_key_is_an_input_error_unless_it_has_a_default(self):
+        with pytest.raises(ValueError, match="'k' is missing"):
+            json_field({}, "k", is_json_int, "an integer")
+        assert json_field({}, "k", is_json_int, "an integer", None) is None
+        assert json_field({"k": 3}, "k", is_json_int, "an integer", 0) == 3
+
+    def test_a_default_does_not_excuse_a_bad_entry(self):
+        for data in ({"k": True}, {"k": None}, {"k": "3"}):
+            with pytest.raises(ValueError, match="'k' must be an integer"):
+                json_field(data, "k", is_json_int, "an integer", 0)
+
+    def test_no_object_is_an_input_error(self):
+        for data in ([1], None, "k", 3):
+            with pytest.raises(ValueError, match="expected an object"):
+                json_field(data, "k", is_json_int, "an integer", 0)
+
+    def test_list_and_index_shapes(self):
+        rows = json_list_of(json_list_of(is_json_int))
+        assert rows([[0, 1], []]) and not rows([[0, True]])
+        assert not rows({"0": [1]})
+        index = json_index_into("abc")
+        assert [index(v) for v in (0, 2, 3, -1, False)] \
+            == [True, True, False, False, False]

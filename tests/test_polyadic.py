@@ -8,13 +8,13 @@ from conftest import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
-from mvlogic.mv_core import Chain
+from mvlogic.mv_core import MAX_VALUATIONS, Chain
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
-    NotASubuniverse, SignatureError, TruncationError, algebra_from_json,
-    audit_axioms, build_generated, cyl, dimension_set, minimal_support,
-    neat_reduct, normalize_scopes, normalize_transformations, q_forall,
-    subst, term_substitution,
+    NotASubuniverse, SignatureError, TruncationError, _assignment_count,
+    algebra_from_json, audit_axioms, build_generated, cyl, dimension_set,
+    minimal_support, neat_reduct, normalize_scopes, normalize_transformations,
+    q_forall, subst, term_substitution,
 )
 from mvlogic.transform import FinTransformation, SemigroupSpec, compose
 
@@ -741,6 +741,14 @@ class TestSerialization:
         assert again.transformations == algebra.transformations
         assert again.scopes == algebra.scopes
 
+    def test_dump_must_be_the_closure_of_its_generators(self):
+        dumped = small_algebra().to_json()
+        carrier = dumped["carrier"]
+        for wrong in (carrier[:-1], carrier[:1] + carrier[2:] + carrier[1:2],
+                      carrier + carrier[-1:]):
+            with pytest.raises(ValueError):
+                algebra_from_json(dict(dumped, carrier=wrong))
+
     def test_build_from_generator_spec(self):
         spec = {
             "index_set": 2, "base": 2, "chain": 3,
@@ -750,3 +758,39 @@ class TestSerialization:
         }
         algebra = algebra_from_json(spec)
         assert algebra.generators[0] == small_algebra().generators[0]
+
+
+class TestCaps:
+    """Every cap raises TruncationError, an input error, before its
+    product is built; none of these tests builds one."""
+
+    def test_cap_errors_are_input_errors(self):
+        assert issubclass(TruncationError, ValueError)
+
+    def test_full_semigroup_admits_four_indices_and_no_more(self):
+        assert len(normalize_transformations(range(4), "full")[0]) == 256
+        for n in (5, 7, 1000):
+            with pytest.raises(TruncationError, match="full semigroup"):
+                normalize_transformations(range(n), "full")
+
+    def test_assignment_count_cap(self):
+        assert _assignment_count(18, 2) == 2 ** 18
+        assert _assignment_count(1, MAX_VALUATIONS) == MAX_VALUATIONS
+        assert _assignment_count(18, 1) == 1
+        for points, base in ((19, 2), (1, MAX_VALUATIONS + 1), (20, 1),
+                             (10 ** 9, 1), (3, 10 ** 100)):
+            with pytest.raises(TruncationError):
+                _assignment_count(points, base)
+
+    def test_no_assignment_is_built_past_the_cap(self):
+        with pytest.raises(TruncationError):
+            FunctionalSetAlgebra(range(19), range(2), Chain(2), (), (), (),
+                                 ())
+        with pytest.raises(TruncationError):
+            build_generated(range(30), 1, Chain(2), [],
+                            SemigroupSpec(()), "singletons")
+        for index_set, base in ((10 ** 9, 1), (7, 10 ** 6), (20, 2)):
+            with pytest.raises(TruncationError):
+                algebra_from_json({"index_set": index_set, "base": base,
+                                   "chain": 2, "generators": [],
+                                   "semigroup": {"generators": []}})
