@@ -70,7 +70,8 @@ def _load_json(path, inputs, what, load):
     text = _read_file(path, inputs)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads recurses once per nested array or object
         raise CliError(f"{path} is not valid JSON: {exc}") from None
     try:
         return load(data)
@@ -491,7 +492,13 @@ def _cmd_batch(args, inputs):
     results = []
     worst = 0
     for argv in commands:
-        code, report = dispatch([str(a) for a in argv])
+        words = [str(a) for a in argv]
+        if [w for w in words if w != "--json"][:1] == ["batch"]:
+            # a manifest that runs manifests could run itself forever
+            code, report = 2, _error_report(
+                "batch", "a batch manifest cannot run batch", {})
+        else:
+            code, report = dispatch(words)
         results.append({"argv": argv, "exit": code, "report": report})
         worst = max(worst, 0 if code == 0 else 1)
     verdict = "pass" if worst == 0 else "fail"
@@ -622,6 +629,12 @@ def _parser():
     return parser
 
 
+def _error_report(verb, reason, inputs):
+    """The report of a command that ends in exit 2."""
+    return {"verb": verb, "verdict": "error", "reason": reason,
+            "inputs": inputs}
+
+
 def dispatch(argv):
     """Run one command line; returns (exit_code, report).
 
@@ -642,10 +655,7 @@ def dispatch(argv):
     except (CliError, ValueError) as exc:
         # the library's own input errors (CarrierError, ParseError,
         # SearchTooLarge, ...) are ValueErrors
-        return 2, {
-            "verb": args.verb, "verdict": "error", "reason": str(exc),
-            "inputs": inputs,
-        }
+        return 2, _error_report(args.verb, str(exc), inputs)
     report = {
         "verb": args.verb,
         "action": getattr(args, "action", None),

@@ -7,7 +7,8 @@ bridge between polyadic terms and formulas. The propositional search reads
 each candidate's truth table on chain levels once (`_levels`) against two
 envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
 The representation map's clauses are checked by `mv_core.clause_result`
-and `mv_core.homomorphism_clauses`; `pavelka` reuses them.
+and `mv_core.homomorphism_clauses`; `pavelka` reuses them. The products
+and k-variants of the maps are read off the polyadic view.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, predicates_of, render,
 )
-from .transform import FinTransformation, compose
+from .transform import FinTransformation
 
 
 # The most candidate formulas an interpolant search enumerates. Every
@@ -269,11 +270,7 @@ def henkin_filter_build(algebra, a):
     V = algebra.indexed()
     start = V.index_of.get(a)
     index = list(algebra.index_set)
-    domain = tuple(sorted(index))
     singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
-    replacements = {
-        (k, l): V.subst.get(FinTransformation.replacement(domain, k, l))
-        for k in singles for l in index}
     examined = 0
 
     def witnesses(members):
@@ -287,7 +284,7 @@ def henkin_filter_build(algebra, a):
                 spare_first = [l for l in index if l not in delta] + \
                               [l for l in index if l in delta]
                 for l in spare_first:
-                    repl = replacements[k, l]
+                    repl = V.replacement(k, l)
                     if repl is not None and repl[x] in members:
                         found.append(WitnessEntry(k, V.elements[x], l,
                                                   l not in delta))
@@ -316,27 +313,25 @@ def psi_rows(V, levels, vs):
         len(V.carrier))
 
 
-def cyl_sup_clause(V, rows, vs):
-    """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x in vs."""
-    index_set = V.algebra.index_set
+def cyl_sup_clause(V, rows):
+    """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x."""
     n = len(rows)
     columns = list(zip(*rows))
 
     def blocks():
         for k in (next(iter(j)) for j in V.algebra.scopes if len(j) == 1):
-            variants = [
-                [yi for yi, y in enumerate(vs)
-                 if all(y.apply(i) == x.apply(i) for i in index_set if i != k)]
-                for x in vs]
-            # x is among its own k-variants; passing its column first keeps
-            # max from being handed a lone level
-            sups = [tuple(map(max, columns[xi],
-                              *map(columns.__getitem__, ids)))
-                    for xi, ids in enumerate(variants)]
+            sups = [None] * len(V.maps)
+            for group in V.agreement({k}):
+                # the first column passed twice keeps max from being handed
+                # a lone level
+                sup = tuple(map(max, columns[group[0]],
+                                *map(columns.__getitem__, group)))
+                for xi in group:
+                    sups[xi] = sup
             lhs = list(itertools.chain.from_iterable(
                 map(rows.__getitem__, V.cyl[frozenset({k})])))
             rhs = list(itertools.chain.from_iterable(_transpose(sups, n)))
-            yield lhs, rhs, ((k, p, x) for p in V.elements for x in vs)
+            yield lhs, rhs, ((k, p, x) for p in V.elements for x in V.maps)
 
     return clause_result("cyl-sup", blocks())
 
@@ -354,15 +349,13 @@ def representation_map(algebra, hf):
     flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
     chain, ranks = mv_core.quotient_ranks(flt)
     vs = algebra.transformations
-    position = {x: xi for xi, x in enumerate(vs)}
     top = chain.n - 1
     rows = psi_rows(V, ranks, vs)
     columns = list(zip(*rows))
 
     def subst_blocks():
         # psi(s_tau p) against psi(p) read at the coordinates x tau
-        for tau in vs:
-            targets = [position.get(compose(x, tau)) for x in vs]
+        for tau, targets in zip(vs, zip(*V.composition)):
             if None not in targets:
                 yield (list(map(rows.__getitem__, V.subst[tau])),
                        _transpose([columns[t] for t in targets], len(rows)),
@@ -375,11 +368,11 @@ def representation_map(algebra, hf):
                                            ("1",))]),
         *homomorphism_clauses(V, rows, top),
         clause_result("subst-action", subst_blocks()),
-        cyl_sup_clause(V, rows, vs),
+        cyl_sup_clause(V, rows),
     ]
     identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
-    if identity in position:
-        seed = rows[V.index_of[hf.seed]][position[identity]]
+    if identity in vs:
+        seed = rows[V.index_of[hf.seed]][vs.index(identity)]
         results.append(clause_result("nonzero-at-identity", [_instance(
             seed != 0, True, ("identity component of the seed element",))]))
     psi = {p: tuple(chain.carrier[r] for r in rows[i])

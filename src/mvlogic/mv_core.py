@@ -63,7 +63,7 @@ class AuditTooLarge(ValueError):
 
 
 # The longest chain that gets an indexed view. The view holds three n x n
-# tables (oplus, odot, le) for the life of the process, about 30 bytes per
+# tables (oplus, odot, le) for the life of its chain, about 30 bytes per
 # pair (a, b) in all (max RSS grows by 42 MB at n = 1200 and by 67 MB at
 # the cap, Python 3.11); n = 10^5 would need some 300 GB.
 MAX_CHAIN_VIEW = 1500
@@ -344,9 +344,6 @@ class Chain(StandardRationals):
     """The n-element subchain {0, 1/(n-1), ..., 1} of the standard algebra."""
 
     is_finite = True
-    # chains of one size have the same operations, so one view serves all
-    # of them; a chain of each size builds its view once per process
-    _views = {}
 
     def __init__(self, n):
         if n < 2:
@@ -366,19 +363,17 @@ class Chain(StandardRationals):
         is done. A chain longer than MAX_CHAIN_VIEW raises ViewTooLarge
         before any table is built.
         """
-        key = (type(self), self.n)
-        view = Chain._views.get(key)
-        if view is None:
+        if self._indexed is None:
             n = self.n
             if n > MAX_CHAIN_VIEW:
                 raise ViewTooLarge(
                     f"Chain({n}) exceeds the indexed-view cap of "
                     f"{MAX_CHAIN_VIEW} elements")
             plus, _ = _level_sums(n - 1)
-            view = Chain._views[key] = IndexedMV(
+            self._indexed = IndexedMV(
                 self._carrier, ZERO, ONE, range(n - 1, -1, -1),
                 [plus[i:i + n] for i in range(n)])
-        return view
+        return self._indexed
 
     def contains(self, value):
         return (

@@ -40,11 +40,14 @@ class PavelkaAlgebra:
         """The chain over itself with every value its own constant."""
         return cls.make(chain, chain, {r: r for r in chain.carrier})
 
+    def __post_init__(self):
+        # derived once; the dataclass is frozen
+        object.__setattr__(self, "_constant", dict(self.constants))
+
     def constant(self, r):
-        table = dict(self.constants)
-        if r not in table:
+        if r not in self._constant:
             raise KeyError(f"no constant for {r}")
-        return table[r]
+        return self._constant[r]
 
     @property
     def levels(self):
@@ -179,7 +182,7 @@ def pavelka_representation(algebra, pav, hf):
             [(level[r],) * len(vs) for r in pav.levels],
             zip(pav.levels))]),
         *homomorphism_clauses(V, rows, top),
-        cyl_sup_clause(V, rows, vs),
+        cyl_sup_clause(V, rows),
     ]
     psi = {p: tuple(pav.chain.carrier[r] for r in rows[i])
            for i, p in enumerate(V.elements)}

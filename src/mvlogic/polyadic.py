@@ -14,7 +14,8 @@ on one `IndexedAlgebra`: the algebra's operations as tables over carrier
 indices, extending mv_core's `IndexedMV`, on which the filters and
 quotients run. `algebra.indexed()` builds it on first use and caches it,
 so building, dumping or querying single elements never pays for it.
-Results leave the checkers in element form.
+Results leave the checkers in element form. How the signature's maps
+combine is read off the view too (`composition`, `agreement`, `replacement`).
 
 Inside the engine a value of the chain is an integer level: the carrier
 closure of `build_generated` and the tables of the view run on tuples of
@@ -24,6 +25,7 @@ out, the parsed and dumped specs and the reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import add, itemgetter
@@ -125,11 +127,39 @@ class IndexedAlgebra(IndexedMV):
                          neg, oplus)
         self.algebra = algebra
         neg = self.neg
+        self.maps = tuple(algebra.transformations)
         self.subst = {t: tuple(table) for t, table in subst.items()}
         self.cyl = {frozenset(j): tuple(table) for j, table in cyl.items()}
         self.q = {j: tuple(neg[c[neg[a]]] for a in self.carrier)
                   for j, c in self.cyl.items()}
         self._cylinders = dict(self.cyl)
+        self._replacements = {}
+
+    @functools.cached_property
+    def composition(self):
+        """[s][t]: the position in maps of maps[s] o maps[t], or None outside
+        the signature, found by value: maps[s]'s values read at maps[t]'s."""
+        point = {i: k for k, i in enumerate(self.algebra.index_set)}
+        at = {t.values: k for k, t in enumerate(self.maps)}.get
+        reads = [[point[v] for v in t.values] for t in self.maps]
+        return [[at(tuple(map(s.values.__getitem__, read))) for read in reads]
+                for s in self.maps]
+
+    def agreement(self, j):
+        """The positions of the maps grouped by their values off J; the
+        groups, by their first member, and each group in map order."""
+        off = [k for k, i in enumerate(self.algebra.index_set) if i not in j]
+        groups = {}
+        for k, t in enumerate(self.maps):
+            groups.setdefault(tuple(t.values[x] for x in off), []).append(k)
+        return list(groups.values())
+
+    def replacement(self, i, j):
+        """s_[i|j] as an index table, or None outside the signature."""
+        if (i, j) not in self._replacements:
+            self._replacements[i, j] = self.subst.get(
+                FinTransformation.replacement(self.algebra.index_set, i, j))
+        return self._replacements[i, j]
 
     def cylinder(self, j):
         """c_J as an index table for any J, cached.
@@ -707,7 +737,7 @@ def audit_axioms(algebra):
     n = len(els)
     scopes = list(algebra.scopes)
     scope_set = set(scopes)
-    maps = list(algebra.transformations)
+    maps = V.maps
     map_set = set(maps)
     index = list(algebra.index_set)
     ones = (True,) * n
@@ -754,17 +784,15 @@ def audit_axioms(algebra):
     else:
         results.append(IdentityResult("polyadic-1-s-identity", True, 0))
 
-    # s_(sigma tau) against s_sigma read at s_tau; the maps share one
-    # domain, so sigma tau is found by its values
-    by_values = {t.values: V.subst[t] for t in maps}
+    # s_(sigma tau) against s_sigma read at s_tau
     read_at = {t: _reader(V.subst[t]) for t in maps}
 
     def composition_blocks():
-        for sigma, tau in itertools.product(maps, repeat=2):
-            s_c = by_values.get(tuple(map(sigma.apply, tau.values)))
-            if s_c is not None:
-                yield laws([((sigma, tau), s_c,
-                             read_at[tau](V.subst[sigma]))])
+        for sigma, products in zip(maps, V.composition):
+            for tau, c in zip(maps, products):
+                if c is not None:
+                    yield laws([((sigma, tau), V.subst[maps[c]],
+                                 read_at[tau](V.subst[sigma]))])
 
     results.append(_audit("polyadic-2-s-composition", composition_blocks()))
 
@@ -779,19 +807,14 @@ def audit_axioms(algebra):
 
     def agreement_blocks(tables):
         for j in scopes:
-            outside = [i for i in index if i not in j]
-            buckets = {}
-            for t in maps:
-                buckets.setdefault(tuple(t.apply(i) for i in outside),
-                                   []).append(t)
             cj = tables[j]
             tag = sorted(j)
-            for group in buckets.values():
-                after = {t: tuple(map(V.subst[t].__getitem__, cj))
+            for group in V.agreement(j):
+                after = {t: tuple(map(V.subst[maps[t]].__getitem__, cj))
                          for t in group}
-                for sigma, tau in itertools.combinations(group, 2):
-                    yield laws([((sigma, tau, tag), after[sigma],
-                                 after[tau])])
+                for s, t in itertools.combinations(group, 2):
+                    yield laws([((maps[s], maps[t], tag), after[s],
+                                 after[t])])
 
     results.append(_audit("polyadic-4-s-agreement", agreement_blocks(V.cyl)))
 
@@ -885,11 +908,6 @@ def audit_axioms(algebra):
 
     # single-index interaction laws, where the signature provides them
     singles = sorted(next(iter(j)) for j in scopes if len(j) == 1)
-    domain = tuple(sorted(index))
-
-    def repl(i, j):
-        t = FinTransformation.replacement(domain, i, j)
-        return t if t in map_set else None
 
     def dlaw1_blocks():
         for i in singles:
@@ -941,11 +959,10 @@ def audit_axioms(algebra):
 
     def dlaw6to9_blocks():
         for i, j in itertools.permutations(singles, 2):
-            sij = repl(i, j)
-            if sij is None:
+            s_ij = V.replacement(i, j)
+            if s_ij is None:
                 continue
-            sji = repl(j, i)
-            s_ij = V.subst[sij]
+            s_ji = V.replacement(j, i)
             ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
             qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
             rows = [(("D6-c", i, j), map(ci.__getitem__, s_ij), s_ij),
@@ -961,8 +978,7 @@ def audit_axioms(algebra):
                           map(ck.__getitem__, s_ij)),
                          (("D8-q", i, j, k), map(s_ij.__getitem__, qk),
                           map(qk.__getitem__, s_ij))]
-            if sji is not None:
-                s_ji = V.subst[sji]
+            if s_ji is not None:
                 rows += [(("D9-c", i, j), map(ci.__getitem__, s_ji),
                           map(cj.__getitem__, s_ij)),
                          (("D9-q", i, j), map(qi.__getitem__, s_ji),

@@ -5,7 +5,8 @@ and free), plus a concrete grammar with parser and renderer.
 Grammar (ASCII): `(+)` strong disjunction, `(*)` strong conjunction, `->`
 implication (right associative), `~` negation, `A{v0,v1}` / `E{v0}` block
 quantifiers, `T`/`F` truth constants. Precedence: ~ and quantifiers bind
-tightest, then (*), then (+), then ->.
+tightest, then (*), then (+), then ->. A formula nests at most MAX_DEPTH
+levels.
 """
 
 from __future__ import annotations
@@ -315,11 +316,43 @@ def _tokenize(text):
     return tokens
 
 
+# The deepest nesting parse admits, in parentheses, ~, quantifiers and
+# right sides of -> open at once, and in nodes on a branch of the formula.
+# The parser spends up to five frames on a level and every walk over a
+# formula one or two, so a deeper formula would exhaust Python's default
+# recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
+
+def _height(phi):
+    """The most nodes on a branch of phi, counted level by level without
+    recursion."""
+    height, level = 0, [phi]
+    while level:
+        height += 1
+        level = [child for node in level for child in (
+            (node.left, node.right) if isinstance(node, _BINARY)
+            else (node.body,) if isinstance(node, (Neg,) + _QUANT) else ())]
+    return height
+
+
 class _Parser:
     def __init__(self, tokens, language):
         self.tokens = tokens
         self.language = language
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse):
+        """parse() one level deeper, refused past MAX_DEPTH before the
+        parser recurses."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
+                             self.peek()[2])
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -335,7 +368,7 @@ class _Parser:
         left = self.parse_oplus()
         if self.peek()[0] == "ARROW":
             self.take()
-            return Implies(left, self.parse_formula())
+            return Implies(left, self.nested(self.parse_formula))
         return left
 
     def parse_oplus(self):
@@ -356,12 +389,12 @@ class _Parser:
         kind, value, at = self.peek()
         if kind == "NEG":
             self.take()
-            return Neg(self.parse_unary())
+            return Neg(self.nested(self.parse_unary))
         if kind == "IDENT" and value in ("A", "E") \
                 and self.tokens[self.pos + 1][0] == "LBRACE":
             self.take()
             block = self.parse_block()
-            body = self.parse_unary()
+            body = self.nested(self.parse_unary)
             return (Forall if value == "A" else Exists)(block, body)
         return self.parse_atomic()
 
@@ -384,7 +417,7 @@ class _Parser:
     def parse_atomic(self):
         kind, value, at = self.take()
         if kind == "LPAREN":
-            inner = self.parse_formula()
+            inner = self.nested(self.parse_formula)
             self.take("RPAREN")
             return inner
         if kind == "IDENT":
@@ -424,6 +457,10 @@ def parse(text, language):
     tok = parser.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    # a chain of (+) or (*) nests its left operand without the parser
+    # recursing
+    if _height(phi) > MAX_DEPTH:
+        raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
     return language.admit(phi)
 
 

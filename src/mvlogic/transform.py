@@ -2,7 +2,8 @@
 
 Finite-table transformations, eventually-translational maps on the natural
 numbers (the suc/pred family), composition, supports, point modification,
-semigroup closure, and the strong-richness condition checks.
+semigroup closure by the generators, and the strong-richness condition
+checks.
 """
 
 from __future__ import annotations
@@ -248,22 +249,17 @@ class ClosureResult:
     elements: tuple
     truncated: bool
 
-    def __contains__(self, t):
-        return t in set(self.elements)
-
 
 def semigroup_closure(spec):
     """Least composition-closed superset of the generators.
 
-    Breadth-first and deterministic; stops with truncated=True once the cap
-    is reached, returning what was found so far in canonical order.
+    Every element is a word g1...gk of generators, so right multiplication
+    of the found maps by the generators, breadth first, reaches them all.
+    Past the cap it stops with truncated=True; what it found then is a
+    prefix by word length: every product of fewer generators than its
+    longest element is in it. Elements come in canonical order.
     """
-    gens = []
-    for g in spec.generators:
-        if g not in gens:
-            gens.append(g)
-    if not gens:
-        return ClosureResult((), False)
+    gens = list(dict.fromkeys(spec.generators))
     kinds = {type(g) for g in gens}
     if len(kinds) > 1:
         raise IndexSetMismatch("generators mix transformation kinds")
@@ -273,24 +269,17 @@ def semigroup_closure(spec):
     elements = list(gens)
     seen = set(gens)
     truncated = False
-    i = 0
-    while i < len(elements):
-        t = elements[i]
-        for u in list(elements):
-            for cand in (compose(t, u), compose(u, t)):
-                if cand not in seen:
-                    if len(elements) >= spec.cap:
-                        truncated = True
-                        break
-                    seen.add(cand)
-                    elements.append(cand)
-            if truncated:
+    # elements grows while it is walked: each new product is walked in turn
+    for t, g in ((t, g) for t in elements for g in gens):
+        cand = compose(t, g)
+        if cand not in seen:
+            if len(elements) >= spec.cap:
+                truncated = True
                 break
-        if truncated:
-            break
-        i += 1
-    ordered = tuple(sorted(seen, key=lambda t: t.sort_key()))
-    return ClosureResult(ordered, truncated)
+            seen.add(cand)
+            elements.append(cand)
+    return ClosureResult(tuple(sorted(seen, key=lambda t: t.sort_key())),
+                         truncated)
 
 
 @dataclass(frozen=True)

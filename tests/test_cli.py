@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import pathlib
+import time
 
 import pytest
 
@@ -156,6 +157,25 @@ class TestExitCodes:
         code, _ = dispatch(["logic", "eval", "--model", str(bad),
                             "--formula", "T"])
         assert code == 2
+
+    def test_json_nested_past_the_recursion_limit_is_two(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, report = dispatch(["mv", "audit", "--table", str(deep)])
+        assert code == 2
+        assert report["reason"].startswith(f"{deep} is not valid JSON")
+
+    @pytest.mark.parametrize("formula", [
+        "(" * 200 + "p(v0)" + ")" * 200,
+        "~" * 3000 + "p(v0)",
+        " (+) ".join(["p(v0)"] * 3000),
+        " -> ".join(["p(v0)"] * 1000),
+    ], ids=["parentheses", "negations", "oplus-chain", "implications"])
+    def test_formula_nested_too_deep_is_two(self, files, formula):
+        code, report = dispatch(["logic", "valid", "--model", files["model"],
+                                 "--formula", formula])
+        assert code == 2
+        assert "formula nests deeper than 100 levels" in report["reason"]
 
     def test_unknown_rule_is_rejected_before_its_references(self, tmp_path):
         data = json.loads((GOLDEN_INPUTS / "proof0.json").read_text())
@@ -497,6 +517,14 @@ class TestVerbs:
         code, report = dispatch(["pavelka", "check", "--chain", "5"])
         assert code == 0
 
+    def test_pavelka_check_of_a_long_chain_is_fast(self):
+        # a constant is looked up in O(1), so the check is O(N^2) in the
+        # chain length; with an O(N) lookup N = 120 took about 15 s
+        started = time.perf_counter()
+        code, report = dispatch(["pavelka", "check", "--chain", "120"])
+        assert code == 0 and report["verdict"] == "pass"
+        assert time.perf_counter() - started < 5
+
     def test_pavelka_degree(self, files, tmp_path):
         # build the algebra once to learn the carrier layout
         from mvlogic.polyadic import algebra_from_json
@@ -598,6 +626,20 @@ class TestBatch:
         ]}))
         code, report = dispatch(["batch", str(manifest)])
         assert code == 1 and report["verdict"] == "fail"
+
+    def test_manifest_that_lists_itself(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"commands": [
+            ["batch", str(manifest)],
+            ["mv", "audit", "--chain", "3"],
+        ]}))
+        code, report = dispatch(["batch", str(manifest)])
+        assert code == 1 and report["verdict"] == "fail"
+        nested, audit = report["data"]["results"]
+        assert nested["exit"] == 2
+        assert nested["report"]["reason"] == \
+            "a batch manifest cannot run batch"
+        assert audit["exit"] == 0
 
     def test_manifest_parse_error(self, tmp_path):
         manifest = tmp_path / "m.json"

@@ -169,6 +169,52 @@ class TestClosureAgainstReference:
             reference_build_generated(*args, cap=len(want.carrier) - 1)
 
 
+# and two more: a set of maps that is not closed, so that some products
+# are missing, and the empty index set, whose one map has no values
+MORE_SPECS = {
+    "unclosed": _spec((0, 1, 2), L3, PATTERN_GEN, [
+        FinTransformation.transposition((0, 1, 2), 0, 1),
+        FinTransformation.replacement((0, 1, 2), 1, 2)]),
+    "no-indices": _spec((), L3, []),
+}
+
+
+@pytest.fixture(scope="module",
+                params=sorted(CLOSURE_SPECS) + sorted(MORE_SPECS))
+def closure_view(request):
+    *args, cap = {**CLOSURE_SPECS, **MORE_SPECS}[request.param]
+    return build_generated(*args, cap=cap).indexed()
+
+
+class TestHowMapsCombine:
+    """The composition table, the agreement partitions and the replacement
+    lookup of the view against compose and a scan over pairs of maps."""
+
+    def test_composition_table(self, closure_view):
+        maps = closure_view.maps
+        want = [[maps.index(compose(s, t)) if compose(s, t) in maps else None
+                 for t in maps] for s in maps]
+        assert closure_view.composition == want
+
+    def test_agreement_partition(self, closure_view):
+        maps, index = closure_view.maps, closure_view.algebra.index_set
+        for size in range(len(index) + 1):
+            for j in itertools.combinations(index, size):
+                variants = [tuple(y for y, u in enumerate(maps)
+                                  if all(u.apply(i) == t.apply(i)
+                                         for i in index if i not in j))
+                            for t in maps]
+                assert closure_view.agreement(j) \
+                    == list(map(list, dict.fromkeys(variants)))
+
+    def test_replacement_lookup(self, closure_view):
+        index = closure_view.algebra.index_set
+        for i, j in itertools.product(index, repeat=2):
+            t = FinTransformation.from_dict({i: j}, index)
+            assert closure_view.replacement(i, j) \
+                == closure_view.subst.get(t)
+
+
 class TestOperations:
     def test_cyl_empty_scope(self):
         algebra = small_algebra()

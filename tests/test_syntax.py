@@ -3,9 +3,9 @@ import random
 import pytest
 
 from mvlogic.syntax import (
-    AdmissionError, Atom, BOTTOM, Exists, Forall, Implies, LanguageSpec, Neg,
-    Odot, Oplus, ParseError, TOP, all_vars, bound_vars, free_vars, parse,
-    random_formula, render, restrict_extend, substitute,
+    MAX_DEPTH, AdmissionError, Atom, BOTTOM, Exists, Forall, Implies,
+    LanguageSpec, Neg, Odot, Oplus, ParseError, TOP, all_vars, bound_vars,
+    free_vars, parse, random_formula, render, restrict_extend, substitute,
     substitute_capture_avoiding, substitute_free,
 )
 
@@ -152,6 +152,19 @@ class TestParseRender:
         with pytest.raises(ParseError) as err:
             parse("p(v0,v1) (+)", LANG)
         assert err.value.position == 12
+
+    @pytest.mark.parametrize("nest", [
+        lambda k: "(" * k + "r" + ")" * k,
+        lambda k: "~" * (k - 1) + "r",
+        lambda k: "E{v0} " * (k - 1) + "r",
+        lambda k: " (+) ".join(["r"] * k),
+        lambda k: " -> ".join(["r"] * k),
+    ], ids=["parentheses", "negations", "quantifiers", "oplus-chain",
+            "implications"])
+    def test_nesting_is_refused_past_max_depth(self, nest):
+        parse(nest(MAX_DEPTH), LANG)
+        with pytest.raises(ParseError, match="nests deeper than"):
+            parse(nest(MAX_DEPTH + 1), LANG)
 
     def test_precedence(self):
         phi = parse("q(v0) -> q(v1) (+) q(v2) (*) ~r", LANG)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -169,6 +170,77 @@ class TestClosure:
         out = semigroup_closure(SemigroupSpec((SUC, PRED), 10))
         assert out.truncated
         assert len(out.elements) <= 10
+
+
+def pairwise_closure(gens, cap):
+    """The closure by pairs: every pair of found maps is composed both
+    ways, and the pass stops at the first new map past the cap. The
+    reference for semigroup_closure."""
+    gens = list(dict.fromkeys(gens))
+    elements, seen = list(gens), set(gens)
+    i = 0
+    while i < len(elements):
+        for u in list(elements):
+            for cand in (compose(elements[i], u), compose(u, elements[i])):
+                if cand not in seen:
+                    if len(elements) >= cap:
+                        return seen, True
+                    seen.add(cand)
+                    elements.append(cand)
+        i += 1
+    return seen, False
+
+
+def word_lengths(gens):
+    """The fewest generators whose product is t, for every t they
+    generate, found level by level."""
+    lengths = {g: 1 for g in gens}
+    level, k = list(lengths), 1
+    while level:
+        k += 1
+        level = [t for t in dict.fromkeys(compose(f, g) for f in level
+                                          for g in gens)
+                 if t not in lengths]
+        lengths.update(dict.fromkeys(level, k))
+    return lengths
+
+
+def _three_point_generator_sets():
+    dom = (0, 1, 2)
+    maps = [FinTransformation.replacement(dom, i, j)
+            for i in dom for j in dom if i != j]
+    maps += [FinTransformation.transposition(dom, i, j)
+             for i in dom for j in dom if i < j]
+    return [combo for size in (2, 3)
+            for combo in itertools.combinations(maps, size)]
+
+
+T4_GENERATORS = tuple(parse_transformation(text, range(4))
+                      for text in ("[0|1]", "[0,1]", "[1,2]", "[2,3]"))
+
+
+class TestClosureAgainstPairwise:
+    @pytest.mark.parametrize("cap", [10, 100, 1000])
+    @pytest.mark.parametrize("gens", _three_point_generator_sets()
+                             + [T4_GENERATORS],
+                             ids=lambda gens: ";".join(map(repr, gens)))
+    def test_same_closure_or_a_breadth_first_prefix(self, gens, cap):
+        out = semigroup_closure(SemigroupSpec(gens, cap))
+        want, truncated = pairwise_closure(gens, cap)
+        assert out.truncated == truncated
+        assert len(out.elements) == len(want)
+        if not truncated:
+            assert out.elements == tuple(sorted(
+                want, key=lambda t: t.sort_key()))
+            return
+        lengths = word_lengths(gens)
+        longest = max(lengths[t] for t in out.elements)
+        shorter = {t for t, k in lengths.items() if k < longest}
+        assert shorter <= set(out.elements) <= set(lengths)
+
+    def test_t4_closes_on_all_256_maps(self):
+        out = semigroup_closure(SemigroupSpec(T4_GENERATORS, 1000))
+        assert len(out.elements) == 4 ** 4 and not out.truncated
 
 
 class TestStrongRichness:
