@@ -416,8 +416,10 @@ def _cmd_pavelka_degree(args, inputs):
 
 def _cmd_pavelka_check(args, inputs):
     chain = Chain(args.chain)
-    pav = pavelka.PavelkaAlgebra.full_chain(chain)
+    # the filter needs the chain's view, whose cap refuses a long chain
+    # before its carrier is built
     flt = mv_core.principal_filter(chain, chain.one)
+    pav = pavelka.PavelkaAlgebra.full_chain(chain)
     reports = {
         "constants": pavelka.constants_check(pav),
         "lemma": pavelka.pavelka_lemma_check(pav, flt),

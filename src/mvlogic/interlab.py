@@ -491,8 +491,9 @@ def term_eval(term, algebra, var_elements):
 def eta_agreement_check(term, model):
     """Compare the translated formula against the term, pointwise.
 
-    The formula is evaluated through the semantics module at every
-    assignment of v0..v{n-1}; the term is evaluated in the set algebra
+    The formula is evaluated through the semantics module as one row over
+    the assignments of v0..v{n-1}, in the set algebra's assignment order
+    (product order); the term is evaluated in the set algebra
     whose variables are the model's predicate tables. Both sides are
     functions from assignment tuples into the chain.
     """
@@ -519,11 +520,6 @@ def eta_agreement_check(term, model):
                                 for x in algebra.assignments)
 
     term_side = term_eval(term, algebra, var_elements)
-    phi = eta_translate(term, n)
-    formula_side = tuple(
-        semantics.eval_formula(
-            phi, model,
-            semantics.Assignment({f"v{i}": x[i] for i in range(n)}))
-        for x in algebra.assignments
-    )
-    return term_side == formula_side
+    row = semantics.assignment_row(eta_translate(term, n), model,
+                                   [f"v{i}" for i in range(n)])
+    return term_side == tuple(map(model.chain.carrier.__getitem__, row))

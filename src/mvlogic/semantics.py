@@ -6,26 +6,36 @@ bounded semi-decision: an exhaustive search over all models up to a domain
 size, never a claim about all structures.
 
 Inside, truth values are the integer levels 0..n-1 of Chain(n), level r
-standing for r/(n-1). A formula is compiled once into closures over levels:
-the Lukasiewicz operations become min/max on ints, and each quantifier
-sweeps the relevant variables of its block, fixed at compile time. Model
-enumeration yields level tables. `Fraction` values appear only at the
-edges: a user-supplied Model is read into levels once, results come back
-as chain values, and a Model is built only for a reported countermodel.
+standing for r/(n-1). A formula is read as the paper reads it, as an
+element of a polyadic MV set algebra: a map from assignments into the
+chain, where the connectives act pointwise and E and A are
+cylindrifications (block sup and inf). A RowProgram compiles formulas once
+into steps, one per distinct subformula, and evaluates each step as one
+row: its levels at every assignment of its variables and every model of a
+batch. `entails` takes the models of one domain size in chunks of
+canonical order (`model_chunks`), reads atoms off per-cell model columns,
+and stops at the first chunk that holds a countermodel. `eval_formula`,
+`is_valid` and `truth_degree` evaluate a batch of one model. A row's
+assignments per model are capped at MAX_VALUATIONS before any row is
+built. `Fraction` values appear only at the edges: a user-supplied Model
+is read into levels once, results come back as chain values, and a Model
+is built only for a reported countermodel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .mv_core import (
-    Chain, CarrierError, format_point, format_value, is_json_int,
-    is_json_object, json_field, parse_point, parse_value,
+    MAX_VALUATIONS, Chain, CarrierError, _level_sums, format_point,
+    format_value, is_json_int, is_json_object, json_field, parse_point,
+    parse_value,
 )
 from . import syntax
 from .syntax import (
-    Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
-    predicates_of,
+    Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists, _var_key,
 )
 
 
@@ -138,174 +148,273 @@ class Assignment:
                    for v in keys if v not in block)
 
 
-class CompiledFormula:
-    """A formula compiled once for Chain(n) into closures over levels.
+# The most entries a row of a model chunk holds: entails takes as many
+# models at a time as keep its widest row within this, so a chunk's rows
+# stay a few hundred kilobytes each however large the model space.
+ROW_CHUNK = 1 << 15
 
-    `run(env)` is the level of the formula under an env: a list holding
-    the model's level tables, its domain as a range, then one slot per
-    variable of the formula (`slots` maps each variable to its position).
-    `free_vars` names the free variables and `free` holds their slots.
-    `valid` and `degree` take a model as level tables plus a domain size
-    and scan the assignments of the free variables, the only ones the
-    value depends on.
+
+_CONNECTIVES = {Oplus: "plus", Odot: "times", Implies: "plus"}
+
+
+class RowProgram:
+    """Formulas compiled once into row steps for Chain(top + 1).
+
+    A step's row lists its subformula's levels at every (assignment,
+    model) pair of a batch of `count` models: the assignments of the
+    step's variables (`vars`, in the order of syntax._var_key) in product
+    order, the first variable most significant, each holding one entry per
+    model. An atom reads its table cells from per-cell model columns; ~,
+    (+) and (*) map whole rows through mv_core._level_sums (x -> y is
+    ~x (+) y); a `spread` step repeats a row along the variables it lacks,
+    so that the two rows of a connective line up; and E and A take the max
+    and min of the row's blocks along one variable (cylindrification).
+    Steps are memoized by their operation and operands, so a subformula
+    repeated across the compiled formulas is computed once per batch.
+
+    With `fix` (a function from a variable to a domain element), every
+    free occurrence of a variable reads fix(variable) and spans no axis;
+    the values read are kept in `fixed`.
     """
 
-    def __init__(self, phi, n):
-        self.top = n - 1
-        self.slots = {}
-        self.predicates = sorted(predicates_of(phi))
-        self.run, free = self._compile(phi)
-        self.free_vars = tuple(sorted(free))
-        self.free = tuple(self.slots[v] for v in self.free_vars)
+    def __init__(self, top, fix=None):
+        self.top = top
+        self.fix = fix
+        self.fixed = {}
+        self.predicates = set()
+        self.steps = []
+        self.vars = []
+        self._slots = {}
+        self._neg = list(range(top, -1, -1))
+        self._plus, self._times = _level_sums(top)
 
-    def _slot(self, var):
-        return self.slots.setdefault(var, 2 + len(self.slots))
-
-    def _compile(self, phi):
-        """(closure, free variables) of phi."""
-        top = self.top
-        if isinstance(phi, Atom):
-            pred = phi.pred
-            slots = tuple(self._slot(v) for v in phi.args)
-
-            def atom(env):
-                size = len(env[1])
-                k = 0
-                for s in slots:
-                    k = k * size + env[s]
-                return env[0][pred][k]
-            return atom, set(phi.args)
-        if isinstance(phi, Top):
-            return (lambda env: top), set()
-        if isinstance(phi, Bottom):
-            return (lambda env: 0), set()
-        if isinstance(phi, Neg):
-            body, free = self._compile(phi.body)
-            return (lambda env: top - body(env)), free
-        if isinstance(phi, (Oplus, Odot, Implies)):
-            left, lfree = self._compile(phi.left)
-            right, rfree = self._compile(phi.right)
-            if isinstance(phi, Oplus):
-                def node(env):
-                    v = left(env) + right(env)
-                    return v if v < top else top
-            elif isinstance(phi, Odot):
-                def node(env):
-                    v = left(env) + right(env) - top
-                    return v if v > 0 else 0
-            else:
-                def node(env):
-                    v = top - left(env) + right(env)
-                    return v if v < top else top
-            return node, lfree | rfree
-        if isinstance(phi, (Forall, Exists)):
-            body, inner = self._compile(phi.body)
-            relevant = sorted(phi.block & inner)
-            free = inner - phi.block
-            # a block sweep is the nest of one-variable sweeps
-            sweep = _sup if isinstance(phi, Exists) else _inf
-            for v in relevant:
-                body = sweep(body, self._slot(v), top)
-            return body, free
+    def add(self, phi, bound=frozenset()):
+        """The slot of phi's row, compiling what is not yet compiled."""
+        kind = type(phi)
+        if kind is Atom:
+            args = variables = phi.args
+            if self.fix is not None:
+                args = tuple(v if v in bound else self._fixed(v)
+                             for v in args)
+                variables = tuple(v for v in args if isinstance(v, str))
+            if len(variables) > 1:
+                variables = tuple(sorted(set(variables), key=_var_key))
+            self.predicates.add(phi.pred)
+            return self._step(("atom", phi.pred, args), variables)
+        op = _CONNECTIVES.get(kind)
+        if op is not None:
+            left = self.add(phi.left, bound)
+            right = self.add(phi.right, bound)
+            if kind is Implies:
+                left = self._negate(left)  # x -> y is ~x (+) y
+            if left > right:
+                left, right = right, left  # (+) and (*) commute
+            want, other = self.vars[left], self.vars[right]
+            if want != other:
+                want = tuple(sorted(set(want + other), key=_var_key))
+            return self._step((op, self._spread(left, want),
+                               self._spread(right, want)), want)
+        if kind is Neg:
+            return self._negate(self.add(phi.body, bound))
+        if kind is Top or kind is Bottom:
+            return self._step(("const", self.top if kind is Top else 0,
+                               None), ())
+        if kind is Forall or kind is Exists:
+            slot = self.add(phi.body, bound | phi.block)
+            op = "sup" if kind is Exists else "inf"
+            for var in sorted(phi.block, key=_var_key):
+                have = self.vars[slot]
+                if var in have:
+                    slot = self._step(
+                        (op, slot, have.index(var)),
+                        tuple(v for v in have if v != var))
+            return slot
         raise TypeError(f"not a formula: {phi!r}")
 
-    def env(self, tables, domain_size):
-        return [tables, range(domain_size)] + [0] * len(self.slots)
+    def _fixed(self, var):
+        self.fixed[var] = self.fix(var)
+        return self.fixed[var]
 
-    def _assignments(self, env):
-        """Set env to each assignment of the free variables in turn."""
-        free = self.free
-        for choice in itertools.product(env[1], repeat=len(free)):
-            for s, x in zip(free, choice):
-                env[s] = x
-            yield
+    def _step(self, step, variables):
+        slot = self._slots.get(step)
+        if slot is None:
+            slot = self._slots[step] = len(self.steps)
+            self.steps.append(step)
+            self.vars.append(variables)
+        return slot
 
-    def valid(self, tables, domain_size):
-        """True iff the formula takes the top level under every assignment."""
-        env = self.env(tables, domain_size)
-        run, top = self.run, self.top
-        return all(run(env) == top for _ in self._assignments(env))
+    def _negate(self, slot):
+        return self._step(("neg", slot, None), self.vars[slot])
 
-    def degree(self, tables, domain_size):
-        """The least level over the assignments of the free variables."""
-        env = self.env(tables, domain_size)
-        run = self.run
-        return min(run(env) for _ in self._assignments(env))
+    def _spread(self, slot, want):
+        have = self.vars[slot]
+        if have == want:
+            return slot
+        return self._step(("spread", slot, tuple(
+            j for j, var in enumerate(want) if var not in have)), want)
+
+    def width(self, size):
+        """The most assignments a row spans per model at a domain size.
+        Past MAX_VALUATIONS it raises SearchTooLarge, before any row is
+        built."""
+        most = max(map(len, self.vars), default=0)
+        if size ** most > MAX_VALUATIONS:
+            raise SearchTooLarge(
+                f"{size}^{most} assignments of a subformula's variables "
+                f"exceed the cap of {MAX_VALUATIONS}")
+        return size ** most
+
+    def atom_cells(self, size, offsets):
+        """Per atom step, the table cell it reads under each assignment of
+        its variables; `offsets` gives each predicate's first cell. A
+        point is read in base `size`, its last argument least significant,
+        so a cell is the offset plus each argument's value times its
+        place."""
+        cells = {}
+        for slot, (op, pred, args) in enumerate(self.steps):
+            if op != "atom":
+                continue
+            cell, place, places = offsets[pred], 1, dict.fromkeys(
+                self.vars[slot], 0)
+            for v in reversed(args):
+                if isinstance(v, str):
+                    places[v] += place
+                else:
+                    cell += v * place
+                place *= size
+            reads = [cell]
+            for place in places.values():
+                reads = [c + x * place for c in reads for x in range(size)]
+            cells[slot] = reads
+        return cells
+
+    def run(self, size, cells, count, columns, rows, stop):
+        """Append to `rows` the rows of the steps len(rows)..stop-1 over a
+        batch of `count` models at a domain size, given by the `count`
+        levels of every table cell (`columns`)."""
+        sums = {"plus": self._plus, "times": self._times}
+        neg = self._neg.__getitem__
+        for slot in range(len(rows), stop):
+            op, a, b = self.steps[slot]
+            if op == "atom":
+                row = list(itertools.chain.from_iterable(
+                    map(columns.__getitem__, cells[slot])))
+            elif op == "const":
+                row = [a] * count
+            elif op == "neg":
+                row = list(map(neg, rows[a]))
+            elif op in sums:
+                row = list(map(sums[op].__getitem__,
+                               map(operator.add, rows[a], rows[b])))
+            elif op == "spread":
+                row = rows[a]
+                for j in b:
+                    row = _spread_axis(row, j, size)
+            else:
+                row = _cylinder(rows[a], b, size,
+                                max if op == "sup" else min)
+            rows.append(row)
+        return rows
+
+    def check_tables(self, model):
+        """Raise MissingTableError for the first predicate, in sorted
+        order, that the model has no table for."""
+        for pred in sorted(self.predicates):
+            if pred not in model.levels:
+                raise MissingTableError(pred)
+
+    def in_model(self, model):
+        """Every step's row in one model (a batch of one)."""
+        self.check_tables(model)
+        size = model.domain_size
+        self.width(size)
+        offsets, levels = {}, []
+        for pred in sorted(self.predicates):
+            offsets[pred] = len(levels)
+            levels.extend(model.levels[pred])
+        return self.run(size, self.atom_cells(size, offsets), 1,
+                        [[level] for level in levels], [], len(self.steps))
 
 
-def _inf(body, slot, top):
-    """The infimum of body over the values of one slot; stops at level 0."""
-    def forall(env):
-        saved = env[slot]
-        best = top
-        for x in env[1]:
-            env[slot] = x
-            v = body(env)
-            if v < best:
-                best = v
-                if not v:
-                    break
-        env[slot] = saved
-        return best
-    return forall
+def _spread_axis(row, j, size):
+    """The row with a new variable at axis j that it does not depend on."""
+    block = len(row) // size ** j
+    if block == len(row):
+        return row * size
+    return list(itertools.chain.from_iterable(
+        row[o:o + block] * size for o in range(0, len(row), block)))
 
 
-def _sup(body, slot, top):
-    """The supremum of body over the values of one slot; stops at the top."""
-    def exists(env):
-        saved = env[slot]
-        best = 0
-        for x in env[1]:
-            env[slot] = x
-            v = body(env)
-            if v > best:
-                best = v
-                if v == top:
-                    break
-        env[slot] = saved
-        return best
-    return exists
+def _cylinder(row, j, size, bound):
+    """The bound (max or min) of the row over the values of axis j."""
+    if size == 1:
+        return row
+    block = len(row) // size ** j
+    step = block // size
+    out = []
+    for o in range(0, len(row), block):
+        out += map(bound, *[row[x:x + step]
+                            for x in range(o, o + block, step)])
+    return out
 
 
-def _compiled_for(phi, model):
-    compiled = CompiledFormula(phi, model.chain.n)
-    for pred in compiled.predicates:
-        if pred not in model.levels:
-            raise MissingTableError(pred)
-    return compiled
+def _model_mins(row, count):
+    """Per model of a batch of `count`, the least level of the row over
+    its assignments."""
+    if len(row) == count:
+        return row
+    return list(map(min, *[row[i:i + count]
+                           for i in range(0, len(row), count)]))
 
 
 def eval_formula(phi, model, s):
     """The truth value of phi under the assignment s.
 
     Every free variable of phi must be assigned an element of the domain;
-    the quantifier sweeps set the bound ones.
+    the row spans only the bound ones.
     """
-    compiled = _compiled_for(phi, model)
-    env = compiled.env(model.levels, model.domain_size)
-    for var, slot in zip(compiled.free_vars, compiled.free):
-        x = s.get(var)
+    program = RowProgram(model.chain.n - 1, fix=s.get)
+    slot = program.add(phi)
+    program.check_tables(model)
+    for var, x in sorted(program.fixed.items()):
         if not 0 <= x < model.domain_size:
             raise ValueError(
                 f"assignment {var}={x} is outside the domain "
                 f"0..{model.domain_size - 1}")
-        env[slot] = x
-    return model.chain.carrier[compiled.run(env)]
+    return model.chain.carrier[program.in_model(model)[slot][0]]
+
+
+def assignment_row(phi, model, variables):
+    """The levels of phi at every assignment of `variables`, in product
+    order. The variables must include phi's free ones and come in the
+    order of syntax._var_key."""
+    program = RowProgram(model.chain.n - 1)
+    slot = program.add(phi)
+    want = tuple(variables)
+    if not set(program.vars[slot]) <= set(want) \
+            or list(want) != sorted(want, key=_var_key):
+        raise ValueError(f"{want} does not list the free variables of "
+                         f"the formula in order")
+    slot = program._spread(slot, want)
+    return program.in_model(model)[slot]
 
 
 def is_valid(phi, model):
     """True iff the formula takes value 1 under every assignment.
 
-    Scanning assignments of the free variables suffices: the value depends
-    on nothing else (the dependency property, pinned by the tests).
+    The row spans the assignments of the free variables, the only ones
+    the value depends on (the dependency property, pinned by the tests).
     """
-    return _compiled_for(phi, model).valid(model.levels, model.domain_size)
+    program = RowProgram(model.chain.n - 1)
+    slot = program.add(phi)
+    return min(program.in_model(model)[slot]) == program.top
 
 
 def truth_degree(phi, model):
     """Infimum of the value over assignments of the free variables."""
-    level = _compiled_for(phi, model).degree(model.levels, model.domain_size)
-    return model.chain.carrier[level]
+    program = RowProgram(model.chain.n - 1)
+    slot = program.add(phi)
+    return model.chain.carrier[min(program.in_model(model)[slot])]
 
 
 class RefutedBy:
@@ -333,7 +442,9 @@ def enumerate_models(language, predicates, domain_size, chain):
     """All models over the named predicates, in canonical table order.
 
     Each model is its level tables: a dict from predicate to a tuple of
-    levels of the chain, one per point in lexicographic point order.
+    levels of the chain, one per point in lexicographic point order. This
+    is the order that defines the canonically first countermodel;
+    `entails` reads the same order off model_chunks.
     """
     preds = sorted(predicates)
     rows = [itertools.product(range(chain.n),
@@ -341,6 +452,40 @@ def enumerate_models(language, predicates, domain_size, chain):
             for p in preds]
     for combo in itertools.product(*rows):
         yield dict(zip(preds, combo))
+
+
+@functools.lru_cache(maxsize=16)
+def _low_columns(chain_n, cells):
+    """The levels of `cells` table cells over all chain_n ** cells models
+    in canonical order, one column per cell, first cell most significant:
+    each level repeated chain_n ** (cells - 1 - g) times, and that pattern
+    chain_n ** g times. Shared between searches, so never changed."""
+    return [list(itertools.chain.from_iterable(
+        [level] * chain_n ** (cells - 1 - g) for level in range(chain_n)))
+        * chain_n ** g for g in range(cells)]
+
+
+def model_chunks(cells, chain_n, width):
+    """The models of one domain size in chunks, in canonical order.
+
+    A model is the levels of its `cells` table cells (the predicates in
+    sorted order, each its points in lexicographic order), and model m has
+    level (m // chain_n ** (cells - 1 - g)) % chain_n in cell g: the order
+    of enumerate_models. A chunk lets the low-order cells vary, as many as
+    keep `width` assignments per model within ROW_CHUNK entries, and holds
+    the other cells constant. Yields (first, count, columns): the index of
+    the chunk's first model, its number of models and the `count` levels
+    of every cell.
+    """
+    low = 0
+    while low < cells and width * chain_n ** (low + 1) <= ROW_CHUNK:
+        low += 1
+    count = chain_n ** low
+    varying = _low_columns(chain_n, low)
+    for chunk, high in enumerate(itertools.product(range(chain_n),
+                                                   repeat=cells - low)):
+        yield chunk * count, count, [[level] * count for level in high] \
+            + varying
 
 
 def _check_model_count(language, predicates, max_domain, chain_n, cap):
@@ -370,23 +515,52 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     """Bounded entailment search over all models with |M| <= max_domain.
 
     Returns the canonically first countermodel (every gamma member valid,
-    phi not) or the bounded no-counterexample verdict.
+    phi not) or the bounded no-counterexample verdict. The goal and the
+    hypotheses are one RowProgram, evaluated per domain size over chunks
+    of models; a chunk's hypotheses are evaluated only if the goal fails
+    in one of its models, and the search stops at the first chunk that
+    holds a countermodel.
     """
     chain = Chain(chain_n)
-    predicates = set(predicates_of(phi))
-    for g in gamma:
-        predicates |= predicates_of(g)
-    predicates = sorted(predicates)
+    program = RowProgram(chain_n - 1)
+    goal = program.add(phi)
+    goal_steps = len(program.steps)
+    hypotheses = [program.add(g) for g in gamma]
+    predicates = sorted(program.predicates)
     _check_model_count(language, predicates, max_domain, chain_n, cap)
-    hypotheses = [CompiledFormula(g, chain_n) for g in gamma]
-    goal = CompiledFormula(phi, chain_n)
+    program.width(max_domain)  # the row cap, before any model is read
+    top = program.top
     for size in range(1, max_domain + 1):
-        for tables in enumerate_models(language, predicates, size, chain):
-            if all(h.valid(tables, size) for h in hypotheses) \
-                    and not goal.valid(tables, size):
-                return RefutedBy(
-                    Model.from_levels(language, size, chain, tables))
+        counts = [size ** language.arity(p) for p in predicates]
+        offsets = dict(zip(predicates, itertools.accumulate([0] + counts)))
+        cells = program.atom_cells(size, offsets)
+        for first, count, columns in model_chunks(sum(counts), chain_n,
+                                                  program.width(size)):
+            rows = program.run(size, cells, count, columns, [], goal_steps)
+            if min(rows[goal]) == top:
+                continue
+            program.run(size, cells, count, columns, rows,
+                        len(program.steps))
+            passes = [_model_mins(rows[h], count) for h in hypotheses]
+            for m, level in enumerate(_model_mins(rows[goal], count)):
+                if level < top and all(p[m] == top for p in passes):
+                    return RefutedBy(_countermodel(
+                        language, size, chain, predicates, counts, first + m))
     return NoCounterexampleUpTo(max_domain, chain_n)
+
+
+def _countermodel(language, size, chain, predicates, counts, index):
+    """The model at an index of the canonical order, read digit by digit
+    in the mixed radix of its cells."""
+    digits = []
+    for _ in range(sum(counts)):
+        index, level = divmod(index, chain.n)
+        digits.append(level)
+    digits.reverse()
+    starts = itertools.accumulate([0] + counts)
+    return Model.from_levels(language, size, chain, {
+        pred: tuple(digits[start:start + cells])
+        for pred, start, cells in zip(predicates, starts, counts)})
 
 
 def random_model(rng, language, max_size, chain):

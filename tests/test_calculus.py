@@ -249,6 +249,16 @@ class TestSoundness:
         with pytest.raises(SearchTooLarge):
             soundness_audit(target, 1, max_domain=4, seed=0, language=BINARY)
 
+    @pytest.mark.parametrize("target", ["A2", "MP"])
+    def test_model_space_over_the_cap_raises_before_any_chunk(
+            self, target, monkeypatch):
+        # the same search, with the builder of model chunks refusing
+        def refuse(*args):
+            raise AssertionError("a chunk of models was built")
+        monkeypatch.setattr(semantics, "model_chunks", refuse)
+        with pytest.raises(SearchTooLarge):
+            soundness_audit(target, 1, max_domain=4, seed=0, language=BINARY)
+
     def test_capture_instance_semantically_invalid(self):
         # the concrete instance the A5 side condition exists to block
         body = Exists(frozenset({"v1"}), parse("s(v0,v1)", CAPTURE))

@@ -151,6 +151,30 @@ class TestExitCodes:
         assert report["reason"] == \
             "Chain(100000) exceeds the exhaustive audit cap of 100 elements"
 
+    @pytest.mark.parametrize("argv", [
+        ["mv", "audit"], ["mv", "quotient", "--members", "1"],
+        ["mv", "filter"], ["pavelka", "check"]])
+    def test_huge_chain_is_refused_before_its_carrier(self, argv):
+        # Chain(10**9) would hold 10**9 Fractions; the caps look at n only
+        started = time.perf_counter()
+        code, report = dispatch(argv + ["--chain", "1000000000"])
+        assert code == 2 and report["verdict"] == "error"
+        assert "Chain(1000000000) exceeds" in report["reason"]
+        assert time.perf_counter() - started < 1
+
+    def test_valid_over_the_row_cap_reports_why(self, tmp_path):
+        # 80^3 = 512,000 assignments of v0, v1, v2 in one model
+        model = tmp_path / "model80.json"
+        model.write_text(json.dumps({
+            "domain": 80, "chain": 3,
+            "predicates": {"p": {"arity": 1, "table": {
+                f"({x})": "1" for x in range(80)}}}}))
+        code, report = dispatch(["logic", "valid", "--model", str(model),
+                                 "--formula", "p(v0) (+) p(v1) (+) p(v2)"])
+        assert code == 2 and report["verdict"] == "error"
+        assert report["reason"] == "80^3 assignments of a subformula's " \
+            "variables exceed the cap of 500000"
+
     def test_malformed_json_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -141,6 +141,14 @@ class TestAxiomAudit:
         with pytest.raises(ValueError, match="needs StandardRationals"):
             check_mv_axioms(algebra, mode="sampled", count=10)
 
+    def test_huge_chain_builds_no_carrier(self):
+        chain = Chain(10 ** 9)
+        assert chain._carrier is None and chain.n == 10 ** 9
+        with pytest.raises(AuditTooLarge):
+            check_mv_axioms(chain)
+        assert chain._carrier is None
+        assert Chain(5).carrier == tuple(F(i, 4) for i in range(5))
+
     def test_audit_cap_raises_before_the_first_triple(self, monkeypatch):
         def walked(*args):
             raise AssertionError("the audit read a triple")

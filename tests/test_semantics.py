@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mvlogic import semantics
 from mvlogic.interlab import _levels
 from mvlogic.mv_core import ONE, ZERO, CarrierError, Chain
 from mvlogic.semantics import (
@@ -178,6 +179,51 @@ class TestEntailment:
     def test_search_guard(self):
         with pytest.raises(SearchTooLarge):
             entails([], parse("s(v0,v1)", RICH), RICH, 3, 3, cap=100)
+
+
+class TestRowCap:
+    """A row is a list in memory: one model's assignments of a row's
+    variables may not pass MAX_VALUATIONS, checked before any row is
+    built."""
+
+    @pytest.fixture
+    def capped_model(self, monkeypatch):
+        monkeypatch.setattr(semantics, "MAX_VALUATIONS", 8)
+        return Model(RICH, 3, Chain(3), {
+            "s": {pt: F(0) for pt in itertools.product(range(3), repeat=2)}})
+
+    def test_single_model_entry_points(self, capped_model, monkeypatch):
+        model = capped_model
+        def refuse(*args):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(semantics.RowProgram, "run", refuse)
+        phi = parse("A{v2} s(v0,v1)", RICH)  # 3^2 assignments of v0, v1
+        for run in (lambda: is_valid(phi, model),
+                    lambda: truth_degree(phi, model),
+                    lambda: semantics.assignment_row(phi, model,
+                                                     ["v0", "v1"])):
+            with pytest.raises(SearchTooLarge) as exc:
+                run()
+            assert str(exc.value) == "3^2 assignments of a subformula's " \
+                "variables exceed the cap of 8"
+
+    def test_eval_formula_spans_only_the_bound_variables(self,
+                                                         capped_model):
+        model = capped_model
+        # v0 and v1 are fixed by the assignment, so the rows span v1 alone
+        assert eval_formula(parse("s(v0,v1) (+) E{v1} s(v1,v0)", RICH),
+                            model, Assignment()) == F(0)
+        with pytest.raises(SearchTooLarge):
+            eval_formula(parse("A{v1,v2} s(v1,v2)", RICH), model,
+                         Assignment())
+
+    def test_entails_checks_the_largest_domain_first(self, capped_model,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a chunk of models was built")
+        monkeypatch.setattr(semantics, "model_chunks", refuse)
+        with pytest.raises(SearchTooLarge):
+            entails([], parse("p(v0) (+) p(v1)", LANG), LANG, 3, 2)
 
 
 class TestProperties:
