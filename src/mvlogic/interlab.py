@@ -111,11 +111,6 @@ def _levels(phi, atoms, top):
     return walk(phi)
 
 
-def _prop_entails(a, b, atoms, chain):
-    return all(map(operator.le, *(_levels(phi, atoms, chain.n - 1)
-                                  for phi in (a, b))))
-
-
 def _envelope(phi, common, bound, top):
     """The bound (max or min) of phi over its atoms outside common."""
     others = sorted(predicates_of(phi) - set(common))

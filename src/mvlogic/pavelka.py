@@ -1,8 +1,8 @@
 """Rational Pavelka extension: truth-constant-enriched algebras, the
 constant compatibility laws, graded degrees of membership with their dual
 forms, quantifier invariance of constants, and the graded representation
-map built on a Henkin filter. Every law and clause is checked by
-`mv_core.clause_result`; each check returns an `mv_core.AuditReport`."""
+map built on a Henkin filter. Every law reads the tables of the base's
+indexed view through `mv_core.clause_result` into an `AuditReport`."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .mv_core import (
-    AuditReport, Chain, Filter, ONE, ZERO, _instance, clause_result,
+    AuditReport, Chain, Filter, ZERO, _coding, _instance, clause_result,
     homomorphism_clauses,
 )
 from .interlab import HenkinFilter, cyl_sup_clause, psi_rows
@@ -20,9 +20,8 @@ from .interlab import HenkinFilter, cyl_sup_clause, psi_rows
 class PavelkaAlgebra:
     """An algebra together with truth constants indexed by a finite chain.
 
-    base is any finite MV-ops carrier (a chain, a functional polyadic
-    algebra, or an IndexedAlgebra over carrier indices); constants maps
-    each chain value r to the carrier element playing r-bar. The
+    base is any finite MV algebra with an indexed view; constants maps
+    chain values r, and only those, to the elements playing r-bar. The
     compatibility laws are checked by constants_check, not at
     construction, so corrupted instances can be built for mutation tests.
     """
@@ -41,13 +40,14 @@ class PavelkaAlgebra:
         return cls.make(chain, chain, {r: r for r in chain.carrier})
 
     def __post_init__(self):
-        # derived once; the dataclass is frozen
-        object.__setattr__(self, "_constant", dict(self.constants))
+        # derived once (the dataclass is frozen): (level, view index) pairs
+        chain, (_, enc, _) = self.chain, _coding(self.base)
+        chain.check_args(self.levels)
+        object.__setattr__(self, "_bar", tuple(
+            (int(r * (chain.n - 1)), enc(e)) for r, e in self.constants))
 
     def constant(self, r):
-        if r not in self._constant:
-            raise KeyError(f"no constant for {r}")
-        return self._constant[r]
+        return dict(self.constants)[r]
 
     @property
     def levels(self):
@@ -66,80 +66,84 @@ class GradedContext:
 
 def constants_check(pav):
     """0-bar = 0, (r (+) s)-bar = r-bar (+) s-bar, (~r)-bar = ~(r-bar)."""
-    base, chain, bar = pav.base, pav.chain, pav.constant
+    V, rs, bar = pav.base.indexed(), pav.levels, pav._bar
+    top, at = pav.chain.n - 1, dict(bar).get
     return AuditReport((
-        clause_result("zero-constant",
-                      [_instance(bar(ZERO), base.zero, (ZERO,))]),
+        clause_result("zero-constant", [_instance(at(0), V.zero, (ZERO,))]),
         clause_result("oplus-compatible", (
-            _instance(base.oplus(bar(r), bar(s)), bar(chain.oplus(r, s)),
-                      (r, s))
-            for r, s in itertools.product(pav.levels, repeat=2))),
-        clause_result("neg-compatible", (
-            _instance(base.neg(bar(r)), bar(chain.neg(r)), (r,))
-            for r in pav.levels)),
+            ([V.oplus[c][d] for _, d in bar],
+             [at(min(l + m, top)) for m, _ in bar],
+             zip(itertools.repeat(r), rs))
+            for r, (l, c) in zip(rs, bar))),
+        clause_result("neg-compatible", [(
+            [V.neg[c] for _, c in bar], [at(top - l) for l, _ in bar],
+            zip(rs))]),
     ))
+
+
+def _degrees(pav, flt, ids):
+    """(ups, downs): degree and degree_dual of the view indices ids as chain
+    levels, 0 and the top where no constant qualifies."""
+    (V, enc, _), bar = _coding(pav.base), pav._bar
+    members = frozenset(map(enc, flt.members))
+    ups = [max((l for l, c in bar if V.implies(c, a) in members),
+               default=0) for a in ids]
+    downs = [min((l for l, c in bar if V.implies(a, c) in members),
+                 default=pav.chain.n - 1) for a in ids]
+    return ups, downs
 
 
 def degree(a, ctx):
     """[a]_H: the largest constant level r with r-bar -> a in the filter."""
-    base = ctx.algebra.base
-    members = ctx.filter.members
-    best = ZERO
-    for r in ctx.algebra.levels:
-        if base.implies(ctx.algebra.constant(r), a) in members and r > best:
-            best = r
-    return best
+    pav = ctx.algebra
+    (up,), _ = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])
+    return pav.chain.carrier[up]
 
 
 def degree_dual(a, ctx):
     """The dual form: the least r with a -> r-bar in the filter."""
-    base = ctx.algebra.base
-    members = ctx.filter.members
-    best = ONE
-    for r in ctx.algebra.levels:
-        if base.implies(a, ctx.algebra.constant(r)) in members and r < best:
-            best = r
-    return best
+    pav = ctx.algebra
+    _, (down,) = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])
+    return pav.chain.carrier[down]
 
 
 def degree_forms_check(pav, flt):
     """Sup-form degree equals inf-form degree for every element."""
-    ctx = GradedContext(pav, flt)
-    return AuditReport((clause_result("degree-sup-equals-inf", (
-        _instance(up, down, (a, up, down)) for a in pav.base.carrier
-        for up, down in [(degree(a, ctx), degree_dual(a, ctx))])),))
+    V, _, dec = _coding(pav.base)
+    ups, downs = _degrees(pav, GradedContext(pav, flt).filter, V.carrier)
+    return AuditReport((clause_result("degree-sup-equals-inf", [(
+        ups, downs, ((dec(a), pav.chain.carrier[u], pav.chain.carrier[d])
+                     for a, u, d in zip(V.carrier, ups, downs)))]),))
 
 
 def pavelka_lemma_check(pav, flt):
     """r-bar in P iff r = 1, and r-bar/P <= s-bar/P iff r <= s."""
-    base, bar, members = pav.base, pav.constant, flt.members
+    (V, enc, _), rs, bar = _coding(pav.base), pav.levels, pav._bar
+    members, top = frozenset(map(enc, flt.members)), pav.chain.n - 1
     return AuditReport((
-        clause_result("membership-iff-one", (
-            _instance(bar(r) in members, r == ONE, (r,))
-            for r in pav.levels)),
+        clause_result("membership-iff-one", [(
+            [c in members for _, c in bar], [l == top for l, _ in bar],
+            zip(rs))]),
         clause_result("quotient-order-matches", (
-            _instance(base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
-            for r, s in itertools.product(pav.levels, repeat=2))),
+            ([V.implies(c, d) in members for _, d in bar],
+             [l <= m for m, _ in bar], zip(itertools.repeat(r), rs))
+            for r, (l, c) in zip(rs, bar))),
     ))
 
 
 def pavelka_quantifier_check(pav, algebra):
     """Existential invariance of constants: c_J r-bar = r-bar for all J."""
     return AuditReport((clause_result("exists-r-equals-r({checked} cases)", (
-        _instance(algebra.cyl_el(j, rbar), rbar, (r, sorted(j)))
-        for r in pav.levels for rbar in [pav.constant(r)]
-        for j in algebra.scopes)),))
+        _instance(cyl[c], c, (r, sorted(j)))
+        for r, (_, c) in zip(pav.levels, pav._bar)
+        for j, cyl in algebra.indexed().cyl.items())),))
 
 
 def constants_as_elements(algebra):
     """The chain constants realized as constant functions of the algebra."""
     size = len(algebra.assignments)
-    table = {}
-    for r in algebra.chain.carrier:
-        el = tuple(r for _ in range(size))
-        if algebra.contains(el):
-            table[r] = el
-    return table
+    return {r: (r,) * size for r in algebra.chain.carrier
+            if algebra.contains((r,) * size)}
 
 
 def functional_pavelka(algebra, require_full=True):
@@ -164,13 +168,9 @@ def pavelka_representation(algebra, pav, hf):
     if not isinstance(hf, HenkinFilter):
         raise TypeError("the graded representation is built on a HenkinFilter")
     V = algebra.indexed()
-    flt = Filter(V, frozenset(V.index_of[p] for p in hf.members))
-    ctx = GradedContext(PavelkaAlgebra.make(
-        V, pav.chain, {r: V.index_of[e] for r, e in pav.constants}), flt)
     vs = algebra.transformations
     top = pav.chain.n - 1
-    level = {v: r for r, v in enumerate(pav.chain.carrier)}
-    rows = psi_rows(V, [level[degree(i, ctx)] for i in V.carrier], vs)
+    rows = psi_rows(V, _degrees(pav, hf, V.carrier)[0], vs)
 
     results = [
         clause_result("unit-0", [_instance(rows[V.zero], (0,) * len(vs),
@@ -178,8 +178,8 @@ def pavelka_representation(algebra, pav, hf):
         clause_result("unit-1", [_instance(rows[V.one], (top,) * len(vs),
                                            ("1",))]),
         clause_result("constants", [(
-            [rows[V.index_of[pav.constant(r)]] for r in pav.levels],
-            [(level[r],) * len(vs) for r in pav.levels],
+            [rows[c] for _, c in pav._bar],
+            [(l,) * len(vs) for l, _ in pav._bar],
             zip(pav.levels))]),
         *homomorphism_clauses(V, rows, top),
         cyl_sup_clause(V, rows),

@@ -74,9 +74,6 @@ class FinTransformation:
         vals[self._position[i]] = j
         return FinTransformation(self.domain, tuple(vals))
 
-    def as_dict(self):
-        return dict(zip(self.domain, self.values))
-
     def sort_key(self):
         return (0, self.domain, self.values)
 

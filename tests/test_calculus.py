@@ -148,6 +148,24 @@ class TestProofChecking:
         verdict = check_proof(proof, LANG)
         assert not verdict.accepted and "one to one" in verdict.reason
 
+    @pytest.mark.parametrize("phi, tau", [
+        ("p(v0)", {"v0": "v2", "v1": "v3"}),
+        ("p(v0) (+) q(v1)", {"v0": "v2"}),
+    ], ids=["extra-variable", "missing-free-variable"])
+    def test_free_sub_inverse_domain_is_the_free_variables(self, phi, tau):
+        # tau is one to one, misses the bound variables and carries phi to
+        # the premise, so only the domain check rejects the step
+        phi = parse(phi, LANG)
+        premise = substitute_free(tau, phi)
+        proof = Proof((premise,), (
+            ProofStep("Hyp", premise, (0,)),
+            ProofStep("FreeSubInv", phi, (0,),
+                      tau=tuple(sorted(tau.items()))),
+        ))
+        verdict = check_proof(proof, LANG)
+        assert not verdict.accepted and verdict.step == 1
+        assert "dom(tau) must be the free variables" in verdict.reason
+
     def test_sub_rule(self):
         phi = parse("E{v1} p(v1) (+) q(v0)", LANG)
         tau = {"v0": "v2", "v1": "v3"}

@@ -282,6 +282,12 @@ GENERATOR_FREE = {"base": 2, "chain": 2, "generators": [], "cap": 5}
     ["mv", "audit", "--chain", "3", "--mode", "sampled"],
     ["mv", "quotient", "--chain", "100000", "--members", "1"],
     ["pavelka", "check", "--chain", "100000"],
+    ["pavelka", "degree", "--algebra", "{const_negative}", "--filter",
+     "{filter}", "--element", "3"],
+    ["pavelka", "degree", "--algebra", "{const_off_chain}", "--filter",
+     "{filter}", "--element", "3"],
+    ["pavelka", "degree", "--algebra", "{const_above_one}", "--filter",
+     "{filter}", "--element", "3"],
     ["proof", "check", "--proof", "{toplist}"],
     ["poly", "audit", "--spec", "{toplist}"],
     ["henkin", "demo", "--algebra", "{toplist}", "--element", "g0"],
@@ -296,10 +302,12 @@ GENERATOR_FREE = {"base": 2, "chain": 2, "generators": [], "cap": 5}
         "manifest-command-not-list", "manifest-without-commands",
         "generator-short-of-huge-base", "sampled-table", "sampled-chain",
         "quotient-chain-over-view-cap", "pavelka-chain-over-view-cap",
+        "constant-negative", "constant-off-the-chain", "constant-above-one",
         "proof-top-level-list", "spec-top-level-list",
         "algebra-top-level-list", "full-semigroup-over-cap",
         "full-semigroup-over-cap-audit", "assignments-over-cap"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
+    l5 = json.loads((GOLDEN_INPUTS / "l5-constants.json").read_text())
     for name, payload in (("overcap", OVERCAP_SPEC),
                           ("hugebase", {**ALGEBRA_SPEC, "base": 1000000}),
                           ("filter", {"members": [1]}),
@@ -316,7 +324,11 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
                           ("full5", {**GENERATOR_FREE, "index_set": 5}),
                           ("wide", {**GENERATOR_FREE, "index_set": 19,
                                     "semigroup": {"generators": []},
-                                    "scopes": "singletons"})):
+                                    "scopes": "singletons"}),
+                          # constant keys that are not values of L5
+                          ("const_negative", {**l5, "constants": {"-1/4": 1}}),
+                          ("const_off_chain", {**l5, "constants": {"1/3": 1}}),
+                          ("const_above_one", {**l5, "constants": {"2": 1}})):
         files[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     files["unwritable"] = str(tmp_path / "no-such-dir" / "out.json")
@@ -542,10 +554,11 @@ class TestVerbs:
         assert code == 0
 
     def test_pavelka_check_of_a_long_chain_is_fast(self):
-        # a constant is looked up in O(1), so the check is O(N^2) in the
-        # chain length; with an O(N) lookup N = 120 took about 15 s
+        # the laws read the chain's indexed view, with constants and filter
+        # members as carrier indices, so each law is O(N^2) table lookups
+        # and no Fraction arithmetic
         started = time.perf_counter()
-        code, report = dispatch(["pavelka", "check", "--chain", "120"])
+        code, report = dispatch(["pavelka", "check", "--chain", "400"])
         assert code == 0 and report["verdict"] == "pass"
         assert time.perf_counter() - started < 5
 

@@ -1,16 +1,22 @@
 import itertools
+import json
+import pathlib
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from mvlogic.interlab import HenkinFilter, henkin_filter_build
-from mvlogic.mv_core import Chain, Filter, principal_filter
+from mvlogic.mv_core import (
+    Chain, Filter, ONE, ZERO, _instance, clause_result, parse_value,
+    principal_filter,
+)
 from mvlogic.pavelka import (
     GradedContext, PavelkaAlgebra, constants_check, degree, degree_dual,
     degree_forms_check, functional_pavelka, pavelka_lemma_check,
     pavelka_quantifier_check, pavelka_representation,
 )
-from mvlogic.polyadic import build_generated
+from mvlogic.polyadic import algebra_from_json, build_generated
 from conftest import coordinate_generator
 
 
@@ -26,6 +32,12 @@ class TestConstants:
         for n in range(2, 6):
             _, pav, _ = chain_context(n)
             assert constants_check(pav).passed
+
+    @pytest.mark.parametrize("key", [F(-1, 4), F(1, 3), F(2)])
+    def test_constant_off_the_chain_rejected(self, key):
+        chain = Chain(5)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            PavelkaAlgebra.make(chain, chain, {key: chain.one})
 
     def test_corrupt_constants_detected(self):
         chain = Chain(5)
@@ -212,3 +224,152 @@ class TestOneVerdictRecord:
         (result,) = pavelka_quantifier_check(pav, algebra).results
         cases = len(pav.levels) * len(algebra.scopes)
         assert result.clause == f"exists-r-equals-r({cases} cases)"
+
+
+# The laws as they were checked before they read the indexed view: the
+# base's own operations on elements, filter members in element form.
+def element_degree(a, ctx):
+    base = ctx.algebra.base
+    members = ctx.filter.members
+    best = ZERO
+    for r in ctx.algebra.levels:
+        if base.implies(ctx.algebra.constant(r), a) in members and r > best:
+            best = r
+    return best
+
+
+def element_degree_dual(a, ctx):
+    base = ctx.algebra.base
+    members = ctx.filter.members
+    best = ONE
+    for r in ctx.algebra.levels:
+        if base.implies(a, ctx.algebra.constant(r)) in members and r < best:
+            best = r
+    return best
+
+
+def element_constants_check(pav):
+    base, chain, bar = pav.base, pav.chain, pav.constant
+    return (
+        clause_result("zero-constant",
+                      [_instance(bar(ZERO), base.zero, (ZERO,))]),
+        clause_result("oplus-compatible", (
+            _instance(base.oplus(bar(r), bar(s)), bar(chain.oplus(r, s)),
+                      (r, s))
+            for r, s in itertools.product(pav.levels, repeat=2))),
+        clause_result("neg-compatible", (
+            _instance(base.neg(bar(r)), bar(chain.neg(r)), (r,))
+            for r in pav.levels)),
+    )
+
+
+def element_degree_forms_check(pav, flt):
+    ctx = GradedContext(pav, flt)
+    return (clause_result("degree-sup-equals-inf", (
+        _instance(up, down, (a, up, down)) for a in pav.base.carrier
+        for up, down in [(element_degree(a, ctx),
+                          element_degree_dual(a, ctx))])),)
+
+
+def element_pavelka_lemma_check(pav, flt):
+    base, bar, members = pav.base, pav.constant, flt.members
+    return (
+        clause_result("membership-iff-one", (
+            _instance(bar(r) in members, r == ONE, (r,))
+            for r in pav.levels)),
+        clause_result("quotient-order-matches", (
+            _instance(base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
+            for r, s in itertools.product(pav.levels, repeat=2))),
+    )
+
+
+GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
+
+def golden_case(name):
+    """The Pavelka algebra and filter of `pavelka degree` on a golden spec
+    under filter-top.json, built as the command line builds them."""
+    data = json.loads((GOLDEN_INPUTS / name).read_text())
+    algebra = algebra_from_json(data)
+    if "constants" in data:
+        pav = PavelkaAlgebra.make(algebra, algebra.chain, {
+            parse_value(k): algebra.carrier[i]
+            for k, i in data["constants"].items()})
+    else:
+        pav = functional_pavelka(algebra, require_full=False)
+    top = json.loads((GOLDEN_INPUTS / "filter-top.json").read_text())
+    return pav, Filter(algebra, frozenset(
+        algebra.carrier[i] for i in top["members"]))
+
+
+def swapped_chain_case(r, s):
+    """Chain(5) over itself with the constants of r and s swapped."""
+    chain = Chain(5)
+    table = {v: v for v in chain.carrier}
+    table[r], table[s] = table[s], table[r]
+    return (PavelkaAlgebra.make(chain, chain, table),
+            principal_filter(chain, chain.one))
+
+
+SWAPS = list(itertools.combinations(Chain(5).carrier, 2))
+
+CASES = {
+    **{f"chain-{n}": (lambda n=n: chain_context(n)[1:]) for n in range(2, 10)},
+    **{f"swap-{r}-{s}": (lambda r=r, s=s: swapped_chain_case(r, s))
+       for r, s in SWAPS},
+    **{name: (lambda name=name: golden_case(name))
+       for name in ("l5.json", "l5-constants.json")},
+}
+
+
+# Constant tables that miss some levels, so that a degree can fall back to
+# its default (0 for the sup form, 1 for the inf form)
+PARTIAL = {
+    "upper-half": {F(1, 2): F(1, 2), F(3, 4): F(3, 4), ONE: ONE},
+    "no-one": {ZERO: ZERO, F(1, 2): F(1, 2)},
+    "one-at-zero": {F(1, 4): ONE, ONE: ZERO},
+}
+
+
+def triples(report):
+    return [(c.clause, c.holds, c.witness) for c in report]
+
+
+def assert_same_degree_laws(pav, flt):
+    assert triples(pavelka_lemma_check(pav, flt).results) \
+        == triples(element_pavelka_lemma_check(pav, flt))
+    assert triples(degree_forms_check(pav, flt).results) \
+        == triples(element_degree_forms_check(pav, flt))
+    ctx = GradedContext(pav, flt)
+    for a in pav.base.carrier:
+        assert (degree(a, ctx), degree_dual(a, ctx)) \
+            == (element_degree(a, ctx), element_degree_dual(a, ctx))
+
+
+class TestAgainstElementForm:
+    """The laws and degrees read off the indexed view against their
+    element-form reference: the same (clause, holds, witness) triples and
+    the same degrees."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_laws_and_degrees(self, case):
+        pav, flt = CASES[case]()
+        assert triples(constants_check(pav).results) \
+            == triples(element_constants_check(pav))
+        assert_same_degree_laws(pav, flt)
+
+    @pytest.mark.parametrize("table", PARTIAL.values(), ids=PARTIAL)
+    def test_same_degrees_with_levels_missing(self, table):
+        # the element-form constants law raises KeyError at a missing
+        # level, so only the degree laws are compared here
+        chain = Chain(5)
+        assert_same_degree_laws(PavelkaAlgebra.make(chain, chain, table),
+                                principal_filter(chain, chain.one))
+
+    def test_every_swap_breaks_a_law(self):
+        # so the comparisons above cover failing clauses and witnesses
+        assert len(SWAPS) == 10
+        for r, s in SWAPS:
+            pav, flt = swapped_chain_case(r, s)
+            assert not constants_check(pav).passed
+            assert not pavelka_lemma_check(pav, flt).passed

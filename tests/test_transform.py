@@ -289,7 +289,7 @@ class TestLiterals:
 
     def test_table_literal(self):
         t = parse_transformation("{0->2,1->2}")
-        assert t.as_dict() == {0: 2, 1: 2, 2: 2}
+        assert dict(zip(t.domain, t.values)) == {0: 2, 1: 2, 2: 2}
 
     def test_composition_literal(self):
         assert parse_transformation("suc.pred") == compose(SUC, PRED)
