@@ -467,14 +467,6 @@ class TableAlgebra(MVAlgebra):
                    audit=audit)
 
 
-def to_table(algebra, audit=True):
-    """Materialise any finite algebra as an explicit TableAlgebra."""
-    V, _, dec = _coding(algebra)
-    labels = [format_value(v) if isinstance(v, Fraction) else v
-              for v in map(dec, V.carrier)]
-    return TableAlgebra(labels, V.oplus, V.neg, V.zero, V.one, audit=audit)
-
-
 _OP_ALIASES = {
     "(+)": "oplus",
     "(*)": "odot",
@@ -545,17 +537,19 @@ def first_witness(blocks):
     sequences of one type holding the two sides of len(lhs) instances in
     checking order, and witnesses yields the witness of each instance in
     the same order. The rows of a block are compared whole, and a block
-    whose rows are equal counts len(lhs) checks. Only the first block
-    whose rows differ is rescanned, element by element, up to its first
-    instance whose sides differ; that instance's witness is returned with
-    the count of instances checked up to and including it. The witness is
-    None when every block agrees. witnesses is read before the next block
-    is drawn, so it may refer to the state of the code yielding blocks.
+    whose rows are equal counts len(lhs) checks, or count checks if it
+    has a fourth entry count: equal rows that stand for count instances.
+    Only the first block whose rows differ is rescanned, element by
+    element, up to its first instance whose sides differ; that instance's
+    witness is returned with the count of instances checked up to and
+    including it. The witness is None when every block agrees. witnesses
+    is read before the next block is drawn, so it may refer to the state
+    of the code yielding blocks.
     """
     checked = 0
-    for lhs, rhs, witnesses in blocks:
+    for lhs, rhs, witnesses, *count in blocks:
         if lhs == rhs:
-            checked += len(lhs)
+            checked += count[0] if count else len(lhs)
             continue
         for left, right, witness in zip(lhs, rhs, witnesses):
             checked += 1

@@ -10,8 +10,8 @@ import itertools
 from dataclasses import dataclass
 
 from .mv_core import (
-    AuditReport, Chain, Filter, ZERO, _coding, _instance, clause_result,
-    homomorphism_clauses,
+    AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_sums,
+    clause_result, homomorphism_clauses,
 )
 from .interlab import HenkinFilter, cyl_sup_clause, psi_rows
 
@@ -68,11 +68,13 @@ def constants_check(pav):
     """0-bar = 0, (r (+) s)-bar = r-bar (+) s-bar, (~r)-bar = ~(r-bar)."""
     V, rs, bar = pav.base.indexed(), pav.levels, pav._bar
     top, at = pav.chain.n - 1, dict(bar).get
+    # the constant of min(l + m, top), or None, per sum l + m
+    sums = list(map(at, _level_sums(top)[0]))
     return AuditReport((
         clause_result("zero-constant", [_instance(at(0), V.zero, (ZERO,))]),
         clause_result("oplus-compatible", (
             ([V.oplus[c][d] for _, d in bar],
-             [at(min(l + m, top)) for m, _ in bar],
+             [sums[l + m] for m, _ in bar],
              zip(itertools.repeat(r), rs))
             for r, (l, c) in zip(rs, bar))),
         clause_result("neg-compatible", [(

@@ -32,9 +32,9 @@ from operator import add, itemgetter
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
-    _instance, _interleave, _level_sums, first_witness, format_point,
-    format_value, is_json_int, is_json_object, is_json_str, json_field,
-    json_index_into, json_list_of, parse_point, parse_value,
+    _instance, _interleave, _level_sums, _transpose, first_witness,
+    format_point, format_value, is_json_int, is_json_object, is_json_str,
+    json_field, json_index_into, json_list_of, parse_point, parse_value,
 )
 from .transform import (
     FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
@@ -318,22 +318,39 @@ class FunctionalSetAlgebra:
     def indexed(self):
         """The IndexedAlgebra of this algebra, built on first use.
 
-        Elements are read as tuples of integer chain levels, so building
-        the tables takes no rational arithmetic; subst_el and cyl_el only
-        move and compare entries and serve levels and values alike.
+        Built a column at a time: column x holds every element's integer
+        chain level at assignment x, and a table is its result columns
+        zipped into level tuples and looked up. ~ flips the levels; in row
+        p of (+), column x is read through plus[a:] for p's level a at x
+        (see _level_sums); s_tau takes the columns in _perm(tau) order, and
+        c_J gives each assignment the maximum of its block's columns.
         """
         if self._indexed is None:
-            level = {v: r for r, v in enumerate(self.chain.carrier)}
-            levels = [tuple(level[v] for v in p) for p in self.carrier]
-            at = {lv: i for i, lv in enumerate(levels)}
-            neg, oplus, _ = _level_ops(self.chain)
+            n, top = len(self.carrier), self.chain.n - 1
+            level = dict(zip(self.chain.carrier, range(top + 1))).__getitem__
+            columns = [tuple(map(level, col)) for col in zip(*self.carrier)]
+            column, rows = columns.__getitem__, _transpose(columns, n)
+            at = {lp: i for i, lp in enumerate(rows)}.__getitem__
+
+            def table(cols):
+                return list(map(at, _transpose(cols, n)))
+
+            def cyl(block_id, members):
+                # a block's first column twice, so max has two arguments
+                sups = [tuple(map(max, column(m[0]), *map(column, m)))
+                        for m in members]
+                return table(list(map(sups.__getitem__, block_id)))
+
+            plus, flip = _level_sums(top)[0], range(top, -1, -1)
+            sums = [{a: tuple(map(plus[a:].__getitem__, col))
+                     for a in set(col)} for col in columns]
             self._indexed = IndexedAlgebra(
-                self, [at[neg(lp)] for lp in levels],
-                [[at[oplus(lp, lq)] for lq in levels] for lp in levels],
-                {t: [at[self.subst_el(t, lp)] for lp in levels]
+                self, table([tuple(map(flip.__getitem__, col))
+                             for col in columns]),
+                [table(list(map(dict.__getitem__, sums, lp))) for lp in rows],
+                {t: table(list(map(column, self._perm(t))))
                  for t in self.transformations},
-                {j: [at[self.cyl_el(j, lp)] for lp in levels]
-                 for j in self.scopes})
+                {j: cyl(*self._blocks(j)) for j in self.scopes})
         return self._indexed
 
     def to_json(self):
@@ -731,6 +748,12 @@ def audit_axioms(algebra):
     of s_tau p read at s_tau. Only a row that differs is walked element
     by element, so `checked` and every witness are those of a walk over
     one instance at a time in the order of the rows.
+
+    The distributive laws t(p . t(b)) = t(p) . t(b) (E3/E4, Q1-odot/
+    Q1-oplus, D1-oplus) read b only through t(b), so each is checked
+    first with every value of t in place of t(b), over all p at once, and
+    walked over every (p, b) only if that differs. No law of the algebra
+    is assumed, so this holds of corrupted tables too.
     """
     V = algebra.indexed()
     els = V.carrier
@@ -766,12 +789,23 @@ def audit_axioms(algebra):
 
     def distributes(t, heads, tables):
         # t(p . t(b)) = t(p) . t(b) for the operation . of each head, whose
-        # rows tables[p] holds side by side; one block per p over b. Both
-        # sides read a row at t(b), and the right side's row is t(p)'s,
-        # so it is read once per value of t.
-        at_t = _reader(_interleave([[x + k * n for x in t]
-                                    for k in range(len(heads))]))
-        right = {v: at_t(tables[v]) for v in set(t)}
+        # rows tables[p] holds side by side: first the rows of every p read
+        # at the image of t, then, if they differ, one block per p over b.
+        # The right side's row is t(p)'s, so it is read once per value of t.
+        def reader(columns):
+            return _reader(_interleave([[x + k * n for x in columns]
+                                        for k in range(len(heads))]))
+
+        image = set(t)
+        at_image = reader(sorted(image))
+        right = {v: at_image(tables[v]) for v in image}
+        lhs = [tuple(map(t.__getitem__, row)) for row in map(at_image, tables)]
+        rhs = list(map(right.__getitem__, t))
+        if lhs == rhs:
+            yield lhs, rhs, (), n * n * len(heads)
+            return
+        at_t = reader(t)
+        right = {v: at_t(tables[v]) for v in image}
         for p in els:
             yield (tuple(map(t.__getitem__, at_t(tables[p]))), right[t[p]],
                    ((head, p, b) for b in els for head in heads))

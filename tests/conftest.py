@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from mvlogic.mv_core import Chain
+from mvlogic.mv_core import Chain, TableAlgebra, _coding, format_value
 from mvlogic.polyadic import build_generated
+
+
+def to_table(algebra, audit=True):
+    """Any finite algebra as an explicit TableAlgebra, labelled by its
+    elements (a value of a chain in its "p/q" form)."""
+    V, _, dec = _coding(algebra)
+    labels = [format_value(v) if isinstance(v, Fraction) else v
+              for v in map(dec, V.carrier)]
+    return TableAlgebra(labels, V.oplus, V.neg, V.zero, V.one, audit=audit)
 
 
 def assignments(index_size, base_size):

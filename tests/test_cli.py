@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from conftest import to_table
 from mvlogic import interlab
 from mvlogic.cli import dispatch, main
 from mvlogic.polyadic import algebra_from_json
@@ -649,7 +650,7 @@ class TestBatch:
 
     def test_failing_member_fails_batch(self, tmp_path):
         # a corrupted table algebra audit must drag the batch down
-        from mvlogic.mv_core import Chain, to_table
+        from mvlogic.mv_core import Chain
         table = to_table(Chain(3)).to_json()
         table["oplus"][0][1] = 2
         bad = tmp_path / "bad_table.json"

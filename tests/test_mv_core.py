@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import pattern_algebra, small_algebra
+from conftest import pattern_algebra, small_algebra, to_table
 from mvlogic import mv_core
 from mvlogic.mv_core import (
     MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, AuditTooLarge, CarrierError, Chain,
@@ -14,7 +14,7 @@ from mvlogic.mv_core import (
     SAMPLE_DENOMINATOR, _tabulate, check_mv_axioms,
     eval_basic, extend_to_maximal, filter_generate, is_json_int, json_field,
     json_index_into, json_list_of, maximal_filters, quotient,
-    residuum_by_maximization, tnorm_eval, to_table,
+    residuum_by_maximization, tnorm_eval,
 )
 
 STD = StandardRationals()

@@ -8,7 +8,7 @@ from conftest import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
-from mvlogic.mv_core import MAX_VALUATIONS, Chain
+from mvlogic.mv_core import MAX_VALUATIONS, ONE, ZERO, Chain
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
     NotASubuniverse, SignatureError, TruncationError, _assignment_count,
@@ -707,6 +707,34 @@ def _pattern_corruptions():
     return out
 
 
+def _quantifier_corruption(generators, sets, dual):
+    """The Boolean algebra of the subsets of four points, as the |I| = 1
+    algebra the generators give over L2, with c_{0} replaced by a map read
+    off the sets: p goes to the first set above p in the list of the
+    empty set, the sets and the whole set; with dual, to the complement of
+    the first set below ~p in the list of the whole set, the sets and the
+    empty set. With one index, only this quantifier's laws can fail."""
+    def element(points):
+        return tuple(ONE if x in points else ZERO for x in range(4))
+
+    functional = build_generated((0,), 4, L2, map(element, generators),
+                                 "full", "powerset", cap=16)
+    abstract = AbstractPolyadicAlgebra.from_functional(functional)
+    view = abstract.indexed()
+    ends = [set(range(4)), set()] if dual else [set(), set(range(4))]
+    order = [functional.indexed().index_of[element(s)]
+             for s in [ends[0], *sets, ends[1]]]
+    if dual:
+        below = [next(s for s in order if view.le[s][p])
+                 for p in view.carrier]
+        c = [view.neg[below[view.neg[p]]] for p in view.carrier]
+    else:
+        c = [next(s for s in order if view.le[p][s]) for p in view.carrier]
+    return AbstractPolyadicAlgebra(
+        abstract.mv, abstract.index_set, abstract.transformations,
+        abstract.scopes, view.subst, {**view.cyl, frozenset({0}): c})
+
+
 @pytest.fixture(scope="module")
 def corrupted_small_cylinder():
     abstract = AbstractPolyadicAlgebra.from_functional(small_algebra())
@@ -735,6 +763,27 @@ class TestAuditAgainstReference:
         assert [(r.name, r.holds, r.checked, r.witness)
                 for r in audit_axioms(algebra).results] == want
 
+    @pytest.mark.parametrize("generators, sets, dual, heads", [
+        ([{0}, {1}, {2}, {3}], [{0, 1}, {1, 2}, {2, 3}, {0, 3}], False,
+         ("E3", "Q1-oplus", "D1-oplus")),
+        ([{0}, {1}, {2}, {3}], [{1, 2, 3}, {3}, {0, 1, 2}, {0}], True,
+         ("E4", "Q1-oplus", "D1-oplus")),
+        ([{0, 1, 2}, {2}, {0, 3}, {1, 2, 3}], [{1, 2}, {0, 3}, {0, 1}, {2, 3}],
+         False, ("E3", "Q1-odot", "D1-oplus")),
+    ])
+    def test_corrupted_distributive_laws(self, generators, sets, dual, heads):
+        # each family's first failure is a distributive law, which the
+        # auditor checks on the image of the quantifier first; its witness
+        # and count come from the walk over every pair after those differ
+        algebra = _quantifier_corruption(generators, sets, dual)
+        want = reference_audit_axioms(algebra)
+        assert [(r.name, r.holds, r.checked, r.witness)
+                for r in audit_axioms(algebra).results] == want
+        assert [(name, witness[0]) for name, holds, _, witness in want
+                if not holds] == list(zip(
+                    ("exists-laws-1-6", "q-laws-1-3", "dlaw-1-cylinder"),
+                    heads))
+
     def test_corruptions_reach_every_family(self):
         failing = {name for algebra in _pattern_corruptions()
                    for name, holds, _, _ in reference_audit_axioms(algebra)
@@ -744,9 +793,12 @@ class TestAuditAgainstReference:
 
 
 class TestIndexedAlgebra:
-    @pytest.mark.parametrize("make", [small_algebra, pattern_algebra])
-    def test_tables_agree_with_element_operations(self, make):
-        algebra = make()
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_tables_agree_with_element_operations(self, name):
+        # small and pattern are the small_algebra() and pattern_algebra()
+        # fixtures
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
         view = algebra.indexed()
         assert view is algebra.indexed()
         els = view.elements
