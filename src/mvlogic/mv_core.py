@@ -199,7 +199,8 @@ class MVAlgebra:
     def check_args(self, args):
         for v in args:
             if not self.contains(v):
-                raise CarrierError(f"{v!r} is not in the carrier of {self!r}")
+                raise CarrierError(
+                    f"{format_value(v)} is not in the carrier of {self!r}")
 
     def indexed(self):
         """The IndexedMV of a finite algebra, built on first use."""
@@ -671,7 +672,15 @@ _AXIOMS = (
 
 
 def _interleave(rows):
-    """The rows' entries position by position, as one tuple."""
+    """The rows' entries position by position, as one row: byte strings
+    into one, filled a row at a time by extended-slice assignment, any
+    other rows into a tuple."""
+    if isinstance(rows[0], bytes):
+        k = len(rows)
+        out = bytearray(k * len(rows[0]))
+        for i, row in enumerate(rows):
+            out[i::k] = row
+        return bytes(out)
     if len(rows) == 1:
         return tuple(rows[0])
     return tuple(itertools.chain.from_iterable(zip(*rows)))

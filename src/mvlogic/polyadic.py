@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
@@ -477,6 +477,13 @@ class AbstractPolyadicAlgebra:
         for j in scopes:
             if frozenset(j) not in self._c:
                 raise SignatureError(f"missing cylinder table for {sorted(j)}")
+        # audit_axioms reads its byte rows through tables padded with 0
+        # past the carrier, so an index outside it must not get that far
+        n = len(mv.carrier)
+        for table in (*self._s.values(), *self._c.values()):
+            if len(table) != n or not all(0 <= v < n for v in table):
+                raise ValueError("a table must hold one carrier index per "
+                                 "element")
 
     def elements(self):
         return self.mv.carrier
@@ -721,14 +728,12 @@ class IdentityResult:
     witness: tuple | None = None
 
 
-def _reader(positions):
-    """The function taking a row to the tuple of its entries at positions:
-    an itemgetter, which returns a tuple for any number of positions but
-    one."""
-    if len(positions) == 1:
-        (x,) = positions
-        return lambda row: (row[x],)
-    return itemgetter(*positions)
+def _read(table, at):
+    """The row of table's entries at the entries of the row at: for byte
+    strings one translate, through table padded to 256 bytes."""
+    if isinstance(at, bytes):
+        return at.translate(table.ljust(256, b"\0"))
+    return tuple(map(table.__getitem__, at))
 
 
 def audit_axioms(algebra):
@@ -741,17 +746,22 @@ def audit_axioms(algebra):
 
     The instances are checked a table row at a time (see
     mv_core.first_witness).
-    A row holds one side of a law at every carrier element, or of a few
-    laws taken element by element, and is built by reading one index
-    table at the entries of another: s_sigma read at s_tau against
-    s_(sigma tau), s_tau read at the oplus row of p against the oplus row
-    of s_tau p read at s_tau. Only a row that differs is walked element
-    by element, so `checked` and every witness are those of a walk over
-    one instance at a time in the order of the rows.
+    A row holds one side of a law at every carrier element, and is built
+    by reading one index table at the entries of another (_read): s_sigma
+    read at s_tau against s_(sigma tau). Rows are byte strings while the
+    carrier has at most 256 elements, so that a read is one
+    bytes.translate and a compare one memcmp, and tuples past that. The
+    rows of each law are compared whole; only a block whose rows differ
+    is walked, its laws interleaved element by element, so `checked` and
+    every witness are those of a walk over one instance at a time in the
+    order of the rows.
 
-    The distributive laws t(p . t(b)) = t(p) . t(b) (E3/E4, Q1-odot/
-    Q1-oplus, D1-oplus) read b only through t(b), so each is checked
-    first with every value of t in place of t(b), over all p at once, and
+    The endomorphism laws of s_t are one block per map: the rows of ~
+    over p and of (+) and (*) over the pairs (p, q), p-major; a map whose
+    rows differ is walked per p. The distributive laws t(p . t(b)) =
+    t(p) . t(b) (E3/E4, Q1-odot/Q1-oplus, D1-oplus) read b only through
+    t(b), so each is checked first with every value v of t in place of
+    t(b), over all p at once (column v of . read through t and at t), and
     walked over every (p, b) only if that differs. No law of the algebra
     is assumed, so this holds of corrupted tables too.
     """
@@ -763,7 +773,15 @@ def audit_axioms(algebra):
     maps = V.maps
     map_set = set(maps)
     index = list(algebra.index_set)
-    ones = (True,) * n
+    # the tables as rows, bytes while every carrier index fits a byte
+    row = bytes if n <= 256 else tuple
+    ones, neg = row((True,) * n), row(V.neg)
+    S = {t: row(table) for t, table in V.subst.items()}
+    C = {j: row(table) for j, table in V.cyl.items()}
+    Q = {j: row(table) for j, table in V.q.items()}
+    # (*) and (+) as (rows by p, rows by column)
+    odot, oplus = ((list(map(row, op)), list(map(row, zip(*op))))
+                   for op in (V.odot, V.oplus))
     results = []
 
     def _audit(name, blocks):
@@ -777,65 +795,55 @@ def audit_axioms(algebra):
 
     def laws(rows, *ids):
         # the block of the laws given as rows (head, lhs, rhs) over the
-        # carrier, every law at an element before the next element; the
-        # instance at carrier index p is witnessed by (head, *ids, p)
-        heads = [head for head, _, _ in rows]
-        return (_interleave([lhs for _, lhs, _ in rows]),
-                _interleave([rhs for _, _, rhs in rows]),
+        # carrier: counted if every law's rows agree, else every law at an
+        # element before the next element, the instance at carrier index p
+        # witnessed by (head, *ids, p)
+        heads, lhs, rhs = zip(*rows)
+        if lhs == rhs:
+            return (), (), (), n * len(rows)
+        return (_interleave(lhs), _interleave(rhs),
                 ((head, *ids, p) for p in els for head in heads))
 
     def single(lhs, rhs, head):
         return _instance(lhs, rhs, (head,))
 
-    def distributes(t, heads, tables):
-        # t(p . t(b)) = t(p) . t(b) for the operation . of each head, whose
-        # rows tables[p] holds side by side: first the rows of every p read
-        # at the image of t, then, if they differ, one block per p over b.
-        # The right side's row is t(p)'s, so it is read once per value of t.
-        def reader(columns):
-            return _reader(_interleave([[x + k * n for x in columns]
-                                        for k in range(len(heads))]))
-
-        image = set(t)
-        at_image = reader(sorted(image))
-        right = {v: at_image(tables[v]) for v in image}
-        lhs = [tuple(map(t.__getitem__, row)) for row in map(at_image, tables)]
-        rhs = list(map(right.__getitem__, t))
-        if lhs == rhs:
-            yield lhs, rhs, (), n * n * len(heads)
+    def distributes(t, heads, ops):
+        # t(p . t(b)) = t(p) . t(b) for the operation . of each head, given
+        # by its (rows, columns) in ops: first column v of . read through t
+        # against column v read at t, for every value v of t, then, if they
+        # differ, one block per p over b
+        if all(_read(t, cols[v]) == _read(cols[v], t)
+               for v in set(t) for _, cols in ops):
+            yield (), (), (), n * n * len(heads)
             return
-        at_t = reader(t)
-        right = {v: at_t(tables[v]) for v in image}
         for p in els:
-            yield (tuple(map(t.__getitem__, at_t(tables[p]))), right[t[p]],
-                   ((head, p, b) for b in els for head in heads))
+            yield laws([(head, _read(t, _read(rows[p], t)),
+                         _read(rows[t[p]], t))
+                        for head, (rows, _) in zip(heads, ops)], p)
 
     # polyadic axioms 1..5
     identity = FinTransformation.identity(tuple(sorted(index)))
     if identity in map_set:
         results.append(_audit("polyadic-1-s-identity",
-                              [laws([((), V.subst[identity], els)])]))
+                              [laws([((), S[identity], row(els))])]))
     else:
         results.append(IdentityResult("polyadic-1-s-identity", True, 0))
 
     # s_(sigma tau) against s_sigma read at s_tau
-    read_at = {t: _reader(V.subst[t]) for t in maps}
-
     def composition_blocks():
         for sigma, products in zip(maps, V.composition):
             for tau, c in zip(maps, products):
                 if c is not None:
-                    yield laws([((sigma, tau), V.subst[maps[c]],
-                                 read_at[tau](V.subst[sigma]))])
+                    yield laws([((sigma, tau), S[maps[c]],
+                                 _read(S[sigma], S[tau]))])
 
     results.append(_audit("polyadic-2-s-composition", composition_blocks()))
 
     def cyl_union_blocks():
         for j, j2 in itertools.product(scopes, repeat=2):
             if j | j2 in scope_set:
-                c_j = V.cyl[j]
-                yield laws([((sorted(j), sorted(j2)), V.cyl[j | j2],
-                             map(c_j.__getitem__, V.cyl[j2]))])
+                yield laws([((sorted(j), sorted(j2)), C[j | j2],
+                             _read(C[j], C[j2]))])
 
     results.append(_audit("polyadic-3-c-additive", cyl_union_blocks()))
 
@@ -844,99 +852,106 @@ def audit_axioms(algebra):
             cj = tables[j]
             tag = sorted(j)
             for group in V.agreement(j):
-                after = {t: tuple(map(V.subst[maps[t]].__getitem__, cj))
-                         for t in group}
+                after = {t: _read(S[maps[t]], cj) for t in group}
                 for s, t in itertools.combinations(group, 2):
                     yield laws([((maps[s], maps[t], tag), after[s],
                                  after[t])])
 
-    results.append(_audit("polyadic-4-s-agreement", agreement_blocks(V.cyl)))
+    results.append(_audit("polyadic-4-s-agreement", agreement_blocks(C)))
 
     def injective_blocks(tables):
         for sigma in maps:
-            s_s = V.subst[sigma]
+            s_s = S[sigma]
             for j in scopes:
                 pre = frozenset(i for i in index if sigma.apply(i) in j)
                 images = [sigma.apply(i) for i in pre]
                 if len(set(images)) != len(images) or pre not in scope_set:
                     continue
-                yield laws([((sigma, sorted(j)),
-                             map(tables[j].__getitem__, s_s),
-                             map(s_s.__getitem__, tables[pre]))])
+                yield laws([((sigma, sorted(j)), _read(tables[j], s_s),
+                             _read(s_s, tables[pre]))])
 
-    results.append(_audit("polyadic-5-c-injective", injective_blocks(V.cyl)))
+    results.append(_audit("polyadic-5-c-injective", injective_blocks(C)))
 
-    # a (*) a and a (+) a per carrier index a, and the odot and oplus rows
-    # of a side by side
-    square_odot = tuple(map(tuple.__getitem__, V.odot, els))
-    square_oplus = tuple(map(tuple.__getitem__, V.oplus, els))
-    odot_oplus = [odot + oplus for odot, oplus in zip(V.odot, V.oplus)]
+    # a (*) a and a (+) a per carrier index a
+    square_odot = row(map(tuple.__getitem__, V.odot, els))
+    square_oplus = row(map(tuple.__getitem__, V.oplus, els))
 
     # existential quantifier laws, per scope
     def exists_blocks():
         for j in scopes:
-            cj = V.cyl[j]
+            cj = C[j]
             tag = sorted(j)
             yield single(cj[V.zero], V.zero, ("E1", tag))
             yield laws([
-                (("E2", tag), map(tuple.__getitem__, V.le, cj), ones),
-                (("E5", tag), map(cj.__getitem__, square_odot),
-                 map(square_odot.__getitem__, cj)),
-                (("E6", tag), map(cj.__getitem__, square_oplus),
-                 map(square_oplus.__getitem__, cj))])
+                (("E2", tag), row(map(tuple.__getitem__, V.le, cj)), ones),
+                (("E5", tag), _read(cj, square_odot),
+                 _read(square_odot, cj)),
+                (("E6", tag), _read(cj, square_oplus),
+                 _read(square_oplus, cj))])
             yield from distributes(cj, [("E3", tag), ("E4", tag)],
-                                   odot_oplus)
+                                   [odot, oplus])
 
     results.append(_audit("exists-laws-1-6", exists_blocks()))
 
     # q laws 1..3 (4 and 5 mirror the substitution laws below)
     def q_blocks():
         for j in scopes:
-            qj, cj = V.q[j], V.cyl[j]
+            qj, cj = Q[j], C[j]
             tag = sorted(j)
             yield single(qj[V.one], V.one, ("Q1-unit", tag))
             yield laws([
-                (("Q1-decreasing", tag),
-                 map(tuple.__getitem__, map(V.le.__getitem__, qj), els), ones),
-                (("Q1-square-odot", tag), map(qj.__getitem__, square_odot),
-                 map(square_odot.__getitem__, qj)),
-                (("Q1-square-oplus", tag), map(qj.__getitem__, square_oplus),
-                 map(square_oplus.__getitem__, qj)),
-                (("Q3-cq", tag), map(cj.__getitem__, qj), qj),
-                (("Q3-qc", tag), map(qj.__getitem__, cj), cj)])
+                (("Q1-decreasing", tag), row(map(
+                    tuple.__getitem__, map(V.le.__getitem__, qj), els)),
+                 ones),
+                (("Q1-square-odot", tag), _read(qj, square_odot),
+                 _read(square_odot, qj)),
+                (("Q1-square-oplus", tag), _read(qj, square_oplus),
+                 _read(square_oplus, qj)),
+                (("Q3-cq", tag), _read(cj, qj), qj),
+                (("Q3-qc", tag), _read(qj, cj), cj)])
             yield from distributes(qj, [("Q1-odot", tag), ("Q1-oplus", tag)],
-                                   odot_oplus)
+                                   [odot, oplus])
         for j, j2 in itertools.product(scopes, repeat=2):
             if j | j2 in scope_set:
-                q_j = V.q[j]
-                yield laws([(("Q2", sorted(j), sorted(j2)), V.q[j | j2],
-                             map(q_j.__getitem__, V.q[j2]))])
+                yield laws([(("Q2", sorted(j), sorted(j2)), Q[j | j2],
+                             _read(Q[j], Q[j2]))])
 
     results.append(_audit("q-laws-1-3", q_blocks()))
-    results.append(_audit("q-4-s-agreement", agreement_blocks(V.q)))
-    results.append(_audit("q-5-q-injective", injective_blocks(V.q)))
+    results.append(_audit("q-4-s-agreement", agreement_blocks(Q)))
+    results.append(_audit("q-5-q-injective", injective_blocks(Q)))
 
     # endomorphism property of every substitution: per map, the units,
-    # then per p the neg law and the oplus and odot laws over q in turn.
-    # Row p of the left side reads s_t at one fixed run of table entries;
-    # the right side reads the neg entry and the oplus and odot rows of
-    # s_t p, so it is built once per value of s_t.
-    oplus_odot = [oplus + odot for oplus, odot in zip(V.oplus, V.odot)]
-    left_at = [_reader((V.neg[p],) + _interleave([V.oplus[p], V.odot[p]]))
-               for p in els]
+    # then one block of the rows of ~ over p and of (+) and (*) over the
+    # pairs (p, q), p-major. The left sides read s_t at the tables; the
+    # right sides read the tables at s_t, (+) and (*) column s_t q at a
+    # time, read once per value of s_t. A map whose rows differ is walked
+    # per p: the neg law, then the oplus and odot laws over q in turn.
+    flat = [row(itertools.chain.from_iterable(op))
+            for op in (V.oplus, V.odot)]
+
+    def at_p(rows, p):
+        # the neg entry of p, then the oplus and odot entries of (p, q)
+        # over q in turn
+        cut = slice(p * n, p * n + n)
+        return rows[0][p:p + 1] + _interleave([rows[1][cut], rows[2][cut]])
 
     def endo_blocks():
         for t in maps:
-            s_t = V.subst[t]
+            s_t = S[t]
             yield ((s_t[V.zero], s_t[V.one]), (V.zero, V.one),
                    ((("zero", t),), (("one", t),)))
-            at_t = _reader(_interleave([s_t, [x + n for x in s_t]]))
-            right = {v: (V.neg[v],) + at_t(oplus_odot[v]) for v in set(s_t)}
-            neg, oplus, odot = ("neg", t), ("oplus", t), ("odot", t)
+            lhs = [_read(s_t, neg)] + [_read(s_t, op) for op in flat]
+            rhs = [_read(neg, s_t)]
+            for _, cols in (oplus, odot):
+                at = {v: _read(cols[v], s_t) for v in set(s_t)}
+                rhs.append(_interleave([at[v] for v in s_t]))
+            if lhs == rhs:
+                yield (), (), (), n + 2 * n * n
+                continue
+            heads = ("oplus", t), ("odot", t)
             for p in els:
-                yield (left_at[p](s_t), right[s_t[p]], itertools.chain(
-                    [(neg, p)], ((head, p, q) for q in els
-                                 for head in (oplus, odot))))
+                yield (at_p(lhs, p), at_p(rhs, p), [(("neg", t), p)]
+                       + [(head, p, q) for q in els for head in heads])
 
     results.append(_audit("dlaw-2-s-endomorphism", endo_blocks()))
 
@@ -945,49 +960,48 @@ def audit_axioms(algebra):
 
     def dlaw1_blocks():
         for i in singles:
-            ci = V.cyl[frozenset({i})]
-            neg_c = tuple(map(V.neg.__getitem__, ci))
+            ci = C[frozenset({i})]
+            neg_c = _read(neg, ci)
             yield laws([
-                (("D1-increasing", i), map(tuple.__getitem__, V.le, ci), ones),
-                (("D1-idempotent", i), map(ci.__getitem__, ci), ci),
-                (("D1-complement", i), map(ci.__getitem__, neg_c), neg_c)])
+                (("D1-increasing", i), row(map(tuple.__getitem__, V.le, ci)),
+                 ones),
+                (("D1-idempotent", i), _read(ci, ci), ci),
+                (("D1-complement", i), _read(ci, neg_c), neg_c)])
             for k in singles:
-                ck = V.cyl[frozenset({k})]
-                yield laws([(("D1-commute", i, k), map(ci.__getitem__, ck),
-                             map(ck.__getitem__, ci))])
-            yield from distributes(ci, [("D1-oplus", i)], V.oplus)
+                ck = C[frozenset({k})]
+                yield laws([(("D1-commute", i, k), _read(ci, ck),
+                             _read(ck, ci))])
+            yield from distributes(ci, [("D1-oplus", i)], [oplus])
 
     results.append(_audit("dlaw-1-cylinder", dlaw1_blocks()))
 
     def dlaw4_blocks():
         for t in maps:
-            s_t = V.subst[t]
+            s_t = S[t]
             for i in singles:
-                ci = V.cyl[frozenset({i})]
-                after = tuple(map(s_t.__getitem__, ci))
+                ci = C[frozenset({i})]
+                after = _read(s_t, ci)
                 for j in index:
                     tij = t.modify(i, j)
                     if tij in map_set:
                         yield laws([(("D4", t, i, j), after,
-                                     map(V.subst[tij].__getitem__, ci))])
+                                     _read(S[tij], ci))])
 
     results.append(_audit("dlaw-4-modify", dlaw4_blocks()))
 
     def dlaw5_blocks():
         for t in maps:
-            s_t = V.subst[t]
+            s_t = S[t]
             for j in singles:
                 pre = [i for i in index if t.apply(i) == j]
                 if len(pre) != 1 or frozenset({pre[0]}) not in scope_set:
                     continue
                 i = pre[0]
-                ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
-                qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
+                ci, cj = C[frozenset({i})], C[frozenset({j})]
+                qi, qj = Q[frozenset({i})], Q[frozenset({j})]
                 yield laws([
-                    (("D5-c", t, i, j), map(s_t.__getitem__, ci),
-                     map(cj.__getitem__, s_t)),
-                    (("D5-q", t, i, j), map(s_t.__getitem__, qi),
-                     map(qj.__getitem__, s_t))])
+                    (("D5-c", t, i, j), _read(s_t, ci), _read(cj, s_t)),
+                    (("D5-q", t, i, j), _read(s_t, qi), _read(qj, s_t))])
 
     results.append(_audit("dlaw-5-unique-preimage", dlaw5_blocks()))
 
@@ -996,27 +1010,25 @@ def audit_axioms(algebra):
             s_ij = V.replacement(i, j)
             if s_ij is None:
                 continue
-            s_ji = V.replacement(j, i)
-            ci, cj = V.cyl[frozenset({i})], V.cyl[frozenset({j})]
-            qi, qj = V.q[frozenset({i})], V.q[frozenset({j})]
-            rows = [(("D6-c", i, j), map(ci.__getitem__, s_ij), s_ij),
-                    (("D6-q", i, j), map(qi.__getitem__, s_ij), s_ij),
-                    (("D7-c", i, j), map(s_ij.__getitem__, ci), ci),
-                    (("D7-q", i, j), map(s_ij.__getitem__, qi), qi)]
+            s_ij, s_ji = row(s_ij), V.replacement(j, i)
+            ci, cj = C[frozenset({i})], C[frozenset({j})]
+            qi, qj = Q[frozenset({i})], Q[frozenset({j})]
+            rows = [(("D6-c", i, j), _read(ci, s_ij), s_ij),
+                    (("D6-q", i, j), _read(qi, s_ij), s_ij),
+                    (("D7-c", i, j), _read(s_ij, ci), ci),
+                    (("D7-q", i, j), _read(s_ij, qi), qi)]
             for k in singles:
                 if k in (i, j):
                     continue
-                ck = V.cyl[frozenset({k})]
-                qk = V.q[frozenset({k})]
-                rows += [(("D8-c", i, j, k), map(s_ij.__getitem__, ck),
-                          map(ck.__getitem__, s_ij)),
-                         (("D8-q", i, j, k), map(s_ij.__getitem__, qk),
-                          map(qk.__getitem__, s_ij))]
+                ck, qk = C[frozenset({k})], Q[frozenset({k})]
+                rows += [(("D8-c", i, j, k), _read(s_ij, ck),
+                          _read(ck, s_ij)),
+                         (("D8-q", i, j, k), _read(s_ij, qk),
+                          _read(qk, s_ij))]
             if s_ji is not None:
-                rows += [(("D9-c", i, j), map(ci.__getitem__, s_ji),
-                          map(cj.__getitem__, s_ij)),
-                         (("D9-q", i, j), map(qi.__getitem__, s_ji),
-                          map(qj.__getitem__, s_ij))]
+                s_ji = row(s_ji)
+                rows += [(("D9-c", i, j), _read(ci, s_ji), _read(cj, s_ij)),
+                         (("D9-q", i, j), _read(qi, s_ji), _read(qj, s_ij))]
             yield laws(rows)
 
     results.append(_audit("dlaw-6-9-replacements", dlaw6to9_blocks()))

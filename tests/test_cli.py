@@ -337,6 +337,26 @@ def test_bad_input_is_an_error_report(argv, files, tmp_path):
     assert code == 2 and report["verdict"] == "error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["mv", "eval", "--chain", "5", "--op", "oplus", "--args", "1/3,1/2"],
+    ["mv", "residuum", "--chain", "5", "--x", "1/3", "--y", "1/2"],
+    ["pavelka", "degree", "--algebra", "{const_off_chain}", "--filter",
+     "{filter}", "--element", "3"],
+], ids=["mv-eval", "mv-residuum", "pavelka-degree"])
+def test_off_chain_value_is_reported_as_written(argv, tmp_path):
+    # the reason writes the value as every value of a report is written
+    # (format_value), not as its Python repr
+    l5 = json.loads((GOLDEN_INPUTS / "l5-constants.json").read_text())
+    files = {}
+    for name, payload in (("const_off_chain", {**l5, "constants": {"1/3": 1}}),
+                          ("filter", {"members": [1]})):
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    code, report = dispatch([a.format(**files) for a in argv])
+    assert (code, report["reason"]) \
+        == (2, "1/3 is not in the carrier of Chain(5)")
+
+
 GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
 
 # The carrier-form spec that `poly build --out` writes for spec1.json.

@@ -8,7 +8,7 @@ from conftest import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
-from mvlogic.mv_core import MAX_VALUATIONS, ONE, ZERO, Chain
+from mvlogic.mv_core import MAX_VALUATIONS, ONE, ZERO, Chain, TableAlgebra
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
     NotASubuniverse, SignatureError, TruncationError, _assignment_count,
@@ -414,6 +414,18 @@ class TestAuditor:
         assert not report.passed
         assert any(not r.holds and r.witness for r in report.results)
 
+    def test_tables_must_hold_carrier_indices(self):
+        abstract = AbstractPolyadicAlgebra.from_functional(small_algebra())
+        view = abstract.indexed()
+        t = FinTransformation.identity(abstract.index_set)
+        n = len(view.carrier)
+        for wrong in (view.subst[t][:-1], view.subst[t][:-1] + (n,),
+                      view.subst[t][:-1] + (-1,)):
+            with pytest.raises(ValueError, match="carrier index"):
+                AbstractPolyadicAlgebra(
+                    abstract.mv, abstract.index_set, abstract.transformations,
+                    abstract.scopes, {**view.subst, t: wrong}, view.cyl)
+
     def test_trivial_one_element_algebra(self):
         from mvlogic.mv_core import TableAlgebra
         mv = TableAlgebra(["*"], [[0]], [0], 0, 0)
@@ -735,6 +747,31 @@ def _quantifier_corruption(generators, sets, dual):
         abstract.scopes, view.subst, {**view.cyl, frozenset({0}): c})
 
 
+def _square_chain(n):
+    """The square of the chain Ln, as the |I| = 1 algebra over two points
+    that (1/(n-1), 0) and (0, 1/(n-1)) generate: n^2 elements, so L16
+    gives the largest carrier the auditor holds as byte rows and L17 one
+    it holds as tuples."""
+    chain = Chain(n)
+    step = chain.carrier[1]
+    return build_generated((0,), 2, chain, [(step, ZERO), (ZERO, step)],
+                           "full", "powerset", cap=400)
+
+
+def _with_cylinder_entry(functional, x, value):
+    """The table algebra of a functional |I| = 1 algebra, but for c_{0},
+    which sends carrier index x to value."""
+    view = functional.indexed()
+    # the table algebra's own MV audit stops at 100 elements
+    mv = TableAlgebra(view.carrier, view.oplus, view.neg, view.zero,
+                      view.one, audit=False)
+    c = list(view.cyl[frozenset({0})])
+    c[x] = value
+    return AbstractPolyadicAlgebra(
+        mv, functional.index_set, functional.transformations,
+        functional.scopes, view.subst, {**view.cyl, frozenset({0}): c})
+
+
 @pytest.fixture(scope="module")
 def corrupted_small_cylinder():
     abstract = AbstractPolyadicAlgebra.from_functional(small_algebra())
@@ -783,6 +820,27 @@ class TestAuditAgainstReference:
                 if not holds] == list(zip(
                     ("exists-laws-1-6", "q-laws-1-3", "dlaw-1-cylinder"),
                     heads))
+
+    @pytest.mark.parametrize("corrupt", [False, True],
+                             ids=["intact", "corrupted"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_row_type_boundary(self, n, corrupt):
+        # 256 elements take byte rows and 289 tuple rows. Corrupted, c_{0}
+        # sends x = (1 - 1/(n-1), 5/(n-1)), late in the carrier, to 1:
+        # then of the block of E2, E5 and E6 only E5 fails, at x alone, so
+        # the count is that of the block's interleaved walk
+        intact = _square_chain(n)
+        view = intact.indexed()
+        x = view.index_of[(ONE - F(1, n - 1), F(5, n - 1))]
+        assert n * n - 10 <= x < n * n == len(view.carrier)
+        algebra = _with_cylinder_entry(intact, x, view.one) if corrupt \
+            else intact
+        want = reference_audit_axioms(algebra)
+        assert [(r.name, r.holds, r.checked, r.witness)
+                for r in audit_axioms(algebra).results] == want
+        exists = {name: witness for name, _, _, witness in want}[
+            "exists-laws-1-6"]
+        assert exists == (("E5", [0], x) if corrupt else None)
 
     def test_corruptions_reach_every_family(self):
         failing = {name for algebra in _pattern_corruptions()
