@@ -199,6 +199,166 @@ class TestProofChecking:
         assert proof_from_json(proof_to_json(proof), LANG) == proof
 
 
+def _step(rule, text, refs=(), tau=None, block=(), **fields):
+    """A step of LANG, its formula written as text and tau as a dict."""
+    return ProofStep(rule, parse(text, LANG), refs,
+                     tau=tuple(sorted((tau or {}).items())),
+                     block=frozenset(block), **fields)
+
+
+def _axiom(schema, text, tau=None, mode="printed"):
+    return [_step("Ax", text, tau=tau, schema=schema, mode=mode)]
+
+
+# (hypotheses, steps, rejected step, reason): every way a step or an axiom
+# instance is rejected, each by a proof that breaks that rule alone
+REJECTIONS = {
+    "mv-prop-no-schema": (
+        [], _axiom("MV-PROP", "p(v0)"),
+        0, "axiom check failed: matches no propositional schema"),
+    "a2-shape": (
+        [], _axiom("A2", "p(v0)"), 0, "axiom check failed: not of A2 shape"),
+    "a3-antecedent": (
+        [], _axiom("A3", "p(v0) -> p(v0)"),
+        0, "axiom check failed: antecedent must be a universal block"),
+    "a3-block-body": (
+        [], _axiom("A3", "(A{v1} p(v0)) -> p(v0)"),
+        0, "axiom check failed: block body must be an implication"),
+    "a3-consequent": (
+        [], _axiom("A3", "(A{v1} (p(v0) -> q(v0))) -> q(v0)"),
+        0, "axiom check failed: consequent must be phi -> (AW psi)"),
+    "a4-consequent": (
+        [], _axiom("A4", "(A{v1} (p(v0) -> q(v0))) -> q(v0)"),
+        0, "axiom check failed: consequent must be (EW phi) -> psi"),
+    "a3-side-condition": (
+        [], _axiom("A3",
+                   "(A{v0} (p(v0) -> q(v0))) -> (p(v0) -> A{v0} q(v0))"),
+        0, "axiom check failed: SideConditionViolated: block meets "
+           "free(p(v0))"),
+    "a4-strict-side-condition": (
+        [], _axiom("A4",
+                   "(A{v1} (p(v0) -> q(v1))) -> ((E{v1} p(v0)) -> q(v1))",
+                   mode="strict"),
+        0, "axiom check failed: SideConditionViolated: strict mode, block "
+           "meets free(q(v1))"),
+    "a5-no-tau": (
+        [], _axiom("A5", "(A{v1} p(v1)) -> p(v2)"),
+        0, "axiom check failed: A5 instance needs its map tau"),
+    "a5-shape": (
+        [], _axiom("A5", "p(v0)", {"v1": "v2"}),
+        0, "axiom check failed: shape must be (AW phi) -> S_f(tau)phi"),
+    "a6-shape": (
+        [], _axiom("A6", "p(v0)", {"v1": "v2"}),
+        0, "axiom check failed: shape must be S_f(tau)phi -> (EW phi)"),
+    "a5-tau-domain": (
+        [], _axiom("A5", "(A{v1} p(v1)) -> p(v2)", {"v0": "v2"}),
+        0, "axiom check failed: dom(tau) must be exactly the block"),
+    "a5-tau-bound": (
+        [], _axiom("A5", "(A{v1} E{v2} q(v1)) -> E{v2} q(v2)", {"v1": "v2"}),
+        0, "axiom check failed: SideConditionViolated: tau(v1) = v2 is "
+           "bound"),
+    "a5-tau-outside": (
+        [], _axiom("A5", "(A{v1} p(v1)) -> p(v2)", {"v1": "v7"}),
+        0, "axiom check failed: tau(v1) = v7 is outside V"),
+    "a5-not-an-instance": (
+        [], _axiom("A5", "(A{v1} p(v1)) -> p(v3)", {"v1": "v2"}),
+        0, "axiom check failed: instance is not S_f(tau) of the body"),
+    "unknown-schema": (
+        [], _axiom("A7", "p(v0)"),
+        0, "axiom check failed: unknown schema 'A7'"),
+    "hyp-arity": (
+        ["p(v0)"], [_step("Hyp", "p(v0)")],
+        0, "Hyp takes one index into the hypothesis list"),
+    "hyp-index": (
+        [], [_step("Hyp", "p(v0)", (0,))], 0, "IndexError: no hypothesis 0"),
+    "hyp-differs": (
+        ["p(v0)"], [_step("Hyp", "q(v0)", (0,))],
+        0, "asserted formula differs from the hypothesis"),
+    "unknown-rule": (
+        [], [_step("Cut", "p(v0)")], 0, "unknown rule 'Cut'"),
+    "forward-reference": (
+        [], [_step("MP", "p(v0)", (0, 1))],
+        0, "IndexError: reference 0 not before step 0"),
+    "mp-arity": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)), _step("MP", "q(v0)", (0,))],
+        1, "MP takes two references"),
+    "mp-shape": (
+        ["p(v0)", "q(v0)"],
+        [_step("Hyp", "p(v0)", (0,)), _step("Hyp", "q(v0)", (1,)),
+         _step("MP", "q(v0)", (0, 1))],
+        2, "shape mismatch: second premise is not (first premise -> "
+           "conclusion)"),
+    "gen-arity": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("Gen", "A{v1} p(v0)", (0, 0), block={"v1"})],
+        1, "Gen takes one reference"),
+    "gen-empty-block": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("Gen", "p(v0)", (0,))],
+        1, "Gen needs a nonempty block"),
+    "gen-block-vocabulary": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("Gen", "p(v0)", (0,), block={"v7"})],
+        1, "block escapes the vocabulary"),
+    "gen-conclusion": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("Gen", "A{v2} p(v0)", (0,), block={"v1"})],
+        1, "conclusion is not the generalization of the premise"),
+    "free-sub-inv-arity": (
+        ["p(v2)"], [_step("Hyp", "p(v2)", (0,)),
+                    _step("FreeSubInv", "p(v0)", (0, 0), {"v0": "v2"})],
+        1, "FreeSubInv takes one reference"),
+    "free-sub-inv-domain": (
+        ["p(v2)"], [_step("Hyp", "p(v2)", (0,)),
+                    _step("FreeSubInv", "p(v0)", (0,), {"v1": "v2"})],
+        1, "dom(tau) must be the free variables of the conclusion"),
+    "free-sub-inv-injective": (
+        ["p(v2) (+) q(v2)"],
+        [_step("Hyp", "p(v2) (+) q(v2)", (0,)),
+         _step("FreeSubInv", "p(v0) (+) q(v1)", (0,),
+               {"v0": "v2", "v1": "v2"})],
+        1, "tau must be one to one"),
+    "free-sub-inv-bound": (
+        ["p(v1) (*) E{v1} q(v1)"],
+        [_step("Hyp", "p(v1) (*) E{v1} q(v1)", (0,)),
+         _step("FreeSubInv", "p(v0) (*) E{v1} q(v1)", (0,), {"v0": "v1"})],
+        1, "tau image meets the bound variables"),
+    "free-sub-inv-premise": (
+        ["p(v3)"], [_step("Hyp", "p(v3)", (0,)),
+                    _step("FreeSubInv", "p(v0)", (0,), {"v0": "v2"})],
+        1, "premise is not S_f(tau) of the conclusion"),
+    "sub-inv-arity": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("SubInv", "p(v2)", (), {"v0": "v2"})],
+        1, "SubInv takes one reference"),
+    "sub-inv-domain": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("SubInv", "p(v2)", (0,), {"v1": "v2"})],
+        1, "dom(tau) must be the variables of the premise"),
+    "sub-inv-injective": (
+        ["p(v0) (+) q(v1)"],
+        [_step("Hyp", "p(v0) (+) q(v1)", (0,)),
+         _step("SubInv", "p(v2) (+) q(v2)", (0,), {"v0": "v2", "v1": "v2"})],
+        1, "tau must be one to one"),
+    "sub-inv-vocabulary": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("SubInv", "p(v0)", (0,), {"v0": "v7"})],
+        1, "tau image escapes the vocabulary"),
+    "sub-inv-conclusion": (
+        ["p(v0)"], [_step("Hyp", "p(v0)", (0,)),
+                    _step("SubInv", "p(v3)", (0,), {"v0": "v2"})],
+        1, "conclusion is not S(tau) of the premise"),
+    "empty-proof": ([], [], -1, "empty proof"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_rejection_reason(name):
+    hypotheses, steps, step, reason = REJECTIONS[name]
+    proof = Proof(tuple(parse(h, LANG) for h in hypotheses), tuple(steps))
+    assert check_proof(proof, LANG) == Reject(step, reason)
+
+
 class TestSoundness:
     def test_axiom_schemas_sound(self):
         for schema in ("MV-PROP", "A2", "A3", "A5", "A6"):

@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import pathlib
+import re
 import time
 
 import pytest
@@ -384,6 +385,9 @@ MUTATED_COMMANDS = {
     "proof0.json": ["proof", "check", "--proof"],
     "proof1.json": ["proof", "check", "--proof"],
     "spec-i3.json": ["poly", "dims", "--element", "7", "--spec"],
+    "spec-i3-no-singletons.json": ["poly", "dims", "--element", "5",
+                                   "--spec"],
+    "spec-i3-singletons.json": ["poly", "dims", "--element", "2", "--spec"],
     "spec-l3.json": ["henkin", "demo", "--element", "g0", "--algebra"],
     "spec0.json": ["poly", "build", "--spec"],
     "spec1.json": ["poly", "audit", "--spec"],
@@ -395,7 +399,8 @@ DELETED = object()
 MUTANT_VALUES = {"deleted": DELETED, "null": None, "-1": -1, "x": "x",
                  "[]": [], "{}": {}, "0": 0}
 POINTS = ("(0,0)", "(0,1)", "(1,0)", "(1,1)")
-SPECS = ("spec0", "spec1", "spec-l3", "spec-i3")
+SPECS = ("spec0", "spec1", "spec-l3", "spec-i3", "spec-i3-singletons",
+         "spec-i3-no-singletons")
 # The mutations that leave a well-formed file, with their exit code; every
 # other one is an input error.
 WELL_FORMED = {
@@ -417,7 +422,10 @@ WELL_FORMED = {
         *(f"{spec}-generators.0.{x}-0"
           for spec in ("spec0", "spec1", "spec-l3", "l5", "l5-constants")
           for x in POINTS),
-        "spec-i3-generators.0.(0,0,0)-0", "spec-i3-generators.0.(1,1,1)-0",
+        *(f"{spec}-generators.0.{x}-0"
+          for spec in ("spec-i3", "spec-i3-singletons",
+                       "spec-i3-no-singletons")
+          for x in ("(0,0,0)", "(1,1,1)")),
         "manifest-commands-[]",
         "spec1-dump-scopes-deleted",
         *(f"spec1-dump-carrier.0.{x}-0" for x in POINTS),
@@ -510,6 +518,29 @@ def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
 def test_count_below_one_is_a_usage_error(argv):
     code, report = dispatch(argv)
     assert code == 2 and report["verdict"] == "usage-error"
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (["poly", "build", "--spec", "inputs/spec0.json"], 0,
+     ["[poly] ok", "  carrier: 16", "  scopes: 4", "  transformations: 4"]),
+    # a list in the data is left out
+    (["poly", "audit", "--spec", "inputs/spec1.json"], 0,
+     ["[poly] pass", "  carrier: 16"]),
+    (["proof", "check", "--proof", "inputs/proof0.json"], 1,
+     ["[proof] reject", "  reason: shape mismatch: second premise is not "
+      "(first premise -> conclusion)", "  step: 4"]),
+    (["mv", "eval", "--chain", "5", "--op", "oplus", "--args", "1/3,1/2"], 2,
+     ["[mv] error", "  reason: 1/3 is not in the carrier of Chain(5)"]),
+    (["mv", "audit", "--chain"], 2, ["[mvlogic] usage-error"]),
+], ids=["ok", "pass", "reject", "error", "usage-error"])
+def test_human_output(argv, code, lines, monkeypatch, capsys):
+    # without --json: the verdict line, the scalar data as key: value lines
+    # in key order, the reason of an error, and the time taken
+    monkeypatch.chdir(pathlib.Path(__file__).parent / "golden")
+    assert main(argv) == code
+    *got, time_line = capsys.readouterr().out.splitlines()
+    assert got == lines
+    assert re.fullmatch(r"  time: \d+ ms", time_line)
 
 
 class TestVerbs:

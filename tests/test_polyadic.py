@@ -343,6 +343,35 @@ class TestNeatReduct:
             assert t.apply(1) == 1 and t.apply(0) == 0
 
 
+    @pytest.mark.parametrize("alpha, operation, key", [
+        ({0}, "cyl[0]", frozenset({0})),
+        ({0, 1}, "subst{0->1,1->0,2->2}",
+         FinTransformation.transposition((0, 1, 2), 0, 1)),
+    ], ids=["cylinder", "substitution"])
+    def test_entry_leaving_the_reduct_is_caught(self, alpha, operation, key):
+        # the table algebra of the pattern algebra, but for one entry of
+        # c_{0} or s_(0 1), which sends 0 (a member for every alpha) to an
+        # element that depends on an index outside alpha; the dimension
+        # sets, and so the members, are those of the intact algebra
+        abstract = AbstractPolyadicAlgebra.from_functional(pattern_algebra())
+        view = abstract.indexed()
+        assert neat_reduct(abstract, alpha).elements
+        outside = next(b for b in view.carrier
+                       if not view.dimension_set(b) <= alpha)
+        s_tables, c_tables = dict(view.subst), dict(view.cyl)
+        tables = c_tables if operation.startswith("cyl") else s_tables
+        tables[key] = (outside,) + tables[key][1:]
+        corrupted = AbstractPolyadicAlgebra(
+            abstract.mv, abstract.index_set, abstract.transformations,
+            abstract.scopes, s_tables, c_tables)
+        with pytest.raises(NotASubuniverse) as caught:
+            neat_reduct(corrupted, alpha)
+        assert str(caught.value) \
+            == f"{operation} escapes the candidate subuniverse at 0"
+        assert (caught.value.operation, caught.value.witness) \
+            == (operation, 0)
+
+
 class TestTermSubstitution:
     def test_single_replacement(self):
         algebra = small_algebra()
@@ -886,6 +915,51 @@ class TestIndexedAlgebra:
         for name in ("zero", "one", "neg", "oplus", "odot", "le", "subst",
                      "cyl", "q"):
             assert getattr(tables, name) == getattr(view, name), name
+
+
+class TestQueriesOnTheTableAlgebra:
+    """The public queries answer on the table algebra of a functional
+    algebra as on the functional algebra, label i standing for carrier
+    element i."""
+
+    @pytest.mark.parametrize("name", ["small", "pattern"])
+    def test_same_answers_as_the_functional_algebra(self, name):
+        *args, cap = CLOSURE_SPECS[name]
+        functional = build_generated(*args, cap=cap)
+        abstract = AbstractPolyadicAlgebra.from_functional(functional)
+        label = {p: i for i, p in enumerate(functional.carrier)}.__getitem__
+
+        def term(algebra, t, x):
+            # the element term_substitution gives, or why it has no room
+            try:
+                return term_substitution(algebra, t, x)
+            except InsufficientSpareIndices as exc:
+                return str(exc)
+
+        for a, p in enumerate(functional.carrier):
+            for j in functional.scopes:
+                assert cyl(abstract, j, a) == label(cyl(functional, j, p))
+                assert q_forall(abstract, j, a) \
+                    == label(q_forall(functional, j, p))
+            for t in functional.transformations:
+                assert subst(abstract, t, a) == label(subst(functional, t, p))
+                want = term(functional, t, p)
+                assert term(abstract, t, a) \
+                    == (want if isinstance(want, str) else label(want))
+            assert dimension_set(abstract, a) == dimension_set(functional, p)
+            assert minimal_support(abstract, a) \
+                == minimal_support(functional, p)
+
+    def test_element_outside_the_carrier(self):
+        abstract = AbstractPolyadicAlgebra.from_functional(pattern_algebra())
+        stranger = len(abstract.mv.carrier)
+        tau = FinTransformation.identity(abstract.index_set)
+        for query, arg in ((cyl, frozenset({0})), (q_forall, frozenset({0})),
+                           (subst, tau)):
+            with pytest.raises(SignatureError):
+                query(abstract, arg, stranger)
+        with pytest.raises(SignatureError):
+            term_substitution(abstract, tau, stranger)
 
 
 class TestSerialization:
