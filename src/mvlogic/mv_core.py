@@ -219,30 +219,14 @@ def _tabulate(algebra):
                      [[at(oplus(a, b)) for b in carrier] for a in carrier])
 
 
-class _Unary(tuple):
-    """Unary operation table over carrier indices; t(a) is t[a]."""
-
-    __slots__ = ()
-    __call__ = tuple.__getitem__
-
-
-class _Binary(tuple):
-    """Binary operation table over carrier indices; t(a, b) is t[a][b]."""
-
-    __slots__ = ()
-
-    def __call__(self, a, b):
-        return self[a][b]
-
-
 class IndexedMV:
     """A finite MV algebra as operation tables over carrier indices.
 
     Index i stands for elements[i], in the order of the algebra's carrier;
     index_of maps back. neg and oplus are given, odot and le are derived
-    from them. The tables double as the finite-MV protocol over indices
-    (neg(a), oplus(a, b), ...): a view is itself a finite MV algebra with
-    carrier range(n), and it is its own view.
+    from them; each is a plain tuple, read as neg[a] and oplus[a][b]. A
+    view is its own view, with carrier range(n), so the filters and
+    quotients below also run on a view itself (see _coding).
     """
 
     is_finite = True
@@ -253,14 +237,14 @@ class IndexedMV:
         self.carrier = range(len(self.elements))
         self.zero = self.index_of[zero]
         self.one = self.index_of[one]
-        self.neg = neg = _Unary(neg)
-        self.oplus = oplus = _Binary(map(tuple, oplus))
+        self.neg = neg = tuple(neg)
+        self.oplus = oplus = tuple(map(tuple, oplus))
         # odot[a][b] is neg[oplus[neg[a]][neg[b]]], le[a][b] is
         # odot[a][neg[b]] == zero
-        self.odot = odot = _Binary(tuple([neg[row[x]] for x in neg])
-                                   for row in map(oplus.__getitem__, neg))
+        self.odot = odot = tuple(tuple([neg[row[x]] for x in neg])
+                                 for row in map(oplus.__getitem__, neg))
         zero = self.zero
-        self.le = _Binary(tuple([row[x] == zero for x in neg]) for row in odot)
+        self.le = tuple(tuple([row[x] == zero for x in neg]) for row in odot)
 
     def implies(self, a, b):
         return self.oplus[self.neg[a]][b]

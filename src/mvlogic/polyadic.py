@@ -1,21 +1,23 @@
 """Polyadic MV algebras over a transformation semigroup and a scope family.
 
-Two realizations share one operation protocol: functional set algebras,
-whose elements are maps from assignment tuples into a finite chain, and
-abstract table algebras with explicit substitution and cylindrification
-tables. On top of both sit dimension sets, supports, neat reducts, the
-replacement-chain form of finite substitutions, and an exhaustive axiom
-auditor for every identity family the theory demands, whose
-`IdentityResult`s `mv_core.first_witness` finds.
+Two realizations: functional set algebras, whose elements are maps from
+assignment tuples into a finite chain, and abstract table algebras with
+explicit substitution and cylindrification tables. On top of both sit
+the single-element queries (cyl, subst, q_forall), dimension sets,
+supports, neat reducts, the replacement-chain form of finite
+substitutions, and an exhaustive axiom auditor for every identity family
+the theory demands, whose `IdentityResult`s `mv_core.first_witness` finds.
 
-Every exhaustive checker (the axiom audit, neat reducts, and in interlab
-and pavelka the Henkin filter search and the representation maps) works
-on one `IndexedAlgebra`: the algebra's operations as tables over carrier
-indices, extending mv_core's `IndexedMV`, on which the filters and
-quotients run. `algebra.indexed()` builds it on first use and caches it,
-so building, dumping or querying single elements never pays for it.
-Results leave the checkers in element form. How the signature's maps
-combine is read off the view too (`composition`, `agreement`, `replacement`).
+Every one of them, and in interlab and pavelka the Henkin filter search
+and the representation maps, reads one `IndexedAlgebra`: the algebra's
+operations as tables over carrier indices, extending mv_core's
+`IndexedMV`, on which the filters and quotients run. `algebra.indexed()`
+builds it on first use and caches it, so building or dumping an algebra
+never pays for it. Results leave in element form. How the signature's
+maps combine is read off the view too (`composition`, `agreement`,
+`replacement`). Only a functional algebra also has element operations:
+build_generated closes its carrier with them, and interlab's term_eval
+is the second route the eta check compares against.
 
 Inside the engine a value of the chain is an integer level: the carrier
 closure of `build_generated` and the tables of the view run on tuples of
@@ -132,7 +134,7 @@ class IndexedAlgebra(IndexedMV):
         self.cyl = {frozenset(j): tuple(table) for j, table in cyl.items()}
         self.q = {j: tuple(neg[c[neg[a]]] for a in self.carrier)
                   for j, c in self.cyl.items()}
-        self._cylinders = dict(self.cyl)
+        self._cylinders = {frozenset(): tuple(self.carrier), **self.cyl}
         self._replacements = {}
 
     @functools.cached_property
@@ -162,21 +164,26 @@ class IndexedAlgebra(IndexedMV):
         return self._replacements[i, j]
 
     def cylinder(self, j):
-        """c_J as an index table for any J, cached.
+        """c_J as an index table for any J, cached; c_{} is the identity.
 
-        Outside the signature the algebra's own cyl_el decides; -1 marks
-        a value that leaves the carrier, which only such a J can produce.
+        Outside the signature a functional algebra takes block suprema
+        (its cyl_el), -1 marking a value that leaves the carrier, which
+        only such a J can produce; an abstract algebra has no such table.
         """
         j = frozenset(j)
         table = self._cylinders.get(j)
         if table is None:
+            if self.algebra.kind == "abstract":
+                raise SignatureError(f"scope {sorted(j)} is not in the "
+                                     "scope family")
             table = self._cylinders[j] = tuple(
                 self.index_of.get(self.algebra.cyl_el(j, p), -1)
                 for p in self.elements)
         return table
 
     def dimension_set(self, a):
-        """Delta of carrier index a (see dimension_set)."""
+        """Delta of carrier index a: the indices i whose c_{i} moves it
+        (see cylinder for an {i} outside the signature)."""
         return frozenset(i for i in self.algebra.index_set
                          if self.cylinder({i})[a] != a)
 
@@ -451,6 +458,8 @@ def build_generated(index_set, base, chain, generators, transformations,
 class AbstractPolyadicAlgebra:
     """Finite MV table algebra with explicit s_tau and c_J tables.
 
+    Its elements are the labels of the MV reduct's carrier. It has no
+    element operations: every query reads its tables through indexed().
     Constructing one performs no polyadic audit: run audit_axioms before
     trusting the laws (the MV reduct is still audited by TableAlgebra).
     """
@@ -460,16 +469,12 @@ class AbstractPolyadicAlgebra:
     def __init__(self, mv, index_set, transformations, scopes,
                  s_tables, c_tables):
         self.mv = mv
-        # the constants and the MV operations are those of the MV reduct
         self.zero, self.one = mv.zero, mv.one
-        self.oplus, self.odot, self.neg = mv.oplus, mv.odot, mv.neg
-        self.implies, self.le = mv.implies, mv.le
         self.index_set = tuple(sorted(index_set))
         self.transformations = transformations
         self.scopes = scopes
         self._s = {t: tuple(table) for t, table in s_tables.items()}
         self._c = {frozenset(j): tuple(table) for j, table in c_tables.items()}
-        self._index = {label: i for i, label in enumerate(mv.carrier)}
         self._indexed = None
         for t in transformations:
             if t not in self._s:
@@ -488,44 +493,17 @@ class AbstractPolyadicAlgebra:
     def elements(self):
         return self.mv.carrier
 
-    def contains(self, p):
-        return p in self._index
-
-    def subst_el(self, tau, p):
-        if tau not in self._s:
-            raise SignatureError(f"{tau!r} is not in the signature")
-        return self.mv.carrier[self._s[tau][self._index[p]]]
-
-    def cyl_el(self, j, p):
-        j = frozenset(j)
-        if not j:
-            return p
-        if j in self._c:
-            return self.mv.carrier[self._c[j][self._index[p]]]
-        # decompose through smaller scopes via c_(J u J') = c_J c_J'
-        for i in sorted(j):
-            if frozenset({i}) not in self._c:
-                raise SignatureError(f"scope {sorted(j)} not available")
-        out = p
-        for i in sorted(j):
-            out = self.mv.carrier[self._c[frozenset({i})][self._index[out]]]
-        return out
-
-    def q_el(self, j, p):
-        return self.neg(self.cyl_el(j, self.neg(p)))
-
-    def mv_view(self):
-        return self.mv
-
     def indexed(self):
-        """The IndexedAlgebra of this algebra, read off its own tables."""
+        """The IndexedAlgebra of this algebra, read off the tables of its
+        signature; c_{} is the identity."""
         if self._indexed is None:
             tables = self.mv.to_json()
             identity = range(len(self.mv.carrier))
             cyl = {j: self._c[j] if j else identity
                    for j in map(frozenset, self.scopes)}
-            self._indexed = IndexedAlgebra(self, tables["neg"],
-                                           tables["oplus"], self._s, cyl)
+            self._indexed = IndexedAlgebra(
+                self, tables["neg"], tables["oplus"],
+                {t: self._s[t] for t in self.transformations}, cyl)
         return self._indexed
 
     @classmethod
@@ -550,34 +528,41 @@ class AbstractPolyadicAlgebra:
 # -- public operations ----------------------------------------------------
 
 
-def _check_signature(algebra, p, tau=None, j=None):
-    if tau is not None and tau not in set(algebra.transformations):
+def _check_signature(V, p, tau=None, j=None):
+    """The carrier index of p in the view V, once tau and J are found in
+    its signature; SignatureError if any of them is not."""
+    if tau is not None and tau not in V.subst:
         raise SignatureError(f"{tau!r} is not in the semigroup")
-    if j is not None and frozenset(j) not in set(algebra.scopes):
+    if j is not None and frozenset(j) not in V.cyl:
         raise SignatureError(f"scope {sorted(j)} is not in the scope family")
-    if not algebra.contains(p):
+    a = V.index_of.get(p)
+    if a is None:
         raise SignatureError("element is not in the carrier")
+    return a
 
 
 def cyl(algebra, j, p):
-    _check_signature(algebra, p, j=j)
-    return algebra.cyl_el(frozenset(j), p)
+    V = algebra.indexed()
+    a = _check_signature(V, p, j=j)
+    return V.elements[V.cyl[frozenset(j)][a]]
 
 
 def subst(algebra, tau, p):
-    _check_signature(algebra, p, tau=tau)
-    return algebra.subst_el(tau, p)
+    V = algebra.indexed()
+    a = _check_signature(V, p, tau=tau)
+    return V.elements[V.subst[tau][a]]
 
 
 def q_forall(algebra, j, p):
-    _check_signature(algebra, p, j=j)
-    return algebra.q_el(frozenset(j), p)
+    V = algebra.indexed()
+    a = _check_signature(V, p, j=j)
+    return V.elements[V.q[frozenset(j)][a]]
 
 
 def dimension_set(algebra, p):
     """Delta p: the indices whose cylindrification moves the element."""
-    return frozenset(i for i in algebra.index_set
-                     if algebra.cyl_el(frozenset({i}), p) != p)
+    V = algebra.indexed()
+    return V.dimension_set(_check_signature(V, p))
 
 
 def minimal_support(algebra, p):
@@ -587,10 +572,12 @@ def minimal_support(algebra, p):
     against the full subset scan; a mismatch would mean the two routes
     disagree and is raised loudly.
     """
+    V = algebra.indexed()
+    a = _check_signature(V, p)
     index = set(algebra.index_set)
 
     def supports(j):
-        return algebra.cyl_el(frozenset(index - j), p) == p
+        return V.cylinder(index - j)[a] == a
 
     current = set(index)
     changed = True
@@ -688,12 +675,13 @@ def term_substitution(algebra, tau, x):
     room; the result must agree with the direct substitution, which the
     audit checks on functional algebras.
     """
-    _check_signature(algebra, x)
+    V = algebra.indexed()
+    out = _check_signature(V, x)
     moved = sorted(i for i in tau.domain if tau.apply(i) != i)
     if not moved:
         return x
     images = [tau.apply(u) for u in moved]
-    delta = dimension_set(algebra, x)
+    delta = V.dimension_set(out)
     banned = delta | set(moved) | set(images)
     fresh = [i for i in algebra.index_set if i not in banned]
     k = len(moved)
@@ -706,15 +694,14 @@ def term_substitution(algebra, tau, x):
 
     def replacement(i, j):
         t = FinTransformation.replacement(domain, i, j)
-        _check_signature(algebra, x, tau=t)
-        return t
+        _check_signature(V, x, tau=t)
+        return V.subst[t]
 
-    out = x
     for u, pi in reversed(list(zip(moved, pis))):
-        out = algebra.subst_el(replacement(u, pi), out)
+        out = replacement(u, pi)[out]
     for pi, v in reversed(list(zip(pis, images))):
-        out = algebra.subst_el(replacement(pi, v), out)
-    return out
+        out = replacement(pi, v)[out]
+    return V.elements[out]
 
 
 # -- the exhaustive auditor ------------------------------------------------

@@ -254,7 +254,7 @@ def substitute(tau, phi, language=None):
     return _push(tau, phi, quantifier)
 
 
-def substitute_capture_avoiding(tau, phi, reserved=()):
+def substitute_capture_avoiding(tau, phi):
     """Full substitution executed freely: every quantifier block is renamed
     to fresh variables before the map is pushed under it, so bound
     occurrences can never collide with substituted ones. This is the
@@ -263,9 +263,9 @@ def substitute_capture_avoiding(tau, phi, reserved=()):
     conditions protect.
 
     Fresh names are drawn deterministically as v<k> for k past every index
-    in the formula, the map, and the reserved set.
+    in the formula and the map.
     """
-    taken = set(reserved) | set(tau) | set(tau.values()) | all_vars(phi)
+    taken = set(tau) | set(tau.values()) | all_vars(phi)
     counter = 0
     for name in taken:
         if name.startswith("v") and name[1:].isdigit():

@@ -961,6 +961,31 @@ class TestQueriesOnTheTableAlgebra:
         with pytest.raises(SignatureError):
             term_substitution(abstract, tau, stranger)
 
+    @pytest.mark.parametrize("query", [dimension_set, minimal_support])
+    def test_dimensions_need_a_carrier_element(self, query):
+        functional = pattern_algebra()
+        abstract = AbstractPolyadicAlgebra.from_functional(functional)
+        for algebra, stranger in ((functional, (F(1, 3),) * 8),
+                                  (abstract, len(functional.carrier))):
+            with pytest.raises(SignatureError,
+                               match="element is not in the carrier"):
+                query(algebra, stranger)
+
+    def test_cylinder_outside_the_signature(self):
+        # the functional algebra takes block suprema for any J; the table
+        # algebra has the tables of its scope family only
+        *args, cap = CLOSURE_SPECS["singletons"]
+        functional = build_generated(*args, cap=cap)
+        abstract = AbstractPolyadicAlgebra.from_functional(functional)
+        pair, els = frozenset({0, 1}), functional.carrier
+        assert [els[x] for x in functional.indexed().cylinder(pair)] \
+            == [functional.cyl_el(pair, p) for p in els]
+        assert minimal_support(functional, functional.zero) == frozenset()
+        with pytest.raises(SignatureError, match=r"scope \[0, 1\] is not"):
+            minimal_support(abstract, 0)
+        # c_{} is the identity in the signature or out of it
+        assert abstract.indexed().cylinder(()) == tuple(range(len(els)))
+
 
 class TestSerialization:
     def test_spec_round_trip_through_dump(self):
