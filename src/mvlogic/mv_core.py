@@ -281,8 +281,7 @@ def _level_sums(top):
     a + b: plus[a + b] is a (+) b = min(a + b, top) and times[a + b] is
     a (*) b = max(a + b - top, 0). Lists, whose bound __getitem__ is
     cheaper to map over than a tuple's."""
-    sums = range(2 * top + 1)
-    return [min(s, top) for s in sums], [max(s - top, 0) for s in sums]
+    return [*range(top), *[top] * (top + 1)], [*[0] * top, *range(top + 1)]
 
 
 class StandardRationals(MVAlgebra):

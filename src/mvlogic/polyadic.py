@@ -11,18 +11,18 @@ the theory demands, whose `IdentityResult`s `mv_core.first_witness` finds.
 Every one of them, and in interlab and pavelka the Henkin filter search
 and the representation maps, reads one `IndexedAlgebra`: the algebra's
 operations as tables over carrier indices, extending mv_core's
-`IndexedMV`, on which the filters and quotients run. `algebra.indexed()`
-builds it on first use and caches it, so building or dumping an algebra
-never pays for it. Results leave in element form. How the signature's
-maps combine is read off the view too (`composition`, `agreement`,
-`replacement`). Only a functional algebra also has element operations:
-build_generated closes its carrier with them, and interlab's term_eval
-is the second route the eta check compares against.
+`IndexedMV`, on which the filters and quotients run. `build_generated`
+computes a functional algebra's operations once: closing the carrier, it
+records the carrier index of every result, and `algebra.indexed()` wraps
+those tables on first use. Results leave in element form. How the
+signature's maps combine is read off the view too (`composition`,
+`agreement`, `replacement`). A functional algebra also has element
+operations, on which interlab's term_eval, the second route the eta check
+compares against, runs.
 
-Inside the engine a value of the chain is an integer level: the carrier
-closure of `build_generated` and the tables of the view run on tuples of
-levels, and `Fraction` appears only at the edges, in the elements handed
-out, the parsed and dumped specs and the reports.
+Inside the engine a value of the chain is an integer level (the closure
+of `build_generated` runs on tuples of levels), and `Fraction` appears
+only at the edges: the elements handed out, the specs and the reports.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
-    _instance, _interleave, _level_sums, _transpose, first_witness,
+    _instance, _interleave, _level_sums, first_witness,
     format_point, format_value, is_json_int, is_json_object, is_json_str,
     json_field, json_index_into, json_list_of, parse_point, parse_value,
 )
@@ -216,14 +217,16 @@ class FunctionalSetAlgebra:
 
     Elements are value tuples aligned with the lexicographic assignment
     order. Substitution precomposes with a transformation of the index
-    set; cylindrification takes suprema over assignment classes.
+    set; cylindrification takes suprema over assignment classes. tables
+    is (neg, oplus, subst, cyl) over carrier indices, as build_generated
+    records them: without them the algebra has no indexed view.
     """
 
     kind = "functional"
     is_finite = True
 
     def __init__(self, index_set, base, chain, carrier, generators,
-                 transformations, scopes):
+                 transformations, scopes, tables=None):
         _assignment_count(len(index_set), len(base))
         self.index_set = tuple(sorted(index_set))
         self.base = tuple(base)
@@ -240,6 +243,7 @@ class FunctionalSetAlgebra:
         self.one = tuple(ONE for _ in self.assignments)
         self._perm_cache = {}
         self._block_cache = {}
+        self._tables = tables
         self._indexed = None
 
     # -- element-level operations ------------------------------------
@@ -323,41 +327,12 @@ class FunctionalSetAlgebra:
         return self
 
     def indexed(self):
-        """The IndexedAlgebra of this algebra, built on first use.
-
-        Built a column at a time: column x holds every element's integer
-        chain level at assignment x, and a table is its result columns
-        zipped into level tuples and looked up. ~ flips the levels; in row
-        p of (+), column x is read through plus[a:] for p's level a at x
-        (see _level_sums); s_tau takes the columns in _perm(tau) order, and
-        c_J gives each assignment the maximum of its block's columns.
-        """
+        """The IndexedAlgebra of the algebra's tables, on first use."""
         if self._indexed is None:
-            n, top = len(self.carrier), self.chain.n - 1
-            level = dict(zip(self.chain.carrier, range(top + 1))).__getitem__
-            columns = [tuple(map(level, col)) for col in zip(*self.carrier)]
-            column, rows = columns.__getitem__, _transpose(columns, n)
-            at = {lp: i for i, lp in enumerate(rows)}.__getitem__
-
-            def table(cols):
-                return list(map(at, _transpose(cols, n)))
-
-            def cyl(block_id, members):
-                # a block's first column twice, so max has two arguments
-                sups = [tuple(map(max, column(m[0]), *map(column, m)))
-                        for m in members]
-                return table(list(map(sups.__getitem__, block_id)))
-
-            plus, flip = _level_sums(top)[0], range(top, -1, -1)
-            sums = [{a: tuple(map(plus[a:].__getitem__, col))
-                     for a in set(col)} for col in columns]
-            self._indexed = IndexedAlgebra(
-                self, table([tuple(map(flip.__getitem__, col))
-                             for col in columns]),
-                [table(list(map(dict.__getitem__, sums, lp))) for lp in rows],
-                {t: table(list(map(column, self._perm(t))))
-                 for t in self.transformations},
-                {j: cyl(*self._blocks(j)) for j in self.scopes})
+            if self._tables is None:
+                raise ValueError("an algebra built without tables has no view")
+            self._indexed = IndexedAlgebra(self, *self._tables)
+            self._tables = None  # the view holds them as tuples now
         return self._indexed
 
     def to_json(self):
@@ -391,7 +366,9 @@ def build_generated(index_set, base, chain, generators, transformations,
     the binary combinations with all earlier elements. Exceeding the cap
     raises; a partial carrier is never returned.
 
-    The closure runs on tuples of integer chain levels (see _level_ops);
+    The closure runs on tuples of integer chain levels, v at v * top (see
+    _level_ops), and records the carrier index of each result as the
+    tables of the view, the (+) of i with k <= i also as entry [k][i];
     each element becomes a tuple of chain values once, at the end.
     """
     if isinstance(base, int):
@@ -417,42 +394,50 @@ def build_generated(index_set, base, chain, generators, transformations,
         index_set, base, chain, carrier=(), generators=(),
         transformations=maps, scopes=scopes)
     neg, oplus, odot = _level_ops(chain)
-    level = {v: r for r, v in enumerate(chain.carrier)}
     top = chain.n - 1
     elements = []
-    seen = set()
+    index = {}
+    negs, sums = [], []
+    substs, cyls = {tau: [] for tau in maps}, {j: [] for j in scopes}
 
     def admit(p):
-        if p not in seen:
+        i = index.get(p)
+        if i is None:
             if len(elements) >= cap:
                 raise TruncationError(
                     f"carrier closure exceeded the cap of {cap}")
-            seen.add(p)
+            i = index[p] = len(elements)
             elements.append(p)
+        return i
 
     admit((0,) * size)
     admit((top,) * size)
     for g in gens:
-        admit(tuple(level[v] for v in g))
+        admit(tuple((v * top).numerator for v in g))
 
     i = 0
     while i < len(elements):
         p = elements[i]
-        admit(neg(p))
+        negs.append(admit(neg(p)))
         for tau in maps:
-            admit(algebra.subst_el(tau, p))
+            substs[tau].append(admit(algebra.subst_el(tau, p)))
         for j in scopes:
-            admit(algebra.cyl_el(j, p))
-        for q in elements[: i + 1]:
-            admit(oplus(p, q))
+            cyls[j].append(admit(algebra.cyl_el(j, p)))
+        row = []
+        for k, q in enumerate(elements[: i + 1]):
+            row.append(admit(oplus(p, q)))
             admit(odot(p, q))
+            if k < i:
+                sums[k].append(row[k])
+        sums.append(row)
         i += 1
 
-    values = chain.carrier
+    value = {r: Fraction(r, top) for r in set().union(*elements)}
     return FunctionalSetAlgebra(
         index_set, base, chain,
-        carrier=tuple(tuple(map(values.__getitem__, p)) for p in elements),
-        generators=tuple(gens), transformations=maps, scopes=scopes)
+        carrier=tuple(tuple(map(value.__getitem__, p)) for p in elements),
+        generators=tuple(gens), transformations=maps, scopes=scopes,
+        tables=(negs, sums, substs, cyls))
 
 
 class AbstractPolyadicAlgebra:

@@ -309,8 +309,11 @@ def check_strongly_rich(sigma, pi, ambient=None, n_max=64, sample=8, ij_bound=3)
     conditions quantify over a whole semigroup, so they are spot-checked on
     a capped closure sample when an ambient spec is supplied; a sample
     member missing from a truncated closure is reported as unresolved, not
-    as a violation.
+    as a violation. sigma and pi must be maps of the naturals (OmegaMaps).
     """
+    for name, f in (("sigma", sigma), ("pi", pi)):
+        if not isinstance(f, OmegaMap):
+            raise ValueError(f"{name} is not a map of the naturals: {f!r}")
     conditions = []
 
     missing = sigma.missing_values()

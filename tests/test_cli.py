@@ -296,6 +296,9 @@ GENERATOR_FREE = {"base": 2, "chain": 2, "generators": [], "cap": 5}
     ["poly", "build", "--spec", "{full7}"],
     ["poly", "audit", "--spec", "{full5}"],
     ["poly", "build", "--spec", "{wide}"],
+    # the strong-richness conditions are stated for maps of the naturals
+    ["semigroup", "rich", "--sigma", "{{0->1}}", "--pi", "pred"],
+    ["semigroup", "rich", "--sigma", "{{0->1}}", "--pi", "{{1->0}}"],
 ], ids=["overcap-spec", "element-index", "generator-index",
         "language-without-variables", "assignment-outside-domain",
         "gamma-without-formulas", "proof-gamma-without-formulas",
@@ -307,7 +310,8 @@ GENERATOR_FREE = {"base": 2, "chain": 2, "generators": [], "cap": 5}
         "constant-negative", "constant-off-the-chain", "constant-above-one",
         "proof-top-level-list", "spec-top-level-list",
         "algebra-top-level-list", "full-semigroup-over-cap",
-        "full-semigroup-over-cap-audit", "assignments-over-cap"])
+        "full-semigroup-over-cap-audit", "assignments-over-cap",
+        "rich-finite-sigma", "rich-finite-sigma-and-pi"])
 def test_bad_input_is_an_error_report(argv, files, tmp_path):
     l5 = json.loads((GOLDEN_INPUTS / "l5-constants.json").read_text())
     for name, payload in (("overcap", OVERCAP_SPEC),

@@ -479,6 +479,12 @@ class TestIndexedView:
                      "le"):
             assert getattr(view, name) == getattr(read, name), name
 
+    def test_level_sums_are_min_and_max(self):
+        for top in range(1, 65):
+            sums = range(2 * top + 1)
+            assert mv_core._level_sums(top) == (
+                [min(s, top) for s in sums], [max(s - top, 0) for s in sums])
+
     def test_chain_view_cap_raises_before_building(self):
         # 10^5 levels would need three 10^10-entry tables
         for chain in (Chain(10 ** 5), Chain(MAX_CHAIN_VIEW + 1)):

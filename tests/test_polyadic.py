@@ -48,6 +48,22 @@ class TestBuildGenerated:
             build_generated((0, 1, 2), 2, Chain(3), [wild], "full",
                             "powerset", cap=30)
 
+    def test_chain_carrier_is_never_read(self, monkeypatch):
+        # a generator value v is level v * top, and the values of the
+        # levels that occur are made once, at the end
+        *args, cap = CLOSURE_SPECS["l5-constants"]
+        want = build_generated(*args, cap=cap)
+
+        def unread(chain):
+            raise AssertionError("Chain.carrier was read")
+
+        monkeypatch.setattr(Chain, "carrier", property(unread))
+        got = build_generated(*args, cap=cap)
+        huge = build_generated((0, 1), 2, Chain(10 ** 6), [], "full",
+                               "powerset", cap=5)
+        assert got.carrier == want.carrier
+        assert huge.carrier == (huge.zero, huge.one)
+
     def test_generator_audit_passes(self):
         report = audit_axioms(small_algebra())
         assert report.passed
@@ -880,11 +896,12 @@ class TestAuditAgainstReference:
 
 
 class TestIndexedAlgebra:
-    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    @pytest.mark.parametrize("name",
+                             sorted(CLOSURE_SPECS) + sorted(MORE_SPECS))
     def test_tables_agree_with_element_operations(self, name):
         # small and pattern are the small_algebra() and pattern_algebra()
         # fixtures
-        *args, cap = CLOSURE_SPECS[name]
+        *args, cap = {**CLOSURE_SPECS, **MORE_SPECS}[name]
         algebra = build_generated(*args, cap=cap)
         view = algebra.indexed()
         assert view is algebra.indexed()
@@ -905,6 +922,13 @@ class TestIndexedAlgebra:
                 == [algebra.cyl_el(j, p) for p in els]
             assert [els[x] for x in view.q[j]] \
                 == [algebra.q_el(j, p) for p in els]
+
+    def test_no_view_without_tables(self):
+        # the reference closure builds its algebra from the carrier alone
+        *args, cap = CLOSURE_SPECS["small"]
+        algebra = reference_build_generated(*args, cap=cap)
+        with pytest.raises(ValueError, match="without tables has no view"):
+            algebra.indexed()
 
     def test_from_functional_keeps_the_tables(self):
         # the 16-element pattern algebra keeps the table-algebra audit cheap
@@ -995,6 +1019,14 @@ class TestSerialization:
         assert again.carrier == algebra.carrier
         assert again.transformations == algebra.transformations
         assert again.scopes == algebra.scopes
+
+    def test_reloaded_dump_has_the_same_view(self):
+        view = pattern_algebra().indexed()
+        again = algebra_from_json(view.algebra.to_json()).indexed()
+        assert again.elements == view.elements
+        for name in ("zero", "one", "neg", "oplus", "odot", "le", "subst",
+                     "cyl", "q"):
+            assert getattr(again, name) == getattr(view, name), name
 
     def test_dump_must_be_the_closure_of_its_generators(self):
         dumped = small_algebra().to_json()
