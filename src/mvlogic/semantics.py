@@ -12,14 +12,22 @@ chain, where the connectives act pointwise and E and A are
 cylindrifications (block sup and inf). A RowProgram compiles formulas once
 into steps, one per distinct subformula, and evaluates each step as one
 row: its levels at every assignment of its variables and every model of a
-batch. `entails` takes the models of one domain size in chunks of
+batch. A row is a byte string while every level and every sum of two
+levels fits in a byte (2 * top <= 255, chains of up to 128 values), so
+that a step is a few passes in C: a translate through a level table, a
+big-int add of two rows, slicing and repetition. Past that a row is a
+list, and the same steps map over it. E and A fold a row's blocks with
+the lattice operations, on byte rows written in the MV ones,
+x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), and on list rows
+max and min. `entails` takes the models of one domain size in chunks of
 canonical order (`model_chunks`), reads atoms off per-cell model columns,
-and stops at the first chunk that holds a countermodel. `eval_formula`,
-`is_valid` and `truth_degree` evaluate a batch of one model. A row's
-assignments per model are capped at MAX_VALUATIONS before any row is
-built. `Fraction` values appear only at the edges: a user-supplied Model
-is read into levels once, results come back as chain values, and a Model
-is built only for a reported countermodel.
+finds the first countermodel of a chunk by row operations too, and stops
+at the first chunk that holds one. `eval_formula` compiles a formula once
+per chain, and it, `is_valid` and `truth_degree` evaluate a batch of one
+model. A row's assignments per model are capped at MAX_VALUATIONS before
+any row is built. `Fraction` values appear only at the edges: a
+user-supplied Model is read into levels once, results come back as chain
+values, and a Model is built only for a reported countermodel.
 """
 
 from __future__ import annotations
@@ -157,6 +165,51 @@ ROW_CHUNK = 1 << 15
 _CONNECTIVES = {Oplus: "plus", Odot: "times", Implies: "plus"}
 
 
+def _row_type(top):
+    """The type of the rows of Chain(top + 1): bytes while every level and
+    every sum of two levels fits in a byte (2 * top <= 255), else list."""
+    return bytes if 2 * top <= 255 else list
+
+
+@functools.lru_cache(maxsize=16)
+def _level_tables(top):
+    """The tables a RowProgram reads for Chain(top + 1), in the form _read
+    takes for its row type: ~ at a level, (+) and (*) at the sum of two
+    levels (mv_core._level_sums), and the flags of a level below the top
+    and of the top."""
+    row_type = _row_type(top)
+    plus, times = _level_sums(top)
+    return tuple(
+        bytes(levels).ljust(256, b"\0") if row_type is bytes
+        else list(levels)
+        for levels in (range(top, -1, -1), plus, times,
+                       [1] * top + [0], [0] * top + [1]))
+
+
+def _read(table, at):
+    """The row of table's entries at the entries of the row at: for byte
+    rows one translate, through a table padded to 256 bytes."""
+    if isinstance(at, bytes):
+        return at.translate(table)
+    return list(map(table.__getitem__, at))
+
+
+def _add(a, b):
+    """The entrywise sums of two rows of one length: for byte rows one
+    big-int add, which cannot carry, as no entry passes 127."""
+    if isinstance(a, bytes):
+        return (int.from_bytes(a, "little")
+                + int.from_bytes(b, "little")).to_bytes(len(a), "little")
+    return list(map(operator.add, a, b))
+
+
+def _concat(parts, row_type):
+    """The row of a type that concatenates the pieces `parts`."""
+    if row_type is bytes:
+        return b"".join(parts)
+    return list(itertools.chain.from_iterable(parts))
+
+
 class RowProgram:
     """Formulas compiled once into row steps for Chain(top + 1).
 
@@ -164,43 +217,50 @@ class RowProgram:
     model) pair of a batch of `count` models: the assignments of the
     step's variables (`vars`, in the order of syntax._var_key) in product
     order, the first variable most significant, each holding one entry per
-    model. An atom reads its table cells from per-cell model columns; ~,
-    (+) and (*) map whole rows through mv_core._level_sums (x -> y is
-    ~x (+) y); a `spread` step repeats a row along the variables it lacks,
-    so that the two rows of a connective line up; and E and A take the max
-    and min of the row's blocks along one variable (cylindrification).
-    Steps are memoized by their operation and operands, so a subformula
-    repeated across the compiled formulas is computed once per batch.
+    model. A row is a byte string while every level and every sum of two
+    levels fits in a byte (2 * top <= 255, chains of up to 128 values),
+    and a list past that; the type is chosen once, from top, and only the
+    primitives _read, _add and _concat tell the two apart. An atom
+    concatenates its table cells' model columns; ~ reads the row through
+    the negation table, and (+) and (*) add two rows and read the sums
+    through mv_core._level_sums (x -> y is ~x (+) y), so on byte rows each
+    is a pass or two in C. A `spread` step repeats a row along the
+    variables it lacks, so that the two rows of a connective line up; and
+    E and A take the join and meet of the row's blocks along one variable
+    (cylindrification), on byte rows from x v y = (x (*) ~y) (+) y and
+    x ^ y = x (*) (~x (+) y). Steps are memoized by their operation,
+    operands and variables, so a subformula repeated across the compiled
+    formulas is computed once per batch.
 
-    With `fix` (a function from a variable to a domain element), every
-    free occurrence of a variable reads fix(variable) and spans no axis;
-    the values read are kept in `fixed`.
+    With `fix_free`, every free occurrence of a variable spans no axis:
+    the program's rows span only the bound variables, `fixed` names the
+    free ones, and atom_cells reads their values from an assignment.
     """
 
-    def __init__(self, top, fix=None):
+    def __init__(self, top, fix_free=False):
         self.top = top
-        self.fix = fix
-        self.fixed = {}
+        self.fix_free = fix_free
+        self.fixed = set()
         self.predicates = set()
         self.steps = []
         self.vars = []
         self._slots = {}
-        self._neg = list(range(top, -1, -1))
-        self._plus, self._times = _level_sums(top)
+        self.row_type = _row_type(top)
+        self._neg, self._plus, self._times, self._fails, self._holds = \
+            _level_tables(top)
 
     def add(self, phi, bound=frozenset()):
         """The slot of phi's row, compiling what is not yet compiled."""
         kind = type(phi)
         if kind is Atom:
-            args = variables = phi.args
-            if self.fix is not None:
-                args = tuple(v if v in bound else self._fixed(v)
-                             for v in args)
-                variables = tuple(v for v in args if isinstance(v, str))
+            variables = phi.args
+            if self.fix_free:
+                variables = tuple(v for v in variables if v in bound)
+                self.fixed.update(v for v in phi.args if v not in bound)
             if len(variables) > 1:
                 variables = tuple(sorted(set(variables), key=_var_key))
             self.predicates.add(phi.pred)
-            return self._step(("atom", phi.pred, args), variables)
+            return self._step(("atom", phi.pred, phi.args), variables)
         op = _CONNECTIVES.get(kind)
         if op is not None:
             left = self.add(phi.left, bound)
@@ -231,14 +291,11 @@ class RowProgram:
             return slot
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _fixed(self, var):
-        self.fixed[var] = self.fix(var)
-        return self.fixed[var]
-
     def _step(self, step, variables):
-        slot = self._slots.get(step)
+        key = step, variables
+        slot = self._slots.get(key)
         if slot is None:
-            slot = self._slots[step] = len(self.steps)
+            slot = self._slots[key] = len(self.steps)
             self.steps.append(step)
             self.vars.append(variables)
         return slot
@@ -264,12 +321,12 @@ class RowProgram:
                 f"exceed the cap of {MAX_VALUATIONS}")
         return size ** most
 
-    def atom_cells(self, size, offsets):
+    def atom_cells(self, size, offsets, fixed=None):
         """Per atom step, the table cell it reads under each assignment of
-        its variables; `offsets` gives each predicate's first cell. A
-        point is read in base `size`, its last argument least significant,
-        so a cell is the offset plus each argument's value times its
-        place."""
+        its variables; `offsets` gives each predicate's first cell, and
+        `fixed` the value of each variable in `self.fixed`. A point is read
+        in base `size`, its last argument least significant, so a cell is
+        the offset plus each argument's value times its place."""
         cells = {}
         for slot, (op, pred, args) in enumerate(self.steps):
             if op != "atom":
@@ -277,10 +334,10 @@ class RowProgram:
             cell, place, places = offsets[pred], 1, dict.fromkeys(
                 self.vars[slot], 0)
             for v in reversed(args):
-                if isinstance(v, str):
+                if v in places:
                     places[v] += place
                 else:
-                    cell += v * place
+                    cell += fixed[v] * place
                 place *= size
             reads = [cell]
             for place in places.values():
@@ -291,30 +348,54 @@ class RowProgram:
     def run(self, size, cells, count, columns, rows, stop):
         """Append to `rows` the rows of the steps len(rows)..stop-1 over a
         batch of `count` models at a domain size, given by the `count`
-        levels of every table cell (`columns`)."""
+        levels of every table cell (`columns`, rows of the program's
+        type)."""
         sums = {"plus": self._plus, "times": self._times}
-        neg = self._neg.__getitem__
         for slot in range(len(rows), stop):
             op, a, b = self.steps[slot]
             if op == "atom":
-                row = list(itertools.chain.from_iterable(
-                    map(columns.__getitem__, cells[slot])))
+                row = _concat(map(columns.__getitem__, cells[slot]),
+                              self.row_type)
             elif op == "const":
-                row = [a] * count
+                row = self.row_type((a,)) * count
             elif op == "neg":
-                row = list(map(neg, rows[a]))
+                row = _read(self._neg, rows[a])
             elif op in sums:
-                row = list(map(sums[op].__getitem__,
-                               map(operator.add, rows[a], rows[b])))
+                row = _read(sums[op], _add(rows[a], rows[b]))
             elif op == "spread":
                 row = rows[a]
                 for j in b:
                     row = _spread_axis(row, j, size)
             else:
                 row = _cylinder(rows[a], b, size,
-                                max if op == "sup" else min)
+                                self.join if op == "sup" else self.meet)
             rows.append(row)
         return rows
+
+    def join(self, x, y):
+        """x v y entry by entry, on byte rows as (x (*) ~y) (+) y."""
+        if self.row_type is list:
+            return list(map(max, x, y))
+        return _read(self._plus, _add(
+            _read(self._times, _add(x, _read(self._neg, y))), y))
+
+    def meet(self, x, y):
+        """x ^ y entry by entry, on byte rows as x (*) (~x (+) y)."""
+        if self.row_type is list:
+            return list(map(min, x, y))
+        return _read(self._times, _add(
+            x, _read(self._plus, _add(_read(self._neg, x), y))))
+
+    def countermodel(self, goal, hypotheses, count):
+        """The first model of a batch of `count` in which the goal's row
+        falls below the top and every hypothesis row is at the top, or
+        None. Each model's least level of the goal and of all hypotheses
+        is read into a flag, and the flags add up to 2 exactly there."""
+        passes = _concat(hypotheses, self.row_type) \
+            or self.row_type((self.top,)) * count
+        flags = _add(_read(self._fails, _fold(goal, count, self.meet)),
+                     _read(self._holds, _fold(passes, count, self.meet)))
+        return flags.index(2) if 2 in flags else None
 
     def check_tables(self, model):
         """Raise MissingTableError for the first predicate, in sorted
@@ -323,8 +404,9 @@ class RowProgram:
             if pred not in model.levels:
                 raise MissingTableError(pred)
 
-    def in_model(self, model):
-        """Every step's row in one model (a batch of one)."""
+    def in_model(self, model, fixed=None):
+        """Every step's row in one model (a batch of one), the variables
+        in `self.fixed` taking their values in `fixed`."""
         self.check_tables(model)
         size = model.domain_size
         self.width(size)
@@ -332,8 +414,11 @@ class RowProgram:
         for pred in sorted(self.predicates):
             offsets[pred] = len(levels)
             levels.extend(model.levels[pred])
-        return self.run(size, self.atom_cells(size, offsets), 1,
-                        [[level] for level in levels], [], len(self.steps))
+        # one row of one entry per distinct level, shared by its cells
+        units = {level: self.row_type((level,)) for level in set(levels)}
+        return self.run(size, self.atom_cells(size, offsets, fixed), 1,
+                        list(map(units.__getitem__, levels)), [],
+                        len(self.steps))
 
 
 def _spread_axis(row, j, size):
@@ -341,30 +426,43 @@ def _spread_axis(row, j, size):
     block = len(row) // size ** j
     if block == len(row):
         return row * size
-    return list(itertools.chain.from_iterable(
-        row[o:o + block] * size for o in range(0, len(row), block)))
+    return _concat((row[o:o + block] * size
+                    for o in range(0, len(row), block)), type(row))
 
 
 def _cylinder(row, j, size, bound):
-    """The bound (max or min) of the row over the values of axis j."""
-    if size == 1:
-        return row
+    """The bound (join or meet) of the row over the values of axis j: the
+    row's entries at each value of j, laid end to end (one strided slice
+    per value when they are single entries), then folded. On byte rows,
+    while 2 * top <= 255, the join and meet are built from ~, (+) and (*)
+    as x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), so a fold is
+    translates and big-int adds; list rows take max and min."""
     block = len(row) // size ** j
     step = block // size
-    out = []
-    for o in range(0, len(row), block):
-        out += map(bound, *[row[x:x + step]
-                            for x in range(o, o + block, step)])
-    return out
+    if step == 1:
+        row = _concat([row[x::size] for x in range(size)], type(row))
+    elif block < len(row):
+        row = _concat((row[o:o + step] for x in range(0, block, step)
+                       for o in range(x, len(row), block)), type(row))
+    return _fold(row, len(row) // size, bound)
 
 
-def _model_mins(row, count):
-    """Per model of a batch of `count`, the least level of the row over
-    its assignments."""
-    if len(row) == count:
-        return row
-    return list(map(min, *[row[i:i + count]
-                           for i in range(0, len(row), count)]))
+def _fold(row, count, bound):
+    """The bound of the row's slices of `count` entries, entry by entry:
+    each pass takes the bound of the first half of the slices with the
+    second, an odd slice left over."""
+    while len(row) >= 2 * count:
+        half = len(row) // count // 2 * count
+        row = bound(row[:half], row[half:2 * half]) + row[2 * half:]
+    return row
+
+
+@functools.lru_cache(maxsize=256)
+def _fixed_program(phi, top):
+    """The program of phi for Chain(top + 1), its free variables fixed:
+    eval_formula compiles each formula once per chain."""
+    program = RowProgram(top, fix_free=True)
+    return program, program.add(phi)
 
 
 def eval_formula(phi, model, s):
@@ -373,15 +471,15 @@ def eval_formula(phi, model, s):
     Every free variable of phi must be assigned an element of the domain;
     the row spans only the bound ones.
     """
-    program = RowProgram(model.chain.n - 1, fix=s.get)
-    slot = program.add(phi)
+    program, slot = _fixed_program(phi, model.chain.n - 1)
     program.check_tables(model)
-    for var, x in sorted(program.fixed.items()):
+    fixed = {var: s.get(var) for var in sorted(program.fixed)}
+    for var, x in fixed.items():
         if not 0 <= x < model.domain_size:
             raise ValueError(
                 f"assignment {var}={x} is outside the domain "
                 f"0..{model.domain_size - 1}")
-    return model.chain.carrier[program.in_model(model)[slot][0]]
+    return model.chain.carrier[program.in_model(model, fixed)[slot][0]]
 
 
 def assignment_row(phi, model, variables):
@@ -459,8 +557,10 @@ def _low_columns(chain_n, cells):
     """The levels of `cells` table cells over all chain_n ** cells models
     in canonical order, one column per cell, first cell most significant:
     each level repeated chain_n ** (cells - 1 - g) times, and that pattern
-    chain_n ** g times. Shared between searches, so never changed."""
-    return [list(itertools.chain.from_iterable(
+    chain_n ** g times. Rows of the chain's type (see _row_type); shared
+    between searches, so never changed."""
+    row = _row_type(chain_n - 1)
+    return [row(itertools.chain.from_iterable(
         [level] * chain_n ** (cells - 1 - g) for level in range(chain_n)))
         * chain_n ** g for g in range(cells)]
 
@@ -475,17 +575,19 @@ def model_chunks(cells, chain_n, width):
     keep `width` assignments per model within ROW_CHUNK entries, and holds
     the other cells constant. Yields (first, count, columns): the index of
     the chunk's first model, its number of models and the `count` levels
-    of every cell.
+    of every cell, as rows of the chain's type: byte strings for chains of
+    up to 128 values, lists past that (see _row_type).
     """
     low = 0
     while low < cells and width * chain_n ** (low + 1) <= ROW_CHUNK:
         low += 1
     count = chain_n ** low
+    row = _row_type(chain_n - 1)
     varying = _low_columns(chain_n, low)
     for chunk, high in enumerate(itertools.product(range(chain_n),
                                                    repeat=cells - low)):
-        yield chunk * count, count, [[level] * count for level in high] \
-            + varying
+        yield chunk * count, count, [row((level,)) * count
+                                     for level in high] + varying
 
 
 def _check_model_count(language, predicates, max_domain, chain_n, cap):
@@ -519,7 +621,8 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     hypotheses are one RowProgram, evaluated per domain size over chunks
     of models; a chunk's hypotheses are evaluated only if the goal fails
     in one of its models, and the search stops at the first chunk that
-    holds a countermodel.
+    holds a countermodel, which RowProgram.countermodel finds by row
+    operations.
     """
     chain = Chain(chain_n)
     program = RowProgram(chain_n - 1)
@@ -537,15 +640,15 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
         for first, count, columns in model_chunks(sum(counts), chain_n,
                                                   program.width(size)):
             rows = program.run(size, cells, count, columns, [], goal_steps)
-            if min(rows[goal]) == top:
+            if rows[goal].count(top) == len(rows[goal]):
                 continue
             program.run(size, cells, count, columns, rows,
                         len(program.steps))
-            passes = [_model_mins(rows[h], count) for h in hypotheses]
-            for m, level in enumerate(_model_mins(rows[goal], count)):
-                if level < top and all(p[m] == top for p in passes):
-                    return RefutedBy(_countermodel(
-                        language, size, chain, predicates, counts, first + m))
+            m = program.countermodel(rows[goal],
+                                     [rows[h] for h in hypotheses], count)
+            if m is not None:
+                return RefutedBy(_countermodel(
+                    language, size, chain, predicates, counts, first + m))
     return NoCounterexampleUpTo(max_domain, chain_n)
 
 

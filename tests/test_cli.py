@@ -385,6 +385,8 @@ MUTATED_COMMANDS = {
     "model0.json": ["logic", "eval", "--formula", "E{v0} p(v0)", "--model"],
     "model1.json": ["logic", "valid", "--formula", "A{v0} p(v0) -> p(v1)",
                     "--model"],
+    "model200.json": ["logic", "degree", "--formula",
+                      "E{v1} (p(v0) (+) q(v1)) (*) ~r", "--model"],
     "overcap.json": ["poly", "audit", "--spec"],
     "proof0.json": ["proof", "check", "--proof"],
     "proof1.json": ["proof", "check", "--proof"],

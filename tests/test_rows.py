@@ -7,7 +7,9 @@ quantifier sweeps and the four entry points built on it, renamed with a
 at a time. Seeded formulas over
 0-, 1- and 2-ary predicates, domains up to 3 and chains 2-5 must get the
 same `entails` verdicts and countermodels, and the same `eval_formula`,
-`is_valid` and `truth_degree` values, from both.
+`is_valid` and `truth_degree` values, from both. So must chains on both
+sides of the switch from byte rows to list rows (128, 129 and 200
+values).
 """
 
 import itertools
@@ -229,6 +231,11 @@ def closure_entails(gamma, phi, language, max_domain, chain_n, cap=500000):
 
 LANG = LanguageSpec(num_vars=5, reserve=1,
                     predicates=(("p", 1), ("r", 0), ("s", 2)))
+# the 0-ary predicate alone: a long chain has as many models per domain
+# size as values
+NULLARY = LanguageSpec(num_vars=5, reserve=1, predicates=(("r", 0),))
+# rows are byte strings up to Chain(128) and lists past it
+SWITCH_CHAINS = (128, 129, 200)
 
 # the most models of one domain size a case searches, so that the closure
 # evaluator stays quick
@@ -241,31 +248,32 @@ def outcome(verdict):
     return verdict.max_domain, verdict.chain_n
 
 
-def max_domain_for(formulas, chain_n):
+def max_domain_for(formulas, chain_n, language):
     predicates = set().union(*map(predicates_of, formulas))
     for size in (3, 2):
-        cells = sum(size ** LANG.arity(p) for p in predicates)
+        cells = sum(size ** language.arity(p) for p in predicates)
         if chain_n ** cells <= MODELS_PER_SIZE:
             return size
     return 1
 
 
-def entailment_cases(seed, count):
+def entailment_cases(seed, count, chains=(2, 3, 4, 5), language=LANG):
     """(gamma, phi, max_domain, chain_n): refutable goals, valid goals,
     sound rule instances and random hypotheses, in turn."""
     rng = random.Random(seed)
     for i in range(count):
-        chain_n = 2 + i % 4
-        a, b = (random_formula(rng, LANG, rng.randint(1, 3))
+        chain_n = chains[i % len(chains)]
+        a, b = (random_formula(rng, language, rng.randint(1, 3))
                 for _ in range(2))
         gamma, phi = [
             ([], a),
             ([], Oplus(a, Neg(a)) if i % 8 == 1 else Implies(a, a)),
             ([a, Implies(a, b)], b),
-            ([random_formula(rng, LANG, 2)
+            ([random_formula(rng, language, 2)
               for _ in range(rng.randint(1, 2))], a),
         ][i % 4]
-        yield gamma, phi, max_domain_for(gamma + [phi], chain_n), chain_n
+        yield gamma, phi, max_domain_for(gamma + [phi], chain_n,
+                                         language), chain_n
 
 
 def test_entails_matches_the_closure_evaluator():
@@ -295,19 +303,42 @@ def test_entails_in_small_chunks_matches_the_closure_evaluator(
     assert 0 < refuted < 80
 
 
+def assert_model_matches(phi, model):
+    assert is_valid(phi, model) == closure_is_valid(phi, model)
+    assert truth_degree(phi, model) == closure_truth_degree(phi, model)
+    free = sorted(free_vars(phi))
+    for choice in itertools.product(model.domain, repeat=len(free)):
+        s = Assignment(dict(zip(free, choice)))
+        assert eval_formula(phi, model, s) \
+            == closure_eval_formula(phi, model, s), render(phi)
+
+
 def test_models_match_the_closure_evaluator():
     rng = random.Random(3)
     for i in range(300):
         chain = Chain(2 + i % 4)
         model = random_model(rng, LANG, 3, chain)
-        phi = random_formula(rng, LANG, rng.randint(1, 4))
-        assert is_valid(phi, model) == closure_is_valid(phi, model)
-        assert truth_degree(phi, model) == closure_truth_degree(phi, model)
-        free = sorted(free_vars(phi))
-        for choice in itertools.product(model.domain, repeat=len(free)):
-            s = Assignment(dict(zip(free, choice)))
-            assert eval_formula(phi, model, s) \
-                == closure_eval_formula(phi, model, s), render(phi)
+        assert_model_matches(random_formula(rng, LANG, rng.randint(1, 4)),
+                             model)
+
+
+@pytest.mark.parametrize("chain_n", SWITCH_CHAINS)
+def test_chains_across_the_row_switch_match_the_closure_evaluator(
+        chain_n):
+    rng = random.Random(chain_n)
+    for _ in range(60):
+        model = random_model(rng, LANG, 3, Chain(chain_n))
+        assert_model_matches(random_formula(rng, LANG, rng.randint(1, 4)),
+                             model)
+    kinds = set()
+    for gamma, phi, max_domain, _ in entailment_cases(chain_n, 40,
+                                                      (chain_n,), NULLARY):
+        expected = outcome(closure_entails(gamma, phi, NULLARY, max_domain,
+                                           chain_n))
+        assert outcome(entails(gamma, phi, NULLARY, max_domain, chain_n)) \
+            == expected, ([render(g) for g in gamma], render(phi))
+        kinds.add((bool(gamma), type(expected)))
+    assert len(kinds) == 4
 
 
 def test_errors_match_the_closure_evaluator():

@@ -136,6 +136,27 @@ class TestEval:
                     assert list(_levels(phi, atoms, n - 1)) == expected, \
                         render(phi)
 
+    def test_compiles_once_per_formula_and_chain(self, monkeypatch):
+        compiled = []
+
+        class Counting(semantics.RowProgram):
+            def __init__(self, top, **kwargs):
+                compiled.append(top)
+                super().__init__(top, **kwargs)
+
+        monkeypatch.setattr(semantics, "RowProgram", Counting)
+        semantics._fixed_program.cache_clear()
+        phi = parse("E{v1} s(v0,v1) (*) p(v2)", RICH)
+        for n in (3, 4):
+            model = Model.from_levels(RICH, 2, Chain(n), {
+                "p": (1, n - 1), "s": (0, 0, n - 1, n - 1)})
+            values = [eval_formula(phi, model,
+                                   Assignment({"v0": x, "v2": y}))
+                      for x, y in itertools.product(model.domain, repeat=2)]
+            # one program, read at each assignment
+            assert values == [0, 0, F(1, n - 1), 1]
+        assert compiled == [2, 3]
+
     def test_table_values_must_sit_in_chain(self):
         with pytest.raises(CarrierError):
             Model(LANG, 1, Chain(3), {"p": {(0,): F(1, 3)}})
