@@ -21,8 +21,9 @@ from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
-    MAX_VALUATIONS, AuditReport, Chain, _instance, _level_sums, _transpose,
-    clause_result, homomorphism_clauses, maximal_filters, quotient,
+    MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _level_tables,
+    _read, _row_type, _transpose, clause_result, homomorphism_clauses,
+    maximal_filters, quotient,
 )
 from .polyadic import FunctionalSetAlgebra
 from .syntax import (
@@ -81,32 +82,35 @@ class NotFoundWithin:
 
 def _levels(phi, atoms, top):
     """The truth table of a quantifier-free formula on the levels 0..top
-    of a chain, one entry per valuation of `atoms` in product order: ~ is
-    top - x, and (+), (*) and -> read mv_core._level_sums at the zipped
-    sums. The search's own evaluator: semantics verifies what it finds."""
+    of a chain, one entry per valuation of `atoms` in product order, as an
+    mv_core row of type _row_type(2 * top): ~ reads the row through
+    mv_core._level_tables, and (+), (*) and -> read the sum of the two
+    sides' rows. The search's own tree walk: semantics verifies what it
+    finds."""
     size = (top + 1) ** len(atoms)
     if size > MAX_VALUATIONS:
         raise semantics.SearchTooLarge(
             f"{top + 1}^{len(atoms)} valuations exceed the cap of "
             f"{MAX_VALUATIONS}")
-    plus, times = _level_sums(top)
-    columns = dict(zip(atoms, zip(*itertools.product(range(top + 1),
-                                                     repeat=len(atoms)))))
+    row = _row_type(2 * top)
+    neg, plus, times = _level_tables(top)
+    columns = dict(zip(atoms, map(row, zip(*itertools.product(
+        range(top + 1), repeat=len(atoms))))))
 
     def walk(phi):
         if isinstance(phi, Atom):
             return columns[phi.pred]
         if isinstance(phi, (Top, Bottom)):
-            return [top if isinstance(phi, Top) else 0] * size
+            return row((top if isinstance(phi, Top) else 0,)) * size
         if isinstance(phi, Neg):
-            return [top - x for x in walk(phi.body)]
+            return _read(neg, walk(phi.body))
         if not isinstance(phi, (Oplus, Odot, Implies)):
             raise ValueError("propositional scope admits no quantifiers")
         left, right = walk(phi.left), walk(phi.right)
         if isinstance(phi, Implies):
-            left = [top - x for x in left]  # x -> y is ~x (+) y
+            left = _read(neg, left)  # x -> y is ~x (+) y
         sums = times if isinstance(phi, Odot) else plus
-        return list(map(sums.__getitem__, map(operator.add, left, right)))
+        return _read(sums, _add(left, right))
 
     return walk(phi)
 

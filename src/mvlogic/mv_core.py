@@ -9,6 +9,10 @@ on first use and cached): its operations as integer tables over carrier
 indices. Filters and quotients run on these tables; elements appear only
 in their arguments, their results and their error messages.
 
+Every exhaustive check of the package computes on rows of chain levels or
+carrier indices through the row primitives here: `_row_type`, `_read`,
+`_add`, `_concat`, `_interleave` and the chain's `_level_tables`.
+
 Every audit of the package reports here: `first_witness` finds the first
 failing instance of blocks of identities, compared a row at a time, and an
 `AuditReport` holds an audit's results in checking order. `_AXIOMS`
@@ -19,6 +23,7 @@ Every loader reads its JSON keys through `json_field`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -282,6 +287,66 @@ def _level_sums(top):
     a (*) b = max(a + b - top, 0). Lists, whose bound __getitem__ is
     cheaper to map over than a tuple's."""
     return [*range(top), *[top] * (top + 1)], [*[0] * top, *range(top + 1)]
+
+
+def _row_type(most):
+    """The type of rows whose entries are at most `most`: bytes if
+    most <= 255, so that a table read is one bytes.translate, a sum of
+    two rows one big-int add and a compare one memcmp, else tuple; either
+    can key a dict. Rows that add two levels of Chain(top + 1) take
+    _row_type(2 * top): bytes for chains of up to 128 values."""
+    return bytes if most <= 255 else tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _level_tables(top):
+    """(~, (+), (*)) on the levels 0..top of a finite chain, in the form
+    _read takes for rows of _row_type(2 * top): ~ at a level, (+) and (*)
+    at the sum of two levels (_level_sums); byte strings padded to 256
+    bytes, which _read takes without a copy, or lists."""
+    tables = (list(range(top, -1, -1)), *_level_sums(top))
+    if _row_type(2 * top) is bytes:
+        return tuple(bytes(t).ljust(256, b"\0") for t in tables)
+    return tables
+
+
+def _read(table, at):
+    """The row of table's entries at the entries of the row at: for byte
+    rows one translate, through the table padded to 256 bytes."""
+    if isinstance(at, bytes):
+        return at.translate(table.ljust(256, b"\0"))
+    return tuple(map(table.__getitem__, at))
+
+
+def _add(a, b):
+    """The entrywise sums of two rows of one length: for byte rows one
+    big-int add, which cannot carry while no sum passes 255."""
+    if isinstance(a, bytes):
+        return (int.from_bytes(a, "little")
+                + int.from_bytes(b, "little")).to_bytes(len(a), "little")
+    return tuple(map(add, a, b))
+
+
+def _concat(parts, row_type):
+    """The row of a type that concatenates the pieces `parts`."""
+    if row_type is bytes:
+        return b"".join(parts)
+    return tuple(itertools.chain.from_iterable(parts))
+
+
+def _interleave(rows):
+    """The rows' entries position by position, as one row: byte strings
+    into one, filled a row at a time by extended-slice assignment, any
+    other rows into a tuple."""
+    if isinstance(rows[0], bytes):
+        k = len(rows)
+        out = bytearray(k * len(rows[0]))
+        for i, row in enumerate(rows):
+            out[i::k] = row
+        return bytes(out)
+    if len(rows) == 1:
+        return tuple(rows[0])
+    return tuple(itertools.chain.from_iterable(zip(*rows)))
 
 
 class StandardRationals(MVAlgebra):
@@ -582,25 +647,25 @@ def homomorphism_clauses(V, rows, top):
 
     rows[i] is psi of carrier index i as levels 0..top of a chain, one per
     coordinate x. The right sides are built a column x at a time from the
-    chain's level tables (_level_sums), once per level psi_x(p): psi_x(~p)
-    is top - psi_x(p) and psi_x(p (+) q) is plus[psi_x(p) + psi_x(q)],
-    times for (*). The ~ clause is one block of rows over p, the (+) and
-    (*) clauses one block per p over q (see first_witness), so a witness
-    is the first p, or (p, q), whose rows differ.
+    chain's level tables (_level_tables), once per level psi_x(p):
+    psi_x(~p) is neg[psi_x(p)] and psi_x(p (+) q) is
+    plus[psi_x(p) + psi_x(q)], times for (*). The ~ clause is one block of
+    rows over p, the (+) and (*) clauses one block per p over q (see
+    first_witness), so a witness is the first p, or (p, q), whose rows
+    differ.
     """
     els = V.elements
     n = len(rows)
     columns = list(zip(*rows))
-    flip = range(top, -1, -1)
+    neg, plus, times = _level_tables(top)
     results = [clause_result("neg", [(
         list(map(rows.__getitem__, V.neg)),
-        _transpose([tuple(map(flip.__getitem__, col)) for col in columns], n),
+        _transpose([_read(neg, col) for col in columns], n),
         zip(els))])]
-    plus, times = _level_sums(top)
     for name, table, sums in (("oplus", V.oplus, plus),
                               ("odot", V.odot, times)):
         # by_level[xi][r] is the column of r . psi_x(q) over q
-        by_level = [[tuple(map(sums.__getitem__, map(r.__add__, col)))
+        by_level = [[_read(sums, map(r.__add__, col))
                      for r in range(top + 1)] for col in columns]
         results.append(clause_result(name, (
             (list(map(rows.__getitem__, table[i])),
@@ -652,21 +717,6 @@ _AXIOMS = (
     ("8-lukasiewicz", 2, lambda P, D, N, zero, one, x, y, z:
      ((P(N(P(N(x), y)), y), P(N(P(N(y), x)), x)),)),
 )
-
-
-def _interleave(rows):
-    """The rows' entries position by position, as one row: byte strings
-    into one, filled a row at a time by extended-slice assignment, any
-    other rows into a tuple."""
-    if isinstance(rows[0], bytes):
-        k = len(rows)
-        out = bytearray(k * len(rows[0]))
-        for i, row in enumerate(rows):
-            out[i::k] = row
-        return bytes(out)
-    if len(rows) == 1:
-        return tuple(rows[0])
-    return tuple(itertools.chain.from_iterable(zip(*rows)))
 
 
 def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):

@@ -21,8 +21,9 @@ operations, on which interlab's term_eval, the second route the eta check
 compares against, runs.
 
 Inside the engine a value of the chain is an integer level (the closure
-of `build_generated` runs on tuples of levels), and `Fraction` appears
-only at the edges: the elements handed out, the specs and the reports.
+of `build_generated` runs on mv_core's rows of levels), and `Fraction`
+appears only at the edges: the elements handed out, the specs and the
+reports.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
-    _instance, _interleave, _level_sums, first_witness,
+    _add, _instance, _interleave, _level_tables, _read, _row_type,
+    first_witness,
     format_point, format_value, is_json_int, is_json_object, is_json_str,
     json_field, json_index_into, json_list_of, parse_point, parse_value,
 )
@@ -189,29 +190,6 @@ class IndexedAlgebra(IndexedMV):
                          if self.cylinder({i})[a] != a)
 
 
-def _level_ops(chain):
-    """(neg, oplus, odot) of a finite chain on tuples of integer levels.
-
-    Level r stands for the chain value r/top: neg is top - a, oplus is
-    min(a + b, top) and odot is max(a + b - top, 0), entry by entry, the
-    last two read off mv_core._level_sums.
-    """
-    top = chain.n - 1
-    flip = list(range(top, -1, -1))
-    plus, times = _level_sums(top)
-
-    def neg(p):
-        return tuple(map(flip.__getitem__, p))
-
-    def oplus(p, q):
-        return tuple(map(plus.__getitem__, map(add, p, q)))
-
-    def odot(p, q):
-        return tuple(map(times.__getitem__, map(add, p, q)))
-
-    return neg, oplus, odot
-
-
 class FunctionalSetAlgebra:
     """Algebra of maps from assignment tuples ^I X into a finite chain.
 
@@ -291,7 +269,7 @@ class FunctionalSetAlgebra:
         return perm
 
     def subst_el(self, tau, p):
-        return tuple(map(p.__getitem__, self._perm(tau)))
+        return type(p)(map(p.__getitem__, self._perm(tau)))
 
     def _blocks(self, j):
         key = frozenset(j)
@@ -317,7 +295,7 @@ class FunctionalSetAlgebra:
             return p
         block_id, members = self._blocks(frozenset(j))
         sups = [max(map(p.__getitem__, positions)) for positions in members]
-        return tuple(map(sups.__getitem__, block_id))
+        return type(p)(map(sups.__getitem__, block_id))
 
     def q_el(self, j, p):
         return self.neg(self.cyl_el(j, self.neg(p)))
@@ -366,10 +344,11 @@ def build_generated(index_set, base, chain, generators, transformations,
     the binary combinations with all earlier elements. Exceeding the cap
     raises; a partial carrier is never returned.
 
-    The closure runs on tuples of integer chain levels, v at v * top (see
-    _level_ops), and records the carrier index of each result as the
-    tables of the view, the (+) of i with k <= i also as entry [k][i];
-    each element becomes a tuple of chain values once, at the end.
+    The closure runs on mv_core rows of integer chain levels, v at v * top,
+    of type _row_type(2 * top), through mv_core._level_tables, and records
+    the carrier index of each result as the tables of the view, the (+) of
+    i with k <= i also as entry [k][i]; each element becomes a tuple of
+    chain values once, at the end.
     """
     if isinstance(base, int):
         base = range(base)
@@ -393,8 +372,9 @@ def build_generated(index_set, base, chain, generators, transformations,
     algebra = FunctionalSetAlgebra(
         index_set, base, chain, carrier=(), generators=(),
         transformations=maps, scopes=scopes)
-    neg, oplus, odot = _level_ops(chain)
     top = chain.n - 1
+    row = _row_type(2 * top)
+    neg, plus, times = _level_tables(top)
     elements = []
     index = {}
     negs, sums = [], []
@@ -410,26 +390,27 @@ def build_generated(index_set, base, chain, generators, transformations,
             elements.append(p)
         return i
 
-    admit((0,) * size)
-    admit((top,) * size)
+    admit(row((0,)) * size)
+    admit(row((top,)) * size)
     for g in gens:
-        admit(tuple((v * top).numerator for v in g))
+        admit(row((v * top).numerator for v in g))
 
     i = 0
     while i < len(elements):
         p = elements[i]
-        negs.append(admit(neg(p)))
+        negs.append(admit(_read(neg, p)))
         for tau in maps:
             substs[tau].append(admit(algebra.subst_el(tau, p)))
         for j in scopes:
             cyls[j].append(admit(algebra.cyl_el(j, p)))
-        row = []
+        found = []
         for k, q in enumerate(elements[: i + 1]):
-            row.append(admit(oplus(p, q)))
-            admit(odot(p, q))
+            both = _add(p, q)
+            found.append(admit(_read(plus, both)))
+            admit(_read(times, both))
             if k < i:
-                sums[k].append(row[k])
-        sums.append(row)
+                sums[k].append(found[k])
+        sums.append(found)
         i += 1
 
     value = {r: Fraction(r, top) for r in set().union(*elements)}
@@ -700,14 +681,6 @@ class IdentityResult:
     witness: tuple | None = None
 
 
-def _read(table, at):
-    """The row of table's entries at the entries of the row at: for byte
-    strings one translate, through table padded to 256 bytes."""
-    if isinstance(at, bytes):
-        return at.translate(table.ljust(256, b"\0"))
-    return tuple(map(table.__getitem__, at))
-
-
 def audit_axioms(algebra):
     """Exhaustively verify every identity family over the whole carrier.
 
@@ -717,16 +690,14 @@ def audit_axioms(algebra):
     quantifier laws. Failures carry the witnessing tuple in element form.
 
     The instances are checked a table row at a time (see
-    mv_core.first_witness).
-    A row holds one side of a law at every carrier element, and is built
-    by reading one index table at the entries of another (_read): s_sigma
-    read at s_tau against s_(sigma tau). Rows are byte strings while the
-    carrier has at most 256 elements, so that a read is one
-    bytes.translate and a compare one memcmp, and tuples past that. The
-    rows of each law are compared whole; only a block whose rows differ
-    is walked, its laws interleaved element by element, so `checked` and
-    every witness are those of a walk over one instance at a time in the
-    order of the rows.
+    mv_core.first_witness). A row holds one side of a law at every
+    carrier element, and is built by reading one index table at the
+    entries of another (mv_core._read): s_sigma read at s_tau against
+    s_(sigma tau). Rows are mv_core's, of type _row_type(n - 1) for a
+    carrier of n elements. The rows of each law are compared whole; only a
+    block whose rows differ is walked, its laws interleaved element by
+    element, so `checked` and every witness are those of a walk over one
+    instance at a time in the order of the rows.
 
     The endomorphism laws of s_t are one block per map: the rows of ~
     over p and of (+) and (*) over the pairs (p, q), p-major; a map whose
@@ -745,8 +716,8 @@ def audit_axioms(algebra):
     maps = V.maps
     map_set = set(maps)
     index = list(algebra.index_set)
-    # the tables as rows, bytes while every carrier index fits a byte
-    row = bytes if n <= 256 else tuple
+    # the tables as mv_core rows of carrier indices
+    row = _row_type(n - 1)
     ones, neg = row((True,) * n), row(V.neg)
     S = {t: row(table) for t, table in V.subst.items()}
     C = {j: row(table) for j, table in V.cyl.items()}

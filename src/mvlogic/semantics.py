@@ -12,34 +12,34 @@ chain, where the connectives act pointwise and E and A are
 cylindrifications (block sup and inf). A RowProgram compiles formulas once
 into steps, one per distinct subformula, and evaluates each step as one
 row: its levels at every assignment of its variables and every model of a
-batch. A row is a byte string while every level and every sum of two
-levels fits in a byte (2 * top <= 255, chains of up to 128 values), so
-that a step is a few passes in C: a translate through a level table, a
-big-int add of two rows, slicing and repetition. Past that a row is a
-list, and the same steps map over it. E and A fold a row's blocks with
-the lattice operations, on byte rows written in the MV ones,
-x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), and on list rows
-max and min. `entails` takes the models of one domain size in chunks of
-canonical order (`model_chunks`), reads atoms off per-cell model columns,
-finds the first countermodel of a chunk by row operations too, and stops
-at the first chunk that holds one. `eval_formula` compiles a formula once
-per chain, and it, `is_valid` and `truth_degree` evaluate a batch of one
-model. A row's assignments per model are capped at MAX_VALUATIONS before
-any row is built. `Fraction` values appear only at the edges: a
-user-supplied Model is read into levels once, results come back as chain
-values, and a Model is built only for a reported countermodel.
+batch. Rows, their type and the level tables come from mv_core
+(`_row_type(2 * top)`, `_level_tables`, `_read`, `_add`, `_concat`), so
+that on byte rows a step is a few passes in C: a translate through a
+level table, a big-int add of two rows, slicing and repetition. E and A
+fold a row's blocks with the lattice operations, on byte rows written in
+the MV ones, x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), and on
+tuple rows max and min. `entails` takes the models of one domain size in
+chunks of canonical order (`model_chunks`), reads atoms off per-cell model
+columns, finds the first countermodel of a chunk by row operations too,
+and stops at the first chunk that holds one. `eval_formula` compiles a
+formula once per chain, and it, `is_valid` and `truth_degree` evaluate a
+batch of one model. A row's assignments per model are capped at
+MAX_VALUATIONS before any row is built. `Fraction` values appear only at
+the edges: a user-supplied Model is read into levels once, a result level
+r comes back as the chain value r/top (the chain's carrier is never
+built), and a Model is built only for a reported countermodel.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
+from fractions import Fraction
 
 from .mv_core import (
-    MAX_VALUATIONS, Chain, CarrierError, _level_sums, format_point,
-    format_value, is_json_int, is_json_object, json_field, parse_point,
-    parse_value,
+    MAX_VALUATIONS, Chain, CarrierError, _add, _concat, _level_tables,
+    _read, _row_type, format_point, format_value, is_json_int,
+    is_json_object, json_field, parse_point, parse_value,
 )
 from . import syntax
 from .syntax import (
@@ -165,51 +165,6 @@ ROW_CHUNK = 1 << 15
 _CONNECTIVES = {Oplus: "plus", Odot: "times", Implies: "plus"}
 
 
-def _row_type(top):
-    """The type of the rows of Chain(top + 1): bytes while every level and
-    every sum of two levels fits in a byte (2 * top <= 255), else list."""
-    return bytes if 2 * top <= 255 else list
-
-
-@functools.lru_cache(maxsize=16)
-def _level_tables(top):
-    """The tables a RowProgram reads for Chain(top + 1), in the form _read
-    takes for its row type: ~ at a level, (+) and (*) at the sum of two
-    levels (mv_core._level_sums), and the flags of a level below the top
-    and of the top."""
-    row_type = _row_type(top)
-    plus, times = _level_sums(top)
-    return tuple(
-        bytes(levels).ljust(256, b"\0") if row_type is bytes
-        else list(levels)
-        for levels in (range(top, -1, -1), plus, times,
-                       [1] * top + [0], [0] * top + [1]))
-
-
-def _read(table, at):
-    """The row of table's entries at the entries of the row at: for byte
-    rows one translate, through a table padded to 256 bytes."""
-    if isinstance(at, bytes):
-        return at.translate(table)
-    return list(map(table.__getitem__, at))
-
-
-def _add(a, b):
-    """The entrywise sums of two rows of one length: for byte rows one
-    big-int add, which cannot carry, as no entry passes 127."""
-    if isinstance(a, bytes):
-        return (int.from_bytes(a, "little")
-                + int.from_bytes(b, "little")).to_bytes(len(a), "little")
-    return list(map(operator.add, a, b))
-
-
-def _concat(parts, row_type):
-    """The row of a type that concatenates the pieces `parts`."""
-    if row_type is bytes:
-        return b"".join(parts)
-    return list(itertools.chain.from_iterable(parts))
-
-
 class RowProgram:
     """Formulas compiled once into row steps for Chain(top + 1).
 
@@ -217,14 +172,12 @@ class RowProgram:
     model) pair of a batch of `count` models: the assignments of the
     step's variables (`vars`, in the order of syntax._var_key) in product
     order, the first variable most significant, each holding one entry per
-    model. A row is a byte string while every level and every sum of two
-    levels fits in a byte (2 * top <= 255, chains of up to 128 values),
-    and a list past that; the type is chosen once, from top, and only the
-    primitives _read, _add and _concat tell the two apart. An atom
+    model. Rows are mv_core's, of type _row_type(2 * top), chosen once, and
+    only mv_core's primitives tell the two types apart. An atom
     concatenates its table cells' model columns; ~ reads the row through
     the negation table, and (+) and (*) add two rows and read the sums
-    through mv_core._level_sums (x -> y is ~x (+) y), so on byte rows each
-    is a pass or two in C. A `spread` step repeats a row along the
+    through mv_core._level_tables (x -> y is ~x (+) y), so on byte rows
+    each is a pass or two in C. A `spread` step repeats a row along the
     variables it lacks, so that the two rows of a connective line up; and
     E and A take the join and meet of the row's blocks along one variable
     (cylindrification), on byte rows from x v y = (x (*) ~y) (+) y and
@@ -245,9 +198,8 @@ class RowProgram:
         self.steps = []
         self.vars = []
         self._slots = {}
-        self.row_type = _row_type(top)
-        self._neg, self._plus, self._times, self._fails, self._holds = \
-            _level_tables(top)
+        self.row_type = _row_type(2 * top)
+        self._neg, self._plus, self._times = _level_tables(top)
 
     def add(self, phi, bound=frozenset()):
         """The slot of phi's row, compiling what is not yet compiled."""
@@ -374,15 +326,15 @@ class RowProgram:
 
     def join(self, x, y):
         """x v y entry by entry, on byte rows as (x (*) ~y) (+) y."""
-        if self.row_type is list:
-            return list(map(max, x, y))
+        if self.row_type is tuple:
+            return tuple(map(max, x, y))
         return _read(self._plus, _add(
             _read(self._times, _add(x, _read(self._neg, y))), y))
 
     def meet(self, x, y):
         """x ^ y entry by entry, on byte rows as x (*) (~x (+) y)."""
-        if self.row_type is list:
-            return list(map(min, x, y))
+        if self.row_type is tuple:
+            return tuple(map(min, x, y))
         return _read(self._times, _add(
             x, _read(self._plus, _add(_read(self._neg, x), y))))
 
@@ -391,10 +343,11 @@ class RowProgram:
         falls below the top and every hypothesis row is at the top, or
         None. Each model's least level of the goal and of all hypotheses
         is read into a flag, and the flags add up to 2 exactly there."""
-        passes = _concat(hypotheses, self.row_type) \
-            or self.row_type((self.top,)) * count
-        flags = _add(_read(self._fails, _fold(goal, count, self.meet)),
-                     _read(self._holds, _fold(passes, count, self.meet)))
+        row, top = self.row_type, self.top
+        passes = _concat(hypotheses, row) or row((top,)) * count
+        fails, holds = row([1] * top + [0]), row([0] * top + [1])
+        flags = _add(_read(fails, _fold(goal, count, self.meet)),
+                     _read(holds, _fold(passes, count, self.meet)))
         return flags.index(2) if 2 in flags else None
 
     def check_tables(self, model):
@@ -434,9 +387,9 @@ def _cylinder(row, j, size, bound):
     """The bound (join or meet) of the row over the values of axis j: the
     row's entries at each value of j, laid end to end (one strided slice
     per value when they are single entries), then folded. On byte rows,
-    while 2 * top <= 255, the join and meet are built from ~, (+) and (*)
-    as x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), so a fold is
-    translates and big-int adds; list rows take max and min."""
+    the join and meet are built from ~, (+) and (*) as
+    x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), so a fold is
+    translates and big-int adds; tuple rows take max and min."""
     block = len(row) // size ** j
     step = block // size
     if step == 1:
@@ -479,7 +432,7 @@ def eval_formula(phi, model, s):
             raise ValueError(
                 f"assignment {var}={x} is outside the domain "
                 f"0..{model.domain_size - 1}")
-    return model.chain.carrier[program.in_model(model, fixed)[slot][0]]
+    return Fraction(program.in_model(model, fixed)[slot][0], program.top)
 
 
 def assignment_row(phi, model, variables):
@@ -512,7 +465,7 @@ def truth_degree(phi, model):
     """Infimum of the value over assignments of the free variables."""
     program = RowProgram(model.chain.n - 1)
     slot = program.add(phi)
-    return model.chain.carrier[min(program.in_model(model)[slot])]
+    return Fraction(min(program.in_model(model)[slot]), program.top)
 
 
 class RefutedBy:
@@ -557,9 +510,9 @@ def _low_columns(chain_n, cells):
     """The levels of `cells` table cells over all chain_n ** cells models
     in canonical order, one column per cell, first cell most significant:
     each level repeated chain_n ** (cells - 1 - g) times, and that pattern
-    chain_n ** g times. Rows of the chain's type (see _row_type); shared
-    between searches, so never changed."""
-    row = _row_type(chain_n - 1)
+    chain_n ** g times. Rows of the chain's type (mv_core._row_type of
+    twice its top); shared between searches, so never changed."""
+    row = _row_type(2 * (chain_n - 1))
     return [row(itertools.chain.from_iterable(
         [level] * chain_n ** (cells - 1 - g) for level in range(chain_n)))
         * chain_n ** g for g in range(cells)]
@@ -575,14 +528,14 @@ def model_chunks(cells, chain_n, width):
     keep `width` assignments per model within ROW_CHUNK entries, and holds
     the other cells constant. Yields (first, count, columns): the index of
     the chunk's first model, its number of models and the `count` levels
-    of every cell, as rows of the chain's type: byte strings for chains of
-    up to 128 values, lists past that (see _row_type).
+    of every cell, as rows of the chain's type, mv_core._row_type of twice
+    its top.
     """
     low = 0
     while low < cells and width * chain_n ** (low + 1) <= ROW_CHUNK:
         low += 1
     count = chain_n ** low
-    row = _row_type(chain_n - 1)
+    row = _row_type(2 * (chain_n - 1))
     varying = _low_columns(chain_n, low)
     for chunk, high in enumerate(itertools.product(range(chain_n),
                                                    repeat=cells - low)):

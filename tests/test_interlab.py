@@ -223,7 +223,7 @@ class TestCaps:
         def built(*args):
             raise AssertionError("a truth table past the cap was built")
 
-        monkeypatch.setattr(interlab, "_level_sums", built)
+        monkeypatch.setattr(interlab, "_level_tables", built)
         split = VocabSplit(frozenset({"p", "q", "s"}), frozenset({"q", "r"}))
         a = parse("p (*) q (*) s", LanguageSpec(
             num_vars=2, reserve=1,

@@ -669,3 +669,61 @@ class TestJsonField:
         index = json_index_into("abc")
         assert [index(v) for v in (0, 2, 3, -1, False)] \
             == [True, True, False, False, False]
+
+
+class TestRows:
+    """The row primitives give the same entries on both row types: byte
+    strings up to entries of 255, tuples past that."""
+
+    ROW_TYPES = mv_core._row_type(254), mv_core._row_type(256)
+
+    def test_the_switch(self):
+        assert self.ROW_TYPES == (bytes, tuple)
+        assert mv_core._row_type(255) is bytes
+
+    def test_read(self):
+        # a table of 130 entries: a byte table is read unpadded
+        table = [(7 * k) % 200 for k in range(130)]
+        at = [0, 129, 5, 64, 128, 5]
+        for row in self.ROW_TYPES:
+            got = mv_core._read(row(table), row(at))
+            assert type(got) is row
+            assert list(got) == [table[k] for k in at]
+
+    def test_add(self):
+        # the byte sums reach 255 and do not carry
+        a, b = [0, 200, 127, 255, 1], [255, 55, 128, 0, 1]
+        for row in self.ROW_TYPES:
+            got = mv_core._add(row(a), row(b))
+            assert type(got) is row
+            assert list(got) == [255, 255, 255, 255, 2]
+
+    def test_concat(self):
+        parts = [[1, 2], [], [255], [0, 7, 9]]
+        for row in self.ROW_TYPES:
+            got = mv_core._concat(map(row, parts), row)
+            assert type(got) is row
+            assert list(got) == [1, 2, 255, 0, 7, 9]
+            assert mv_core._concat([], row) == row()
+
+    def test_interleave(self):
+        rows = [[1, 2, 3], [4, 5, 6], [255, 0, 9]]
+        for row in self.ROW_TYPES:
+            got = mv_core._interleave([row(r) for r in rows])
+            assert type(got) is row
+            assert list(got) == [1, 4, 255, 2, 5, 0, 3, 6, 9]
+            assert list(mv_core._interleave([row(rows[0])])) == rows[0]
+
+    def test_level_tables_read_as_the_chain_operations(self):
+        # top 127 takes byte rows, top 128 tuple rows
+        for top in (1, 2, 127, 128):
+            row = mv_core._row_type(2 * top)
+            neg, plus, times = mv_core._level_tables(top)
+            x = row(range(top + 1))
+            y = row(3 * a % (top + 1) for a in range(top + 1))
+            both = mv_core._add(x, y)
+            assert list(mv_core._read(neg, x)) == [top - a for a in x]
+            assert list(mv_core._read(plus, both)) \
+                == [min(a + b, top) for a, b in zip(x, y)]
+            assert list(mv_core._read(times, both)) \
+                == [max(a + b - top, 0) for a, b in zip(x, y)]

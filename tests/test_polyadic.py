@@ -164,6 +164,14 @@ CLOSURE_SPECS = {
     "singletons": _spec((0, 1, 2), L3, PATTERN_GEN, scopes="singletons"),
 }
 
+# halves over a chain on each side of the switch from byte rows to tuple
+# rows (2 * top <= 255, chains of up to 128 values): their sums pass 255
+# at 129 and 201 values
+CLOSURE_SPECS.update(
+    (f"l{n}-halves", _spec((0, 1), Chain(n), [_by_levels(
+        Chain(n), 2, (n // 2, 0, n - 1, n // 2))], cap=100))
+    for n in (127, 129, 201))
+
 
 class TestClosureAgainstReference:
     def test_fixtures_are_covered(self):

@@ -118,11 +118,13 @@ class TestEval:
 
     def test_levels_agree_with_propositional_evaluator(self):
         # interlab's truth tables on levels against the Fraction reference,
-        # valuations in product order
+        # valuations in product order; chains 128, 129 and 200 (one atom)
+        # sit on both sides of the switch from byte rows to tuple rows
         rng = random.Random(12)
-        for n in range(2, 7):
+        for n, atoms in [*((n, 3) for n in range(2, 7)),
+                         (128, 1), (129, 1), (200, 1)]:
             chain = Chain(n)
-            for k in range(1, 4):
+            for k in range(1, atoms + 1):
                 atoms = [name for name, _ in PROPS.predicates[:k]]
                 lang = LanguageSpec(num_vars=2, reserve=1,
                                     predicates=PROPS.predicates[:k])
@@ -135,6 +137,24 @@ class TestEval:
                                                         repeat=k)]
                     assert list(_levels(phi, atoms, n - 1)) == expected, \
                         render(phi)
+
+    def test_chain_carrier_is_never_read(self, monkeypatch):
+        # a level r is reported as r/top, so neither function builds the
+        # chain's n values to report one of them
+        def unread(chain):
+            raise AssertionError("Chain.carrier was read")
+
+        monkeypatch.setattr(Chain, "carrier", property(unread))
+        n = 10 ** 6
+        model = Model.from_levels(RICH, 2, Chain(n), {
+            "p": (1, n - 1), "s": (0, 0, n - 2, n - 1)})
+        phi = parse("E{v1} s(v0,v1) (*) p(v2)", RICH)
+        assert eval_formula(phi, model, Assignment({"v0": 1, "v2": 0})) \
+            == F(1, n - 1)
+        assert eval_formula(phi, model, Assignment({"v0": 0, "v2": 1})) \
+            == 0
+        assert truth_degree(parse("A{v1} s(v0,v1) (+) p(v0)", RICH),
+                            model) == F(1, n - 1)
 
     def test_compiles_once_per_formula_and_chain(self, monkeypatch):
         compiled = []
