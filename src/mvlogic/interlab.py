@@ -365,7 +365,7 @@ def representation_map(algebra, hf):
                                            ("0",))]),
         clause_result("unit-1", [_instance(rows[V.one], (top,) * len(vs),
                                            ("1",))]),
-        *homomorphism_clauses(V, rows, top),
+        *homomorphism_clauses(V, columns, top),
         clause_result("subst-action", subst_blocks()),
         cyl_sup_clause(V, rows),
     ]

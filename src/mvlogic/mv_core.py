@@ -17,7 +17,7 @@ Every audit of the package reports here: `first_witness` finds the first
 failing instance of blocks of identities, compared a row at a time, and an
 `AuditReport` holds an audit's results in checking order. `_AXIOMS`
 declares the eight MV axiom groups once, as laws over rows of values;
-`homomorphism_clauses` checks a map into a chain given by level rows.
+`homomorphism_clauses` checks a map into a chain given by its columns.
 Every loader reads its JSON keys through `json_field`.
 """
 
@@ -641,37 +641,41 @@ def _transpose(columns, n):
     return list(zip(*columns)) if columns else [()] * n
 
 
-def homomorphism_clauses(V, rows, top):
-    """The ~, (+) and (*) clauses of a map psi given by level rows: the
-    quotient projection and both representation maps.
+def homomorphism_clauses(V, columns, top):
+    """The ~, (+) and (*) clauses of a map psi into a chain, given by its
+    columns: the quotient projection and both representation maps.
 
-    rows[i] is psi of carrier index i as levels 0..top of a chain, one per
-    coordinate x. The right sides are built a column x at a time from the
-    chain's level tables (_level_tables), once per level psi_x(p):
-    psi_x(~p) is neg[psi_x(p)] and psi_x(p (+) q) is
-    plus[psi_x(p) + psi_x(q)], times for (*). The ~ clause is one block of
-    rows over p, the (+) and (*) clauses one block per p over q (see
-    first_witness), so a witness is the first p, or (p, q), whose rows
-    differ.
+    columns[xi][i] is psi_x of carrier index i, a level 0..top, for the
+    xi-th coordinate x, and rows are of _row_type(max(n - 1, 2 * top)).
+    ~ is one block over p, (+) one block per element p over q: each psi_x
+    read at p's row of the (+) table against the level row of psi_x(p),
+    built once per x and level from _level_tables; (*) likewise. Only a
+    block whose columns differ is rescanned, as per-instance tuples (see
+    first_witness): a witness is the first p, or (p, q), whose images differ.
     """
-    els = V.elements
-    n = len(rows)
-    columns = list(zip(*rows))
+    els, n = V.elements, len(V.carrier)
+    row = _row_type(max(n - 1, 2 * top))
+    columns = [row(col) for col in columns]
     neg, plus, times = _level_tables(top)
-    results = [clause_result("neg", [(
-        list(map(rows.__getitem__, V.neg)),
-        _transpose([_read(neg, col) for col in columns], n),
-        zip(els))])]
+
+    def block(lhs, rhs, witnesses):  # equal columns count n instances
+        return ((lhs, rhs, witnesses, n) if lhs == rhs
+                else (_transpose(lhs, n), _transpose(rhs, n), witnesses))
+
+    negs = row(V.neg)
+    results = [clause_result("neg", [block(
+        [_read(col, negs) for col in columns],
+        [_read(neg, col) for col in columns], zip(els))])]
     for name, table, sums in (("oplus", V.oplus, plus),
                               ("odot", V.odot, times)):
-        # by_level[xi][r] is the column of r . psi_x(q) over q
-        by_level = [[_read(sums, map(r.__add__, col))
-                     for r in range(top + 1)] for col in columns]
+        # by_level[xi][r] is the row of r . psi_x(q) over q
+        by_level = [[_read(sums[r:], col) for r in range(top + 1)]
+                    for col in columns]
         results.append(clause_result(name, (
-            (list(map(rows.__getitem__, table[i])),
-             _transpose([col[r] for col, r in zip(by_level, row)], n),
-             zip(itertools.repeat(els[i]), els))
-            for i, row in enumerate(rows))))
+            block([_read(col, at) for col in columns],
+                  [levels[col[i]] for col, levels in zip(columns, by_level)],
+                  zip(itertools.repeat(els[i]), els))
+            for i, at in enumerate(map(row, table)))))
     return results
 
 
@@ -964,9 +968,13 @@ def quotient_ranks(flt):
     ranks = tuple(rank[k] for k in class_of)
     top = len(reps) - 1
 
-    # the ranks as one-coordinate rows of a map into the chain; a witness
-    # is read back as elements of the filter's algebra
-    clauses = homomorphism_clauses(V, [(r,) for r in ranks], top)
+    # the ranks as the one column of a map into the chain; a corrupted table
+    # can give a class rank -1, no level, and ~ breaks there or before
+    if min(ranks) < 0:
+        p = next(p for p in V.carrier if ranks[V.neg[p]] != top - ranks[p])
+        clauses = [ClauseResult("neg", False, (V.elements[p],))]
+    else:
+        clauses = homomorphism_clauses(V, [ranks], top)
     for symbol, clause in zip(("~", "(+)", "(*)"), clauses):
         if not clause.holds:
             at = ",".join(repr(dec(V.index_of[x])) for x in clause.witness)

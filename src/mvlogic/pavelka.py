@@ -183,7 +183,7 @@ def pavelka_representation(algebra, pav, hf):
             [rows[c] for _, c in pav._bar],
             [(l,) * len(vs) for l, _ in pav._bar],
             zip(pav.levels))]),
-        *homomorphism_clauses(V, rows, top),
+        *homomorphism_clauses(V, list(zip(*rows)), top),
         cyl_sup_clause(V, rows),
     ]
     psi = {p: tuple(pav.chain.carrier[r] for r in rows[i])

@@ -297,9 +297,6 @@ class FunctionalSetAlgebra:
         sups = [max(map(p.__getitem__, positions)) for positions in members]
         return type(p)(map(sups.__getitem__, block_id))
 
-    def q_el(self, j, p):
-        return self.neg(self.cyl_el(j, self.neg(p)))
-
     def mv_view(self):
         """The MV reduct for the filter machinery: the algebra itself."""
         return self

@@ -150,11 +150,6 @@ class Assignment:
     def get(self, var):
         return self.mapping.get(var, self.default)
 
-    def agrees_off(self, other, block):
-        keys = set(self.mapping) | set(other.mapping)
-        return all(self.get(v) == other.get(v)
-                   for v in keys if v not in block)
-
 
 # The most entries a row of a model chunk holds: entails takes as many
 # models at a time as keep its widest row within this, so a chunk's rows

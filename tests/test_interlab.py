@@ -21,6 +21,7 @@ from mvlogic.syntax import (
 )
 from mvlogic.transform import FinTransformation, compose
 from test_acceptance import boolean_representatives
+from test_polyadic import CLOSURE_SPECS
 from test_semantics import _prop_eval
 
 PROPS = LanguageSpec(num_vars=2, reserve=1,
@@ -408,9 +409,16 @@ def reference_clauses(V, rows, vs, top):
 SPOTS = [None, (0, 0), (1, 0), (2, 1), (5, 2), (-1, -1), (9, 3), (40, 1)]
 
 
+def l129_halves():
+    """The 81-element halves algebra over Chain(129): Pavelka's top is
+    128, so its psi rows are tuples rather than byte strings."""
+    *args, cap = CLOSURE_SPECS["l129-halves"]
+    return build_generated(*args, cap=cap)
+
+
 class TestClausesAgainstReference:
-    @pytest.fixture(params=[small_algebra, pattern_algebra],
-                    ids=["small", "pattern"])
+    @pytest.fixture(params=[small_algebra, pattern_algebra, l129_halves],
+                    ids=["small", "pattern", "l129-halves"])
     def perturbed(self, request, monkeypatch):
         """(algebra, rows seen): psi_rows with one entry moved, per spot."""
         algebra = request.param()

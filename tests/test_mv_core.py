@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import tracemalloc
@@ -596,6 +597,78 @@ class TestFilterKernelAgainstReference:
             assert (chain.n, projection) == ref.quotient(f)
 
 
+def reference_quotient(algebra, members):
+    """quotient(algebra, Filter(algebra, members)) as the text of its
+    NonMaximalFilter or as (chain size, projection), on the algebra's own
+    operations: the classes, their order and their ranks as quotient_ranks
+    finds them, then the ~, (+) and (*) clauses checked one p, or one
+    (p, q), at a time, as the quotient checked them before it compared
+    whole columns. A rank of -1, which a corrupted table can give, is
+    compared as the integer it is."""
+    els, imp = algebra.carrier, algebra.implies
+    reps, class_of = [], []
+    for a in els:
+        for k, r in enumerate(reps):
+            if algebra.odot(imp(a, r), imp(r, a)) in members:
+                class_of.append(k)
+                break
+        else:
+            class_of.append(len(reps))
+            reps.append(a)
+    for r, s in itertools.combinations(reps, 2):
+        if imp(r, s) not in members and imp(s, r) not in members:
+            return (f"classes of {r!r} and {s!r} are incomparable; "
+                    "quotient is no chain")
+    rank = [sum(imp(s, r) in members for s in reps) - 1 for r in reps]
+    ranks = {p: rank[k] for p, k in zip(els, class_of)}
+    top = len(reps) - 1
+    for p in els:
+        if ranks[algebra.neg(p)] != top - ranks[p]:
+            return f"projection breaks ~ at {p!r}"
+    for symbol, op, combine in (
+            ("(+)", algebra.oplus, lambda u, v: min(u + v, top)),
+            ("(*)", algebra.odot, lambda u, v: max(u + v - top, 0))):
+        for p, q in itertools.product(els, repeat=2):
+            if ranks[op(p, q)] != combine(ranks[p], ranks[q]):
+                return f"projection breaks {symbol} at ({p!r},{q!r})"
+    if ranks[algebra.zero] != 0 or ranks[algebra.one] != top:
+        return "projection moves a constant"
+    return len(reps), {p: F(ranks[p], top) for p in els}
+
+
+def quotient_outcome(algebra, flt):
+    """quotient's NonMaximalFilter text, or (chain size, projection)."""
+    try:
+        chain, projection = quotient(algebra, flt)
+    except NonMaximalFilter as exc:
+        return str(exc)
+    return chain.n, projection
+
+
+def corrupted_chain(n, entry):
+    """Chain(n) as a table, labels "0".."n-1", with oplus[i][j] set to v
+    for entry (i, j, v); not audited."""
+    oplus = [[min(i + j, n - 1) for j in range(n)] for i in range(n)]
+    i, j, v = entry
+    oplus[i][j] = v
+    return TableAlgebra([str(i) for i in range(n)], oplus,
+                        range(n - 1, -1, -1), 0, n - 1, audit=False)
+
+
+def corrupted_product(n, m, entry):
+    """Chain(n) x Chain(m) as a table, labels "a|b" for levels a and b,
+    with one oplus entry set as in corrupted_chain; not audited."""
+    pairs = list(itertools.product(range(n), range(m)))
+    at = {p: i for i, p in enumerate(pairs)}
+    oplus = [[at[min(a + c, n - 1), min(b + d, m - 1)] for c, d in pairs]
+             for a, b in pairs]
+    i, j, v = entry
+    oplus[i][j] = v
+    return TableAlgebra([f"{a}|{b}" for a, b in pairs], oplus,
+                        [at[n - 1 - a, m - 1 - b] for a, b in pairs],
+                        0, len(pairs) - 1, audit=False)
+
+
 class TestFilterMessages:
     def test_non_maximal_message_is_pinned(self):
         algebra, _, _ = product_algebra(2, 2)
@@ -622,6 +695,55 @@ class TestFilterMessages:
         with pytest.raises(NonMaximalFilter) as exc:
             quotient(algebra, Filter(algebra, frozenset({"1"})))
         assert str(exc.value) == message
+
+    def test_every_one_entry_corruption_of_chain4_is_pinned(self):
+        # Chain(4) as a table with each oplus entry set to each other
+        # value: TableAlgebra(..., audit=False) accepts all 48, the filter
+        # {1} rejects 5 of them, and the quotient by it gives the text or
+        # the chain of the per-instance reference on the other 43
+        outcomes = {}
+        for i, j, v in itertools.product(range(4), repeat=3):
+            if v == min(i + j, 3):
+                continue
+            algebra = corrupted_chain(4, (i, j, v))
+            try:
+                flt = Filter(algebra, frozenset({"3"}))
+            except FilterError:
+                outcomes[i, j, v] = "filter"
+                continue
+            outcomes[i, j, v] = quotient_outcome(algebra, flt)
+            assert outcomes[i, j, v] \
+                == reference_quotient(algebra, flt.members), (i, j, v)
+        kinds = collections.Counter(
+            o if o == "filter" else type(o).__name__
+            for o in outcomes.values())
+        assert kinds == {"filter": 5, "str": 42, "tuple": 1}
+        # 0 -> 0 = 1 (+) 0 is no longer 1: the class of 0 has no class
+        # below it, itself included, and its rank is -1
+        assert [outcomes[3, 0, v] for v in range(3)] \
+            == ["projection breaks ~ at '0'"] * 3
+        # 1 (+) 1 = 3: 1 and 2 fall into one class, between 0 and 3
+        assert outcomes[1, 1, 3] == (3, {"0": F(0), "1": F(1, 2),
+                                         "2": F(1, 2), "3": F(1)})
+
+    @pytest.mark.parametrize("algebra, members, message", [
+        # past 256 elements the rows are tuples: on the chain its 2 * top
+        # passes 255 as well, on the product only n does, its quotient
+        # being Chain(3)
+        (lambda: corrupted_chain(300, (5, 7, 13)), {"299"},
+         "projection breaks (+) at ('5','7')"),
+        (lambda: corrupted_chain(300, (0, 299, 0)), {"299"},
+         "projection breaks ~ at '0'"),
+        (lambda: corrupted_product(3, 100, (250, 7, 13)),
+         {f"2|{b}" for b in range(100)},
+         "projection breaks (+) at ('2|50','0|7')"),
+    ], ids=["chain300-oplus", "chain300-neg", "product3x100"])
+    def test_broken_projection_past_256_elements(self, algebra, members,
+                                                 message):
+        algebra = algebra()
+        flt = Filter(algebra, frozenset(members))
+        assert quotient_outcome(algebra, flt) == message
+        assert reference_quotient(algebra, flt.members) == message
 
     def test_filter_errors_name_carrier_elements(self):
         chain = Chain(5)
