@@ -21,9 +21,9 @@ from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
-    MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _level_tables,
-    _read, _row_type, _transpose, clause_result, homomorphism_clauses,
-    maximal_filters, quotient,
+    MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _interleave,
+    _level_tables, _read, _row_type, _transpose, clause_result, column_block,
+    homomorphism_clauses, maximal_filters, quotient,
 )
 from .polyadic import FunctionalSetAlgebra
 from .syntax import (
@@ -312,10 +312,21 @@ def psi_rows(V, levels, vs):
         len(V.carrier))
 
 
-def cyl_sup_clause(V, rows):
-    """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x."""
-    n = len(rows)
-    columns = list(zip(*rows))
+def psi_columns(V, rows, top):
+    """The columns of psi's rows, as rows of the type homomorphism_clauses
+    reads, which the subst-action and cyl-sup clauses read too."""
+    return list(map(_row_type(max(len(V.carrier) - 1, 2 * top)), zip(*rows)))
+
+
+def cyl_sup_clause(V, columns):
+    """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x.
+
+    One block per k of the signature: each column of psi (see
+    psi_columns) read at c_k's table, against the sup of the columns of
+    x's k-variants. An instance is one (p, x); only a block whose columns
+    differ is interleaved into its instances, p by p, and rescanned.
+    """
+    row, n = type(columns[0]), len(V.carrier)
 
     def blocks():
         for k in (next(iter(j)) for j in V.algebra.scopes if len(j) == 1):
@@ -323,14 +334,15 @@ def cyl_sup_clause(V, rows):
             for group in V.agreement({k}):
                 # the first column passed twice keeps max from being handed
                 # a lone level
-                sup = tuple(map(max, columns[group[0]],
-                                *map(columns.__getitem__, group)))
+                sup = row(map(max, columns[group[0]],
+                              *map(columns.__getitem__, group)))
                 for xi in group:
                     sups[xi] = sup
-            lhs = list(itertools.chain.from_iterable(
-                map(rows.__getitem__, V.cyl[frozenset({k})])))
-            rhs = list(itertools.chain.from_iterable(_transpose(sups, n)))
-            yield lhs, rhs, ((k, p, x) for p in V.elements for x in V.maps)
+            at = row(V.cyl[frozenset({k})])
+            lhs = [_read(col, at) for col in columns]
+            witnesses = ((k, p, x) for p in V.elements for x in V.maps)
+            yield ((lhs, sups, witnesses, n * len(columns)) if lhs == sups
+                   else (_interleave(lhs), _interleave(sups), witnesses))
 
     return clause_result("cyl-sup", blocks())
 
@@ -342,7 +354,8 @@ def representation_map(algebra, hf):
     (+), (*), ~, 0, 1; the substitution action psi(s_tau p) = psi(p) o
     (- o tau); the cylinder suprema psi(c_k p)(x) = sup of psi(p) over the
     k-variants of x inside V; and that psi does not kill the filter's
-    element at the identity coordinate.
+    element at the identity coordinate. The clauses over the carrier read
+    psi's columns whole.
     """
     V = algebra.indexed()
     flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
@@ -350,15 +363,18 @@ def representation_map(algebra, hf):
     vs = algebra.transformations
     top = chain.n - 1
     rows = psi_rows(V, ranks, vs)
-    columns = list(zip(*rows))
+    columns = psi_columns(V, rows, top)
+    row, n = type(columns[0]), len(V.carrier)
 
     def subst_blocks():
-        # psi(s_tau p) against psi(p) read at the coordinates x tau
+        # psi(s_tau p) against psi(p) read at the coordinates x tau: each
+        # column read at s_tau's table against the column of x tau
         for tau, targets in zip(vs, zip(*V.composition)):
             if None not in targets:
-                yield (list(map(rows.__getitem__, V.subst[tau])),
-                       _transpose([columns[t] for t in targets], len(rows)),
-                       zip(itertools.repeat(tau), V.elements))
+                at = row(V.subst[tau])
+                yield column_block([_read(col, at) for col in columns],
+                                   list(map(columns.__getitem__, targets)),
+                                   zip(itertools.repeat(tau), V.elements), n)
 
     results = [
         clause_result("unit-0", [_instance(rows[V.zero], (0,) * len(vs),
@@ -367,7 +383,7 @@ def representation_map(algebra, hf):
                                            ("1",))]),
         *homomorphism_clauses(V, columns, top),
         clause_result("subst-action", subst_blocks()),
-        cyl_sup_clause(V, rows),
+        cyl_sup_clause(V, columns),
     ]
     identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
     if identity in vs:

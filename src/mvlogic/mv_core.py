@@ -91,6 +91,11 @@ MAX_VALUATIONS = 500_000
 SAMPLE_DENOMINATOR = 97
 SAMPLE_CHUNK = 4096
 
+# The most entries homomorphism_clauses reads as one block of rows: whole
+# p-rows of a view's (+) or (*) table, times the distinct columns. 2^16
+# makes a carrier of up to 256 elements one block per operation.
+BLOCK_ENTRIES = 1 << 16
+
 
 def parse_value(text):
     """Read a rational from 'p/q' or integer form."""
@@ -214,6 +219,25 @@ class MVAlgebra:
         return self._indexed
 
 
+class derived:
+    """A method computed on first read, then kept as a plain attribute of
+    the same name through setattr: functools.cached_property writes the
+    instance's __dict__, which on CPython 3.11 slows every later
+    attribute read of the instance (a view's implies by a half)."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 def _tabulate(algebra):
     """The IndexedMV read off a finite algebra's own oplus and neg."""
     carrier = algebra.carrier
@@ -228,10 +252,12 @@ class IndexedMV:
     """A finite MV algebra as operation tables over carrier indices.
 
     Index i stands for elements[i], in the order of the algebra's carrier;
-    index_of maps back. neg and oplus are given, odot and le are derived
-    from them; each is a plain tuple, read as neg[a] and oplus[a][b]. A
-    view is its own view, with carrier range(n), so the filters and
-    quotients below also run on a view itself (see _coding).
+    index_of maps back. neg and oplus are given; odot and le are derived
+    from them on first read, so a query that reads neither (a cylinder
+    lookup, say) never builds their n x n tables. Each is a plain tuple,
+    read as neg[a] and oplus[a][b]. A view is its own view, with carrier
+    range(n), so the filters and quotients below also run on a view
+    itself (see _coding).
     """
 
     is_finite = True
@@ -242,14 +268,21 @@ class IndexedMV:
         self.carrier = range(len(self.elements))
         self.zero = self.index_of[zero]
         self.one = self.index_of[one]
-        self.neg = neg = tuple(neg)
-        self.oplus = oplus = tuple(map(tuple, oplus))
-        # odot[a][b] is neg[oplus[neg[a]][neg[b]]], le[a][b] is
-        # odot[a][neg[b]] == zero
-        self.odot = odot = tuple(tuple([neg[row[x]] for x in neg])
-                                 for row in map(oplus.__getitem__, neg))
-        zero = self.zero
-        self.le = tuple(tuple([row[x] == zero for x in neg]) for row in odot)
+        self.neg = tuple(neg)
+        self.oplus = tuple(map(tuple, oplus))
+
+    @derived
+    def odot(self):
+        """odot[a][b] is neg[oplus[neg[a]][neg[b]]]."""
+        neg = self.neg
+        return tuple(tuple([neg[row[x]] for x in neg])
+                     for row in map(self.oplus.__getitem__, neg))
+
+    @derived
+    def le(self):
+        """le[a][b] is odot[a][neg[b]] == zero."""
+        zero, neg = self.zero, self.neg
+        return tuple(tuple([row[x] == zero for x in neg]) for row in self.odot)
 
     def implies(self, a, b):
         return self.oplus[self.neg[a]][b]
@@ -641,42 +674,56 @@ def _transpose(columns, n):
     return list(zip(*columns)) if columns else [()] * n
 
 
+def column_block(lhs, rhs, witnesses, count):
+    """The block (see first_witness) of count instances whose sides are
+    lists of columns, entry i of every column making instance i: compared
+    whole, and only when they differ transposed into one row per
+    instance."""
+    if lhs == rhs:
+        return lhs, rhs, witnesses, count
+    return _transpose(lhs, count), _transpose(rhs, count), witnesses
+
+
 def homomorphism_clauses(V, columns, top):
     """The ~, (+) and (*) clauses of a map psi into a chain, given by its
     columns: the quotient projection and both representation maps.
 
     columns[xi][i] is psi_x of carrier index i, a level 0..top, for the
     xi-th coordinate x, and rows are of _row_type(max(n - 1, 2 * top)).
-    ~ is one block over p, (+) one block per element p over q: each psi_x
-    read at p's row of the (+) table against the level row of psi_x(p),
-    built once per x and level from _level_tables; (*) likewise. Only a
-    block whose columns differ is rescanned, as per-instance tuples (see
-    first_witness): a witness is the first p, or (p, q), whose images differ.
+    An instance is p, or (p, q), over all coordinates at once, and its
+    witness names no coordinate, so each distinct column is checked once.
+    ~ is one block over p; (+) one block per run of whole p-rows of the
+    (+) table, BLOCK_ENTRIES entries over all columns at most: each psi_x
+    read at the joined rows against psi_x(p) (+) psi_x(q) over the same
+    pairs; (*) likewise. Only a block whose columns differ is rescanned,
+    as per-instance tuples (see column_block): a witness is the first p,
+    or (p, q), whose images differ.
     """
     els, n = V.elements, len(V.carrier)
     row = _row_type(max(n - 1, 2 * top))
-    columns = [row(col) for col in columns]
+    columns = list(dict.fromkeys(map(row, columns)))
     neg, plus, times = _level_tables(top)
 
-    def block(lhs, rhs, witnesses):  # equal columns count n instances
-        return ((lhs, rhs, witnesses, n) if lhs == rhs
-                else (_transpose(lhs, n), _transpose(rhs, n), witnesses))
+    def blocks(table, sums):
+        # p-rows i..j - 1 of the table, joined, against the rows of
+        # psi_x(p) . psi_x(q) over q, joined
+        step = max(1, BLOCK_ENTRIES // (n * max(1, len(columns))))
+        for i in range(0, n, step):
+            j = min(i + step, n)
+            at = _concat(map(row, table[i:j]), row)
+            yield column_block([_read(col, at) for col in columns],
+                               [_concat([_read(sums[col[p]:], col)
+                                         for p in range(i, j)], row)
+                                for col in columns],
+                               itertools.product(els[i:j], els),
+                               (j - i) * n)
 
     negs = row(V.neg)
-    results = [clause_result("neg", [block(
-        [_read(col, negs) for col in columns],
-        [_read(neg, col) for col in columns], zip(els))])]
-    for name, table, sums in (("oplus", V.oplus, plus),
-                              ("odot", V.odot, times)):
-        # by_level[xi][r] is the row of r . psi_x(q) over q
-        by_level = [[_read(sums[r:], col) for r in range(top + 1)]
-                    for col in columns]
-        results.append(clause_result(name, (
-            block([_read(col, at) for col in columns],
-                  [levels[col[i]] for col, levels in zip(columns, by_level)],
-                  zip(itertools.repeat(els[i]), els))
-            for i, at in enumerate(map(row, table)))))
-    return results
+    return [clause_result("neg", [column_block(
+                [_read(col, negs) for col in columns],
+                [_read(neg, col) for col in columns], zip(els), n)]),
+            clause_result("oplus", blocks(V.oplus, plus)),
+            clause_result("odot", blocks(V.odot, times))]
 
 
 @dataclass(frozen=True)
@@ -908,9 +955,19 @@ def filter_generator(flt):
 
 
 def maximal_filters(algebra):
-    """All maximal proper filters, in carrier order of their atoms."""
-    V, _, dec = _coding(algebra)
-    return [_up_set(algebra, V, dec, e) for e in _skeleton_atoms(V)]
+    """All maximal proper filters, in carrier order of their atoms.
+
+    They are built and validated once per algebra object and kept beside
+    its view, as algebra._maximal; each call returns a new list of the
+    same Filter objects. A FilterError is raised and not kept, so a
+    corrupted table raises it again on every call.
+    """
+    filters = getattr(algebra, "_maximal", None)
+    if filters is None:
+        V, _, dec = _coding(algebra)
+        filters = algebra._maximal = tuple(
+            _up_set(algebra, V, dec, e) for e in _skeleton_atoms(V))
+    return list(filters)
 
 
 def extend_to_maximal(algebra, flt, constraint=None):

@@ -13,7 +13,7 @@ from .mv_core import (
     AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_sums,
     clause_result, homomorphism_clauses,
 )
-from .interlab import HenkinFilter, cyl_sup_clause, psi_rows
+from .interlab import HenkinFilter, cyl_sup_clause, psi_columns, psi_rows
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,7 @@ def pavelka_representation(algebra, pav, hf):
     vs = algebra.transformations
     top = pav.chain.n - 1
     rows = psi_rows(V, _degrees(pav, hf, V.carrier)[0], vs)
+    columns = psi_columns(V, rows, top)
 
     results = [
         clause_result("unit-0", [_instance(rows[V.zero], (0,) * len(vs),
@@ -183,8 +184,8 @@ def pavelka_representation(algebra, pav, hf):
             [rows[c] for _, c in pav._bar],
             [(l,) * len(vs) for l, _ in pav._bar],
             zip(pav.levels))]),
-        *homomorphism_clauses(V, list(zip(*rows)), top),
-        cyl_sup_clause(V, rows),
+        *homomorphism_clauses(V, columns, top),
+        cyl_sup_clause(V, columns),
     ]
     psi = {p: tuple(pav.chain.carrier[r] for r in rows[i])
            for i, p in enumerate(V.elements)}

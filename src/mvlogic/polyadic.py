@@ -28,14 +28,13 @@ reports.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
-    _add, _instance, _interleave, _level_tables, _read, _row_type,
+    _add, _instance, _interleave, _level_tables, _read, _row_type, derived,
     first_witness,
     format_point, format_value, is_json_int, is_json_object, is_json_str,
     json_field, json_index_into, json_list_of, parse_point, parse_value,
@@ -123,23 +122,28 @@ class IndexedAlgebra(IndexedMV):
     Index i stands for elements[i], in the order of algebra.elements().
     The carrier is closed under every operation, so each one is a finite
     table: the MV tables of IndexedMV, and subst[tau], cyl[J] and q[J] for
-    every tau and J of the signature, with q derived from neg and cyl.
+    every tau and J of the signature, with q derived from neg and cyl on
+    first read.
     """
 
     def __init__(self, algebra, neg, oplus, subst, cyl):
         super().__init__(algebra.elements(), algebra.zero, algebra.one,
                          neg, oplus)
         self.algebra = algebra
-        neg = self.neg
         self.maps = tuple(algebra.transformations)
         self.subst = {t: tuple(table) for t, table in subst.items()}
         self.cyl = {frozenset(j): tuple(table) for j, table in cyl.items()}
-        self.q = {j: tuple(neg[c[neg[a]]] for a in self.carrier)
-                  for j, c in self.cyl.items()}
         self._cylinders = {frozenset(): tuple(self.carrier), **self.cyl}
         self._replacements = {}
 
-    @functools.cached_property
+    @derived
+    def q(self):
+        """q[J][a] is neg[cyl[J][neg[a]]]."""
+        neg = self.neg
+        return {j: tuple(neg[c[neg[a]]] for a in self.carrier)
+                for j, c in self.cyl.items()}
+
+    @derived
     def composition(self):
         """[s][t]: the position in maps of maps[s] o maps[t], or None outside
         the signature, found by value: maps[s]'s values read at maps[t]'s."""

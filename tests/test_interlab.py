@@ -488,6 +488,39 @@ class TestClausesAgainstReference:
             ref["neg"], ref["oplus"], ref["odot"], ref["cyl-sup"]]
         assert [(c.clause, c.holds, c.witness) for c in audit.results] == want
 
+    @pytest.mark.parametrize("spot", SPOTS)
+    @pytest.mark.parametrize("make", [small_algebra, pattern_algebra,
+                                      l129_halves],
+                             ids=["small", "pattern", "l129-halves"])
+    def test_repeated_columns(self, make, spot):
+        # the graded psi columns of the Pavelka representation (tuple rows
+        # on l129-halves), with a copy of one column that has one entry
+        # moved by a level, per spot: the columns twice over give the
+        # clauses of the distinct columns and of the per-instance reference
+        algebra = make()
+        V = algebra.indexed()
+        pav = pavelka.functional_pavelka(algebra, require_full=False)
+        hf = henkin_filter_build(algebra, algebra.one)
+        top = pav.chain.n - 1
+        columns = list(zip(*interlab.psi_rows(
+            V, pavelka._degrees(pav, hf, V.carrier)[0],
+            algebra.transformations)))
+        if spot is not None:
+            i, xi = spot[0] % len(V.carrier), spot[1] % len(columns)
+            moved = list(columns[xi])
+            moved[i] = moved[i] - 1 if moved[i] else moved[i] + 1
+            columns.append(tuple(moved))
+
+        def clauses(columns):
+            return [(c.clause, c.holds, c.witness) for c in
+                    mv_core.homomorphism_clauses(V, columns, top)]
+
+        ref = reference_clauses(V, list(zip(*columns)),
+                                algebra.transformations, top)
+        assert clauses(columns + columns) \
+            == clauses(list(dict.fromkeys(columns))) \
+            == [ref["neg"], ref["oplus"], ref["odot"]]
+
 
 class TestEta:
     def test_variable_clause(self):

@@ -373,6 +373,18 @@ class TestFilters:
         with pytest.raises(FilterError):
             Filter(chain, frozenset({F(1, 2)}))  # missing 1
 
+    def test_a_filter_error_is_raised_on_every_call(self):
+        # Chain(4) with 0 (+) 1 = 1: the up-set of the atom 1 is not
+        # (*)-closed, and maximal_filters keeps no result of a failed call
+        algebra = corrupted_chain(4, (0, 1, 3))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FilterError) as exc:
+                maximal_filters(algebra)
+            messages.append(str(exc.value))
+        assert messages == [
+            "not (*)-closed: '1'(*)'1' escapes the member set"] * 2
+
     def test_extend_chain_is_unit_filter(self):
         # chains are simple: the unit filter is already the maximal one
         chain = Chain(3)
@@ -737,7 +749,11 @@ class TestFilterMessages:
         (lambda: corrupted_product(3, 100, (250, 7, 13)),
          {f"2|{b}" for b in range(100)},
          "projection breaks (+) at ('2|50','0|7')"),
-    ], ids=["chain300-oplus", "chain300-neg", "product3x100"])
+        # past the first block of p-rows that the (+) clause reads at once
+        (lambda: corrupted_chain(300, (250, 7, 13)), {"299"},
+         "projection breaks (+) at ('250','7')"),
+    ], ids=["chain300-oplus", "chain300-neg", "product3x100",
+            "chain300-second-block"])
     def test_broken_projection_past_256_elements(self, algebra, members,
                                                  message):
         algebra = algebra()
@@ -765,6 +781,26 @@ class TestFilterMessages:
         with pytest.raises(FilterError) as exc:
             Filter(algebra, frozenset({algebra.zero, algebra.one}))
         assert repr(algebra.zero) in str(exc.value)
+
+
+class TestHomomorphismClauses:
+    def test_a_long_chain_holds_a_block_of_rows_at_a_time(self):
+        # the ranks of Chain(1200) by the filter {1}, on tuple rows: the
+        # (+) and (*) clauses read whole p-rows a block at a time, so they
+        # hold far less than one n x n tuple (8 bytes an entry) at once
+        n = 1200
+        view = Chain(n).indexed()
+        view.odot  # derived on first read: built before the trace
+        tracemalloc.start()
+        try:
+            results = mv_core.homomorphism_clauses(
+                view, [tuple(range(n))], n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(r.clause, r.holds) for r in results] \
+            == [("neg", True), ("oplus", True), ("odot", True)]
+        assert peak < 8 * n * n // 2
 
 
 class TestJsonField:

@@ -8,7 +8,10 @@ from conftest import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
-from mvlogic.mv_core import MAX_VALUATIONS, ONE, ZERO, Chain, TableAlgebra
+from mvlogic import mv_core
+from mvlogic.mv_core import (
+    MAX_VALUATIONS, ONE, ZERO, Chain, TableAlgebra, maximal_filters,
+)
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
     NotASubuniverse, SignatureError, TruncationError, _assignment_count,
@@ -932,6 +935,22 @@ class TestIndexedAlgebra:
                 == [algebra.neg(algebra.cyl_el(j, algebra.neg(p)))
                     for p in els]
 
+    def test_derived_tables_are_built_on_first_read(self):
+        # the queries of `poly dims` read cylinders only: the n x n odot
+        # and le tables and the q tables are not built for them
+        *args, cap = CLOSURE_SPECS["i3p"]
+        algebra = build_generated(*args, cap=cap)
+        view = algebra.indexed()
+        p = algebra.carrier[5]
+        dimension_set(algebra, p)
+        minimal_support(algebra, p)
+        derived = {"odot", "le", "q"}
+        assert not derived & set(vars(view))
+        tables = {name: getattr(view, name) for name in derived}
+        assert derived <= set(vars(view))
+        assert all(getattr(view, name) is table
+                   for name, table in tables.items())
+
     def test_no_view_without_tables(self):
         # the reference closure builds its algebra from the carrier alone
         *args, cap = CLOSURE_SPECS["small"]
@@ -948,6 +967,24 @@ class TestIndexedAlgebra:
         for name in ("zero", "one", "neg", "oplus", "odot", "le", "subst",
                      "cyl", "q"):
             assert getattr(tables, name) == getattr(view, name), name
+
+
+class TestMaximalFiltersAreKept:
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_kept_filters_equal_a_fresh_build(self, name):
+        # on the algebra and on its view: the filters of the first call
+        # are the up-sets of the atoms, and a second call returns a new
+        # list of the same Filter objects
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        for target in (algebra, algebra.indexed()):
+            first = maximal_filters(target)
+            V, _, dec = mv_core._coding(target)
+            assert first == [mv_core._up_set(target, V, dec, e)
+                             for e in mv_core._skeleton_atoms(V)]
+            again = maximal_filters(target)
+            assert again == first and again is not first
+            assert all(f is g for f, g in zip(again, first))
 
 
 class TestQueriesOnTheTableAlgebra:
