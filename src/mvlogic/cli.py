@@ -377,9 +377,9 @@ def _cmd_henkin_demo(args, inputs):
     outcome = interlab.henkin_filter_build(algebra, element)
     if isinstance(outcome, interlab.Exhausted):
         return 1, "exhausted", {"examined": outcome.examined}
-    psi, audit = interlab.representation_map(algebra, outcome)
+    _, audit = interlab.representation_map(algebra, outcome)
     return _pass_fail(audit.passed, {
-        "filter_size": len(outcome.members),
+        "filter_size": len(outcome.filter.ids),
         "witnesses": len(outcome.witnesses),
         "spare_witnesses": sum(1 for w in outcome.witnesses if w.spare),
         "clauses": [

@@ -6,9 +6,10 @@ witness construction with its representation map, and the translation
 bridge between polyadic terms and formulas. The propositional search reads
 each candidate's truth table on chain levels once (`_levels`) against two
 envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
-The representation map's clauses are checked by `mv_core.clause_result`
-and `mv_core.homomorphism_clauses`; `pavelka` reuses them. The products
-and k-variants of the maps are read off the polyadic view.
+The Henkin filter holds the maximal `Filter` it found; the representation
+map reads its view indices and returns psi on them, as chain levels, with
+its clauses checked by `mv_core.clause_result` and `homomorphism_clauses`
+(`pavelka` reuses them) on products and k-variants off the polyadic view.
 """
 
 from __future__ import annotations
@@ -236,14 +237,14 @@ class WitnessEntry:
 
 @dataclass(frozen=True)
 class HenkinFilter:
-    algebra: object
-    members: frozenset
-    atom: object       # generating idempotent of the filter
-    seed: object       # the nonzero element the build started from
+    filter: mv_core.Filter  # the maximal filter, on the algebra's view
+    seed: object            # the nonzero element the build started from
     witnesses: tuple
 
-    def __contains__(self, p):
-        return p in self.members
+    @property
+    def members(self):  # in element form
+        return frozenset(map(self.filter.algebra.elements.__getitem__,
+                             self.filter.ids))
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,7 @@ def henkin_filter_build(algebra, a):
         raise ZeroElement("the starting element must be nonzero")
     V = algebra.indexed()
     start = V.index_of.get(a)
-    index = list(algebra.index_set)
     singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
-    examined = 0
 
     def witnesses(members):
         found = []
@@ -280,9 +279,7 @@ def henkin_filter_build(algebra, a):
                 if ck[x] not in members:
                     continue
                 delta = V.dimension_set(x)
-                spare_first = [l for l in index if l not in delta] + \
-                              [l for l in index if l in delta]
-                for l in spare_first:
+                for l in sorted(algebra.index_set, key=delta.__contains__):
                     repl = V.replacement(k, l)
                     if repl is not None and repl[x] in members:
                         found.append(WitnessEntry(k, V.elements[x], l,
@@ -292,17 +289,12 @@ def henkin_filter_build(algebra, a):
                     return None
         return found
 
-    for flt in maximal_filters(V):
-        if start not in flt.members:
-            continue
-        examined += 1
-        found = witnesses(flt.members)
+    candidates = [flt for flt in maximal_filters(V) if start in flt.ids]
+    for flt in candidates:
+        found = witnesses(flt.ids)
         if found is not None:
-            atom = mv_core.filter_generator(flt)
-            return HenkinFilter(
-                algebra, frozenset(V.elements[i] for i in flt.members),
-                V.elements[atom], a, tuple(found))
-    return Exhausted(examined)
+            return HenkinFilter(flt, a, tuple(found))
+    return Exhausted(len(candidates))
 
 
 def psi_rows(V, levels, vs):
@@ -348,7 +340,8 @@ def cyl_sup_clause(V, columns):
 
 
 def representation_map(algebra, hf):
-    """psi(p)(x) = class of s_x p in the quotient chain, for x in V.
+    """psi(p)(x) = class of s_x p in the quotient chain, for x in V, as
+    rows on view indices: psi[i][xi] is a chain level, p = V.elements[i].
 
     The audit checks, exhaustively over the carrier and V: preservation of
     (+), (*), ~, 0, 1; the substitution action psi(s_tau p) = psi(p) o
@@ -358,8 +351,8 @@ def representation_map(algebra, hf):
     psi's columns whole.
     """
     V = algebra.indexed()
-    flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
-    chain, ranks = mv_core.quotient_ranks(flt)
+    mv_core.filter_ids(hf.filter, algebra)  # refuses another algebra's
+    chain, ranks = mv_core.quotient_ranks(hf.filter)
     vs = algebra.transformations
     top = chain.n - 1
     rows = psi_rows(V, ranks, vs)
@@ -390,9 +383,7 @@ def representation_map(algebra, hf):
         seed = rows[V.index_of[hf.seed]][vs.index(identity)]
         results.append(clause_result("nonzero-at-identity", [_instance(
             seed != 0, True, ("identity component of the seed element",))]))
-    psi = {p: tuple(chain.carrier[r] for r in rows[i])
-           for i, p in enumerate(V.elements)}
-    return psi, AuditReport(tuple(results))
+    return rows, AuditReport(tuple(results))
 
 
 # -- terms over the polyadic signature and their translation ---------------

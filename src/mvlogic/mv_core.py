@@ -2,7 +2,8 @@
 
 Finite chains, the standard algebra on the rational unit interval, explicit
 table algebras, t-norms with their residua, filters, and chain quotients.
-Every value is a `fractions.Fraction`; nothing here touches floating point.
+Elements are exact, built from `fractions.Fraction` values; nothing here
+touches floating point.
 
 Every finite algebra has an `IndexedMV` view (`algebra.indexed()`, built
 on first use and cached): its operations as integer tables over carrier
@@ -859,7 +860,7 @@ class Filter:
     """Upward-closed, (*)-closed subset of a finite algebra's carrier.
 
     The laws are checked on the algebra's indexed view, pairs in carrier
-    order; members stay in element form.
+    order: members are elements, and ids their indices there (filter_ids).
     """
 
     algebra: object
@@ -877,7 +878,8 @@ class Filter:
                 raise FilterError(f"{a!r} is not a carrier element")
         V, enc, dec = _coding(A)
         ids = sorted(map(enc, m))
-        inside = set(ids)
+        inside = frozenset(ids)
+        object.__setattr__(self, "ids", inside)  # set once (frozen)
         for a in ids:
             row = V.odot[a]
             for b in ids:
@@ -901,6 +903,17 @@ class Filter:
         return x in self.members
 
 
+def filter_ids(flt, algebra=None):
+    """flt.ids, the view indices of its members. Paired with an algebra,
+    flt must index alike: ValueError unless the two are equal (two equal
+    chains) or share their view."""
+    if algebra not in (None, flt.algebra) and \
+            flt.algebra.indexed() is not algebra.indexed():
+        raise ValueError(
+            f"a filter of {flt.algebra!r} is no filter of {algebra!r}")
+    return flt.ids
+
+
 def _up_set(algebra, V, dec, e):
     """The principal filter of view index e, members in element form."""
     row = V.le[e]
@@ -916,19 +929,16 @@ def _generator(V, ids):
 
 
 def filter_generate(algebra, elements):
-    """Smallest filter containing the given set; empty product is 1."""
+    """Smallest filter containing the given set: the up-set of e, the
+    idempotent power of their (*)-product p (1 for none). e is a product
+    of them, and a product of k of them lies above p^k, so above e."""
     elements = tuple(elements)
     algebra.check_args(elements)
     V, enc, dec = _coding(algebra)
-    odot, le = V.odot, V.le
-    products = {V.one, *map(enc, elements)}
-    frontier = set(products)
-    while frontier:
-        frontier = {odot[a][b] for a in products for b in frontier} - products
-        products |= frontier
-    members = frozenset(
-        dec(y) for y in V.carrier if any(le[p][y] for p in products))
-    return Filter(algebra, members)
+    e = _generator(V, map(enc, elements))
+    for _ in V.carrier:  # the squares reach e (*) e = e within n steps
+        e = V.odot[e][e]
+    return _up_set(algebra, V, dec, e)
 
 
 def _skeleton_atoms(V):
@@ -950,8 +960,8 @@ def principal_filter(algebra, e):
 
 def filter_generator(flt):
     """The least element of a (finite-algebra) filter; always idempotent."""
-    V, enc, dec = _coding(flt.algebra)
-    return dec(_generator(V, map(enc, flt.members)))
+    V, _, dec = _coding(flt.algebra)
+    return dec(_generator(V, filter_ids(flt)))
 
 
 def maximal_filters(algebra):
@@ -974,8 +984,8 @@ def extend_to_maximal(algebra, flt, constraint=None):
     """First maximal proper filter extending flt that meets the constraint."""
     if not flt.is_proper:
         raise ProperFilterRequired("cannot extend the improper filter")
-    V, enc, dec = _coding(algebra)
-    base = _generator(V, map(enc, flt.members))
+    V, _, dec = _coding(algebra)
+    base = _generator(V, filter_ids(flt, algebra))
     for e in _skeleton_atoms(V):
         if V.le[e][base]:
             candidate = _up_set(algebra, V, dec, e)
@@ -994,8 +1004,8 @@ def quotient_ranks(flt):
     """
     if not flt.is_proper:
         raise ProperFilterRequired("quotient by the improper filter is degenerate")
-    V, enc, dec = _coding(flt.algebra)
-    members = set(map(enc, flt.members))
+    V, _, dec = _coding(flt.algebra)
+    members = filter_ids(flt)
     neg, oplus, odot = V.neg, V.oplus, V.odot
 
     def within(a, b):

@@ -1,8 +1,8 @@
 """Rational Pavelka extension: truth-constant-enriched algebras, the
 constant compatibility laws, graded degrees of membership with their dual
 forms, quantifier invariance of constants, and the graded representation
-map built on a Henkin filter. Every law reads the tables of the base's
-indexed view through `mv_core.clause_result` into an `AuditReport`."""
+map built on a Henkin filter, psi on view indices. Every law reads filter
+indices and view tables through `clause_result` into an `AuditReport`."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .mv_core import (
     AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_sums,
-    clause_result, homomorphism_clauses,
+    clause_result, filter_ids, homomorphism_clauses,
 )
 from .interlab import HenkinFilter, cyl_sup_clause, psi_columns, psi_rows
 
@@ -62,6 +62,7 @@ class GradedContext:
     def __post_init__(self):
         if not self.filter.is_proper:
             raise ValueError("graded degrees need a proper filter")
+        filter_ids(self.filter, self.algebra.base)
 
 
 def constants_check(pav):
@@ -86,8 +87,7 @@ def constants_check(pav):
 def _degrees(pav, flt, ids):
     """(ups, downs): degree and degree_dual of the view indices ids as chain
     levels, 0 and the top where no constant qualifies."""
-    (V, enc, _), bar = _coding(pav.base), pav._bar
-    members = frozenset(map(enc, flt.members))
+    V, bar, members = pav.base.indexed(), pav._bar, filter_ids(flt, pav.base)
     ups = [max((l for l, c in bar if V.implies(c, a) in members),
                default=0) for a in ids]
     downs = [min((l for l, c in bar if V.implies(a, c) in members),
@@ -120,8 +120,8 @@ def degree_forms_check(pav, flt):
 
 def pavelka_lemma_check(pav, flt):
     """r-bar in P iff r = 1, and r-bar/P <= s-bar/P iff r <= s."""
-    (V, enc, _), rs, bar = _coding(pav.base), pav.levels, pav._bar
-    members, top = frozenset(map(enc, flt.members)), pav.chain.n - 1
+    V, rs, bar = pav.base.indexed(), pav.levels, pav._bar
+    members, top = filter_ids(flt, pav.base), pav.chain.n - 1
     return AuditReport((
         clause_result("membership-iff-one", [(
             [c in members for _, c in bar], [l == top for l, _ in bar],
@@ -162,7 +162,8 @@ def functional_pavelka(algebra, require_full=True):
 
 
 def pavelka_representation(algebra, pav, hf):
-    """psi(p)(x) = [s_x p] by graded degree; audited exhaustively.
+    """psi(p)(x) = [s_x p] by graded degree, as rows on view indices (see
+    representation_map); audited exhaustively.
 
     Clauses: preservation of (+), (*), ~; psi(r-bar) constant at r; the
     cylinder supremum [s_x c_i p] = sup over k-variants; and unit images.
@@ -170,9 +171,10 @@ def pavelka_representation(algebra, pav, hf):
     if not isinstance(hf, HenkinFilter):
         raise TypeError("the graded representation is built on a HenkinFilter")
     V = algebra.indexed()
+    filter_ids(hf.filter, algebra)  # refuses another algebra's
     vs = algebra.transformations
     top = pav.chain.n - 1
-    rows = psi_rows(V, _degrees(pav, hf, V.carrier)[0], vs)
+    rows = psi_rows(V, _degrees(pav, hf.filter, V.carrier)[0], vs)
     columns = psi_columns(V, rows, top)
 
     results = [
@@ -187,6 +189,4 @@ def pavelka_representation(algebra, pav, hf):
         *homomorphism_clauses(V, columns, top),
         cyl_sup_clause(V, columns),
     ]
-    psi = {p: tuple(pav.chain.carrier[r] for r in rows[i])
-           for i, p in enumerate(V.elements)}
-    return psi, AuditReport(tuple(results))
+    return rows, AuditReport(tuple(results))

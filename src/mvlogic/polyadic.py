@@ -248,10 +248,6 @@ class FunctionalSetAlgebra:
         ch = self.chain
         return tuple(ch.neg(a) for a in p)
 
-    def implies(self, p, q):
-        ch = self.chain
-        return tuple(ch.implies(a, b) for a, b in zip(p, q))
-
     def le(self, p, q):
         return all(a <= b for a, b in zip(p, q))
 

@@ -19,6 +19,11 @@ def to_table(algebra, audit=True):
     return TableAlgebra(labels, V.oplus, V.neg, V.zero, V.one, audit=audit)
 
 
+def element_implies(algebra, p, q):
+    """p -> q as ~p (+) q, on an algebra's element operations."""
+    return algebra.oplus(algebra.neg(p), q)
+
+
 def assignments(index_size, base_size):
     return list(itertools.product(range(base_size), repeat=index_size))
 

@@ -268,7 +268,7 @@ def test_criterion_08_henkin_representation(henkin_demo_algebra):
         ok = audit.passed
         ident = FinTransformation.identity((0, 1, 2))
         at = algebra.transformations.index(ident)
-        ok = ok and psi[g][at] != F(0)
+        ok = ok and psi[algebra.indexed().index_of[g]][at] != 0
     verdict(8, "Henkin filter built on the |I|=3 demo and the exhaustive "
                "representation audit passed with psi(a) != 0", ok)
 
@@ -304,8 +304,9 @@ def test_criterion_10_pavelka():
     if ok:
         psi, audit = pavelka_representation(algebra, fpav, hf)
         ok = audit.passed
+        at = algebra.indexed().index_of
         for r in fpav.levels:
-            if set(psi[fpav.constant(r)]) != {r}:
+            if set(psi[at[fpav.constant(r)]]) != {fpav.chain.carrier.index(r)}:
                 ok = False
     verdict(10, "constants laws, Pavelka lemma, exists-invariance, degree "
                 "form agreement and constant representation on L5", ok)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -340,15 +341,86 @@ class TestRepresentation:
         hf = henkin_filter_build(algebra, algebra.one)
         psi, audit = representation_map(algebra, hf)
         assert audit.passed
-        images = {psi[p] for p in algebra.carrier}
+        at = algebra.indexed().index_of
+        images = {psi[at[p]] for p in algebra.carrier}
         assert len(images) == len(algebra.carrier)
 
     def test_psi_of_one_is_one(self, henkin_demo_algebra):
         algebra, g = henkin_demo_algebra
         hf = henkin_filter_build(algebra, g)
         psi, _ = representation_map(algebra, hf)
-        assert set(psi[algebra.one]) == {F(1)}
-        assert set(psi[algebra.zero]) == {F(0)}
+        chain, _ = mv_core.quotient_ranks(hf.filter)
+        V = algebra.indexed()
+        assert set(psi[V.one]) == {chain.n - 1}
+        assert set(psi[V.zero]) == {0}
+
+
+def assert_psi_through_elements(algebra, hf):
+    """psi[i][xi] is the level of s_x p in the quotient chain, p the
+    element of index i, with s_x p and its class read off the element
+    operations: subst_el and the quotient by the members of hf."""
+    psi, audit = representation_map(algebra, hf)
+    assert audit.passed
+    chain, projection = mv_core.quotient(
+        algebra, mv_core.Filter(algebra, hf.members))
+    level = {v: r for r, v in enumerate(chain.carrier)}
+    at = algebra.indexed().index_of
+    assert len(psi) == len(algebra.carrier)
+    for p in algebra.carrier:
+        assert psi[at[p]] == tuple(
+            level[projection[algebra.subst_el(x, p)]]
+            for x in algebra.transformations)
+
+
+class TestPsiOnIndices:
+    def test_demo_psi_through_elements(self, henkin_demo_algebra):
+        algebra, g = henkin_demo_algebra
+        assert_psi_through_elements(algebra, henkin_filter_build(algebra, g))
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_psi_through_elements(self, name):
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        for seed in (algebra.carrier[1], algebra.one):
+            hf = henkin_filter_build(algebra, seed)
+            # the semigroup spec has no Henkin filter
+            assert isinstance(hf, HenkinFilter) == (name != "semigroup")
+            if isinstance(hf, HenkinFilter):
+                assert_psi_through_elements(algebra, hf)
+
+    def test_henkin_filter_holds_its_maximal_filter(self):
+        algebra = small_algebra()
+        V = algebra.indexed()
+        hf = henkin_filter_build(algebra, algebra.carrier[1])
+        assert [f.name for f in dataclasses.fields(HenkinFilter)] \
+            == ["filter", "seed", "witnesses"]
+        assert hf.filter in mv_core.maximal_filters(V)
+        assert hf.members == frozenset(V.elements[i] for i in hf.filter.ids)
+
+    def test_representation_maps_build_no_filter(self, monkeypatch):
+        algebra = small_algebra()
+        pav = pavelka.functional_pavelka(algebra, require_full=False)
+        hf = henkin_filter_build(algebra, algebra.one)
+        built = []
+        real = mv_core.Filter.__post_init__
+
+        def counted(flt):
+            built.append(flt)
+            real(flt)
+
+        monkeypatch.setattr(mv_core.Filter, "__post_init__", counted)
+        assert representation_map(algebra, hf)[1].passed
+        assert pavelka.pavelka_representation(algebra, pav, hf)[1].passed
+        assert built == []
+
+    def test_filter_of_another_algebra_refused(self):
+        algebra, other = small_algebra(), pattern_algebra()
+        pav = pavelka.functional_pavelka(other, require_full=False)
+        hf = henkin_filter_build(algebra, algebra.one)
+        with pytest.raises(ValueError, match="is no filter of"):
+            representation_map(other, hf)
+        with pytest.raises(ValueError, match="is no filter of"):
+            pavelka.pavelka_representation(other, pav, hf)
 
 
 def _first(name, triples):
@@ -503,7 +575,7 @@ class TestClausesAgainstReference:
         hf = henkin_filter_build(algebra, algebra.one)
         top = pav.chain.n - 1
         columns = list(zip(*interlab.psi_rows(
-            V, pavelka._degrees(pav, hf, V.carrier)[0],
+            V, pavelka._degrees(pav, hf.filter, V.carrier)[0],
             algebra.transformations)))
         if spot is not None:
             i, xi = spot[0] % len(V.carrier), spot[1] % len(columns)

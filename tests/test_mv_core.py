@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import pattern_algebra, small_algebra, to_table
+from conftest import element_implies, pattern_algebra, small_algebra, to_table
 from mvlogic import mv_core
 from mvlogic.mv_core import (
     MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, AuditTooLarge, CarrierError, Chain,
@@ -409,6 +410,27 @@ class TestFilters:
         assert len(maximal.members) == 2  # one ultrafilter of the square
         assert len(maximal_filters(algebra)) == 2
 
+    def test_filter_keeps_its_view_indices(self):
+        algebra = small_algebra()
+        members = frozenset(p for p in algebra.carrier
+                            if all(v == 1 for v in p[:2]))
+        at = algebra.indexed().index_of
+        assert Filter(algebra, members).ids == frozenset(map(at.get, members))
+        assert Filter(Chain(5), frozenset({F(1)})).ids == frozenset({4})
+
+    def test_extend_refuses_a_filter_of_another_algebra(self):
+        flt = Filter(Chain(5), frozenset({F(1)}))
+        with pytest.raises(ValueError, match=r"Chain\(5\).*Chain\(3\)"):
+            extend_to_maximal(Chain(3), flt)
+
+    def test_extend_accepts_a_filter_of_an_equal_chain(self):
+        # two equal chains index alike, though each builds its own view
+        chain, other = Chain(5), Chain(5)
+        flt = Filter(other, frozenset({F(1)}))
+        assert chain.indexed() is not other.indexed()
+        assert mv_core.filter_ids(flt, chain) == frozenset({4})
+        assert extend_to_maximal(chain, flt).members == frozenset({F(1)})
+
     def test_extend_constraint_not_found(self):
         chain = Chain(3)
         flt = Filter(chain, frozenset({F(1)}))
@@ -529,7 +551,8 @@ class FilterReference:
         at = {p: i for i, p in enumerate(self.carrier)}
         els = self.carrier
         self.odot = [[at[algebra.odot(p, q)] for q in els] for p in els]
-        self.imp = [[at[algebra.implies(p, q)] for q in els] for p in els]
+        self.imp = [[at[element_implies(algebra, p, q)] for q in els]
+                    for p in els]
         self.le = [[algebra.le(p, q) for q in els] for p in els]
         self.zero, self.one = at[algebra.zero], at[algebra.one]
 
@@ -617,7 +640,7 @@ def reference_quotient(algebra, members):
     (p, q), at a time, as the quotient checked them before it compared
     whole columns. A rank of -1, which a corrupted table can give, is
     compared as the integer it is."""
-    els, imp = algebra.carrier, algebra.implies
+    els, imp = algebra.carrier, functools.partial(element_implies, algebra)
     reps, class_of = [], []
     for a in els:
         for k, r in enumerate(reps):

@@ -17,7 +17,7 @@ from mvlogic.pavelka import (
     pavelka_quantifier_check, pavelka_representation,
 )
 from mvlogic.polyadic import algebra_from_json, build_generated
-from conftest import coordinate_generator
+from conftest import coordinate_generator, element_implies
 
 
 def chain_context(n):
@@ -94,6 +94,27 @@ class TestDegree:
             GradedContext(pav, improper)
 
 
+class TestFilterOfAnotherAlgebra:
+    """Degrees read a filter's view indices, so a filter must index as the
+    Pavelka algebra's base does."""
+
+    def test_context_refuses_a_longer_chain(self):
+        pav = PavelkaAlgebra.full_chain(Chain(3))
+        with pytest.raises(ValueError, match=r"Chain\(5\).*Chain\(3\)"):
+            GradedContext(pav, Filter(Chain(5), frozenset({ONE})))
+
+    def test_lemma_check_refuses_a_longer_chain(self):
+        pav = PavelkaAlgebra.full_chain(Chain(3))
+        with pytest.raises(ValueError, match="is no filter of"):
+            pavelka_lemma_check(pav, Filter(Chain(5), frozenset({ONE})))
+
+    def test_equal_chains_index_alike(self):
+        pav = PavelkaAlgebra.full_chain(Chain(5))
+        ctx = GradedContext(pav, Filter(Chain(5), frozenset({ONE})))
+        assert [degree(a, ctx) for a in Chain(5).carrier] \
+            == list(Chain(5).carrier)
+
+
 class TestLemma:
     def test_holds_on_chains(self):
         for n in range(2, 6):
@@ -153,16 +174,19 @@ class TestRepresentation:
         assert isinstance(hf, HenkinFilter)
         psi, audit = pavelka_representation(algebra, pav, hf)
         assert audit.passed
+        at = algebra.indexed().index_of
         for r in pav.levels:
-            assert set(psi[pav.constant(r)]) == {r}
+            assert set(psi[at[pav.constant(r)]]) \
+                == {pav.chain.carrier.index(r)}
 
     def test_psi_of_units(self):
         algebra = constants_algebra(3)
         pav = functional_pavelka(algebra)
         hf = henkin_filter_build(algebra, algebra.one)
         psi, _ = pavelka_representation(algebra, pav, hf)
-        assert set(psi[algebra.one]) == {F(1)}
-        assert set(psi[algebra.zero]) == {F(0)}
+        V = algebra.indexed()
+        assert set(psi[V.one]) == {pav.chain.n - 1}
+        assert set(psi[V.zero]) == {0}
 
     def test_generated_boolean_algebra_audit(self):
         g = coordinate_generator(2, 2, 0)
@@ -176,7 +200,8 @@ class TestRepresentation:
         from mvlogic.transform import FinTransformation
         ident_at = algebra.transformations.index(
             FinTransformation.identity((0, 1)))
-        assert psi[g][ident_at] != F(0)  # the seed survives at the identity
+        # the seed survives at the identity
+        assert psi[algebra.indexed().index_of[g]][ident_at] != 0
 
 
 class TestOneVerdictRecord:
@@ -235,7 +260,8 @@ def element_degree(a, ctx):
     members = ctx.filter.members
     best = ZERO
     for r in ctx.algebra.levels:
-        if base.implies(ctx.algebra.constant(r), a) in members and r > best:
+        if element_implies(base, ctx.algebra.constant(r), a) in members \
+                and r > best:
             best = r
     return best
 
@@ -245,7 +271,8 @@ def element_degree_dual(a, ctx):
     members = ctx.filter.members
     best = ONE
     for r in ctx.algebra.levels:
-        if base.implies(a, ctx.algebra.constant(r)) in members and r < best:
+        if element_implies(base, a, ctx.algebra.constant(r)) in members \
+                and r < best:
             best = r
     return best
 
@@ -280,7 +307,8 @@ def element_pavelka_lemma_check(pav, flt):
             _instance(bar(r) in members, r == ONE, (r,))
             for r in pav.levels)),
         clause_result("quotient-order-matches", (
-            _instance(base.implies(bar(r), bar(s)) in members, r <= s, (r, s))
+            _instance(element_implies(base, bar(r), bar(s)) in members,
+                      r <= s, (r, s))
             for r, s in itertools.product(pav.levels, repeat=2))),
     )
 
