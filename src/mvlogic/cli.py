@@ -11,8 +11,10 @@ only, precisely so the machine-readable reports stay reproducible).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import re
 import sys
@@ -609,9 +611,12 @@ COMMANDS = (
 @functools.cache
 def _parser():
     """The argparse tree of COMMANDS, built on first use and then shared:
-    parsing does not change it."""
+    parsing does not change it. Help is 78 columns wide on any terminal,
+    so that a help report is as reproducible as any other."""
+    fixed = {"formatter_class": functools.partial(argparse.HelpFormatter,
+                                                  width=78)}
     parser = argparse.ArgumentParser(
-        prog="mvlogic",
+        prog="mvlogic", **fixed,
         description="Many-valued logic and MV-polyadic algebra toolkit")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable canonical report")
@@ -619,12 +624,12 @@ def _parser():
     actions = {}
     for verb, action, handler, arguments in COMMANDS:
         if action is None:
-            p = verbs.add_parser(verb)
+            p = verbs.add_parser(verb, **fixed)
         else:
             if verb not in actions:
-                actions[verb] = verbs.add_parser(verb).add_subparsers(
-                    dest="action")
-            p = actions[verb].add_parser(action)
+                actions[verb] = verbs.add_parser(
+                    verb, **fixed).add_subparsers(dest="action")
+            p = actions[verb].add_parser(action, **fixed)
         for flags, keywords in arguments:
             p.add_argument(*flags, **keywords)
         p.set_defaults(handler=handler)
@@ -646,8 +651,11 @@ def dispatch(argv):
     """
     argv = [a for a in argv if a != "--json"]
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # -h/--help: the report, not stdout, keeps the text
+            return 0, {"verdict": "help", "argv": argv, "help": out.getvalue()}
         args = None
     if getattr(args, "handler", None) is None:
         return 2, {"verdict": "usage-error", "argv": list(argv)}
@@ -676,6 +684,8 @@ def main(argv=None):
     code, report = dispatch(argv)
     if want_json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    elif "help" in report:
+        print(report["help"], end="")
     else:
         data = report.get("data", {})
         if isinstance(data, dict) and set(data) <= {"value", "dual"} and data:

@@ -5,10 +5,10 @@ table algebras, t-norms with their residua, filters, and chain quotients.
 Elements are exact, built from `fractions.Fraction` values; nothing here
 touches floating point.
 
-Every finite algebra has an `IndexedMV` view (`algebra.indexed()`, built
-on first use and cached): its operations as integer tables over carrier
-indices. Filters and quotients run on these tables; elements appear only
-in their arguments, their results and their error messages.
+Every finite algebra has one `IndexedMV` view (`algebra.indexed()`): its
+operations as integer tables over carrier indices, a table algebra's own
+tables. Filters, quotients and the axiom audit run on these tables;
+elements appear only in their arguments, results and error messages.
 
 Every exhaustive check of the package computes on rows of chain levels or
 carrier indices through the row primitives here: `_row_type`, `_read`,
@@ -177,7 +177,6 @@ class MVAlgebra:
     is_finite = False
     zero = ZERO
     one = ONE
-    _indexed = None
 
     def oplus(self, a, b):
         raise NotImplementedError
@@ -214,10 +213,8 @@ class MVAlgebra:
                     f"{format_value(v)} is not in the carrier of {self!r}")
 
     def indexed(self):
-        """The IndexedMV of a finite algebra, built on first use."""
-        if self._indexed is None:
-            self._indexed = _tabulate(self)
-        return self._indexed
+        """The view a finite subclass keeps; the standard algebra has none."""
+        raise CarrierError(f"{self!r} has no finite carrier")
 
 
 class derived:
@@ -237,16 +234,6 @@ class derived:
         value = self.build(obj)
         setattr(obj, self.name, value)
         return value
-
-
-def _tabulate(algebra):
-    """The IndexedMV read off a finite algebra's own oplus and neg."""
-    carrier = algebra.carrier
-    at = {v: i for i, v in enumerate(carrier)}.__getitem__
-    oplus = algebra.oplus
-    return IndexedMV(carrier, algebra.zero, algebra.one,
-                     [at(algebra.neg(a)) for a in carrier],
-                     [[at(oplus(a, b)) for b in carrier] for a in carrier])
 
 
 class IndexedMV:
@@ -432,7 +419,7 @@ class Chain(StandardRationals):
         if n < 2:
             raise ValueError("a chain needs at least the two constants")
         self.n = n
-        self._carrier = None
+        self._carrier = self._indexed = None
 
     @property
     def carrier(self):
@@ -483,6 +470,7 @@ class Chain(StandardRationals):
 class TableAlgebra(MVAlgebra):
     """A finite MV algebra given by explicit oplus and negation tables.
 
+    The validated tables are its one view, which everything else reads.
     Construction runs the full eight-group axiom audit unless audit=False;
     downstream code assumes every table algebra in circulation is genuine.
     """
@@ -490,23 +478,22 @@ class TableAlgebra(MVAlgebra):
     is_finite = True
 
     def __init__(self, carrier, oplus_table, neg_table, zero, one, audit=True):
-        self._carrier = tuple(carrier)
-        if len(set(self._carrier)) != len(self._carrier):
+        carrier = tuple(carrier)
+        if len(set(carrier)) != len(carrier):
             raise ValueError("carrier labels must be distinct")
-        self._index = {label: i for i, label in enumerate(self._carrier)}
-        n = len(self._carrier)
-        self._oplus = tuple(tuple(row) for row in oplus_table)
-        self._neg = tuple(neg_table)
-        if len(self._oplus) != n or any(len(r) != n for r in self._oplus):
+        n = len(carrier)
+        oplus = tuple(map(tuple, oplus_table))
+        neg = tuple(neg_table)
+        if len(oplus) != n or any(len(r) != n for r in oplus):
             raise ValueError("oplus table must be n x n")
-        if len(self._neg) != n:
+        if len(neg) != n:
             raise ValueError("neg table must have n entries")
-        if not all(0 <= v < n for row in self._oplus for v in row):
+        if not all(0 <= v < n for row in oplus for v in row):
             raise ValueError("oplus table entry out of range")
-        if not all(0 <= v < n for v in self._neg):
+        if not all(0 <= v < n for v in neg):
             raise ValueError("neg table entry out of range")
-        self.zero = self._carrier[zero]
-        self.one = self._carrier[one]
+        self.zero, self.one = carrier[zero], carrier[one]
+        self._indexed = IndexedMV(carrier, self.zero, self.one, neg, oplus)
         if audit:
             bad = [r.axiom for r in check_mv_axioms(self).failures()]
             if bad:
@@ -514,28 +501,30 @@ class TableAlgebra(MVAlgebra):
 
     @property
     def carrier(self):
-        return self._carrier
+        return self._indexed.elements
+
+    def indexed(self):
+        return self._indexed
 
     def contains(self, value):
-        return value in self._index
+        return value in self._indexed.index_of
 
     def oplus(self, a, b):
-        return self._carrier[self._oplus[self._index[a]][self._index[b]]]
+        V = self._indexed
+        return V.elements[V.oplus[V.index_of[a]][V.index_of[b]]]
 
     def neg(self, a):
-        return self._carrier[self._neg[self._index[a]]]
+        V = self._indexed
+        return V.elements[V.neg[V.index_of[a]]]
 
     def __repr__(self):
-        return f"TableAlgebra(|carrier|={len(self._carrier)})"
+        return f"TableAlgebra(|carrier|={len(self.carrier)})"
 
     def to_json(self):
-        return {
-            "carrier": list(self._carrier),
-            "oplus": [list(row) for row in self._oplus],
-            "neg": list(self._neg),
-            "zero": self._index[self.zero],
-            "one": self._index[self.one],
-        }
+        V = self._indexed
+        return {"carrier": list(V.elements),
+                "oplus": [list(row) for row in V.oplus],
+                "neg": list(V.neg), "zero": V.zero, "one": V.one}
 
     @classmethod
     def from_json(cls, data, audit=True):
@@ -775,8 +764,9 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
     """Audit the eight axiom groups as rows through first_witness; a
     failure carries its first failing triple. Exhaustive mode walks the
     carrier triples of a finite algebra of up to MAX_AUDIT_CARRIER elements
-    over ~, (+) and (*) tabulated by its element operations. Sampled mode
-    audits StandardRationals on `count` >= 1 seeded rational triples."""
+    over the ~, (+) and (*) tables of its view, algebra.indexed(). Sampled
+    mode audits StandardRationals on `count` >= 1 seeded rational
+    triples."""
     if mode == "exhaustive":
         if not algebra.is_finite:
             raise ValueError("exhaustive audit needs a finite algebra")
@@ -788,7 +778,7 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
             raise AuditTooLarge(
                 f"{algebra!r} exceeds the exhaustive audit cap of "
                 f"{MAX_AUDIT_CARRIER} elements")
-        desc, batches = "exhaustive", _table_batches(algebra)
+        desc, batches = "exhaustive", _table_batches(algebra.indexed())
     elif mode == "sampled":
         if type(algebra) is not StandardRationals:
             raise ValueError(
@@ -816,15 +806,14 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
         for (name, _, _), witness in zip(_AXIOMS, witnesses)), desc)
 
 
-def _table_batches(algebra):
-    # one batch per value a of the first variable, on carrier indices: the
+def _table_batches(V):
+    # one batch per value a of the first variable, on view indices: the
     # rows of arity k are zero, one, x = a and rest[k - 1], the carrier
     # tuples of the other variables read, then index 0 for the unread ones
-    V = _tabulate(algebra)
     carrier, n = V.elements, len(V.elements)
-    odot = [[V.index_of[algebra.odot(a, b)] for b in carrier]
-            for a in carrier]
-    ops = (lambda x, y: list(map(getitem, map(V.oplus.__getitem__, x), y)),
+    # V's rows as lists, which map(getitem) reads faster than tuples
+    oplus, odot = (list(map(list, t)) for t in (V.oplus, V.odot))
+    ops = (lambda x, y: list(map(getitem, map(oplus.__getitem__, x), y)),
            lambda x, y: list(map(getitem, map(odot.__getitem__, x), y)),
            lambda x: list(map(V.neg.__getitem__, x)))
     rest = [[*zip(*itertools.product(range(n), repeat=k))]
@@ -1056,8 +1045,10 @@ def quotient(algebra, flt):
     """Quotient by a maximal filter: a chain plus the projection map.
 
     The projection sends each element of the filter's algebra to its
-    class in the chain (see quotient_ranks).
+    class in the chain (see quotient_ranks). A filter of another algebra
+    is refused (see filter_ids).
     """
+    filter_ids(flt, algebra)
     chain, ranks = quotient_ranks(flt)
     _, _, dec = _coding(flt.algebra)
     return chain, {dec(i): chain.carrier[r] for i, r in enumerate(ranks)}

@@ -201,7 +201,7 @@ class FunctionalSetAlgebra:
     order. Substitution precomposes with a transformation of the index
     set; cylindrification takes suprema over assignment classes. tables
     is (neg, oplus, subst, cyl) over carrier indices, as build_generated
-    records them: without them the algebra has no indexed view.
+    records them: without them it has no indexed view and no contains.
     """
 
     kind = "functional"
@@ -219,7 +219,6 @@ class FunctionalSetAlgebra:
             itertools.product(self.base, repeat=len(self.index_set)))
         self._assign_index = {x: i for i, x in enumerate(self.assignments)}
         self.carrier = tuple(carrier)
-        self._carrier_set = set(self.carrier)
         self.generators = tuple(generators)
         self.zero = tuple(ZERO for _ in self.assignments)
         self.one = tuple(ONE for _ in self.assignments)
@@ -234,7 +233,7 @@ class FunctionalSetAlgebra:
         return self.carrier
 
     def contains(self, p):
-        return p in self._carrier_set
+        return p in self.indexed().index_of
 
     def oplus(self, p, q):
         ch = self.chain
@@ -460,12 +459,11 @@ class AbstractPolyadicAlgebra:
         """The IndexedAlgebra of this algebra, read off the tables of its
         signature; c_{} is the identity."""
         if self._indexed is None:
-            tables = self.mv.to_json()
-            identity = range(len(self.mv.carrier))
-            cyl = {j: self._c[j] if j else identity
+            V = self.mv.indexed()
+            cyl = {j: self._c[j] if j else V.carrier
                    for j in map(frozenset, self.scopes)}
             self._indexed = IndexedAlgebra(
-                self, tables["neg"], tables["oplus"],
+                self, V.neg, V.oplus,
                 {t: self._s[t] for t in self.transformations}, cyl)
         return self._indexed
 

@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import pattern_generator
+from builders import pattern_generator
 from mvlogic import calculus, semantics
 from mvlogic.cli import dispatch
 from mvlogic.interlab import (

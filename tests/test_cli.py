@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import to_table
+from builders import to_table
 from mvlogic import interlab
 from mvlogic.cli import dispatch, main
 from mvlogic.polyadic import algebra_from_json
@@ -547,6 +547,37 @@ def test_human_output(argv, code, lines, monkeypatch, capsys):
     *got, time_line = capsys.readouterr().out.splitlines()
     assert got == lines
     assert re.fullmatch(r"  time: \d+ ms", time_line)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mv", "--help"],
+                                  ["--json", "mv", "audit", "-h"]],
+                         ids=["top", "verb", "action-json"])
+def test_help_exits_0_with_a_report(argv, capsys):
+    # the help on stdout, as the report's help or, with --json, in it
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    prog = " ".join(["mvlogic", *[a for a in argv if a != "--json"][:-1]])
+    if "--json" in argv:
+        report = json.loads(out)
+        assert report["verdict"] == "help"
+        out = report["help"]
+    assert out.startswith(f"usage: {prog} [-h]")
+    assert "usage-error" not in out
+    assert max(map(len, out.splitlines())) <= 78
+
+
+def test_help_in_a_batch_stays_in_its_report(tmp_path, capsys):
+    # stdout holds the batch's JSON document and nothing else; a real
+    # usage error beside the help still exits 2
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"commands": [
+        ["--help"], ["mv", "audit", "--chain"]]}))
+    assert main(["batch", str(manifest), "--json"]) == 1
+    helped, usage = json.loads(capsys.readouterr().out)["data"]["results"]
+    assert helped["exit"] == 0 and helped["report"]["verdict"] == "help"
+    assert helped["report"]["help"].startswith("usage: mvlogic [-h]")
+    assert usage["exit"] == 2
+    assert usage["report"]["verdict"] == "usage-error"
 
 
 class TestVerbs:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import coordinate_generator, pattern_algebra, small_algebra
+from builders import coordinate_generator, pattern_algebra, small_algebra
 from mvlogic import interlab, mv_core, pavelka
 from mvlogic.interlab import (
     Exhausted, Found, HenkinFilter, NotFoundWithin, PremiseNotEntailed,

@@ -7,16 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import element_implies, pattern_algebra, small_algebra, to_table
+from builders import element_implies, pattern_algebra, small_algebra, to_table
 from mvlogic import mv_core
 from mvlogic.mv_core import (
-    MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, AuditTooLarge, CarrierError, Chain,
-    Filter, FilterError, FilterNotFound, MVAxiomError, NonMaximalFilter,
-    ProperFilterRequired, StandardRationals, TableAlgebra, ViewTooLarge,
-    SAMPLE_DENOMINATOR, _tabulate, check_mv_axioms,
+    MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, STANDARD, AuditTooLarge, CarrierError,
+    Chain, Filter, FilterError, FilterNotFound, IndexedMV, MVAxiomError,
+    NonMaximalFilter, ProperFilterRequired, StandardRationals, TableAlgebra,
+    ViewTooLarge, SAMPLE_DENOMINATOR, check_mv_axioms,
     eval_basic, extend_to_maximal, filter_generate, is_json_int, json_field,
-    json_index_into, json_list_of, maximal_filters, quotient,
-    residuum_by_maximization, tnorm_eval,
+    json_index_into, json_list_of, maximal_filters, principal_filter,
+    quotient, residuum_by_maximization, tnorm_eval,
 )
 
 STD = StandardRationals()
@@ -328,6 +328,16 @@ def reference_audit(algebra):
     return results
 
 
+def tabulate(algebra):
+    """The IndexedMV read off a finite algebra's own element operations."""
+    carrier = algebra.carrier
+    at = {v: i for i, v in enumerate(carrier)}.__getitem__
+    return IndexedMV(carrier, algebra.zero, algebra.one,
+                     [at(algebra.neg(a)) for a in carrier],
+                     [[at(algebra.oplus(a, b)) for b in carrier]
+                      for a in carrier])
+
+
 def product_algebra(n, m):
     """Direct product of two chains as an audited table algebra."""
     pairs = list(itertools.product(Chain(n).carrier, Chain(m).carrier))
@@ -456,6 +466,17 @@ class TestQuotient:
         with pytest.raises(ProperFilterRequired):
             quotient(chain, Filter(chain, frozenset(chain.carrier)))
 
+    def test_refuses_a_filter_of_another_algebra(self):
+        flt = Filter(Chain(5), frozenset({F(1)}))
+        with pytest.raises(ValueError, match=r"Chain\(5\).*Chain\(3\)"):
+            quotient(Chain(3), flt)
+
+    def test_accepts_a_filter_of_an_equal_chain(self):
+        out, projection = quotient(Chain(5),
+                                   Filter(Chain(5), frozenset({F(1)})))
+        assert out == Chain(5)
+        assert projection == {v: v for v in Chain(5).carrier}
+
     def test_product_by_maximal_gives_factor(self):
         algebra, pairs, labels = product_algebra(2, 3)
         maximal = maximal_filters(algebra)[0]
@@ -489,8 +510,10 @@ class TestQuotient:
 
 
 class TestIndexedView:
-    @pytest.mark.parametrize("make", [lambda: Chain(5),
-                                      lambda: product_algebra(2, 3)[0]])
+    @pytest.mark.parametrize("make", [
+        lambda: Chain(5), lambda: product_algebra(2, 3)[0],
+        lambda: TableAlgebra.from_json(corrupted_table(4, 2), audit=False)],
+        ids=["chain", "product", "corrupted"])
     def test_tables_agree_with_element_operations(self, make):
         algebra = make()
         view = algebra.indexed()
@@ -507,12 +530,37 @@ class TestIndexedView:
 
     @pytest.mark.parametrize("n", range(2, 51))
     def test_chain_levels_agree_with_element_operations(self, n):
-        # the chain's view is built from levels; _tabulate reads the same
+        # the chain's view is built from levels; tabulate reads the same
         # tables off Chain's own Fraction operations
-        view, read = Chain(n).indexed(), _tabulate(Chain(n))
+        view, read = Chain(n).indexed(), tabulate(Chain(n))
         for name in ("elements", "zero", "one", "neg", "oplus", "odot",
                      "le"):
             assert getattr(view, name) == getattr(read, name), name
+
+    def test_a_table_algebra_builds_one_view(self, monkeypatch):
+        # its construction audit, indexed() and a second audit all read
+        # the view that construction built from its tables
+        data = to_table(Chain(4)).to_json()
+        built = []
+        init = IndexedMV.__init__
+
+        def counted(view, *args):
+            built.append(view)
+            init(view, *args)
+
+        monkeypatch.setattr(IndexedMV, "__init__", counted)
+        algebra = TableAlgebra.from_json(data)
+        assert check_mv_axioms(algebra).passed
+        assert built == [algebra.indexed()]
+
+    def test_the_standard_algebra_has_no_view(self):
+        # every reader of a view refuses the infinite standard algebra
+        for read in (STANDARD.indexed,
+                     lambda: filter_generate(STANDARD, [F(1)]),
+                     lambda: principal_filter(STANDARD, F(1)),
+                     lambda: maximal_filters(STANDARD)):
+            with pytest.raises(CarrierError, match="has no finite carrier"):
+                read()
 
     def test_level_sums_are_min_and_max(self):
         for top in range(1, 65):

@@ -17,7 +17,7 @@ from mvlogic.pavelka import (
     pavelka_quantifier_check, pavelka_representation,
 )
 from mvlogic.polyadic import algebra_from_json, build_generated
-from conftest import coordinate_generator, element_implies
+from builders import coordinate_generator, element_implies
 
 
 def chain_context(n):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import (
+from builders import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
