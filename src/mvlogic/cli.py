@@ -110,15 +110,19 @@ def _algebra_arg(args, inputs, audit=True):
     raise CliError("choose one of --chain N, --standard, --table FILE")
 
 
-def _values(text):
-    return [parse_value(t) for t in text.split(",") if t.strip()]
+def _value(algebra, word):
+    """The carrier value a word names: on a table algebra the first label
+    whose str() it is, elsewhere a rational. A word that names no label
+    stays a word, which the command refuses as outside the carrier."""
+    word = word.strip()
+    if isinstance(algebra, TableAlgebra):
+        return next((v for v in algebra.carrier if str(v) == word), word)
+    return parse_value(word)
 
 
-def _members_arg(args, text):
-    # table carriers are labelled; chains carry rationals
-    if args.table:
-        return [t.strip() for t in text.split(",") if t.strip()]
-    return _values(text)
+def _values(algebra, text):
+    """The carrier values of the comma-separated words of text."""
+    return [_value(algebra, w) for w in text.split(",") if w.strip()]
 
 
 # -- mv ---------------------------------------------------------------
@@ -140,13 +144,13 @@ def _cmd_mv_audit(args, inputs):
 
 def _cmd_mv_eval(args, inputs):
     algebra = _algebra_arg(args, inputs)
-    value = mv_core.eval_basic(args.op, _values(args.args), algebra)
+    value = mv_core.eval_basic(args.op, _values(algebra, args.args), algebra)
     return 0, "ok", {"value": str(value)}
 
 
 def _cmd_mv_residuum(args, inputs):
     algebra = _algebra_arg(args, inputs)
-    x, y = parse_value(args.x), parse_value(args.y)
+    x, y = _value(algebra, args.x), _value(algebra, args.y)
     scan = mv_core.residuum_by_maximization(x, y, algebra)
     closed = algebra.implies(x, y)
     agree = scan == closed
@@ -163,8 +167,7 @@ def _cmd_mv_tnorm(args, inputs):
 def _cmd_mv_filter(args, inputs):
     algebra = _algebra_arg(args, inputs)
     flt = mv_core.filter_generate(
-        algebra, _members_arg(args, args.elements)
-        if args.elements else [])
+        algebra, _values(algebra, args.elements))
     return 0, "ok", {
         "members": sorted(str(m) for m in flt.members),
         "proper": flt.is_proper,
@@ -174,7 +177,7 @@ def _cmd_mv_filter(args, inputs):
 def _cmd_mv_extend(args, inputs):
     algebra = _algebra_arg(args, inputs)
     flt = mv_core.Filter(
-        algebra, frozenset(_members_arg(args, args.members)))
+        algebra, frozenset(_values(algebra, args.members)))
     try:
         maximal = mv_core.extend_to_maximal(algebra, flt)
     except mv_core.FilterNotFound:
@@ -185,7 +188,7 @@ def _cmd_mv_extend(args, inputs):
 def _cmd_mv_quotient(args, inputs):
     algebra = _algebra_arg(args, inputs)
     flt = mv_core.Filter(
-        algebra, frozenset(_members_arg(args, args.members)))
+        algebra, frozenset(_values(algebra, args.members)))
     try:
         chain, projection = mv_core.quotient(algebra, flt)
     except (mv_core.NonMaximalFilter, mv_core.ProperFilterRequired) as exc:

@@ -26,7 +26,7 @@ from .mv_core import (  # noqa: F401
     _level_tables, _read, _row_type, _transpose, clause_result, column_block,
     homomorphism_clauses, maximal_filters, quotient,
 )
-from .polyadic import FunctionalSetAlgebra
+from .polyadic import FunctionalSetAlgebra, _check_signature
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
     TOP, BOTTOM, predicates_of, render,
@@ -263,12 +263,13 @@ def henkin_filter_build(algebra, a):
     unsatisfiable as soon as the carrier holds two-coordinate conjuncts,
     so the fallback is recorded per pair rather than imposed. A filter
     with a witness-less pair is skipped; Exhausted reports how many
-    candidates were examined.
+    candidates were examined. A value outside the carrier is refused
+    with a SignatureError naming it.
     """
     if a == algebra.zero:
         raise ZeroElement("the starting element must be nonzero")
     V = algebra.indexed()
-    start = V.index_of.get(a)
+    start = _check_signature(V, a)
     singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
 
     def witnesses(members):

@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, floordiv, getitem, mul, sub
+from operator import add, floordiv, getitem, itemgetter, mul, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,9 +69,10 @@ class AuditTooLarge(ValueError):
 
 
 # The longest chain that gets an indexed view. The view holds three n x n
-# tables (oplus, odot, le) for the life of its chain, about 30 bytes per
-# pair (a, b) in all (max RSS grows by 42 MB at n = 1200 and by 67 MB at
-# the cap, Python 3.11); n = 10^5 would need some 300 GB.
+# tables (oplus, odot, le) for the life of its chain: about 3 bytes per
+# pair (a, b) in all up to 256 elements, where rows are bytes, and about 30
+# past that, where they are tuples (max RSS grows by 42 MB at n = 1200 and
+# by 67 MB at the cap, Python 3.11); n = 10^5 would need some 300 GB.
 MAX_CHAIN_VIEW = 1500
 
 # The largest carrier the exhaustive check_mv_axioms audits. Associativity
@@ -240,12 +241,12 @@ class IndexedMV:
     """A finite MV algebra as operation tables over carrier indices.
 
     Index i stands for elements[i], in the order of the algebra's carrier;
-    index_of maps back. neg and oplus are given; odot and le are derived
-    from them on first read, so a query that reads neither (a cylinder
-    lookup, say) never builds their n x n tables. Each is a plain tuple,
-    read as neg[a] and oplus[a][b]. A view is its own view, with carrier
-    range(n), so the filters and quotients below also run on a view
-    itself (see _coding).
+    index_of maps back. Tables are read as neg[a] and oplus[a][b], each
+    row of type row = _row_type(n - 1): bytes up to 256 elements, tuples
+    past that. neg and oplus are given; odot and le are derived on first
+    read, two _reads a row, so a query that reads neither never builds
+    them. A view is its own view, with carrier range(n), so the filters
+    and quotients below also run on a view itself (see _coding).
     """
 
     is_finite = True
@@ -254,23 +255,23 @@ class IndexedMV:
         self.elements = tuple(elements)
         self.index_of = {p: i for i, p in enumerate(self.elements)}
         self.carrier = range(len(self.elements))
+        self.row = row = _row_type(len(self.elements) - 1)
         self.zero = self.index_of[zero]
         self.one = self.index_of[one]
-        self.neg = tuple(neg)
-        self.oplus = tuple(map(tuple, oplus))
+        self.neg = row(neg)
+        self.oplus = tuple(map(row, oplus))
 
     @derived
     def odot(self):
         """odot[a][b] is neg[oplus[neg[a]][neg[b]]]."""
-        neg = self.neg
-        return tuple(tuple([neg[row[x]] for x in neg])
-                     for row in map(self.oplus.__getitem__, neg))
+        neg, oplus = self.neg, self.oplus
+        return tuple(_read(neg, _read(oplus[x], neg)) for x in neg)
 
     @derived
     def le(self):
-        """le[a][b] is odot[a][neg[b]] == zero."""
-        zero, neg = self.zero, self.neg
-        return tuple(tuple([row[x] == zero for x in neg]) for row in self.odot)
+        """le[a][b] is 1 if odot[a][neg[b]] == zero, else 0."""
+        is_zero = self.row(x == self.zero for x in self.carrier)
+        return tuple(_read(is_zero, _read(r, self.neg)) for r in self.odot)
 
     def implies(self, a, b):
         return self.oplus[self.neg[a]][b]
@@ -333,10 +334,13 @@ def _level_tables(top):
 
 def _read(table, at):
     """The row of table's entries at the entries of the row at: for byte
-    rows one translate, through the table padded to 256 bytes."""
+    rows one translate, through the table padded to 256 bytes, else one
+    itemgetter call (3 times as fast as map over a tuple's __getitem__)."""
     if isinstance(at, bytes):
         return at.translate(table.ljust(256, b"\0"))
-    return tuple(map(table.__getitem__, at))
+    if len(at) > 1:  # itemgetter of one entry returns it bare
+        return itemgetter(*at)(table)
+    return tuple([table[x] for x in at])
 
 
 def _add(a, b):
@@ -811,7 +815,7 @@ def _table_batches(V):
     # rows of arity k are zero, one, x = a and rest[k - 1], the carrier
     # tuples of the other variables read, then index 0 for the unread ones
     carrier, n = V.elements, len(V.elements)
-    # V's rows as lists, which map(getitem) reads faster than tuples
+    # V's rows as lists, which map(getitem) reads faster than bytes or tuples
     oplus, odot = (list(map(list, t)) for t in (V.oplus, V.odot))
     ops = (lambda x, y: list(map(getitem, map(oplus.__getitem__, x), y)),
            lambda x, y: list(map(getitem, map(odot.__getitem__, x), y)),

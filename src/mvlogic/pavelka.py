@@ -21,7 +21,8 @@ class PavelkaAlgebra:
     """An algebra together with truth constants indexed by a finite chain.
 
     base is any finite MV algebra with an indexed view; constants maps
-    chain values r, and only those, to the elements playing r-bar. The
+    chain values r, and only those, to the elements playing r-bar, which
+    base.check_args refuses outside its carrier. The
     compatibility laws are checked by constants_check, not at
     construction, so corrupted instances can be built for mutation tests.
     """
@@ -43,6 +44,7 @@ class PavelkaAlgebra:
         # derived once (the dataclass is frozen): (level, view index) pairs
         chain, (_, enc, _) = self.chain, _coding(self.base)
         chain.check_args(self.levels)
+        self.base.check_args([e for _, e in self.constants])
         object.__setattr__(self, "_bar", tuple(
             (int(r * (chain.n - 1)), enc(e)) for r, e in self.constants))
 
@@ -98,6 +100,7 @@ def _degrees(pav, flt, ids):
 def degree(a, ctx):
     """[a]_H: the largest constant level r with r-bar -> a in the filter."""
     pav = ctx.algebra
+    pav.base.check_args((a,))
     (up,), _ = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])
     return pav.chain.carrier[up]
 
@@ -105,6 +108,7 @@ def degree(a, ctx):
 def degree_dual(a, ctx):
     """The dual form: the least r with a -> r-bar in the filter."""
     pav = ctx.algebra
+    pav.base.check_args((a,))
     _, (down,) = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])
     return pav.chain.carrier[down]
 

@@ -31,13 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
-    _add, _instance, _interleave, _level_tables, _read, _row_type, derived,
-    first_witness,
-    format_point, format_value, is_json_int, is_json_object, is_json_str,
-    json_field, json_index_into, json_list_of, parse_point, parse_value,
+    _add, _concat, _instance, _interleave, _level_tables, _read, _row_type,
+    derived, first_witness, format_point, format_value, is_json_int,
+    is_json_object, is_json_str, json_field, json_index_into, json_list_of,
+    parse_point, parse_value,
 )
 from .transform import (
     FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
@@ -121,9 +122,9 @@ class IndexedAlgebra(IndexedMV):
 
     Index i stands for elements[i], in the order of algebra.elements().
     The carrier is closed under every operation, so each one is a finite
-    table: the MV tables of IndexedMV, and subst[tau], cyl[J] and q[J] for
-    every tau and J of the signature, with q derived from neg and cyl on
-    first read.
+    table, a row of type row as in IndexedMV: the MV tables, and
+    subst[tau], cyl[J] and q[J] for every tau and J of the signature
+    (c_{} is the identity), with q derived from neg and cyl on first read.
     """
 
     def __init__(self, algebra, neg, oplus, subst, cyl):
@@ -131,17 +132,16 @@ class IndexedAlgebra(IndexedMV):
                          neg, oplus)
         self.algebra = algebra
         self.maps = tuple(algebra.transformations)
-        self.subst = {t: tuple(table) for t, table in subst.items()}
-        self.cyl = {frozenset(j): tuple(table) for j, table in cyl.items()}
-        self._cylinders = {frozenset(): tuple(self.carrier), **self.cyl}
+        self.subst = {t: self.row(table) for t, table in subst.items()}
+        self.cyl = {frozenset(j): self.row(table) for j, table in cyl.items()}
+        self._cylinders = {frozenset(): self.row(self.carrier), **self.cyl}
         self._replacements = {}
 
     @derived
     def q(self):
         """q[J][a] is neg[cyl[J][neg[a]]]."""
         neg = self.neg
-        return {j: tuple(neg[c[neg[a]]] for a in self.carrier)
-                for j, c in self.cyl.items()}
+        return {j: _read(neg, _read(c, neg)) for j, c in self.cyl.items()}
 
     @derived
     def composition(self):
@@ -306,7 +306,7 @@ class FunctionalSetAlgebra:
             if self._tables is None:
                 raise ValueError("an algebra built without tables has no view")
             self._indexed = IndexedAlgebra(self, *self._tables)
-            self._tables = None  # the view holds them as tuples now
+            self._tables = None  # the view holds them as rows now
         return self._indexed
 
     def to_json(self):
@@ -498,7 +498,7 @@ def _check_signature(V, p, tau=None, j=None):
         raise SignatureError(f"scope {sorted(j)} is not in the scope family")
     a = V.index_of.get(p)
     if a is None:
-        raise SignatureError("element is not in the carrier")
+        raise SignatureError(f"element is not in the carrier: {p!r}")
     return a
 
 
@@ -688,8 +688,8 @@ def audit_axioms(algebra):
     mv_core.first_witness). A row holds one side of a law at every
     carrier element, and is built by reading one index table at the
     entries of another (mv_core._read): s_sigma read at s_tau against
-    s_(sigma tau). Rows are mv_core's, of type _row_type(n - 1) for a
-    carrier of n elements. The rows of each law are compared whole; only a
+    s_(sigma tau). The view's tables are such rows, read as they are (see
+    IndexedAlgebra). The rows of each law are compared whole; only a
     block whose rows differ is walked, its laws interleaved element by
     element, so `checked` and every witness are those of a walk over one
     instance at a time in the order of the rows.
@@ -711,15 +711,11 @@ def audit_axioms(algebra):
     maps = V.maps
     map_set = set(maps)
     index = list(algebra.index_set)
-    # the tables as mv_core rows of carrier indices
-    row = _row_type(n - 1)
-    ones, neg = row((True,) * n), row(V.neg)
-    S = {t: row(table) for t, table in V.subst.items()}
-    C = {j: row(table) for j, table in V.cyl.items()}
-    Q = {j: row(table) for j, table in V.q.items()}
+    # the view's tables, mv_core rows of carrier indices
+    row, neg, S, C, Q = V.row, V.neg, V.subst, V.cyl, V.q
+    ones = row((True,) * n)
     # (*) and (+) as (rows by p, rows by column)
-    odot, oplus = ((list(map(row, op)), list(map(row, zip(*op))))
-                   for op in (V.odot, V.oplus))
+    odot, oplus = ((op, list(map(row, zip(*op)))) for op in (V.odot, V.oplus))
     results = []
 
     def _audit(name, blocks):
@@ -811,8 +807,8 @@ def audit_axioms(algebra):
     results.append(_audit("polyadic-5-c-injective", injective_blocks(C)))
 
     # a (*) a and a (+) a per carrier index a
-    square_odot = row(map(tuple.__getitem__, V.odot, els))
-    square_oplus = row(map(tuple.__getitem__, V.oplus, els))
+    square_odot = row(map(getitem, V.odot, els))
+    square_oplus = row(map(getitem, V.oplus, els))
 
     # existential quantifier laws, per scope
     def exists_blocks():
@@ -821,7 +817,7 @@ def audit_axioms(algebra):
             tag = sorted(j)
             yield single(cj[V.zero], V.zero, ("E1", tag))
             yield laws([
-                (("E2", tag), row(map(tuple.__getitem__, V.le, cj)), ones),
+                (("E2", tag), row(map(getitem, V.le, cj)), ones),
                 (("E5", tag), _read(cj, square_odot),
                  _read(square_odot, cj)),
                 (("E6", tag), _read(cj, square_oplus),
@@ -839,7 +835,7 @@ def audit_axioms(algebra):
             yield single(qj[V.one], V.one, ("Q1-unit", tag))
             yield laws([
                 (("Q1-decreasing", tag), row(map(
-                    tuple.__getitem__, map(V.le.__getitem__, qj), els)),
+                    getitem, map(V.le.__getitem__, qj), els)),
                  ones),
                 (("Q1-square-odot", tag), _read(qj, square_odot),
                  _read(square_odot, qj)),
@@ -864,8 +860,7 @@ def audit_axioms(algebra):
     # right sides read the tables at s_t, (+) and (*) column s_t q at a
     # time, read once per value of s_t. A map whose rows differ is walked
     # per p: the neg law, then the oplus and odot laws over q in turn.
-    flat = [row(itertools.chain.from_iterable(op))
-            for op in (V.oplus, V.odot)]
+    flat = [_concat(op, row) for op in (V.oplus, V.odot)]
 
     def at_p(rows, p):
         # the neg entry of p, then the oplus and odot entries of (p, q)
@@ -901,7 +896,7 @@ def audit_axioms(algebra):
             ci = C[frozenset({i})]
             neg_c = _read(neg, ci)
             yield laws([
-                (("D1-increasing", i), row(map(tuple.__getitem__, V.le, ci)),
+                (("D1-increasing", i), row(map(getitem, V.le, ci)),
                  ones),
                 (("D1-idempotent", i), _read(ci, ci), ci),
                 (("D1-complement", i), _read(ci, neg_c), neg_c)])
@@ -948,7 +943,7 @@ def audit_axioms(algebra):
             s_ij = V.replacement(i, j)
             if s_ij is None:
                 continue
-            s_ij, s_ji = row(s_ij), V.replacement(j, i)
+            s_ji = V.replacement(j, i)
             ci, cj = C[frozenset({i})], C[frozenset({j})]
             qi, qj = Q[frozenset({i})], Q[frozenset({j})]
             rows = [(("D6-c", i, j), _read(ci, s_ij), s_ij),
@@ -964,7 +959,6 @@ def audit_axioms(algebra):
                          (("D8-q", i, j, k), _read(s_ij, qk),
                           _read(qk, s_ij))]
             if s_ji is not None:
-                s_ji = row(s_ji)
                 rows += [(("D9-c", i, j), _read(ci, s_ji), _read(cj, s_ij)),
                          (("D9-q", i, j), _read(qi, s_ji), _read(qj, s_ij))]
             yield laws(rows)

@@ -364,6 +364,56 @@ def test_off_chain_value_is_reported_as_written(argv, tmp_path):
 
 GOLDEN_INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
 
+# Ł3 as a table, once with the string labels of table-l3.json and once
+# with integer labels, the middle one labelled 5
+L3_TABLE = json.loads((GOLDEN_INPUTS / "table-l3.json").read_text())
+L3_LABELS = {"strings": L3_TABLE["carrier"], "integers": [0, 5, 9]}
+
+
+@pytest.mark.parametrize("labels", sorted(L3_LABELS))
+@pytest.mark.parametrize("action, flags, data", [
+    ("eval", ["--op", "neg", "--args", "{half}"], {"value": "{half}"}),
+    ("eval", ["--op", "oplus", "--args", "{half},{half}"],
+     {"value": "{one}"}),
+    ("residuum", ["--x", "{half}", "--y", "{zero}"],
+     {"max_scan": "{half}", "closed_form": "{half}"}),
+    ("filter", ["--elements", "{half}"],
+     {"members": ["{zero}", "{half}", "{one}"], "proper": False}),
+    ("extend", ["--members", "{one}"], {"members": ["{one}"]}),
+    ("quotient", ["--members", "{one}"],
+     {"chain": 3, "projection": {"{zero}": "0", "{half}": "1/2",
+                                 "{one}": "1"}}),
+], ids=["eval-neg", "eval-oplus", "residuum", "filter", "extend",
+        "quotient"])
+def test_table_commands_name_carrier_labels(labels, action, flags, data,
+                                            tmp_path):
+    # every mv command that names carrier values reads a table's words as
+    # the labels they print as, string or integer
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**L3_TABLE, "carrier": L3_LABELS[labels]}))
+    zero, half, one = map(str, L3_LABELS[labels])
+
+    def fill(value):
+        if isinstance(value, str):
+            return value.format(zero=zero, half=half, one=one)
+        if isinstance(value, dict):
+            return {fill(k): fill(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return sorted(map(fill, value))
+        return value
+
+    code, report = dispatch(["mv", action, "--table", str(path),
+                             *map(fill, flags)])
+    assert (code, report["data"]) == (0, fill(data))
+
+
+def test_a_word_naming_no_label_is_outside_the_carrier():
+    code, report = dispatch(["mv", "eval", "--table",
+                             str(GOLDEN_INPUTS / "table-l3.json"),
+                             "--op", "neg", "--args", "2/3"])
+    assert (code, report["reason"]) \
+        == (2, "2/3 is not in the carrier of TableAlgebra(|carrier|=3)")
+
 # The carrier-form spec that `poly build --out` writes for spec1.json.
 DUMP = "spec1-dump.json"
 

@@ -14,7 +14,7 @@ from mvlogic.interlab import (
     henkin_filter_build, interpolant_search, leq, representation_map,
 )
 from mvlogic.mv_core import Chain
-from mvlogic.polyadic import build_generated, dimension_set
+from mvlogic.polyadic import SignatureError, build_generated, dimension_set
 from mvlogic.semantics import Model, SearchTooLarge, entails, random_model
 from mvlogic.syntax import (
     Atom, BOTTOM, Exists, Implies, LanguageSpec, Odot, Oplus, TOP, parse,
@@ -321,6 +321,15 @@ class TestHenkin:
                                   "powerset", cap=40)
         with pytest.raises(ZeroElement):
             henkin_filter_build(algebra, algebra.zero)
+
+    @pytest.mark.parametrize("stranger", [(F(1, 7),) * 4, "junk"],
+                             ids=["off-chain", "no-element"])
+    def test_element_outside_the_carrier_rejected(self, stranger):
+        # refused by name, not answered with Exhausted(examined=0)
+        with pytest.raises(SignatureError) as caught:
+            henkin_filter_build(small_algebra(), stranger)
+        assert str(caught.value) \
+            == f"element is not in the carrier: {stranger!r}"
 
 
 class TestRepresentation:

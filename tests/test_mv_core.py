@@ -512,8 +512,10 @@ class TestQuotient:
 class TestIndexedView:
     @pytest.mark.parametrize("make", [
         lambda: Chain(5), lambda: product_algebra(2, 3)[0],
-        lambda: TableAlgebra.from_json(corrupted_table(4, 2), audit=False)],
-        ids=["chain", "product", "corrupted"])
+        lambda: TableAlgebra.from_json(corrupted_table(4, 2), audit=False),
+        lambda: Chain(257), lambda: corrupted_product(3, 100, (250, 7, 13))],
+        ids=["chain", "product", "corrupted", "chain257",
+             "corrupted-product300"])
     def test_tables_agree_with_element_operations(self, make):
         algebra = make()
         view = algebra.indexed()
@@ -527,6 +529,18 @@ class TestIndexedView:
                 assert els[view.oplus[a][b]] == algebra.oplus(p, q)
                 assert els[view.odot[a][b]] == algebra.odot(p, q)
                 assert view.le[a][b] == algebra.le(p, q)
+
+    @pytest.mark.parametrize("make, row", [
+        (lambda: Chain(256), bytes), (lambda: Chain(257), tuple),
+        (lambda: corrupted_product(3, 100, (250, 7, 13)), tuple)],
+        ids=["chain256", "chain257", "product300"])
+    def test_tables_are_rows_of_one_type(self, make, row):
+        # bytes up to 256 elements, tuples past that: chosen once, by the
+        # view, for every table it holds or derives
+        view = make().indexed()
+        assert view.row is row
+        assert {type(t) for t in (view.neg, *view.oplus, *view.odot,
+                                  *view.le)} == {row}
 
     @pytest.mark.parametrize("n", range(2, 51))
     def test_chain_levels_agree_with_element_operations(self, n):

@@ -8,15 +8,17 @@ import pytest
 
 from mvlogic.interlab import HenkinFilter, henkin_filter_build
 from mvlogic.mv_core import (
-    Chain, Filter, ONE, ZERO, _instance, clause_result, parse_value,
-    principal_filter,
+    CarrierError, Chain, Filter, ONE, ZERO, _instance, clause_result,
+    parse_value, principal_filter,
 )
 from mvlogic.pavelka import (
     GradedContext, PavelkaAlgebra, constants_check, degree, degree_dual,
     degree_forms_check, functional_pavelka, pavelka_lemma_check,
     pavelka_quantifier_check, pavelka_representation,
 )
-from mvlogic.polyadic import algebra_from_json, build_generated
+from mvlogic.polyadic import (
+    SignatureError, algebra_from_json, build_generated,
+)
 from builders import coordinate_generator, element_implies
 
 
@@ -40,6 +42,12 @@ class TestConstants:
         with pytest.raises(ValueError, match=re.escape(
                 f"{key} is not in the carrier of Chain(5)")):
             PavelkaAlgebra.make(chain, chain, {key: chain.one})
+
+    def test_constant_outside_the_base_rejected(self):
+        chain = Chain(5)
+        with pytest.raises(CarrierError, match=re.escape(
+                "1/7 is not in the carrier of Chain(5)")):
+            PavelkaAlgebra.make(chain, chain, {F(1, 2): F(1, 7)})
 
     def test_corrupt_constants_detected(self):
         chain = Chain(5)
@@ -86,6 +94,23 @@ class TestDegree:
                 == chain.odot(degree(a, ctx), degree(b, ctx))
         for a in chain.carrier:
             assert degree(chain.neg(a), ctx) == chain.neg(degree(a, ctx))
+
+    @pytest.mark.parametrize("form", [degree, degree_dual])
+    def test_element_outside_the_base_rejected(self, form):
+        # a chain's degree and a functional algebra's, each refused with
+        # the error its base's check_args raises, naming the element
+        _, pav, flt = chain_context(5)
+        with pytest.raises(CarrierError, match=re.escape(
+                "1/7 is not in the carrier of Chain(5)")):
+            form(F(1, 7), GradedContext(pav, flt))
+        algebra = build_generated((0, 1), 2, Chain(2), [], "full",
+                                  "powerset", cap=40)
+        pav = functional_pavelka(algebra)
+        flt = principal_filter(algebra, algebra.one)
+        stranger = (F(1, 7),) * 4
+        with pytest.raises(SignatureError, match=re.escape(
+                f"{stranger!r} is not a carrier element")):
+            form(stranger, GradedContext(pav, flt))
 
     def test_context_requires_proper_filter(self):
         chain, pav, _ = chain_context(3)

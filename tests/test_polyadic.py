@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -387,7 +388,7 @@ class TestNeatReduct:
                        if not view.dimension_set(b) <= alpha)
         s_tables, c_tables = dict(view.subst), dict(view.cyl)
         tables = c_tables if operation.startswith("cyl") else s_tables
-        tables[key] = (outside,) + tables[key][1:]
+        tables[key] = (outside, *tables[key][1:])
         corrupted = AbstractPolyadicAlgebra(
             abstract.mv, abstract.index_set, abstract.transformations,
             abstract.scopes, s_tables, c_tables)
@@ -475,8 +476,8 @@ class TestAuditor:
         view = abstract.indexed()
         t = FinTransformation.identity(abstract.index_set)
         n = len(view.carrier)
-        for wrong in (view.subst[t][:-1], view.subst[t][:-1] + (n,),
-                      view.subst[t][:-1] + (-1,)):
+        for wrong in (view.subst[t][:-1], (*view.subst[t][:-1], n),
+                      (*view.subst[t][:-1], -1)):
             with pytest.raises(ValueError, match="carrier index"):
                 AbstractPolyadicAlgebra(
                     abstract.mv, abstract.index_set, abstract.transformations,
@@ -906,7 +907,44 @@ class TestAuditAgainstReference:
                            reference_audit_axioms(pattern_algebra())}
 
 
+def diag4():
+    """The |I| = 4 algebra over L2 that the diagonal x0 = x1 generates
+    under the full semigroup: 256 elements, the most that take byte
+    rows."""
+    diagonal = tuple(ONE if x[0] == x[1] else ZERO
+                     for x in assignments(4, 2))
+    return build_generated(range(4), 2, Chain(2), [diagonal], "full",
+                           "powerset", cap=256)
+
+
 class TestIndexedAlgebra:
+    @pytest.mark.parametrize("make, row", [
+        (small_algebra, bytes), (diag4, bytes),
+        (lambda: _square_chain(17), tuple)],
+        ids=["small81", "diag4-256", "square289"])
+    def test_tables_are_rows_of_one_type(self, make, row):
+        # bytes up to 256 elements, tuples past that: chosen once, by the
+        # view, for every table it holds or derives, c_{} too
+        view = make().indexed()
+        assert view.row is row
+        assert {type(t) for t in (
+            view.neg, *view.oplus, *view.odot, *view.le,
+            *view.subst.values(), *view.cyl.values(), *view.q.values(),
+            view.cylinder(()))} == {row}
+
+    def test_a_byte_row_view_holds_a_byte_an_entry(self):
+        # diag4's view with its derived (*), <= and q: three 256 x 256
+        # tables and 256 s_tau rows, a byte an entry (2.2 MB as tuples)
+        algebra = diag4()
+        tracemalloc.start()
+        try:
+            view = algebra.indexed()
+            view.odot, view.le, view.q
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(view.carrier) == 256 and size < 1 << 20
+
     @pytest.mark.parametrize("name",
                              sorted(CLOSURE_SPECS) + sorted(MORE_SPECS))
     def test_tables_agree_with_element_operations(self, name):
@@ -1054,7 +1092,8 @@ class TestQueriesOnTheTableAlgebra:
         with pytest.raises(SignatureError, match=r"scope \[0, 1\] is not"):
             minimal_support(abstract, 0)
         # c_{} is the identity in the signature or out of it
-        assert abstract.indexed().cylinder(()) == tuple(range(len(els)))
+        assert tuple(abstract.indexed().cylinder(())) \
+            == tuple(range(len(els)))
 
 
 class TestSerialization:
