@@ -279,7 +279,7 @@ def henkin_filter_build(algebra, a):
             for x in V.carrier:
                 if ck[x] not in members:
                     continue
-                delta = V.dimension_set(x)
+                delta = V.dimensions[x]
                 for l in sorted(algebra.index_set, key=delta.__contains__):
                     repl = V.replacement(k, l)
                     if repl is not None and repl[x] in members:

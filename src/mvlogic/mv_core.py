@@ -485,6 +485,10 @@ class TableAlgebra(MVAlgebra):
         carrier = tuple(carrier)
         if len(set(carrier)) != len(carrier):
             raise ValueError("carrier labels must be distinct")
+        # a report writes a label, and a command word names one, as its
+        # str(): two labels written alike could not be told apart
+        if len(set(map(str, carrier))) != len(carrier):
+            raise ValueError("carrier labels must be written distinctly")
         n = len(carrier)
         oplus = tuple(map(tuple, oplus_table))
         neg = tuple(neg_table)
@@ -870,8 +874,23 @@ class Filter:
             if not A.contains(a):
                 raise FilterError(f"{a!r} is not a carrier element")
         V, enc, dec = _coding(A)
-        ids = sorted(map(enc, m))
-        inside = frozenset(ids)
+        self._validate(V, frozenset(map(enc, m)), dec)
+
+    @classmethod
+    def _of_ids(cls, algebra, V, dec, ids):
+        """The filter of the view indices ids of algebra's view V, validated
+        on them, its members decoded once."""
+        flt = cls.__new__(cls)
+        object.__setattr__(flt, "algebra", algebra)
+        object.__setattr__(flt, "members", frozenset(map(dec, ids)))
+        if V.one not in ids:
+            raise FilterError("1 must belong to every filter")
+        flt._validate(V, ids, dec)
+        return flt
+
+    def _validate(self, V, inside, dec):
+        # the laws over the members' view indices, pairs in carrier order
+        ids = sorted(inside)
         object.__setattr__(self, "ids", inside)  # set once (frozen)
         for a in ids:
             row = V.odot[a]
@@ -910,7 +929,8 @@ def filter_ids(flt, algebra=None):
 def _up_set(algebra, V, dec, e):
     """The principal filter of view index e, members in element form."""
     row = V.le[e]
-    return Filter(algebra, frozenset(dec(y) for y in V.carrier if row[y]))
+    return Filter._of_ids(algebra, V, dec,
+                          frozenset(y for y in V.carrier if row[y]))
 
 
 def _generator(V, ids):

@@ -15,10 +15,11 @@ operations as tables over carrier indices, extending mv_core's
 computes a functional algebra's operations once: closing the carrier, it
 records the carrier index of every result, and `algebra.indexed()` wraps
 those tables on first use. Results leave in element form. How the
-signature's maps combine is read off the view too (`composition`,
-`agreement`, `replacement`). A functional algebra also has element
-operations, on which interlab's term_eval, the second route the eta check
-compares against, runs.
+signature's maps combine is read off the view too (`subst_at`,
+`composition`, `agreement`, `injective`, `modified`, `replacement`), and
+so are the dimension sets (`dimensions`). A functional algebra also has
+element operations, on which interlab's term_eval, the second route the
+eta check compares against, runs.
 
 Inside the engine a value of the chain is an integer level (the closure
 of `build_generated` runs on mv_core's rows of levels), and `Fraction`
@@ -125,23 +126,45 @@ class IndexedAlgebra(IndexedMV):
     table, a row of type row as in IndexedMV: the MV tables, and
     subst[tau], cyl[J] and q[J] for every tau and J of the signature
     (c_{} is the identity), with q derived from neg and cyl on first read.
+    Given the view of its MV reduct (a table algebra's), the view reads
+    odot and le there, so that the two views share them.
+
+    How the signature's maps combine is read off the maps' value tuples
+    and kept, each on first read: subst_at, composition, the agreement
+    groups per J, injective, modified and the replacements; so is the
+    dimension set of every carrier index (dimensions).
     """
 
-    def __init__(self, algebra, neg, oplus, subst, cyl):
+    def __init__(self, algebra, neg, oplus, subst, cyl, reduct=None):
         super().__init__(algebra.elements(), algebra.zero, algebra.one,
                          neg, oplus)
         self.algebra = algebra
+        self.reduct = reduct
         self.maps = tuple(algebra.transformations)
         self.subst = {t: self.row(table) for t, table in subst.items()}
         self.cyl = {frozenset(j): self.row(table) for j, table in cyl.items()}
         self._cylinders = {frozenset(): self.row(self.carrier), **self.cyl}
         self._replacements = {}
+        self._agreement = {}
+
+    @derived
+    def odot(self):
+        return super().odot if self.reduct is None else self.reduct.odot
+
+    @derived
+    def le(self):
+        return super().le if self.reduct is None else self.reduct.le
 
     @derived
     def q(self):
         """q[J][a] is neg[cyl[J][neg[a]]]."""
         neg = self.neg
         return {j: _read(neg, _read(c, neg)) for j, c in self.cyl.items()}
+
+    @derived
+    def subst_at(self):
+        """[s]: the table of maps[s], so that s_tau is read by position."""
+        return [self.subst[t] for t in self.maps]
 
     @derived
     def composition(self):
@@ -155,12 +178,48 @@ class IndexedAlgebra(IndexedMV):
 
     def agreement(self, j):
         """The positions of the maps grouped by their values off J; the
-        groups, by their first member, and each group in map order."""
-        off = [k for k, i in enumerate(self.algebra.index_set) if i not in j]
-        groups = {}
-        for k, t in enumerate(self.maps):
-            groups.setdefault(tuple(t.values[x] for x in off), []).append(k)
-        return list(groups.values())
+        groups, by their first member, and each group in map order. Kept
+        per J."""
+        j = frozenset(j)
+        if j not in self._agreement:
+            off = [k for k, i in enumerate(self.algebra.index_set)
+                   if i not in j]
+            groups = {}
+            for k, t in enumerate(self.maps):
+                groups.setdefault(tuple(t.values[x] for x in off),
+                                  []).append(k)
+            self._agreement[j] = list(groups.values())
+        return self._agreement[j]
+
+    @derived
+    def injective(self):
+        """[s]: the pairs (J, preimage of J under maps[s]) of the scopes J,
+        in scope order, whose preimage is a scope that maps[s] maps into J
+        one to one."""
+        scopes = self.algebra.scopes
+        family = set(scopes)
+        index = self.algebra.index_set
+        out = []
+        for t in self.maps:
+            pairs = []
+            for j in scopes:
+                images = [v for v in t.values if v in j]
+                pre = frozenset(i for i, v in zip(index, t.values) if v in j)
+                if len(set(images)) == len(images) and pre in family:
+                    pairs.append((j, pre))
+            out.append(pairs)
+        return out
+
+    @derived
+    def modified(self):
+        """[s][i]: the pairs (j, position of maps[s] modified to send i to
+        j), for the j of the index set, in order, whose modified map is in
+        the signature; found by value, so no map is built."""
+        index = self.algebra.index_set
+        at = {t.values: k for k, t in enumerate(self.maps)}.get
+        return [{i: [(j, u) for j in index if (u := at(
+                    (*t.values[:x], j, *t.values[x + 1:]))) is not None]
+                 for x, i in enumerate(index)} for t in self.maps]
 
     def replacement(self, i, j):
         """s_[i|j] as an index table, or None outside the signature."""
@@ -187,11 +246,13 @@ class IndexedAlgebra(IndexedMV):
                 for p in self.elements)
         return table
 
-    def dimension_set(self, a):
-        """Delta of carrier index a: the indices i whose c_{i} moves it
-        (see cylinder for an {i} outside the signature)."""
-        return frozenset(i for i in self.algebra.index_set
-                         if self.cylinder({i})[a] != a)
+    @derived
+    def dimensions(self):
+        """[a]: Delta of carrier index a, the indices i whose c_{i} moves
+        it (see cylinder for an {i} outside the signature)."""
+        cylinders = [(i, self.cylinder({i})) for i in self.algebra.index_set]
+        return tuple(frozenset(i for i, c in cylinders if c[a] != a)
+                     for a in self.carrier)
 
 
 class FunctionalSetAlgebra:
@@ -457,14 +518,15 @@ class AbstractPolyadicAlgebra:
 
     def indexed(self):
         """The IndexedAlgebra of this algebra, read off the tables of its
-        signature; c_{} is the identity."""
+        signature, and of its MV reduct's view, which it shares; c_{} is
+        the identity."""
         if self._indexed is None:
             V = self.mv.indexed()
             cyl = {j: self._c[j] if j else V.carrier
                    for j in map(frozenset, self.scopes)}
             self._indexed = IndexedAlgebra(
                 self, V.neg, V.oplus,
-                {t: self._s[t] for t in self.transformations}, cyl)
+                {t: self._s[t] for t in self.transformations}, cyl, V)
         return self._indexed
 
     @classmethod
@@ -523,7 +585,7 @@ def q_forall(algebra, j, p):
 def dimension_set(algebra, p):
     """Delta p: the indices whose cylindrification moves the element."""
     V = algebra.indexed()
-    return V.dimension_set(_check_signature(V, p))
+    return V.dimensions[_check_signature(V, p)]
 
 
 def minimal_support(algebra, p):
@@ -591,7 +653,7 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
         raise SignatureError("alpha must be a subset of the index set")
     V = algebra.indexed()
     if flavor == "FiniteT":
-        members = [a for a in V.carrier if V.dimension_set(a) <= alpha]
+        members = [a for a in V.carrier if V.dimensions[a] <= alpha]
     elif flavor == "FullT":
         rest = V.cylinder(index - alpha)
         members = [a for a in V.carrier if rest[a] == a]
@@ -642,7 +704,7 @@ def term_substitution(algebra, tau, x):
     if not moved:
         return x
     images = [tau.apply(u) for u in moved]
-    delta = V.dimension_set(out)
+    delta = V.dimensions[out]
     banned = delta | set(moved) | set(images)
     fresh = [i for i in algebra.index_set if i not in banned]
     k = len(moved)
@@ -688,20 +750,31 @@ def audit_axioms(algebra):
     mv_core.first_witness). A row holds one side of a law at every
     carrier element, and is built by reading one index table at the
     entries of another (mv_core._read): s_sigma read at s_tau against
-    s_(sigma tau). The view's tables are such rows, read as they are (see
-    IndexedAlgebra). The rows of each law are compared whole; only a
-    block whose rows differ is walked, its laws interleaved element by
-    element, so `checked` and every witness are those of a walk over one
-    instance at a time in the order of the rows.
+    s_(sigma tau). The view's tables are such rows, read as they are, and
+    how the maps combine is read off the view by position (see
+    IndexedAlgebra). The rows of a block are compared whole; only a block
+    whose rows differ is walked, so `checked` and every witness are those
+    of a walk over one instance at a time in the order of the rows.
+
+    A block covers a whole family, or one outer map or scope of it, laws
+    one after another: per sigma, s_(sigma tau) joined over the tau of
+    the signature against one read of s_sigma at the join of the s_tau
+    (and per J the additivity of c and of q alike); per sigma, the
+    injective laws over its admissible scopes; per t, the modify laws
+    over its (i, j), the rows s_u c_i read once per (u, i). The agreement
+    laws of a group of maps whose rows s_t c_J are all equal count
+    n C(g, 2) at once; only a group with unequal rows yields its pairs.
+    Laws over the same instances are interleaved element by element.
 
     The endomorphism laws of s_t are one block per map: the rows of ~
-    over p and of (+) and (*) over the pairs (p, q), p-major; a map whose
-    rows differ is walked per p. The distributive laws t(p . t(b)) =
-    t(p) . t(b) (E3/E4, Q1-odot/Q1-oplus, D1-oplus) read b only through
-    t(b), so each is checked first with every value v of t in place of
-    t(b), over all p at once (column v of . read through t and at t), and
-    walked over every (p, b) only if that differs. No law of the algebra
-    is assumed, so this holds of corrupted tables too.
+    over p and of (+) and (*) over the pairs (p, q), p-major, the right
+    sides joined per p; a map whose rows differ is walked per p. The
+    distributive laws t(p . t(b)) = t(p) . t(b) (E3/E4, Q1-odot/Q1-oplus,
+    D1-oplus) read b only through t(b), so each is checked first with
+    every value v of t in place of t(b), over all p at once (column v of
+    . read through t and at t), and walked over every (p, b) only if that
+    differs. No law of the algebra is assumed, so this holds of corrupted
+    tables too.
     """
     V = algebra.indexed()
     els = V.carrier
@@ -709,10 +782,9 @@ def audit_axioms(algebra):
     scopes = list(algebra.scopes)
     scope_set = set(scopes)
     maps = V.maps
-    map_set = set(maps)
     index = list(algebra.index_set)
-    # the view's tables, mv_core rows of carrier indices
-    row, neg, S, C, Q = V.row, V.neg, V.subst, V.cyl, V.q
+    # the view's tables, mv_core rows of carrier indices, s_tau by position
+    row, neg, S, C, Q = V.row, V.neg, V.subst_at, V.cyl, V.q
     ones = row((True,) * n)
     # (*) and (+) as (rows by p, rows by column)
     odot, oplus = ((op, list(map(row, zip(*op)))) for op in (V.odot, V.oplus))
@@ -738,6 +810,21 @@ def audit_axioms(algebra):
         return (_interleave(lhs), _interleave(rhs),
                 ((head, *ids, p) for p in els for head in heads))
 
+    def in_turn(heads, lhs, rhs):
+        # the block of laws checked one after another, each over the
+        # carrier: lhs and rhs their rows, joined only if they differ, and
+        # heads, read only then, their heads
+        if lhs == rhs:
+            return (), (), (), n * len(lhs)
+        return (_concat(lhs, row), _concat(rhs, row),
+                ((head, p) for head in heads for p in els))
+
+    def products(heads, outer, inners, targets):
+        # the block of outer(inner(p)) = target(p), one law after another
+        # over the carrier: one read of outer at the joined inner rows
+        return (_concat(targets, row), _read(outer, _concat(inners, row)),
+                ((head, p) for head in heads for p in els))
+
     def single(lhs, rhs, head):
         return _instance(lhs, rhs, (head,))
 
@@ -755,54 +842,53 @@ def audit_axioms(algebra):
                          _read(rows[t[p]], t))
                         for head, (rows, _) in zip(heads, ops)], p)
 
+    def unions(tables, *tag):
+        # per J, t_(J u J2) against t_J read at t_J2, for the J2 whose
+        # union with J is a scope
+        for j in scopes:
+            js = [j2 for j2 in scopes if j | j2 in scope_set]
+            yield products(((*tag, sorted(j), sorted(j2)) for j2 in js),
+                           tables[j], [tables[j2] for j2 in js],
+                           [tables[j | j2] for j2 in js])
+
     # polyadic axioms 1..5
     identity = FinTransformation.identity(tuple(sorted(index)))
-    if identity in map_set:
+    if identity in V.subst:
         results.append(_audit("polyadic-1-s-identity",
-                              [laws([((), S[identity], row(els))])]))
+                              [laws([((), V.subst[identity], row(els))])]))
     else:
         results.append(IdentityResult("polyadic-1-s-identity", True, 0))
 
-    # s_(sigma tau) against s_sigma read at s_tau
+    # per sigma, s_(sigma tau) against s_sigma read at s_tau
     def composition_blocks():
-        for sigma, products in zip(maps, V.composition):
-            for tau, c in zip(maps, products):
-                if c is not None:
-                    yield laws([((sigma, tau), S[maps[c]],
-                                 _read(S[sigma], S[tau]))])
+        for sigma, s_s, comp in zip(maps, S, V.composition):
+            taus = [t for t, c in enumerate(comp) if c is not None]
+            yield products(((sigma, maps[t]) for t in taus), s_s,
+                           [S[t] for t in taus], [S[comp[t]] for t in taus])
 
     results.append(_audit("polyadic-2-s-composition", composition_blocks()))
-
-    def cyl_union_blocks():
-        for j, j2 in itertools.product(scopes, repeat=2):
-            if j | j2 in scope_set:
-                yield laws([((sorted(j), sorted(j2)), C[j | j2],
-                             _read(C[j], C[j2]))])
-
-    results.append(_audit("polyadic-3-c-additive", cyl_union_blocks()))
+    results.append(_audit("polyadic-3-c-additive", unions(C)))
 
     def agreement_blocks(tables):
         for j in scopes:
             cj = tables[j]
-            tag = sorted(j)
             for group in V.agreement(j):
-                after = {t: _read(S[maps[t]], cj) for t in group}
-                for s, t in itertools.combinations(group, 2):
-                    yield laws([((maps[s], maps[t], tag), after[s],
-                                 after[t])])
+                after = [_read(S[t], cj) for t in group]
+                if after.count(after[0]) == len(after):
+                    yield (), (), (), n * len(group) * (len(group) - 1) // 2
+                    continue
+                for (s, a), (t, b) in itertools.combinations(
+                        zip(group, after), 2):
+                    yield a, b, (((maps[s], maps[t], sorted(j)), p)
+                                 for p in els)
 
     results.append(_audit("polyadic-4-s-agreement", agreement_blocks(C)))
 
     def injective_blocks(tables):
-        for sigma in maps:
-            s_s = S[sigma]
-            for j in scopes:
-                pre = frozenset(i for i in index if sigma.apply(i) in j)
-                images = [sigma.apply(i) for i in pre]
-                if len(set(images)) != len(images) or pre not in scope_set:
-                    continue
-                yield laws([((sigma, sorted(j)), _read(tables[j], s_s),
-                             _read(s_s, tables[pre]))])
+        for sigma, s_s, pairs in zip(maps, S, V.injective):
+            yield in_turn(((sigma, sorted(j)) for j, _ in pairs),
+                          [_read(tables[j], s_s) for j, _ in pairs],
+                          [_read(s_s, tables[pre]) for _, pre in pairs])
 
     results.append(_audit("polyadic-5-c-injective", injective_blocks(C)))
 
@@ -845,10 +931,7 @@ def audit_axioms(algebra):
                 (("Q3-qc", tag), _read(qj, cj), cj)])
             yield from distributes(qj, [("Q1-odot", tag), ("Q1-oplus", tag)],
                                    [odot, oplus])
-        for j, j2 in itertools.product(scopes, repeat=2):
-            if j | j2 in scope_set:
-                yield laws([(("Q2", sorted(j), sorted(j2)), Q[j | j2],
-                             _read(Q[j], Q[j2]))])
+        yield from unions(Q, "Q2")
 
     results.append(_audit("q-laws-1-3", q_blocks()))
     results.append(_audit("q-4-s-agreement", agreement_blocks(Q)))
@@ -857,9 +940,9 @@ def audit_axioms(algebra):
     # endomorphism property of every substitution: per map, the units,
     # then one block of the rows of ~ over p and of (+) and (*) over the
     # pairs (p, q), p-major. The left sides read s_t at the tables; the
-    # right sides read the tables at s_t, (+) and (*) column s_t q at a
-    # time, read once per value of s_t. A map whose rows differ is walked
-    # per p: the neg law, then the oplus and odot laws over q in turn.
+    # right sides join, over p, row s_t p of (+) and (*) read at s_t, read
+    # once per value of s_t. A map whose rows differ is walked per p: the
+    # neg law, then the oplus and odot laws over q in turn.
     flat = [_concat(op, row) for op in (V.oplus, V.odot)]
 
     def at_p(rows, p):
@@ -869,15 +952,14 @@ def audit_axioms(algebra):
         return rows[0][p:p + 1] + _interleave([rows[1][cut], rows[2][cut]])
 
     def endo_blocks():
-        for t in maps:
-            s_t = S[t]
+        for t, s_t in zip(maps, S):
             yield ((s_t[V.zero], s_t[V.one]), (V.zero, V.one),
                    ((("zero", t),), (("one", t),)))
             lhs = [_read(s_t, neg)] + [_read(s_t, op) for op in flat]
             rhs = [_read(neg, s_t)]
-            for _, cols in (oplus, odot):
-                at = {v: _read(cols[v], s_t) for v in set(s_t)}
-                rhs.append(_interleave([at[v] for v in s_t]))
+            for op in (V.oplus, V.odot):
+                at = {v: _read(op[v], s_t) for v in set(s_t)}
+                rhs.append(_concat(map(at.__getitem__, s_t), row))
             if lhs == rhs:
                 yield (), (), (), n + 2 * n * n
                 continue
@@ -908,23 +990,21 @@ def audit_axioms(algebra):
 
     results.append(_audit("dlaw-1-cylinder", dlaw1_blocks()))
 
+    # per t, s_t c_i against s_u c_i for u = t modified to send i to j
     def dlaw4_blocks():
-        for t in maps:
-            s_t = S[t]
-            for i in singles:
-                ci = C[frozenset({i})]
-                after = _read(s_t, ci)
-                for j in index:
-                    tij = t.modify(i, j)
-                    if tij in map_set:
-                        yield laws([(("D4", t, i, j), after,
-                                     _read(S[tij], ci))])
+        cs = [C[frozenset({i})] for i in singles]
+        after = [[_read(s, ci) for ci in cs] for s in S]
+        for t, rows, modified in zip(maps, after, V.modified):
+            laws_t = [(i, j, k, u) for k, i in enumerate(singles)
+                      for j, u in modified[i]]
+            yield in_turn((("D4", t, i, j) for i, j, _, _ in laws_t),
+                          [rows[k] for _, _, k, _ in laws_t],
+                          [after[u][k] for _, _, k, u in laws_t])
 
     results.append(_audit("dlaw-4-modify", dlaw4_blocks()))
 
     def dlaw5_blocks():
-        for t in maps:
-            s_t = S[t]
+        for t, s_t in zip(maps, S):
             for j in singles:
                 pre = [i for i in index if t.apply(i) == j]
                 if len(pre) != 1 or frozenset({pre[0]}) not in scope_set:

@@ -414,6 +414,22 @@ def test_a_word_naming_no_label_is_outside_the_carrier():
     assert (code, report["reason"]) \
         == (2, "2/3 is not in the carrier of TableAlgebra(|carrier|=3)")
 
+
+def test_labels_written_alike_are_refused(tmp_path, capsys):
+    # the integer 0 and the string "0" would both be written "0", and the
+    # word 0 could name only the first of them
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**L3_TABLE, "carrier": [0, "0", 1]}))
+    assert main(["mv", "filter", "--table", str(path), "--elements", "1",
+                 "--json"]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (report["verdict"], report["reason"]) \
+        == ("error", "bad table algebra: carrier labels must be written "
+                     "distinctly")
+    assert "Traceback" not in captured.err
+
+
 # The carrier-form spec that `poly build --out` writes for spec1.json.
 DUMP = "spec1-dump.json"
 

@@ -888,6 +888,24 @@ class TestHomomorphismClauses:
         assert peak < 8 * n * n // 2
 
 
+class TestTableLabels:
+    def test_labels_written_alike_are_refused(self):
+        # a report writes a label, and a command word names one, as its
+        # str(): the integer 0 and the string "0" would be one label
+        oplus, neg = [[min(i + j, 2) for j in range(3)] for i in range(3)], \
+            [2, 1, 0]
+        for carrier in ([0, "0", 1], ["1", 0, 1]):
+            with pytest.raises(ValueError, match="written distinctly"):
+                TableAlgebra(carrier, oplus, neg, 0, 2)
+            with pytest.raises(ValueError, match="written distinctly"):
+                TableAlgebra.from_json({"carrier": carrier, "oplus": oplus,
+                                        "neg": neg, "zero": 0, "one": 2})
+        with pytest.raises(ValueError, match="must be distinct"):
+            TableAlgebra([0, 0, 1], oplus, neg, 0, 2)
+        assert TableAlgebra([0, "a", 1], oplus, neg, 0, 2).carrier \
+            == (0, "a", 1)
+
+
 class TestJsonField:
     def test_missing_key_is_an_input_error_unless_it_has_a_default(self):
         with pytest.raises(ValueError, match="'k' is missing"):

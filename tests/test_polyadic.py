@@ -9,7 +9,7 @@ from builders import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
-from mvlogic import mv_core
+from mvlogic import mv_core, polyadic
 from mvlogic.mv_core import (
     MAX_VALUATIONS, ONE, ZERO, Chain, TableAlgebra, maximal_filters,
 )
@@ -242,6 +242,33 @@ class TestHowMapsCombine:
             assert closure_view.replacement(i, j) \
                 == closure_view.subst.get(t)
 
+    def test_injective_pairs(self, closure_view):
+        maps, index = closure_view.maps, closure_view.algebra.index_set
+        scopes = closure_view.algebra.scopes
+        want = []
+        for t in maps:
+            pairs = []
+            for j in scopes:
+                pre = frozenset(i for i in index if t.apply(i) in j)
+                if len({t.apply(i) for i in pre}) == len(pre) \
+                        and pre in scopes:
+                    pairs.append((j, pre))
+            want.append(pairs)
+        assert closure_view.injective == want
+
+    def test_modified_positions(self, closure_view):
+        maps, index = closure_view.maps, closure_view.algebra.index_set
+        assert closure_view.modified == [
+            {i: [(j, maps.index(t.modify(i, j))) for j in index
+                 if t.modify(i, j) in maps] for i in index} for t in maps]
+
+    def test_positions_and_dimension_sets(self, closure_view):
+        view = closure_view
+        assert view.subst_at == [view.subst[t] for t in view.maps]
+        assert view.dimensions == tuple(
+            frozenset(i for i in view.algebra.index_set
+                      if view.cylinder({i})[a] != a) for a in view.carrier)
+
 
 class TestOperations:
     def test_cyl_empty_scope(self):
@@ -385,7 +412,7 @@ class TestNeatReduct:
         view = abstract.indexed()
         assert neat_reduct(abstract, alpha).elements
         outside = next(b for b in view.carrier
-                       if not view.dimension_set(b) <= alpha)
+                       if not view.dimensions[b] <= alpha)
         s_tables, c_tables = dict(view.subst), dict(view.cyl)
         tables = c_tables if operation.startswith("cyl") else s_tables
         tables[key] = (outside, *tables[key][1:])
@@ -829,6 +856,20 @@ def _with_cylinder_entry(functional, x, value):
         functional.scopes, view.subst, {**view.cyl, frozenset({0}): c})
 
 
+def _with_last_map_entry_moved(functional):
+    """The table algebra of a functional algebra, but for the table of its
+    last map, whose last entry is moved to the next carrier index."""
+    view = functional.indexed()
+    mv = TableAlgebra(view.carrier, view.oplus, view.neg, view.zero,
+                      view.one, audit=False)
+    last = view.maps[-1]
+    table = list(view.subst[last])
+    table[-1] = (table[-1] + 1) % len(table)
+    return AbstractPolyadicAlgebra(
+        mv, functional.index_set, functional.transformations,
+        functional.scopes, {**view.subst, last: table}, view.cyl)
+
+
 @pytest.fixture(scope="module")
 def corrupted_small_cylinder():
     abstract = AbstractPolyadicAlgebra.from_functional(small_algebra())
@@ -836,13 +877,6 @@ def corrupted_small_cylinder():
 
 
 class TestAuditAgainstReference:
-    def test_fixtures_pass(self):
-        for algebra in (small_algebra(), pattern_algebra()):
-            got = [(r.name, r.holds, r.checked, r.witness)
-                   for r in audit_axioms(algebra).results]
-            assert got == reference_audit_axioms(algebra)
-            assert all(holds for _, holds, _, _ in got)
-
     def test_corrupted_cylinder_table(self, corrupted_small_cylinder):
         got = [(r.name, r.holds, r.checked, r.witness)
                for r in audit_axioms(corrupted_small_cylinder).results]
@@ -898,6 +932,52 @@ class TestAuditAgainstReference:
         exists = {name: witness for name, _, _, witness in want}[
             "exists-laws-1-6"]
         assert exists == (("E5", [0], x) if corrupt else None)
+
+    @pytest.mark.parametrize("corrupt", [False, True],
+                             ids=["intact", "last-map-corrupted"])
+    @pytest.mark.parametrize("name",
+                             sorted(CLOSURE_SPECS) + sorted(MORE_SPECS))
+    def test_every_spec(self, name, corrupt):
+        # small and pattern are the small_algebra() and pattern_algebra()
+        # fixtures. A block covers a whole family, or one outer map of it:
+        # with the last entry of the last map's table moved, such a block
+        # fails late, and its walk must find the instance of the reference
+        *args, cap = {**CLOSURE_SPECS, **MORE_SPECS}[name]
+        algebra = build_generated(*args, cap=cap)
+        if corrupt:
+            algebra = _with_last_map_entry_moved(algebra)
+        want = reference_audit_axioms(algebra)
+        assert [(r.name, r.holds, r.checked, r.witness)
+                for r in audit_axioms(algebra).results] == want
+        assert all(holds for _, holds, _, _ in want) is not corrupt
+
+    def test_a_block_per_map(self, monkeypatch):
+        # the pattern algebra's 27 maps and 8 scopes: composition and both
+        # injective families hand first_witness one block per map, both
+        # agreement families one per (map, scope) at most
+        drawn = []
+
+        def counting(blocks):
+            drawn.append(0)
+
+            def each():
+                for block in blocks:
+                    drawn[-1] += 1
+                    yield block
+            return mv_core.first_witness(each())
+
+        monkeypatch.setattr(polyadic, "first_witness", counting)
+        algebra = pattern_algebra()
+        results = audit_axioms(algebra).results
+        assert len(drawn) == len(results)
+        blocks = {r.name: k for r, k in zip(results, drawn)}
+        maps, scopes = len(algebra.transformations), len(algebra.scopes)
+        assert (maps, scopes) == (27, 8)
+        for name in ("polyadic-2-s-composition", "polyadic-5-c-injective",
+                     "q-5-q-injective"):
+            assert blocks[name] <= maps, name
+        for name in ("polyadic-4-s-agreement", "q-4-s-agreement"):
+            assert blocks[name] <= maps * scopes, name
 
     def test_corruptions_reach_every_family(self):
         failing = {name for algebra in _pattern_corruptions()
@@ -996,6 +1076,29 @@ class TestIndexedAlgebra:
         with pytest.raises(ValueError, match="without tables has no view"):
             algebra.indexed()
 
+    def test_a_table_algebra_shares_its_reducts_derived_tables(self):
+        abstract = AbstractPolyadicAlgebra.from_functional(small_algebra())
+        audit_axioms(abstract)
+        view, reduct = abstract.indexed(), abstract.mv.indexed()
+        assert view.odot is reduct.odot and view.le is reduct.le
+
+    def test_signature_tables_are_built_on_first_read(self):
+        # how the maps combine, and the dimension sets, are derived by
+        # the first query that reads them, then kept
+        *args, cap = CLOSURE_SPECS["i3p"]
+        algebra = build_generated(*args, cap=cap)
+        view = algebra.indexed()
+        names = {"subst_at", "composition", "injective", "modified",
+                 "dimensions"}
+        assert not names & set(vars(view))
+        audit_axioms(algebra)
+        dimension_set(algebra, algebra.carrier[5])
+        tables = {name: vars(view)[name] for name in names}
+        audit_axioms(algebra)
+        assert all(getattr(view, name) is table
+                   for name, table in tables.items())
+        assert view.agreement({0}) is view.agreement([0])
+
     def test_from_functional_keeps_the_tables(self):
         # the 16-element pattern algebra keeps the table-algebra audit cheap
         view = pattern_algebra().indexed()
@@ -1023,6 +1126,25 @@ class TestMaximalFiltersAreKept:
             again = maximal_filters(target)
             assert again == first and again is not first
             assert all(f is g for f, g in zip(again, first))
+
+    def test_first_call_validates_on_view_indices(self, monkeypatch):
+        # the filters are built and validated on the view's indices, and
+        # their members decoded once: no member is looked up in element
+        # form, and the filters equal those validated in element form
+        *args, cap = CLOSURE_SPECS["i3p"]
+        algebra = build_generated(*args, cap=cap)
+
+        def contains(p):
+            raise AssertionError("a member looked up in element form")
+
+        monkeypatch.setattr(algebra, "contains", contains)
+        filters = maximal_filters(algebra)
+        monkeypatch.undo()
+        index_of = algebra.indexed().index_of
+        for flt in filters:
+            assert flt == mv_core.Filter(algebra, flt.members)
+            assert flt.ids == frozenset(map(index_of.__getitem__,
+                                            flt.members))
 
 
 class TestQueriesOnTheTableAlgebra:
