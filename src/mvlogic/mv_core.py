@@ -28,9 +28,11 @@ import functools
 import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, floordiv, getitem, itemgetter, mul, sub
+from operator import add, floordiv, getitem, itemgetter, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -769,12 +771,15 @@ _AXIOMS = (
 
 
 def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
-    """Audit the eight axiom groups as rows through first_witness; a
-    failure carries its first failing triple. Exhaustive mode walks the
-    carrier triples of a finite algebra of up to MAX_AUDIT_CARRIER elements
-    over the ~, (+) and (*) tables of its view, algebra.indexed(). Sampled
-    mode audits StandardRationals on `count` >= 1 seeded rational
-    triples."""
+    """Audit the eight axiom groups as rows, a batch of triples at a time;
+    a failure carries its first failing triple. The two sides of a group's
+    identities are compared as whole rows, and only a group whose sides
+    differ is unpacked and walked through first_witness. Exhaustive mode
+    walks the carrier triples of a finite algebra of up to
+    MAX_AUDIT_CARRIER elements over the ~, (+) and (*) tables of its view,
+    algebra.indexed(), as lists. Sampled mode audits StandardRationals on
+    `count` >= 1 seeded rational triples (_sampled_draws), SAMPLE_CHUNK
+    at a time, each row of a chunk one int of packed lanes (_lane_ops)."""
     if mode == "exhaustive":
         if not algebra.is_finite:
             raise ValueError("exhaustive audit needs a finite algebra")
@@ -798,17 +803,22 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
     else:
         raise ValueError(f"unknown audit mode {mode!r}")
     witnesses = [None] * len(_AXIOMS)
-    for ops, rows_of, element in batches:
+    for ops, rows_of, unpack, element in batches:
         for i, (_, arity, law) in enumerate(_AXIOMS):
             if witnesses[i] is None:
-                # the group's identities interleaved, so that a position's
-                # witness, element(its entries), repeats once per identity
                 rows = rows_of(arity)
                 pairs = law(*ops, *rows)
+                if all(lhs == rhs for lhs, rhs in pairs):
+                    continue
+                # the group's identities unpacked and interleaved, so that
+                # a position's witness, element(its entries), repeats once
+                # per identity
+                sides = [list(map(unpack, pair)) for pair in pairs]
                 witnesses[i] = first_witness([(
-                    _interleave([lhs for lhs, _ in pairs]),
-                    _interleave([rhs for _, rhs in pairs]),
-                    (element(t) for t in zip(*rows) for _ in pairs))])[1]
+                    _interleave([lhs for lhs, _ in sides]),
+                    _interleave([rhs for _, rhs in sides]),
+                    (element(t) for t in zip(*map(unpack, rows))
+                     for _ in pairs))])[1]
     return MVAuditReport(tuple(
         AxiomResult(name, witness is None, witness)
         for (name, _, _), witness in zip(_AXIOMS, witnesses)), desc)
@@ -817,38 +827,95 @@ def check_mv_axioms(algebra, mode="exhaustive", count=100000, seed=0):
 def _table_batches(V):
     # one batch per value a of the first variable, on view indices: the
     # rows of arity k are zero, one, x = a and rest[k - 1], the carrier
-    # tuples of the other variables read, then index 0 for the unread ones
+    # lists of the other variables read, then index 0 for the unread ones
     carrier, n = V.elements, len(V.elements)
     # V's rows as lists, which map(getitem) reads faster than bytes or tuples
     oplus, odot = (list(map(list, t)) for t in (V.oplus, V.odot))
     ops = (lambda x, y: list(map(getitem, map(oplus.__getitem__, x), y)),
            lambda x, y: list(map(getitem, map(odot.__getitem__, x), y)),
            lambda x: list(map(V.neg.__getitem__, x)))
-    rest = [[*zip(*itertools.product(range(n), repeat=k))]
-            + [(0,) * n ** k] * (2 - k) for k in range(3)]
+    rest = [[*map(list, zip(*itertools.product(range(n), repeat=k)))]
+            + [[0] * n ** k] * (2 - k) for k in range(3)]
     for a in range(n):
-        yield (ops, lambda k: [(c,) * n ** (k - 1) for c in (V.zero, V.one, a)]
-               + rest[k - 1], lambda t: tuple(map(carrier.__getitem__, t[2:])))
+        # rows are lists already, so there is nothing to unpack
+        yield (ops, lambda k: [[c] * n ** (k - 1) for c in (V.zero, V.one, a)]
+               + rest[k - 1], list,
+               lambda t: tuple(map(carrier.__getitem__, t[2:])))
+
+
+def _sampled_draws(count, seed):
+    """The coordinates of `count` seeded triples as (numerators,
+    denominators), a chunk of up to SAMPLE_CHUNK triples at a time, three
+    coordinates a triple. A coordinate draws its denominator as
+    randint(1, SAMPLE_DENOMINATOR), then its numerator as randint(0, den),
+    on random.Random(seed); each draw is taken as randint takes it, by
+    rejection sampling of getrandbits(k) for the bit length k of the
+    draw's range, without randint's calls around it."""
+    getrandbits = random.Random(seed).getrandbits
+    k = SAMPLE_DENOMINATOR.bit_length()
+    k_of = [(den + 1).bit_length() for den in range(SAMPLE_DENOMINATOR + 1)]
+    for start in range(0, count, SAMPLE_CHUNK):
+        p, q = [], []
+        for _ in range(3 * min(SAMPLE_CHUNK, count - start)):
+            den = getrandbits(k)
+            while den >= SAMPLE_DENOMINATOR:
+                den = getrandbits(k)
+            den += 1
+            num = getrandbits(k_of[den])
+            while num > den:
+                num = getrandbits(k_of[den])
+            p.append(num)
+            q.append(den)
+        yield p, q
+
+
+def _lane_ops(d):
+    """(pack, unpack, (oplus, odot, neg)) on rows of values 0..d[i] packed
+    into one int, entry i in lane i. A value is a numerator over a sampled
+    triple's d, the lcm of three denominators, so it is at most
+    SAMPLE_DENOMINATOR ** 3 < 2**G for the guard bit G, a sum of two is
+    below 2**(G + 1), and a lane is the narrowest array item of G + 1 bits.
+    ~u is d - u; u (*) v keeps t = u + v + 2**G - d in the lanes where t
+    reaches the guard bit (there it is 2**G + u + v - d, elsewhere
+    u + v < d) and clears the others; u (+) v is min(u + v, d), that is
+    u + v - (u (*) v). No lane borrows from or carries into the next."""
+    guard = (SAMPLE_DENOMINATOR ** 3).bit_length()
+    code = next((code for code in "BHILQ"
+                 if 8 * array(code).itemsize > guard), None)
+    if code is None:
+        raise ValueError(f"no array item holds {guard + 1}-bit lanes")
+    order, size = sys.byteorder, array(code).itemsize * len(d)
+
+    def pack(values):
+        return int.from_bytes(array(code, values), order)
+
+    def unpack(row):
+        return array(code, row.to_bytes(size, order)).tolist()
+
+    top = pack(d)
+    bits = pack([1 << guard] * len(d))
+    lift = bits - top
+
+    def odot(u, v):
+        t = u + v + lift
+        g = t & bits
+        return t & (g - (g >> guard))
+
+    return pack, unpack, (lambda u, v: u + v - odot(u, v), odot,
+                          lambda u: top - u)
 
 
 def _sampled_batches(count, seed):
-    # one batch per chunk of seeded triples, as rows (zero, d, x, y, z):
-    # numerators over each triple's common denominator d, where x(+)y is
-    # min(x+y, d), x(*)y is max(x+y-d, 0) and ~x is d-x
-    randint = random.Random(seed).randint
-    for start in range(0, count, SAMPLE_CHUNK):
-        # each coordinate draws its denominator, then its numerator
-        p, q = zip(*[(randint(0, den), den) for den in (
-            randint(1, SAMPLE_DENOMINATOR)
-            for _ in range(3 * min(SAMPLE_CHUNK, count - start)))])
+    # one batch per chunk of seeded triples, as packed rows (zero, d, x, y,
+    # z): numerators over each triple's common denominator d (see
+    # _lane_ops)
+    for p, q in _sampled_draws(count, seed):
         d = list(map(math.lcm, q[::3], q[1::3], q[2::3]))
-        x, y, z = (list(map(mul, p[k::3], map(floordiv, d, q[k::3])))
-                   for k in range(3))
-        zero = [0] * len(d)
-        yield ((lambda u, v: list(map(min, map(add, u, v), d)),
-                lambda u, v: list(map(max, map(sub, map(add, u, v), d), zero)),
-                lambda u: list(map(sub, d, u))),
-               lambda arity: (zero, d, x, y, z),
+        pack, unpack, ops = _lane_ops(d)
+        rows = (0, pack(d), *(
+            pack(map(mul, p[k::3], map(floordiv, d, q[k::3])))
+            for k in range(3)))
+        yield (ops, lambda arity: rows, unpack,
                lambda t: tuple(Fraction(v, t[1]) for v in t[2:]))
 
 

@@ -124,7 +124,7 @@ class OmegaMap:
         return OmegaMap.make(table, self.shift)
 
     def _max_key(self):
-        return max((k for k, _ in self.override), default=-1)
+        return max(self._table, default=-1)
 
     def in_range(self, m):
         """Exact membership of m in the image."""
@@ -180,27 +180,34 @@ def compose(f, g):
             raise IndexSetMismatch(f"{f.domain} vs {g.domain}")
         return FinTransformation(f.domain, tuple(f.apply(g.apply(i)) for i in f.domain))
     if isinstance(f, OmegaMap) and isinstance(g, OmegaMap):
-        shift = f.shift + g.shift
-        bound = max(
-            g._max_key(),
-            f._max_key() - g.shift,
-            -g.shift,
-            -f.shift - g.shift,
-            0,
-        ) + 2
-        table = {x: f.apply(g.apply(x)) for x in range(bound + 1)}
-        return OmegaMap.make(table, shift)
+        f_table, f_shift = f._table, f.shift
+        g_table, g_shift = g._table, g.shift
+        shift = f_shift + g_shift
+        bound = max(g._max_key(), f._max_key() - g_shift, -g_shift, -shift,
+                    0) + 2
+        # past the window f after g is the tail max(x + shift, 0); inside
+        # it, the points x where v = f(g(x)) differs from the tail are the
+        # override, found in increasing order, so the result is in normal
+        # form. y starts as the tail x + g_shift of g, unclamped.
+        override = []
+        for x, y in enumerate(range(g_shift, g_shift + bound + 1)):
+            if x in g_table:
+                y = g_table[x]
+            elif y < 0:
+                y = 0
+            if y in f_table:
+                v = f_table[y]
+            else:
+                v = y + f_shift
+                if v < 0:
+                    v = 0
+            # v is a natural, so it is the tail's value max(x + shift, 0)
+            # when it is x + shift, or 0 with x + shift <= 0
+            if v != x + shift and (v or x + shift > 0):
+                override.append((x, v))
+        return OmegaMap(shift, tuple(override))
     raise IndexSetMismatch(
         f"cannot compose {type(f).__name__} with {type(g).__name__}")
-
-
-def power(t, n):
-    if n < 1:
-        raise ValueError("powers start at 1")
-    acc = t
-    for _ in range(n - 1):
-        acc = compose(acc, t)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -344,7 +351,10 @@ def check_strongly_rich(sigma, pi, ambient=None, n_max=64, sample=8, ij_bound=3)
                 f"support-finite-n{n}", "fail", f"supp(sigma^{n} o pi^{n}) infinite"))
             continue
         conditions.append(ConditionResult(f"support-finite-n{n}", "pass"))
-        stray = [m for m in info.points if sig_pow.in_range(m)]
+        # an override-free power's range is every m >= max(shift, 0)
+        stray = [m for m in info.points if sig_pow.in_range(m)] \
+            if sig_pow.override else \
+            [m for m in info.points if m >= max(sig_pow.shift, 0)]
         conditions.append(ConditionResult(
             f"support-outside-range-n{n}",
             "pass" if not stray else "fail",

@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -229,27 +230,124 @@ class TestAxiomAudit:
 
     def test_sampled_witness_is_the_first_failing_draw(self, monkeypatch):
         # a law that fails exactly when x = 1, on chunks of 5 triples: the
-        # witness is the first such draw of the seeded sequence, which
-        # these seeds reach after 28 to 41 draws
+        # 128th (*)-power of x, seven squarings, is max(128x - 127, 0),
+        # nonzero only at x = 1 since 96/97 < 127/128. The witness is the
+        # first such draw of the seeded sequence, which these seeds reach
+        # after 28 to 41 draws
         def x_below_one(P, D, N, zero, one, x, y, z):
-            return (([u == d for u, d in zip(x, one)], [False] * len(x)),)
+            for _ in range(7):
+                x = D(x, x)
+            return ((x, zero),)
 
         monkeypatch.setattr(mv_core, "SAMPLE_CHUNK", 5)
         monkeypatch.setattr(mv_core, "_AXIOMS",
                             (("x-below-one", 1, x_below_one),))
         for seed in (2, 3, 4):
-            rng = random.Random(seed)
-            draws = []
-            while not draws or draws[-1][0] != 1:
-                triple = []
-                for _ in range(3):
-                    q = rng.randint(1, SAMPLE_DENOMINATOR)
-                    triple.append(F(rng.randint(0, q), q))
-                draws.append(triple)
-            assert len(draws) > 5
+            draws = sampled_triples(seed)
+            first = next(t for t in draws if t[0] == 1)
+            assert draws.index(first) >= 5
             report = check_mv_axioms(STD, mode="sampled", count=1000,
                                      seed=seed)
-            assert report.results[0].witness == tuple(draws[-1])
+            assert report.results[0].witness == first
+
+    @pytest.mark.parametrize("chunk", [5, 7])
+    def test_sampled_witnesses_under_a_corrupted_lane_sum(self, monkeypatch,
+                                                          chunk):
+        # packed (+) returns u instead of u (+) v on the lanes where u > v;
+        # each group's witness is the first triple, in drawing order, that
+        # the element laws of StandardRationals with the same (+) refute
+        class CorruptedSum(StandardRationals):
+            def oplus(self, a, b):
+                return a if a > b else super().oplus(a, b)
+
+        lane_ops = mv_core._lane_ops
+
+        def corrupted_lane_ops(d):
+            pack, unpack, (oplus, odot, neg) = lane_ops(d)
+
+            def bad_oplus(u, v):
+                return pack([a if a > b else s for a, b, s in zip(
+                    unpack(u), unpack(v), unpack(oplus(u, v)))])
+            return pack, unpack, (bad_oplus, odot, neg)
+
+        monkeypatch.setattr(mv_core, "SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(mv_core, "_lane_ops", corrupted_lane_ops)
+        algebra = CorruptedSum()
+        for seed in range(6):
+            triples = sampled_triples(seed, 40)
+            want = [(name, witness is None, witness)
+                    for name, _, law in reference_axiom_groups()
+                    for witness in [next((t for t in triples
+                                          if not law(algebra, *t)), None)]]
+            report = check_mv_axioms(STD, mode="sampled", count=40, seed=seed)
+            assert [(r.axiom, r.holds, r.witness)
+                    for r in report.results] == want
+            assert not report.passed and want[2][1]   # 3-units holds
+
+    @pytest.mark.parametrize("chunk", [5, 7])
+    def test_sampled_draws_are_those_of_randint(self, monkeypatch, chunk):
+        # each coordinate randint(1, SAMPLE_DENOMINATOR), then randint(0,
+        # den), on Random(seed), in chunks of SAMPLE_CHUNK triples
+        monkeypatch.setattr(mv_core, "SAMPLE_CHUNK", chunk)
+        for seed in range(50):
+            count = 3 * chunk + seed % (chunk + 1)
+            chunks = list(mv_core._sampled_draws(count, seed))
+            assert [len(p) for p, _ in chunks] == [
+                3 * min(chunk, count - start)
+                for start in range(0, count, chunk)]
+            rng = random.Random(seed)
+            want = []
+            for _ in range(3 * count):
+                den = rng.randint(1, SAMPLE_DENOMINATOR)
+                want.append((rng.randint(0, den), den))
+            assert [pair for p, q in chunks for pair in zip(p, q)] == want
+
+    def test_lanes_match_the_fraction_operations(self):
+        # random lanes, and the boundary lanes u = 0, u = d and u + v = d,
+        # over the largest common denominator of three draws, 97 * 96 * 95
+        rng = random.Random(7)
+        top = SAMPLE_DENOMINATOR * (SAMPLE_DENOMINATOR - 1) \
+            * (SAMPLE_DENOMINATOR - 2)
+        assert top == 884640
+        d, u, v = [], [], []
+        for den in [top] * 50 + [1, 2, 3, 97, 9312] + [
+                math.lcm(*(rng.randint(1, SAMPLE_DENOMINATOR)
+                           for _ in range(3))) for _ in range(400)]:
+            a = rng.randint(0, den)
+            for x, y in ((0, a), (a, 0), (den, a), (a, den), (a, den - a),
+                         (den - a, a), (0, 0), (den, den),
+                         (a, rng.randint(0, den))):
+                d.append(den)
+                u.append(x)
+                v.append(y)
+        pack, unpack, (oplus, odot, neg) = mv_core._lane_ops(d)
+        U, V = pack(u), pack(v)
+        assert unpack(U) == u and unpack(V) == v
+        for got, op in ((oplus(U, V), STD.oplus), (odot(U, V), STD.odot)):
+            assert [F(w, e) for w, e in zip(unpack(got), d)] == [
+                op(F(a, e), F(b, e)) for a, b, e in zip(u, v, d)]
+        assert [F(w, e) for w, e in zip(unpack(neg(U)), d)] == [
+            STD.neg(F(a, e)) for a, e in zip(u, d)]
+
+    @pytest.mark.parametrize("den", [97, 200, 1500, 2_000_000])
+    def test_lanes_widen_with_the_denominator(self, monkeypatch, den):
+        # a lane holds every value up to den ** 3, a bound on the common
+        # denominator, and the sum of two
+        monkeypatch.setattr(mv_core, "SAMPLE_DENOMINATOR", den)
+        d = [den ** 3, den ** 3, 1]
+        pack, unpack, (oplus, odot, neg) = mv_core._lane_ops(d)
+        U, V = pack([den ** 3, den ** 3 - 1, 1]), pack([den ** 3, 1, 0])
+        assert unpack(oplus(U, V)) == d
+        assert unpack(odot(U, V)) == [den ** 3, 0, 0]
+        assert unpack(neg(U)) == [0, 1, 0]
+        if den < 1000:
+            report = check_mv_axioms(STD, mode="sampled", count=200, seed=den)
+            assert report.passed
+
+    def test_no_lane_past_64_bits(self, monkeypatch):
+        monkeypatch.setattr(mv_core, "SAMPLE_DENOMINATOR", 3 * 10 ** 6)
+        with pytest.raises(ValueError, match="66-bit lanes"):
+            mv_core._lane_ops([1])
 
     def test_sampled_memory_does_not_grow_with_count(self, monkeypatch):
         # chunks of 256 triples keep the traced runs short; the peak
@@ -286,6 +384,21 @@ def corrupted_table(n, seed):
             table[key] = rng.randrange(1, n - 1) if n > 2 \
                 else 1 - table[key]
     return table
+
+
+def sampled_triples(seed, count=50):
+    """The first count triples of a sampled audit's seeded draws, as
+    Fractions: each coordinate draws its denominator, then its numerator,
+    by randint."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(count):
+        triple = []
+        for _ in range(3):
+            q = rng.randint(1, SAMPLE_DENOMINATOR)
+            triple.append(F(rng.randint(0, q), q))
+        triples.append(tuple(triple))
+    return triples
 
 
 def reference_axiom_groups():

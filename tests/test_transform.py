@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from mvlogic import transform
 from mvlogic.transform import (
     IDENTITY_OMEGA, PRED, SUC, ClosureResult, FinTransformation,
     IndexSetMismatch, OmegaMap, SemigroupSpec, check_strongly_rich, compose,
-    modify, parse_transformation, power, semigroup_closure, support,
+    modify, parse_transformation, semigroup_closure, support,
 )
 
 
@@ -14,11 +15,33 @@ def pointwise_equal(f, g, upto=12):
     return all(f.apply(x) == g.apply(x) for x in range(upto))
 
 
-def random_omega(rng):
-    shift = rng.randint(-3, 3)
-    table = {rng.randint(0, 6): rng.randint(0, 6)
+def random_omega(rng, shifts=3, points=6):
+    """A map of shift -shifts..shifts with up to four override entries
+    inside 0..points."""
+    shift = rng.randint(-shifts, shifts)
+    table = {rng.randint(0, points): rng.randint(0, points)
              for _ in range(rng.randint(0, 4))}
     return OmegaMap.make(table, shift)
+
+
+def power(t, n):
+    """t composed with itself, n >= 1 factors."""
+    acc = t
+    for _ in range(n - 1):
+        acc = compose(acc, t)
+    return acc
+
+
+def reference_compose(f, g):
+    """f after g on maps of the naturals as a table over compose's window,
+    put in normal form by OmegaMap.make: the reference for compose."""
+    def max_key(t):
+        return max((k for k, _ in t.override), default=-1)
+
+    bound = max(max_key(g), max_key(f) - g.shift, -g.shift,
+                -f.shift - g.shift, 0) + 2
+    return OmegaMap.make({x: f.apply(g.apply(x)) for x in range(bound + 1)},
+                         f.shift + g.shift)
 
 
 class TestCompose:
@@ -44,6 +67,17 @@ class TestCompose:
         for _ in range(200):
             f, g, h = (random_omega(rng) for _ in range(3))
             assert compose(f, compose(g, h)) == compose(compose(f, g), h)
+
+    def test_omega_maps_against_the_table_reference(self):
+        # shifts -4..4 and overrides inside 0..8: equal to the table built
+        # over the window and normalised, and pointwise f after g past it
+        rng = random.Random(30)
+        for _ in range(20000):
+            f, g = (random_omega(rng, shifts=4, points=8) for _ in range(2))
+            fg = compose(f, g)
+            assert fg == reference_compose(f, g)
+            assert fg == OmegaMap.make(dict(fg.override), fg.shift)
+            assert all(fg.apply(x) == f.apply(g.apply(x)) for x in range(16))
 
     def test_finite_composition(self):
         dom = (0, 1, 2)
@@ -249,6 +283,39 @@ class TestStrongRichness:
         assert report.passed
         for n, supp in enumerate(report.supports, start=1):
             assert supp == tuple(range(n))
+
+    def test_reports_equal_those_of_the_table_reference(self, monkeypatch):
+        rng = random.Random(31)
+        ambient = SemigroupSpec(
+            (OmegaMap.make({0: 1}, 0), OmegaMap.make({0: 1, 1: 0}, 0),
+             SUC, PRED), 40)
+        runs = [((SUC, PRED), {"n_max": n}) for n in range(1, 65)]
+        runs += [((OmegaMap.make({0: 3}, 2), OmegaMap.make({1: 0}, -2)),
+                  {"n_max": 8, "ambient": ambient, "sample": 4}),
+                 ((modify(SUC, 0, 0), modify(PRED, 2, 5)),
+                  {"n_max": 8, "ambient": ambient, "sample": 4}),
+                 # supp(suc o pi) holds 1, the least point of Rg(suc)
+                 ((SUC, OmegaMap.make({1: 1}, -1)), {"n_max": 4})]
+        runs += [((random_omega(rng, 4, 8), random_omega(rng, 4, 8)),
+                  {"n_max": 6}) for _ in range(300)]
+        assert any(sigma.override and pi.override
+                   for (sigma, pi), _ in runs)
+        reports = [check_strongly_rich(*maps, **kw) for maps, kw in runs]
+        # a support outside Rg(sigma^n), read point by point off the power
+        strays = 0   # failures on override-free powers
+        for ((sigma, _), _), report in zip(runs, reports):
+            status = {c.name: c.status for c in report.conditions}
+            for n, points in enumerate(report.supports, start=1):
+                if points is not None:
+                    sig_pow = power(sigma, n)
+                    inside = any(map(sig_pow.in_range, points))
+                    strays += inside and not sig_pow.override
+                    assert status[f"support-outside-range-n{n}"] \
+                        == ("fail" if inside else "pass")
+        assert strays
+        monkeypatch.setattr(transform, "compose", reference_compose)
+        assert reports == [check_strongly_rich(*maps, **kw)
+                           for maps, kw in runs]
 
     def test_identity_fails_surjectivity(self):
         report = check_strongly_rich(IDENTITY_OMEGA, IDENTITY_OMEGA, n_max=2)
