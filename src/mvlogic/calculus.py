@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from . import semantics, syntax
 from .mv_core import (
-    is_json_int, is_json_list, is_json_object, is_json_str, json_field,
-    json_list_of,
+    AuditReport, is_json_int, is_json_list, is_json_object, is_json_str,
+    json_field, json_list_of,
 )
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
@@ -338,18 +338,20 @@ class Violation:
     target: str
     instance: str
     detail: str
+    holds = False  # not a field: the report's JSON keeps its three keys
 
 
 @dataclass(frozen=True)
-class SoundnessReport:
+class SoundnessReport(AuditReport):
+    """The violations found as results, in trial order."""
+
     target: str
     trials: int
-    violations: tuple
     seed: int
 
     @property
-    def passed(self):
-        return not self.violations
+    def violations(self):
+        return self.results
 
 
 def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
@@ -456,7 +458,7 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
                 violations.append(outcome)
     else:
         raise ValueError(f"unknown audit target {target!r}")
-    return SoundnessReport(target, trials, tuple(violations), seed)
+    return SoundnessReport(tuple(violations), target, trials, seed)
 
 
 def _audit_rule_once(rng, rule, language, depth, max_domain, chain_n):

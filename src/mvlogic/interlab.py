@@ -6,10 +6,10 @@ witness construction with its representation map, and the translation
 bridge between polyadic terms and formulas. The propositional search reads
 each candidate's truth table on chain levels once (`_levels`) against two
 envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
-The Henkin filter holds the maximal `Filter` it found; the representation
-map reads its view indices and returns psi on them, as chain levels, with
-its clauses checked by `mv_core.clause_result` and `homomorphism_clauses`
-(`pavelka` reuses them) on products and k-variants off the polyadic view.
+The Henkin filter holds the maximal `Filter` it found. Both representation
+maps, by quotient rank here and by graded degree in `pavelka`, are one psi
+(`build_psi`) with one clause list (`represent`), checked by `clause_result`
+and `homomorphism_clauses` on products and k-variants off the view.
 """
 
 from __future__ import annotations
@@ -298,26 +298,24 @@ def henkin_filter_build(algebra, a):
     return Exhausted(len(candidates))
 
 
-def psi_rows(V, levels, vs):
-    """psi over carrier indices: rows[i][xi] is levels[s_x i], x = vs[xi]."""
-    return _transpose(
-        [tuple(map(levels.__getitem__, V.subst[x])) for x in vs],
-        len(V.carrier))
-
-
-def psi_columns(V, rows, top):
-    """The columns of psi's rows, as rows of the type homomorphism_clauses
-    reads, which the subst-action and cyl-sup clauses read too."""
-    return list(map(_row_type(max(len(V.carrier) - 1, 2 * top)), zip(*rows)))
+def build_psi(V, levels, vs, top):
+    """psi on view indices, from the level of each carrier index: (rows,
+    columns), rows[i][xi] = columns[xi][i] = levels[s_x i], x = vs[xi].
+    Each column is the levels read at s_x's table once, as a row of the
+    type homomorphism_clauses reads; the rows are their transpose."""
+    row = _row_type(max(len(V.carrier) - 1, 2 * top))
+    levels = row(levels)
+    columns = [_read(levels, row(V.subst[x])) for x in vs]
+    return _transpose(columns, len(V.carrier)), columns
 
 
 def cyl_sup_clause(V, columns):
     """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x.
 
-    One block per k of the signature: each column of psi (see
-    psi_columns) read at c_k's table, against the sup of the columns of
-    x's k-variants. An instance is one (p, x); only a block whose columns
-    differ is interleaved into its instances, p by p, and rescanned.
+    One block per k of the signature: each column of psi (see build_psi)
+    read at c_k's table, against the sup of the columns of x's k-variants.
+    An instance is one (p, x); only a block whose columns differ is
+    interleaved into its instances, p by p, and rescanned.
     """
     row, n = type(columns[0]), len(V.carrier)
 
@@ -340,24 +338,23 @@ def cyl_sup_clause(V, columns):
     return clause_result("cyl-sup", blocks())
 
 
-def representation_map(algebra, hf):
-    """psi(p)(x) = class of s_x p in the quotient chain, for x in V, as
-    rows on view indices: psi[i][xi] is a chain level, p = V.elements[i].
+def represent(algebra, hf, levels, pav=None):
+    """psi(p)(x) = the level of s_x p, for x in V, as rows on view indices
+    (psi[i][xi], p = V.elements[i]), and its AuditReport; levels(flt)
+    gives the chain and the level of each carrier index.
 
-    The audit checks, exhaustively over the carrier and V: preservation of
-    (+), (*), ~, 0, 1; the substitution action psi(s_tau p) = psi(p) o
-    (- o tau); the cylinder suprema psi(c_k p)(x) = sup of psi(p) over the
-    k-variants of x inside V; and that psi does not kill the filter's
-    element at the identity coordinate. The clauses over the carrier read
-    psi's columns whole.
+    Checked exhaustively over the carrier and V: the images of 0 and 1;
+    for the graded map of a Pavelka algebra pav, psi(r-bar) constant at r;
+    preservation of ~, (+), (*); for the crisp map (no pav), the
+    substitution action psi(s_tau p) = psi(p) o (- o tau); the cylinder
+    suprema (see cyl_sup_clause); and for the crisp map, that psi does not
+    kill the seed at the identity coordinate.
     """
     V = algebra.indexed()
     mv_core.filter_ids(hf.filter, algebra)  # refuses another algebra's
-    chain, ranks = mv_core.quotient_ranks(hf.filter)
-    vs = algebra.transformations
-    top = chain.n - 1
-    rows = psi_rows(V, ranks, vs)
-    columns = psi_columns(V, rows, top)
+    chain, level = levels(hf.filter)
+    vs, top = algebra.transformations, chain.n - 1
+    rows, columns = build_psi(V, level, vs, top)
     row, n = type(columns[0]), len(V.carrier)
 
     def subst_blocks():
@@ -375,16 +372,27 @@ def representation_map(algebra, hf):
                                            ("0",))]),
         clause_result("unit-1", [_instance(rows[V.one], (top,) * len(vs),
                                            ("1",))]),
-        *homomorphism_clauses(V, columns, top),
-        clause_result("subst-action", subst_blocks()),
-        cyl_sup_clause(V, columns),
     ]
+    if pav is not None:
+        results.append(clause_result("constants", [(
+            [rows[c] for _, c in pav._bar],
+            [(l,) * len(vs) for l, _ in pav._bar], zip(pav.levels))]))
+    results += homomorphism_clauses(V, columns, top)
+    if pav is None:
+        results.append(clause_result("subst-action", subst_blocks()))
+    results.append(cyl_sup_clause(V, columns))
     identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
-    if identity in vs:
+    if pav is None and identity in vs:
         seed = rows[V.index_of[hf.seed]][vs.index(identity)]
         results.append(clause_result("nonzero-at-identity", [_instance(
             seed != 0, True, ("identity component of the seed element",))]))
     return rows, AuditReport(tuple(results))
+
+
+def representation_map(algebra, hf):
+    """psi(p)(x) = class of s_x p in the quotient chain, for x in V, as
+    rows on view indices, and its audit (see represent)."""
+    return represent(algebra, hf, mv_core.quotient_ranks)
 
 
 # -- terms over the polyadic signature and their translation ---------------

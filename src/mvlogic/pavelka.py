@@ -1,7 +1,8 @@
 """Rational Pavelka extension: truth-constant-enriched algebras, the
 constant compatibility laws, graded degrees of membership with their dual
 forms, quantifier invariance of constants, and the graded representation
-map built on a Henkin filter, psi on view indices. Every law reads filter
+map built on a Henkin filter: `interlab.represent`'s psi on view indices,
+with the graded degree as its level function. Every law reads filter
 indices and view tables through `clause_result` into an `AuditReport`."""
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 from .mv_core import (
     AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_sums,
-    clause_result, filter_ids, homomorphism_clauses,
+    clause_result, filter_ids,
 )
-from .interlab import HenkinFilter, cyl_sup_clause, psi_columns, psi_rows
+from .interlab import HenkinFilter, represent
 
 
 @dataclass(frozen=True)
@@ -97,20 +98,22 @@ def _degrees(pav, flt, ids):
     return ups, downs
 
 
-def degree(a, ctx):
-    """[a]_H: the largest constant level r with r-bar -> a in the filter."""
+def _degree(a, ctx, form):
+    """The chain value of _degrees' form (0 up, 1 down) of the element a."""
     pav = ctx.algebra
     pav.base.check_args((a,))
-    (up,), _ = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])
-    return pav.chain.carrier[up]
+    (level,) = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])[form]
+    return pav.chain.carrier[level]
+
+
+def degree(a, ctx):
+    """[a]_H: the largest constant level r with r-bar -> a in the filter."""
+    return _degree(a, ctx, 0)
 
 
 def degree_dual(a, ctx):
     """The dual form: the least r with a -> r-bar in the filter."""
-    pav = ctx.algebra
-    pav.base.check_args((a,))
-    _, (down,) = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])
-    return pav.chain.carrier[down]
+    return _degree(a, ctx, 1)
 
 
 def degree_forms_check(pav, flt):
@@ -166,31 +169,11 @@ def functional_pavelka(algebra, require_full=True):
 
 
 def pavelka_representation(algebra, pav, hf):
-    """psi(p)(x) = [s_x p] by graded degree, as rows on view indices (see
-    representation_map); audited exhaustively.
-
-    Clauses: preservation of (+), (*), ~; psi(r-bar) constant at r; the
-    cylinder supremum [s_x c_i p] = sup over k-variants; and unit images.
-    """
+    """psi(p)(x) = [s_x p] by graded degree, as rows on view indices, and
+    its audit (see interlab.represent): the unit images, psi(r-bar)
+    constant at r, preservation of (+), (*), ~ and the cylinder supremum
+    [s_x c_i p] = sup over k-variants."""
     if not isinstance(hf, HenkinFilter):
         raise TypeError("the graded representation is built on a HenkinFilter")
-    V = algebra.indexed()
-    filter_ids(hf.filter, algebra)  # refuses another algebra's
-    vs = algebra.transformations
-    top = pav.chain.n - 1
-    rows = psi_rows(V, _degrees(pav, hf.filter, V.carrier)[0], vs)
-    columns = psi_columns(V, rows, top)
-
-    results = [
-        clause_result("unit-0", [_instance(rows[V.zero], (0,) * len(vs),
-                                           ("0",))]),
-        clause_result("unit-1", [_instance(rows[V.one], (top,) * len(vs),
-                                           ("1",))]),
-        clause_result("constants", [(
-            [rows[c] for _, c in pav._bar],
-            [(l,) * len(vs) for l, _ in pav._bar],
-            zip(pav.levels))]),
-        *homomorphism_clauses(V, columns, top),
-        cyl_sup_clause(V, columns),
-    ]
-    return rows, AuditReport(tuple(results))
+    return represent(algebra, hf, lambda flt: (
+        pav.chain, _degrees(pav, flt, algebra.indexed().carrier)[0]), pav)

@@ -214,11 +214,6 @@ def all_vars(phi):
     return free_vars(phi) | bound_vars(phi)
 
 
-def restrict_extend(mapping, zs):
-    """f|Z: agrees with f on dom(f) cap Z, identity on the rest of Z."""
-    return {z: mapping.get(z, z) for z in zs}
-
-
 def _push(tau, phi, quantifier):
     """phi with the variable map tau applied to its atoms, extended
     identically off its domain; quantifier(tau, q) gives the block of a

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .mv_core import AuditReport
+
 
 class IndexSetMismatch(ValueError):
     """Composed or compared transformations live on different index sets."""
@@ -292,20 +294,17 @@ class ConditionResult:
     status: str  # "pass" | "fail" | "confirmed" | "unresolved" | "violated"
     detail: str = ""
 
+    @property
+    def holds(self):
+        return self.status not in ("fail", "violated")
+
 
 @dataclass(frozen=True)
-class RichnessReport:
-    conditions: tuple
+class RichnessReport(AuditReport):
+    """The conditions as results, in checking order."""
+
     supports: tuple  # per n: sorted list of supp(sigma^n o pi^n)
     closure_truncated: bool | None
-
-    @property
-    def passed(self):
-        return all(c.status in ("pass", "confirmed", "unresolved")
-                   for c in self.conditions)
-
-    def failures(self):
-        return [c for c in self.conditions if c.status in ("fail", "violated")]
 
 
 def check_strongly_rich(sigma, pi, ambient=None, n_max=64, sample=8, ij_bound=3):
@@ -344,17 +343,20 @@ def check_strongly_rich(sigma, pi, ambient=None, n_max=64, sample=8, ij_bound=3)
             "" if retr == IDENTITY_OMEGA else f"pi^{n} o sigma^{n} = {retr!r}",
         ))
         comp = compose(sig_pow, pi_pow)
-        info = support(comp)
-        supports.append(tuple(sorted(info.points)) if info.finite else None)
-        if not info.finite:
+        if comp.shift:  # the support of a shifted tail is infinite
+            supports.append(None)
             conditions.append(ConditionResult(
                 f"support-finite-n{n}", "fail", f"supp(sigma^{n} o pi^{n}) infinite"))
             continue
+        # compose's normal form with shift 0 overrides exactly the moved
+        # points, in increasing order: the support, sorted
+        points = tuple(k for k, _ in comp.override)
+        supports.append(points)
         conditions.append(ConditionResult(f"support-finite-n{n}", "pass"))
         # an override-free power's range is every m >= max(shift, 0)
-        stray = [m for m in info.points if sig_pow.in_range(m)] \
+        stray = [m for m in points if sig_pow.in_range(m)] \
             if sig_pow.override else \
-            [m for m in info.points if m >= max(sig_pow.shift, 0)]
+            [m for m in points if m >= max(sig_pow.shift, 0)]
         conditions.append(ConditionResult(
             f"support-outside-range-n{n}",
             "pass" if not stray else "fail",

@@ -10,7 +10,7 @@ from mvlogic.calculus import (
     soundness_audit,
 )
 from mvlogic import semantics
-from mvlogic.mv_core import Chain
+from mvlogic.mv_core import AuditReport, Chain
 from mvlogic.semantics import Model, SearchTooLarge, is_valid
 from mvlogic.syntax import (
     Exists, Forall, Implies, LanguageSpec, Neg, Odot, Oplus, parse,
@@ -408,6 +408,11 @@ class TestSoundness:
     def test_mutated_a5_checker_is_caught(self):
         report = soundness_audit("A5", 60, seed=4, skip_side_conditions=True,
                                  language=CAPTURE)
+        # an AuditReport whose results are its violations, none holding
+        assert isinstance(report, AuditReport) and not report.passed
+        assert report.failures() == list(report.violations) \
+            == list(report.results)
+        assert (report.target, report.trials, report.seed) == ("A5", 60, 4)
         assert [(v.instance, v.detail) for v in report.violations] == [(
             "A{v2,v3} (A{v0} s(v2,v3) (+) ~p(v2)) -> "
             "A{v0} s(v0,v0) (+) ~p(v0)",

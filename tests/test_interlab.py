@@ -501,25 +501,27 @@ class TestClausesAgainstReference:
     @pytest.fixture(params=[small_algebra, pattern_algebra, l129_halves],
                     ids=["small", "pattern", "l129-halves"])
     def perturbed(self, request, monkeypatch):
-        """(algebra, rows seen): psi_rows with one entry moved, per spot."""
+        """(algebra, rows seen): build_psi with one entry moved, per spot,
+        in its rows and its columns alike. Both maps build psi through
+        interlab.represent, so patching interlab reaches both."""
         algebra = request.param()
         seen = []
 
         def install(spot):
-            real = interlab.psi_rows
+            real = interlab.build_psi
 
-            def psi_rows(V, levels, vs):
-                rows = [list(row) for row in real(V, levels, vs)]
+            def build_psi(V, levels, vs, top):
+                rows, columns = real(V, levels, vs, top)
+                rows = [list(row) for row in rows]
                 if spot is not None:
                     i, xi = spot[0] % len(rows), spot[1] % len(vs)
                     v = rows[i][xi]
                     rows[i][xi] = v - 1 if v else v + 1
                 rows = [tuple(row) for row in rows]
                 seen.append(rows)
-                return rows
+                return rows, list(map(type(columns[0]), zip(*rows)))
 
-            monkeypatch.setattr(interlab, "psi_rows", psi_rows)
-            monkeypatch.setattr(pavelka, "psi_rows", psi_rows)
+            monkeypatch.setattr(interlab, "build_psi", build_psi)
 
         return algebra, seen, install
 
@@ -583,9 +585,9 @@ class TestClausesAgainstReference:
         pav = pavelka.functional_pavelka(algebra, require_full=False)
         hf = henkin_filter_build(algebra, algebra.one)
         top = pav.chain.n - 1
-        columns = list(zip(*interlab.psi_rows(
+        columns = list(map(tuple, interlab.build_psi(
             V, pavelka._degrees(pav, hf.filter, V.carrier)[0],
-            algebra.transformations)))
+            algebra.transformations, top)[1]))
         if spot is not None:
             i, xi = spot[0] % len(V.carrier), spot[1] % len(columns)
             moved = list(columns[xi])
@@ -601,6 +603,115 @@ class TestClausesAgainstReference:
         assert clauses(columns + columns) \
             == clauses(list(dict.fromkeys(columns))) \
             == [ref["neg"], ref["oplus"], ref["odot"]]
+
+
+def two_transpose_psi(V, levels, vs, top):
+    """psi's (rows, columns) by the construction that one builder replaced:
+    the rows from the levels read coordinate by coordinate and transposed,
+    and the columns transposed back from the rows."""
+    rows = mv_core._transpose(
+        [tuple(map(levels.__getitem__, V.subst[x])) for x in vs],
+        len(V.carrier))
+    row = mv_core._row_type(max(len(V.carrier) - 1, 2 * top))
+    return rows, list(map(row, zip(*rows)))
+
+
+def separate_maps(algebra, hf, pav):
+    """(rows, [(clause, holds, witness)]) of the crisp map and of the graded
+    one, each with its own preamble and clause list over the columns of
+    two_transpose_psi, as the two maps were written before they shared
+    interlab.represent."""
+    V, vs = algebra.indexed(), algebra.transformations
+    n = len(V.carrier)
+
+    def units(rows, top):
+        return [mv_core.clause_result("unit-0", [mv_core._instance(
+                    rows[V.zero], (0,) * len(vs), ("0",))]),
+                mv_core.clause_result("unit-1", [mv_core._instance(
+                    rows[V.one], (top,) * len(vs), ("1",))])]
+
+    chain, ranks = mv_core.quotient_ranks(hf.filter)
+    top = chain.n - 1
+    rows, columns = two_transpose_psi(V, ranks, vs, top)
+    row = type(columns[0])
+
+    def subst_blocks():
+        for tau, targets in zip(vs, zip(*V.composition)):
+            if None not in targets:
+                at = row(V.subst[tau])
+                yield mv_core.column_block(
+                    [mv_core._read(col, at) for col in columns],
+                    list(map(columns.__getitem__, targets)),
+                    zip(itertools.repeat(tau), V.elements), n)
+
+    crisp = [*units(rows, top),
+             *mv_core.homomorphism_clauses(V, columns, top),
+             mv_core.clause_result("subst-action", subst_blocks()),
+             interlab.cyl_sup_clause(V, columns)]
+    identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
+    if identity in vs:
+        seed = rows[V.index_of[hf.seed]][vs.index(identity)]
+        crisp.append(mv_core.clause_result("nonzero-at-identity", [
+            mv_core._instance(seed != 0, True, (
+                "identity component of the seed element",))]))
+    crisp_rows = rows
+
+    top = pav.chain.n - 1
+    rows, columns = two_transpose_psi(
+        V, pavelka._degrees(pav, hf.filter, V.carrier)[0], vs, top)
+    graded = [*units(rows, top),
+              mv_core.clause_result("constants", [(
+                  [rows[c] for _, c in pav._bar],
+                  [(l,) * len(vs) for l, _ in pav._bar], zip(pav.levels))]),
+              *mv_core.homomorphism_clauses(V, columns, top),
+              interlab.cyl_sup_clause(V, columns)]
+
+    def triples(results):
+        return [(c.clause, c.holds, c.witness) for c in results]
+
+    return (crisp_rows, triples(crisp)), (rows, triples(graded))
+
+
+class TestOnePsi:
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_both_maps_against_separate_construction(self, name):
+        # every closure spec but the semigroup one has Henkin filters
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        pav = pavelka.functional_pavelka(algebra, require_full=False)
+        found = 0
+        for seed in (algebra.carrier[1], algebra.one):
+            hf = henkin_filter_build(algebra, seed)
+            if not isinstance(hf, HenkinFilter):
+                continue
+            found += 1
+            got = [(rows, [(c.clause, c.holds, c.witness)
+                           for c in audit.results]) for rows, audit in (
+                representation_map(algebra, hf),
+                pavelka.pavelka_representation(algebra, pav, hf))]
+            assert got == list(separate_maps(algebra, hf, pav))
+        assert found == (0 if name == "semigroup" else 2)
+
+    @pytest.mark.parametrize("make", [small_algebra, pattern_algebra,
+                                      l129_halves],
+                             ids=["small", "pattern", "l129-halves"])
+    def test_builder_against_two_transposes(self, make):
+        # byte columns on small and pattern, tuple columns on l129-halves
+        algebra = make()
+        V = algebra.indexed()
+        pav = pavelka.functional_pavelka(algebra, require_full=False)
+        hf = henkin_filter_build(algebra, algebra.one)
+        chain, ranks = mv_core.quotient_ranks(hf.filter)
+        for levels, top in (
+                (ranks, chain.n - 1),
+                (pavelka._degrees(pav, hf.filter, V.carrier)[0],
+                 pav.chain.n - 1)):
+            rows, columns = interlab.build_psi(
+                V, levels, algebra.transformations, top)
+            assert (rows, columns) == two_transpose_psi(
+                V, levels, algebra.transformations, top)
+            assert {type(c) for c in columns} == {
+                mv_core._row_type(max(len(V.carrier) - 1, 2 * top))}
 
 
 class TestEta:

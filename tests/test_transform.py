@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mvlogic import transform
+from mvlogic.mv_core import AuditReport
 from mvlogic.transform import (
     IDENTITY_OMEGA, PRED, SUC, ClosureResult, FinTransformation,
     IndexSetMismatch, OmegaMap, SemigroupSpec, check_strongly_rich, compose,
@@ -301,18 +302,24 @@ class TestStrongRichness:
         assert any(sigma.override and pi.override
                    for (sigma, pi), _ in runs)
         reports = [check_strongly_rich(*maps, **kw) for maps, kw in runs]
-        # a support outside Rg(sigma^n), read point by point off the power
+        # a support outside Rg(sigma^n), read point by point off the power;
+        # a failure lists its stray points in increasing order
         strays = 0   # failures on override-free powers
+        listed = 0   # failures that list more than one stray point
         for ((sigma, _), _), report in zip(runs, reports):
-            status = {c.name: c.status for c in report.conditions}
+            found = {c.name: c for c in report.results}
             for n, points in enumerate(report.supports, start=1):
                 if points is not None:
+                    assert list(points) == sorted(points)
                     sig_pow = power(sigma, n)
-                    inside = any(map(sig_pow.in_range, points))
-                    strays += inside and not sig_pow.override
-                    assert status[f"support-outside-range-n{n}"] \
-                        == ("fail" if inside else "pass")
-        assert strays
+                    inside = sorted(filter(sig_pow.in_range, points))
+                    strays += bool(inside) and not sig_pow.override
+                    listed += len(inside) > 1
+                    c = found[f"support-outside-range-n{n}"]
+                    assert (c.status, c.detail) == (
+                        ("fail", f"{inside} lie inside Rg(sigma^{n})")
+                        if inside else ("pass", ""))
+        assert strays and listed
         monkeypatch.setattr(transform, "compose", reference_compose)
         assert reports == [check_strongly_rich(*maps, **kw)
                            for maps, kw in runs]
@@ -329,6 +336,20 @@ class TestStrongRichness:
         # oracle: (pred o suc^2)(0) = 1 != 0
         assert compose(PRED, power(SUC, 2)).apply(0) == 1
 
+    def test_violated_closure_conditions_fail(self):
+        # the closure of [0|1] alone is {[0|1]}, finite and without suc or
+        # pred, so every closure condition is violated, not unresolved
+        ambient = SemigroupSpec((OmegaMap.make({0: 1}, 0),), 10)
+        report = check_strongly_rich(SUC, PRED, ambient=ambient, n_max=1,
+                                     sample=1, ij_bound=1)
+        assert isinstance(report, AuditReport)
+        assert report.closure_truncated is False and not report.passed
+        assert [(c.name, c.holds) for c in report.failures()] == [
+            ("closure-contains-sigma", False), ("closure-contains-pi", False),
+            ("closure-modify[0|0]-omega(shift=0, {0->1})", False),
+            ("closure-conjugate-omega(shift=0, {0->1})", False)]
+        assert all(c.holds for c in report.results[:4])
+
     def test_closure_spot_checks_reported(self):
         ambient = SemigroupSpec(
             (OmegaMap.make({0: 1}, 0), OmegaMap.make({0: 1, 1: 0}, 0),
@@ -337,7 +358,7 @@ class TestStrongRichness:
                                      sample=3, ij_bound=2)
         assert report.passed
         assert report.closure_truncated is True
-        statuses = {c.status for c in report.conditions
+        statuses = {c.status for c in report.results
                     if c.name.startswith("closure-")}
         assert statuses <= {"confirmed", "unresolved"}
 
