@@ -613,9 +613,10 @@ COMMANDS = (
 
 @functools.cache
 def _parser():
-    """The argparse tree of COMMANDS, built on first use and then shared:
-    parsing does not change it. Help is 78 columns wide on any terminal,
-    so that a help report is as reproducible as any other."""
+    """(tree, leaves): the argparse tree of COMMANDS and its leaf parsers
+    by (verb, action), ("batch",) for the bare verb; built on first use and
+    then shared: parsing changes neither. Help is 78 columns wide on any
+    terminal, so that a help report is as reproducible as any other."""
     fixed = {"formatter_class": functools.partial(argparse.HelpFormatter,
                                                   width=78)}
     parser = argparse.ArgumentParser(
@@ -624,19 +625,20 @@ def _parser():
     parser.add_argument("--json", action="store_true",
                         help="machine-readable canonical report")
     verbs = parser.add_subparsers(dest="verb")
-    actions = {}
+    actions, leaves = {}, {}
     for verb, action, handler, arguments in COMMANDS:
         if action is None:
-            p = verbs.add_parser(verb, **fixed)
+            p = leaves[verb,] = verbs.add_parser(verb, **fixed)
         else:
             if verb not in actions:
                 actions[verb] = verbs.add_parser(
                     verb, **fixed).add_subparsers(dest="action")
-            p = actions[verb].add_parser(action, **fixed)
+            p = leaves[verb, action] = actions[verb].add_parser(
+                action, **fixed)
         for flags, keywords in arguments:
             p.add_argument(*flags, **keywords)
         p.set_defaults(handler=handler)
-    return parser
+    return parser, leaves
 
 
 def _error_report(verb, reason, inputs):
@@ -653,9 +655,16 @@ def dispatch(argv):
     front end prints timing separately.
     """
     argv = [a for a in argv if a != "--json"]
+    tree, leaves = _parser()
+    # the leaf of the first words, given the verb and action that the tree
+    # would set, parses the rest; any other argv goes through the tree
+    words = next((w for w in (tuple(argv[:2]), tuple(argv[:1]))
+                  if w in leaves), ())
+    preset = argparse.Namespace(**dict(zip(("verb", "action"), words)))
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            args = _parser().parse_args(argv)
+            args = leaves.get(words, tree).parse_args(argv[len(words):],
+                                                      preset)
     except SystemExit as exc:
         if exc.code == 0:  # -h/--help: the report, not stdout, keeps the text
             return 0, {"verdict": "help", "argv": argv, "help": out.getvalue()}

@@ -457,10 +457,11 @@ class Chain(StandardRationals):
         return self._indexed
 
     def contains(self, value):
+        # integer arithmetic: a Fraction's denominator is positive
         return (
             isinstance(value, Fraction)
-            and ZERO <= value <= ONE
-            and (value * (self.n - 1)).denominator == 1
+            and 0 <= value.numerator <= value.denominator
+            and value.numerator * (self.n - 1) % value.denominator == 0
         )
 
     def __repr__(self):

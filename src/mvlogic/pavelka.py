@@ -87,22 +87,22 @@ def constants_check(pav):
     ))
 
 
-def _degrees(pav, flt, ids):
-    """(ups, downs): degree and degree_dual of the view indices ids as chain
-    levels, 0 and the top where no constant qualifies."""
+def _degrees(pav, flt, ids, form):
+    """The degrees of one form of the view indices ids as chain levels:
+    degree's (form 0), else 0, or degree_dual's (form 1), else the top."""
     V, bar, members = pav.base.indexed(), pav._bar, filter_ids(flt, pav.base)
-    ups = [max((l for l, c in bar if V.implies(c, a) in members),
-               default=0) for a in ids]
-    downs = [min((l for l, c in bar if V.implies(a, c) in members),
-                 default=pav.chain.n - 1) for a in ids]
-    return ups, downs
+    if form == 0:
+        return [max((l for l, c in bar if V.implies(c, a) in members),
+                    default=0) for a in ids]
+    return [min((l for l, c in bar if V.implies(a, c) in members),
+                default=pav.chain.n - 1) for a in ids]
 
 
 def _degree(a, ctx, form):
-    """The chain value of _degrees' form (0 up, 1 down) of the element a."""
+    """The chain value of the element a's degree of one form (_degrees)."""
     pav = ctx.algebra
     pav.base.check_args((a,))
-    (level,) = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)])[form]
+    (level,) = _degrees(pav, ctx.filter, [_coding(pav.base)[1](a)], form)
     return pav.chain.carrier[level]
 
 
@@ -119,7 +119,8 @@ def degree_dual(a, ctx):
 def degree_forms_check(pav, flt):
     """Sup-form degree equals inf-form degree for every element."""
     V, _, dec = _coding(pav.base)
-    ups, downs = _degrees(pav, GradedContext(pav, flt).filter, V.carrier)
+    flt = GradedContext(pav, flt).filter
+    ups, downs = (_degrees(pav, flt, V.carrier, form) for form in (0, 1))
     return AuditReport((clause_result("degree-sup-equals-inf", [(
         ups, downs, ((dec(a), pav.chain.carrier[u], pav.chain.carrier[d])
                      for a, u, d in zip(V.carrier, ups, downs)))]),))
@@ -176,4 +177,4 @@ def pavelka_representation(algebra, pav, hf):
     if not isinstance(hf, HenkinFilter):
         raise TypeError("the graded representation is built on a HenkinFilter")
     return represent(algebra, hf, lambda flt: (
-        pav.chain, _degrees(pav, flt, algebra.indexed().carrier)[0]), pav)
+        pav.chain, _degrees(pav, flt, algebra.indexed().carrier, 0)), pav)

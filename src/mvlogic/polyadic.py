@@ -319,13 +319,10 @@ class FunctionalSetAlgebra:
     def _perm(self, tau):
         perm = self._perm_cache.get(tau)
         if perm is None:
-            pos = self.index_set.index
-            perm = tuple(
-                self._assign_index[tuple(x[pos(tau.apply(i))]
-                                         for i in self.index_set)]
-                for x in self.assignments
-            )
-            self._perm_cache[tau] = perm
+            at = [self.index_set.index(tau.apply(i)) for i in self.index_set]
+            perm = self._perm_cache[tau] = tuple(
+                self._assign_index[tuple(map(x.__getitem__, at))]
+                for x in self.assignments)
         return perm
 
     def subst_el(self, tau, p):
@@ -402,10 +399,14 @@ def build_generated(index_set, base, chain, generators, transformations,
     raises; a partial carrier is never returned.
 
     The closure runs on mv_core rows of integer chain levels, v at v * top,
-    of type _row_type(2 * top), through mv_core._level_tables, and records
-    the carrier index of each result as the tables of the view, the (+) of
-    i with k <= i also as entry [k][i]; each element becomes a tuple of
-    chain values once, at the end.
+    of type _row_type(2 * top), a whole row per operation: one _read of p
+    for every s_tau p, one per scope J for c_J p, and for the (+) and (*)
+    of p with all of elements[:i + 1] one _add against those rows end to
+    end and a _read per mv_core._level_tables table, looked up at once and
+    admitted in closure order from the first new one. The carrier index of
+    each result is recorded as the tables of the view, the (+) of i with
+    k <= i also as entry [k][i]; each element becomes a tuple of chain
+    values once, at the end.
     """
     if isinstance(base, int):
         base = range(base)
@@ -431,11 +432,15 @@ def build_generated(index_set, base, chain, generators, transformations,
         transformations=maps, scopes=scopes)
     top = chain.n - 1
     row = _row_type(2 * top)
+    # position rows are bytes only where the level rows are bytes too
+    positions = _row_type(max(size - 1, 2 * top))(
+        itertools.chain.from_iterable(map(algebra._perm, maps)))
+    spans = [j for j in scopes if j]  # c_{} is the identity
+    blocks = [(members, _row_type(max(len(members) - 1, 2 * top))(ids))
+              for ids, members in map(algebra._blocks, spans)]
     neg, plus, times = _level_tables(top)
-    elements = []
-    index = {}
-    negs, sums = [], []
-    substs, cyls = {tau: [] for tau in maps}, {j: [] for j in scopes}
+    elements, index, negs, sums = [], {}, [], []
+    substs, cyls = [[] for _ in maps], {j: [] for j in spans}
 
     def admit(p):
         i = index.get(p)
@@ -450,32 +455,39 @@ def build_generated(index_set, base, chain, generators, transformations,
     admit(row((0,)) * size)
     admit(row((top,)) * size)
     for g in gens:
-        admit(row((v * top).numerator for v in g))
+        admit(row([v.numerator * top // v.denominator for v in g]))
 
     i = 0
     while i < len(elements):
         p = elements[i]
         negs.append(admit(_read(neg, p)))
-        for tau in maps:
-            substs[tau].append(admit(algebra.subst_el(tau, p)))
-        for j in scopes:
-            cyls[j].append(admit(algebra.cyl_el(j, p)))
-        found = []
-        for k, q in enumerate(elements[: i + 1]):
-            both = _add(p, q)
-            found.append(admit(_read(plus, both)))
-            admit(_read(times, both))
-            if k < i:
-                sums[k].append(found[k])
+        moved = row(_read(p, positions))
+        for k, table in enumerate(substs):
+            table.append(admit(moved[k * size:(k + 1) * size]))
+        for (members, ids), table in zip(blocks, cyls.values()):
+            sups = row([max(map(p.__getitem__, m)) for m in members])
+            table.append(admit(row(_read(sups, ids))))
+        both = _add(p * (i + 1), _concat(elements[:i + 1], row))
+        pairs = _read(plus, both), _read(times, both)
+        results = [r[k * size:(k + 1) * size] for k in range(i + 1)
+                   for r in pairs]
+        found = list(map(index.get, results))
+        if None in found:
+            first = found.index(None)
+            found[first:] = map(admit, results[first:])
+        found = found[::2]
+        for k in range(i):
+            sums[k].append(found[k])
         sums.append(found)
         i += 1
 
+    cyls = {j: cyls[j] if j else [*range(len(elements))] for j in scopes}
     value = {r: Fraction(r, top) for r in set().union(*elements)}
     return FunctionalSetAlgebra(
         index_set, base, chain,
         carrier=tuple(tuple(map(value.__getitem__, p)) for p in elements),
         generators=tuple(gens), transformations=maps, scopes=scopes,
-        tables=(negs, sums, substs, cyls))
+        tables=(negs, sums, dict(zip(maps, substs)), cyls))
 
 
 class AbstractPolyadicAlgebra:

@@ -8,9 +8,10 @@ import time
 import pytest
 
 from builders import to_table
-from mvlogic import interlab
+from mvlogic import cli, interlab
 from mvlogic.cli import dispatch, main
 from mvlogic.polyadic import algebra_from_json
+from test_golden import GOLDEN, load_manifest
 
 MODEL = {
     "domain": 2, "chain": 11,
@@ -644,6 +645,62 @@ def test_help_in_a_batch_stays_in_its_report(tmp_path, capsys):
     assert helped["report"]["help"].startswith("usage: mvlogic [-h]")
     assert usage["exit"] == 2
     assert usage["report"]["verdict"] == "usage-error"
+
+
+# command lines that the leaf table routes to the tree (help, an unknown
+# verb or action, an option before the action) or to a leaf that refuses
+# them (a missing value, an unknown flag, a stray positional), and one
+# abbreviated flag that the leaf accepts
+EDGE_ARGVS = {
+    "empty": [], "help": ["--help"], "verb": ["mv"],
+    "verb-help": ["mv", "--help"], "action-help": ["mv", "audit", "-h"],
+    "unknown-verb": ["nonsense"], "unknown-action": ["mv", "nonsense"],
+    "option-before-action": ["mv", "--chain", "3", "audit"],
+    "missing-value": ["mv", "audit", "--chain"],
+    "abbreviated-flag": ["mv", "audit", "--cha", "5"],
+    "unknown-flag": ["mv", "audit", "--chain", "3", "--bogus"],
+    "batch-bare": ["batch"], "batch-extra": ["batch", "m.json", "extra"],
+}
+ROUTED = {**{e["name"]: e["argv"] for e in load_manifest()}, **EDGE_ARGVS}
+
+
+def through_the_tree(argv, monkeypatch):
+    """dispatch(argv) with the leaf table emptied, so that every command
+    line is parsed from the root of the tree."""
+    tree, _ = cli._parser()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", lambda: (tree, {}))
+        return dispatch(argv)
+
+
+@pytest.mark.parametrize("argv", ROUTED.values(), ids=ROUTED)
+def test_leaf_routing_gives_the_reports_of_the_tree(argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    assert dispatch(argv) == through_the_tree(argv, monkeypatch)
+
+
+def test_every_leaf_is_reached_without_the_tree(monkeypatch):
+    tree, leaves = cli._parser()
+    assert set(leaves) == {(verb,) if action is None else (verb, action)
+                           for verb, action, _, _ in cli.COMMANDS}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed from the root of the tree")
+
+    monkeypatch.setattr(tree, "parse_args", refuse)
+    for words in leaves:
+        code, report = dispatch([*words, "--help"])
+        assert (code, report["verdict"]) == (0, "help")
+        assert report["help"].startswith(f"usage: mvlogic {' '.join(words)}")
+
+
+def test_an_unrecognized_argument_names_the_leaf(monkeypatch, capsys):
+    # the one difference of the leaf route: its usage line on stderr
+    argv = ["mv", "audit", "--chain", "3", "--bogus"]
+    assert dispatch(argv) == (2, {"verdict": "usage-error", "argv": argv})
+    assert capsys.readouterr().err.startswith("usage: mvlogic mv audit [-h]")
+    through_the_tree(argv, monkeypatch)
+    assert capsys.readouterr().err.startswith("usage: mvlogic [-h]")
 
 
 class TestVerbs:

@@ -586,7 +586,7 @@ class TestClausesAgainstReference:
         hf = henkin_filter_build(algebra, algebra.one)
         top = pav.chain.n - 1
         columns = list(map(tuple, interlab.build_psi(
-            V, pavelka._degrees(pav, hf.filter, V.carrier)[0],
+            V, pavelka._degrees(pav, hf.filter, V.carrier, 0),
             algebra.transformations, top)[1]))
         if spot is not None:
             i, xi = spot[0] % len(V.carrier), spot[1] % len(columns)
@@ -658,7 +658,7 @@ def separate_maps(algebra, hf, pav):
 
     top = pav.chain.n - 1
     rows, columns = two_transpose_psi(
-        V, pavelka._degrees(pav, hf.filter, V.carrier)[0], vs, top)
+        V, pavelka._degrees(pav, hf.filter, V.carrier, 0), vs, top)
     graded = [*units(rows, top),
               mv_core.clause_result("constants", [(
                   [rows[c] for _, c in pav._bar],
@@ -704,7 +704,7 @@ class TestOnePsi:
         chain, ranks = mv_core.quotient_ranks(hf.filter)
         for levels, top in (
                 (ranks, chain.n - 1),
-                (pavelka._degrees(pav, hf.filter, V.carrier)[0],
+                (pavelka._degrees(pav, hf.filter, V.carrier, 0),
                  pav.chain.n - 1)):
             rows, columns = interlab.build_psi(
                 V, levels, algebra.transformations, top)

@@ -401,7 +401,7 @@ def assert_same_degree_laws(pav, flt):
             == (element_degree(a, ctx), element_degree_dual(a, ctx))
     # both public readers are the two forms of _degrees, element by element
     V, _, dec = _coding(pav.base)
-    ups, downs = _degrees(pav, flt, V.carrier)
+    ups, downs = (_degrees(pav, flt, V.carrier, form) for form in (0, 1))
     assert [degree(dec(i), ctx) for i in V.carrier] \
         == [pav.chain.carrier[u] for u in ups]
     assert [degree_dual(dec(i), ctx) for i in V.carrier] \

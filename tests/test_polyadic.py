@@ -176,6 +176,13 @@ CLOSURE_SPECS.update(
         Chain(n), 2, (n // 2, 0, n - 1, n // 2))], cap=100))
     for n in (127, 129, 201))
 
+# |I| = 2 over |X| = 17: 289 assignments, so that the closure reads the
+# substitutions at positions past a byte (tuple rows) while its level rows
+# stay bytes; the generator is the set of x with x0 = 0 and x1 != 0
+CLOSURE_SPECS["x17"] = ((0, 1), 17, L2, [tuple(
+    ONE if x[0] == 0 and x[1] else ZERO for x in assignments(2, 17))],
+    "full", "powerset", 20)
+
 
 class TestClosureAgainstReference:
     def test_fixtures_are_covered(self):
