@@ -73,11 +73,12 @@ class LanguageSpec:
     def admit(self, phi):
         """Formation check: known predicates, matching arities, blocks and
         variables inside V, and the declared reserve left unused."""
+        used, atoms = set(), []
+        _collect(phi, used, atoms)
         vocab = set(self.variables)
-        used = all_vars(phi)
         if not used <= vocab:
             raise AdmissionError(f"variables {sorted(used - vocab)} outside V")
-        for atom in _atoms(phi):
+        for atom in atoms:
             if len(atom.args) != self.arity(atom.pred):
                 raise AdmissionError(
                     f"{atom.pred} expects {self.arity(atom.pred)} arguments, "
@@ -110,10 +111,21 @@ class LanguageSpec:
         )
 
 
-@dataclass(frozen=True)
+# The formula nodes are frozen dataclasses with the generated ==, hash and
+# repr, but each writes its fields into the instance __dict__ itself: the
+# generated __init__ of a frozen dataclass sets each field through
+# object.__setattr__, and formulas are built by the thousand per audit.
+
+
+@dataclass(frozen=True, init=False)
 class Atom:
     pred: str
     args: tuple
+
+    def __init__(self, pred, args):
+        fields = self.__dict__
+        fields["pred"] = pred
+        fields["args"] = args
 
 
 @dataclass(frozen=True)
@@ -126,39 +138,67 @@ class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Oplus:
     left: object
     right: object
 
+    def __init__(self, left, right):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Odot:
     left: object
     right: object
 
+    def __init__(self, left, right):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Implies:
     left: object
     right: object
 
+    def __init__(self, left, right):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Neg:
     body: object
 
+    def __init__(self, body):
+        self.__dict__["body"] = body
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Forall:
     block: frozenset
     body: object
 
+    def __init__(self, block, body):
+        fields = self.__dict__
+        fields["block"] = block
+        fields["body"] = body
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Exists:
     block: frozenset
     body: object
+
+    def __init__(self, block, body):
+        fields = self.__dict__
+        fields["block"] = block
+        fields["body"] = body
 
 
 TOP = Top()
@@ -178,6 +218,25 @@ def _atoms(phi):
         yield from _atoms(phi.body)
     elif isinstance(phi, _QUANT):
         yield from _atoms(phi.body)
+
+
+def _collect(phi, used, atoms):
+    """Add phi's variables, free and bound, to `used` and append its atoms,
+    left to right, to `atoms`: all_vars and _atoms in one walk."""
+    kind = type(phi)
+    if kind is Atom:
+        used.update(phi.args)
+        atoms.append(phi)
+    elif kind in _BINARY:
+        _collect(phi.left, used, atoms)
+        _collect(phi.right, used, atoms)
+    elif kind is Neg:
+        _collect(phi.body, used, atoms)
+    elif kind in _QUANT:
+        used.update(phi.block)
+        _collect(phi.body, used, atoms)
+    elif kind is not Top and kind is not Bottom:
+        raise TypeError(f"not a formula: {phi!r}")
 
 
 def predicates_of(phi):
@@ -503,6 +562,7 @@ def random_formula(rng, language, max_depth, quantifiers=True):
     """Seeded formula over the language's non-reserve variables."""
     usable = list(language.variables[: language.num_vars - language.reserve])
     preds = list(language.predicates)
+    kinds = (Neg, Oplus, Odot, Implies) + (_QUANT if quantifiers else ())
 
     def build(depth):
         if depth <= 0 or rng.random() < 0.3:
@@ -512,20 +572,14 @@ def random_formula(rng, language, max_depth, quantifiers=True):
             if roll < 0.16:
                 return BOTTOM
             name, arity = preds[rng.randrange(len(preds))]
-            args = tuple(usable[rng.randrange(len(usable))] for _ in range(arity))
-            return Atom(name, args)
-        kinds = ["neg", "oplus", "odot", "implies"]
-        if quantifiers:
-            kinds += ["forall", "exists"]
-        kind = kinds[rng.randrange(len(kinds))]
-        if kind == "neg":
+            return Atom(name, tuple([rng.choice(usable)
+                                     for _ in range(arity)]))
+        kind = rng.choice(kinds)
+        if kind is Neg:
             return Neg(build(depth - 1))
-        if kind in ("forall", "exists"):
+        if kind in _QUANT:
             size = rng.randint(1, min(2, len(usable)))
-            block = frozenset(rng.sample(usable, size))
-            node = Forall if kind == "forall" else Exists
-            return node(block, build(depth - 1))
-        node = {"oplus": Oplus, "odot": Odot, "implies": Implies}[kind]
-        return node(build(depth - 1), build(depth - 1))
+            return kind(frozenset(rng.sample(usable, size)), build(depth - 1))
+        return kind(build(depth - 1), build(depth - 1))
 
     return language.admit(build(max_depth))

@@ -229,6 +229,31 @@ class TestRepresentation:
         assert psi[algebra.indexed().index_of[g]][ident_at] != 0
 
 
+    def test_partial_constants_read_the_sup_form(self):
+        # with no cylindrification the constant functions are only those
+        # the generators make, 0, 1/2 and 1 of Chain(5); at an element
+        # worth 1/4 at the filter's point the sup form reads 0 and the inf
+        # form 1/2, and psi is the sup form's
+        chain = Chain(5)
+        points = list(itertools.product(range(2), repeat=2))
+        quarter = tuple(F(1, 4) if x == (0, 0) else ZERO for x in points)
+        algebra = build_generated((0, 1), 2, chain, [(F(1, 2),) * 4,
+                                                     quarter], "full", [],
+                                  cap=400)
+        pav = functional_pavelka(algebra, require_full=False)
+        assert pav.levels == (ZERO, F(1, 2), ONE)
+        hf = henkin_filter_build(algebra, algebra.one)
+        ctx = GradedContext(pav, hf.filter)
+        assert any(degree(a, ctx) != degree_dual(a, ctx)
+                   for a in algebra.carrier)
+        psi, _ = pavelka_representation(algebra, pav, hf)
+        V = algebra.indexed()
+        for i in V.carrier:
+            assert list(psi[i]) == [
+                chain.carrier.index(degree(V.elements[V.subst[x][i]], ctx))
+                for x in algebra.transformations]
+
+
 class TestOneVerdictRecord:
     """Every auditor reports through mv_core's verdict records."""
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,8 +10,8 @@ from mvlogic.interlab import _levels
 from mvlogic.mv_core import ONE, ZERO, CarrierError, Chain
 from mvlogic.semantics import (
     Assignment, MissingTableError, Model, NoCounterexampleUpTo, RefutedBy,
-    SearchTooLarge, entails, eval_formula, is_valid, random_model,
-    truth_degree,
+    SearchTooLarge, entails, enumerate_models, eval_formula, is_valid,
+    random_model, truth_degree,
 )
 from mvlogic.syntax import (
     Atom, Bottom, Exists, Forall, Implies, LanguageSpec, Neg, Odot, Oplus,
@@ -227,6 +228,34 @@ class TestEntailment:
         with pytest.raises(SearchTooLarge):
             entails([], parse("s(v0,v1)", RICH), RICH, 3, 3, cap=100)
 
+    @pytest.mark.parametrize("max_domain", [0, -1])
+    def test_no_domain_to_search(self, max_domain):
+        verdict = entails([], parse("p(v0)", LANG), LANG, max_domain, 3)
+        assert isinstance(verdict, NoCounterexampleUpTo)
+        assert (verdict.max_domain, verdict.chain_n) == (max_domain, 3)
+
+    @pytest.mark.parametrize("gamma, phi, domain", [
+        (["A{v0} p(v0)"], "p(v1)", None),
+        ([], "p(v0)", 1),
+        ([], "(E{v0} p(v0)) -> (A{v0} p(v0))", 2)])
+    def test_reads_the_largest_domain_alone(self, monkeypatch, gamma, phi,
+                                            domain):
+        # a verdict at |M| <= 2, valid or refuted at either size, builds
+        # the atom cells of domain 2 only
+        sizes = []
+        atom_cells = semantics.RowProgram.atom_cells
+
+        def spy(program, size, *args):
+            sizes.append(size)
+            return atom_cells(program, size, *args)
+
+        monkeypatch.setattr(semantics.RowProgram, "atom_cells", spy)
+        verdict = entails([parse(g, LANG) for g in gamma], parse(phi, LANG),
+                          LANG, 2, 3)
+        assert sizes == [2]
+        assert (verdict.model.domain_size if verdict.refuted
+                else None) == domain
+
 
 class TestRowCap:
     """A row is a list in memory: one model's assignments of a row's
@@ -365,3 +394,182 @@ class TestModelIO:
         data = example_model.to_json()
         assert data["domain"] == 2 and data["chain"] == 11
         assert data["predicates"]["p"]["table"]["(0)"] == "3/10"
+
+
+# -- the lift and the search that reads smaller domains off it ------------
+
+# a predicate of each arity 0, 1 and 2, and the usable variables v0..v2
+LIFT_LANG = LanguageSpec(num_vars=4, reserve=1,
+                         predicates=(("p", 1), ("r", 0), ("s", 2)))
+
+
+def lift(model, size):
+    """The model lifted to a domain of `size` >= its own along h(x) =
+    min(x, k - 1), k the model's size: p(b) reads the model's p(h(b))."""
+    k = model.domain_size
+    levels = {}
+    for pred, row in model.levels.items():
+        arity = model.language.arity(pred)
+        levels[pred] = tuple(
+            row[sum(min(x, k - 1) * k ** (arity - 1 - i)
+                    for i, x in enumerate(point))]
+            for point in itertools.product(range(size), repeat=arity))
+    return Model.from_levels(model.language, size, model.chain, levels)
+
+
+def ascending_entails(gamma, phi, language, max_domain, chain_n,
+                      cap=500000):
+    """The bounded search that reads no lift: every domain size in
+    ascending order, chunk by chunk, up to the first chunk that holds a
+    countermodel, decoded by canonical enumeration."""
+    chain = Chain(chain_n)
+    program = semantics.RowProgram(chain_n - 1)
+    goal = program.add(phi)
+    goal_steps = len(program.steps)
+    hypotheses = [program.add(g) for g in gamma]
+    predicates = sorted(program.predicates)
+    semantics._check_model_count(language, predicates, max_domain, chain_n,
+                                 cap)
+    program.width(max_domain)
+    top = program.top
+    for size in range(1, max_domain + 1):
+        counts = [size ** language.arity(p) for p in predicates]
+        offsets = dict(zip(predicates, itertools.accumulate([0] + counts)))
+        cells = program.atom_cells(size, offsets)
+        for first, count, columns in semantics.model_chunks(
+                sum(counts), chain_n, program.width(size)):
+            rows = program.run(size, cells, count, columns, [], goal_steps)
+            if rows[goal].count(top) == len(rows[goal]):
+                continue
+            program.run(size, cells, count, columns, rows,
+                        len(program.steps))
+            flags = program.flags(rows[goal], [rows[h] for h in hypotheses],
+                                  count)
+            if 2 in flags:
+                tables = next(itertools.islice(
+                    enumerate_models(language, predicates, size, chain),
+                    first + flags.index(2), None))
+                return RefutedBy(Model.from_levels(language, size, chain,
+                                                   tables))
+    return NoCounterexampleUpTo(max_domain, chain_n)
+
+
+def search_outcome(search, *args, **kwargs):
+    """A search's verdict as comparable data: the countermodel's JSON, the
+    bound of a no-counterexample verdict, or a refusal's message."""
+    try:
+        verdict = search(*args, **kwargs)
+    except SearchTooLarge as exc:
+        return "too-large", str(exc)
+    if isinstance(verdict, RefutedBy):
+        return "refuted", json.dumps(verdict.model.to_json(), sort_keys=True)
+    assert isinstance(verdict, NoCounterexampleUpTo)
+    return "none", verdict.max_domain, verdict.chain_n
+
+
+def search_problems(seed, count):
+    """(gamma, phi, max_domain, chain_n): 0-2 random hypotheses and a goal
+    over LIFT_LANG, |M| <= 0..3 over chains 2..4. Every other goal is one
+    that |M| = 1 cannot refute and a larger domain may, searched up to
+    |M| = 2 or 3: E{W} a -> A{W} a, or a -> a with two variables swapped,
+    W and one of the two free in a."""
+    rng = random.Random(seed)
+    usable = list(LIFT_LANG.variables[:3])
+    for i in range(count):
+        a = random_formula(rng, LIFT_LANG, rng.randint(1, 3))
+        free = sorted(free_vars(a))
+        max_domain = rng.randint(0, 3)
+        if i % 2 and free:
+            max_domain = rng.randint(2, 3)
+            if i % 4 == 1:
+                block = frozenset(rng.sample(free, rng.randint(
+                    1, min(2, len(free)))))
+                a = Implies(Exists(block, a), Forall(block, a))
+            else:
+                x = rng.choice(free)
+                y = rng.choice([v for v in usable if v != x])
+                a = Implies(a, substitute({x: y, y: x}, a))
+        gamma = [random_formula(rng, LIFT_LANG, rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 2))]
+        yield gamma, a, max_domain, rng.randint(2, 4)
+
+
+class TestLift:
+    def test_values_are_read_at_the_image_assignment(self):
+        # eval(phi, lift(M), s') == eval(phi, M, h o s') at every s'
+        rng = random.Random(5)
+        variables = LIFT_LANG.variables[:3]
+        for i in range(120):
+            chain = Chain(2 + i % 3)
+            model = random_model(rng, LIFT_LANG, 2, chain)
+            size = rng.randint(model.domain_size, 3)
+            lifted = lift(model, size)
+            phi = random_formula(rng, LIFT_LANG, rng.randint(1, 4))
+            k = model.domain_size
+            for choice in itertools.product(range(size),
+                                            repeat=len(variables)):
+                s = Assignment(dict(zip(variables, choice)))
+                image = Assignment({v: min(x, k - 1)
+                                    for v, x in zip(variables, choice)})
+                assert eval_formula(phi, lifted, s) \
+                    == eval_formula(phi, model, image), render(phi)
+
+    @pytest.mark.parametrize("arities, chain_n", [
+        ((1,), 3), ((0, 1), 2), ((2,), 2), ((0, 1, 2), 2), ((), 4)])
+    def test_lift_indices_keep_canonical_order(self, arities, chain_n):
+        # semantics._lifts against lift() on every model of each size
+        language = LanguageSpec(num_vars=4, reserve=1, predicates=tuple(
+            (f"p{i}", a) for i, a in enumerate(arities)))
+        predicates = [name for name, _ in language.predicates]
+        chain = Chain(chain_n)
+        largest = 3 if sum(arities) < 3 else 2
+        index = {tuple(tables.values()): m for m, tables in enumerate(
+            enumerate_models(language, predicates, largest, chain))}
+        for size in range(1, largest + 1):
+            lifts = [index[tuple(lift(Model.from_levels(
+                language, size, chain, tables), largest).levels[p]
+                for p in predicates)] for tables in enumerate_models(
+                    language, predicates, size, chain)]
+            assert list(semantics._lifts(arities, size, largest, chain_n)) \
+                == lifts
+            assert lifts == sorted(set(lifts))
+
+    def test_entails_matches_the_ascending_search(self):
+        outcomes, later = set(), 0
+        for gamma, phi, max_domain, chain_n in search_problems(11, 2000):
+            expected = search_outcome(ascending_entails, gamma, phi,
+                                      LIFT_LANG, max_domain, chain_n,
+                                      cap=3000)
+            assert search_outcome(entails, gamma, phi, LIFT_LANG,
+                                  max_domain, chain_n, cap=3000) \
+                == expected, ([render(g) for g in gamma], render(phi),
+                              max_domain, chain_n)
+            outcomes.add(expected[0])
+            later += expected[0] == "refuted" \
+                and json.loads(expected[1])["domain"] > 1
+        assert outcomes == {"refuted", "none", "too-large"}
+        # countermodels that first appear above |M| = 1
+        assert later >= 100
+
+    @pytest.mark.parametrize("chain_n", [2, 3])
+    def test_a_chain_of_three_needs_three_elements(self, chain_n):
+        # s irreflexive and transitive: s(a, b) (*) s(b, c) > 0 needs
+        # three distinct elements, so the first countermodel has |M| = 3
+        gamma = [parse("A{v0} ~s(v0,v0)", LIFT_LANG), parse(
+            "A{v0,v1,v2} (s(v0,v1) (*) s(v1,v2) -> s(v0,v2))", LIFT_LANG)]
+        phi = parse("~E{v0,v1,v2} (s(v0,v1) (*) s(v1,v2))", LIFT_LANG)
+        for max_domain in (2, 3):
+            expected = search_outcome(ascending_entails, gamma, phi,
+                                      LIFT_LANG, max_domain, chain_n)
+            assert search_outcome(entails, gamma, phi, LIFT_LANG,
+                                  max_domain, chain_n) == expected
+        assert json.loads(expected[1])["domain"] == 3
+
+    def test_small_chunks_match_the_ascending_search(self, monkeypatch):
+        # the largest domain in more than one chunk: the ascending search
+        monkeypatch.setattr(semantics, "ROW_CHUNK", 64)
+        for gamma, phi, max_domain, chain_n in search_problems(12, 300):
+            assert search_outcome(entails, gamma, phi, LIFT_LANG,
+                                  max_domain, chain_n, cap=3000) \
+                == search_outcome(ascending_entails, gamma, phi, LIFT_LANG,
+                                  max_domain, chain_n, cap=3000)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -210,6 +211,35 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             LANG.admit(phi)
 
+    def test_messages_in_order_of_the_checks(self):
+        # the vocabulary is checked before any arity, the arities left to
+        # right before the reserve, and an unknown predicate is an arity
+        # check of its own
+        tight = LanguageSpec(num_vars=3, reserve=2, predicates=(("q", 1),))
+        cases = [
+            (LANG, Odot(Atom("p", ("v0",)), Atom("q", ("v9",))),
+             "variables ['v9'] outside V"),
+            (LANG, Forall(frozenset({"v7"}), Atom("r", ("v0",))),
+             "variables ['v7'] outside V"),
+            (LANG, Oplus(Atom("q", ("v0", "v1")), Atom("p", ("v0",))),
+             "q expects 1 arguments, got 2"),
+            (LANG, Neg(Implies(Atom("s", ()), Atom("r", ("v0",)))),
+             "unknown predicate 's'"),
+            (tight, Exists(frozenset({"v1"}), Atom("q", ("v0", "v1"))),
+             "q expects 1 arguments, got 2"),
+            (tight, Odot(Atom("q", ("v0",)), Atom("q", ("v1",))),
+             "formula uses 2 of 3 variables; reserve of 2 violated"),
+        ]
+        for language, phi, message in cases:
+            with pytest.raises(AdmissionError) as exc:
+                language.admit(phi)
+            assert str(exc.value) == message, render(phi)
+
+    def test_a_non_formula_is_refused(self):
+        with pytest.raises(TypeError) as exc:
+            LANG.admit(Neg(Oplus(Atom("r", ()), "q(v0)")))
+        assert str(exc.value) == "not a formula: 'q(v0)'"
+
     def test_language_validation(self):
         with pytest.raises(ValueError):
             LanguageSpec(num_vars=2, reserve=0, predicates=())
@@ -222,3 +252,36 @@ class TestAdmission:
         again = LanguageSpec.from_json(LANG.to_json())
         assert again.num_vars == LANG.num_vars
         assert again.predicates == LANG.predicates
+
+
+class TestFormulaNodes:
+    """The formula nodes are frozen dataclasses: keyword construction,
+    field equality, the hash of the field tuple and the generated repr."""
+
+    NODES = [
+        (Atom, {"pred": "p", "args": ("v0", "v1")},
+         "Atom(pred='p', args=('v0', 'v1'))"),
+        (Oplus, {"left": TOP, "right": BOTTOM},
+         "Oplus(left=Top(), right=Bottom())"),
+        (Odot, {"left": TOP, "right": TOP}, "Odot(left=Top(), right=Top())"),
+        (Implies, {"left": BOTTOM, "right": TOP},
+         "Implies(left=Bottom(), right=Top())"),
+        (Neg, {"body": Atom("r", ())}, "Neg(body=Atom(pred='r', args=()))"),
+        (Forall, {"block": frozenset({"v0"}), "body": TOP},
+         "Forall(block=frozenset({'v0'}), body=Top())"),
+        (Exists, {"block": frozenset({"v1"}), "body": BOTTOM},
+         "Exists(block=frozenset({'v1'}), body=Bottom())"),
+    ]
+
+    @pytest.mark.parametrize("node, fields, text", NODES,
+                             ids=[n.__name__ for n, _, _ in NODES])
+    def test_frozen_dataclass(self, node, fields, text):
+        phi = node(**fields)
+        assert phi == node(*fields.values())
+        assert vars(phi) == fields
+        assert hash(phi) == hash(tuple(fields.values()))
+        assert repr(phi) == text
+        assert [f.name for f in dataclasses.fields(node)] == list(fields)
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(phi, name, None)
