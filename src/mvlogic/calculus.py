@@ -421,14 +421,14 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
     over every model with |M| <= max_domain on Chain(chain_n): a schema
     instance must follow from no hypotheses, a rule's conclusion from its
     premises. A violation names the canonically first countermodel, the
-    least domain size first. A trial whose models at |M| = max_domain fit
-    in one chunk evaluates that domain alone: a smaller model is a
-    countermodel iff its lift to max_domain is one, so its verdict is
-    read off the lifts (see `entails`). A trial whose model space exceeds
-    the cap of `entails` raises `SearchTooLarge` before any model is
-    enumerated. With skip_side_conditions=True the generator ignores the
-    variable side conditions, which is the mutation hook the test suite
-    uses to prove the auditor has teeth.
+    least domain size first. Each trial searches |M| = max_domain first
+    and the smaller sizes only if that domain holds a countermodel: a
+    smaller model is a countermodel iff its lift to max_domain is one
+    (see `entails`). A trial whose model space exceeds the cap of
+    `entails` raises `SearchTooLarge` before any model is enumerated.
+    With skip_side_conditions=True the generator ignores the variable
+    side conditions, which is the mutation hook the test suite uses to
+    prove the auditor has teeth.
     """
     language = language or DEFAULT_AUDIT_LANGUAGE
     rng = random.Random(seed)

@@ -20,20 +20,18 @@ fold a row's blocks with the lattice operations, on byte rows written in
 the MV ones, x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), and on
 tuple rows max and min. `entails` takes the models of one domain size in
 chunks of canonical order (`model_chunks`), reads atoms off per-cell model
-columns and flags a chunk's countermodels by row operations too. Values
-are kept along the surjection h(x) = min(x, k - 1) from a larger domain
-onto one of size k, so a model is a countermodel iff its lift along h is
-one: when the largest domain's models fit in one chunk, `entails`
-evaluates that chunk alone and reads each smaller domain's countermodels
-off the flags of their lifts; otherwise it searches the sizes in
-ascending order and stops at the first chunk that holds a countermodel.
-`eval_formula` compiles a formula once per chain, and it, `is_valid` and
-`truth_degree` evaluate a batch of one model. A row's assignments per
-model are capped at MAX_VALUATIONS before any row is built. `Fraction`
-values appear only at the edges: a user-supplied Model is read into
-levels once, a result level r comes back as the chain value r/top (the
-chain's carrier is never built), and a Model is built only for a
-reported countermodel.
+columns, finds the first countermodel of a chunk by row operations too,
+and stops at the first chunk that holds one. Values are kept along the
+surjection h(x) = min(x, k - 1) from a larger domain onto one of size k,
+so a model is a countermodel iff its lift along h is one: `entails`
+searches the largest domain first, and the smaller ones, in ascending
+order, only if it holds a countermodel. `eval_formula` compiles a
+formula once per chain, and it, `is_valid` and `truth_degree` evaluate a
+batch of one model. A row's assignments per model are capped at
+MAX_VALUATIONS before any row is built. `Fraction` values appear only at
+the edges: a user-supplied Model is read into levels once, a result level
+r comes back as the chain value r/top (the chain's carrier is never
+built), and a Model is built only for a reported countermodel.
 """
 
 from __future__ import annotations
@@ -339,16 +337,17 @@ class RowProgram:
         return _read(self._times, _add(
             x, _read(self._plus, _add(_read(self._neg, x), y))))
 
-    def flags(self, goal, hypotheses, count):
-        """Per model of a batch of `count`, a flag that is 2 exactly where
-        the goal's row falls below the top and every hypothesis row is at
-        the top: each model's least level of the goal and of all
-        hypotheses is read into a 0/1 flag, and the two flags added."""
+    def countermodel(self, goal, hypotheses, count):
+        """The first model of a batch of `count` in which the goal's row
+        falls below the top and every hypothesis row is at the top, or
+        None. Each model's least level of the goal and of all hypotheses
+        is read into a flag, and the flags add up to 2 exactly there."""
         row, top = self.row_type, self.top
         passes = _concat(hypotheses, row) or row((top,)) * count
         fails, holds = row([1] * top + [0]), row([0] * top + [1])
-        return _add(_read(fails, _fold(goal, count, self.meet)),
-                    _read(holds, _fold(passes, count, self.meet)))
+        flags = _add(_read(fails, _fold(goal, count, self.meet)),
+                     _read(holds, _fold(passes, count, self.meet)))
+        return flags.index(2) if 2 in flags else None
 
     def check_tables(self, model):
         """Raise MissingTableError for the first predicate, in sorted
@@ -518,61 +517,32 @@ def _low_columns(chain_n, cells):
         * chain_n ** g for g in range(cells)]
 
 
-def _low_cells(cells, chain_n, width):
-    """How many low-order cells a chunk of model_chunks lets vary: as many
-    as keep `width` assignments per model within ROW_CHUNK entries."""
-    low = 0
-    while low < cells and width * chain_n ** (low + 1) <= ROW_CHUNK:
-        low += 1
-    return low
-
-
 def model_chunks(cells, chain_n, width):
     """The models of one domain size in chunks, in canonical order.
 
     A model is the levels of its `cells` table cells (the predicates in
     sorted order, each its points in lexicographic order), and model m has
     level (m // chain_n ** (cells - 1 - g)) % chain_n in cell g: the order
-    of enumerate_models. A chunk lets the low-order cells vary (_low_cells)
-    and holds the other cells constant. Yields (first, count, columns):
-    the index of the chunk's first model, its number of models and the
-    `count` levels of every cell, as rows of the chain's type,
-    mv_core._row_type of twice its top.
+    of enumerate_models. A chunk lets the low-order cells vary, as many as
+    keep `width` assignments per model within ROW_CHUNK entries, and holds
+    the other cells constant. Yields (first, count, columns): the index of
+    the chunk's first model, its number of models and the `count` levels
+    of every cell, as rows of the chain's type, mv_core._row_type of twice
+    its top; never changed, as a single chunk's are _low_columns' own.
     """
-    low = _low_cells(cells, chain_n, width)
+    low = 0
+    while low < cells and width * chain_n ** (low + 1) <= ROW_CHUNK:
+        low += 1
     count = chain_n ** low
-    row = _row_type(2 * (chain_n - 1))
     varying = _low_columns(chain_n, low)
+    if low == cells:  # one chunk, the commonest case: no product to walk
+        yield 0, count, varying
+        return
+    row = _row_type(2 * (chain_n - 1))
     for chunk, high in enumerate(itertools.product(range(chain_n),
                                                    repeat=cells - low)):
         yield chunk * count, count, [row((level,)) * count
                                      for level in high] + varying
-
-
-@functools.lru_cache(maxsize=64)
-def _lifts(arities, size, largest, chain_n):
-    """The index among the models of domain size `largest`, in canonical
-    order, of the lift of each model of domain size `size` <= `largest`,
-    in canonical order, over predicates of the given arities (in sorted
-    predicate order). The lift of M reads p(b) as M's p(h(b)), h(x) =
-    min(x, size - 1) on each argument, so a cell of M weighs the sum of
-    the places of the cells that h maps onto it. Shared between
-    searches, so never changed."""
-    weights, place = [], sum(largest ** a for a in arities)
-    for a in arities:
-        cells = [0] * size ** a
-        for point in itertools.product(range(largest), repeat=a):
-            place -= 1
-            cell = 0
-            for x in point:
-                cell = cell * size + min(x, size - 1)
-            cells[cell] += chain_n ** place
-        weights += cells
-    lifts = [0]
-    for weight in weights:
-        lifts = [m + level * weight for m in lifts
-                 for level in range(chain_n)]
-    return tuple(lifts)
 
 
 def _check_model_count(language, predicates, max_domain, chain_n, cap):
@@ -604,22 +574,20 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     Returns the canonically first countermodel (every gamma member valid,
     phi not), the least domain size first, or the bounded
     no-counterexample verdict. The goal and the hypotheses are one
-    RowProgram, evaluated over chunks of the models of a domain size; a
+    RowProgram, evaluated per domain size over chunks of models; a
     chunk's hypotheses are evaluated only if the goal fails in one of its
-    models, and RowProgram.flags marks its countermodels by row
+    models, and the search of a size stops at the first chunk that holds
+    a countermodel, which RowProgram.countermodel finds by row
     operations.
 
-    A model M of size k lifts to size K >= k along h(x) = min(x, k - 1):
-    p(b) is M's p(h(b)). By induction on formulas, a formula's value at
-    an assignment s is M's value at h o s (E and A range over the image
-    of h, which is all of M), and h is onto, so M is a countermodel iff
-    its lift is. So when the models of the largest domain fit in one
-    chunk, only that chunk is evaluated: no countermodel there means none
-    below, and otherwise the countermodels of each smaller size, in
-    canonical order, are read off the flags of their lifts (_lifts).
-    When the largest domain takes more than one chunk, the sizes are
-    searched in ascending order, and the search stops at the first chunk
-    that holds a countermodel.
+    The largest domain is searched first. A model M of size k lifts to
+    size K >= k along h(x) = min(x, k - 1): p(b) is M's p(h(b)). By
+    induction on formulas, a formula's value in the lift at an
+    assignment s is M's value at h o s (E and A range over the image of
+    h, which is all of M), and h is onto, so M is a countermodel iff its
+    lift is. So no countermodel at |M| = max_domain means none below;
+    otherwise the smaller sizes are searched in ascending order, and the
+    largest domain's first countermodel is reported if none holds one.
     """
     chain = Chain(chain_n)
     program = RowProgram(chain_n - 1)
@@ -628,52 +596,37 @@ def entails(gamma, phi, language, max_domain, chain_n, cap=500000):
     hypotheses = [program.add(g) for g in gamma]
     predicates = sorted(program.predicates)
     _check_model_count(language, predicates, max_domain, chain_n, cap)
-    width = program.width(max_domain)  # the row cap, before any model is read
     arities = [language.arity(p) for p in predicates]
     top = program.top
 
-    def atom_cells(size):
-        """RowProgram.atom_cells of the models of one size."""
+    def first_countermodel(size):
+        """The index of the first countermodel of a domain size in
+        canonical order, or None."""
+        width = program.width(size)  # the row cap, before any model is read
         counts = [size ** a for a in arities]
-        return program.atom_cells(size, dict(zip(
-            predicates, itertools.accumulate([0] + counts))))
-
-    def batch_flags(size, reads, count, columns):
-        """RowProgram.flags of a batch of models, or no flag at all if the
-        goal holds in every one of them (then no hypothesis is
-        evaluated)."""
-        rows = program.run(size, reads, count, columns, [], goal_steps)
-        if rows[goal].count(top) == len(rows[goal]):
-            return program.row_type()
-        program.run(size, reads, count, columns, rows, len(program.steps))
-        return program.flags(rows[goal], [rows[h] for h in hypotheses],
-                             count)
-
-    def refuted(size, index):
-        return RefutedBy(_countermodel(language, size, chain, predicates,
-                                       arities, index))
-
-    cells = sum(max_domain ** a for a in arities)
-    if max_domain >= 1 and _low_cells(cells, chain_n, width) == cells:
-        found = batch_flags(max_domain, atom_cells(max_domain),
-                            chain_n ** cells, _low_columns(chain_n, cells))
-        if 2 not in found:
-            return NoCounterexampleUpTo(max_domain, chain_n)
-        for size in range(1, max_domain):
-            lifts = _lifts(tuple(arities), size, max_domain, chain_n)
-            m = next((m for m, i in enumerate(lifts) if found[i] == 2), None)
+        offsets = dict(zip(predicates, itertools.accumulate([0] + counts)))
+        cells = program.atom_cells(size, offsets)
+        for first, count, columns in model_chunks(sum(counts), chain_n,
+                                                  width):
+            rows = program.run(size, cells, count, columns, [], goal_steps)
+            if rows[goal].count(top) == len(rows[goal]):
+                continue
+            program.run(size, cells, count, columns, rows,
+                        len(program.steps))
+            m = program.countermodel(rows[goal],
+                                     [rows[h] for h in hypotheses], count)
             if m is not None:
-                return refuted(size, m)
-        return refuted(max_domain, found.index(2))
+                return first + m
+        return None
+
+    last = first_countermodel(max_domain) if max_domain >= 1 else None
+    if last is None:
+        return NoCounterexampleUpTo(max_domain, chain_n)
     for size in range(1, max_domain + 1):
-        reads = atom_cells(size)
-        for first, count, columns in model_chunks(
-                sum(size ** a for a in arities), chain_n,
-                program.width(size)):
-            found = batch_flags(size, reads, count, columns)
-            if 2 in found:
-                return refuted(size, first + found.index(2))
-    return NoCounterexampleUpTo(max_domain, chain_n)
+        m = last if size == max_domain else first_countermodel(size)
+        if m is not None:
+            return RefutedBy(_countermodel(language, size, chain, predicates,
+                                           arities, m))
 
 
 def _countermodel(language, size, chain, predicates, arities, index):

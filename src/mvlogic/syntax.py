@@ -111,21 +111,10 @@ class LanguageSpec:
         )
 
 
-# The formula nodes are frozen dataclasses with the generated ==, hash and
-# repr, but each writes its fields into the instance __dict__ itself: the
-# generated __init__ of a frozen dataclass sets each field through
-# object.__setattr__, and formulas are built by the thousand per audit.
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Atom:
     pred: str
     args: tuple
-
-    def __init__(self, pred, args):
-        fields = self.__dict__
-        fields["pred"] = pred
-        fields["args"] = args
 
 
 @dataclass(frozen=True)
@@ -138,67 +127,39 @@ class Bottom:
     pass
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Oplus:
     left: object
     right: object
 
-    def __init__(self, left, right):
-        fields = self.__dict__
-        fields["left"] = left
-        fields["right"] = right
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Odot:
     left: object
     right: object
 
-    def __init__(self, left, right):
-        fields = self.__dict__
-        fields["left"] = left
-        fields["right"] = right
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Implies:
     left: object
     right: object
 
-    def __init__(self, left, right):
-        fields = self.__dict__
-        fields["left"] = left
-        fields["right"] = right
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Neg:
     body: object
 
-    def __init__(self, body):
-        self.__dict__["body"] = body
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Forall:
     block: frozenset
     body: object
 
-    def __init__(self, block, body):
-        fields = self.__dict__
-        fields["block"] = block
-        fields["body"] = body
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Exists:
     block: frozenset
     body: object
-
-    def __init__(self, block, body):
-        fields = self.__dict__
-        fields["block"] = block
-        fields["body"] = body
 
 
 TOP = Top()
@@ -208,21 +169,9 @@ _BINARY = (Oplus, Odot, Implies)
 _QUANT = (Forall, Exists)
 
 
-def _atoms(phi):
-    if isinstance(phi, Atom):
-        yield phi
-    elif isinstance(phi, _BINARY):
-        yield from _atoms(phi.left)
-        yield from _atoms(phi.right)
-    elif isinstance(phi, Neg):
-        yield from _atoms(phi.body)
-    elif isinstance(phi, _QUANT):
-        yield from _atoms(phi.body)
-
-
 def _collect(phi, used, atoms):
     """Add phi's variables, free and bound, to `used` and append its atoms,
-    left to right, to `atoms`: all_vars and _atoms in one walk."""
+    left to right, to `atoms`."""
     kind = type(phi)
     if kind is Atom:
         used.update(phi.args)
@@ -240,7 +189,9 @@ def _collect(phi, used, atoms):
 
 
 def predicates_of(phi):
-    return {a.pred for a in _atoms(phi)}
+    atoms = []
+    _collect(phi, set(), atoms)
+    return {a.pred for a in atoms}
 
 
 def free_vars(phi):
