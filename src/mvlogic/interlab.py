@@ -10,6 +10,14 @@ The Henkin filter holds the maximal `Filter` it found. Both representation
 maps, by quotient rank here and by graded degree in `pavelka`, are one psi
 (`build_psi`) with one clause list (`represent`), checked by `clause_result`
 and `homomorphism_clauses` on products and k-variants off the view.
+
+The Henkin search and both maps read rows through mv_core's reader
+(`_reader`), each table padded once, and read a row once per distinct
+value: the witness search reads the filter's membership row once at c_k
+and once at each s[k|l], and orders the l once per (k, Delta x); the
+substitution action and the cylinder suprema read each distinct column
+of psi once per table, and take the sup of each set of distinct columns
+once.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from . import mv_core, semantics, syntax
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
     MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _interleave,
-    _level_tables, _read, _row_type, _transpose, clause_result, column_block,
-    homomorphism_clauses, maximal_filters, quotient,
+    _level_tables, _read, _reader, _row_type, _transpose, clause_result,
+    column_block, homomorphism_clauses, maximal_filters, quotient,
 )
 from .polyadic import FunctionalSetAlgebra, _check_signature
 from .syntax import (
@@ -271,20 +279,31 @@ def henkin_filter_build(algebra, a):
     V = algebra.indexed()
     start = _check_signature(V, a)
     singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
+    read, pad, index = V.read, V.pad, algebra.index_set
 
     def witnesses(members):
+        # membership rows over x: of c_k x, and of s[k|l] x per l, each one
+        # read of the filter's mask; the order of l once per (k, Delta x)
+        mask = pad(V.row(x in members for x in V.carrier))
         found = []
         for k in singles:
-            ck = V.cyl[frozenset({k})]
+            inside = read(V.cyl[frozenset({k})], mask)
+            hits = {l: read(repl, mask) for l in index
+                    if (repl := V.replacement(k, l)) is not None}
+            orders = {}
             for x in V.carrier:
-                if ck[x] not in members:
+                if not inside[x]:
                     continue
                 delta = V.dimensions[x]
-                for l in sorted(algebra.index_set, key=delta.__contains__):
-                    repl = V.replacement(k, l)
-                    if repl is not None and repl[x] in members:
-                        found.append(WitnessEntry(k, V.elements[x], l,
-                                                  l not in delta))
+                order = orders.get(delta)
+                if order is None:
+                    order = orders[delta] = [
+                        (l, hits[l], l not in delta)
+                        for l in sorted(index, key=delta.__contains__)
+                        if l in hits]
+                for l, hit, spare in order:
+                    if hit[x]:
+                        found.append(WitnessEntry(k, V.elements[x], l, spare))
                         break
                 else:
                     return None
@@ -304,33 +323,64 @@ def build_psi(V, levels, vs, top):
     Each column is the levels read at s_x's table once, as a row of the
     type homomorphism_clauses reads; the rows are their transpose."""
     row = _row_type(max(len(V.carrier) - 1, 2 * top))
-    levels = row(levels)
-    columns = [_read(levels, row(V.subst[x])) for x in vs]
+    read, pad = _reader(row)
+    levels = pad(row(levels))
+    columns = [read(row(V.subst[x]), levels) for x in vs]
     return _transpose(columns, len(V.carrier)), columns
+
+
+def _reads_of(columns):
+    """read_at(at): the list of the columns, each read at the row at; a
+    column is read once however often it repeats (psi over the 27 maps of
+    an |I| = 3 algebra may have 4 distinct columns), each padded once."""
+    read, pad = _reader(type(columns[0]))
+    tables = {col: pad(col) for col in columns}
+
+    def read_at(at):
+        by_column = {col: read(at, table) for col, table in tables.items()}
+        return list(map(by_column.__getitem__, columns))
+
+    return read_at
+
+
+def _sup(rows):
+    """The entrywise max of rows of levels. A byte row holds levels of at
+    most 127 (see _row_type), so max(a, b) = a + max(b - a, 0) is two
+    reads of the level tables of 128 levels and two adds; tuple rows take
+    map(max)."""
+    first, *rest = rows
+    if not isinstance(first, bytes):
+        return tuple(map(max, first, *rest)) if rest else first
+    neg, _, times = _level_tables(127)
+    for b in rest:
+        first = _add(first, _read(times, _add(b, _read(neg, first))))
+    return first
 
 
 def cyl_sup_clause(V, columns):
     """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x.
 
     One block per k of the signature: each column of psi (see build_psi)
-    read at c_k's table, against the sup of the columns of x's k-variants.
-    An instance is one (p, x); only a block whose columns differ is
-    interleaved into its instances, p by p, and rescanned.
+    read at c_k's table, against the sup of the columns of x's k-variants,
+    taken once per set of distinct columns. An instance is one (p, x);
+    only a block whose columns differ is interleaved into its instances,
+    p by p, and rescanned.
     """
     row, n = type(columns[0]), len(V.carrier)
+    read_at = _reads_of(columns)
+    sup_of = {}
 
     def blocks():
         for k in (next(iter(j)) for j in V.algebra.scopes if len(j) == 1):
             sups = [None] * len(V.maps)
             for group in V.agreement({k}):
-                # the first column passed twice keeps max from being handed
-                # a lone level
-                sup = row(map(max, columns[group[0]],
-                              *map(columns.__getitem__, group)))
+                distinct = frozenset(map(columns.__getitem__, group))
+                sup = sup_of.get(distinct)
+                if sup is None:
+                    sup = sup_of[distinct] = _sup(distinct)
                 for xi in group:
                     sups[xi] = sup
-            at = row(V.cyl[frozenset({k})])
-            lhs = [_read(col, at) for col in columns]
+            lhs = read_at(row(V.cyl[frozenset({k})]))
             witnesses = ((k, p, x) for p in V.elements for x in V.maps)
             yield ((lhs, sups, witnesses, n * len(columns)) if lhs == sups
                    else (_interleave(lhs), _interleave(sups), witnesses))
@@ -360,10 +410,10 @@ def represent(algebra, hf, levels, pav=None):
     def subst_blocks():
         # psi(s_tau p) against psi(p) read at the coordinates x tau: each
         # column read at s_tau's table against the column of x tau
+        read_at = _reads_of(columns)
         for tau, targets in zip(vs, zip(*V.composition)):
             if None not in targets:
-                at = row(V.subst[tau])
-                yield column_block([_read(col, at) for col in columns],
+                yield column_block(read_at(row(V.subst[tau])),
                                    list(map(columns.__getitem__, targets)),
                                    zip(itertools.repeat(tau), V.elements), n)
 

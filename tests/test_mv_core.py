@@ -1,7 +1,9 @@
 import collections
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -9,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from builders import element_implies, pattern_algebra, small_algebra, to_table
-from mvlogic import mv_core
+from mvlogic import interlab, mv_core, polyadic
 from mvlogic.mv_core import (
     MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, STANDARD, AuditTooLarge, CarrierError,
     Chain, Filter, FilterError, FilterNotFound, IndexedMV, MVAxiomError,
@@ -19,6 +21,8 @@ from mvlogic.mv_core import (
     json_index_into, json_list_of, maximal_filters, principal_filter,
     quotient, residuum_by_maximization, tnorm_eval,
 )
+from mvlogic.polyadic import build_generated
+from test_polyadic import CLOSURE_SPECS
 
 STD = StandardRationals()
 
@@ -1101,3 +1105,84 @@ class TestRows:
                 == [min(a + b, top) for a, b in zip(x, y)]
             assert list(mv_core._read(times, both)) \
                 == [max(a + b - top, 0) for a, b in zip(x, y)]
+
+
+class TestValue:
+    """The value type of the engine against the Fraction of each value."""
+
+    RATIOS = [(0, 1), (1, 1), (1, 2), (2, 3), (5, 7), (-3, 4), (7, 2)]
+
+    def pairs(self):
+        return [(mv_core.Value(p, q), F(p, q)) for p, q in self.RATIOS]
+
+    def test_it_compares_hashes_and_prints_as_its_fraction(self):
+        for v, f in self.pairs():
+            assert v == f and f == v and not v != f
+            assert hash(v) == hash(f) == hash(F(v)) == hash(v)
+            assert (str(v), repr(v)) == (str(f), repr(f))
+            for w, g in self.pairs():
+                assert (v < w, v <= w, v == w, v >= w, v > w) \
+                    == (f < g, f <= g, f == g, f >= g, f > g)
+        assert repr(mv_core.Value(1, 2)) == "Fraction(1, 2)"
+
+    def test_pickle_and_copies_keep_the_type_and_the_value(self):
+        for v, f in self.pairs():
+            hash(v)  # the kept hash is no part of a copy
+            for other in (pickle.loads(pickle.dumps(v)), copy.copy(v),
+                          copy.deepcopy(v)):
+                assert type(other) is mv_core.Value
+                assert other == f and hash(other) == hash(f)
+                assert repr(other) == repr(f)
+
+    def test_arithmetic_returns_plain_fractions(self):
+        a, b = mv_core.Value(1, 3), mv_core.Value(1, 2)
+        for result in (a + b, a - b, a * b, a / b, a % b, a ** 2,
+                       -a, +a, abs(a), 1 - a, a + 1, a * F(3)):
+            assert type(result) is F
+        assert min(a, b) is a and max(a, b) is b
+
+    def test_the_engine_hands_out_values(self):
+        chain = Chain(5)
+        assert {type(v) for v in chain.carrier} == {mv_core.Value}
+        assert chain.carrier[0] is mv_core.ZERO
+        assert chain.carrier[-1] is mv_core.ONE
+        assert type(mv_core.parse_value(" 3/4 ")) is mv_core.Value
+        algebra = small_algebra()
+        assert {type(v) for p in algebra.carrier for v in p} \
+            == {mv_core.Value}
+        assert algebra.zero == algebra.carrier[0]
+
+    def test_plain_fractions_find_their_element(self):
+        V = small_algebra().indexed()
+        for i, p in enumerate(V.elements):
+            plain = tuple(map(F, p))
+            assert {type(v) for v in plain} == {F}
+            assert V.index_of[plain] == i
+        assert Chain(5).indexed().index_of[F(1, 2)] == 2
+
+    def test_the_queries_compute_no_fraction_hash(self, monkeypatch):
+        # every value of a built i3p algebra was hashed once, when its view
+        # indexed the elements; the queries hash values as often as they
+        # like, each from the kept hash
+        *args, cap = CLOSURE_SPECS["i3p"]
+        algebra = build_generated(*args, cap=cap)
+        algebra.indexed()
+        calls = []
+        real = F.__hash__
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(F, "__hash__", counting)
+        for flt in maximal_filters(algebra):
+            quotient(algebra, flt)
+        for p in algebra.carrier[1:]:
+            hf = interlab.henkin_filter_build(algebra, p)
+            if isinstance(hf, interlab.HenkinFilter):
+                interlab.representation_map(algebra, hf)
+            polyadic.dimension_set(algebra, p)
+            polyadic.minimal_support(algebra, p)
+        assert calls == []
+        hash(F(1, 3))  # a plain Fraction's hash is counted
+        assert calls == [F(1, 3)]
