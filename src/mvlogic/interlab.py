@@ -343,20 +343,6 @@ def _reads_of(columns):
     return read_at
 
 
-def _sup(rows):
-    """The entrywise max of rows of levels. A byte row holds levels of at
-    most 127 (see _row_type), so max(a, b) = a + max(b - a, 0) is two
-    reads of the level tables of 128 levels and two adds; tuple rows take
-    map(max)."""
-    first, *rest = rows
-    if not isinstance(first, bytes):
-        return tuple(map(max, first, *rest)) if rest else first
-    neg, _, times = _level_tables(127)
-    for b in rest:
-        first = _add(first, _read(times, _add(b, _read(neg, first))))
-    return first
-
-
 def cyl_sup_clause(V, columns):
     """psi(c_k p)(x) is the sup of psi(p) over the k-variants of x.
 
@@ -377,7 +363,10 @@ def cyl_sup_clause(V, columns):
                 distinct = frozenset(map(columns.__getitem__, group))
                 sup = sup_of.get(distinct)
                 if sup is None:
-                    sup = sup_of[distinct] = _sup(distinct)
+                    # the first column passed twice keeps max from being
+                    # handed a lone level
+                    sup = sup_of[distinct] = row(map(
+                        max, columns[group[0]], *distinct))
                 for xi in group:
                     sups[xi] = sup
             lhs = read_at(row(V.cyl[frozenset({k})]))
