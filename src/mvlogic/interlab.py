@@ -11,13 +11,11 @@ maps, by quotient rank here and by graded degree in `pavelka`, are one psi
 (`build_psi`) with one clause list (`represent`), checked by `clause_result`
 and `homomorphism_clauses` on products and k-variants off the view.
 
-The Henkin search and both maps read rows through mv_core's reader
-(`_reader`), each table padded once, and read a row once per distinct
-value: the witness search reads the filter's membership row once at c_k
-and once at each s[k|l], and orders the l once per (k, Delta x); the
-substitution action and the cylinder suprema read each distinct column
-of psi once per table, and take the sup of each set of distinct columns
-once.
+The Henkin search and both maps read a row once per distinct value: the
+witness search reads the filter's membership row once at c_k and once at
+each s[k|l], and orders the l once per (k, Delta x); the substitution
+action and the cylinder suprema read each distinct column of psi once
+per table, and take the sup of each set of distinct columns once.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from . import mv_core, semantics, syntax
 # interlab.quotient, which the benchmark's tracer tests read
 from .mv_core import (  # noqa: F401
     MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _interleave,
-    _level_tables, _read, _reader, _row_type, _transpose, clause_result,
+    _level_tables, _read, _row_type, _transpose, clause_result,
     column_block, homomorphism_clauses, maximal_filters, quotient,
 )
 from .polyadic import FunctionalSetAlgebra, _check_signature
@@ -279,16 +277,16 @@ def henkin_filter_build(algebra, a):
     V = algebra.indexed()
     start = _check_signature(V, a)
     singles = [next(iter(j)) for j in algebra.scopes if len(j) == 1]
-    read, pad, index = V.read, V.pad, algebra.index_set
+    index = algebra.index_set
 
     def witnesses(members):
         # membership rows over x: of c_k x, and of s[k|l] x per l, each one
         # read of the filter's mask; the order of l once per (k, Delta x)
-        mask = pad(V.row(x in members for x in V.carrier))
+        mask = V.row(x in members for x in V.carrier)
         found = []
         for k in singles:
-            inside = read(V.cyl[frozenset({k})], mask)
-            hits = {l: read(repl, mask) for l in index
+            inside = _read(mask, V.cyl[frozenset({k})])
+            hits = {l: _read(mask, repl) for l in index
                     if (repl := V.replacement(k, l)) is not None}
             orders = {}
             for x in V.carrier:
@@ -323,24 +321,17 @@ def build_psi(V, levels, vs, top):
     Each column is the levels read at s_x's table once, as a row of the
     type homomorphism_clauses reads; the rows are their transpose."""
     row = _row_type(max(len(V.carrier) - 1, 2 * top))
-    read, pad = _reader(row)
-    levels = pad(row(levels))
-    columns = [read(row(V.subst[x]), levels) for x in vs]
+    levels = row(levels)
+    columns = [_read(levels, row(V.subst[x])) for x in vs]
     return _transpose(columns, len(V.carrier)), columns
 
 
-def _reads_of(columns):
-    """read_at(at): the list of the columns, each read at the row at; a
-    column is read once however often it repeats (psi over the 27 maps of
-    an |I| = 3 algebra may have 4 distinct columns), each padded once."""
-    read, pad = _reader(type(columns[0]))
-    tables = {col: pad(col) for col in columns}
-
-    def read_at(at):
-        by_column = {col: read(at, table) for col, table in tables.items()}
-        return list(map(by_column.__getitem__, columns))
-
-    return read_at
+def _read_columns(columns, at):
+    """The list of the columns, each read at the row at; a column is read
+    once however often it repeats (psi over the 27 maps of an |I| = 3
+    algebra may have 4 distinct columns)."""
+    by_column = {col: _read(col, at) for col in set(columns)}
+    return list(map(by_column.__getitem__, columns))
 
 
 def cyl_sup_clause(V, columns):
@@ -353,7 +344,6 @@ def cyl_sup_clause(V, columns):
     p by p, and rescanned.
     """
     row, n = type(columns[0]), len(V.carrier)
-    read_at = _reads_of(columns)
     sup_of = {}
 
     def blocks():
@@ -369,7 +359,7 @@ def cyl_sup_clause(V, columns):
                         max, columns[group[0]], *distinct))
                 for xi in group:
                     sups[xi] = sup
-            lhs = read_at(row(V.cyl[frozenset({k})]))
+            lhs = _read_columns(columns, row(V.cyl[frozenset({k})]))
             witnesses = ((k, p, x) for p in V.elements for x in V.maps)
             yield ((lhs, sups, witnesses, n * len(columns)) if lhs == sups
                    else (_interleave(lhs), _interleave(sups), witnesses))
@@ -399,10 +389,9 @@ def represent(algebra, hf, levels, pav=None):
     def subst_blocks():
         # psi(s_tau p) against psi(p) read at the coordinates x tau: each
         # column read at s_tau's table against the column of x tau
-        read_at = _reads_of(columns)
         for tau, targets in zip(vs, zip(*V.composition)):
             if None not in targets:
-                yield column_block(read_at(row(V.subst[tau])),
+                yield column_block(_read_columns(columns, row(V.subst[tau])),
                                    list(map(columns.__getitem__, targets)),
                                    zip(itertools.repeat(tau), V.elements), n)
 

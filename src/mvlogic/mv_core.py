@@ -15,13 +15,10 @@ elements appear only in their arguments, results and error messages.
 
 Every exhaustive check of the package computes on rows of chain levels or
 carrier indices through the row primitives here: `_row_type`, `_read`,
-`_add`, `_concat`, `_interleave` and the chain's `_level_tables`. A view
-picks the reader of its rows once (`_reader`): read(at, pad(table)) is
-one bytes.translate through a table padded once, or one itemgetter call
-on tuple rows, and a query pads each table it reads once, not per read.
-A row is read once per distinct value it stands for: the (+) and (*)
-clauses of `homomorphism_clauses` read psi_x(p) . psi_x(q) over q once
-per level psi_x(p).
+`_add`, `_concat`, `_interleave` and the chain's `_level_tables`. A row
+is read once per distinct value it stands for: the (+) and (*) clauses
+of `homomorphism_clauses` read psi_x(p) . psi_x(q) over q once per level
+psi_x(p).
 
 Every audit of the package reports here: `first_witness` finds the first
 failing instance of blocks of identities, compared a row at a time, and an
@@ -276,13 +273,10 @@ class IndexedMV:
     Index i stands for elements[i], in the order of the algebra's carrier;
     index_of maps back. Tables are read as neg[a] and oplus[a][b], each
     row of type row = _row_type(n - 1): bytes up to 256 elements, tuples
-    past that. The view picks the reader of its rows once: read(at,
-    pad(table)) reads a table at a row (see _reader), with no isinstance
-    and no padding per read. neg and oplus are given; odot and le are
-    derived on first read, two reads a row, so a query that reads neither
-    never builds them. A view is its own view, with carrier range(n), so
-    the filters and quotients below also run on a view itself (see
-    _coding).
+    past that. neg and oplus are given; odot and le are derived on first
+    read, two _reads a row, so a query that reads neither never builds
+    them. A view is its own view, with carrier range(n), so the filters
+    and quotients below also run on a view itself (see _coding).
     """
 
     is_finite = True
@@ -292,7 +286,6 @@ class IndexedMV:
         self.index_of = {p: i for i, p in enumerate(self.elements)}
         self.carrier = range(len(self.elements))
         self.row = row = _row_type(len(self.elements) - 1)
-        self.read, self.pad = _reader(row)
         self.zero = self.index_of[zero]
         self.one = self.index_of[one]
         self.neg = row(neg)
@@ -301,16 +294,14 @@ class IndexedMV:
     @derived
     def odot(self):
         """odot[a][b] is neg[oplus[neg[a]][neg[b]]]."""
-        read, pad, neg, oplus = self.read, self.pad, self.neg, self.oplus
-        table = pad(neg)
-        return tuple(read(read(neg, pad(oplus[x])), table) for x in neg)
+        neg, oplus = self.neg, self.oplus
+        return tuple(_read(neg, _read(oplus[x], neg)) for x in neg)
 
     @derived
     def le(self):
         """le[a][b] is 1 if odot[a][neg[b]] == zero, else 0."""
-        read, pad, neg = self.read, self.pad, self.neg
-        is_zero = pad(self.row(x == self.zero for x in self.carrier))
-        return tuple(read(read(neg, pad(r)), is_zero) for r in self.odot)
+        is_zero = self.row(x == self.zero for x in self.carrier)
+        return tuple(_read(is_zero, _read(r, self.neg)) for r in self.odot)
 
     def implies(self, a, b):
         return self.oplus[self.neg[a]][b]
@@ -371,38 +362,15 @@ def _level_tables(top):
     return tables
 
 
-def _pad(row):
-    """A byte row as a table of bytes.translate: padded to 256 bytes (a
-    row of 256 bytes is returned as it is, without a copy)."""
-    return row.ljust(256, b"\0")
-
-
-def _take(at, table):
-    """The tuple of table's entries at the entries of the tuple row at:
-    one itemgetter call (3 times as fast as map over __getitem__)."""
+def _read(table, at):
+    """The row of table's entries at the entries of the row at: for byte
+    rows one translate, through the table padded to 256 bytes, else one
+    itemgetter call (3 times as fast as map over a tuple's __getitem__)."""
+    if isinstance(at, bytes):
+        return at.translate(table.ljust(256, b"\0"))
     if len(at) > 1:  # itemgetter of one entry returns it bare
         return itemgetter(*at)(table)
     return tuple([table[x] for x in at])
-
-
-def _reader(row):
-    """(read, pad) for rows of type row: read(at, pad(table)) is the row
-    of table's entries at the entries of the row at. For bytes, read is
-    bytes.translate and pad pads the table to 256 bytes; for tuples, read
-    is _take and pad is tuple, which returns a tuple as it is. A view
-    picks its reader once and pads each table it reads once, so that a
-    read is one C call with no wrapper around it."""
-    return (bytes.translate, _pad) if row is bytes else (_take, tuple)
-
-
-def _read(table, at):
-    """The row of table's entries at the entries of the row at, of either
-    type, the table padded on every call (see _reader): for the level
-    tables of _level_tables, which are padded already, and for rows read
-    once."""
-    if isinstance(at, bytes):
-        return at.translate(table.ljust(256, b"\0"))
-    return _take(at, table)
 
 
 def _add(a, b):
@@ -767,9 +735,7 @@ def homomorphism_clauses(V, columns, top):
     """
     els, n = V.elements, len(V.carrier)
     row = _row_type(max(n - 1, 2 * top))
-    read, pad = _reader(row)
     columns = list(dict.fromkeys(map(row, columns)))
-    padded = list(map(pad, columns))
     neg, plus, times = _level_tables(top)
 
     def blocks(table, sums):
@@ -783,16 +749,16 @@ def homomorphism_clauses(V, columns, top):
             rhs = []
             for col in columns:
                 levels = col[i:j]
-                by_level = {v: read(col, pad(sums[v:])) for v in set(levels)}
+                by_level = {v: _read(sums[v:], col) for v in set(levels)}
                 rhs.append(_concat(map(by_level.__getitem__, levels), row))
-            yield column_block([read(at, t) for t in padded], rhs,
+            yield column_block([_read(col, at) for col in columns], rhs,
                                itertools.product(els[i:j], els),
                                (j - i) * n)
 
-    negs, neg_pad = row(V.neg), pad(neg)
+    negs = row(V.neg)
     return [clause_result("neg", [column_block(
-                [read(negs, t) for t in padded],
-                [read(col, neg_pad) for col in columns], zip(els), n)]),
+                [_read(col, negs) for col in columns],
+                [_read(neg, col) for col in columns], zip(els), n)]),
             clause_result("oplus", blocks(V.oplus, plus)),
             clause_result("odot", blocks(V.odot, times))]
 

@@ -27,9 +27,8 @@ appears only at the edges: the elements handed out, whose entries are
 mv_core's `Value` (a Fraction that hashes once), the specs and the
 reports.
 
-The auditor reads the view's tables through the view's reader, each table
-padded once (`padded`), with no wrapper per read, and checks the
-endomorphism laws once per distinct substitution table.
+The auditor checks the endomorphism laws once per distinct substitution
+table.
 """
 
 from __future__ import annotations
@@ -40,10 +39,10 @@ from operator import getitem
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
-    Value, _add, _concat, _instance, _interleave, _level_tables, _read,
-    _row_type, derived, first_witness, format_point, format_value,
-    is_json_int, is_json_object, is_json_str, json_field, json_index_into,
-    json_list_of, parse_point, parse_value,
+    Value, _add, _concat, _instance, _interleave, _level_tables, _read, _row_type,
+    derived, first_witness, format_point, format_value, is_json_int,
+    is_json_object, is_json_str, json_field, json_index_into, json_list_of,
+    parse_point, parse_value,
 )
 from .transform import (
     FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
@@ -162,26 +161,8 @@ class IndexedAlgebra(IndexedMV):
     @derived
     def q(self):
         """q[J][a] is neg[cyl[J][neg[a]]]."""
-        read, neg = self.read, self.neg
-        table = self.pad(neg)
-        return {j: read(read(neg, self.pad(c)), table)
-                for j, c in self.cyl.items()}
-
-    @derived
-    def columns(self):
-        """(odot, oplus) by columns: column b of each table as a row."""
-        return tuple([*map(self.row, zip(*op))]
-                     for op in (self.odot, self.oplus))
-
-    @derived
-    def padded(self):
-        """Each table of the view as its reader takes it (see
-        mv_core._reader), keyed by the table, padded once: neg, every
-        s_tau, c_J and q_J, and the rows and columns of (+) and (*)."""
-        tables = [self.neg, *self.subst_at, *self.cyl.values(),
-                  *self.q.values(), *self.oplus, *self.odot,
-                  *itertools.chain.from_iterable(self.columns)]
-        return {t: self.pad(t) for t in tables}
+        neg = self.neg
+        return {j: _read(neg, _read(c, neg)) for j, c in self.cyl.items()}
 
     @derived
     def subst_at(self):
@@ -785,13 +766,12 @@ def audit_axioms(algebra):
     The instances are checked a table row at a time (see
     mv_core.first_witness). A row holds one side of a law at every
     carrier element, and is built by reading one index table at the
-    entries of another (the view's reader, through the table padded once,
-    V.padded): s_sigma read at s_tau against s_(sigma tau). The view's
-    tables are such rows, read as they are, and how the maps combine is
-    read off the view by position (see IndexedAlgebra). The rows of a
-    block are compared whole; only a block whose rows differ is walked,
-    so `checked` and every witness are those of a walk over one instance
-    at a time in the order of the rows.
+    entries of another (mv_core._read): s_sigma read at s_tau against
+    s_(sigma tau). The view's tables are such rows, read as they are, and
+    how the maps combine is read off the view by position (see
+    IndexedAlgebra). The rows of a block are compared whole; only a block
+    whose rows differ is walked, so `checked` and every witness are those
+    of a walk over one instance at a time in the order of the rows.
 
     A block covers a whole family, or one outer map or scope of it, laws
     one after another: per sigma, s_(sigma tau) joined over the tau of
@@ -821,13 +801,11 @@ def audit_axioms(algebra):
     scope_set = set(scopes)
     maps = V.maps
     index = list(algebra.index_set)
-    # the view's tables, mv_core rows of carrier indices, s_tau by position,
-    # read through the view's reader, each table padded once (V.padded)
+    # the view's tables, mv_core rows of carrier indices, s_tau by position
     row, neg, S, C, Q = V.row, V.neg, V.subst_at, V.cyl, V.q
-    read, pad, padded = V.read, V.pad, V.padded
     ones = row((True,) * n)
     # (*) and (+) as (rows by p, rows by column)
-    odot, oplus = zip((V.odot, V.oplus), V.columns)
+    odot, oplus = ((op, list(map(row, zip(*op)))) for op in (V.odot, V.oplus))
     results = []
 
     def _audit(name, blocks):
@@ -862,8 +840,7 @@ def audit_axioms(algebra):
     def products(heads, outer, inners, targets):
         # the block of outer(inner(p)) = target(p), one law after another
         # over the carrier: one read of outer at the joined inner rows
-        return (_concat(targets, row),
-                read(_concat(inners, row), padded[outer]),
+        return (_concat(targets, row), _read(outer, _concat(inners, row)),
                 ((head, p) for head in heads for p in els))
 
     def single(lhs, rhs, head):
@@ -874,14 +851,13 @@ def audit_axioms(algebra):
         # by its (rows, columns) in ops: first column v of . read through t
         # against column v read at t, for every value v of t, then, if they
         # differ, one block per p over b
-        t_pad = padded[t]
-        if all(read(cols[v], t_pad) == read(t, padded[cols[v]])
+        if all(_read(t, cols[v]) == _read(cols[v], t)
                for v in set(t) for _, cols in ops):
             yield (), (), (), n * n * len(heads)
             return
         for p in els:
-            yield laws([(head, read(read(t, padded[rows[p]]), t_pad),
-                         read(t, padded[rows[t[p]]]))
+            yield laws([(head, _read(t, _read(rows[p], t)),
+                         _read(rows[t[p]], t))
                         for head, (rows, _) in zip(heads, ops)], p)
 
     def unions(tables, *tag):
@@ -915,7 +891,7 @@ def audit_axioms(algebra):
         for j in scopes:
             cj = tables[j]
             for group in V.agreement(j):
-                after = [read(cj, padded[S[t]]) for t in group]
+                after = [_read(S[t], cj) for t in group]
                 if after.count(after[0]) == len(after):
                     yield (), (), (), n * len(group) * (len(group) - 1) // 2
                     continue
@@ -929,16 +905,14 @@ def audit_axioms(algebra):
     def injective_blocks(tables):
         for sigma, s_s, pairs in zip(maps, S, V.injective):
             yield in_turn(((sigma, sorted(j)) for j, _ in pairs),
-                          [read(s_s, padded[tables[j]]) for j, _ in pairs],
-                          [read(tables[pre], padded[s_s])
-                           for _, pre in pairs])
+                          [_read(tables[j], s_s) for j, _ in pairs],
+                          [_read(s_s, tables[pre]) for _, pre in pairs])
 
     results.append(_audit("polyadic-5-c-injective", injective_blocks(C)))
 
     # a (*) a and a (+) a per carrier index a
     square_odot = row(map(getitem, V.odot, els))
     square_oplus = row(map(getitem, V.oplus, els))
-    square_odot_pad, square_oplus_pad = pad(square_odot), pad(square_oplus)
 
     # existential quantifier laws, per scope
     def exists_blocks():
@@ -948,10 +922,10 @@ def audit_axioms(algebra):
             yield single(cj[V.zero], V.zero, ("E1", tag))
             yield laws([
                 (("E2", tag), row(map(getitem, V.le, cj)), ones),
-                (("E5", tag), read(square_odot, padded[cj]),
-                 read(cj, square_odot_pad)),
-                (("E6", tag), read(square_oplus, padded[cj]),
-                 read(cj, square_oplus_pad))])
+                (("E5", tag), _read(cj, square_odot),
+                 _read(square_odot, cj)),
+                (("E6", tag), _read(cj, square_oplus),
+                 _read(square_oplus, cj))])
             yield from distributes(cj, [("E3", tag), ("E4", tag)],
                                    [odot, oplus])
 
@@ -967,12 +941,12 @@ def audit_axioms(algebra):
                 (("Q1-decreasing", tag), row(map(
                     getitem, map(V.le.__getitem__, qj), els)),
                  ones),
-                (("Q1-square-odot", tag), read(square_odot, padded[qj]),
-                 read(qj, square_odot_pad)),
-                (("Q1-square-oplus", tag), read(square_oplus, padded[qj]),
-                 read(qj, square_oplus_pad)),
-                (("Q3-cq", tag), read(qj, padded[cj]), qj),
-                (("Q3-qc", tag), read(cj, padded[qj]), cj)])
+                (("Q1-square-odot", tag), _read(qj, square_odot),
+                 _read(square_odot, qj)),
+                (("Q1-square-oplus", tag), _read(qj, square_oplus),
+                 _read(square_oplus, qj)),
+                (("Q3-cq", tag), _read(cj, qj), qj),
+                (("Q3-qc", tag), _read(qj, cj), cj)])
             yield from distributes(qj, [("Q1-odot", tag), ("Q1-oplus", tag)],
                                    [odot, oplus])
         yield from unions(Q, "Q2")
@@ -1006,11 +980,10 @@ def audit_axioms(algebra):
             seen.add(s_t)
             yield ((s_t[V.zero], s_t[V.one]), (V.zero, V.one),
                    ((("zero", t),), (("one", t),)))
-            s_pad = padded[s_t]
-            lhs = [read(neg, s_pad)] + [read(op, s_pad) for op in flat]
-            rhs = [read(s_t, padded[neg])]
+            lhs = [_read(s_t, neg)] + [_read(s_t, op) for op in flat]
+            rhs = [_read(neg, s_t)]
             for op in (V.oplus, V.odot):
-                at = {v: read(s_t, padded[op[v]]) for v in set(s_t)}
+                at = {v: _read(op[v], s_t) for v in set(s_t)}
                 rhs.append(_concat(map(at.__getitem__, s_t), row))
             if lhs == rhs:
                 yield (), (), (), n + 2 * n * n
@@ -1028,17 +1001,16 @@ def audit_axioms(algebra):
     def dlaw1_blocks():
         for i in singles:
             ci = C[frozenset({i})]
-            c_pad = padded[ci]
-            neg_c = read(ci, padded[neg])
+            neg_c = _read(neg, ci)
             yield laws([
                 (("D1-increasing", i), row(map(getitem, V.le, ci)),
                  ones),
-                (("D1-idempotent", i), read(ci, c_pad), ci),
-                (("D1-complement", i), read(neg_c, c_pad), neg_c)])
+                (("D1-idempotent", i), _read(ci, ci), ci),
+                (("D1-complement", i), _read(ci, neg_c), neg_c)])
             for k in singles:
                 ck = C[frozenset({k})]
-                yield laws([(("D1-commute", i, k), read(ck, c_pad),
-                             read(ci, padded[ck]))])
+                yield laws([(("D1-commute", i, k), _read(ci, ck),
+                             _read(ck, ci))])
             yield from distributes(ci, [("D1-oplus", i)], [oplus])
 
     results.append(_audit("dlaw-1-cylinder", dlaw1_blocks()))
@@ -1046,7 +1018,7 @@ def audit_axioms(algebra):
     # per t, s_t c_i against s_u c_i for u = t modified to send i to j
     def dlaw4_blocks():
         cs = [C[frozenset({i})] for i in singles]
-        after = [[read(ci, padded[s]) for ci in cs] for s in S]
+        after = [[_read(s, ci) for ci in cs] for s in S]
         for t, rows, modified in zip(maps, after, V.modified):
             laws_t = [(i, j, k, u) for k, i in enumerate(singles)
                       for j, u in modified[i]]
@@ -1065,12 +1037,9 @@ def audit_axioms(algebra):
                 i = pre[0]
                 ci, cj = C[frozenset({i})], C[frozenset({j})]
                 qi, qj = Q[frozenset({i})], Q[frozenset({j})]
-                s_pad = padded[s_t]
                 yield laws([
-                    (("D5-c", t, i, j), read(ci, s_pad),
-                     read(s_t, padded[cj])),
-                    (("D5-q", t, i, j), read(qi, s_pad),
-                     read(s_t, padded[qj]))])
+                    (("D5-c", t, i, j), _read(s_t, ci), _read(cj, s_t)),
+                    (("D5-q", t, i, j), _read(s_t, qi), _read(qj, s_t))])
 
     results.append(_audit("dlaw-5-unique-preimage", dlaw5_blocks()))
 
@@ -1082,24 +1051,21 @@ def audit_axioms(algebra):
             s_ji = V.replacement(j, i)
             ci, cj = C[frozenset({i})], C[frozenset({j})]
             qi, qj = Q[frozenset({i})], Q[frozenset({j})]
-            ij_pad = padded[s_ij]
-            rows = [(("D6-c", i, j), read(s_ij, padded[ci]), s_ij),
-                    (("D6-q", i, j), read(s_ij, padded[qi]), s_ij),
-                    (("D7-c", i, j), read(ci, ij_pad), ci),
-                    (("D7-q", i, j), read(qi, ij_pad), qi)]
+            rows = [(("D6-c", i, j), _read(ci, s_ij), s_ij),
+                    (("D6-q", i, j), _read(qi, s_ij), s_ij),
+                    (("D7-c", i, j), _read(s_ij, ci), ci),
+                    (("D7-q", i, j), _read(s_ij, qi), qi)]
             for k in singles:
                 if k in (i, j):
                     continue
                 ck, qk = C[frozenset({k})], Q[frozenset({k})]
-                rows += [(("D8-c", i, j, k), read(ck, ij_pad),
-                          read(s_ij, padded[ck])),
-                         (("D8-q", i, j, k), read(qk, ij_pad),
-                          read(s_ij, padded[qk]))]
+                rows += [(("D8-c", i, j, k), _read(s_ij, ck),
+                          _read(ck, s_ij)),
+                         (("D8-q", i, j, k), _read(s_ij, qk),
+                          _read(qk, s_ij))]
             if s_ji is not None:
-                rows += [(("D9-c", i, j), read(s_ji, padded[ci]),
-                          read(s_ij, padded[cj])),
-                         (("D9-q", i, j), read(s_ji, padded[qi]),
-                          read(s_ij, padded[qj]))]
+                rows += [(("D9-c", i, j), _read(ci, s_ji), _read(cj, s_ij)),
+                         (("D9-q", i, j), _read(qi, s_ji), _read(qj, s_ij))]
             yield laws(rows)
 
     results.append(_audit("dlaw-6-9-replacements", dlaw6to9_blocks()))

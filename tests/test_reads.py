@@ -388,9 +388,9 @@ def test_endomorphism_family(name):
 
 def test_audit_on_a_corrupted_table(corrupted):
     # the endomorphism family against the map-by-map copy, and every
-    # family, read through the view's padded rows and columns, against
-    # the instance-by-instance reference: a moved (+) entry makes the rows
-    # and the columns of (+) differ
+    # family, read off the rows and the columns of the view's tables,
+    # against the instance-by-instance reference: a moved (+) entry makes
+    # the rows and the columns of (+) differ
     assert endomorphism(corrupted) == per_row_endomorphism(corrupted)
     assert [(r.name, r.holds, r.checked, r.witness)
             for r in audit_axioms(corrupted).results] \
