@@ -6,7 +6,9 @@ witness construction with its representation map, and the translation
 bridge between polyadic terms and formulas. The propositional search reads
 each candidate's truth table on chain levels once (`_levels`) against two
 envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
-The Henkin filter holds the maximal `Filter` it found. Both representation
+The Henkin filter holds the maximal `Filter` it found, one of the
+algebra's own `maximal_filters`, so the Henkin search, both maps and
+`quotient` share one validated set per algebra. Both representation
 maps, by quotient rank here and by graded degree in `pavelka`, are one psi
 (`build_psi`) with one clause list (`represent`), checked by `clause_result`
 and `homomorphism_clauses` on products and k-variants off the view.
@@ -243,14 +245,13 @@ class WitnessEntry:
 
 @dataclass(frozen=True)
 class HenkinFilter:
-    filter: mv_core.Filter  # the maximal filter, on the algebra's view
+    filter: mv_core.Filter  # the maximal filter, of the algebra
     seed: object            # the nonzero element the build started from
     witnesses: tuple
 
     @property
     def members(self):  # in element form
-        return frozenset(map(self.filter.algebra.elements.__getitem__,
-                             self.filter.ids))
+        return self.filter.members
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,7 @@ def henkin_filter_build(algebra, a):
                     return None
         return found
 
-    candidates = [flt for flt in maximal_filters(V) if start in flt.ids]
+    candidates = [f for f in maximal_filters(algebra) if start in f.ids]
     for flt in candidates:
         found = witnesses(flt.ids)
         if found is not None:

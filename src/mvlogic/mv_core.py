@@ -10,7 +10,10 @@ its hash once, and otherwise behaves as the Fraction of its value.
 
 Every finite algebra has one `IndexedMV` view (`algebra.indexed()`): its
 operations as integer tables over carrier indices, a table algebra's own
-tables. Filters, quotients and the axiom audit run on these tables;
+tables. A view holds tables only. Filters belong to the algebra: a
+`Filter` names its algebra, and `maximal_filters` builds and validates an
+algebra's maximal filters once, for every later query of that algebra.
+Filters, quotients and the axiom audit compute on the view's tables;
 elements appear only in their arguments, results and error messages.
 
 Every exhaustive check of the package computes on rows of chain levels or
@@ -275,11 +278,9 @@ class IndexedMV:
     row of type row = _row_type(n - 1): bytes up to 256 elements, tuples
     past that. neg and oplus are given; odot and le are derived on first
     read, two _reads a row, so a query that reads neither never builds
-    them. A view is its own view, with carrier range(n), so the filters
-    and quotients below also run on a view itself (see _coding).
+    them. A view holds tables only: the filters and quotients below take
+    the algebra, which owns them (see _coding).
     """
-
-    is_finite = True
 
     def __init__(self, elements, zero, one, neg, oplus):
         self.elements = tuple(elements)
@@ -306,30 +307,10 @@ class IndexedMV:
     def implies(self, a, b):
         return self.oplus[self.neg[a]][b]
 
-    def contains(self, a):
-        return isinstance(a, int) and 0 <= a < len(self.elements)
-
-    def check_args(self, args):
-        for a in args:
-            if not self.contains(a):
-                raise CarrierError(f"{a!r} is not a carrier index")
-
-    def indexed(self):
-        return self
-
-
-def _identity(x):
-    return x
-
 
 def _coding(algebra):
-    """(V, enc, dec): the algebra's view, element -> index, index -> element.
-
-    A view is its own view, so for a view both maps are the identity.
-    """
+    """(V, enc, dec): the algebra's view, element -> index, index -> element."""
     V = algebra.indexed()
-    if V is algebra:
-        return V, _identity, _identity
     return V, V.index_of.__getitem__, V.elements.__getitem__
 
 
@@ -1021,10 +1002,9 @@ class Filter:
 
 def filter_ids(flt, algebra=None):
     """flt.ids, the view indices of its members. Paired with an algebra,
-    flt must index alike: ValueError unless the two are equal (two equal
-    chains) or share their view."""
-    if algebra not in (None, flt.algebra) and \
-            flt.algebra.indexed() is not algebra.indexed():
+    flt must be its filter: ValueError unless the algebra is flt's or
+    equal to it (two equal chains)."""
+    if algebra not in (None, flt.algebra):
         raise ValueError(
             f"a filter of {flt.algebra!r} is no filter of {algebra!r}")
     return flt.ids
@@ -1084,8 +1064,8 @@ def filter_generator(flt):
 def maximal_filters(algebra):
     """All maximal proper filters, in carrier order of their atoms.
 
-    They are built and validated once per algebra object and kept beside
-    its view, as algebra._maximal; each call returns a new list of the
+    They are built and validated once per algebra object and kept on it,
+    as algebra._maximal; each call returns a new list of the
     same Filter objects. A FilterError is raised and not kept, so a
     corrupted table raises it again on every call.
     """

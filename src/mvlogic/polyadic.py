@@ -11,10 +11,10 @@ the theory demands, whose `IdentityResult`s `mv_core.first_witness` finds.
 Every one of them, and in interlab and pavelka the Henkin filter search
 and the representation maps, reads one `IndexedAlgebra`: the algebra's
 operations as tables over carrier indices, extending mv_core's
-`IndexedMV`, on which the filters and quotients run. `build_generated`
-computes a functional algebra's operations once: closing the carrier, it
-records the carrier index of every result, and `algebra.indexed()` wraps
-those tables on first use. Results leave in element form. How the
+`IndexedMV`, whose tables the algebra's filters and quotients read.
+`build_generated` computes a functional algebra's operations once:
+closing the carrier, it records the carrier index of every result, and
+`algebra.indexed()` wraps those tables on first use. Results leave in element form. How the
 signature's maps combine is read off the view too (`subst_at`,
 `composition`, `agreement`, `injective`, `modified`, `replacement`), and
 so are the dimension sets (`dimensions`). A functional algebra also has
@@ -431,8 +431,10 @@ def build_generated(index_set, base, chain, generators, transformations,
                 raise ValueError(f"generator value {v} is not in {chain!r}")
         gens.append(g)
 
+    # built once: its positions and blocks serve the closure, which then
+    # fills in its carrier and tables
     algebra = FunctionalSetAlgebra(
-        index_set, base, chain, carrier=(), generators=(),
+        index_set, base, chain, carrier=(), generators=gens,
         transformations=maps, scopes=scopes)
     top = chain.n - 1
     row = _row_type(2 * top)
@@ -488,11 +490,10 @@ def build_generated(index_set, base, chain, generators, transformations,
     cyls = {j: cyls[j] if j else [*range(len(elements))] for j in scopes}
     value = {r: Value(r, top) for r in set().union(*elements)}
     value.update({0: ZERO, top: ONE})
-    return FunctionalSetAlgebra(
-        index_set, base, chain,
-        carrier=tuple(tuple(map(value.__getitem__, p)) for p in elements),
-        generators=tuple(gens), transformations=maps, scopes=scopes,
-        tables=(negs, sums, dict(zip(maps, substs)), cyls))
+    algebra.carrier = tuple(tuple(map(value.__getitem__, p))
+                            for p in elements)
+    algebra._tables = negs, sums, dict(zip(maps, substs)), cyls
+    return algebra
 
 
 class AbstractPolyadicAlgebra:
@@ -505,11 +506,13 @@ class AbstractPolyadicAlgebra:
     """
 
     kind = "abstract"
+    is_finite = True
 
     def __init__(self, mv, index_set, transformations, scopes,
                  s_tables, c_tables):
         self.mv = mv
         self.zero, self.one = mv.zero, mv.one
+        self.contains, self.check_args = mv.contains, mv.check_args
         self.index_set = tuple(sorted(index_set))
         self.transformations = transformations
         self.scopes = scopes

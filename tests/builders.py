@@ -1,5 +1,6 @@
 """Shared builders for the test suite, imported by its test files."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -53,6 +54,15 @@ def coordinate_generator(index_size, base_size, coord):
         Fraction(1) if x[coord] == 0 else Fraction(0)
         for x in assignments(index_size, base_size)
     )
+
+
+@functools.cache
+def henkin_demo_algebra():
+    """(algebra, g): |I|=3, |X|=2, two-valued chain, one generator g with
+    dimension {0}; built once, shared by the tests that read it."""
+    g = coordinate_generator(3, 2, 0)
+    return build_generated((0, 1, 2), 2, Chain(2), [g], "full", "powerset",
+                           cap=300), g
 
 
 def small_algebra():

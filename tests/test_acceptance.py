@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import pattern_generator
+from builders import henkin_demo_algebra, pattern_generator
 from mvlogic import calculus, semantics
 from mvlogic.cli import dispatch
 from mvlogic.interlab import (
@@ -258,8 +258,8 @@ def test_criterion_07_boolean_craig():
                f"entailed boolean pairs ({elapsed:.1f}s < 120s)", ok)
 
 
-def test_criterion_08_henkin_representation(henkin_demo_algebra):
-    algebra, g = henkin_demo_algebra
+def test_criterion_08_henkin_representation():
+    algebra, g = henkin_demo_algebra()
     assert dimension_set(algebra, g) == frozenset({0})
     hf = henkin_filter_build(algebra, g)
     ok = isinstance(hf, HenkinFilter)

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from builders import coordinate_generator, pattern_algebra, small_algebra
+from builders import (
+    coordinate_generator, henkin_demo_algebra, pattern_algebra, small_algebra,
+)
 from mvlogic import interlab, mv_core, pavelka
 from mvlogic.interlab import (
     Exhausted, Found, HenkinFilter, NotFoundWithin, PremiseNotEntailed,
@@ -288,8 +290,8 @@ class TestAgainstFractionSearch:
 
 
 class TestHenkin:
-    def test_demo_algebra_succeeds(self, henkin_demo_algebra):
-        algebra, g = henkin_demo_algebra
+    def test_demo_algebra_succeeds(self):
+        algebra, g = henkin_demo_algebra()
         hf = henkin_filter_build(algebra, g)
         assert isinstance(hf, HenkinFilter)
         assert g in hf.members
@@ -333,8 +335,8 @@ class TestHenkin:
 
 
 class TestRepresentation:
-    def test_demo_audit_passes(self, henkin_demo_algebra):
-        algebra, g = henkin_demo_algebra
+    def test_demo_audit_passes(self):
+        algebra, g = henkin_demo_algebra()
         hf = henkin_filter_build(algebra, g)
         psi, audit = representation_map(algebra, hf)
         assert audit.passed
@@ -354,8 +356,8 @@ class TestRepresentation:
         images = {psi[at[p]] for p in algebra.carrier}
         assert len(images) == len(algebra.carrier)
 
-    def test_psi_of_one_is_one(self, henkin_demo_algebra):
-        algebra, g = henkin_demo_algebra
+    def test_psi_of_one_is_one(self):
+        algebra, g = henkin_demo_algebra()
         hf = henkin_filter_build(algebra, g)
         psi, _ = representation_map(algebra, hf)
         chain, _ = mv_core.quotient_ranks(hf.filter)
@@ -382,8 +384,8 @@ def assert_psi_through_elements(algebra, hf):
 
 
 class TestPsiOnIndices:
-    def test_demo_psi_through_elements(self, henkin_demo_algebra):
-        algebra, g = henkin_demo_algebra
+    def test_demo_psi_through_elements(self):
+        algebra, g = henkin_demo_algebra()
         assert_psi_through_elements(algebra, henkin_filter_build(algebra, g))
 
     @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
@@ -403,8 +405,32 @@ class TestPsiOnIndices:
         hf = henkin_filter_build(algebra, algebra.carrier[1])
         assert [f.name for f in dataclasses.fields(HenkinFilter)] \
             == ["filter", "seed", "witnesses"]
-        assert hf.filter in mv_core.maximal_filters(V)
+        assert hf.filter in mv_core.maximal_filters(algebra)
         assert hf.members == frozenset(V.elements[i] for i in hf.filter.ids)
+
+    def test_one_filter_set_per_algebra(self, monkeypatch):
+        # the Henkin search, both maps and the quotient read the maximal
+        # filters of the algebra, each validated once
+        algebra = small_algebra()
+        validated = []
+        validate = mv_core.Filter._validate
+
+        def counted(flt, *args):
+            validated.append(flt)
+            return validate(flt, *args)
+
+        monkeypatch.setattr(mv_core.Filter, "_validate", counted)
+        hf = henkin_filter_build(algebra, algebra.carrier[1])
+        representation_map(algebra, hf)
+        pavelka.pavelka_representation(
+            algebra, pavelka.functional_pavelka(algebra, require_full=False),
+            hf)
+        filters = mv_core.maximal_filters(algebra)
+        for flt in filters:
+            mv_core.quotient(algebra, flt)
+        assert len(validated) == len(filters) > 0
+        assert any(hf.filter is flt for flt in filters)
+        assert hf.members == hf.filter.members
 
     def test_representation_maps_build_no_filter(self, monkeypatch):
         algebra = small_algebra()
@@ -534,7 +560,7 @@ class TestClausesAgainstReference:
         _, audit = representation_map(algebra, hf)
         rows = seen[-1]
         vs = algebra.transformations
-        flt = mv_core.Filter(V, frozenset(V.index_of[p] for p in hf.members))
+        flt = mv_core.Filter(algebra, hf.members)
         top = mv_core.quotient_ranks(flt)[0].n - 1
         ref = reference_clauses(V, rows, vs, top)
         identity = vs.index(FinTransformation.identity(algebra.index_set))

@@ -1120,19 +1120,17 @@ class TestIndexedAlgebra:
 class TestMaximalFiltersAreKept:
     @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
     def test_kept_filters_equal_a_fresh_build(self, name):
-        # on the algebra and on its view: the filters of the first call
-        # are the up-sets of the atoms, and a second call returns a new
-        # list of the same Filter objects
+        # the filters of the first call are the up-sets of the atoms, and
+        # a second call returns a new list of the same Filter objects
         *args, cap = CLOSURE_SPECS[name]
         algebra = build_generated(*args, cap=cap)
-        for target in (algebra, algebra.indexed()):
-            first = maximal_filters(target)
-            V, _, dec = mv_core._coding(target)
-            assert first == [mv_core._up_set(target, V, dec, e)
-                             for e in mv_core._skeleton_atoms(V)]
-            again = maximal_filters(target)
-            assert again == first and again is not first
-            assert all(f is g for f, g in zip(again, first))
+        first = maximal_filters(algebra)
+        V, _, dec = mv_core._coding(algebra)
+        assert first == [mv_core._up_set(algebra, V, dec, e)
+                         for e in mv_core._skeleton_atoms(V)]
+        again = maximal_filters(algebra)
+        assert again == first and again is not first
+        assert all(f is g for f, g in zip(again, first))
 
     def test_first_call_validates_on_view_indices(self, monkeypatch):
         # the filters are built and validated on the view's indices, and
@@ -1197,6 +1195,26 @@ class TestQueriesOnTheTableAlgebra:
                 query(abstract, arg, stranger)
         with pytest.raises(SignatureError):
             term_substitution(abstract, tau, stranger)
+
+    def test_filters_of_the_table_algebra(self):
+        # the filter entry points read the elements of the table algebra
+        # as the labels of its MV reduct, and refuse a stranger alike
+        abstract = AbstractPolyadicAlgebra.from_functional(pattern_algebra())
+        mv, stranger = abstract.mv, len(abstract.mv.carrier)
+        for a in mv.carrier:
+            assert mv_core.principal_filter(abstract, a).members \
+                == mv_core.principal_filter(mv, a).members
+        unit = frozenset({abstract.one})
+        assert mv_core.Filter(abstract, unit).members == unit
+        for algebra in (mv, abstract):
+            with pytest.raises(mv_core.FilterError,
+                               match=f"^{stranger} is not a carrier element"):
+                mv_core.Filter(algebra, unit | {stranger})
+            for make in (mv_core.principal_filter,
+                         lambda A, a: mv_core.filter_generate(A, [a])):
+                with pytest.raises(mv_core.CarrierError,
+                                   match=f"^{stranger} is not in the carrier"):
+                    make(algebra, stranger)
 
     @pytest.mark.parametrize("query", [dimension_set, minimal_support])
     def test_dimensions_need_a_carrier_element(self, query):

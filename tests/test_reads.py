@@ -158,7 +158,7 @@ def per_row_henkin_filter_build(algebra, a):
                     return None
         return found
 
-    candidates = [flt for flt in maximal_filters(V) if start in flt.ids]
+    candidates = [flt for flt in maximal_filters(algebra) if start in flt.ids]
     for flt in candidates:
         found = witnesses(flt.ids)
         if found is not None:
@@ -261,7 +261,7 @@ def filters_of(algebra):
     Henkin or not; [] if a corrupted table breaks the filter laws."""
     V = algebra.indexed()
     try:
-        filters = maximal_filters(V)
+        filters = maximal_filters(algebra)
     except mv_core.FilterError:
         return []
     return [HenkinFilter(flt, V.elements[max(flt.ids)], ())
