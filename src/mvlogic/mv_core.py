@@ -279,7 +279,7 @@ class IndexedMV:
     past that. neg and oplus are given; odot and le are derived on first
     read, two _reads a row, so a query that reads neither never builds
     them. A view holds tables only: the filters and quotients below take
-    the algebra, which owns them (see _coding).
+    the algebra, which owns them (see maximal_filters).
     """
 
     def __init__(self, elements, zero, one, neg, oplus):

@@ -14,12 +14,12 @@ operations as tables over carrier indices, extending mv_core's
 `IndexedMV`, whose tables the algebra's filters and quotients read.
 `build_generated` computes a functional algebra's operations once:
 closing the carrier, it records the carrier index of every result, and
-`algebra.indexed()` wraps those tables on first use. Results leave in element form. How the
-signature's maps combine is read off the view too (`subst_at`,
-`composition`, `agreement`, `injective`, `modified`, `replacement`), and
-so are the dimension sets (`dimensions`). A functional algebra also has
-element operations, on which interlab's term_eval, the second route the
-eta check compares against, runs.
+`algebra.indexed()` wraps those tables on first use. Results leave in
+element form. How the signature's maps combine is read off the view too
+(`subst_at`, `composition`, `agreement`, `injective`, `modified`,
+`replacement`), and so are the dimension sets (`dimensions`). A
+functional algebra also has element operations, on which interlab's
+term_eval, the second route the eta check compares against, runs.
 
 Inside the engine a value of the chain is an integer level (the closure
 of `build_generated` runs on mv_core's rows of levels), and `Fraction`
@@ -263,16 +263,16 @@ class FunctionalSetAlgebra:
 
     Elements are value tuples aligned with the lexicographic assignment
     order. Substitution precomposes with a transformation of the index
-    set; cylindrification takes suprema over assignment classes. tables
-    is (neg, oplus, subst, cyl) over carrier indices, as build_generated
-    records them: without them it has no indexed view and no contains.
+    set; cylindrification takes suprema over assignment classes. Its
+    tables (neg, oplus, subst, cyl) over carrier indices are recorded by
+    build_generated: without them it has no indexed view and no contains.
     """
 
     kind = "functional"
     is_finite = True
 
     def __init__(self, index_set, base, chain, carrier, generators,
-                 transformations, scopes, tables=None):
+                 transformations, scopes):
         _assignment_count(len(index_set), len(base))
         self.index_set = tuple(sorted(index_set))
         self.base = tuple(base)
@@ -288,7 +288,7 @@ class FunctionalSetAlgebra:
         self.one = tuple(ONE for _ in self.assignments)
         self._perm_cache = {}
         self._block_cache = {}
-        self._tables = tables
+        self._tables = None
         self._indexed = None
 
     # -- element-level operations ------------------------------------
@@ -493,6 +493,10 @@ def build_generated(index_set, base, chain, generators, transformations,
     algebra.carrier = tuple(tuple(map(value.__getitem__, p))
                             for p in elements)
     algebra._tables = negs, sums, dict(zip(maps, substs)), cyls
+    # the closure's positions and blocks are |X|^|I| entries each; the
+    # element operations rebuild the ones they need
+    algebra._perm_cache.clear()
+    algebra._block_cache.clear()
     return algebra
 
 
