@@ -27,8 +27,9 @@ Every audit of the package reports here: `first_witness` finds the first
 failing instance of blocks of identities, compared a row at a time, and an
 `AuditReport` holds an audit's results in checking order. `_AXIOMS`
 declares the eight MV axiom groups once, as laws over rows of values;
-`homomorphism_clauses` checks a map into a chain given by its columns.
-Every loader reads its JSON keys through `json_field`.
+`homomorphism_clauses` checks a map into a chain given by its columns;
+`escape_block` checks that tables keep a set inside: the filter laws and
+`polyadic.neat_reduct`'s closure. Loaders read JSON through `json_field`.
 """
 
 from __future__ import annotations
@@ -373,15 +374,15 @@ def _concat(parts, row_type):
 def _interleave(rows):
     """The rows' entries position by position, as one row: byte strings
     into one, filled a row at a time by extended-slice assignment, any
-    other rows into a tuple."""
+    other rows into a tuple; one byte string is returned as it is."""
+    if len(rows) == 1:
+        return rows[0] if isinstance(rows[0], bytes) else tuple(rows[0])
     if isinstance(rows[0], bytes):
         k = len(rows)
         out = bytearray(k * len(rows[0]))
         for i, row in enumerate(rows):
             out[i::k] = row
         return bytes(out)
-    if len(rows) == 1:
-        return tuple(rows[0])
     return tuple(itertools.chain.from_iterable(zip(*rows)))
 
 
@@ -656,6 +657,24 @@ def first_witness(blocks):
 def _instance(lhs, rhs, witness):
     """The block of a single instance."""
     return (lhs,), (rhs,), (witness,)
+
+
+def escape_block(V, ids, unary, binary):
+    """The block (see first_witness) of whether the (label, table) pairs
+    unary and binary (one at least) of the view V keep its sorted indices
+    ids inside, their results read through the mask of ids against 1s: for
+    each a, every unary table at a, then for each b every binary table at
+    (a, b), whose row a is read once. Witnesses: (label, a), (label, a, b)."""
+    row = V.row
+    at, mask = row(ids), row(map(set(ids).__contains__, V.carrier))
+    results = _read(mask, _concat([
+        row([table[a] for _, table in unary])
+        + _interleave([_read(table[a], at) for _, table in binary])
+        for a in ids], row))
+    witnesses = (w for a in ids for w in itertools.chain(
+        ((label, a) for label, _ in unary),
+        ((label, a, b) for b in ids for label, _ in binary)))
+    return results, row((1,)) * len(results), witnesses
 
 
 @dataclass(frozen=True)
@@ -941,8 +960,10 @@ def _sampled_batches(count, seed):
 class Filter:
     """Upward-closed, (*)-closed subset of a finite algebra's carrier.
 
-    The laws are checked on the algebra's indexed view, pairs in carrier
-    order: members are elements, and ids their indices there (filter_ids).
+    members are elements, and ids their indices in the algebra's indexed
+    view (filter_ids). The laws are one first_witness call there, pairs in
+    carrier order: an escape_block of (*) on the members, then the
+    members' <= rows read at the outsiders against 0s.
     """
 
     algebra: object
@@ -961,36 +982,21 @@ class Filter:
         V, enc, dec = _coding(A)
         self._validate(V, frozenset(map(enc, m)), dec)
 
-    @classmethod
-    def _of_ids(cls, algebra, V, dec, ids):
-        """The filter of the view indices ids of algebra's view V, validated
-        on them, its members decoded once."""
-        flt = cls.__new__(cls)
-        object.__setattr__(flt, "algebra", algebra)
-        object.__setattr__(flt, "members", frozenset(map(dec, ids)))
-        if V.one not in ids:
-            raise FilterError("1 must belong to every filter")
-        flt._validate(V, ids, dec)
-        return flt
-
     def _validate(self, V, inside, dec):
-        # the laws over the members' view indices, pairs in carrier order
-        ids = sorted(inside)
         object.__setattr__(self, "ids", inside)  # set once (frozen)
-        for a in ids:
-            row = V.odot[a]
-            for b in ids:
-                if row[b] not in inside:
-                    raise FilterError(
-                        f"not (*)-closed: {dec(a)!r}(*){dec(b)!r} escapes "
-                        "the member set")
-        outside = [b for b in V.carrier if b not in inside]
-        for a in ids:
-            row = V.le[a]
-            for b in outside:
-                if row[b]:
-                    raise FilterError(
-                        f"not upward closed at {dec(a)!r} <= {dec(b)!r}")
+        ids, row = sorted(inside), V.row
+        outside = row(b for b in V.carrier if b not in inside)
+        above = _concat([_read(V.le[a], outside) for a in ids], row)
+        _, witness = first_witness([
+            escape_block(V, ids, (), [("odot", V.odot)]),
+            (above, row((0,)) * len(above),
+             (("le", a, b) for a in ids for b in outside))])
+        if witness is not None:
+            law, a, b = witness
+            raise FilterError(
+                f"not (*)-closed: {dec(a)!r}(*){dec(b)!r} escapes the "
+                "member set" if law == "odot" else
+                f"not upward closed at {dec(a)!r} <= {dec(b)!r}")
 
     @property
     def is_proper(self):
@@ -1011,18 +1017,19 @@ def filter_ids(flt, algebra=None):
 
 
 def _up_set(algebra, V, dec, e):
-    """The principal filter of view index e, members in element form."""
-    row = V.le[e]
-    return Filter._of_ids(algebra, V, dec,
-                          frozenset(y for y in V.carrier if row[y]))
+    """The principal filter of view index e, validated on view indices."""
+    ids = frozenset(itertools.compress(V.carrier, V.le[e]))
+    flt = Filter.__new__(Filter)  # fields set once (frozen)
+    vars(flt).update(algebra=algebra, members=frozenset(map(dec, ids)))
+    if V.one not in ids:
+        raise FilterError("1 must belong to every filter")
+    flt._validate(V, ids, dec)
+    return flt
 
 
 def _generator(V, ids):
     """The (*)-product of the given view indices; 1 for none."""
-    gen = V.one
-    for a in ids:
-        gen = V.odot[gen][a]
-    return gen
+    return functools.reduce(lambda gen, a: V.odot[gen][a], ids, V.one)
 
 
 def filter_generate(algebra, elements):
@@ -1078,16 +1085,16 @@ def maximal_filters(algebra):
 
 
 def extend_to_maximal(algebra, flt, constraint=None):
-    """First maximal proper filter extending flt that meets the constraint."""
+    """First maximal proper filter extending flt that meets the constraint,
+    read off maximal_filters(algebra): a corrupted table raises the
+    FilterError of its first invalid maximal up-set."""
     if not flt.is_proper:
         raise ProperFilterRequired("cannot extend the improper filter")
-    V, _, dec = _coding(algebra)
-    base = _generator(V, filter_ids(flt, algebra))
-    for e in _skeleton_atoms(V):
-        if V.le[e][base]:
-            candidate = _up_set(algebra, V, dec, e)
-            if constraint is None or constraint(candidate):
-                return candidate
+    base = _generator(algebra.indexed(), filter_ids(flt, algebra))
+    for candidate in maximal_filters(algebra):
+        if base in candidate.ids and (constraint is None
+                                      or constraint(candidate)):
+            return candidate
     raise FilterNotFound("no maximal extension satisfies the constraint")
 
 
@@ -1109,8 +1116,7 @@ def quotient_ranks(flt):
         # a -> b in F: the class of a lies below the class of b
         return oplus[neg[a]][b] in members
 
-    reps = []
-    class_of = []
+    reps, class_of = [], []
     for a in V.carrier:
         for k, r in enumerate(reps):
             if odot[oplus[neg[a]][r]][oplus[neg[r]][a]] in members:
@@ -1120,11 +1126,13 @@ def quotient_ranks(flt):
             class_of.append(len(reps))
             reps.append(a)
 
-    for r, s in itertools.combinations(reps, 2):
-        if not (within(r, s) or within(s, r)):
-            raise NonMaximalFilter(
-                f"classes of {dec(r)!r} and {dec(s)!r} are incomparable; "
-                "quotient is no chain")
+    pairs = list(itertools.combinations(reps, 2))
+    comparable = [within(r, s) or within(s, r) for r, s in pairs]
+    _, witness = first_witness([(comparable, [True] * len(pairs), pairs)])
+    if witness is not None:
+        r, s = map(dec, witness)
+        raise NonMaximalFilter(f"classes of {r!r} and {s!r} are "
+                               "incomparable; quotient is no chain")
 
     # the classes form a chain, so a class with rank r has r classes below
     # it and itself at or below it
@@ -1135,8 +1143,9 @@ def quotient_ranks(flt):
     # the ranks as the one column of a map into the chain; a corrupted table
     # can give a class rank -1, no level, and ~ breaks there or before
     if min(ranks) < 0:
-        p = next(p for p in V.carrier if ranks[V.neg[p]] != top - ranks[p])
-        clauses = [ClauseResult("neg", False, (V.elements[p],))]
+        clauses = [clause_result("neg", [(
+            [ranks[x] for x in V.neg], [top - r for r in ranks],
+            zip(V.elements))])]
     else:
         clauses = homomorphism_clauses(V, [ranks], top)
     for symbol, clause in zip(("~", "(+)", "(*)"), clauses):

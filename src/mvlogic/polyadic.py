@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
+from operator import contains, getitem
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
     Value, _add, _concat, _instance, _interleave, _level_tables, _read, _row_type,
-    derived, first_witness, format_point, format_value, is_json_int,
-    is_json_object, is_json_str, json_field, json_index_into, json_list_of,
-    parse_point, parse_value,
+    derived, escape_block, first_witness, format_point, format_value,
+    is_json_int, is_json_object, is_json_str, json_field, json_index_into,
+    json_list_of, parse_point, parse_value,
 )
 from .transform import (
     FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
@@ -638,18 +638,14 @@ def minimal_support(algebra, p):
     greedy = frozenset(current)
 
     if len(index) <= 4:
-        for size in range(len(index) + 1):
-            found = None
-            for combo in itertools.combinations(sorted(index), size):
-                if supports(set(combo)):
-                    found = frozenset(combo)
-                    break
-            if found is not None:
-                if found != greedy and len(found) != len(greedy):
-                    raise AssertionError(
-                        f"greedy support {sorted(greedy)} disagrees with "
-                        f"exhaustive {sorted(found)}")
-                break
+        # the first support by size; the whole index set is one
+        found = next(frozenset(combo) for size in range(len(index) + 1)
+                     for combo in itertools.combinations(sorted(index), size)
+                     if supports(set(combo)))
+        if found != greedy and len(found) != len(greedy):
+            raise AssertionError(
+                f"greedy support {sorted(greedy)} disagrees with "
+                f"exhaustive {sorted(found)}")
     return greedy
 
 
@@ -669,7 +665,8 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
     FiniteT selects by dimension set, FullT by invariance under the
     cylinder on the complement. The restricted transformations fix the
     complement pointwise and map alpha into itself (the tau-bar device).
-    Closure is verified; a breach returns the witness operation.
+    Closure is one escape_block of ~, each c_J, each s_tau, (+) and (*) on
+    the members; the first breach raises NotASubuniverse naming it.
     """
     alpha = frozenset(alpha)
     index = set(algebra.index_set)
@@ -685,30 +682,24 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
         raise ValueError(f"unknown flavor {flavor!r}")
 
     scopes = tuple(j for j in algebra.scopes if j <= alpha)
-    transformations = tuple(
-        t for t in algebra.transformations
-        if all(t.apply(i) == i for i in index - alpha)
-        and all(t.apply(i) in alpha for i in alpha)
-    )
+    allowed = [alpha if i in alpha else (i,) for i in algebra.index_set]
+    transformations = tuple(t for t in algebra.transformations
+                            if all(map(contains, allowed, t.values)))
 
-    member = set(members)
-    el = V.elements
-    for a in members:
-        if V.neg[a] not in member:
-            raise NotASubuniverse("neg", el[a])
-        for j in scopes:
-            if V.cyl[j][a] not in member:
-                raise NotASubuniverse(f"cyl{sorted(j)}", el[a])
-        for t in transformations:
-            if V.subst[t][a] not in member:
-                raise NotASubuniverse(f"subst{t!r}", el[a])
-        for b in members:
-            if V.oplus[a][b] not in member:
-                raise NotASubuniverse("oplus", (el[a], el[b]))
-            if V.odot[a][b] not in member:
-                raise NotASubuniverse("odot", (el[a], el[b]))
-    elements = tuple(el[a] for a in members)
-    return NeatReduct(algebra, alpha, flavor, elements, scopes,
+    # a unary label is its table's key in V, named only at a breach
+    _, witness = first_witness([escape_block(
+        V, members, [("neg", V.neg), *((j, V.cyl[j]) for j in scopes),
+                     *((t, V.subst[t]) for t in transformations)],
+        [("oplus", V.oplus), ("odot", V.odot)])])
+    if witness is not None:
+        label, *at = witness
+        at = tuple(V.elements[x] for x in at)
+        raise NotASubuniverse(
+            label if isinstance(label, str)
+            else f"cyl{sorted(label)}" if isinstance(label, frozenset)
+            else f"subst{label!r}", at[0] if len(at) == 1 else at)
+    return NeatReduct(algebra, alpha, flavor,
+                      tuple(V.elements[a] for a in members), scopes,
                       transformations)
 
 

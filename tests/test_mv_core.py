@@ -978,6 +978,30 @@ class TestFilterMessages:
             Filter(algebra, frozenset({algebra.zero, algebra.one}))
         assert repr(algebra.zero) in str(exc.value)
 
+    @pytest.mark.parametrize("algebra, members, message", [
+        # Chain(4) with 0 (+) 3 = 0: the up-set of the atom 3 lacks 3 = 1
+        # (no maximal extension was found here when candidates were
+        # up-sets checked one at a time)
+        (lambda: corrupted_chain(4, (0, 3, 0)), {"3"},
+         "1 must belong to every filter"),
+        # Ł3 x Ł2 with 0|0 (+) 0|1 = 1|0: the up-set of the atom 2|1 is
+        # not (*)-closed (the up-set of the atom 0|1 was returned here)
+        (lambda: corrupted_product(3, 2, (0, 1, 2)), {"2|1"},
+         "not (*)-closed: '2|1'(*)'2|0' escapes the member set"),
+    ], ids=["chain4", "l3xl2"])
+    def test_extend_on_a_corrupted_table_raises_the_maximal_filters_error(
+            self, algebra, members, message):
+        # extend_to_maximal reads maximal_filters(algebra), so a filter of
+        # an unaudited table whose maximal up-sets break the filter laws
+        # gets their first FilterError
+        algebra = algebra()
+        flt = Filter(algebra, frozenset(members))
+        for call in (lambda: extend_to_maximal(algebra, flt),
+                     lambda: maximal_filters(algebra)):
+            with pytest.raises(FilterError) as exc:
+                call()
+            assert str(exc.value) == message
+
 
 class TestHomomorphismClauses:
     def test_a_long_chain_holds_a_block_of_rows_at_a_time(self):

@@ -12,6 +12,13 @@ on every call. Every algebra of CLOSURE_SPECS and MORE_SPECS, every
 nonzero element, every maximal filter, and copies corrupted at one
 cylinder entry, one (+) entry or one psi level must get the same names,
 verdicts, counts and witnesses from both.
+
+Two more copies walk their instances one at a time and raise at the
+first breach: `neat_reduct`, whose closure loop read the tables entry by
+entry against a member set, and `Filter._validate`, which walked member
+pairs for (*)-closure and member/outsider pairs for upward closure. Both
+must raise the same exception, message and witness, or build the same
+reduct or filter, as the `mv_core.escape_block` rows that replaced them.
 """
 
 import itertools
@@ -25,13 +32,14 @@ from mvlogic.interlab import (
     representation_map,
 )
 from mvlogic.mv_core import (
-    BLOCK_ENTRIES, AuditReport, TableAlgebra, _concat, _instance,
-    _interleave, _level_tables, _read, _row_type, clause_result,
+    BLOCK_ENTRIES, AuditReport, Filter, FilterError, TableAlgebra, _concat,
+    _instance, _interleave, _level_tables, _read, _row_type, clause_result,
     column_block, first_witness, maximal_filters,
 )
 from mvlogic.polyadic import (
-    AbstractPolyadicAlgebra, IdentityResult, _check_signature, audit_axioms,
-    build_generated,
+    AbstractPolyadicAlgebra, IdentityResult, NeatReduct, NotASubuniverse,
+    SignatureError, _check_signature, audit_axioms, build_generated,
+    neat_reduct,
 )
 from mvlogic.transform import FinTransformation
 from test_polyadic import CLOSURE_SPECS, MORE_SPECS, reference_audit_axioms
@@ -204,6 +212,71 @@ def per_row_endomorphism(algebra):
         witness = head + tuple(V.elements[p] for p in ids)
     return IdentityResult("dlaw-2-s-endomorphism", witness is None, checked,
                           witness)
+
+
+def per_row_neat_reduct(algebra, alpha, flavor="FiniteT"):
+    alpha = frozenset(alpha)
+    index = set(algebra.index_set)
+    if not alpha <= index:
+        raise SignatureError("alpha must be a subset of the index set")
+    V = algebra.indexed()
+    if flavor == "FiniteT":
+        members = [a for a in V.carrier if V.dimensions[a] <= alpha]
+    elif flavor == "FullT":
+        rest = V.cylinder(index - alpha)
+        members = [a for a in V.carrier if rest[a] == a]
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+
+    scopes = tuple(j for j in algebra.scopes if j <= alpha)
+    transformations = tuple(
+        t for t in algebra.transformations
+        if all(t.apply(i) == i for i in index - alpha)
+        and all(t.apply(i) in alpha for i in alpha)
+    )
+
+    member = set(members)
+    el = V.elements
+    for a in members:
+        if V.neg[a] not in member:
+            raise NotASubuniverse("neg", el[a])
+        for j in scopes:
+            if V.cyl[j][a] not in member:
+                raise NotASubuniverse(f"cyl{sorted(j)}", el[a])
+        for t in transformations:
+            if V.subst[t][a] not in member:
+                raise NotASubuniverse(f"subst{t!r}", el[a])
+        for b in members:
+            if V.oplus[a][b] not in member:
+                raise NotASubuniverse("oplus", (el[a], el[b]))
+            if V.odot[a][b] not in member:
+                raise NotASubuniverse("odot", (el[a], el[b]))
+    elements = tuple(el[a] for a in members)
+    return NeatReduct(algebra, alpha, flavor, elements, scopes,
+                      transformations)
+
+
+class PerRowFilter(Filter):
+    """A Filter validated by the per-pair walk."""
+
+    def _validate(self, V, inside, dec):
+        # the laws over the members' view indices, pairs in carrier order
+        ids = sorted(inside)
+        object.__setattr__(self, "ids", inside)  # set once (frozen)
+        for a in ids:
+            row = V.odot[a]
+            for b in ids:
+                if row[b] not in inside:
+                    raise FilterError(
+                        f"not (*)-closed: {dec(a)!r}(*){dec(b)!r} escapes "
+                        "the member set")
+        outside = [b for b in V.carrier if b not in inside]
+        for a in ids:
+            row = V.le[a]
+            for b in outside:
+                if row[b]:
+                    raise FilterError(
+                        f"not upward closed at {dec(a)!r} <= {dec(b)!r}")
 
 
 # -- the algebras ------------------------------------------------------------
@@ -429,3 +502,146 @@ def test_an_i3p_algebra_repeats_tables():
     V = algebra.indexed()
     assert (len(V.maps), len(set(V.subst_at))) == (27, 16)
     assert endomorphism(algebra) == per_row_endomorphism(algebra)
+
+
+# -- neat reducts and filters ------------------------------------------------
+
+
+def neat_cases(algebra):
+    """Every alpha of the index set, each with both flavors."""
+    index = algebra.index_set
+    return [(frozenset(alpha), flavor) for size in range(len(index) + 1)
+            for alpha in itertools.combinations(index, size)
+            for flavor in ("FiniteT", "FullT")]
+
+
+def neat_outcome(call, algebra, alpha, flavor):
+    """What a neat reduct returns, or the type, message, operation and
+    witness of what it raises."""
+    try:
+        return call(algebra, alpha, flavor)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "operation", None),
+                getattr(exc, "witness", None))
+
+
+def neat_outcomes(algebra):
+    """[(escape_block outcome, per-row outcome)] over neat_cases."""
+    return [(neat_outcome(neat_reduct, algebra, alpha, flavor),
+             neat_outcome(per_row_neat_reduct, algebra, alpha, flavor))
+            for alpha, flavor in neat_cases(algebra)]
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_neat_reduct_of_every_alpha(name):
+    functional = spec_algebra(name)
+    for algebra in (functional,
+                    AbstractPolyadicAlgebra.from_functional(functional)):
+        outcomes = neat_outcomes(algebra)
+        assert [got for got, _ in outcomes] == [want for _, want in outcomes]
+        assert any(isinstance(got, NeatReduct) for got, _ in outcomes)
+
+
+def corrupted_at(functional, table, alpha, rng):
+    """The abstract algebra of functional with entries set to an element
+    outside the FiniteT reduct of alpha, at a member x of it: of c_J for
+    the first nonempty scope J within alpha ("cyl"), of s_t for the last
+    map t that the reduct restricts to ("subst"), of both ("cyl+subst"),
+    or of (+) at (x, y) for a member y ("oplus"), which moves (*) at
+    (~x, ~y) too. None if the reduct is the carrier or has no such J."""
+    V = functional.indexed()
+    members = [a for a in V.carrier if V.dimensions[a] <= alpha]
+    outside = [a for a in V.carrier if a not in set(members)]
+    if not outside:
+        return None
+    x, y, to = rng.choice(members), rng.choice(members), rng.choice(outside)
+    oplus, subst, cyl = [list(r) for r in V.oplus], dict(V.subst), \
+        dict(V.cyl)
+    if table == "oplus":
+        oplus[x][y] = to
+    if "cyl" in table:
+        scopes = [j for j in functional.scopes if j and j <= alpha]
+        if not scopes:
+            return None
+        cyl[scopes[0]] = list(cyl[scopes[0]])
+        cyl[scopes[0]][x] = to
+    if "subst" in table:
+        index = set(functional.index_set)
+        t = [t for t in functional.transformations
+             if all(t.apply(i) == i for i in index - alpha)
+             and all(t.apply(i) in alpha for i in alpha)][-1]
+        subst[t] = list(subst[t])
+        subst[t][x] = to
+    mv = TableAlgebra(V.carrier, oplus, V.neg, V.zero, V.one, audit=False)
+    return AbstractPolyadicAlgebra(mv, functional.index_set,
+                                   functional.transformations,
+                                   functional.scopes, subst, cyl)
+
+
+# every FiniteT reduct of these two is the whole carrier
+WHOLE_REDUCTS = ("l5-constants", "no-indices")
+
+
+@pytest.mark.parametrize("table", ["cyl", "subst", "cyl+subst", "oplus"])
+@pytest.mark.parametrize("name", [n for n in SPECS if n not in WHOLE_REDUCTS])
+def test_neat_reduct_on_corrupted_tables(name, table):
+    # a copy corrupted inside the FiniteT reduct of each alpha, read at
+    # every alpha and flavor: the corrupted alpha's reduct breaks, at the
+    # same operation and witness in both; c_J escapes before s_t at one
+    # element, and a moved (+) entry moves (*) too, either escaping first
+    functional = spec_algebra(name)
+    rng = random.Random(f"{name}:{table}")
+    broken = set()
+    for alpha, flavor in neat_cases(functional):
+        if flavor == "FullT":
+            continue
+        algebra = corrupted_at(functional, table, alpha, rng)
+        if algebra is None:
+            continue
+        for got, want in neat_outcomes(algebra):
+            assert got == want
+            if isinstance(got, tuple) and got[0] is NotASubuniverse:
+                broken.add(got[2].split("[")[0].split("{")[0])
+        assert isinstance(neat_outcome(neat_reduct, algebra, alpha,
+                                       "FiniteT"), tuple)
+    assert broken & ({"oplus", "odot"} if table == "oplus"
+                     else {table.split("+")[0]})
+
+
+def filter_outcome(cls, algebra, members):
+    """The members and view indices of a filter, or the type and message
+    of what its construction raises."""
+    try:
+        flt = cls(algebra, members)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return flt.members, flt.ids
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (3, 2)], ids=["chain4", "l3xl2"])
+def test_filter_on_every_member_set_of_a_corrupted_table(n, m):
+    # Chain(n) x Chain(m) with each (+) entry set to each other value,
+    # unaudited, and every member set of it
+    pairs = list(itertools.product(range(n), range(m)))
+    at = {p: i for i, p in enumerate(pairs)}
+    oplus = [[at[min(a + c, n - 1), min(b + d, m - 1)] for c, d in pairs]
+             for a, b in pairs]
+    neg = [at[n - 1 - a, m - 1 - b] for a, b in pairs]
+    labels = [str(i) for i in range(len(pairs))]
+    subsets = [frozenset(s) for size in range(len(labels) + 1)
+               for s in itertools.combinations(labels, size)]
+    kinds = set()
+    for i, j, v in itertools.product(range(len(pairs)), repeat=3):
+        if v == oplus[i][j]:
+            continue
+        table = [list(r) for r in oplus]
+        table[i][j] = v
+        algebra = TableAlgebra(labels, table, neg, 0, len(pairs) - 1,
+                               audit=False)
+        for members in subsets:
+            got = filter_outcome(Filter, algebra, members)
+            assert got == filter_outcome(PerRowFilter, algebra, members)
+            kinds.add(got[1].split(":")[0].split(" at")[0]
+                      if got[0] is FilterError else "filter")
+    assert kinds == {"filter", "1 must belong to every filter",
+                          "not (*)-closed", "not upward closed"}
