@@ -16,12 +16,11 @@ entailment search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import semantics, syntax
 from .mv_core import (
     AuditReport, is_json_int, is_json_list, is_json_object, is_json_str,
-    json_field, json_list_of,
+    json_field, json_list_of, record,
 )
 from .syntax import (
     Atom, Top, Bottom, Oplus, Odot, Implies, Neg, Forall, Exists,
@@ -33,7 +32,7 @@ SCHEMAS = ("MV-PROP", "A2", "A3", "A4", "A5", "A6")
 RULES = ("MP", "Gen", "FreeSubInv", "SubInv")
 
 
-@dataclass(frozen=True)
+@record
 class Meta:
     """Metavariable leaf for schema patterns."""
 
@@ -86,7 +85,7 @@ A2_PATTERN = Odot(
 )
 
 
-@dataclass(frozen=True)
+@record
 class AxiomVerdict:
     ok: bool
     reason: str
@@ -167,7 +166,7 @@ def check_axiom_instance(schema, phi, language, data=None, mode="printed"):
     return AxiomVerdict(False, f"unknown schema {schema!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ProofStep:
     rule: str
     formula: object
@@ -181,18 +180,18 @@ class ProofStep:
         return dict(self.tau)
 
 
-@dataclass(frozen=True)
+@record
 class Proof:
     hypotheses: tuple
     steps: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Accept:
     accepted = True
 
 
-@dataclass(frozen=True)
+@record
 class Reject:
     accepted = False
     step: int = -1
@@ -333,7 +332,7 @@ DEFAULT_AUDIT_LANGUAGE = syntax.LanguageSpec(
 )
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     target: str
     instance: str
@@ -341,7 +340,7 @@ class Violation:
     holds = False  # not a field: the report's JSON keeps its three keys
 
 
-@dataclass(frozen=True)
+@record
 class SoundnessReport(AuditReport):
     """The violations found as results, in trial order."""
 

@@ -44,9 +44,9 @@ def _canonical(obj):
         return [_canonical(x) for x in obj]
     if isinstance(obj, (transform.FinTransformation, transform.OmegaMap)):
         return repr(obj)
-    if hasattr(obj, "__dataclass_fields__"):
+    if hasattr(obj, "__record_fields__"):
         return {k: _canonical(getattr(obj, k))
-                for k in obj.__dataclass_fields__}
+                for k in obj.__record_fields__}
     return obj
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from . import mv_core, semantics, syntax
 # quotient is no longer called here but stays importable as
@@ -32,7 +31,7 @@ from . import mv_core, semantics, syntax
 from .mv_core import (  # noqa: F401
     MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _interleave,
     _level_tables, _read, _row_type, _transpose, clause_result,
-    column_block, homomorphism_clauses, maximal_filters, quotient,
+    column_block, homomorphism_clauses, maximal_filters, quotient, record,
 )
 from .polyadic import FunctionalSetAlgebra, _check_signature
 from .syntax import (
@@ -67,7 +66,7 @@ def leq(a, b, algebra):
     return by_odot
 
 
-@dataclass(frozen=True)
+@record
 class VocabSplit:
     x1: frozenset
     x2: frozenset
@@ -77,13 +76,13 @@ class VocabSplit:
         return self.x1 & self.x2
 
 
-@dataclass(frozen=True)
+@record
 class Found:
     interpolant: object
     found = True
 
 
-@dataclass(frozen=True)
+@record
 class NotFoundWithin:
     depth: int
     found = False
@@ -235,7 +234,7 @@ def interpolant_search(a, b, split, depth, chain_n=2, scope="propositional",
     return NotFoundWithin(depth)
 
 
-@dataclass(frozen=True)
+@record
 class WitnessEntry:
     index: int          # the cylindrified coordinate k
     element: object     # x with c_k x in the filter
@@ -243,7 +242,7 @@ class WitnessEntry:
     spare: bool         # whether l avoids the dimension set of x
 
 
-@dataclass(frozen=True)
+@record
 class HenkinFilter:
     filter: mv_core.Filter  # the maximal filter, of the algebra
     seed: object            # the nonzero element the build started from
@@ -254,7 +253,7 @@ class HenkinFilter:
         return self.filter.members
 
 
-@dataclass(frozen=True)
+@record
 class Exhausted:
     examined: int
     reason: str = "no maximal filter satisfies the witness property"
@@ -427,45 +426,45 @@ def representation_map(algebra, hf):
 # -- terms over the polyadic signature and their translation ---------------
 
 
-@dataclass(frozen=True)
+@record
 class TermVar:
     index: int
 
 
-@dataclass(frozen=True)
+@record
 class TermZero:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TermOne:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TermNeg:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class TermOplus:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class TermOdot:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class TermCyl:
     index: int
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class TermSub:
     tau: FinTransformation
     body: object

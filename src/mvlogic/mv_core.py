@@ -28,8 +28,9 @@ failing instance of blocks of identities, compared a row at a time, and an
 `AuditReport` holds an audit's results in checking order. `_AXIOMS`
 declares the eight MV axiom groups once, as laws over rows of values;
 `homomorphism_clauses` checks a map into a chain given by its columns;
-`escape_block` checks that tables keep a set inside: the filter laws and
-`polyadic.neat_reduct`'s closure. Loaders read JSON through `json_field`.
+`escape_blocks` checks that tables keep a set inside: the filter laws
+and `polyadic.neat_reduct`'s closure. Loaders read JSON through
+`json_field`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,80 @@ import math
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, floordiv, getitem, itemgetter, mul
+from operator import add, attrgetter, floordiv, getitem, itemgetter, mul
+
+
+def record(cls):
+    """The class decorator of the package's frozen result and node types.
+
+    It gives them what dataclass(frozen=True) would, at a fraction of the
+    import cost and without loading `dataclasses` or `inspect`:
+
+    - the fields are the names annotated in the class body, after the
+      fields of a record base, in order; `__record_fields__` holds them.
+      A class attribute of a field's name is its default, and construction
+      takes the fields by position or by name (a missing or an unknown
+      argument is a TypeError);
+    - `__init__` sets the fields, then calls `self.__post_init__()` if the
+      class has one, looked up on each call, so a wrapper put on the class
+      later runs;
+    - `==` holds between instances of the same class whose field tuples
+      are equal, and the hash is `hash` of the field tuple;
+    - the repr reads `Name(field=value!r, ...)`;
+    - setting or deleting any attribute raises AttributeError, so a
+      record's own code keeps derived values through object.__setattr__.
+
+    A `__repr__`, `__eq__` or `__hash__` of the class body is kept. Only
+    `__init__` is compiled, one line a class.
+    """
+    own = vars(cls)
+    fields = tuple(dict.fromkeys((*getattr(cls, "__record_fields__", ()),
+                                  *own.get("__annotations__", ()))))
+    defaults = [getattr(cls, f) for f in fields if hasattr(cls, f)]
+    first = len(fields) - len(defaults)
+    params = [*fields[:first],
+              *(f"{f}=_defaults[{k}]" for k, f in enumerate(fields[first:]))]
+    body = [f"_set(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__({', '.join(['self', *params])}): "
+         f"{'; '.join(body) or 'pass'}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    if len(fields) == 1:
+        value = attrgetter(*fields)
+        key = lambda self: (value(self),)  # noqa: E731
+    else:
+        key = attrgetter(*fields) if fields else lambda self: ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    cls.__record_fields__, cls.__init__ = fields, init
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    if "__repr__" not in own:
+        cls.__repr__ = _record_repr
+    if "__eq__" not in own:
+        cls.__eq__ = __eq__
+    if own.get("__hash__") is None:
+        cls.__hash__ = lambda self: hash(key(self))
+    return cls
+
+
+def _record_repr(self):
+    fields = ", ".join(f"{f}={getattr(self, f)!r}"
+                       for f in self.__record_fields__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} "
+                         f"field {name!r} of a record")
 
 
 class Value(Fraction):
@@ -659,32 +731,39 @@ def _instance(lhs, rhs, witness):
     return (lhs,), (rhs,), (witness,)
 
 
-def escape_block(V, ids, unary, binary):
-    """The block (see first_witness) of whether the (label, table) pairs
+def escape_blocks(V, ids, unary, binary):
+    """The blocks (see first_witness) of whether the (label, table) pairs
     unary and binary (one at least) of the view V keep its sorted indices
-    ids inside, their results read through the mask of ids against 1s: for
-    each a, every unary table at a, then for each b every binary table at
-    (a, b), whose row a is read once. Witnesses: (label, a), (label, a, b)."""
+    ids, a list, inside, their results read through the mask of ids
+    against 1s: for each a, every unary table at a, then for each b every
+    binary table at (a, b), whose row a is read once. A block holds a run
+    of whole a's, BLOCK_ENTRIES results at most (one a at least), so a
+    large set is never read at once. Witnesses: (label, a) and
+    (label, a, b)."""
     row = V.row
     at, mask = row(ids), row(map(set(ids).__contains__, V.carrier))
-    results = _read(mask, _concat([
-        row([table[a] for _, table in unary])
-        + _interleave([_read(table[a], at) for _, table in binary])
-        for a in ids], row))
-    witnesses = (w for a in ids for w in itertools.chain(
-        ((label, a) for label, _ in unary),
-        ((label, a, b) for b in ids for label, _ in binary)))
-    return results, row((1,)) * len(results), witnesses
+    step = max(1, BLOCK_ENTRIES // max(1, len(unary)
+                                       + len(binary) * len(ids)))
+    for i in range(0, len(ids), step):
+        run = ids[i:i + step]
+        results = _read(mask, _concat([
+            row([table[a] for _, table in unary])
+            + _interleave([_read(table[a], at) for _, table in binary])
+            for a in run], row))
+        yield results, row((1,)) * len(results), (
+            w for a in run for w in itertools.chain(
+                ((label, a) for label, _ in unary),
+                ((label, a, b) for b in ids for label, _ in binary)))
 
 
-@dataclass(frozen=True)
+@record
 class AxiomResult:
     axiom: str
     holds: bool
     witness: tuple | None
 
 
-@dataclass(frozen=True)
+@record
 class ClauseResult:
     clause: str
     holds: bool
@@ -763,7 +842,7 @@ def homomorphism_clauses(V, columns, top):
             clause_result("odot", blocks(V.odot, times))]
 
 
-@dataclass(frozen=True)
+@record
 class AuditReport:
     """The results of one audit in checking order, each with `holds`."""
 
@@ -777,7 +856,7 @@ class AuditReport:
         return [r for r in self.results if not r.holds]
 
 
-@dataclass(frozen=True)
+@record
 class MVAuditReport(AuditReport):
     mode: str
 
@@ -956,13 +1035,13 @@ def _sampled_batches(count, seed):
                lambda t: tuple(Fraction(v, t[1]) for v in t[2:]))
 
 
-@dataclass(frozen=True)
+@record
 class Filter:
     """Upward-closed, (*)-closed subset of a finite algebra's carrier.
 
     members are elements, and ids their indices in the algebra's indexed
     view (filter_ids). The laws are one first_witness call there, pairs in
-    carrier order: an escape_block of (*) on the members, then the
+    carrier order: the escape_blocks of (*) on the members, then the
     members' <= rows read at the outsiders against 0s.
     """
 
@@ -987,10 +1066,10 @@ class Filter:
         ids, row = sorted(inside), V.row
         outside = row(b for b in V.carrier if b not in inside)
         above = _concat([_read(V.le[a], outside) for a in ids], row)
-        _, witness = first_witness([
-            escape_block(V, ids, (), [("odot", V.odot)]),
-            (above, row((0,)) * len(above),
-             (("le", a, b) for a in ids for b in outside))])
+        _, witness = first_witness(itertools.chain(
+            escape_blocks(V, ids, (), [("odot", V.odot)]),
+            [(above, row((0,)) * len(above),
+              (("le", a, b) for a in ids for b in outside))]))
         if witness is not None:
             law, a, b = witness
             raise FilterError(

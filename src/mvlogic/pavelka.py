@@ -8,16 +8,15 @@ indices and view tables through `clause_result` into an `AuditReport`."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .mv_core import (
     AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_sums,
-    clause_result, filter_ids,
+    clause_result, filter_ids, record,
 )
 from .interlab import HenkinFilter, represent
 
 
-@dataclass(frozen=True)
+@record
 class PavelkaAlgebra:
     """An algebra together with truth constants indexed by a finite chain.
 
@@ -42,7 +41,7 @@ class PavelkaAlgebra:
         return cls.make(chain, chain, {r: r for r in chain.carrier})
 
     def __post_init__(self):
-        # derived once (the dataclass is frozen): (level, view index) pairs
+        # derived once (the record is frozen): (level, view index) pairs
         chain, (_, enc, _) = self.chain, _coding(self.base)
         chain.check_args(self.levels)
         self.base.check_args([e for _, e in self.constants])
@@ -57,7 +56,7 @@ class PavelkaAlgebra:
         return tuple(r for r, _ in self.constants)
 
 
-@dataclass(frozen=True)
+@record
 class GradedContext:
     algebra: PavelkaAlgebra
     filter: Filter

@@ -34,15 +34,14 @@ table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import contains, getitem
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
     Value, _add, _concat, _instance, _interleave, _level_tables, _read, _row_type,
-    derived, escape_block, first_witness, format_point, format_value,
+    derived, escape_blocks, first_witness, format_point, format_value,
     is_json_int, is_json_object, is_json_str, json_field, json_index_into,
-    json_list_of, parse_point, parse_value,
+    json_list_of, parse_point, parse_value, record,
 )
 from .transform import (
     FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
@@ -649,7 +648,7 @@ def minimal_support(algebra, p):
     return greedy
 
 
-@dataclass(frozen=True)
+@record
 class NeatReduct:
     parent: object
     alpha: frozenset
@@ -665,8 +664,9 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
     FiniteT selects by dimension set, FullT by invariance under the
     cylinder on the complement. The restricted transformations fix the
     complement pointwise and map alpha into itself (the tau-bar device).
-    Closure is one escape_block of ~, each c_J, each s_tau, (+) and (*) on
-    the members; the first breach raises NotASubuniverse naming it.
+    Closure is one first_witness over the escape_blocks of ~, each c_J,
+    each s_tau, (+) and (*) on the members; the first breach raises
+    NotASubuniverse naming it.
     """
     alpha = frozenset(alpha)
     index = set(algebra.index_set)
@@ -687,10 +687,10 @@ def neat_reduct(algebra, alpha, flavor="FiniteT"):
                             if all(map(contains, allowed, t.values)))
 
     # a unary label is its table's key in V, named only at a breach
-    _, witness = first_witness([escape_block(
+    _, witness = first_witness(escape_blocks(
         V, members, [("neg", V.neg), *((j, V.cyl[j]) for j in scopes),
                      *((t, V.subst[t]) for t in transformations)],
-        [("oplus", V.oplus), ("odot", V.odot)])])
+        [("oplus", V.oplus), ("odot", V.odot)]))
     if witness is not None:
         label, *at = witness
         at = tuple(V.elements[x] for x in at)
@@ -745,7 +745,7 @@ def term_substitution(algebra, tau, x):
 # -- the exhaustive auditor ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IdentityResult:
     name: str
     holds: bool

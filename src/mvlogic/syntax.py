@@ -12,9 +12,10 @@ levels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .mv_core import is_json_int, is_json_list, is_json_str, json_field
+from .mv_core import (
+    is_json_int, is_json_list, is_json_str, json_field, record,
+)
 
 
 class AdmissionError(ValueError):
@@ -27,7 +28,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@record
 class LanguageSpec:
     """Finite proxy of a language: v0..v{n-1}, declared predicates, and a
     reserve of variables every admitted formula must leave untouched.
@@ -53,7 +54,7 @@ class LanguageSpec:
             if arity + self.reserve > self.num_vars:
                 raise ValueError(
                     f"{name}/{arity} leaves no reserve in {self.num_vars} variables")
-        # derived once; the dataclass is frozen
+        # derived once; the record is frozen
         object.__setattr__(self, "_arities", arities)
         object.__setattr__(self, "_variables", variables)
 
@@ -111,52 +112,52 @@ class LanguageSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     pred: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Oplus:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Odot:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Implies:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class Neg:
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     block: frozenset
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     block: frozenset
     body: object

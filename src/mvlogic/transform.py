@@ -8,16 +8,15 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .mv_core import AuditReport
+from .mv_core import AuditReport, record
 
 
 class IndexSetMismatch(ValueError):
     """Composed or compared transformations live on different index sets."""
 
 
-@dataclass(frozen=True)
+@record
 class FinTransformation:
     """Total map on a finite ordered index set, stored as an aligned table."""
 
@@ -84,7 +83,7 @@ class FinTransformation:
         return "{" + inside + "}"
 
 
-@dataclass(frozen=True)
+@record
 class OmegaMap:
     """Total map on the naturals: finite override plus a clamped shift tail.
 
@@ -212,7 +211,7 @@ def compose(f, g):
         f"cannot compose {type(f).__name__} with {type(g).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class SupportInfo:
     """Finite support set, or the finite fixed set of an infinite support."""
 
@@ -244,13 +243,13 @@ def modify(t, i, j):
     return t.modify(i, j)
 
 
-@dataclass(frozen=True)
+@record
 class SemigroupSpec:
     generators: tuple
     cap: int = 1000
 
 
-@dataclass(frozen=True)
+@record
 class ClosureResult:
     elements: tuple
     truncated: bool
@@ -288,7 +287,7 @@ def semigroup_closure(spec):
                          truncated)
 
 
-@dataclass(frozen=True)
+@record
 class ConditionResult:
     name: str
     status: str  # "pass" | "fail" | "confirmed" | "unresolved" | "violated"
@@ -299,7 +298,7 @@ class ConditionResult:
         return self.status not in ("fail", "violated")
 
 
-@dataclass(frozen=True)
+@record
 class RichnessReport(AuditReport):
     """The conditions as results, in checking order."""
 

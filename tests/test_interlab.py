@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -403,8 +402,8 @@ class TestPsiOnIndices:
         algebra = small_algebra()
         V = algebra.indexed()
         hf = henkin_filter_build(algebra, algebra.carrier[1])
-        assert [f.name for f in dataclasses.fields(HenkinFilter)] \
-            == ["filter", "seed", "witnesses"]
+        assert HenkinFilter.__record_fields__ \
+            == ("filter", "seed", "witnesses")
         assert hf.filter in mv_core.maximal_filters(algebra)
         assert hf.members == frozenset(V.elements[i] for i in hf.filter.ids)
 

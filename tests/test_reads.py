@@ -18,7 +18,7 @@ first breach: `neat_reduct`, whose closure loop read the tables entry by
 entry against a member set, and `Filter._validate`, which walked member
 pairs for (*)-closure and member/outsider pairs for upward closure. Both
 must raise the same exception, message and witness, or build the same
-reduct or filter, as the `mv_core.escape_block` rows that replaced them.
+reduct or filter, as the `mv_core.escape_blocks` rows that replaced them.
 """
 
 import itertools
@@ -526,7 +526,7 @@ def neat_outcome(call, algebra, alpha, flavor):
 
 
 def neat_outcomes(algebra):
-    """[(escape_block outcome, per-row outcome)] over neat_cases."""
+    """[(escape_blocks outcome, per-row outcome)] over neat_cases."""
     return [(neat_outcome(neat_reduct, algebra, alpha, flavor),
              neat_outcome(per_row_neat_reduct, algebra, alpha, flavor))
             for alpha, flavor in neat_cases(algebra)]
@@ -645,3 +645,36 @@ def test_filter_on_every_member_set_of_a_corrupted_table(n, m):
                       if got[0] is FilterError else "filter")
     assert kinds == {"filter", "1 must belong to every filter",
                           "not (*)-closed", "not upward closed"}
+
+
+def test_escape_blocks_hold_runs_of_whole_rows(monkeypatch):
+    # 1 + 4 results an a, so 12 entries hold two a's a block
+    monkeypatch.setattr(mv_core, "BLOCK_ENTRIES", 12)
+    V = mv_core.Chain(5).indexed()
+    ids = [1, 2, 3, 4]
+    unary, binary = [("neg", V.neg)], [("odot", V.odot)]
+    blocks = list(mv_core.escape_blocks(V, ids, unary, binary))
+    assert [len(lhs) for lhs, _, _ in blocks] == [10, 10]
+    assert [w for _, _, witnesses in blocks for w in witnesses] == [
+        w for a in ids
+        for w in [("neg", a), *(("odot", a, b) for b in ids)]]
+    # 1 (*) 1 = 0 escapes
+    assert first_witness(mv_core.escape_blocks(V, ids, unary, binary)) \
+        == (2, ("odot", 1, 1))
+
+
+@pytest.mark.parametrize("entries", [1, 7])
+@pytest.mark.parametrize("name", [n for n in SPECS if n not in WHOLE_REDUCTS])
+def test_neat_reduct_a_few_entries_a_block(name, entries, monkeypatch):
+    # blocks of one a, or of a few whole a's: the same reducts, breaches
+    # and witnesses as the per-row walk
+    monkeypatch.setattr(mv_core, "BLOCK_ENTRIES", entries)
+    for table in ("cyl", "subst", "cyl+subst", "oplus"):
+        test_neat_reduct_on_corrupted_tables(name, table)
+
+
+@pytest.mark.parametrize("entries", [1, 7])
+def test_filter_a_few_entries_a_block(entries, monkeypatch):
+    monkeypatch.setattr(mv_core, "BLOCK_ENTRIES", entries)
+    test_filter_on_every_member_set_of_a_corrupted_table(4, 1)
+    test_filter_on_every_member_set_of_a_corrupted_table(3, 2)

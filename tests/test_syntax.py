@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -255,8 +254,9 @@ class TestAdmission:
 
 
 class TestFormulaNodes:
-    """The formula nodes are frozen dataclasses: keyword construction,
-    field equality, the hash of the field tuple and the generated repr."""
+    """The formula nodes are frozen records (mv_core.record): fields in
+    declaration order, keyword construction, field equality, the hash of
+    the field tuple and the generated repr."""
 
     NODES = [
         (Atom, {"pred": "p", "args": ("v0", "v1")},
@@ -275,13 +275,16 @@ class TestFormulaNodes:
 
     @pytest.mark.parametrize("node, fields, text", NODES,
                              ids=[n.__name__ for n, _, _ in NODES])
-    def test_frozen_dataclass(self, node, fields, text):
+    def test_frozen_record(self, node, fields, text):
         phi = node(**fields)
         assert phi == node(*fields.values())
         assert vars(phi) == fields
         assert hash(phi) == hash(tuple(fields.values()))
         assert repr(phi) == text
-        assert [f.name for f in dataclasses.fields(node)] == list(fields)
+        assert node.__record_fields__ == tuple(fields)
         for name in fields:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(phi, name, None)
+            with pytest.raises(AttributeError):
+                delattr(phi, name)
+        assert vars(phi) == fields
