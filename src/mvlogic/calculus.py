@@ -353,30 +353,26 @@ class SoundnessReport(AuditReport):
         return self.results
 
 
+def _fill(node, binding):
+    """The propositional pattern with each Meta replaced by its binding."""
+    if isinstance(node, Meta):
+        return binding[node.name]
+    if isinstance(node, (Top, Bottom, Atom)):
+        return node
+    if isinstance(node, Neg):
+        return Neg(_fill(node.body, binding))
+    return type(node)(_fill(node.left, binding), _fill(node.right, binding))
+
+
 def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
     """One random instance of the schema; returns (formula, data)."""
     usable = list(language.variables[: language.num_vars - language.reserve])
     mk = lambda: random_formula(rng, language, depth)
     if schema == "MV-PROP":
-        name = rng.choice(list(MV_PROP_SCHEMAS))
-        pattern = MV_PROP_SCHEMAS[name]
-        binding = {m: mk() for m in ("A", "B", "C")}
-
-        def fill(node):
-            if isinstance(node, Meta):
-                return binding[node.name]
-            if isinstance(node, (Top, Bottom, Atom)):
-                return node
-            if isinstance(node, Neg):
-                return Neg(fill(node.body))
-            return type(node)(fill(node.left), fill(node.right))
-
-        return fill(pattern), None
+        pattern = MV_PROP_SCHEMAS[rng.choice(list(MV_PROP_SCHEMAS))]
+        return _fill(pattern, {m: mk() for m in ("A", "B", "C")}), None
     if schema == "A2":
-        a, b = mk(), mk()
-        core = Implies(a, b)
-        bridge = Oplus(Neg(a), b)
-        return Odot(Implies(core, bridge), Implies(bridge, core)), None
+        return _fill(A2_PATTERN, {m: mk() for m in ("A", "B")}), None
     if schema in ("A3", "A4"):
         while True:
             a, b = mk(), mk()

@@ -409,9 +409,9 @@ def represent(algebra, hf, levels, pav=None):
     if pav is None:
         results.append(clause_result("subst-action", subst_blocks()))
     results.append(cyl_sup_clause(V, columns))
-    identity = FinTransformation.identity(tuple(sorted(algebra.index_set)))
-    if pav is None and identity in vs:
-        seed = rows[V.index_of[hf.seed]][vs.index(identity)]
+    identity = V.position.get(algebra.index_set)
+    if pav is None and identity is not None:
+        seed = rows[V.index_of[hf.seed]][identity]
         results.append(clause_result("nonzero-at-identity", [_instance(
             seed != 0, True, ("identity component of the seed element",))]))
     return rows, AuditReport(tuple(results))

@@ -387,14 +387,6 @@ def _coding(algebra):
     return V, V.index_of.__getitem__, V.elements.__getitem__
 
 
-def _level_sums(top):
-    """(plus, times) on the levels 0..top of a finite chain, indexed by
-    a + b: plus[a + b] is a (+) b = min(a + b, top) and times[a + b] is
-    a (*) b = max(a + b - top, 0). Lists, whose bound __getitem__ is
-    cheaper to map over than a tuple's."""
-    return [*range(top), *[top] * (top + 1)], [*[0] * top, *range(top + 1)]
-
-
 def _row_type(most):
     """The type of rows whose entries are at most `most`: bytes if
     most <= 255, so that a table read is one bytes.translate, a sum of
@@ -407,10 +399,12 @@ def _row_type(most):
 @functools.lru_cache(maxsize=16)
 def _level_tables(top):
     """(~, (+), (*)) on the levels 0..top of a finite chain, in the form
-    _read takes for rows of _row_type(2 * top): ~ at a level, (+) and (*)
-    at the sum of two levels (_level_sums); byte strings padded to 256
-    bytes, which _read takes without a copy, or lists."""
-    tables = (list(range(top, -1, -1)), *_level_sums(top))
+    _read takes for rows of _row_type(2 * top): ~ at a level, and (+) and
+    (*) at the sum a + b of two levels, min(a + b, top) and
+    max(a + b - top, 0); byte strings padded to 256 bytes, which _read
+    takes without a copy, or lists."""
+    tables = (list(range(top, -1, -1)), [*range(top), *[top] * (top + 1)],
+              [*[0] * top, *range(top + 1)])
     if _row_type(2 * top) is bytes:
         return tuple(bytes(t).ljust(256, b"\0") for t in tables)
     return tables
@@ -524,9 +518,9 @@ class Chain(StandardRationals):
         """The IndexedMV of the chain, built from its integer levels.
 
         Level i stands for carrier[i]: neg maps i to top - i and oplus row
-        i is min(i + j, top) (see _level_sums), so no rational arithmetic
-        is done. A chain longer than MAX_CHAIN_VIEW raises ViewTooLarge
-        before any table is built.
+        i is min(i + j, top), both sliced from _level_tables, so no
+        rational arithmetic is done. A chain longer than MAX_CHAIN_VIEW
+        raises ViewTooLarge before any table is built.
         """
         if self._indexed is None:
             n = self.n
@@ -534,10 +528,9 @@ class Chain(StandardRationals):
                 raise ViewTooLarge(
                     f"Chain({n}) exceeds the indexed-view cap of "
                     f"{MAX_CHAIN_VIEW} elements")
-            plus, _ = _level_sums(n - 1)
-            self._indexed = IndexedMV(
-                self.carrier, ZERO, ONE, range(n - 1, -1, -1),
-                [plus[i:i + n] for i in range(n)])
+            neg, plus, _ = _level_tables(n - 1)
+            self._indexed = IndexedMV(self.carrier, ZERO, ONE, neg[:n],
+                                      [plus[i:i + n] for i in range(n)])
         return self._indexed
 
     def contains(self, value):

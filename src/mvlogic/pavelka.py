@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .mv_core import (
-    AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_sums,
+    AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_tables,
     clause_result, filter_ids, record,
 )
 from .interlab import HenkinFilter, represent
@@ -71,13 +71,12 @@ def constants_check(pav):
     """0-bar = 0, (r (+) s)-bar = r-bar (+) s-bar, (~r)-bar = ~(r-bar)."""
     V, rs, bar = pav.base.indexed(), pav.levels, pav._bar
     top, at = pav.chain.n - 1, dict(bar).get
-    # the constant of min(l + m, top), or None, per sum l + m
-    sums = list(map(at, _level_sums(top)[0]))
+    plus = _level_tables(top)[1]  # min(l + m, top) per sum l + m
     return AuditReport((
         clause_result("zero-constant", [_instance(at(0), V.zero, (ZERO,))]),
         clause_result("oplus-compatible", (
             ([V.oplus[c][d] for _, d in bar],
-             [sums[l + m] for m, _ in bar],
+             [at(plus[l + m]) for m, _ in bar],
              zip(itertools.repeat(r), rs))
             for r, (l, c) in zip(rs, bar))),
         clause_result("neg-compatible", [(

@@ -131,9 +131,10 @@ class IndexedAlgebra(IndexedMV):
     Given the view of its MV reduct (a table algebra's), the view reads
     odot and le there, so that the two views share them.
 
-    How the signature's maps combine is read off the maps' value tuples
-    and kept, each on first read: subst_at, composition, the agreement
-    groups per J, injective, modified and the replacements; so is the
+    A map is found by value through one lookup built with the view,
+    position (a map's value tuple to its index in maps), which replacement
+    reads on each call, uncached. Kept on first read: subst_at,
+    composition, the agreement groups per J, injective, modified and the
     dimension set of every carrier index (dimensions).
     """
 
@@ -143,10 +144,10 @@ class IndexedAlgebra(IndexedMV):
         self.algebra = algebra
         self.reduct = reduct
         self.maps = tuple(algebra.transformations)
+        self.position = {t.values: k for k, t in enumerate(self.maps)}
         self.subst = {t: self.row(table) for t, table in subst.items()}
         self.cyl = {frozenset(j): self.row(table) for j, table in cyl.items()}
         self._cylinders = {frozenset(): self.row(self.carrier), **self.cyl}
-        self._replacements = {}
         self._agreement = {}
 
     @derived
@@ -173,7 +174,7 @@ class IndexedAlgebra(IndexedMV):
         """[s][t]: the position in maps of maps[s] o maps[t], or None outside
         the signature, found by value: maps[s]'s values read at maps[t]'s."""
         point = {i: k for k, i in enumerate(self.algebra.index_set)}
-        at = {t.values: k for k, t in enumerate(self.maps)}.get
+        at = self.position.get
         reads = [[point[v] for v in t.values] for t in self.maps]
         return [[at(tuple(map(s.values.__getitem__, read))) for read in reads]
                 for s in self.maps]
@@ -218,17 +219,17 @@ class IndexedAlgebra(IndexedMV):
         j), for the j of the index set, in order, whose modified map is in
         the signature; found by value, so no map is built."""
         index = self.algebra.index_set
-        at = {t.values: k for k, t in enumerate(self.maps)}.get
+        at = self.position.get
         return [{i: [(j, u) for j in index if (u := at(
                     (*t.values[:x], j, *t.values[x + 1:]))) is not None]
                  for x, i in enumerate(index)} for t in self.maps]
 
     def replacement(self, i, j):
-        """s_[i|j] as an index table, or None outside the signature."""
-        if (i, j) not in self._replacements:
-            self._replacements[i, j] = self.subst.get(
-                FinTransformation.replacement(self.algebra.index_set, i, j))
-        return self._replacements[i, j]
+        """s_[i|j] as an index table, or None outside the signature: the
+        identity with i sent to j, found by value."""
+        k = self.position.get(tuple(j if x == i else x
+                                    for x in self.algebra.index_set))
+        return None if k is None else self.subst_at[k]
 
     def cylinder(self, j):
         """c_J as an index table for any J, cached; c_{} is the identity.
@@ -728,12 +729,13 @@ def term_substitution(algebra, tau, x):
             f"need {k} spare indices outside {sorted(banned)}, "
             f"found {len(fresh)}")
     pis = fresh[:k]
-    domain = tuple(sorted(algebra.index_set))
 
     def replacement(i, j):
-        t = FinTransformation.replacement(domain, i, j)
-        _check_signature(V, x, tau=t)
-        return V.subst[t]
+        table = V.replacement(i, j)
+        if table is None:
+            t = FinTransformation.replacement(algebra.index_set, i, j)
+            raise SignatureError(f"{t!r} is not in the semigroup")
+        return table
 
     for u, pi in reversed(list(zip(moved, pis))):
         out = replacement(u, pi)[out]
@@ -798,7 +800,6 @@ def audit_axioms(algebra):
     scopes = list(algebra.scopes)
     scope_set = set(scopes)
     maps = V.maps
-    index = list(algebra.index_set)
     # the view's tables, mv_core rows of carrier indices, s_tau by position
     row, neg, S, C, Q = V.row, V.neg, V.subst_at, V.cyl, V.q
     ones = row((True,) * n)
@@ -868,10 +869,10 @@ def audit_axioms(algebra):
                            [tables[j | j2] for j2 in js])
 
     # polyadic axioms 1..5
-    identity = FinTransformation.identity(tuple(sorted(index)))
-    if identity in V.subst:
+    identity = V.position.get(algebra.index_set)
+    if identity is not None:
         results.append(_audit("polyadic-1-s-identity",
-                              [laws([((), V.subst[identity], row(els))])]))
+                              [laws([((), S[identity], row(els))])]))
     else:
         results.append(IdentityResult("polyadic-1-s-identity", True, 0))
 
@@ -1027,12 +1028,9 @@ def audit_axioms(algebra):
     results.append(_audit("dlaw-4-modify", dlaw4_blocks()))
 
     def dlaw5_blocks():
-        for t, s_t in zip(maps, S):
-            for j in singles:
-                pre = [i for i in index if t.apply(i) == j]
-                if len(pre) != 1 or frozenset({pre[0]}) not in scope_set:
-                    continue
-                i = pre[0]
+        # s_t c_i = c_j s_t and s_t q_i = q_j s_t for scopes t^-1{j} = {i}
+        for t, s_t, pairs in zip(maps, S, V.injective):
+            for (j,), (i,) in (p for p in pairs if len(p[0]) == len(p[1]) == 1):
                 ci, cj = C[frozenset({i})], C[frozenset({j})]
                 qi, qj = Q[frozenset({i})], Q[frozenset({j})]
                 yield laws([

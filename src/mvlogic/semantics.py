@@ -43,7 +43,7 @@ from fractions import Fraction
 from .mv_core import (
     MAX_VALUATIONS, Chain, CarrierError, _add, _concat, _level_tables,
     _read, _row_type, format_point, format_value, is_json_int,
-    is_json_object, json_field, parse_point, parse_value,
+    is_json_object, json_field, parse_point, parse_value, record,
 )
 from . import syntax
 from .syntax import (
@@ -450,26 +450,22 @@ def assignment_row(phi, model, variables):
 
 
 def is_valid(phi, model):
-    """True iff the formula takes value 1 under every assignment.
-
-    The row spans the assignments of the free variables, the only ones
-    the value depends on (the dependency property, pinned by the tests).
-    """
-    program = RowProgram(model.chain.n - 1)
-    slot = program.add(phi)
-    return min(program.in_model(model)[slot]) == program.top
+    """True iff the formula takes value 1 under every assignment."""
+    return truth_degree(phi, model) == 1
 
 
 def truth_degree(phi, model):
-    """Infimum of the value over assignments of the free variables."""
+    """Infimum of the value over assignments of the free variables, the
+    only ones the value depends on (the dependency property, pinned by
+    the tests)."""
     program = RowProgram(model.chain.n - 1)
     slot = program.add(phi)
     return Fraction(min(program.in_model(model)[slot]), program.top)
 
 
+@record
 class RefutedBy:
-    def __init__(self, model):
-        self.model = model
+    model: Model
 
     refuted = True
 
@@ -477,10 +473,10 @@ class RefutedBy:
         return f"RefutedBy({self.model.to_json()})"
 
 
+@record
 class NoCounterexampleUpTo:
-    def __init__(self, max_domain, chain_n):
-        self.max_domain = max_domain
-        self.chain_n = chain_n
+    max_domain: int
+    chain_n: int
 
     refuted = False
 

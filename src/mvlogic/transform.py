@@ -129,9 +129,9 @@ class OmegaMap:
 
     def in_range(self, m):
         """Exact membership of m in the image."""
-        if any(v == m for _, v in self.override):
-            return True
         overridden = self._table
+        if m in overridden.values():
+            return True
         x = m - self.shift
         if x >= 0 and x not in overridden and max(x + self.shift, 0) == m:
             return True
@@ -352,10 +352,7 @@ def check_strongly_rich(sigma, pi, ambient=None, n_max=64, sample=8, ij_bound=3)
         points = tuple(k for k, _ in comp.override)
         supports.append(points)
         conditions.append(ConditionResult(f"support-finite-n{n}", "pass"))
-        # an override-free power's range is every m >= max(shift, 0)
-        stray = [m for m in points if sig_pow.in_range(m)] \
-            if sig_pow.override else \
-            [m for m in points if m >= max(sig_pow.shift, 0)]
+        stray = [m for m in points if sig_pow.in_range(m)]
         conditions.append(ConditionResult(
             f"support-outside-range-n{n}",
             "pass" if not stray else "fail",

@@ -466,6 +466,7 @@ MUTATED_COMMANDS = {
     "spec1.json": ["poly", "audit", "--spec"],
     "table-l3.json": ["mv", "audit", "--table"],
     "table-l3-broken.json": ["mv", "audit", "--table"],
+    "table-l2xl2.json": ["mv", "audit", "--table"],
     DUMP: ["poly", "audit", "--spec"],
 }
 DELETED = object()
@@ -478,7 +479,8 @@ SPECS = ("spec0", "spec1", "spec-l3", "spec-i3", "spec-i3-singletons",
 # other one is an input error.
 WELL_FORMED = {
     "table-l3-zero-0": 0, "table-l3-one-0": 1, "table-l3-broken-zero-0": 1,
-    "table-l3-broken-one-0": 1, "lang-reserve-deleted": 1,
+    "table-l3-broken-one-0": 1, "table-l2xl2-zero-0": 0,
+    "table-l2xl2-one-0": 1, "lang-reserve-deleted": 1,
     **{f"{proof}-{change}": 1 for proof in ("proof0", "proof1")
        for change in ("hypotheses-deleted", "hypotheses-[]", "steps-[]",
                       "steps.0.refs-deleted", "steps.0.refs-[]",

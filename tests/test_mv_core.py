@@ -695,9 +695,9 @@ class TestIndexedView:
 
     def test_level_sums_are_min_and_max(self):
         for top in range(1, 65):
-            sums = range(2 * top + 1)
-            assert mv_core._level_sums(top) == (
-                [min(s, top) for s in sums], [max(s - top, 0) for s in sums])
+            _, plus, times = mv_core._level_tables(top)
+            for s in range(2 * top + 1):
+                assert (plus[s], times[s]) == (min(s, top), max(s - top, 0))
 
     def test_chain_view_cap_raises_before_building(self):
         # 10^5 levels would need three 10^10-entry tables
