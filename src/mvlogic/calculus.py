@@ -244,9 +244,9 @@ def _check_step(k, step, formulas, hypotheses, language):
             return Reject(k, "shape mismatch: second premise is not "
                              "(first premise -> conclusion)")
         return None
+    if len(step.refs) != 1:
+        return Reject(k, f"{step.rule} takes one reference")
     if step.rule == "Gen":
-        if len(step.refs) != 1:
-            return Reject(k, "Gen takes one reference")
         if not step.block:
             return Reject(k, "Gen needs a nonempty block")
         if not step.block <= set(language.variables):
@@ -255,8 +255,6 @@ def _check_step(k, step, formulas, hypotheses, language):
             return Reject(k, "conclusion is not the generalization of the premise")
         return None
     if step.rule == "FreeSubInv":
-        if len(step.refs) != 1:
-            return Reject(k, "FreeSubInv takes one reference")
         tau = step.tau_map()
         phi = step.formula
         if set(tau) != free_vars(phi):
@@ -269,8 +267,6 @@ def _check_step(k, step, formulas, hypotheses, language):
             return Reject(k, "premise is not S_f(tau) of the conclusion")
         return None
     # SubInv, the one rule left
-    if len(step.refs) != 1:
-        return Reject(k, "SubInv takes one reference")
     tau = step.tau_map()
     phi = formulas[step.refs[0]]
     if set(tau) != all_vars(phi):

@@ -534,7 +534,7 @@ _MEMBERS = (("--members",), _REQUIRED)
 _FORMULA = (("--formula",), _REQUIRED)
 _MODEL_FORMULA = ((("--model",), _REQUIRED), _FORMULA)
 _GAMMA = (("--gamma",), {})
-_MAX_DOMAIN = (("--max-domain",), {"type": int, "default": 2})
+_MAX_DOMAIN = (("--max-domain",), {"type": _positive, "default": 2})
 _SEED = (("--seed",), {"type": int, "default": 0})
 _SPEC = (("--spec",), _REQUIRED)
 _ALGEBRA = (("--algebra",), _REQUIRED)
@@ -568,7 +568,7 @@ COMMANDS = (
      ((("--proof",), _REQUIRED), _GAMMA)),
     ("proof", "audit", _cmd_proof_audit, (
         (("--target",), _REQUIRED),
-        (("--trials",), {"type": int, "default": 50}),
+        (("--trials",), {"type": _positive, "default": 50}),
         _MAX_DOMAIN,
         (("--chain",), {"type": int, "default": 3}),
         _SEED,
@@ -601,7 +601,7 @@ COMMANDS = (
     ("semigroup", "rich", _cmd_semigroup_rich, (
         (("--sigma",), {"default": "suc"}),
         (("--pi",), {"default": "pred"}),
-        (("-N", "--n"), {"type": int, "default": 64}),
+        (("-N", "--n"), {"type": _positive, "default": 64}),
         (("--ambient",), {}),
         (("--cap",), {"type": int, "default": 200}))),
     ("semigroup", "eval", _cmd_semigroup_eval, (

@@ -147,20 +147,15 @@ def pavelka_quantifier_check(pav, algebra):
         for j, cyl in algebra.indexed().cyl.items())),))
 
 
-def constants_as_elements(algebra):
-    """The chain constants realized as constant functions of the algebra."""
-    size = len(algebra.assignments)
-    return {r: (r,) * size for r in algebra.chain.carrier
-            if algebra.contains((r,) * size)}
-
-
 def functional_pavelka(algebra, require_full=True):
     """View a functional set algebra as a Pavelka algebra.
 
     The constants are the chain values realized as constant functions in
     the carrier; with require_full every chain value must be realized.
     """
-    table = constants_as_elements(algebra)
+    size = len(algebra.assignments)
+    table = {r: (r,) * size for r in algebra.chain.carrier
+             if algebra.contains((r,) * size)}
     if require_full and len(table) != algebra.chain.n:
         missing = [r for r in algebra.chain.carrier if r not in table]
         raise ValueError(f"carrier lacks constant functions for {missing}")

@@ -69,10 +69,6 @@ class InsufficientSpareIndices(ValueError):
     """No fresh indices remain for the replacement-chain construction."""
 
 
-def scope_key(j):
-    return (len(j), tuple(sorted(j)))
-
-
 def normalize_scopes(index_set, scopes):
     if scopes == "powerset":
         sets = [frozenset(c)
@@ -85,7 +81,18 @@ def normalize_scopes(index_set, scopes):
     for j in sets:
         if not j <= set(index_set):
             raise SignatureError(f"scope {sorted(j)} escapes the index set")
-    return tuple(sorted(set(sets), key=scope_key))
+    return tuple(sorted(set(sets), key=lambda j: (len(j), sorted(j))))
+
+
+def _classes(rows, index_set, j):
+    """The positions of rows, tuples over index_set, grouped by their
+    entries off J: the groups in order of their first member, each in
+    row order."""
+    off = [k for k, i in enumerate(index_set) if i not in j]
+    groups = {}
+    for pos, x in enumerate(rows):
+        groups.setdefault(tuple(x[k] for k in off), []).append(pos)
+    return list(groups.values())
 
 
 def _assignment_count(points, base):
@@ -185,13 +192,8 @@ class IndexedAlgebra(IndexedMV):
         per J."""
         j = frozenset(j)
         if j not in self._agreement:
-            off = [k for k, i in enumerate(self.algebra.index_set)
-                   if i not in j]
-            groups = {}
-            for k, t in enumerate(self.maps):
-                groups.setdefault(tuple(t.values[x] for x in off),
-                                  []).append(k)
-            self._agreement[j] = list(groups.values())
+            self._agreement[j] = _classes([t.values for t in self.maps],
+                                          self.algebra.index_set, j)
         return self._agreement[j]
 
     @derived
@@ -335,24 +337,16 @@ class FunctionalSetAlgebra:
         key = frozenset(j)
         blocks = self._block_cache.get(key)
         if blocks is None:
-            groups = {}
-            outside = [k for k, i in enumerate(self.index_set) if i not in key]
-            for pos, x in enumerate(self.assignments):
-                sig = tuple(x[k] for k in outside)
-                groups.setdefault(sig, []).append(pos)
+            classes = _classes(self.assignments, self.index_set, key)
             block_id = [None] * len(self.assignments)
-            members = []
-            for bid, (_, positions) in enumerate(sorted(groups.items())):
-                members.append(tuple(positions))
+            for bid, positions in enumerate(classes):
                 for pos in positions:
                     block_id[pos] = bid
-            blocks = (tuple(block_id), tuple(members))
+            blocks = (tuple(block_id), tuple(map(tuple, classes)))
             self._block_cache[key] = blocks
         return blocks
 
     def cyl_el(self, j, p):
-        if not j:
-            return p
         block_id, members = self._blocks(frozenset(j))
         sups = [max(map(p.__getitem__, positions)) for positions in members]
         return type(p)(map(sups.__getitem__, block_id))
@@ -842,9 +836,6 @@ def audit_axioms(algebra):
         return (_concat(targets, row), _read(outer, _concat(inners, row)),
                 ((head, p) for head in heads for p in els))
 
-    def single(lhs, rhs, head):
-        return _instance(lhs, rhs, (head,))
-
     def distributes(t, heads, ops):
         # t(p . t(b)) = t(p) . t(b) for the operation . of each head, given
         # by its (rows, columns) in ops: first column v of . read through t
@@ -918,7 +909,7 @@ def audit_axioms(algebra):
         for j in scopes:
             cj = C[j]
             tag = sorted(j)
-            yield single(cj[V.zero], V.zero, ("E1", tag))
+            yield _instance(cj[V.zero], V.zero, (("E1", tag),))
             yield laws([
                 (("E2", tag), row(map(getitem, V.le, cj)), ones),
                 (("E5", tag), _read(cj, square_odot),
@@ -935,7 +926,7 @@ def audit_axioms(algebra):
         for j in scopes:
             qj, cj = Q[j], C[j]
             tag = sorted(j)
-            yield single(qj[V.one], V.one, ("Q1-unit", tag))
+            yield _instance(qj[V.one], V.one, (("Q1-unit", tag),))
             yield laws([
                 (("Q1-decreasing", tag), row(map(
                     getitem, map(V.le.__getitem__, qj), els)),

@@ -145,14 +145,13 @@ class Model:
 
 
 class Assignment:
-    """Total valuation of variables, finitely represented via a default."""
+    """Total valuation of variables: those off the mapping read 0."""
 
-    def __init__(self, mapping=None, default=0):
+    def __init__(self, mapping=None):
         self.mapping = dict(mapping or {})
-        self.default = default
 
     def get(self, var):
-        return self.mapping.get(var, self.default)
+        return self.mapping.get(var, 0)
 
 
 # The most entries a row of a model chunk holds: entails takes as many

@@ -54,19 +54,14 @@ class FinTransformation:
 
     @classmethod
     def transposition(cls, domain, i, j):
-        t = cls.identity(domain)
-        return FinTransformation(
-            t.domain,
-            tuple(j if x == i else i if x == j else x for x in t.domain),
-        )
+        dom = tuple(sorted(domain))
+        return cls(dom, tuple(j if x == i else i if x == j else x for x in dom))
 
     def apply(self, i):
         k = self._position.get(i)
         if k is None:
             raise ValueError(f"{i!r} is outside the index set")
         return self.values[k]
-
-    __call__ = apply
 
     def modify(self, i, j):
         if i not in self.domain or j not in self.domain:
@@ -109,15 +104,9 @@ class OmegaMap:
                 norm[k] = v
         return cls(shift, tuple(sorted(norm.items())))
 
-    @classmethod
-    def identity(cls):
-        return cls(0, ())
-
     def apply(self, x):
         v = self._table.get(x)
         return v if v is not None else max(x + self.shift, 0)
-
-    __call__ = apply
 
     def modify(self, i, j):
         table = dict(self.override)
@@ -141,9 +130,6 @@ class OmegaMap:
                     return True
         return False
 
-    def co_range(self, upto):
-        return [m for m in range(upto + 1) if not self.in_range(m)]
-
     def missing_values(self):
         """Finite complement of the range, exact.
 
@@ -153,7 +139,7 @@ class OmegaMap:
         """
         window = self._max_key() + abs(self.shift) + 2
         window = max(window, max((v for _, v in self.override), default=0) + 1)
-        return self.co_range(window)
+        return [m for m in range(window + 1) if not self.in_range(m)]
 
     def sort_key(self):
         return (1, self.shift, self.override)

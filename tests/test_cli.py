@@ -588,8 +588,19 @@ def test_mutated_input_ends_in_a_report(name, path, value, exit_code,
     ["mv", "audit", "--standard", "--mode", "sampled", "--samples", "-3"],
     ["interp", "search", "--a", "a.txt", "--b", "b.txt", "--common", "q",
      "--depth", "0"],
+    # below 1, these would let the command pass having checked nothing
+    ["proof", "audit", "--target", "A2", "--trials", "0"],
+    ["proof", "audit", "--target", "A2", "--trials", "-1"],
+    ["proof", "audit", "--target", "A2", "--max-domain", "0"],
+    ["logic", "entails", "--language", "lang.json", "--formula", "T",
+     "--max-domain", "0"],
+    ["semigroup", "rich", "-N", "0"],
+    ["semigroup", "rich", "-N", "-3"],
 ], ids=["eval-zero-points", "eval-zero-domain", "closure-zero-domain",
-        "audit-zero-samples", "audit-negative-samples", "interp-zero-depth"])
+        "audit-zero-samples", "audit-negative-samples", "interp-zero-depth",
+        "proof-audit-zero-trials", "proof-audit-negative-trials",
+        "proof-audit-zero-domain", "entails-zero-domain", "rich-zero-n",
+        "rich-negative-n"])
 def test_count_below_one_is_a_usage_error(argv):
     code, report = dispatch(argv)
     assert code == 2 and report["verdict"] == "usage-error"

@@ -204,13 +204,17 @@ class TestClosureAgainstReference:
             reference_build_generated(*args, cap=len(want.carrier) - 1)
 
 
-# and two more: a set of maps that is not closed, so that some products
-# are missing, and the empty index set, whose one map has no values
+# and three more: a set of maps that is not closed, so that some products
+# are missing, the empty index set, whose one map has no values, and an
+# index set and a base given out of order, so that the assignments
+# (3,3), (3,1), (1,3), (1,1) are not in sorted order
 MORE_SPECS = {
     "unclosed": _spec((0, 1, 2), L3, PATTERN_GEN, [
         FinTransformation.transposition((0, 1, 2), 0, 1),
         FinTransformation.replacement((0, 1, 2), 1, 2)]),
     "no-indices": _spec((), L3, []),
+    "unsorted-base": ((1, 0), (3, 1), L3, [tuple(
+        L3.carrier[v] for v in (2, 1, 0, 1))], "full", "powerset", 300),
 }
 
 
@@ -324,6 +328,18 @@ class TestOperations:
             for p in algebra.carrier:
                 assert cyl(algebra, j1 | j2, p) \
                     == cyl(algebra, j1, cyl(algebra, j2, p))
+
+    def test_cyl_is_the_supremum_off_j(self):
+        *args, cap = MORE_SPECS["unsorted-base"]
+        algebra = build_generated(*args, cap=cap)
+        index, xs = algebra.index_set, algebra.assignments
+        assert xs != tuple(sorted(xs))
+        for j in normalize_scopes(index, "powerset"):
+            off = [k for k, i in enumerate(index) if i not in j]
+            for p in algebra.carrier:
+                assert algebra.cyl_el(j, p) == tuple(
+                    max(v for y, v in zip(xs, p)
+                        if all(x[k] == y[k] for k in off)) for x in xs)
 
 
 class TestDimensions:

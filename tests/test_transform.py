@@ -167,6 +167,21 @@ class TestNormalForm:
             assert same == (f == g)
 
 
+class TestRange:
+    def test_in_range_and_missing_values_against_the_image(self):
+        # overrides sit below 9 and the tail moves by at most 3, so the
+        # first 60 points take every value below 40 that the map takes
+        rng = random.Random(32)
+        for _ in range(300):
+            t = OmegaMap.make({rng.randrange(9): rng.randrange(9)
+                               for _ in range(rng.randint(0, 3))},
+                              rng.randint(-3, 3))
+            image = {t.apply(x) for x in range(60)}
+            assert ([t.in_range(m) for m in range(20)]
+                    == [m in image for m in range(20)])
+            assert set(t.missing_values()) == set(range(40)) - image
+
+
 class TestClosure:
     def test_identity_alone(self):
         out = semigroup_closure(SemigroupSpec((IDENTITY_OMEGA,), 10))
