@@ -176,9 +176,6 @@ class ProofStep:
     tau: tuple = ()  # sorted (var, image) pairs
     mode: str = "printed"
 
-    def tau_map(self):
-        return dict(self.tau)
-
 
 @record
 class Proof:
@@ -231,7 +228,7 @@ def _check_step(k, step, formulas, hypotheses, language):
     if step.rule == "Ax":
         verdict = check_axiom_instance(
             step.schema, step.formula, language,
-            data={"tau": step.tau_map()} if step.tau else None,
+            data={"tau": dict(step.tau)} if step.tau else None,
             mode=step.mode)
         if not verdict.ok:
             return Reject(k, f"axiom check failed: {verdict.reason}")
@@ -255,7 +252,7 @@ def _check_step(k, step, formulas, hypotheses, language):
             return Reject(k, "conclusion is not the generalization of the premise")
         return None
     if step.rule == "FreeSubInv":
-        tau = step.tau_map()
+        tau = dict(step.tau)
         phi = step.formula
         if set(tau) != free_vars(phi):
             return Reject(k, "dom(tau) must be the free variables of the conclusion")
@@ -267,7 +264,7 @@ def _check_step(k, step, formulas, hypotheses, language):
             return Reject(k, "premise is not S_f(tau) of the conclusion")
         return None
     # SubInv, the one rule left
-    tau = step.tau_map()
+    tau = dict(step.tau)
     phi = formulas[step.refs[0]]
     if set(tau) != all_vars(phi):
         return Reject(k, "dom(tau) must be the variables of the premise")
@@ -327,6 +324,9 @@ DEFAULT_AUDIT_LANGUAGE = syntax.LanguageSpec(
     predicates=(("p", 1), ("q", 1), ("r", 0)),
 )
 
+# The depth of the random formulas that a soundness audit instantiates.
+INSTANCE_DEPTH = 2
+
 
 @record
 class Violation:
@@ -360,10 +360,10 @@ def _fill(node, binding):
     return type(node)(_fill(node.left, binding), _fill(node.right, binding))
 
 
-def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
+def _random_instance(rng, schema, language, honest=True, mode="printed"):
     """One random instance of the schema; returns (formula, data)."""
     usable = list(language.variables[: language.num_vars - language.reserve])
-    mk = lambda: random_formula(rng, language, depth)
+    mk = lambda: random_formula(rng, language, INSTANCE_DEPTH)
     if schema == "MV-PROP":
         pattern = MV_PROP_SCHEMAS[rng.choice(list(MV_PROP_SCHEMAS))]
         return _fill(pattern, {m: mk() for m in ("A", "B", "C")}), None
@@ -404,7 +404,7 @@ def _random_instance(rng, schema, language, depth, honest=True, mode="printed"):
 
 
 def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
-                    language=None, depth=2, skip_side_conditions=False,
+                    language=None, skip_side_conditions=False,
                     mode="printed"):
     """Replay random instances of a schema or rule against the semantics.
 
@@ -428,7 +428,7 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
     if target in SCHEMAS:
         for _ in range(trials):
             phi, data = _random_instance(
-                rng, target, language, depth,
+                rng, target, language,
                 honest=not skip_side_conditions, mode=mode)
             if not skip_side_conditions:
                 verdict = check_axiom_instance(target, phi, language,
@@ -446,8 +446,8 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
                     f"invalid in {outcome.model.to_json()}"))
     elif target in RULES:
         for _ in range(trials):
-            outcome = _audit_rule_once(rng, target, language, depth,
-                                       max_domain, chain_n)
+            outcome = _audit_rule_once(rng, target, language, max_domain,
+                                       chain_n)
             if outcome is not None:
                 violations.append(outcome)
     else:
@@ -455,11 +455,11 @@ def soundness_audit(target, trials, max_domain=2, chain_n=3, seed=0,
     return SoundnessReport(tuple(violations), target, trials, seed)
 
 
-def _audit_rule_once(rng, rule, language, depth, max_domain, chain_n):
+def _audit_rule_once(rng, rule, language, max_domain, chain_n):
     usable = list(language.variables[: language.num_vars - language.reserve])
-    phi = random_formula(rng, language, depth)
+    phi = random_formula(rng, language, INSTANCE_DEPTH)
     if rule == "MP":
-        psi = random_formula(rng, language, depth)
+        psi = random_formula(rng, language, INSTANCE_DEPTH)
         premises = [phi, Implies(phi, psi)]
         conclusion = psi
     elif rule == "Gen":

@@ -367,8 +367,7 @@ def _cmd_interp_search(args, inputs):
         frozenset(syntax.predicates_of(b)) | frozenset(common))
     try:
         outcome = interlab.interpolant_search(
-            a, b, split, depth=args.depth, chain_n=args.chain,
-            language=language)
+            a, b, split, depth=args.depth, chain_n=args.chain)
     except interlab.PremiseNotEntailed as exc:
         return 1, "premise-not-entailed", {"reason": str(exc)}
     if outcome.found:
@@ -440,13 +439,22 @@ def _cmd_pavelka_check(args, inputs):
 # -- semigroup ----------------------------------------------------------
 
 
+def _domain(args):
+    """The points 0..N-1 of --domain N, built only for N up to
+    mv_core.MAX_VALUATIONS; None without the flag."""
+    if args.domain is not None and args.domain > mv_core.MAX_VALUATIONS:
+        raise CliError(f"--domain {args.domain} exceeds the cap of "
+                       f"{mv_core.MAX_VALUATIONS} points")
+    return None if args.domain is None else tuple(range(args.domain))
+
+
 def _parse_gen_list(text, domain):
     return tuple(transform.parse_transformation(g.strip(), domain)
                  for g in text.split(";") if g.strip())
 
 
 def _cmd_semigroup_closure(args, inputs):
-    domain = None if args.domain is None else tuple(range(args.domain))
+    domain = _domain(args)
     gens = _parse_gen_list(args.generators, domain)
     result = transform.semigroup_closure(
         transform.SemigroupSpec(gens, args.cap))
@@ -476,7 +484,7 @@ def _cmd_semigroup_rich(args, inputs):
 
 
 def _cmd_semigroup_eval(args, inputs):
-    domain = None if args.domain is None else tuple(range(args.domain))
+    domain = _domain(args)
     t = transform.parse_transformation(args.map, domain)
     info = transform.support(t)
     table = {str(i): t.apply(i)
@@ -700,7 +708,7 @@ def main(argv=None):
         print(report["help"], end="")
     else:
         data = report.get("data", {})
-        if isinstance(data, dict) and set(data) <= {"value", "dual"} and data:
+        if isinstance(data, dict) and set(data) == {"value"}:
             # plain value queries answer with the bare value
             print(data["value"])
             return code

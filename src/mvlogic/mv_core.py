@@ -61,12 +61,12 @@ def record(cls):
       later runs;
     - `==` holds between instances of the same class whose field tuples
       are equal, and the hash is `hash` of the field tuple;
-    - the repr reads `Name(field=value!r, ...)`;
+    - the repr reads `Name(field=value!r, ...)`, unless the class body
+      has its own `__repr__`;
     - setting or deleting any attribute raises AttributeError, so a
       record's own code keeps derived values through object.__setattr__.
 
-    A `__repr__`, `__eq__` or `__hash__` of the class body is kept. Only
-    `__init__` is compiled, one line a class.
+    Only `__init__` is compiled, one line a class.
     """
     own = vars(cls)
     fields = tuple(dict.fromkeys((*getattr(cls, "__record_fields__", ()),
@@ -97,12 +97,9 @@ def record(cls):
 
     cls.__record_fields__, cls.__init__ = fields, init
     cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__eq__, cls.__hash__ = __eq__, lambda self: hash(key(self))
     if "__repr__" not in own:
         cls.__repr__ = _record_repr
-    if "__eq__" not in own:
-        cls.__eq__ = __eq__
-    if own.get("__hash__") is None:
-        cls.__hash__ = lambda self: hash(key(self))
     return cls
 
 
@@ -167,7 +164,8 @@ class FilterNotFound(LookupError):
 
 
 class ViewTooLarge(ValueError):
-    """A chain is too long for its n x n indexed view."""
+    """A chain is too long for its tables: its n x n indexed view or its
+    level tables."""
 
 
 class AuditTooLarge(ValueError):
@@ -180,6 +178,9 @@ class AuditTooLarge(ValueError):
 # past that, where they are tuples (max RSS grows by 42 MB at n = 1200 and
 # by 67 MB at the cap, Python 3.11); n = 10^5 would need some 300 GB.
 MAX_CHAIN_VIEW = 1500
+
+# The longest chain that gets level tables: 0.12 s at the cap (Python 3.11).
+MAX_CHAIN_LEVELS = 10 ** 6
 
 # The largest carrier the exhaustive check_mv_axioms audits. Associativity
 # reads n^3 triples as table rows, 10^6 at the cap: Chain(100) takes about
@@ -402,7 +403,11 @@ def _level_tables(top):
     _read takes for rows of _row_type(2 * top): ~ at a level, and (+) and
     (*) at the sum a + b of two levels, min(a + b, top) and
     max(a + b - top, 0); byte strings padded to 256 bytes, which _read
-    takes without a copy, or lists."""
+    takes without a copy, or lists. A chain of more than MAX_CHAIN_LEVELS
+    values raises ViewTooLarge before any table is built."""
+    if top >= MAX_CHAIN_LEVELS:
+        raise ViewTooLarge(f"Chain({top + 1}) exceeds the level-table cap "
+                           f"of {MAX_CHAIN_LEVELS} values")
     tables = (list(range(top, -1, -1)), [*range(top), *[top] * (top + 1)],
               [*[0] * top, *range(top + 1)])
     if _row_type(2 * top) is bytes:

@@ -14,7 +14,7 @@ operations as tables over carrier indices, extending mv_core's
 `IndexedMV`, whose tables the algebra's filters and quotients read.
 `build_generated` computes a functional algebra's operations once:
 closing the carrier, it records the carrier index of every result, and
-`algebra.indexed()` wraps those tables on first use. Results leave in
+builds the algebra's view of those tables with it. Results leave in
 element form. How the signature's maps combine is read off the view too
 (`subst_at`, `composition`, `agreement`, `injective`, `modified`,
 `replacement`), and so are the dimension sets (`dimensions`). A
@@ -70,16 +70,16 @@ class InsufficientSpareIndices(ValueError):
 
 
 def normalize_scopes(index_set, scopes):
-    if scopes == "powerset":
-        sets = [frozenset(c)
-                for size in range(len(index_set) + 1)
-                for c in itertools.combinations(sorted(index_set), size)]
-    elif scopes == "singletons":
-        sets = [frozenset()] + [frozenset({i}) for i in sorted(index_set)]
-    else:
-        sets = [frozenset(j) for j in scopes]
+    members = set(index_set)
+    if scopes in ("powerset", "singletons"):
+        # combinations come by size, then by sorted members
+        sizes = range(len(members) + 1) if scopes == "powerset" else (0, 1)
+        points = sorted(members)
+        return tuple(frozenset(c) for size in sizes
+                     for c in itertools.combinations(points, size))
+    sets = [frozenset(j) for j in scopes]
     for j in sets:
-        if not j <= set(index_set):
+        if not j <= members:
             raise SignatureError(f"scope {sorted(j)} escapes the index set")
     return tuple(sorted(set(sets), key=lambda j: (len(j), sorted(j))))
 
@@ -266,8 +266,8 @@ class FunctionalSetAlgebra:
     Elements are value tuples aligned with the lexicographic assignment
     order. Substitution precomposes with a transformation of the index
     set; cylindrification takes suprema over assignment classes. Its
-    tables (neg, oplus, subst, cyl) over carrier indices are recorded by
-    build_generated: without them it has no indexed view and no contains.
+    view is built with it by build_generated: an algebra built otherwise
+    has no indexed view and no contains.
     """
 
     kind = "functional"
@@ -290,7 +290,6 @@ class FunctionalSetAlgebra:
         self.one = tuple(ONE for _ in self.assignments)
         self._perm_cache = {}
         self._block_cache = {}
-        self._tables = None
         self._indexed = None
 
     # -- element-level operations ------------------------------------
@@ -356,12 +355,9 @@ class FunctionalSetAlgebra:
         return self
 
     def indexed(self):
-        """The IndexedAlgebra of the algebra's tables, on first use."""
+        """The IndexedAlgebra that build_generated built with the algebra."""
         if self._indexed is None:
-            if self._tables is None:
-                raise ValueError("an algebra built without tables has no view")
-            self._indexed = IndexedAlgebra(self, *self._tables)
-            self._tables = None  # the view holds them as rows now
+            raise ValueError("an algebra built without tables has no view")
         return self._indexed
 
     def to_json(self):
@@ -486,7 +482,8 @@ def build_generated(index_set, base, chain, generators, transformations,
     value.update({0: ZERO, top: ONE})
     algebra.carrier = tuple(tuple(map(value.__getitem__, p))
                             for p in elements)
-    algebra._tables = negs, sums, dict(zip(maps, substs)), cyls
+    algebra._indexed = IndexedAlgebra(algebra, negs, sums,
+                                      dict(zip(maps, substs)), cyls)
     # the closure's positions and blocks are |X|^|I| entries each; the
     # element operations rebuild the ones they need
     algebra._perm_cache.clear()
@@ -498,9 +495,10 @@ class AbstractPolyadicAlgebra:
     """Finite MV table algebra with explicit s_tau and c_J tables.
 
     Its elements are the labels of the MV reduct's carrier. It has no
-    element operations: every query reads its tables through indexed().
-    Constructing one performs no polyadic audit: run audit_axioms before
-    trusting the laws (the MV reduct is still audited by TableAlgebra).
+    element operations: every query reads its view, built with it from
+    the validated tables and sharing the MV reduct's view. Constructing
+    one performs no polyadic audit: run audit_axioms before trusting the
+    laws (the MV reduct is still audited by TableAlgebra).
     """
 
     kind = "abstract"
@@ -514,37 +512,30 @@ class AbstractPolyadicAlgebra:
         self.index_set = tuple(sorted(index_set))
         self.transformations = transformations
         self.scopes = scopes
-        self._s = {t: tuple(table) for t, table in s_tables.items()}
-        self._c = {frozenset(j): tuple(table) for j, table in c_tables.items()}
-        self._indexed = None
+        c_tables = {frozenset(j): table for j, table in c_tables.items()}
         for t in transformations:
-            if t not in self._s:
+            if t not in s_tables:
                 raise SignatureError(f"missing substitution table for {t!r}")
         for j in scopes:
-            if frozenset(j) not in self._c:
+            if frozenset(j) not in c_tables:
                 raise SignatureError(f"missing cylinder table for {sorted(j)}")
         # audit_axioms reads its byte rows through tables padded with 0
         # past the carrier, so an index outside it must not get that far
         n = len(mv.carrier)
-        for table in (*self._s.values(), *self._c.values()):
+        for table in (*s_tables.values(), *c_tables.values()):
             if len(table) != n or not all(0 <= v < n for v in table):
                 raise ValueError("a table must hold one carrier index per "
                                  "element")
+        V = mv.indexed()
+        self._indexed = IndexedAlgebra(
+            self, V.neg, V.oplus, {t: s_tables[t] for t in transformations},
+            {j: c_tables[j] if j else V.carrier
+             for j in map(frozenset, scopes)}, V)
 
     def elements(self):
         return self.mv.carrier
 
     def indexed(self):
-        """The IndexedAlgebra of this algebra, read off the tables of its
-        signature, and of its MV reduct's view, which it shares; c_{} is
-        the identity."""
-        if self._indexed is None:
-            V = self.mv.indexed()
-            cyl = {j: self._c[j] if j else V.carrier
-                   for j in map(frozenset, self.scopes)}
-            self._indexed = IndexedAlgebra(
-                self, V.neg, V.oplus,
-                {t: self._s[t] for t in self.transformations}, cyl, V)
         return self._indexed
 
     @classmethod
@@ -558,12 +549,13 @@ class AbstractPolyadicAlgebra:
 
     def corrupted(self, scope, a, b):
         """Copy with two entries of one cylinder table swapped (test hook)."""
-        c_tables = {j: list(t) for j, t in self._c.items()}
+        V = self._indexed
+        c_tables = {j: list(t) for j, t in V.cyl.items()}
         table = c_tables[frozenset(scope)]
         table[a], table[b] = table[b], table[a]
         return AbstractPolyadicAlgebra(
             self.mv, self.index_set, self.transformations, self.scopes,
-            self._s, {j: tuple(t) for j, t in c_tables.items()})
+            V.subst, c_tables)
 
 
 # -- public operations ----------------------------------------------------
@@ -633,9 +625,7 @@ def minimal_support(algebra, p):
 
     if len(index) <= 4:
         # the first support by size; the whole index set is one
-        found = next(frozenset(combo) for size in range(len(index) + 1)
-                     for combo in itertools.combinations(sorted(index), size)
-                     if supports(set(combo)))
+        found = next(filter(supports, normalize_scopes(index, "powerset")))
         if found != greedy and len(found) != len(greedy):
             raise AssertionError(
                 f"greedy support {sorted(greedy)} disagrees with "
@@ -1018,15 +1008,17 @@ def audit_axioms(algebra):
 
     results.append(_audit("dlaw-4-modify", dlaw4_blocks()))
 
+    # the laws of c and their twins for q = ~c~, each declared once over
+    # both: per quantifier, its table of every single index
+    twins = [(x, {i: T[frozenset({i})] for i in singles})
+             for x, T in (("c", C), ("q", Q))]
+
     def dlaw5_blocks():
         # s_t c_i = c_j s_t and s_t q_i = q_j s_t for scopes t^-1{j} = {i}
         for t, s_t, pairs in zip(maps, S, V.injective):
             for (j,), (i,) in (p for p in pairs if len(p[0]) == len(p[1]) == 1):
-                ci, cj = C[frozenset({i})], C[frozenset({j})]
-                qi, qj = Q[frozenset({i})], Q[frozenset({j})]
-                yield laws([
-                    (("D5-c", t, i, j), _read(s_t, ci), _read(cj, s_t)),
-                    (("D5-q", t, i, j), _read(s_t, qi), _read(qj, s_t))])
+                yield laws([((f"D5-{x}", t, i, j), _read(s_t, T[i]),
+                             _read(T[j], s_t)) for x, T in twins])
 
     results.append(_audit("dlaw-5-unique-preimage", dlaw5_blocks()))
 
@@ -1036,23 +1028,16 @@ def audit_axioms(algebra):
             if s_ij is None:
                 continue
             s_ji = V.replacement(j, i)
-            ci, cj = C[frozenset({i})], C[frozenset({j})]
-            qi, qj = Q[frozenset({i})], Q[frozenset({j})]
-            rows = [(("D6-c", i, j), _read(ci, s_ij), s_ij),
-                    (("D6-q", i, j), _read(qi, s_ij), s_ij),
-                    (("D7-c", i, j), _read(s_ij, ci), ci),
-                    (("D7-q", i, j), _read(s_ij, qi), qi)]
-            for k in singles:
-                if k in (i, j):
-                    continue
-                ck, qk = C[frozenset({k})], Q[frozenset({k})]
-                rows += [(("D8-c", i, j, k), _read(s_ij, ck),
-                          _read(ck, s_ij)),
-                         (("D8-q", i, j, k), _read(s_ij, qk),
-                          _read(qk, s_ij))]
+            rows = [((f"D6-{x}", i, j), _read(T[i], s_ij), s_ij)
+                    for x, T in twins]
+            rows += [((f"D7-{x}", i, j), _read(s_ij, T[i]), T[i])
+                     for x, T in twins]
+            rows += [((f"D8-{x}", i, j, k), _read(s_ij, T[k]),
+                      _read(T[k], s_ij))
+                     for k in singles if k not in (i, j) for x, T in twins]
             if s_ji is not None:
-                rows += [(("D9-c", i, j), _read(ci, s_ji), _read(cj, s_ij)),
-                         (("D9-q", i, j), _read(qi, s_ji), _read(qj, s_ij))]
+                rows += [((f"D9-{x}", i, j), _read(T[i], s_ji),
+                          _read(T[j], s_ij)) for x, T in twins]
             yield laws(rows)
 
     results.append(_audit("dlaw-6-9-replacements", dlaw6to9_blocks()))

@@ -41,7 +41,7 @@ import itertools
 from fractions import Fraction
 
 from .mv_core import (
-    MAX_VALUATIONS, Chain, CarrierError, _add, _concat, _level_tables,
+    MAX_VALUATIONS, Chain, CarrierError, Value, _add, _concat, _level_tables,
     _read, _row_type, format_point, format_value, is_json_int,
     is_json_object, json_field, parse_point, parse_value, record,
 )
@@ -100,9 +100,11 @@ class Model:
 
     @property
     def tables(self):
-        """Each table as a dict from point to chain value."""
-        carrier = self.chain.carrier
-        return {pred: {point: carrier[r]
+        """Each table as a dict from point to chain value, level r made
+        r/top once per distinct r: the chain's carrier is not built."""
+        top = self.chain.n - 1
+        value = {r: Value(r, top) for r in set().union(*self.levels.values())}
+        return {pred: {point: value[r]
                        for point, r in zip(self._points(pred), row)}
                 for pred, row in self.levels.items()}
 

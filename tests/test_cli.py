@@ -47,6 +47,18 @@ BAD_PROOF = {
 }
 
 
+HUGE = str(10 ** 30)
+
+# the inputs of commands on a chain of HUGE values, by file name
+HUGE_INPUTS = {
+    "lang.json": {"variables": 2, "reserve": 1,
+                  "predicates": [{"name": "r", "arity": 0}]},
+    "spec.json": {**ALGEBRA_SPEC, "chain": int(HUGE)},
+    "model.json": {"domain": 1, "chain": int(HUGE), "predicates": {
+        "r": {"arity": 0, "table": {"()": "1"}}}},
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
@@ -164,6 +176,32 @@ class TestExitCodes:
         assert code == 2 and report["verdict"] == "error"
         assert "Chain(1000000000) exceeds" in report["reason"]
         assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("argv", [
+        ["logic", "entails", "--language", "lang.json", "--formula", "r",
+         "--chain", HUGE],
+        ["proof", "audit", "--target", "A4", "--chain", HUGE],
+        ["poly", "build", "--spec", "spec.json"],
+        ["poly", "audit", "--spec", "spec.json"],
+        ["henkin", "demo", "--algebra", "spec.json", "--element", "0"],
+        ["interp", "search", "--a", "a.txt", "--b", "b.txt", "--common", ",",
+         "--chain", HUGE],
+        ["logic", "degree", "--model", "model.json", "--formula", "r"],
+        ["semigroup", "closure", "--generators", "[0|1]", "--domain", HUGE],
+        ["semigroup", "eval", "--map", "[0|1]", "--domain", HUGE],
+    ], ids=" ".join)
+    def test_a_chain_or_domain_past_its_cap_is_an_error(self, argv, tmp_path,
+                                                        monkeypatch):
+        # 10^30 levels or points are more than a list can hold
+        monkeypatch.chdir(tmp_path)
+        for name, payload in HUGE_INPUTS.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        for name in ("a.txt", "b.txt"):
+            (tmp_path / name).write_text("T\n")
+        code, report = dispatch(argv)
+        assert code == 2 and report["verdict"] == "error"
+        assert f"{HUGE}) exceeds the level-table cap" in report["reason"] \
+            or f"--domain {HUGE} exceeds the cap" in report["reason"]
 
     def test_valid_over_the_row_cap_reports_why(self, tmp_path):
         # 80^3 = 512,000 assignments of v0, v1, v2 in one model

@@ -708,6 +708,22 @@ class TestIndexedView:
         # the cap admits the Chain(1200) of the filter timings
         assert MAX_CHAIN_VIEW >= 1200
 
+    def test_level_tables_stop_at_their_cap(self):
+        # cleared, so that neither call is answered from the cache
+        cap = mv_core.MAX_CHAIN_LEVELS
+        mv_core._level_tables.cache_clear()
+        try:
+            neg, plus, times = mv_core._level_tables(cap - 1)
+            assert (len(neg), len(plus), len(times)) \
+                == (cap, 2 * cap - 1, 2 * cap - 1)
+            del neg, plus, times
+            with pytest.raises(ViewTooLarge, match=r"^Chain\(1000001\) "
+                               "exceeds the level-table cap of 1000000 "
+                               "values$"):
+                mv_core._level_tables(cap)
+        finally:
+            mv_core._level_tables.cache_clear()
+
 
 class FilterReference:
     """Filters and quotients of a finite algebra from the definitions.

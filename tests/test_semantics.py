@@ -163,6 +163,22 @@ class TestEval:
         assert truth_degree(parse("A{v1} s(v0,v1) (+) p(v0)", RICH),
                             model) == F(1, n - 1)
 
+    def test_a_countermodel_is_reported_without_the_carrier(self,
+                                                            monkeypatch):
+        # each level of a table is written as r/top, built once
+        def unread(chain):
+            raise AssertionError("Chain.carrier was read")
+
+        monkeypatch.setattr(Chain, "carrier", property(unread))
+        n = 10 ** 6
+        language = LanguageSpec(num_vars=2, reserve=1, predicates=(("r", 0),))
+        verdict = entails([], parse("r -> r (*) r", language), language, 1,
+                          n, cap=n)
+        assert verdict.refuted
+        assert verdict.model.to_json() == {
+            "domain": 1, "chain": n,
+            "predicates": {"r": {"arity": 0, "table": {"()": f"1/{n - 1}"}}}}
+
     def test_compiles_once_per_formula_and_chain(self, monkeypatch):
         compiled = []
 
