@@ -152,12 +152,12 @@ def check_axiom_instance(schema, phi, language, data=None, mode="printed"):
             block, body, target = phi.right.block, phi.right.body, phi.left
         if set(tau) != set(block):
             return AxiomVerdict(False, "dom(tau) must be exactly the block")
-        banned = bound_vars(body)
+        banned, variables = bound_vars(body), set(language.variables)
         for v, image in tau.items():
             if image in banned:
                 return AxiomVerdict(
                     False, f"SideConditionViolated: tau({v}) = {image} is bound")
-            if image not in set(language.variables):
+            if image not in variables:
                 return AxiomVerdict(False, f"tau({v}) = {image} is outside V")
         if target != substitute_free(tau, body):
             return AxiomVerdict(False, "instance is not S_f(tau) of the body")
@@ -375,9 +375,10 @@ def _random_instance(rng, schema, language, honest=True, mode="printed"):
             if not honest:
                 pool = usable
                 break
-            pool = [v for v in usable if v not in free_vars(a)]
+            banned = free_vars(a)
             if schema == "A4" and mode == "strict":
-                pool = [v for v in pool if v not in free_vars(b)]
+                banned = banned | free_vars(b)
+            pool = [v for v in usable if v not in banned]
             if pool:
                 break  # otherwise redraw: a legal block must exist
         block = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
@@ -392,7 +393,8 @@ def _random_instance(rng, schema, language, honest=True, mode="printed"):
             # bias images toward bound variables so capture actually occurs
             pool = sorted(bound_vars(body)) or usable
             break
-        pool = [v for v in usable if v not in bound_vars(body)]
+        banned = bound_vars(body)
+        pool = [v for v in usable if v not in banned]
         if pool:
             break
     block = frozenset(rng.sample(usable, rng.randint(1, min(2, len(usable)))))
@@ -467,8 +469,8 @@ def _audit_rule_once(rng, rule, language, max_domain, chain_n):
         premises = [phi]
         conclusion = Forall(block, phi)
     elif rule == "FreeSubInv":
-        fv = sorted(free_vars(phi))
-        pool = [v for v in usable if v not in bound_vars(phi)]
+        fv, banned = sorted(free_vars(phi)), bound_vars(phi)
+        pool = [v for v in usable if v not in banned]
         if len(pool) < len(fv):
             return None
         images = rng.sample(pool, len(fv))

@@ -10,28 +10,26 @@ standing for r/(n-1). A formula is read as the paper reads it, as an
 element of a polyadic MV set algebra: a map from assignments into the
 chain, where the connectives act pointwise and E and A are
 cylindrifications (block sup and inf). A RowProgram compiles formulas once
-into steps, one per distinct subformula, and evaluates each step as one
-row: its levels at every assignment of its variables and every model of a
-batch. Rows, their type and the level tables come from mv_core
-(`_row_type(2 * top)`, `_level_tables`, `_read`, `_add`, `_concat`), so
-that on byte rows a step is a few passes in C: a translate through a
-level table, a big-int add of two rows, slicing and repetition. E and A
-fold a row's blocks with the lattice operations, on byte rows written in
-the MV ones, x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), and on
-tuple rows max and min. `entails` takes the models of one domain size in
-chunks of canonical order (`model_chunks`), reads atoms off per-cell model
-columns, finds the first countermodel of a chunk by row operations too,
-and stops at the first chunk that holds one. Values are kept along the
-surjection h(x) = min(x, k - 1) from a larger domain onto one of size k,
-so a model is a countermodel iff its lift along h is one: `entails`
-searches the largest domain first, and the smaller ones, in ascending
-order, only if it holds a countermodel. `eval_formula` compiles a
-formula once per chain, and it, `is_valid` and `truth_degree` evaluate a
-batch of one model. A row's assignments per model are capped at
-MAX_VALUATIONS before any row is built. `Fraction` values appear only at
-the edges: a user-supplied Model is read into levels once, a result level
-r comes back as the chain value r/top (the chain's carrier is never
-built), and a Model is built only for a reported countermodel.
+into steps, one per distinct subformula, reading variable orders, spread
+axes and atom cells off bounded caches (`_ordered`, `_missing`,
+`_atom_cells`, whose cell tuples are shared, so never changed), and
+evaluates each step as one row: its levels at every assignment of its
+variables and every model of a batch. Rows, their type and the level tables
+come from mv_core (`_row_type(2 * top)`, `_level_tables`, `_read`, `_add`,
+`_concat`), so that on byte rows a step is a few passes in C: a translate
+through a level table, a big-int add of two rows, slicing and repetition.
+`entails` takes the models of one domain size in chunks of canonical order
+(`model_chunks`), reads atoms off per-cell model columns, finds the first
+countermodel of a chunk by row operations too, and stops at the first chunk
+that holds one. It searches the largest domain first, and the smaller ones,
+in ascending order, only if that one holds a countermodel: a model of size
+k is a countermodel iff its lift along h(x) = min(x, k - 1) is one.
+`eval_formula` compiles a formula once per chain, and it, `is_valid` and
+`truth_degree` evaluate a batch of one model. A row's assignments per model
+are capped at MAX_VALUATIONS before any row is built. `Fraction` values
+appear only at the edges: a user-supplied Model is read into levels once, a
+result level r comes back as the chain value r/top (the chain's carrier is
+never built), and a Model is built only for a reported countermodel.
 """
 
 from __future__ import annotations
@@ -180,10 +178,12 @@ class RowProgram:
     each is a pass or two in C. A `spread` step repeats a row along the
     variables it lacks, so that the two rows of a connective line up; and
     E and A take the join and meet of the row's blocks along one variable
-    (cylindrification), on byte rows from x v y = (x (*) ~y) (+) y and
-    x ^ y = x (*) (~x (+) y). Steps are memoized by their operation,
-    operands and variables, so a subformula repeated across the compiled
-    formulas is computed once per batch.
+    (cylindrification). Steps are memoized by their operation, operands
+    and variables, so a subformula repeated across the compiled formulas
+    is computed once per batch. Variable orders, spread axes and atom
+    cells come from lru_caches of at most 1024, 1024 and 256 entries
+    (`_ordered`, `_missing`, `_atom_cells`); a cell tuple, of at most
+    MAX_VALUATIONS cells, is shared between programs, so never changed.
 
     With `fix_free`, every free occurrence of a variable spans no axis:
     the program's rows span only the bound variables, `fixed` names the
@@ -209,32 +209,36 @@ class RowProgram:
             if self.fix_free:
                 variables = tuple(v for v in variables if v in bound)
                 self.fixed.update(v for v in phi.args if v not in bound)
-            if len(variables) > 1:
-                variables = tuple(sorted(set(variables), key=_var_key))
             self.predicates.add(phi.pred)
-            return self._step(("atom", phi.pred, phi.args), variables)
+            return self._step(("atom", phi.pred, phi.args),
+                              _ordered(variables))
         op = _CONNECTIVES.get(kind)
         if op is not None:
             left = self.add(phi.left, bound)
             right = self.add(phi.right, bound)
-            if kind is Implies:
-                left = self._negate(left)  # x -> y is ~x (+) y
+            if kind is Implies:  # x -> y is ~x (+) y
+                left = self._step(("neg", left, None), self.vars[left])
             if left > right:
                 left, right = right, left  # (+) and (*) commute
-            want, other = self.vars[left], self.vars[right]
-            if want != other:
-                want = tuple(sorted(set(want + other), key=_var_key))
-            return self._step((op, self._spread(left, want),
-                               self._spread(right, want)), want)
+            have, other = self.vars[left], self.vars[right]
+            want = have if have == other else _ordered(have + other)
+            if have != want:
+                left = self._step(("spread", left, _missing(have, want)), want)
+            if other != want:
+                right = self._step(("spread", right, _missing(other, want)),
+                                   want)
+            return self._step((op, left, right), want)
         if kind is Neg:
-            return self._negate(self.add(phi.body, bound))
+            slot = self.add(phi.body, bound)
+            return self._step(("neg", slot, None), self.vars[slot])
         if kind is Top or kind is Bottom:
             return self._step(("const", self.top if kind is Top else 0,
                                None), ())
         if kind is Forall or kind is Exists:
-            slot = self.add(phi.body, bound | phi.block)
+            slot = self.add(phi.body,
+                            bound | phi.block if self.fix_free else bound)
             op = "sup" if kind is Exists else "inf"
-            for var in sorted(phi.block, key=_var_key):
+            for var in _ordered(phi.block):
                 have = self.vars[slot]
                 if var in have:
                     slot = self._step(
@@ -252,15 +256,11 @@ class RowProgram:
             self.vars.append(variables)
         return slot
 
-    def _negate(self, slot):
-        return self._step(("neg", slot, None), self.vars[slot])
-
     def _spread(self, slot, want):
         have = self.vars[slot]
         if have == want:
             return slot
-        return self._step(("spread", slot, tuple(
-            j for j, var in enumerate(want) if var not in have)), want)
+        return self._step(("spread", slot, _missing(have, want)), want)
 
     def width(self, size):
         """The most assignments a row spans per model at a domain size.
@@ -274,27 +274,16 @@ class RowProgram:
         return size ** most
 
     def atom_cells(self, size, offsets, fixed=None):
-        """Per atom step, the table cell it reads under each assignment of
-        its variables; `offsets` gives each predicate's first cell, and
-        `fixed` the value of each variable in `self.fixed`. A point is read
-        in base `size`, its last argument least significant, so a cell is
-        the offset plus each argument's value times its place."""
+        """Per atom step, its table cells (_atom_cells) at a domain size;
+        `offsets` gives each predicate's first cell, and `fixed` the value
+        of each variable in `self.fixed`."""
         cells = {}
         for slot, (op, pred, args) in enumerate(self.steps):
-            if op != "atom":
-                continue
-            cell, place, places = offsets[pred], 1, dict.fromkeys(
-                self.vars[slot], 0)
-            for v in reversed(args):
-                if v in places:
-                    places[v] += place
-                else:
-                    cell += fixed[v] * place
-                place *= size
-            reads = [cell]
-            for place in places.values():
-                reads = [c + x * place for c in reads for x in range(size)]
-            cells[slot] = reads
+            if op == "atom":
+                variables = self.vars[slot]
+                cells[slot] = _atom_cells(
+                    offsets[pred], args, variables, size,
+                    tuple(fixed[v] for v in args if v not in variables))
         return cells
 
     def run(self, size, cells, count, columns, rows, stop):
@@ -374,6 +363,38 @@ class RowProgram:
                         len(self.steps))
 
 
+@functools.lru_cache(maxsize=1024)
+def _ordered(variables):
+    """The distinct variables in the order of syntax._var_key."""
+    return tuple(sorted(set(variables), key=_var_key))
+
+
+@functools.lru_cache(maxsize=1024)
+def _missing(have, want):
+    """The axes of `want` whose variables `have` lacks."""
+    return tuple(j for j, var in enumerate(want) if var not in have)
+
+
+@functools.lru_cache(maxsize=256)
+def _atom_cells(offset, args, variables, size, values):
+    """The table cells an atom reads under each assignment of its
+    `variables`, in product order: `offset` is its predicate's first cell,
+    `values` hold its other arguments', in order, and a point is read in
+    base `size`, its last argument least significant."""
+    cell, place, places = offset, 1, dict.fromkeys(variables, 0)
+    values = reversed(values)
+    for v in reversed(args):
+        if v in places:
+            places[v] += place
+        else:
+            cell += next(values) * place
+        place *= size
+    reads = [cell]
+    for place in places.values():
+        reads = [c + x * place for c in reads for x in range(size)]
+    return tuple(reads)
+
+
 def _spread_axis(row, j, size):
     """The row with a new variable at axis j that it does not depend on."""
     block = len(row) // size ** j
@@ -384,12 +405,9 @@ def _spread_axis(row, j, size):
 
 
 def _cylinder(row, j, size, bound):
-    """The bound (join or meet) of the row over the values of axis j: the
-    row's entries at each value of j, laid end to end (one strided slice
-    per value when they are single entries), then folded. On byte rows,
-    the join and meet are built from ~, (+) and (*) as
-    x v y = (x (*) ~y) (+) y and x ^ y = x (*) (~x (+) y), so a fold is
-    translates and big-int adds; tuple rows take max and min."""
+    """The bound (RowProgram.join or meet) of the row over the values of
+    axis j: the row's entries at each value of j, laid end to end (one
+    strided slice per value when they are single entries), then folded."""
     block = len(row) // size ** j
     step = block // size
     if step == 1:

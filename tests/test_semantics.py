@@ -15,7 +15,7 @@ from mvlogic.semantics import (
 )
 from mvlogic.syntax import (
     Atom, Bottom, Exists, Forall, Implies, LanguageSpec, Neg, Odot, Oplus,
-    Top, free_vars, parse, random_formula, render, substitute,
+    Top, _var_key, free_vars, parse, random_formula, render, substitute,
 )
 
 LANG = LanguageSpec(num_vars=4, reserve=1, predicates=(("p", 1),))
@@ -24,28 +24,45 @@ PROPS = LanguageSpec(num_vars=2, reserve=1,
                      predicates=(("a", 0), ("b", 0), ("c", 0)))
 
 
-def _prop_eval(phi, valuation, chain):
-    """Direct recursive valuation of a quantifier-free formula, in
-    Fractions: the reference for the semantics evaluator and for
-    interlab's truth tables on levels."""
-    if isinstance(phi, Atom):
-        return valuation[phi.pred]
-    if isinstance(phi, Top):
-        return ONE
-    if isinstance(phi, Bottom):
-        return ZERO
-    if isinstance(phi, Neg):
-        return chain.neg(_prop_eval(phi.body, valuation, chain))
-    if isinstance(phi, Oplus):
-        return chain.oplus(_prop_eval(phi.left, valuation, chain),
-                           _prop_eval(phi.right, valuation, chain))
-    if isinstance(phi, Odot):
-        return chain.odot(_prop_eval(phi.left, valuation, chain),
-                          _prop_eval(phi.right, valuation, chain))
-    if isinstance(phi, Implies):
-        return chain.implies(_prop_eval(phi.left, valuation, chain),
-                             _prop_eval(phi.right, valuation, chain))
-    raise ValueError("propositional scope admits no quantifiers")
+def _prop_eval(phi, valuation, chain, model=None):
+    """Direct recursive Tarskian valuation, in Fractions: the reference for
+    the semantics evaluator and for interlab's truth tables on levels.
+    Without a model, `valuation` gives each (nullary) predicate its value
+    and quantifiers are refused; with one, it gives each variable an
+    element, an atom reads the model's table at its arguments' values, and
+    E and A take the max and min over the domain of each block variable."""
+    tables = None if model is None else model.tables
+
+    def value(phi, s):
+        if isinstance(phi, Atom):
+            if tables is None:
+                return s[phi.pred]
+            return tables[phi.pred][tuple(s[v] for v in phi.args)]
+        if isinstance(phi, Top):
+            return ONE
+        if isinstance(phi, Bottom):
+            return ZERO
+        if isinstance(phi, Neg):
+            return chain.neg(value(phi.body, s))
+        if isinstance(phi, Oplus):
+            return chain.oplus(value(phi.left, s), value(phi.right, s))
+        if isinstance(phi, Odot):
+            return chain.odot(value(phi.left, s), value(phi.right, s))
+        if isinstance(phi, Implies):
+            return chain.implies(value(phi.left, s), value(phi.right, s))
+        if tables is None:
+            raise ValueError("propositional scope admits no quantifiers")
+        bound = max if isinstance(phi, Exists) else min
+
+        def over(block, s):
+            if not block:
+                return value(phi.body, s)
+            return bound(over(block[1:], {**s, block[0]: x})
+                         for x in model.domain)
+
+        return over(sorted(phi.block), s)
+
+    return value(phi, valuation)
 
 
 def agrees_off(s, t, block):
@@ -74,7 +91,8 @@ class TestEval:
         assert eval_formula(phi, example_model, Assignment()) == F(3, 10)
 
     def test_quantifiers_against_brute_force(self):
-        # oracle: enumerate every assignment of all variables
+        # oracle: the Tarskian recursion of _prop_eval at every assignment
+        # of all variables, E and A by brute force over the domain
         rng = random.Random(0)
         chain = Chain(3)
         for _ in range(60):
@@ -82,9 +100,11 @@ class TestEval:
             phi = random_formula(rng, RICH, 3)
             for choice in itertools.product(model.domain,
                                             repeat=len(RICH.variables)):
-                s = Assignment(dict(zip(RICH.variables, choice)))
-                direct = eval_formula(phi, model, s)
+                valuation = dict(zip(RICH.variables, choice))
+                direct = eval_formula(phi, model, Assignment(valuation))
                 assert chain.contains(direct)
+                assert direct == _prop_eval(phi, valuation, chain, model), \
+                    (render(phi), choice)
 
     def test_missing_table(self):
         model = Model(LANG, 2, Chain(3), {})
@@ -569,3 +589,126 @@ class TestLift:
                                   max_domain, chain_n, cap=3000) \
                 == search_outcome(ascending_entails, gamma, phi, LIFT_LANG,
                                   max_domain, chain_n, cap=3000)
+
+
+# -- the compile and the atom cells it reads ------------------------------
+
+class ReferenceProgram:
+    """RowProgram's compile as written without its caches: every variable
+    order sorted and every spread axis found afresh at each node. The
+    steps and variables it lists are what RowProgram.add must produce."""
+
+    def __init__(self, top, fix_free=False):
+        self.top, self.fix_free = top, fix_free
+        self.steps, self.vars, self._slots = [], [], {}
+
+    def add(self, phi, bound=frozenset()):
+        kind = type(phi)
+        if kind is Atom:
+            variables = phi.args
+            if self.fix_free:
+                variables = tuple(v for v in variables if v in bound)
+            if len(variables) > 1:
+                variables = tuple(sorted(set(variables), key=_var_key))
+            return self._step(("atom", phi.pred, phi.args), variables)
+        if kind in (Oplus, Odot, Implies):
+            left = self.add(phi.left, bound)
+            right = self.add(phi.right, bound)
+            if kind is Implies:
+                left = self._negate(left)
+            if left > right:
+                left, right = right, left
+            want, other = self.vars[left], self.vars[right]
+            if want != other:
+                want = tuple(sorted(set(want + other), key=_var_key))
+            op = "times" if kind is Odot else "plus"
+            return self._step((op, self._spread(left, want),
+                               self._spread(right, want)), want)
+        if kind is Neg:
+            return self._negate(self.add(phi.body, bound))
+        if kind is Top or kind is Bottom:
+            return self._step(("const", self.top if kind is Top else 0,
+                               None), ())
+        slot = self.add(phi.body, bound | phi.block)
+        op = "sup" if kind is Exists else "inf"
+        for var in sorted(phi.block, key=_var_key):
+            have = self.vars[slot]
+            if var in have:
+                slot = self._step((op, slot, have.index(var)),
+                                  tuple(v for v in have if v != var))
+        return slot
+
+    def _step(self, step, variables):
+        key = step, variables
+        if key not in self._slots:
+            self._slots[key] = len(self.steps)
+            self.steps.append(step)
+            self.vars.append(variables)
+        return self._slots[key]
+
+    def _negate(self, slot):
+        return self._step(("neg", slot, None), self.vars[slot])
+
+    def _spread(self, slot, want):
+        have = self.vars[slot]
+        if have == want:
+            return slot
+        return self._step(("spread", slot, tuple(
+            j for j, var in enumerate(want) if var not in have)), want)
+
+
+class TestCompile:
+    def test_programs_match_the_uncached_compile(self):
+        # 600 goals, each with its hypotheses in one program as entails
+        # compiles them, and each formula alone with its free variables
+        # fixed
+        kinds = set()
+        for gamma, phi, _, chain_n in search_problems(21, 600):
+            for fix_free, group in [(False, [phi, *gamma]),
+                                    *((True, [f]) for f in [phi, *gamma])]:
+                program = semantics.RowProgram(chain_n - 1, fix_free)
+                reference = ReferenceProgram(chain_n - 1, fix_free)
+                assert [program.add(f) for f in group] \
+                    == [reference.add(f) for f in group]
+                assert (program.steps, program.vars) \
+                    == (reference.steps, reference.vars), \
+                    [render(f) for f in group]
+                kinds |= {step[0] for step in program.steps}
+        assert kinds == {"atom", "const", "neg", "plus", "times", "spread",
+                         "sup", "inf"}
+
+    def test_atom_cells_read_each_point(self):
+        # an atom's cells list, over the product of its variables, the
+        # offset plus each argument's value times size^(arity - 1 - i)
+        rng = random.Random(22)
+        arities = set()
+        for i in range(300):
+            fix_free = i % 2 == 1
+            program = semantics.RowProgram(2, fix_free)
+            program.add(random_formula(rng, LIFT_LANG, rng.randint(1, 4)))
+            for size in (1, 2, 3):
+                offsets = {p: rng.randrange(20) for p, _ in
+                           LIFT_LANG.predicates}
+                fixed = {v: rng.randrange(size) for v in program.fixed}
+                cells = program.atom_cells(size, offsets,
+                                           fixed if fix_free else None)
+                atoms = [slot for slot, step in enumerate(program.steps)
+                         if step[0] == "atom"]
+                assert sorted(cells) == atoms
+                for slot in atoms:
+                    _, pred, args = program.steps[slot]
+                    variables = program.vars[slot]
+                    expected = []
+                    for values in itertools.product(range(size),
+                                                    repeat=len(variables)):
+                        s = {**fixed, **dict(zip(variables, values))}
+                        expected.append(offsets[pred] + sum(
+                            s[v] * size ** (len(args) - 1 - k)
+                            for k, v in enumerate(args)))
+                    assert type(cells[slot]) is tuple
+                    assert list(cells[slot]) == expected, (args, variables)
+                    arities.add(len(args))
+        assert arities == {0, 1, 2}
+        for cache in (semantics._ordered, semantics._missing,
+                      semantics._atom_cells):
+            assert cache.cache_parameters()["maxsize"] is not None
