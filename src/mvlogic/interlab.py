@@ -8,10 +8,14 @@ each candidate's truth table on chain levels once (`_levels`) against two
 envelopes of a and b over the common atoms, and stops at MAX_CANDIDATES.
 The Henkin filter holds the maximal `Filter` it found, one of the
 algebra's own `maximal_filters`, so the Henkin search, both maps and
-`quotient` share one validated set per algebra. Both representation
-maps, by quotient rank here and by graded degree in `pavelka`, are one psi
-(`build_psi`) with one clause list (`represent`), checked by `clause_result`
-and `homomorphism_clauses` on products and k-variants off the view.
+`quotient` share one validated set per algebra. Each maximal filter
+keeps, for its lifetime, its Henkin witnesses (or None, when a pair has
+none) and its quotient ranks (see mv_core.kept), which a later Henkin
+build, crisp map or `quotient` on the same filter reads; an error is
+never kept. Both representation maps, by quotient rank here and by
+graded degree in `pavelka`, are one psi (`build_psi`) with one clause
+list (`represent`), checked by `clause_result` and
+`homomorphism_clauses` on products and k-variants off the view.
 
 The Henkin search and both maps read a row once per distinct value: the
 witness search reads the filter's membership row once at c_k and once at
@@ -31,7 +35,8 @@ from . import mv_core, semantics, syntax
 from .mv_core import (  # noqa: F401
     MAX_VALUATIONS, AuditReport, Chain, _add, _instance, _interleave,
     _level_tables, _read, _row_type, _transpose, clause_result,
-    column_block, homomorphism_clauses, maximal_filters, quotient, record,
+    column_block, homomorphism_clauses, kept, maximal_filters, quotient,
+    record,
 )
 from .polyadic import FunctionalSetAlgebra, _check_signature
 from .syntax import (
@@ -270,7 +275,10 @@ def henkin_filter_build(algebra, a):
     so the fallback is recorded per pair rather than imposed. A filter
     with a witness-less pair is skipped; Exhausted reports how many
     candidates were examined. A value outside the carrier is refused
-    with a SignatureError naming it.
+    with a SignatureError naming it. The witnesses depend on the filter
+    alone, and are found once per maximal filter and kept on it (see
+    mv_core.kept): the tuple, or None for a filter with a witness-less
+    pair.
     """
     if a == algebra.zero:
         raise ZeroElement("the starting element must be nonzero")
@@ -305,13 +313,13 @@ def henkin_filter_build(algebra, a):
                         break
                 else:
                     return None
-        return found
+        return tuple(found)
 
     candidates = [f for f in maximal_filters(algebra) if start in f.ids]
     for flt in candidates:
-        found = witnesses(flt.ids)
+        found = kept(flt, "witnesses", lambda: witnesses(flt.ids))
         if found is not None:
-            return HenkinFilter(flt, a, tuple(found))
+            return HenkinFilter(flt, a, found)
     return Exhausted(len(candidates))
 
 

@@ -11,10 +11,13 @@ its hash once, and otherwise behaves as the Fraction of its value.
 Every finite algebra has one `IndexedMV` view (`algebra.indexed()`): its
 operations as integer tables over carrier indices, a table algebra's own
 tables. A view holds tables only. Filters belong to the algebra: a
-`Filter` names its algebra, and `maximal_filters` builds and validates an
-algebra's maximal filters once, for every later query of that algebra.
-Filters, quotients and the axiom audit compute on the view's tables;
-elements appear only in their arguments, results and error messages.
+`Filter` names its algebra. What a query answers from an object alone is
+computed once and kept on that object for its lifetime (`kept`): an
+algebra keeps its maximal filters (`maximal_filters`), and each maximal
+filter its quotient ranks (`quotient_ranks`). A kept value is a record
+or a tuple; an error is raised on every call and never kept. Filters,
+quotients and the axiom audit compute on the view's tables; elements
+appear only in their arguments, results and error messages.
 
 Every exhaustive check of the package computes on rows of chain levels or
 carrier indices through the row primitives here: `_row_type`, `_read`,
@@ -182,6 +185,13 @@ MAX_CHAIN_VIEW = 1500
 # The longest chain that gets level tables: 0.12 s at the cap (Python 3.11).
 MAX_CHAIN_LEVELS = 10 ** 6
 
+# The most entries that the list tables of chains past 128 values hold
+# together between calls: those of one chain at MAX_CHAIN_LEVELS (about
+# 70 MB, Python 3.11), so that every chain is kept for its next call but
+# a run of long chains does not pile up. Byte tables (768 bytes a chain)
+# are all kept and not counted.
+MAX_LEVEL_ENTRIES = 5 * MAX_CHAIN_LEVELS
+
 # The largest carrier the exhaustive check_mv_axioms audits. Associativity
 # reads n^3 triples as table rows, 10^6 at the cap: Chain(100) takes about
 # 0.9 s (Python 3.11), and a larger carrier exits 2 rather than getting a
@@ -344,6 +354,24 @@ class derived:
         return value
 
 
+def kept(owner, key, build):
+    """build() once per owner object and key, then the same value for the
+    owner's lifetime: kept in the owner's `_kept` dict, set through
+    object.__setattr__ so that records keep values too. An exception of
+    build is raised and nothing is kept, so a failing query fails again
+    on every call. Callers keep records and tuples, not lists or dicts
+    that one caller could change under another."""
+    store = getattr(owner, "_kept", None)
+    if store is None:
+        store = {}
+        object.__setattr__(owner, "_kept", store)
+    try:
+        return store[key]
+    except KeyError:
+        value = store[key] = build()
+        return value
+
+
 class IndexedMV:
     """A finite MV algebra as operation tables over carrier indices.
 
@@ -397,21 +425,36 @@ def _row_type(most):
     return bytes if most <= 255 else tuple
 
 
-@functools.lru_cache(maxsize=16)
+_LEVEL_TABLES = {}  # top -> _level_tables(top), in the order built
+
+
 def _level_tables(top):
     """(~, (+), (*)) on the levels 0..top of a finite chain, in the form
     _read takes for rows of _row_type(2 * top): ~ at a level, and (+) and
     (*) at the sum a + b of two levels, min(a + b, top) and
     max(a + b - top, 0); byte strings padded to 256 bytes, which _read
-    takes without a copy, or lists. A chain of more than MAX_CHAIN_LEVELS
-    values raises ViewTooLarge before any table is built."""
-    if top >= MAX_CHAIN_LEVELS:
-        raise ViewTooLarge(f"Chain({top + 1}) exceeds the level-table cap "
-                           f"of {MAX_CHAIN_LEVELS} values")
-    tables = (list(range(top, -1, -1)), [*range(top), *[top] * (top + 1)],
-              [*[0] * top, *range(top + 1)])
-    if _row_type(2 * top) is bytes:
-        return tuple(bytes(t).ljust(256, b"\0") for t in tables)
+    takes without a copy, or lists, whose entries share one int per level.
+    A chain of more than MAX_CHAIN_LEVELS values raises ViewTooLarge
+    before any table is built.
+
+    The tables are kept for later calls: all byte tables, and list tables
+    up to MAX_LEVEL_ENTRIES entries in all, the oldest built leaving
+    first."""
+    tables = _LEVEL_TABLES.get(top)
+    if tables is None:
+        if top >= MAX_CHAIN_LEVELS:
+            raise ViewTooLarge(f"Chain({top + 1}) exceeds the level-table "
+                               f"cap of {MAX_CHAIN_LEVELS} values")
+        levels = list(range(top + 1))
+        tables = (levels[::-1], levels[:top] + [top] * (top + 1),
+                  [0] * top + levels)
+        if _row_type(2 * top) is bytes:
+            tables = tuple(bytes(t).ljust(256, b"\0") for t in tables)
+        _LEVEL_TABLES[top] = tables
+        # the list tables of t hold 5 t + 3 entries
+        lists = [t for t in _LEVEL_TABLES if _row_type(2 * t) is not bytes]
+        while sum(5 * t + 3 for t in lists) > MAX_LEVEL_ENTRIES:
+            del _LEVEL_TABLES[lists.pop(0)]
     return tables
 
 
@@ -1148,17 +1191,16 @@ def filter_generator(flt):
 def maximal_filters(algebra):
     """All maximal proper filters, in carrier order of their atoms.
 
-    They are built and validated once per algebra object and kept on it,
-    as algebra._maximal; each call returns a new list of the
-    same Filter objects. A FilterError is raised and not kept, so a
-    corrupted table raises it again on every call.
+    They are built and validated once per algebra object and kept on it
+    (see kept); each call returns a new list of the same Filter objects.
+    A FilterError is raised and not kept, so a corrupted table raises it
+    again on every call.
     """
-    filters = getattr(algebra, "_maximal", None)
-    if filters is None:
+    def build():
         V, _, dec = _coding(algebra)
-        filters = algebra._maximal = tuple(
-            _up_set(algebra, V, dec, e) for e in _skeleton_atoms(V))
-    return list(filters)
+        return tuple(_up_set(algebra, V, dec, e) for e in _skeleton_atoms(V))
+
+    return list(kept(algebra, "maximal", build))
 
 
 def extend_to_maximal(algebra, flt, constraint=None):
@@ -1182,7 +1224,14 @@ def quotient_ranks(flt):
     filter's algebra's view. The congruence is a ~ b iff (a->b)(*)(b->a)
     is in F. The class order must be total and the ranks a homomorphism
     onto the chain's levels; any breach means the filter was not maximal.
+    The pair is computed once per filter object and kept on it (see
+    kept), so `quotient` and the representation maps share it; an error
+    is raised on every call.
     """
+    return kept(flt, "ranks", lambda: _quotient_ranks(flt))
+
+
+def _quotient_ranks(flt):
     if not flt.is_proper:
         raise ProperFilterRequired("quotient by the improper filter is degenerate")
     V, _, dec = _coding(flt.algebra)

@@ -11,7 +11,7 @@ import itertools
 
 from .mv_core import (
     AuditReport, Chain, Filter, ZERO, _coding, _instance, _level_tables,
-    clause_result, filter_ids, record,
+    clause_result, filter_ids, kept, record,
 )
 from .interlab import HenkinFilter, represent
 
@@ -152,14 +152,21 @@ def functional_pavelka(algebra, require_full=True):
 
     The constants are the chain values realized as constant functions in
     the carrier; with require_full every chain value must be realized.
+    The Pavelka algebra is built once per algebra object and value of
+    require_full, and kept on the algebra (see mv_core.kept); the
+    ValueError of a missing constant is raised on every call.
     """
-    size = len(algebra.assignments)
-    table = {r: (r,) * size for r in algebra.chain.carrier
-             if algebra.contains((r,) * size)}
-    if require_full and len(table) != algebra.chain.n:
-        missing = [r for r in algebra.chain.carrier if r not in table]
-        raise ValueError(f"carrier lacks constant functions for {missing}")
-    return PavelkaAlgebra.make(algebra, algebra.chain, table)
+    def build():
+        size = len(algebra.assignments)
+        table = {r: (r,) * size for r in algebra.chain.carrier
+                 if algebra.contains((r,) * size)}
+        if require_full and len(table) != algebra.chain.n:
+            missing = [r for r in algebra.chain.carrier if r not in table]
+            raise ValueError(
+                f"carrier lacks constant functions for {missing}")
+        return PavelkaAlgebra.make(algebra, algebra.chain, table)
+
+    return kept(algebra, ("pavelka", require_full), build)
 
 
 def pavelka_representation(algebra, pav, hf):

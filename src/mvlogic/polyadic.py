@@ -28,7 +28,8 @@ mv_core's `Value` (a Fraction that hashes once), the specs and the
 reports.
 
 The auditor checks the endomorphism laws once per distinct substitution
-table.
+table, and audits an algebra object once: the report is kept on the
+algebra (see mv_core.kept).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from operator import contains, getitem
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
     Value, _add, _concat, _instance, _interleave, _level_tables, _read, _row_type,
-    derived, escape_blocks, first_witness, format_point, format_value,
+    derived, escape_blocks, first_witness, format_point, format_value, kept,
     is_json_int, is_json_object, is_json_str, json_field, json_index_into,
     json_list_of, parse_point, parse_value, record,
 )
@@ -92,7 +93,7 @@ def _classes(rows, index_set, j):
     groups = {}
     for pos, x in enumerate(rows):
         groups.setdefault(tuple(x[k] for k in off), []).append(pos)
-    return list(groups.values())
+    return tuple(map(tuple, groups.values()))
 
 
 def _assignment_count(points, base):
@@ -155,7 +156,6 @@ class IndexedAlgebra(IndexedMV):
         self.subst = {t: self.row(table) for t, table in subst.items()}
         self.cyl = {frozenset(j): self.row(table) for j, table in cyl.items()}
         self._cylinders = {frozenset(): self.row(self.carrier), **self.cyl}
-        self._agreement = {}
 
     @derived
     def odot(self):
@@ -188,13 +188,11 @@ class IndexedAlgebra(IndexedMV):
 
     def agreement(self, j):
         """The positions of the maps grouped by their values off J; the
-        groups, by their first member, and each group in map order. Kept
-        per J."""
+        groups, by their first member, and each group in map order, as
+        tuples. Kept per J (see mv_core.kept)."""
         j = frozenset(j)
-        if j not in self._agreement:
-            self._agreement[j] = _classes([t.values for t in self.maps],
-                                          self.algebra.index_set, j)
-        return self._agreement[j]
+        return kept(self, ("agreement", j), lambda: _classes(
+            [t.values for t in self.maps], self.algebra.index_set, j))
 
     @derived
     def injective(self):
@@ -341,7 +339,7 @@ class FunctionalSetAlgebra:
             for bid, positions in enumerate(classes):
                 for pos in positions:
                     block_id[pos] = bid
-            blocks = (tuple(block_id), tuple(map(tuple, classes)))
+            blocks = (tuple(block_id), classes)
             self._block_cache[key] = blocks
         return blocks
 
@@ -777,7 +775,14 @@ def audit_axioms(algebra):
     . read through t and at t), and walked over every (p, b) only if that
     differs. No law of the algebra is assumed, so this holds of corrupted
     tables too.
+
+    The report is computed once per algebra object and kept on it (see
+    mv_core.kept): a later call returns the same report.
     """
+    return kept(algebra, "audit", lambda: _audit_axioms(algebra))
+
+
+def _audit_axioms(algebra):
     V = algebra.indexed()
     els = V.carrier
     n = len(els)

@@ -8,9 +8,9 @@ import time
 import pytest
 
 from builders import to_table
-from mvlogic import cli, interlab
-from mvlogic.cli import dispatch, main
-from mvlogic.polyadic import algebra_from_json
+from mvlogic import cli, interlab, transform
+from mvlogic.cli import MAX_RICH_N, dispatch, main
+from mvlogic.polyadic import FunctionalSetAlgebra, algebra_from_json
 from test_golden import GOLDEN, load_manifest
 
 MODEL = {
@@ -165,6 +165,23 @@ class TestExitCodes:
         assert code == 2
         assert report["reason"] == \
             "Chain(100000) exceeds the exhaustive audit cap of 100 elements"
+
+    def test_rich_past_its_cap_is_refused_before_any_work(self,
+                                                          monkeypatch):
+        # the report grows as N^2; the cap is read before any map is parsed
+        def worked(*args, **kwargs):
+            raise AssertionError("semigroup rich started its work")
+
+        monkeypatch.setattr(transform, "parse_transformation", worked)
+        monkeypatch.setattr(transform, "check_strongly_rich", worked)
+        for n in (MAX_RICH_N + 1, 100000):
+            code, report = dispatch(["semigroup", "rich", "-N", str(n)])
+            assert code == 2 and report["verdict"] == "error"
+            assert report["reason"] == \
+                f"-N {n} exceeds the cap of {MAX_RICH_N}"
+        monkeypatch.undo()
+        code, report = dispatch(["semigroup", "rich", "-N", str(MAX_RICH_N)])
+        assert code == 0 and len(report["data"]["supports"]) == MAX_RICH_N
 
     @pytest.mark.parametrize("argv", [
         ["mv", "audit"], ["mv", "quotient", "--members", "1"],
@@ -559,6 +576,24 @@ def _golden_objects():
 
 def test_every_golden_object_is_mutated():
     assert set(_golden_objects()) | {DUMP} == set(MUTATED_COMMANDS)
+
+
+def test_poly_build_dumps_the_algebra_only_under_out(tmp_path,
+                                                      monkeypatch):
+    # without --out the carrier is never formatted, and the report is the
+    # same either way
+    formatted = []
+    to_json = FunctionalSetAlgebra.to_json
+    monkeypatch.setattr(FunctionalSetAlgebra, "to_json", lambda self: (
+        formatted.append(self) or to_json(self)))
+    argv = ["poly", "build", "--spec", str(GOLDEN_INPUTS / "spec1.json")]
+    code, report = dispatch(argv)
+    assert code == 0 and formatted == []
+    dump = tmp_path / "dump.json"
+    assert dispatch(argv + ["--out", str(dump)]) == (0, report)
+    algebra, = formatted
+    assert json.loads(dump.read_text()) == json.loads(json.dumps(
+        to_json(algebra)))
 
 
 def _source(name):

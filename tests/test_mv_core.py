@@ -711,7 +711,7 @@ class TestIndexedView:
     def test_level_tables_stop_at_their_cap(self):
         # cleared, so that neither call is answered from the cache
         cap = mv_core.MAX_CHAIN_LEVELS
-        mv_core._level_tables.cache_clear()
+        mv_core._LEVEL_TABLES.clear()
         try:
             neg, plus, times = mv_core._level_tables(cap - 1)
             assert (len(neg), len(plus), len(times)) \
@@ -722,7 +722,31 @@ class TestIndexedView:
                                "values$"):
                 mv_core._level_tables(cap)
         finally:
-            mv_core._level_tables.cache_clear()
+            mv_core._LEVEL_TABLES.clear()
+
+    def test_level_tables_keep_within_their_bound(self):
+        # three chains of 4 x 10^5 levels hold 6 x 10^6 list entries: the
+        # oldest leaves, while every byte-table chain stays
+        tops = [400_000 + k for k in range(3)]
+        mv_core._LEVEL_TABLES.clear()
+        try:
+            small = [mv_core._level_tables(top) for top in range(1, 128)]
+            for top in tops:
+                tables = mv_core._level_tables(top)
+                assert mv_core._level_tables(top) is tables
+                held = sum(len(t) for each in mv_core._LEVEL_TABLES.values()
+                           if isinstance(each[0], list) for t in each)
+                assert held <= mv_core.MAX_LEVEL_ENTRIES
+            del tables
+            assert list(mv_core._LEVEL_TABLES) == [*range(1, 128), *tops[1:]]
+            assert all(mv_core._level_tables(top) is tables
+                       for top, tables in zip(range(1, 128), small))
+            # a chain at the cap fits alone
+            mv_core._level_tables(mv_core.MAX_CHAIN_LEVELS - 1)
+            assert list(mv_core._LEVEL_TABLES) == [
+                *range(1, 128), mv_core.MAX_CHAIN_LEVELS - 1]
+        finally:
+            mv_core._LEVEL_TABLES.clear()
 
 
 class FilterReference:

@@ -9,9 +9,10 @@ from builders import (
     assignments, coordinate_generator, pattern_algebra, pattern_generator,
     pattern_of, small_algebra,
 )
-from mvlogic import mv_core, polyadic
+from mvlogic import interlab, mv_core, pavelka, polyadic
 from mvlogic.mv_core import (
-    MAX_VALUATIONS, ONE, ZERO, Chain, TableAlgebra, maximal_filters,
+    MAX_VALUATIONS, ONE, ZERO, AuditReport, Chain, TableAlgebra,
+    maximal_filters,
 )
 from mvlogic.polyadic import (
     AbstractPolyadicAlgebra, FunctionalSetAlgebra, InsufficientSpareIndices,
@@ -244,7 +245,7 @@ class TestHowMapsCombine:
                                          for i in index if i not in j))
                             for t in maps]
                 assert closure_view.agreement(j) \
-                    == list(map(list, dict.fromkeys(variants)))
+                    == tuple(dict.fromkeys(variants))
 
     def test_replacement_lookup(self, closure_view):
         index = closure_view.algebra.index_set
@@ -1166,6 +1167,140 @@ class TestMaximalFiltersAreKept:
             assert flt == mv_core.Filter(algebra, flt.members)
             assert flt.ids == frozenset(map(index_of.__getitem__,
                                             flt.members))
+
+    @staticmethod
+    def kept_queries(algebra):
+        """Every query an algebra or its maximal filters keep, each asked
+        twice: (name, first, second, value of a fresh algebra's query)."""
+        def ask(query):
+            return query(algebra), query(algebra)
+
+        def henkin(alg):
+            # from 1, every maximal filter is a candidate
+            hf = interlab.henkin_filter_build(alg, alg.one)
+            return getattr(hf, "witnesses", None)
+
+        yield "audit", *ask(audit_axioms)
+        yield "pavelka", *ask(lambda alg: pavelka.functional_pavelka(
+            alg, require_full=False))
+        yield "henkin", *ask(henkin)
+        for j in algebra.scopes:
+            yield f"agreement-{sorted(j)}", *ask(
+                lambda alg: alg.indexed().agreement(j))
+        for k in range(len(maximal_filters(algebra))):
+            yield f"ranks-{k}", *ask(lambda alg: mv_core.quotient_ranks(
+                maximal_filters(alg)[k]))
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_kept_values_equal_a_fresh_build(self, name):
+        # a second query returns the very value of the first, which
+        # equals the same query's on a fresh algebra
+        *args, cap = CLOSURE_SPECS[name]
+        algebra, fresh = (build_generated(*args, cap=cap) for _ in range(2))
+        fresh_values = {q: first for q, first, _ in self.kept_queries(fresh)}
+        for query, first, again in self.kept_queries(algebra):
+            assert again is first, query
+            assert first is None or isinstance(first, (
+                tuple, AuditReport, pavelka.PavelkaAlgebra)), query
+            want = fresh_values[query]
+            if query == "pavelka":  # each names its own algebra as base
+                first, want = ((pav.chain, pav.constants)
+                               for pav in (first, want))
+            assert first == want, query
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_skipped_henkin_filters_keep_none(self, name):
+        # the filters the search from 1 passes over keep None, the one it
+        # returns its witness tuple
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        hf = interlab.henkin_filter_build(algebra, algebra.one)
+        filters = maximal_filters(algebra)
+        found = filters.index(hf.filter) if isinstance(
+            hf, interlab.HenkinFilter) else len(filters)
+        for flt in filters[:found]:
+            assert flt._kept["witnesses"] is None
+        for flt in filters[found:found + 1]:
+            assert flt._kept["witnesses"] is hf.witnesses
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_errors_are_raised_on_every_call_and_never_kept(self, name):
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        maximal = maximal_filters(algebra)
+        # the proper filters that are not maximal: up-sets of the nonzero
+        # idempotents that are no atom
+        V, _, dec = mv_core._coding(algebra)
+        others = [mv_core._up_set(algebra, V, dec, e) for e in V.carrier
+                  if V.odot[e][e] == e and e != V.zero]
+        others = [flt for flt in others if flt not in maximal]
+        for flt in others:
+            for _ in range(2):
+                with pytest.raises(mv_core.NonMaximalFilter):
+                    mv_core.quotient_ranks(flt)
+            assert "ranks" not in getattr(flt, "_kept", {})
+        chain = algebra.chain
+        size = len(algebra.assignments)
+        if all(algebra.contains((r,) * size) for r in chain.carrier):
+            assert pavelka.functional_pavelka(algebra) \
+                is pavelka.functional_pavelka(algebra, require_full=True)
+        else:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="carrier lacks "
+                                   "constant functions"):
+                    pavelka.functional_pavelka(algebra, require_full=True)
+            assert ("pavelka", True) not in getattr(algebra, "_kept", {})
+            assert pavelka.functional_pavelka(algebra, require_full=False) \
+                is pavelka.functional_pavelka(algebra, require_full=False)
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_a_corrupted_copy_gets_its_own_failing_audit(self, name):
+        # c_J swaps its entries at 0 and 1, so E1 (c_J 0 = 0) fails
+        *args, cap = CLOSURE_SPECS[name]
+        abstract = AbstractPolyadicAlgebra.from_functional(
+            build_generated(*args, cap=cap))
+        sane = audit_axioms(abstract)
+        view = abstract.indexed()
+        scope = next(j for j in abstract.scopes if j)
+        bad = abstract.corrupted(scope, view.zero, view.one)
+        report = audit_axioms(bad)
+        assert sane.passed and not report.passed
+        assert audit_axioms(bad) is report
+        assert audit_axioms(abstract) is sane
+        assert audit_axioms(abstract.corrupted(scope, view.zero, view.one)) \
+            == report
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_quotient_returns_a_new_projection_each_call(self, name):
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        for flt in maximal_filters(algebra):
+            chain, projection = mv_core.quotient(algebra, flt)
+            projection[algebra.one] = None
+            again, fresh = mv_core.quotient(algebra, flt)
+            assert again is chain and fresh is not projection
+            assert fresh[algebra.one] == ONE
+            assert fresh == {p: chain.carrier[r] for p, r in zip(
+                algebra.carrier, mv_core.quotient_ranks(flt)[1])}
+
+    @pytest.mark.parametrize("name", sorted(CLOSURE_SPECS))
+    def test_seeds_on_one_filter_share_its_witnesses(self, name):
+        *args, cap = CLOSURE_SPECS[name]
+        algebra = build_generated(*args, cap=cap)
+        landed = {}
+        for seed in set(algebra.carrier) - {algebra.zero}:
+            hf = interlab.henkin_filter_build(algebra, seed)
+            if isinstance(hf, interlab.HenkinFilter):
+                assert hf.seed == seed
+                landed.setdefault(hf.filter, []).append(hf)
+        for builds in landed.values():
+            assert all(hf.witnesses is builds[0].witnesses for hf in builds)
+        # the search from 1 returns the first filter with witnesses, and so
+        # does the search from every other nonzero member of it
+        hf = interlab.henkin_filter_build(algebra, algebra.one)
+        if isinstance(hf, interlab.HenkinFilter):
+            assert {b.seed for b in landed[hf.filter]} \
+                == hf.members - {algebra.zero}
 
 
 class TestQueriesOnTheTableAlgebra:
