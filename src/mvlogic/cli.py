@@ -129,6 +129,7 @@ def _values(algebra, text):
 
 
 def _cmd_mv_audit(args, inputs):
+    _at_most(args.samples, "--samples", MAX_SAMPLES)
     # the audit verb judges the table itself, so no construction audit
     algebra = _algebra_arg(args, inputs, audit=False)
     mode = "sampled" if isinstance(algebra, StandardRationals) \
@@ -268,6 +269,7 @@ def _cmd_proof_check(args, inputs):
 
 
 def _cmd_proof_audit(args, inputs):
+    _at_most(args.trials, "--trials", MAX_TRIALS)
     report = calculus.soundness_audit(
         args.target, args.trials, max_domain=args.max_domain,
         chain_n=args.chain, seed=args.seed, mode=args.mode)
@@ -464,16 +466,26 @@ def _cmd_semigroup_closure(args, inputs):
     }
 
 
-# The largest -N of `semigroup rich`, whose report grows as N^2: at the
-# cap the command takes about 0.06 s and reports about 110 KB (Python
-# 3.11); -N 2048 would print 8.7 MB. The tests, the golden corpus and
-# the benchmark ask for at most 64.
+# The largest counts a command takes, each read before any work (times
+# at the cap, Python 3.11). -N of `semigroup rich`, whose report grows
+# as N^2: about 0.06 s and 110 KB of report; -N 2048 would print 8.7 MB.
+# The tests, the golden corpus and the benchmark ask for at most 64.
+# --samples of `mv audit`: the sampled audit of the standard algebra
+# takes about 17 s; the golden corpus asks for 10^6. --trials of `proof
+# audit`: 1.7 s for A2 up to |M| = 2 and 3.3 s up to |M| = 3; the
+# soundness criterion and the golden corpus ask for at most 200.
 MAX_RICH_N = 256
+MAX_SAMPLES = 10 ** 7
+MAX_TRIALS = 10 ** 4
+
+
+def _at_most(count, flag, cap):
+    if count > cap:
+        raise CliError(f"{flag} {count} exceeds the cap of {cap}")
 
 
 def _cmd_semigroup_rich(args, inputs):
-    if args.n > MAX_RICH_N:
-        raise CliError(f"-N {args.n} exceeds the cap of {MAX_RICH_N}")
+    _at_most(args.n, "-N", MAX_RICH_N)
     sigma = transform.parse_transformation(args.sigma)
     pi = transform.parse_transformation(args.pi)
     ambient = None

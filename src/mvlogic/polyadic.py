@@ -850,7 +850,8 @@ def _audit_axioms(algebra):
         # union with J is a scope
         for j in scopes:
             js = [j2 for j2 in scopes if j | j2 in scope_set]
-            yield products(((*tag, sorted(j), sorted(j2)) for j2 in js),
+            yield products(((*tag, tuple(sorted(j)), tuple(sorted(j2)))
+                            for j2 in js),
                            tables[j], [tables[j2] for j2 in js],
                            [tables[j | j2] for j2 in js])
 
@@ -882,14 +883,14 @@ def _audit_axioms(algebra):
                     continue
                 for (s, a), (t, b) in itertools.combinations(
                         zip(group, after), 2):
-                    yield a, b, (((maps[s], maps[t], sorted(j)), p)
+                    yield a, b, (((maps[s], maps[t], tuple(sorted(j))), p)
                                  for p in els)
 
     results.append(_audit("polyadic-4-s-agreement", agreement_blocks(C)))
 
     def injective_blocks(tables):
         for sigma, s_s, pairs in zip(maps, S, V.injective):
-            yield in_turn(((sigma, sorted(j)) for j, _ in pairs),
+            yield in_turn(((sigma, tuple(sorted(j))) for j, _ in pairs),
                           [_read(tables[j], s_s) for j, _ in pairs],
                           [_read(s_s, tables[pre]) for _, pre in pairs])
 
@@ -903,7 +904,7 @@ def _audit_axioms(algebra):
     def exists_blocks():
         for j in scopes:
             cj = C[j]
-            tag = sorted(j)
+            tag = tuple(sorted(j))
             yield _instance(cj[V.zero], V.zero, (("E1", tag),))
             yield laws([
                 (("E2", tag), row(map(getitem, V.le, cj)), ones),
@@ -920,7 +921,7 @@ def _audit_axioms(algebra):
     def q_blocks():
         for j in scopes:
             qj, cj = Q[j], C[j]
-            tag = sorted(j)
+            tag = tuple(sorted(j))
             yield _instance(qj[V.one], V.one, (("Q1-unit", tag),))
             yield laws([
                 (("Q1-decreasing", tag), row(map(

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from builders import to_table
-from mvlogic import cli, interlab, transform
+from mvlogic import calculus, cli, interlab, mv_core, transform
 from mvlogic.cli import MAX_RICH_N, dispatch, main
 from mvlogic.polyadic import FunctionalSetAlgebra, algebra_from_json
 from test_golden import GOLDEN, load_manifest
@@ -166,20 +166,35 @@ class TestExitCodes:
         assert report["reason"] == \
             "Chain(100000) exceeds the exhaustive audit cap of 100 elements"
 
-    def test_rich_past_its_cap_is_refused_before_any_work(self,
-                                                          monkeypatch):
-        # the report grows as N^2; the cap is read before any map is parsed
+    @pytest.mark.parametrize("argv, cap, work", [
+        # the report of rich grows as N^2
+        (["semigroup", "rich", "-N"], MAX_RICH_N,
+         [(transform, "parse_transformation"),
+          (transform, "check_strongly_rich")]),
+        (["mv", "audit", "--standard", "--mode", "sampled", "--samples"],
+         cli.MAX_SAMPLES, [(mv_core, "check_mv_axioms")]),
+        (["proof", "audit", "--target", "A2", "--trials"], cli.MAX_TRIALS,
+         [(calculus, "soundness_audit")]),
+    ], ids=["rich", "samples", "trials"])
+    def test_a_count_past_its_cap_is_refused_before_any_work(
+            self, argv, cap, work, monkeypatch):
+        # the cap is read before any work starts, and admits the cap itself
         def worked(*args, **kwargs):
-            raise AssertionError("semigroup rich started its work")
+            raise AssertionError("the command started its work")
 
-        monkeypatch.setattr(transform, "parse_transformation", worked)
-        monkeypatch.setattr(transform, "check_strongly_rich", worked)
-        for n in (MAX_RICH_N + 1, 100000):
-            code, report = dispatch(["semigroup", "rich", "-N", str(n)])
+        for module, name in work:
+            monkeypatch.setattr(module, name, worked)
+        for n in (cap + 1, 10 ** 9):
+            started = time.perf_counter()
+            code, report = dispatch(argv + [str(n)])
             assert code == 2 and report["verdict"] == "error"
             assert report["reason"] == \
-                f"-N {n} exceeds the cap of {MAX_RICH_N}"
-        monkeypatch.undo()
+                f"{argv[-1]} {n} exceeds the cap of {cap}"
+            assert time.perf_counter() - started < 1
+        with pytest.raises(AssertionError, match="started its work"):
+            dispatch(argv + [str(cap)])
+
+    def test_rich_at_its_cap_reports_every_n(self):
         code, report = dispatch(["semigroup", "rich", "-N", str(MAX_RICH_N)])
         assert code == 0 and len(report["data"]["supports"]) == MAX_RICH_N
 
@@ -501,6 +516,11 @@ MUTATED_COMMANDS = {
     "l5-constants.json": ["pavelka", "degree", "--filter",
                           str(GOLDEN_INPUTS / "filter-top.json"),
                           "--element", "4", "--algebra"],
+    "chain6.json": ["poly", "build", "--spec"],
+    "chain6-model.json": ["logic", "degree", "--formula",
+                          "A{v0} p(v0) (+) q", "--model"],
+    "diag4.json": ["poly", "build", "--spec"],
+    "full7.json": ["poly", "build", "--spec"],
     "lang.json": ["logic", "entails", "--formula", "p(v0) -> q(v0)",
                   "--max-domain", "2", "--chain", "3", "--language"],
     "manifest.json": ["batch"],
@@ -512,6 +532,7 @@ MUTATED_COMMANDS = {
     "overcap.json": ["poly", "audit", "--spec"],
     "proof0.json": ["proof", "check", "--proof"],
     "proof1.json": ["proof", "check", "--proof"],
+    "self.json": ["batch"],
     "spec-i3.json": ["poly", "dims", "--element", "7", "--spec"],
     "spec-i3-no-singletons.json": ["poly", "dims", "--element", "5",
                                    "--spec"],
@@ -522,6 +543,7 @@ MUTATED_COMMANDS = {
     "table-l3.json": ["mv", "audit", "--table"],
     "table-l3-broken.json": ["mv", "audit", "--table"],
     "table-l2xl2.json": ["mv", "audit", "--table"],
+    "x17.json": ["poly", "build", "--spec"],
     DUMP: ["poly", "audit", "--spec"],
 }
 DELETED = object()
@@ -556,7 +578,18 @@ WELL_FORMED = {
           for spec in ("spec-i3", "spec-i3-singletons",
                        "spec-i3-no-singletons")
           for x in ("(0,0,0)", "(1,1,1)")),
-        "manifest-commands-[]",
+        "manifest-commands-[]", "self-commands-[]",
+        # a generator entry set to the 0 it holds
+        *(f"{spec}-generators.0.{x}-0" for spec in ("diag4", "x17")
+          for x, v in json.loads((GOLDEN_INPUTS / f"{spec}.json").read_text(
+              ))["generators"][0].items() if v == 0),
+        # no generator, a key's default, or an empty index set or base:
+        # the spec still builds
+        "diag4-generators-[]", "diag4-semigroup-deleted",
+        "x17-generators-[]", "x17-cap-deleted", "chain6-cap-deleted",
+        "chain6-generators-[]", "full7-index_set-[]", "full7-index_set-0",
+        *(f"chain6-{key}-{change}" for key in ("index_set", "base")
+          for change in ("[]", "0")),
         "spec1-dump-scopes-deleted",
         *(f"spec1-dump-carrier.0.{x}-0" for x in POINTS),
         *(f"spec1-dump-transformations.0.{i}-{change}" for i in "01"
@@ -691,7 +724,9 @@ def test_count_below_one_is_a_usage_error(argv):
     (["mv", "eval", "--chain", "5", "--op", "oplus", "--args", "1/3,1/2"], 2,
      ["[mv] error", "  reason: 1/3 is not in the carrier of Chain(5)"]),
     (["mv", "audit", "--chain"], 2, ["[mvlogic] usage-error"]),
-], ids=["ok", "pass", "reject", "error", "usage-error"])
+    (["mv", "audit", "--chain", "3", "--bogus"], 2,
+     ["[mvlogic] usage-error"]),
+], ids=["ok", "pass", "reject", "error", "usage-error", "unknown-flag"])
 def test_human_output(argv, code, lines, monkeypatch, capsys):
     # without --json: the verdict line, the scalar data as key: value lines
     # in key order, the reason of an error, and the time taken
@@ -747,7 +782,10 @@ EDGE_ARGVS = {
     "unknown-flag": ["mv", "audit", "--chain", "3", "--bogus"],
     "batch-bare": ["batch"], "batch-extra": ["batch", "m.json", "extra"],
 }
-ROUTED = {**{e["name"]: e["argv"] for e in load_manifest()}, **EDGE_ARGVS}
+# the golden entries too, but for the timed ones: those are the corpus's
+# long runs, and an untimed entry routes each of their commands
+ROUTED = {**{e["name"]: e["argv"] for e in load_manifest()
+             if "timeout" not in e}, **EDGE_ARGVS}
 
 
 def through_the_tree(argv, monkeypatch):
@@ -790,11 +828,19 @@ def test_an_unrecognized_argument_names_the_leaf(monkeypatch, capsys):
 
 
 class TestVerbs:
-    def test_logic_eval_prints_value(self, files, capsys):
-        code = main(["logic", "eval", "--model", files["model"],
-                     "--formula", "E{v0} p(v0)"])
-        assert code == 0
-        assert capsys.readouterr().out.strip() == "4/5"
+    @pytest.mark.parametrize("argv, value", [
+        (["logic", "eval", "--model", "model", "--formula", "E{v0} p(v0)"],
+         "4/5"),
+        # a table's values are read and printed as its labels
+        (["mv", "eval", "--table", "inputs/table-l3.json", "--op", "neg",
+          "--args", "1/2"], "1/2"),
+    ], ids=["logic", "mv-table"])
+    def test_eval_prints_the_bare_value(self, argv, value, files,
+                                        monkeypatch, capsys):
+        # a value query without --json prints the value and nothing else
+        monkeypatch.chdir(GOLDEN)
+        assert main([files.get(a, a) for a in argv]) == 0
+        assert capsys.readouterr().out == value + "\n"
 
     @pytest.mark.parametrize("formula, code, verdict, degree", [
         ("p(v0) -> p(v0)", 0, "valid", "1"),
