@@ -455,6 +455,7 @@ def _parse_gen_list(text, domain):
 
 
 def _cmd_semigroup_closure(args, inputs):
+    _at_most(args.cap, "--cap", MAX_SEMIGROUP_CAP)
     domain = _domain(args)
     gens = _parse_gen_list(args.generators, domain)
     result = transform.semigroup_closure(
@@ -473,10 +474,14 @@ def _cmd_semigroup_closure(args, inputs):
 # --samples of `mv audit`: the sampled audit of the standard algebra
 # takes about 17 s; the golden corpus asks for 10^6. --trials of `proof
 # audit`: 1.7 s for A2 up to |M| = 2 and 3.3 s up to |M| = 3; the
-# soundness criterion and the golden corpus ask for at most 200.
+# soundness criterion and the golden corpus ask for at most 200. --cap
+# of `semigroup closure` and `semigroup rich`, the most maps a closure
+# holds: "suc;pred" closes to the cap in about 0.5 s and 72 MB of max RSS;
+# the tests, the golden corpus and the benchmark ask for at most 1,000.
 MAX_RICH_N = 256
 MAX_SAMPLES = 10 ** 7
 MAX_TRIALS = 10 ** 4
+MAX_SEMIGROUP_CAP = 10 ** 4
 
 
 def _at_most(count, flag, cap):
@@ -486,6 +491,7 @@ def _at_most(count, flag, cap):
 
 def _cmd_semigroup_rich(args, inputs):
     _at_most(args.n, "-N", MAX_RICH_N)
+    _at_most(args.cap, "--cap", MAX_SEMIGROUP_CAP)
     sigma = transform.parse_transformation(args.sigma)
     pi = transform.parse_transformation(args.pi)
     ambient = None

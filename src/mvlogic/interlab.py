@@ -15,7 +15,10 @@ build, crisp map or `quotient` on the same filter reads; an error is
 never kept. Both representation maps, by quotient rank here and by
 graded degree in `pavelka`, are one psi (`build_psi`) with one clause
 list (`represent`), checked by `clause_result` and
-`homomorphism_clauses` on products and k-variants off the view.
+`homomorphism_clauses` on products and k-variants off the view. What a
+map's filter fixes, its rows and every clause but the crisp map's seed
+clause, is kept too: on the maximal filter for the crisp map, and on the
+Pavelka algebra per filter for the graded one.
 
 The Henkin search and both maps read a row once per distinct value: the
 witness search reads the filter's membership row once at c_k and once at
@@ -377,8 +380,9 @@ def cyl_sup_clause(V, columns):
 
 def represent(algebra, hf, levels, pav=None):
     """psi(p)(x) = the level of s_x p, for x in V, as rows on view indices
-    (psi[i][xi], p = V.elements[i]), and its AuditReport; levels(flt)
-    gives the chain and the level of each carrier index.
+    (psi[i][xi], p = V.elements[i]), a tuple of tuples, and its
+    AuditReport; levels(flt) gives the chain and the level of each carrier
+    index.
 
     Checked exhaustively over the carrier and V: the images of 0 and 1;
     for the graded map of a Pavelka algebra pav, psi(r-bar) constant at r;
@@ -386,10 +390,31 @@ def represent(algebra, hf, levels, pav=None):
     substitution action psi(s_tau p) = psi(p) o (- o tau); the cylinder
     suprema (see cyl_sup_clause); and for the crisp map, that psi does not
     kill the seed at the identity coordinate.
+
+    All but the seed clause depends on the filter alone, and is built once
+    and kept (see mv_core.kept): on the filter for the crisp map, and on
+    pav per filter for the graded one, so that a call never hashes pav.
+    Every call refuses another algebra's filter and checks its own seed;
+    an error is never kept.
     """
+    flt = hf.filter
+    mv_core.filter_ids(flt, algebra)  # refuses another algebra's
+    owner, key = (flt, "psi") if pav is None else (pav, ("psi", flt))
+    rows, results = kept(owner, key,
+                         lambda: _represented(algebra, flt, levels, pav))
     V = algebra.indexed()
-    mv_core.filter_ids(hf.filter, algebra)  # refuses another algebra's
-    chain, level = levels(hf.filter)
+    identity = V.position.get(algebra.index_set)
+    if pav is None and identity is not None:
+        seed = rows[V.index_of[hf.seed]][identity]
+        results += (clause_result("nonzero-at-identity", [_instance(
+            seed != 0, True, ("identity component of the seed element",))]),)
+    return rows, AuditReport(results)
+
+
+def _represented(algebra, flt, levels, pav):
+    """(rows, clause results) of represent but the seed clause."""
+    V = algebra.indexed()
+    chain, level = levels(flt)
     vs, top = algebra.transformations, chain.n - 1
     rows, columns = build_psi(V, level, vs, top)
     row, n = type(columns[0]), len(V.carrier)
@@ -417,17 +442,13 @@ def represent(algebra, hf, levels, pav=None):
     if pav is None:
         results.append(clause_result("subst-action", subst_blocks()))
     results.append(cyl_sup_clause(V, columns))
-    identity = V.position.get(algebra.index_set)
-    if pav is None and identity is not None:
-        seed = rows[V.index_of[hf.seed]][identity]
-        results.append(clause_result("nonzero-at-identity", [_instance(
-            seed != 0, True, ("identity component of the seed element",))]))
-    return rows, AuditReport(tuple(results))
+    return tuple(rows), tuple(results)
 
 
 def representation_map(algebra, hf):
     """psi(p)(x) = class of s_x p in the quotient chain, for x in V, as
-    rows on view indices, and its audit (see represent)."""
+    rows on view indices, and its audit (see represent): kept on the
+    maximal filter, but for the seed clause."""
     return represent(algebra, hf, mv_core.quotient_ranks)
 
 

@@ -2,8 +2,9 @@
 constant compatibility laws, graded degrees of membership with their dual
 forms, quantifier invariance of constants, and the graded representation
 map built on a Henkin filter: `interlab.represent`'s psi on view indices,
-with the graded degree as its level function. Every law reads filter
-indices and view tables through `clause_result` into an `AuditReport`."""
+with the graded degree as its level function, kept on the Pavelka algebra
+per filter. Every law reads filter indices and view tables through
+`clause_result` into an `AuditReport`."""
 
 from __future__ import annotations
 
@@ -173,7 +174,9 @@ def pavelka_representation(algebra, pav, hf):
     """psi(p)(x) = [s_x p] by graded degree, as rows on view indices, and
     its audit (see interlab.represent): the unit images, psi(r-bar)
     constant at r, preservation of (+), (*), ~ and the cylinder supremum
-    [s_x c_i p] = sup over k-variants."""
+    [s_x c_i p] = sup over k-variants. The rows and the audit are built
+    once per filter and kept on pav (see mv_core.kept); another algebra's
+    filter is refused on every call."""
     if not isinstance(hf, HenkinFilter):
         raise TypeError("the graded representation is built on a HenkinFilter")
     return represent(algebra, hf, lambda flt: (

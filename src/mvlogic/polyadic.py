@@ -17,7 +17,9 @@ closing the carrier, it records the carrier index of every result, and
 builds the algebra's view of those tables with it. Results leave in
 element form. How the signature's maps combine is read off the view too
 (`subst_at`, `composition`, `agreement`, `injective`, `modified`,
-`replacement`), and so are the dimension sets (`dimensions`). A
+`replacement`; `composition`, `injective` and `modified` off each map's
+byte code of index positions), and so are the dimension sets
+(`dimensions`). A
 functional algebra also has element operations, on which interlab's
 term_eval, the second route the eta check compares against, runs.
 
@@ -141,9 +143,13 @@ class IndexedAlgebra(IndexedMV):
 
     A map is found by value through one lookup built with the view,
     position (a map's value tuple to its index in maps), which replacement
-    reads on each call, uncached. Kept on first read: subst_at,
-    composition, the agreement groups per J, injective, modified and the
-    dimension set of every carrier index (dimensions).
+    reads on each call, uncached. How the maps combine is read off byte
+    codes instead: codes holds each map once as the positions of its
+    values in the index set, and code_position finds a map by its code.
+    Kept on first read: subst_at, codes, code_position, composition (one
+    bytes.translate of all the codes per map), the agreement groups per
+    J, injective (bit masks of the scopes), modified (spliced codes) and
+    the dimension set of every carrier index (dimensions).
     """
 
     def __init__(self, algebra, neg, oplus, subst, cyl, reduct=None):
@@ -177,14 +183,30 @@ class IndexedAlgebra(IndexedMV):
         return [self.subst[t] for t in self.maps]
 
     @derived
+    def codes(self):
+        """[s]: maps[s] encoded as the row of its values' positions in the
+        index set, of type _row_type(|I| - 1), so bytes up to 256 indices:
+        maps[s] o maps[t] is codes[s] read at codes[t]."""
+        point = {i: k for k, i in enumerate(self.algebra.index_set)}
+        row = _row_type(len(point) - 1)
+        return tuple(row(map(point.__getitem__, t.values)) for t in self.maps)
+
+    @derived
+    def code_position(self):
+        """A code's position in maps, as position is a value tuple's."""
+        return {c: k for k, c in enumerate(self.codes)}
+
+    @derived
     def composition(self):
         """[s][t]: the position in maps of maps[s] o maps[t], or None outside
-        the signature, found by value: maps[s]'s values read at maps[t]'s."""
-        point = {i: k for k, i in enumerate(self.algebra.index_set)}
-        at = self.position.get
-        reads = [[point[v] for v in t.values] for t in self.maps]
-        return [[at(tuple(map(s.values.__getitem__, read))) for read in reads]
-                for s in self.maps]
+        the signature: all the codes joined, read at codes[s] once per s,
+        and each |I|-entry slice looked up by code."""
+        codes, at, n = self.codes, self.code_position.get, \
+            len(self.algebra.index_set)
+        joined = _concat(codes, _row_type(n - 1))
+        cuts = [slice(k * n, k * n + n) for k in range(len(codes))]
+        return [list(map(at, map(_read(s, joined).__getitem__, cuts)))
+                for s in codes]
 
     def agreement(self, j):
         """The positions of the maps grouped by their values off J; the
@@ -198,18 +220,30 @@ class IndexedAlgebra(IndexedMV):
     def injective(self):
         """[s]: the pairs (J, preimage of J under maps[s]) of the scopes J,
         in scope order, whose preimage is a scope that maps[s] maps into J
-        one to one."""
-        scopes = self.algebra.scopes
-        family = set(scopes)
-        index = self.algebra.index_set
+        one to one. Read off codes[s] with sets of index positions as bit
+        masks: maps[s] is one to one on the preimage of J when its image
+        in J has as many bits."""
+        point = {i: k for k, i in enumerate(self.algebra.index_set)}
+        scopes = []
+        for j in self.algebra.scopes:
+            inside = [point[i] for i in j if i in point]
+            scopes.append((j, inside, sum(1 << v for v in inside)))
+        # a scope that leaves the index set is no preimage
+        family = {mask: j for j, _, mask in scopes if j <= point.keys()}
         out = []
-        for t in self.maps:
-            pairs = []
-            for j in scopes:
-                images = [v for v in t.values if v in j]
-                pre = frozenset(i for i, v in zip(index, t.values) if v in j)
-                if len(set(images)) == len(images) and pre in family:
-                    pairs.append((j, pre))
+        for code in self.codes:
+            pre_of = [0] * len(point)  # the preimage of each position
+            for k, v in enumerate(code):
+                pre_of[v] |= 1 << k
+            image, pairs = sum({1 << v for v in code}), []
+            for j, inside, mask in scopes:
+                pre = 0
+                for v in inside:
+                    pre |= pre_of[v]
+                found = family.get(pre)
+                if found is not None \
+                        and (image & mask).bit_count() == pre.bit_count():
+                    pairs.append((j, found))
             out.append(pairs)
         return out
 
@@ -217,12 +251,14 @@ class IndexedAlgebra(IndexedMV):
     def modified(self):
         """[s][i]: the pairs (j, position of maps[s] modified to send i to
         j), for the j of the index set, in order, whose modified map is in
-        the signature; found by value, so no map is built."""
+        the signature: codes[s] spliced at i's position, looked up by code,
+        so no map is built."""
         index = self.algebra.index_set
-        at = self.position.get
-        return [{i: [(j, u) for j in index if (u := at(
-                    (*t.values[:x], j, *t.values[x + 1:]))) is not None]
-                 for x, i in enumerate(index)} for t in self.maps]
+        at, row = self.code_position.get, _row_type(len(index) - 1)
+        points = [(j, row((k,))) for k, j in enumerate(index)]
+        return [{i: [(j, u) for j, b in points
+                     if (u := at(code[:x] + b + code[x + 1:])) is not None]
+                 for x, i in enumerate(index)} for code in self.codes]
 
     def replacement(self, i, j):
         """s_[i|j] as an index table, or None outside the signature: the

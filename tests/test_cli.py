@@ -175,7 +175,14 @@ class TestExitCodes:
          cli.MAX_SAMPLES, [(mv_core, "check_mv_axioms")]),
         (["proof", "audit", "--target", "A2", "--trials"], cli.MAX_TRIALS,
          [(calculus, "soundness_audit")]),
-    ], ids=["rich", "samples", "trials"])
+        # a closure holds up to --cap maps
+        (["semigroup", "closure", "--generators", "suc;pred", "--cap"],
+         cli.MAX_SEMIGROUP_CAP, [(transform, "parse_transformation"),
+                                 (transform, "semigroup_closure")]),
+        (["semigroup", "rich", "--ambient", "suc;pred", "--cap"],
+         cli.MAX_SEMIGROUP_CAP, [(transform, "parse_transformation"),
+                                 (transform, "check_strongly_rich")]),
+    ], ids=["rich", "samples", "trials", "closure-cap", "rich-cap"])
     def test_a_count_past_its_cap_is_refused_before_any_work(
             self, argv, cap, work, monkeypatch):
         # the cap is read before any work starts, and admits the cap itself

@@ -24,6 +24,7 @@ from mvlogic.syntax import (
 from mvlogic.transform import FinTransformation, compose
 from test_acceptance import boolean_representatives
 from test_polyadic import CLOSURE_SPECS
+from test_reads import per_row_represent, triples
 from test_semantics import _prop_eval
 
 PROPS = LanguageSpec(num_vars=2, reserve=1,
@@ -694,7 +695,8 @@ def separate_maps(algebra, hf, pav):
     def triples(results):
         return [(c.clause, c.holds, c.witness) for c in results]
 
-    return (crisp_rows, triples(crisp)), (rows, triples(graded))
+    # the maps keep their rows, so they return them as a tuple
+    return (tuple(crisp_rows), triples(crisp)), (tuple(rows), triples(graded))
 
 
 class TestOnePsi:
@@ -737,6 +739,73 @@ class TestOnePsi:
                 V, levels, algebra.transformations, top)
             assert {type(c) for c in columns} == {
                 mv_core._row_type(max(len(V.carrier) - 1, 2 * top))}
+
+
+def i3p_algebra():
+    *args, cap = CLOSURE_SPECS["i3p"]
+    return build_generated(*args, cap=cap)
+
+
+class TestKeptMaps:
+    """Both maps keep what their filter fixes: the rows and every clause
+    but the crisp map's seed clause, which each call checks for its own
+    seed, as each call refuses another algebra's filter."""
+
+    def test_a_second_call_reads_the_kept_rows(self):
+        got = []
+        for algebra in (i3p_algebra(), i3p_algebra()):
+            pav = pavelka.functional_pavelka(algebra, require_full=False)
+            hf = henkin_filter_build(algebra, algebra.one)
+            for represent in (
+                    lambda: representation_map(algebra, hf),
+                    lambda: pavelka.pavelka_representation(algebra, pav, hf)):
+                (rows, audit), (again, audit_again) = represent(), represent()
+                assert again is rows
+                assert audit_again == audit and audit.passed
+                assert type(rows) is tuple
+                assert {type(r) for r in rows} == {tuple}
+                got.append(rows)
+        # the rows of a fresh algebra are equal, and not the same object
+        assert got[2:] == got[:2]
+        assert got[2] is not got[0]
+
+    def test_each_seed_gets_its_own_seed_clause(self):
+        # two Henkin filters on one maximal filter: one seeded at a member,
+        # one at an element of rank 0, whose identity component is 0
+        algebra = i3p_algebra()
+        V = algebra.indexed()
+        identity = V.position[algebra.index_set]
+        flt = mv_core.maximal_filters(algebra)[0]
+        _, ranks = mv_core.quotient_ranks(flt)
+        member = HenkinFilter(flt, V.elements[max(flt.ids)], ())
+        killed = HenkinFilter(flt, V.elements[max(
+            a for a in V.carrier if ranks[a] == 0)], ())
+        rows = representation_map(algebra, member)[0]
+        assert rows[V.index_of[killed.seed]][identity] == 0
+        for hf, holds in [(member, True), (killed, False)] * 2:
+            got, audit = representation_map(algebra, hf)
+            assert got is rows
+            assert audit.results[-1].clause == "nonzero-at-identity"
+            assert audit.results[-1].holds is holds
+            assert triples(audit) == triples(per_row_represent(
+                algebra, hf, mv_core.quotient_ranks)[1])
+
+    def test_another_algebras_filter_is_refused_on_every_call(self):
+        ours, theirs = i3p_algebra(), i3p_algebra()
+        pav, their_pav = (pavelka.functional_pavelka(a, require_full=False)
+                          for a in (ours, theirs))
+        hf = henkin_filter_build(ours, ours.one)
+        representation_map(ours, hf)
+        pavelka.pavelka_representation(ours, pav, hf)
+        for _ in range(2):
+            for call in (
+                    lambda: representation_map(theirs, hf),
+                    lambda: pavelka.pavelka_representation(
+                        theirs, their_pav, hf),
+                    lambda: pavelka.pavelka_representation(
+                        ours, their_pav, hf)):
+                with pytest.raises(ValueError, match="is no filter of"):
+                    call()
 
 
 class TestEta:

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from builders import element_implies, pattern_algebra, small_algebra, to_table
-from mvlogic import interlab, mv_core, polyadic
+from mvlogic import interlab, mv_core, pavelka, polyadic
 from mvlogic.mv_core import (
     MAX_AUDIT_CARRIER, MAX_CHAIN_VIEW, STANDARD, AuditTooLarge, CarrierError,
     Chain, Filter, FilterError, FilterNotFound, IndexedMV, MVAxiomError,
@@ -1221,10 +1221,12 @@ class TestValue:
     def test_the_queries_compute_no_fraction_hash(self, monkeypatch):
         # every value of a built i3p algebra was hashed once, when its view
         # indexed the elements; the queries hash values as often as they
-        # like, each from the kept hash
+        # like, each from the kept hash, and so does a second call of a
+        # representation map, which reads what the first one kept
         *args, cap = CLOSURE_SPECS["i3p"]
         algebra = build_generated(*args, cap=cap)
         algebra.indexed()
+        pav = pavelka.functional_pavelka(algebra, require_full=False)
         calls = []
         real = F.__hash__
 
@@ -1238,7 +1240,9 @@ class TestValue:
         for p in algebra.carrier[1:]:
             hf = interlab.henkin_filter_build(algebra, p)
             if isinstance(hf, interlab.HenkinFilter):
-                interlab.representation_map(algebra, hf)
+                for _ in range(2):
+                    interlab.representation_map(algebra, hf)
+                    pavelka.pavelka_representation(algebra, pav, hf)
             polyadic.dimension_set(algebra, p)
             polyadic.minimal_support(algebra, p)
         assert calls == []

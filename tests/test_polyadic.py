@@ -226,9 +226,77 @@ def closure_view(request):
     return build_generated(*args, cap=cap).indexed()
 
 
+def value_tuple_combinations(view):
+    """(composition, injective, modified) of a view as they were derived
+    from the maps' value tuples, before the view read them off byte codes:
+    the reference the codes must reproduce, value for value and type for
+    type."""
+    maps, index = view.maps, view.algebra.index_set
+    point = {i: k for k, i in enumerate(index)}
+    at = view.position.get
+    reads = [[point[v] for v in t.values] for t in maps]
+    composition = [[at(tuple(map(s.values.__getitem__, read)))
+                    for read in reads] for s in maps]
+    scopes = view.algebra.scopes
+    family = set(scopes)
+    injective = []
+    for t in maps:
+        pairs = []
+        for j in scopes:
+            images = [v for v in t.values if v in j]
+            pre = frozenset(i for i, v in zip(index, t.values) if v in j)
+            if len(set(images)) == len(images) and pre in family:
+                pairs.append((j, pre))
+        injective.append(pairs)
+    modified = [{i: [(j, u) for j in index if (u := at(
+                    (*t.values[:x], j, *t.values[x + 1:]))) is not None]
+                 for x, i in enumerate(index)} for t in maps]
+    return composition, injective, modified
+
+
+def wide_abstract_algebra():
+    """The one-element algebra over 300 indices, past the 256 that byte
+    codes hold, with the identity, a transposition and two replacements
+    (whose composites leave the signature) and five scopes, one of them
+    leaving the index set, which the constructor does not refuse."""
+    index = tuple(range(300))
+    maps = (FinTransformation.identity(index),
+            FinTransformation.transposition(index, 0, 299),
+            FinTransformation.replacement(index, 0, 1),
+            FinTransformation.replacement(index, 1, 2))
+    scopes = (frozenset(), frozenset({0}), frozenset({1}),
+              frozenset({0, 299}), frozenset({1, 300}))
+    return AbstractPolyadicAlgebra(
+        TableAlgebra(["*"], [[0]], [0], 0, 0), index, maps, scopes,
+        {t: (0,) for t in maps}, {j: (0,) for j in scopes})
+
+
 class TestHowMapsCombine:
     """The composition table, the agreement partitions and the replacement
-    lookup of the view against compose and a scan over pairs of maps."""
+    lookup of the view against compose and a scan over pairs of maps, and
+    the tables read off byte codes against the value-tuple derivation."""
+
+    def test_combinations_against_value_tuples(self, closure_view):
+        # closure_view covers singleton scopes, a generated semigroup and
+        # an unclosed set of maps, whose composition has None entries
+        assert (closure_view.composition, closure_view.injective,
+                closure_view.modified) \
+            == value_tuple_combinations(closure_view)
+
+    @pytest.mark.parametrize("make", [
+        lambda: AbstractPolyadicAlgebra.from_functional(small_algebra()),
+        lambda: AbstractPolyadicAlgebra.from_functional(
+            build_generated(*CLOSURE_SPECS["semigroup"][:-1],
+                            cap=CLOSURE_SPECS["semigroup"][-1])),
+        wide_abstract_algebra], ids=["small", "semigroup", "wide"])
+    def test_abstract_combinations_against_value_tuples(self, make):
+        view = make().indexed()
+        assert {type(c) for c in view.codes} \
+            == {mv_core._row_type(len(view.algebra.index_set) - 1)}
+        want = value_tuple_combinations(view)
+        assert (view.composition, view.injective, view.modified) == want
+        if make is wide_abstract_algebra:
+            assert None in itertools.chain.from_iterable(want[0])
 
     def test_composition_table(self, closure_view):
         maps = closure_view.maps

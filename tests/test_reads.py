@@ -393,6 +393,22 @@ def test_crisp_representation_on_a_corrupted_table(corrupted):
         assert got == want
 
 
+def test_a_failing_map_is_kept(corrupted):
+    # a map that fails on a corrupted table is kept, failing clauses and
+    # all, and a second call reads what the per-row code gets; an error,
+    # as of a filter the corruption left not maximal, is raised again
+    for hf in filters_of(corrupted):
+        got = [outcome(representation_map, corrupted, hf) for _ in range(2)]
+        want = outcome(per_row_represent, corrupted, hf,
+                       mv_core.quotient_ranks)
+        if not isinstance(want[1], AuditReport):
+            assert got == [want, want]
+            continue
+        assert got[1][0] is got[0][0]
+        assert [triples(audit) for _, audit in got] \
+            == [triples(want[1])] * 2
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_representations_with_a_psi_level_moved(name, monkeypatch):
     # each filter's psi with one entry moved by a level, at a seeded spot
