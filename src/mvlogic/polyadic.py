@@ -15,13 +15,17 @@ operations as tables over carrier indices, extending mv_core's
 `build_generated` computes a functional algebra's operations once:
 closing the carrier, it records the carrier index of every result, and
 builds the algebra's view of those tables with it. Results leave in
-element form. How the signature's maps combine is read off the view too
-(`subst_at`, `composition`, `agreement`, `injective`, `modified`,
-`replacement`; `composition`, `injective` and `modified` off each map's
-byte code of index positions), and so are the dimension sets
-(`dimensions`). A
-functional algebra also has element operations, on which interlab's
-term_eval, the second route the eta check compares against, runs.
+element form. What depends only on a signature, the assignments of
+(I, X), each map's assignment positions, each scope's blocks and the
+"full" semigroup of I, is built once per process, on first use, and
+kept in one bounded store (MAX_SIGNATURE_ENTRIES) that the closure and
+the element operations read. How the signature's maps combine is read
+off the view too (`subst_at`, `composition`, `agreement`, `injective`,
+`modified`, `replacement`; `composition`, `injective` and `modified` off
+each map's byte code of index positions), and so are the dimension sets
+(`dimensions`). A functional algebra also has element operations, on
+which interlab's term_eval, the second route the eta check compares
+against, runs.
 
 Inside the engine a value of the chain is an integer level (the closure
 of `build_generated` runs on mv_core's rows of levels), and `Fraction`
@@ -37,7 +41,7 @@ algebra (see mv_core.kept).
 from __future__ import annotations
 
 import itertools
-from operator import contains, getitem
+from operator import contains, getitem, itemgetter
 
 from .mv_core import (
     MAX_VALUATIONS, AuditReport, Chain, IndexedMV, TableAlgebra, ONE, ZERO,
@@ -49,6 +53,11 @@ from .mv_core import (
 from .transform import (
     FinTransformation, SemigroupSpec, parse_transformation, semigroup_closure,
 )
+
+
+# The most (+) and (*) entries that build_generated computes as one round
+# (see there): the pairs that a cap trip can waste.
+ROUND_ENTRIES = 1 << 12
 
 
 class SignatureError(ValueError):
@@ -108,18 +117,106 @@ def _assignment_count(points, base):
     return base ** points
 
 
+# The most entries that the signature store keeps between builds: two per
+# assignment (the tuple and its index), one per assignment position of a
+# map, two per assignment of a scope (its block id and its place in a
+# block) and one per map of a "full" semigroup. The signatures of the
+# tests, the golden corpus and the benchmark hold a few thousand; a part
+# past the bound is kept alone.
+MAX_SIGNATURE_ENTRIES = 100_000
+
+
+class _SignatureStore:
+    """What a functional algebra reads that depends only on its signature,
+    built once per process: the parts, under their keys in the order
+    built, each with its count of entries. The oldest part leaves first
+    while they hold more than MAX_SIGNATURE_ENTRIES entries in all; the
+    newest always stays. A part is built on its first use, so nothing is
+    built on import, and is kept as tuples (the assignments' index is a
+    dict) that no reader changes."""
+
+    def __init__(self):
+        self.parts, self.entries = {}, 0
+
+    def get(self, key, build):
+        """The part under key; build() gives (part, entries) the first
+        time. An exception of build is raised and nothing is kept."""
+        held = self.parts.get(key)
+        if held is None:
+            held = self.parts[key] = build()
+            self.entries += held[1]
+            while self.entries > MAX_SIGNATURE_ENTRIES and len(self.parts) > 1:
+                self.entries -= self.parts.pop(next(iter(self.parts)))[1]
+        return held[0]
+
+
+_SIGNATURES = _SignatureStore()
+
+
+def _assignments(index_set, base):
+    """(assignments, index): the tuples of ^I X in product order, I and X
+    sorted and given as tuples, and the position of each."""
+    def build():
+        points = tuple(itertools.product(base, repeat=len(index_set)))
+        return (points, {x: k for k, x in enumerate(points)}), 2 * len(points)
+    return _SIGNATURES.get(("assignments", index_set, base), build)
+
+
+def _positions(index_set, base, maps):
+    """The assignment positions of each s_tau, end to end, for the maps
+    tau given by their values on the index set: entry k of a map's run is
+    the position of x o tau, x the k-th assignment, so that s_tau p is p
+    read at its run."""
+    def build():
+        points, index = _assignments(index_set, base)
+        row = []
+        for values in maps:
+            at = [index_set.index(v) for v in values]
+            row += [index[tuple(map(x.__getitem__, at))] for x in points]
+        return tuple(row), len(row)
+    return _SIGNATURES.get(("positions", index_set, base, maps), build)
+
+
+def _blocks(index_set, base, scopes):
+    """(ids, maxima) of the assignments grouped by their entries off J,
+    for each J of scopes, a tuple of frozensets (see _classes): per block
+    a getter of a row's entries there (the one entry as a slice), whose
+    max is the block's supremum, and per J the id of each assignment's
+    block, end to end. Ids count on from |X|^|I| and from the blocks of
+    the scopes before, so that c_J p, for every J at once, is p followed
+    by the suprema of its blocks read at ids."""
+    def build():
+        points, _ = _assignments(index_set, base)
+        ids, maxima = [], []
+        for j in scopes:
+            block = [0] * len(points)
+            for members in _classes(points, index_set, j):
+                for pos in members:
+                    block[pos] = len(points) + len(maxima)
+                maxima.append(itemgetter(*members) if len(members) > 1 else
+                              itemgetter(slice(members[0], members[0] + 1)))
+            ids += block
+        return (tuple(ids), tuple(maxima)), 2 * len(ids)
+    return _SIGNATURES.get(("blocks", index_set, base, scopes), build)
+
+
 def normalize_transformations(index_set, spec):
     domain = tuple(sorted(index_set))
-    truncated = False
     if spec == "full":
-        # its |I|^|I| maps are held to the default closure cap of a
+        # its |I|^|I| maps, in product order of their values, which is
+        # their sort order, are held to the default closure cap of a
         # generated semigroup before any is built: "full" admits |I| <= 4
-        if len(domain) ** len(domain) > SemigroupSpec.cap:
-            raise TruncationError(f"the full semigroup on {len(domain)} "
-                                  f"indices has over {SemigroupSpec.cap} maps")
-        maps = {FinTransformation(domain, values)
-                for values in itertools.product(domain, repeat=len(domain))}
-    elif isinstance(spec, SemigroupSpec):
+        def build():
+            if len(domain) ** len(domain) > SemigroupSpec.cap:
+                raise TruncationError(
+                    f"the full semigroup on {len(domain)} indices has over "
+                    f"{SemigroupSpec.cap} maps")
+            maps = tuple(FinTransformation(domain, values) for values
+                         in itertools.product(domain, repeat=len(domain)))
+            return maps, len(maps)
+        return _SIGNATURES.get(("full", domain), build), False
+    truncated = False
+    if isinstance(spec, SemigroupSpec):
         closure = semigroup_closure(spec)
         maps, truncated = set(closure.elements), closure.truncated
     else:
@@ -226,10 +323,9 @@ class IndexedAlgebra(IndexedMV):
         point = {i: k for k, i in enumerate(self.algebra.index_set)}
         scopes = []
         for j in self.algebra.scopes:
-            inside = [point[i] for i in j if i in point]
+            inside = [point[i] for i in j]
             scopes.append((j, inside, sum(1 << v for v in inside)))
-        # a scope that leaves the index set is no preimage
-        family = {mask: j for j, _, mask in scopes if j <= point.keys()}
+        family = {mask: j for j, _, mask in scopes}
         out = []
         for code in self.codes:
             pre_of = [0] * len(point)  # the preimage of each position
@@ -299,9 +395,13 @@ class FunctionalSetAlgebra:
 
     Elements are value tuples aligned with the lexicographic assignment
     order. Substitution precomposes with a transformation of the index
-    set; cylindrification takes suprema over assignment classes. Its
-    view is built with it by build_generated: an algebra built otherwise
-    has no indexed view and no contains.
+    set; cylindrification takes suprema over assignment classes. What
+    these read depends only on the signature (I, X), and is read from
+    the process's signature store, as build_generated reads it: the
+    assignments, each map's assignment positions and each scope's blocks,
+    built on first use for any map or scope. Its view is built with it by
+    build_generated: an algebra built otherwise has no indexed view and
+    no contains.
     """
 
     kind = "functional"
@@ -315,15 +415,11 @@ class FunctionalSetAlgebra:
         self.chain = chain
         self.transformations = transformations
         self.scopes = scopes
-        self.assignments = tuple(
-            itertools.product(self.base, repeat=len(self.index_set)))
-        self._assign_index = {x: i for i, x in enumerate(self.assignments)}
+        self.assignments = _assignments(self.index_set, self.base)[0]
         self.carrier = tuple(carrier)
         self.generators = tuple(generators)
         self.zero = tuple(ZERO for _ in self.assignments)
         self.one = tuple(ONE for _ in self.assignments)
-        self._perm_cache = {}
-        self._block_cache = {}
         self._indexed = None
 
     # -- element-level operations ------------------------------------
@@ -354,35 +450,15 @@ class FunctionalSetAlgebra:
             if not self.contains(p):
                 raise SignatureError(f"{p!r} is not a carrier element")
 
-    def _perm(self, tau):
-        perm = self._perm_cache.get(tau)
-        if perm is None:
-            at = [self.index_set.index(tau.apply(i)) for i in self.index_set]
-            perm = self._perm_cache[tau] = tuple(
-                self._assign_index[tuple(map(x.__getitem__, at))]
-                for x in self.assignments)
-        return perm
-
     def subst_el(self, tau, p):
-        return type(p)(map(p.__getitem__, self._perm(tau)))
-
-    def _blocks(self, j):
-        key = frozenset(j)
-        blocks = self._block_cache.get(key)
-        if blocks is None:
-            classes = _classes(self.assignments, self.index_set, key)
-            block_id = [None] * len(self.assignments)
-            for bid, positions in enumerate(classes):
-                for pos in positions:
-                    block_id[pos] = bid
-            blocks = (tuple(block_id), classes)
-            self._block_cache[key] = blocks
-        return blocks
+        positions = _positions(self.index_set, self.base,
+                               (tuple(map(tau.apply, self.index_set)),))
+        return type(p)(map(p.__getitem__, positions))
 
     def cyl_el(self, j, p):
-        block_id, members = self._blocks(frozenset(j))
-        sups = [max(map(p.__getitem__, positions)) for positions in members]
-        return type(p)(map(sups.__getitem__, block_id))
+        ids, maxima = _blocks(self.index_set, self.base, (frozenset(j),))
+        row = p + tuple(max(m(p)) for m in maxima)
+        return type(p)(map(row.__getitem__, ids))
 
     def mv_view(self):
         """The MV reduct for the filter machinery: the algebra itself."""
@@ -426,15 +502,24 @@ def build_generated(index_set, base, chain, generators, transformations,
     raises; a partial carrier is never returned.
 
     The closure runs on mv_core rows of integer chain levels, v at v * top,
-    of type _row_type(2 * top), a whole row per operation: one _read of p
-    for every s_tau p, one per scope J for c_J p, and for the (+) and (*)
-    of p with all of elements[:i + 1] one _add against those rows end to
-    end and a _read per mv_core._level_tables table, looked up at once and
-    admitted in closure order from the first new one. The carrier index of
-    each result is recorded as the tables of the view, the (+) of i with
-    k <= i also as entry [k][i]; each element becomes a tuple of chain
-    values once, at the end: mv_core.Value, levels 0 and top as ZERO and
-    ONE themselves.
+    of type _row_type(2 * top), a whole row per operation. The unary
+    results of p are ~p, one _read of the level table, and all its s_tau p
+    and c_J p at once: one _read of p followed by the suprema of its
+    blocks, at the maps' positions and the scopes' block ids of the
+    signature store, end to end. The (+) and (*) go a round at a time: a
+    round is the elements admitted so far from the next one on,
+    ROUND_ENTRIES pair entries at most (one element at least), and the (+)
+    and (*) of each with every element up to it are one _add of two rows
+    joined end to end and one _read per mv_core._level_tables table, cut
+    into runs and looked up at once. Admission stays element by element:
+    each element of a round admits its unary results, then its pairs, in
+    closure order from the first new one, so the carrier order, every
+    table and the admission at which the cap trips are those of the
+    element-by-element closure, and a cap trip wastes one round of pairs
+    at most. The carrier index of each result is recorded as the tables
+    of the view, the (+) of i with k <= i also as entry [k][i]; each
+    element becomes a tuple of chain values once, at the end:
+    mv_core.Value, levels 0 and top as ZERO and ONE themselves.
     """
     if isinstance(base, int):
         base = range(base)
@@ -455,22 +540,20 @@ def build_generated(index_set, base, chain, generators, transformations,
                 raise ValueError(f"generator value {v} is not in {chain!r}")
         gens.append(g)
 
-    # built once: its positions and blocks serve the closure, which then
-    # fills in its carrier and tables
     algebra = FunctionalSetAlgebra(
         index_set, base, chain, carrier=(), generators=gens,
         transformations=maps, scopes=scopes)
     top = chain.n - 1
     row = _row_type(2 * top)
-    # position rows are bytes only where the level rows are bytes too
-    positions = _row_type(max(size - 1, 2 * top))(
-        itertools.chain.from_iterable(map(algebra._perm, maps)))
-    spans = [j for j in scopes if j]  # c_{} is the identity
-    blocks = [(members, _row_type(max(len(members) - 1, 2 * top))(ids))
-              for ids, members in map(algebra._blocks, spans)]
+    # s_tau p and c_J p, for every tau and J at once: p followed by the
+    # suprema of its blocks, read at the positions and the block ids, a
+    # row of bytes only where the level rows are bytes too
+    spans = tuple(j for j in scopes if j)  # c_{} is the identity
+    ids, maxima = _blocks(index_set, base, spans)
+    at = _row_type(max(size + len(maxima) - 1, 2 * top))(
+        _positions(index_set, base, tuple(t.values for t in maps)) + ids)
     neg, plus, times = _level_tables(top)
-    elements, index, negs, sums = [], {}, [], []
-    substs, cyls = [[] for _ in maps], {j: [] for j in spans}
+    elements, index, unary, pairwise = [], {}, [], []
 
     def admit(p):
         i = index.get(p)
@@ -482,46 +565,78 @@ def build_generated(index_set, base, chain, generators, transformations,
             elements.append(p)
         return i
 
+    def admitted(results):
+        # the carrier indices of results, looked up at once and admitted
+        # in closure order from the first new one
+        found = list(map(index.get, results))
+        if None in found:
+            first = found.index(None)
+            found[first:] = map(admit, results[first:])
+        return found
+
     admit(row((0,)) * size)
     admit(row((top,)) * size)
     for g in gens:
         admit(row([v.numerator * top // v.denominator for v in g]))
 
-    i = 0
-    while i < len(elements):
-        p = elements[i]
-        negs.append(admit(_read(neg, p)))
-        moved = row(_read(p, positions))
-        for k, table in enumerate(substs):
-            table.append(admit(moved[k * size:(k + 1) * size]))
-        for (members, ids), table in zip(blocks, cyls.values()):
-            sups = row([max(map(p.__getitem__, m)) for m in members])
-            table.append(admit(row(_read(sups, ids))))
-        both = _add(p * (i + 1), _concat(elements[:i + 1], row))
-        pairs = _read(plus, both), _read(times, both)
-        results = [r[k * size:(k + 1) * size] for k in range(i + 1)
-                   for r in pairs]
-        found = list(map(index.get, results))
-        if None in found:
-            first = found.index(None)
-            found[first:] = map(admit, results[first:])
-        found = found[::2]
-        for k in range(i):
-            sums[k].append(found[k])
-        sums.append(found)
-        i += 1
+    # rows cut into runs of |X|^|I| entries: the unary results of p are
+    # ~p, then each s_tau p, then each c_J p
+    cuts = [slice(k * size, k * size + size)
+            for k in range(len(maps) + len(spans))]
+    unary_cuts = cuts[:]
+    start = 0
+    while start < len(elements):
+        end, entries = start + 1, (start + 1) * size
+        while end < len(elements) \
+                and entries + (end + 1) * size <= ROUND_ENTRIES:
+            end += 1
+            entries += end * size
+        joined = _concat(elements[:end], row)
+        both = _add(
+            _concat([elements[i] * (i + 1) for i in range(start, end)], row),
+            _concat([joined[:(i + 1) * size] for i in range(start, end)], row))
+        count = (end - start) * (start + end + 1) // 2
+        cuts += [slice(k * size, k * size + size)
+                 for k in range(len(cuts), count)]
+        # the (+) and (*) of each pair in turn
+        results = [None] * (2 * count)
+        results[::2] = map(_read(plus, both).__getitem__, cuts[:count])
+        results[1::2] = map(_read(times, both).__getitem__, cuts[:count])
+        known = list(map(index.get, results))
+        a = 0
+        for i in range(start, end):
+            p = elements[i]
+            moved = [_read(neg, p), *map(row(_read(
+                p + row([max(m(p)) for m in maxima]), at)).__getitem__,
+                unary_cuts)]
+            unary.append(admitted(moved))
+            # the pairs' indices looked up as the round began, again if
+            # one was missing then
+            b = a + 2 * i + 2
+            found = known[a:b]
+            if None in found:
+                found = admitted(results[a:b])
+            pairwise.append(found[::2])
+            a = b
+        start = end
 
-    cyls = {j: cyls[j] if j else [*range(len(elements))] for j in scopes}
+    # pairwise[i] is the (+) of i with 0..i: row i up to column i, and
+    # column i up to row i
+    n = len(elements)
+    sums = [0] * (n * n)
+    for i, found in enumerate(pairwise):
+        sums[i * n:i * n + i + 1] = found
+        sums[i:i * n + i + 1:n] = found
+    negs, *tables = zip(*unary)
+    cyls = dict(zip(spans, tables[len(maps):]))
+    cyls = {j: cyls[j] if j else range(n) for j in scopes}
     value = {r: Value(r, top) for r in set().union(*elements)}
     value.update({0: ZERO, top: ONE})
     algebra.carrier = tuple(tuple(map(value.__getitem__, p))
                             for p in elements)
-    algebra._indexed = IndexedAlgebra(algebra, negs, sums,
-                                      dict(zip(maps, substs)), cyls)
-    # the closure's positions and blocks are |X|^|I| entries each; the
-    # element operations rebuild the ones they need
-    algebra._perm_cache.clear()
-    algebra._block_cache.clear()
+    algebra._indexed = IndexedAlgebra(
+        algebra, negs, [sums[i * n:i * n + n] for i in range(n)],
+        dict(zip(maps, tables)), cyls)
     return algebra
 
 
@@ -546,6 +661,10 @@ class AbstractPolyadicAlgebra:
         self.index_set = tuple(sorted(index_set))
         self.transformations = transformations
         self.scopes = scopes
+        # build_generated's signature checks: every scope lies in the
+        # index set, and every map lives on it
+        normalize_scopes(self.index_set, scopes)
+        normalize_transformations(self.index_set, transformations)
         c_tables = {frozenset(j): table for j, table in c_tables.items()}
         for t in transformations:
             if t not in s_tables:

@@ -126,6 +126,16 @@ GUARDS = {
             Chain(2), (0,), (FinTransformation.identity((0,)),),
             (frozenset(),), {FinTransformation.identity((0,)): (0, 1)}, {}),
         SignatureError, "missing cylinder table for []"),
+    "abstract-scope-outside": (
+        lambda: polyadic.AbstractPolyadicAlgebra(
+            Chain(2), (0,), (FinTransformation.identity((0,)),),
+            (frozenset(), frozenset({0, 1})), {}, {}),
+        SignatureError, "scope [0, 1] escapes the index set"),
+    "abstract-map-elsewhere": (
+        lambda: polyadic.AbstractPolyadicAlgebra(
+            Chain(2), (0,), (FinTransformation.identity((0, 1)),),
+            (frozenset(),), {}, {}),
+        SignatureError, "semigroup lives on a different index set"),
     "neat-alpha-outside": (
         lambda: polyadic.neat_reduct(small_algebra(), {5}),
         SignatureError, "alpha must be a subset of the index set"),

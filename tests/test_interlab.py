@@ -7,7 +7,7 @@ import pytest
 from builders import (
     coordinate_generator, henkin_demo_algebra, pattern_algebra, small_algebra,
 )
-from mvlogic import interlab, mv_core, pavelka
+from mvlogic import interlab, mv_core, pavelka, polyadic
 from mvlogic.interlab import (
     Exhausted, Found, HenkinFilter, NotFoundWithin, PremiseNotEntailed,
     TermCyl, TermNeg, TermOdot, TermOne, TermOplus, TermSub, TermVar,
@@ -860,3 +860,20 @@ class TestEta:
         repl = FinTransformation.from_dict({0: 1}, (0, 1))
         term = TermSub(repl, TermCyl(0, TermVar(0)))
         assert eta_agreement_check(term, model)
+
+    def test_parts_outside_any_signature(self, monkeypatch):
+        # the eta check's set algebra has no maps and no scopes: the
+        # element operations build the parts of its map and its scope on
+        # first use, in an empty store
+        store = polyadic._SignatureStore()
+        monkeypatch.setattr(polyadic, "_SIGNATURES", store)
+        lang = LanguageSpec(num_vars=4, reserve=1, predicates=(("p0", 2),))
+        table = {(0, 0): F(0), (0, 1): F(1, 2), (1, 0): F(1), (1, 1): F(0)}
+        model = Model(lang, 2, Chain(3), {"p0": table})
+        swap = FinTransformation.transposition((0, 1), 0, 1)
+        assert eta_agreement_check(TermSub(swap, TermCyl(1, TermVar(0))),
+                                   model)
+        assert {key[0] for key in store.parts} \
+            == {"assignments", "positions", "blocks"}
+        assert ("positions", (0, 1), (0, 1), ((1, 0),)) in store.parts
+        assert ("blocks", (0, 1), (0, 1), (frozenset({1}),)) in store.parts

@@ -219,6 +219,29 @@ MORE_SPECS = {
 }
 
 
+class TestCapSweep:
+    """A cap below the carrier's size raises the cap's TruncationError,
+    with no carrier, at every such cap: the pairs of a round are computed
+    ahead, but the cap trips at the admission of the element-by-element
+    closure. The carrier's size returns the reference's carrier."""
+
+    @pytest.mark.parametrize("name",
+                             sorted(CLOSURE_SPECS) + sorted(MORE_SPECS))
+    def test_every_cap_below_the_size_raises(self, name):
+        *args, cap = {**CLOSURE_SPECS, **MORE_SPECS}[name]
+        want = reference_build_generated(*args, cap=cap).carrier
+        # every cap up to 16, and 10 seeded caps above it
+        above = range(17, len(want))
+        caps = [*range(min(len(want), 17)), *random.Random(
+            f"caps:{name}").sample(above, min(10, len(above)))]
+        for c in caps:
+            with pytest.raises(TruncationError) as info:
+                build_generated(*args, cap=c)
+            assert str(info.value) == \
+                f"carrier closure exceeded the cap of {c}"
+        assert build_generated(*args, cap=len(want)).carrier == want
+
+
 @pytest.fixture(scope="module",
                 params=sorted(CLOSURE_SPECS) + sorted(MORE_SPECS))
 def closure_view(request):
@@ -257,15 +280,14 @@ def value_tuple_combinations(view):
 def wide_abstract_algebra():
     """The one-element algebra over 300 indices, past the 256 that byte
     codes hold, with the identity, a transposition and two replacements
-    (whose composites leave the signature) and five scopes, one of them
-    leaving the index set, which the constructor does not refuse."""
+    (whose composites leave the signature) and four scopes."""
     index = tuple(range(300))
     maps = (FinTransformation.identity(index),
             FinTransformation.transposition(index, 0, 299),
             FinTransformation.replacement(index, 0, 1),
             FinTransformation.replacement(index, 1, 2))
     scopes = (frozenset(), frozenset({0}), frozenset({1}),
-              frozenset({0, 299}), frozenset({1, 300}))
+              frozenset({0, 299}))
     return AbstractPolyadicAlgebra(
         TableAlgebra(["*"], [[0]], [0], 0, 0), index, maps, scopes,
         {t: (0,) for t in maps}, {j: (0,) for j in scopes})
@@ -1079,6 +1101,31 @@ class TestAuditAgainstReference:
                            reference_audit_axioms(pattern_algebra())}
 
 
+def assert_tables_agree(algebra):
+    """The view of a functional algebra against its element operations:
+    every table entry is the operation's result on the elements."""
+    view = algebra.indexed()
+    assert view is algebra.indexed()
+    els = view.elements
+    assert els == algebra.carrier
+    assert (els[view.zero], els[view.one]) == (algebra.zero, algebra.one)
+    for a, p in enumerate(els):
+        assert els[view.neg[a]] == algebra.neg(p)
+        for b, q in enumerate(els):
+            assert els[view.oplus[a][b]] == algebra.oplus(p, q)
+            assert els[view.odot[a][b]] == algebra.odot(p, q)
+            assert view.le[a][b] == algebra.le(p, q)
+    for t in algebra.transformations:
+        assert [els[x] for x in view.subst[t]] \
+            == [algebra.subst_el(t, p) for p in els]
+    for j in algebra.scopes:
+        assert [els[x] for x in view.cyl[j]] \
+            == [algebra.cyl_el(j, p) for p in els]
+        assert [els[x] for x in view.q[j]] \
+            == [algebra.neg(algebra.cyl_el(j, algebra.neg(p)))
+                for p in els]
+
+
 def diag4():
     """The |I| = 4 algebra over L2 that the diagonal x0 = x1 generates
     under the full semigroup: 256 elements, the most that take byte
@@ -1123,27 +1170,7 @@ class TestIndexedAlgebra:
         # small and pattern are the small_algebra() and pattern_algebra()
         # fixtures
         *args, cap = {**CLOSURE_SPECS, **MORE_SPECS}[name]
-        algebra = build_generated(*args, cap=cap)
-        view = algebra.indexed()
-        assert view is algebra.indexed()
-        els = view.elements
-        assert els == algebra.carrier
-        assert (els[view.zero], els[view.one]) == (algebra.zero, algebra.one)
-        for a, p in enumerate(els):
-            assert els[view.neg[a]] == algebra.neg(p)
-            for b, q in enumerate(els):
-                assert els[view.oplus[a][b]] == algebra.oplus(p, q)
-                assert els[view.odot[a][b]] == algebra.odot(p, q)
-                assert view.le[a][b] == algebra.le(p, q)
-        for t in algebra.transformations:
-            assert [els[x] for x in view.subst[t]] \
-                == [algebra.subst_el(t, p) for p in els]
-        for j in algebra.scopes:
-            assert [els[x] for x in view.cyl[j]] \
-                == [algebra.cyl_el(j, p) for p in els]
-            assert [els[x] for x in view.q[j]] \
-                == [algebra.neg(algebra.cyl_el(j, algebra.neg(p)))
-                    for p in els]
+        assert_tables_agree(build_generated(*args, cap=cap))
 
     def test_derived_tables_are_built_on_first_read(self):
         # the queries of `poly dims` read cylinders only: the n x n odot
@@ -1200,6 +1227,51 @@ class TestIndexedAlgebra:
         for name in ("zero", "one", "neg", "oplus", "odot", "le", "subst",
                      "cyl", "q"):
             assert getattr(tables, name) == getattr(view, name), name
+
+
+class TestSignatureStore:
+    """What depends only on a signature (I, X) is built once per process:
+    algebras of one signature share its parts, their element operations
+    read them too, and the store keeps within MAX_SIGNATURE_ENTRIES."""
+
+    def test_algebras_of_one_signature_share_its_parts(self, monkeypatch):
+        store = polyadic._SignatureStore()
+        monkeypatch.setattr(polyadic, "_SIGNATURES", store)
+        # i3p and pattern: |I| = 3 over |X| = 2, "full" and "powerset"
+        *args, cap = CLOSURE_SPECS["i3p"]
+        first = build_generated(*args, cap=cap)
+        assert_tables_agree(first)
+        parts = dict(store.parts)
+        *args, cap = CLOSURE_SPECS["pattern"]
+        second = build_generated(*args, cap=cap)
+        assert_tables_agree(second)
+        assert first.carrier != second.carrier
+        assert store.parts.keys() == parts.keys()
+        assert all(store.parts[key] is part for key, part in parts.items())
+        assert second.assignments is first.assignments
+        assert second.transformations is first.transformations
+
+    def test_signatures_keep_within_their_bound(self, monkeypatch):
+        # |I| = 2 over |X| = 50..55: about 30,000 entries a signature,
+        # so the first ones leave
+        store = polyadic._SignatureStore()
+        monkeypatch.setattr(polyadic, "_SIGNATURES", store)
+        held = []
+        for x in range(50, 56):
+            algebra = build_generated((0, 1), x, L2, [], "full", "powerset",
+                                      cap=2)
+            assert len(algebra.carrier) == 2
+            assert store.entries == sum(e for _, e in store.parts.values())
+            assert store.entries <= polyadic.MAX_SIGNATURE_ENTRIES
+            held.append([key for key in store.parts if key[0] != "full"])
+        assert all(key in store.parts for key in held[-1])
+        assert not any(key in store.parts for key in held[0])
+        # a part past the bound is kept alone, and the build is the same
+        monkeypatch.setattr(polyadic, "MAX_SIGNATURE_ENTRIES", 10)
+        *args, cap = CLOSURE_SPECS["small"]
+        assert build_generated(*args, cap=cap).carrier \
+            == small_algebra().carrier
+        assert len(store.parts) == 1 and store.entries > 10
 
 
 class TestMaximalFiltersAreKept:
